@@ -64,12 +64,15 @@ def _load_state_spec(text: str) -> StateSpec:
 
 
 def _grid_specs(args, modes: int):
-    grid = GridSpec(modes, args.window, args.points)
-    char = None
-    if args.char_window is not None or args.char_points is not None:
-        char = wigner_mod.default_char_spec(
-            modes, args.cutoff, halfwidth=args.char_window,
-            points=args.char_points)
+    try:
+        grid = GridSpec(modes, args.window, args.points)
+        char = None
+        if args.char_window is not None or args.char_points is not None:
+            char = wigner_mod.default_char_spec(
+                modes, args.cutoff, halfwidth=args.char_window,
+                points=args.char_points)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_PARSE) from exc
     return grid, char
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm, logm
-from scipy.special import eval_genlaguerre, gammaln
 
 from .phase_space import euler_decompose, is_symplectic
 
@@ -55,26 +54,75 @@ def quadrature_operators(mode_count: int, cutoff: int) -> list[np.ndarray]:
     return ops
 
 
-def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    """Matrix of D(alpha) = exp(alpha a^dag - conj(alpha) a), entrywise exact.
+def _laguerre_diagonals(x, cutoff: int):
+    """Yield (k, n, sqrt(n!/(n+k)!) e^(-x/2) L_n^k(x)) for all n + k < cutoff.
 
-    <m|D|n> = sqrt(n!/m!) alpha^(m-n) e^(-|alpha|^2/2) L_n^(m-n)(|alpha|^2)
-    for m >= n, and the conjugate-reflected form below the diagonal.
+    Offsets k come in increasing order, each with n = 0 .. cutoff-k-1.  The
+    stable three-term recurrence in n runs on the e^(-x/2)-scaled
+    polynomials and carries the square-root prefactor multiplicatively, so
+    no factorials appear.
     """
-    x = abs(alpha) ** 2
     env = np.exp(-x / 2)
-    D = np.zeros((cutoff, cutoff), dtype=complex)
-    for n in range(cutoff):
-        for m in range(cutoff):
-            lo, hi = min(m, n), max(m, n)
-            k = hi - lo
-            pref = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)))
-            lag = eval_genlaguerre(lo, k, x)
-            if m >= n:
-                D[m, n] = pref * alpha ** k * env * lag
-            else:
-                D[m, n] = pref * (-np.conj(alpha)) ** k * env * lag
-    return D
+    head = 1.0  # 1/sqrt(k!)
+    for k in range(cutoff):
+        if k:
+            head /= np.sqrt(k)
+        pref = head
+        lag_prev = np.zeros_like(env)
+        lag = env
+        for n in range(cutoff - k):
+            yield k, n, pref * lag
+            lag_prev, lag = lag, (
+                (2 * n + k + 1 - x) * lag - (n + k) * lag_prev) / (n + 1)
+            pref *= np.sqrt((n + 1) / (n + 1 + k))
+
+
+def displacement_matrix(alpha, cutoff: int) -> np.ndarray:
+    """Matrix elements <m|D(alpha)|n> of D(alpha) = exp(alpha a^dag - h.c.).
+
+    alpha is a scalar or an array; the result d[m, n, ...] has shape
+    (cutoff, cutoff, *alpha.shape).  Entrywise exact (Cahill & Glauber):
+    <n+k|D|n> = sqrt(n!/(n+k)!) alpha^k e^(-|alpha|^2/2) L_n^k(|alpha|^2),
+    and <n|D|n+k> carries (-conj(alpha))^k instead of alpha^k.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    out = np.zeros((cutoff, cutoff) + alpha.shape, dtype=complex)
+    for k, n, value in _laguerre_diagonals(np.abs(alpha) ** 2, cutoff):
+        if n == 0:
+            up = alpha ** k
+            down = (-1) ** k * np.conj(up)
+        out[n + k, n] = value * up
+        out[n, n + k] = value * down
+    return out
+
+
+def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
+    """Tr[A D(alpha)] = sum_ij A[i, j] <j|D(alpha)|i> for every alpha.
+
+    The recurrence runs once per distinct |alpha|^2, and each diagonal
+    offset is added into the result as soon as it is complete, so no
+    cutoff-by-alphas array is ever held.
+    """
+    A = np.asarray(A, dtype=complex)
+    alphas = np.asarray(alphas, dtype=complex)
+    flat = alphas.reshape(-1)
+    cutoff = A.shape[0]
+    radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
+    out = np.zeros(flat.shape, dtype=complex)
+    for k, n, value in _laguerre_diagonals(radii, cutoff):
+        if n == 0:
+            upper = np.zeros(radii.shape, dtype=complex)  # A[n, n+k] terms
+            lower = np.zeros(radii.shape, dtype=complex)  # A[n+k, n] terms
+        if A[n, n + k]:
+            upper += A[n, n + k] * value
+        if k and A[n + k, n]:
+            lower += A[n + k, n] * value
+        if n == cutoff - 1 - k and (upper.any() or lower.any()):
+            power = flat ** k
+            out += upper[where] * power
+            if k:
+                out += lower[where] * ((-1) ** k * np.conj(power))
+    return out.reshape(alphas.shape)
 
 
 def multimode_displacement(mean, cutoff: int) -> np.ndarray:
@@ -92,34 +140,6 @@ def squeeze_matrix(r: float, cutoff: int) -> np.ndarray:
     """Single-mode squeeze with M^dag q M = e^(-r) q (shrinks q for r > 0)."""
     a = annihilation(cutoff)
     return expm((r / 2) * (a @ a - a.conj().T @ a.conj().T))
-
-
-def displacement_element_tables(cutoff: int, alphas: np.ndarray) -> np.ndarray:
-    """Dense table d[m, n, j] = <m|D(alphas[j])|n> for a flat alpha array.
-
-    Built by the stable three-term Laguerre recurrence in n per diagonal
-    offset, so no factorials appear.
-    """
-    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
-    x = np.abs(alphas) ** 2
-    env = np.exp(-x / 2)
-    table = np.zeros((cutoff, cutoff, alphas.size), dtype=complex)
-    for k in range(cutoff):
-        # prefactor sqrt(n!/(n+k)!) tracked multiplicatively
-        pref = np.exp(0.5 * (gammaln(1) - gammaln(k + 1)))
-        lag_prev = np.zeros_like(x)
-        lag = np.ones_like(x)
-        up = alphas ** k * env
-        down = (-np.conj(alphas)) ** k * env
-        for n in range(cutoff - k):
-            term = pref * lag
-            table[n + k, n] = term * up
-            if k > 0:
-                table[n, n + k] = term * down
-            lag_prev, lag = lag, (
-                (2 * n + k + 1 - x) * lag - (n + k) * lag_prev) / (n + 1)
-            pref *= np.sqrt((n + 1) / (n + 1 + k))
-    return table
 
 
 def passive_unitary(u: np.ndarray, cutoff: int) -> np.ndarray:

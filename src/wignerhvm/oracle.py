@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import fockspace
 from .phase_space import Context, context_to_standard_basis
@@ -106,7 +106,9 @@ def homodyne_density(state, zeta, axis: np.ndarray) -> np.ndarray:
         raise ValueError("observable label must be nonzero")
     if isinstance(state, GaussianState):
         mean, var = _gaussian_marginal(state, zeta)
-        return norm.pdf(axis, loc=mean, scale=np.sqrt(var))
+        sd = np.sqrt(var)
+        z = (axis - mean) / sd
+        return np.exp(-z ** 2 / 2) / np.sqrt(2 * np.pi) / sd
     reduced = _reduced_rotated_state(state, zeta)
     psi = fockspace.hermite_functions(state.cutoff - 1, axis)
     density = np.einsum("ms,mn,ns->s", psi, reduced, psi).real
@@ -120,7 +122,7 @@ def quantum_homodyne_distribution(state, zeta,
     edges = bins.edges
     if isinstance(state, GaussianState):
         mean, var = _gaussian_marginal(state, zeta)
-        cdf = norm.cdf(edges, loc=mean, scale=np.sqrt(var))
+        cdf = ndtr((edges - mean) / np.sqrt(var))
         return OutcomeDistribution(edges, np.diff(cdf))
     axis = np.linspace(min(-DENSITY_AXIS_HALFWIDTH, bins.lo),
                        max(DENSITY_AXIS_HALFWIDTH, bins.hi),
@@ -153,7 +155,7 @@ def event_probability(state, zeta, intervals) -> float:
     if isinstance(state, GaussianState):
         mean, var = _gaussian_marginal(state, zeta)
         sd = np.sqrt(var)
-        return float(sum(norm.cdf(b, mean, sd) - norm.cdf(a, mean, sd)
+        return float(sum(ndtr((b - mean) / sd) - ndtr((a - mean) / sd)
                          for a, b in intervals))
     reduced = _reduced_rotated_state(state, zeta)
     cutoff = reduced.shape[0]

@@ -149,12 +149,16 @@ class StateSpec:
         extra = set(raw) - known
         if extra:
             raise StateSpecError(f"unknown state spec fields: {sorted(extra)}")
-        return StateSpec(
-            kind=str(raw["kind"]),
-            params=dict(raw.get("params", {})),
-            modes=int(raw.get("modes", 1)),
-            cutoff=None if raw.get("cutoff") is None else int(raw["cutoff"]),
-        )
+        try:
+            return StateSpec(
+                kind=str(raw["kind"]),
+                params=dict(raw.get("params", {})),
+                modes=int(raw.get("modes", 1)),
+                cutoff=None if raw.get("cutoff") is None
+                else int(raw["cutoff"]),
+            )
+        except (TypeError, ValueError) as exc:
+            raise StateSpecError(f"malformed state spec: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params),
@@ -163,10 +167,18 @@ class StateSpec:
 
 def _as_complex(value, name: str) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_number(value[0], name), _number(value[1], name))
     if isinstance(value, (int, float)):
         return complex(value)
     raise StateSpecError(f"parameter '{name}' must be a number or [re, im]")
+
+
+def _number(value, name: str, convert=float):
+    """Convert a spec parameter, reporting a malformed one as a spec error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise StateSpecError(f"parameter '{name}' must be a number") from exc
 
 
 def _renormalized(matrix: np.ndarray, cutoff: int, mode_count: int,
@@ -181,7 +193,7 @@ def _renormalized(matrix: np.ndarray, cutoff: int, mode_count: int,
 
 
 def _pure_from_coefficients(coeffs: np.ndarray, cutoff: int) -> FockDensityOperator:
-    norm = float(np.sum(np.abs(coeffs) ** 2))
+    """Pure state from Fock coefficients whose untruncated norm is 1."""
     rho = np.outer(coeffs, coeffs.conj())
     return _renormalized(rho, cutoff, 1, weight=1.0)
 
@@ -212,6 +224,8 @@ def thermal_state(nbar: float, modes: int = 1) -> GaussianState:
 
 
 def fock_state(n: int, cutoff: int) -> FockDensityOperator:
+    if n < 0:
+        raise StateSpecError("photon number must be nonnegative")
     if cutoff < n + 2:
         raise StateSpecError(f"cutoff {cutoff} too small for fock({n})")
     coeffs = np.zeros(cutoff, dtype=complex)
@@ -228,14 +242,7 @@ def cat_state(alpha, cutoff: int) -> FockDensityOperator:
     x = abs(alpha) ** 2
     # exact norm of the untruncated coefficient sequence
     norm = np.sqrt(4 * np.cosh(x) * np.exp(-x)) * np.exp(x / 2)
-    coeffs = amps / norm
-    weight = float(np.sum(np.abs(coeffs) ** 2))
-    rho = np.outer(coeffs, coeffs.conj())
-    leak = 1.0 - weight
-    if leak > LEAKAGE_LIMIT:
-        raise LeakageError(leak, cutoff)
-    out = FockDensityOperator(rho / weight, cutoff, 1, float(max(leak, 0.0)))
-    return out
+    return _pure_from_coefficients(amps / norm, cutoff)
 
 
 def gkp_state(delta: float, cutoff: int) -> FockDensityOperator:
@@ -259,26 +266,15 @@ def gkp_state(delta: float, cutoff: int) -> FockDensityOperator:
     psi /= np.sqrt(np.trapezoid(psi ** 2, axis))
     basis = fockspace.hermite_functions(cutoff - 1, axis)
     coeffs = np.trapezoid(basis * psi[None, :], axis, axis=1)
-    weight = float(np.sum(coeffs ** 2))
-    leak = 1.0 - weight
-    if leak > LEAKAGE_LIMIT:
-        raise LeakageError(leak, cutoff)
-    rho = np.outer(coeffs, coeffs)
-    return FockDensityOperator(rho / weight, cutoff, 1, float(max(leak, 0.0)))
+    return _pure_from_coefficients(coeffs, cutoff)
 
 
 def photon_subtracted_squeezed_state(r: float, cutoff: int) -> FockDensityOperator:
     """a S(r)|0>, proportional to the squeezed single photon S(r)|1>."""
     if r == 0:
         raise StateSpecError("photon subtraction needs nonzero squeezing")
-    sq = fockspace.squeeze_matrix(r, cutoff)
-    coeffs = sq[:, 1]
-    weight = float(np.sum(np.abs(coeffs) ** 2))
-    leak = 1.0 - weight
-    if leak > LEAKAGE_LIMIT:
-        raise LeakageError(leak, cutoff)
-    rho = np.outer(coeffs, coeffs.conj())
-    return FockDensityOperator(rho / weight, cutoff, 1, float(max(leak, 0.0)))
+    return _pure_from_coefficients(fockspace.squeeze_matrix(r, cutoff)[:, 1],
+                                   cutoff)
 
 
 def make_state(spec: StateSpec):
@@ -305,18 +301,20 @@ def make_state(spec: StateSpec):
         if kind == "squeezed":
             if spec.modes != 1:
                 raise StateSpecError("'squeezed' is a single-mode state")
-            return squeezed_state(float(params.get("r", 0.5)),
-                                  float(params.get("theta", 0.0)))
+            return squeezed_state(_number(params.get("r", 0.5), "r"),
+                                  _number(params.get("theta", 0.0), "theta"))
         if kind == "thermal":
-            return thermal_state(float(params.get("nbar", 1.0)), spec.modes)
+            return thermal_state(_number(params.get("nbar", 1.0), "nbar"),
+                                 spec.modes)
         if kind == "fock":
-            return fock_state(int(params.get("n", 1)), cutoff)
+            return fock_state(_number(params.get("n", 1), "n", int), cutoff)
         if kind == "cat":
             return cat_state(params.get("alpha", 2.0), cutoff)
         if kind == "gkp":
-            return gkp_state(float(params.get("delta", 0.3)), cutoff)
+            return gkp_state(_number(params.get("delta", 0.3), "delta"),
+                             cutoff)
         return photon_subtracted_squeezed_state(
-            float(params.get("r", 0.5)), cutoff)
+            _number(params.get("r", 0.5), "r"), cutoff)
     except (TypeError, KeyError) as exc:
         raise StateSpecError(f"bad parameters for '{kind}': {exc}") from exc
 

@@ -14,6 +14,7 @@ mode count; the Weyl symbol of an observable carries an extra (2 pi)^m.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +136,9 @@ def wigner_gaussian(state: GaussianState, spec: GridSpec) -> WignerGrid:
     cov = state.covariance
     det = np.linalg.det(cov)
     if det <= 0 or np.linalg.cond(cov) > 1e12:
-        raise ValueError("covariance is singular on this scale")
+        raise InadequateWindowError(
+            "covariance is singular on this scale; the grid cannot "
+            "resolve the state")
     prec = np.linalg.inv(cov)
     n = 2 * spec.mode_count
     coords = spec.coordinate_blocks()
@@ -150,67 +153,24 @@ def wigner_gaussian(state: GaussianState, spec: GridSpec) -> WignerGrid:
     return WignerGrid(spec, values)
 
 
-def _chi_fock_single_mode(matrix: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Accumulate Tr[rho D(v)] over the grid, one Laguerre diagonal at a time."""
-    cutoff = matrix.shape[0]
-    vq = spec.axis[:, None]
-    vp = spec.axis[None, :]
-    alpha = (vq + 1j * vp) / np.sqrt(2)
-    x = np.abs(alpha) ** 2
-    env = np.exp(-x / 2)
-    chi = np.zeros(spec.shape, dtype=complex)
-    for k in range(cutoff):
-        upper = np.diagonal(matrix, offset=k)   # rho[n, n+k]
-        lower = np.diagonal(matrix, offset=-k)  # rho[n+k, n]
-        if not (np.any(upper) or np.any(lower)):
-            continue
-        up_kernel = alpha ** k * env
-        down_kernel = (-np.conj(alpha)) ** k * env
-        pref = 1.0 / np.sqrt(np.prod(np.arange(1, k + 1), dtype=float)) \
-            if k else 1.0
-        lag_prev = np.zeros_like(x)
-        lag = np.ones_like(x)
-        for n in range(cutoff - k):
-            term = pref * lag
-            # chi = sum_{i,j} rho[i, j] <j|D|i>; <n+k|D|n> carries alpha^k
-            if upper[n] != 0:
-                chi += upper[n] * term * up_kernel
-            if k > 0 and lower[n] != 0:
-                chi += lower[n] * term * down_kernel
-            lag_prev, lag = lag, (
-                (2 * n + k + 1 - x) * lag - (n + k) * lag_prev) / (n + 1)
-            pref *= np.sqrt((n + 1) / (n + 1 + k))
-    return chi
-
-
-_TABLE_CACHE: dict = {}
-
-
-def _cached_table(cutoff: int, spec: GridSpec) -> np.ndarray:
-    key = (cutoff, spec)
-    if key not in _TABLE_CACHE:
-        axis = spec.axis
-        vq, vp = np.meshgrid(axis, axis, indexing="ij")
-        alphas = ((vq + 1j * vp) / np.sqrt(2)).reshape(-1)
-        if len(_TABLE_CACHE) > 2:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[key] = fockspace.displacement_element_tables(
-            cutoff, alphas)
-    return _TABLE_CACHE[key]
-
-
-def _chi_fock_two_mode(matrix: np.ndarray, cutoff: int,
-                       spec: GridSpec) -> np.ndarray:
-    table = _cached_table(cutoff, spec)
-    # d[j, i] = <j|D|i>; chi = sum rho[(i1 i2), (j1 j2)] d1[j1,i1] d2[j2,i2]
-    dmat = table.reshape(cutoff * cutoff, -1)
-    rho4 = matrix.reshape(cutoff, cutoff, cutoff, cutoff)
-    mat = rho4.transpose(2, 0, 3, 1).reshape(cutoff ** 2, cutoff ** 2)
-    chi_flat = dmat.T @ mat @ dmat
+def _displacement_traces(matrix: np.ndarray, spec: GridSpec,
+                         scale: float) -> np.ndarray:
+    """Tr[A D(scale * v)] at every node v of a one- or two-mode grid."""
+    axis = spec.axis
+    vq, vp = np.meshgrid(axis, axis, indexing="ij")
+    alphas = scale * (vq + 1j * vp) / np.sqrt(2)
+    matrix = np.asarray(matrix, dtype=complex)
+    if spec.mode_count == 1:
+        return fockspace.displacement_trace(matrix, alphas)
+    if spec.mode_count != 2:
+        raise ValueError("phase-space grids supported for m <= 2")
+    c = round(matrix.shape[0] ** 0.5)
+    # d[(j, i), v] = <j|D|i>; Tr = sum A[(i1 i2), (j1 j2)] d1[j1,i1] d2[j2,i2]
+    d = fockspace.displacement_matrix(alphas.reshape(-1), c).reshape(c * c, -1)
+    mat = matrix.reshape(c, c, c, c).transpose(2, 0, 3, 1).reshape(c * c, -1)
     p = spec.points
-    chi4 = chi_flat.reshape(p, p, p, p)
     # flat per-mode index is (vq, vp); reorder axes to (vq1, vq2, vp1, vp2)
-    return chi4.transpose(0, 2, 1, 3)
+    return (d.T @ mat @ d).reshape(p, p, p, p).transpose(0, 2, 1, 3)
 
 
 def characteristic_function(rho: FockDensityOperator,
@@ -218,13 +178,7 @@ def characteristic_function(rho: FockDensityOperator,
     """chi(v) = Tr[rho D(v)] from the exact displacement matrix elements."""
     if spec.mode_count != rho.mode_count:
         raise ValueError("grid/state mode mismatch")
-    if rho.mode_count == 1:
-        values = _chi_fock_single_mode(rho.matrix, spec)
-    elif rho.mode_count == 2:
-        values = _chi_fock_two_mode(rho.matrix, rho.cutoff, spec)
-    else:
-        raise ValueError("characteristic grids supported for m <= 2")
-    grid = CharacteristicGrid(spec, values)
+    grid = CharacteristicGrid(spec, _displacement_traces(rho.matrix, spec, 1.0))
     if abs(grid.origin_value() - 1.0) > 1e-6:
         raise ValueError("characteristic function origin deviates from 1")
     return grid
@@ -233,15 +187,9 @@ def characteristic_function(rho: FockDensityOperator,
 def characteristic_observable(matrix: np.ndarray, mode_count: int,
                               spec: GridSpec) -> CharacteristicGrid:
     """Tr[A D(v)] for a truncated operator matrix (no trace-one check)."""
-    if mode_count == 1:
-        values = _chi_fock_single_mode(np.asarray(matrix, dtype=complex), spec)
-    elif mode_count == 2:
-        cutoff = round(matrix.shape[0] ** 0.5)
-        values = _chi_fock_two_mode(np.asarray(matrix, dtype=complex),
-                                    cutoff, spec)
-    else:
-        raise ValueError("characteristic grids supported for m <= 2")
-    return CharacteristicGrid(spec, values)
+    if spec.mode_count != mode_count:
+        raise ValueError("grid/observable mode mismatch")
+    return CharacteristicGrid(spec, _displacement_traces(matrix, spec, 1.0))
 
 
 def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
@@ -324,67 +272,22 @@ def weyl_symbol_from_characteristic(chi: CharacteristicGrid,
     return WignerGrid(out_spec, raw.real), chi.boundary_residual()
 
 
-def _fock_kernel_accumulate(matrix: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Sum rho[m, n] * (Wigner kernel of |m><n|) on a single-mode grid."""
-    cutoff = matrix.shape[0]
-    zq = spec.axis[:, None]
-    zp = spec.axis[None, :]
-    beta = zq - 1j * zp
-    x = 2 * (zq ** 2 + zp ** 2)
-    env = np.exp(-x / 2) / np.pi
-    out = np.zeros(spec.shape, dtype=complex)
-    for k in range(cutoff):
-        lower = np.diagonal(matrix, offset=-k)  # rho[n+k, n]
-        upper = np.diagonal(matrix, offset=k)   # rho[n, n+k]
-        if not (np.any(lower) or np.any(upper)):
-            continue
-        poly = (np.sqrt(2) * beta) ** k
-        pref = 1.0 / np.sqrt(np.prod(np.arange(1, k + 1), dtype=float)) \
-            if k else 1.0
-        lag_prev = np.zeros_like(x)
-        lag = np.ones_like(x)
-        for n in range(cutoff - k):
-            kernel = ((-1) ** n) * pref * poly * lag * env
-            if lower[n] != 0:
-                out += lower[n] * kernel
-            if k > 0 and upper[n] != 0:
-                out += upper[n] * np.conj(kernel)
-            lag_prev, lag = lag, (
-                (2 * n + k + 1 - x) * lag - (n + k) * lag_prev) / (n + 1)
-            pref *= np.sqrt((n + 1) / (n + 1 + k))
-    return out
-
-
 def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
-    """Wigner function from the closed-form kernels of |m><n| elements.
+    """Wigner function without the characteristic-function transform.
 
-    Independent of the characteristic-function route; the two must agree
-    within discretization tolerance on shared grids.
+    Royer's parity identity W(z) = pi^-m Tr[P rho D(2 alpha(z))], with P
+    the parity operator, reuses the displacement-element kernel of the chi
+    route at doubled amplitude but needs neither the Fourier transform nor
+    its window.  The kernel itself is checked independently by the Gaussian
+    closed form and the analytic Fock-state tests.
     """
     if spec.mode_count != rho.mode_count:
         raise ValueError("grid/state mode mismatch")
-    if rho.mode_count == 1:
-        raw = _fock_kernel_accumulate(rho.matrix, spec)
-    elif rho.mode_count == 2:
-        c = rho.cutoff
-        axis = spec.axis
-        zq, zp = np.meshgrid(axis, axis, indexing="ij")
-        flat = np.zeros((c, c, axis.size ** 2), dtype=complex)
-        for mm in range(c):
-            basis = np.zeros((c, c), dtype=complex)
-            for nn in range(c):
-                basis[:] = 0
-                basis[mm, nn] = 1.0
-                flat[mm, nn] = _fock_kernel_accumulate(basis, GridSpec(
-                    1, spec.halfwidth, spec.points)).reshape(-1)
-        ktab = flat.reshape(c * c, -1)
-        rho4 = rho.matrix.reshape(c, c, c, c).transpose(0, 2, 1, 3)
-        mat = rho4.reshape(c * c, c * c)
-        raw4 = (ktab.T @ mat @ ktab).reshape(
-            spec.points, spec.points, spec.points, spec.points)
-        raw = raw4.transpose(0, 2, 1, 3)
-    else:
-        raise ValueError("direct kernels supported for m <= 2")
+    parity = (-1.0) ** np.arange(rho.cutoff)
+    sign = functools.reduce(np.kron, [parity] * rho.mode_count)
+    # P rho signs the rows; rho P (signed columns) would give W(-z)
+    raw = _displacement_traces(sign[:, None] * rho.matrix, spec, 2.0)
+    raw = raw / np.pi ** rho.mode_count
     scale = float(np.max(np.abs(raw.real)))
     imag = float(np.max(np.abs(raw.imag)))
     if imag > IMAG_RESIDUE * max(scale, 1e-300):

@@ -72,12 +72,29 @@ def test_parse_failure_exit_2(tmp_path):
     assert code == 2
     code, _ = run(tmp_path, "wigner", "--state", "not json at all")
     assert code == 2
+    # negative photon numbers must not index |cutoff-1> from the end
+    code, _ = run(tmp_path, "wigner", "--state",
+                  '{"kind": "fock", "params": {"n": -1}, "cutoff": 20}')
+    assert code == 2
+    code, _ = run(tmp_path, "wigner", "--state",
+                  '{"kind": "fock", "params": {"n": "a"}}')
+    assert code == 2
+    code, _ = run(tmp_path, "wigner", "--state",
+                  '{"kind": "fock", "cutoff": "many"}')
+    assert code == 2
+    code, _ = run(tmp_path, "wigner", "--state", '{"kind": "vacuum"}',
+                  "--points", "4")
+    assert code == 2
 
 
 def test_window_inadequacy_exit_3(tmp_path):
     # grid state on the default 6-window: leakage/window checks must trip
     code, _ = run(tmp_path, "wigner", "--state",
                   '{"kind": "gkp", "params": {"delta": 0.3}, "cutoff": 60}')
+    assert code == 3
+    # a covariance too singular for the grid to resolve
+    code, _ = run(tmp_path, "wigner", "--state",
+                  '{"kind": "squeezed", "params": {"r": 20}}')
     assert code == 3
 
 

@@ -71,6 +71,8 @@ def _grid_specs(args, modes: int):
             char = wigner_mod.default_char_spec(
                 modes, args.cutoff, halfwidth=args.char_window,
                 points=args.char_points)
+    except InadequateWindowError as exc:
+        raise CliError(str(exc), EXIT_NUMERICAL) from exc
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     return grid, char

@@ -3,7 +3,9 @@
 All operators use hbar = 1 with q = (a + a^dag)/sqrt(2) and
 p = (a - a^dag)/(i sqrt(2)), so [q, p] = i below the truncation edge.
 Multimode operators act on the Kronecker product of per-mode spaces with
-mode 0 as the leftmost factor.
+mode 0 as the leftmost factor.  In Kronecker-factored form an operator is
+a list of per-mode stacks, one (r, cutoff, cutoff) array per mode, and
+stands for sum_s factors[0][s] (x) factors[1][s] (x) ...
 """
 
 from __future__ import annotations
@@ -52,6 +54,33 @@ def quadrature_operators(mode_count: int, cutoff: int) -> list[np.ndarray]:
     ops = [mode_operator(q, k, mode_count) for k in range(mode_count)]
     ops += [mode_operator(p, k, mode_count) for k in range(mode_count)]
     return ops
+
+
+def kronecker_sum(factors) -> np.ndarray:
+    """The dense matrix of an operator given by its per-mode factor stacks."""
+    m = len(factors)
+    rows, cols = "abcdefgh"[:m], "ijklmnop"[:m]
+    terms = ",".join(f"s{r}{c}" for r, c in zip(rows, cols))
+    dense = np.einsum(f"{terms}->{rows}{cols}", *factors, optimize=True)
+    dim = int(np.prod([f.shape[1] for f in factors]))
+    return dense.reshape(dim, dim)
+
+
+def kronecker_factors(matrix: np.ndarray, mode_count: int) -> list[np.ndarray]:
+    """Exact per-mode factor stacks of a dense one- or two-mode operator.
+
+    Two modes use the realignment A = sum_(i,j) |i><j| (x) A_ij with blocks
+    A_ij[k, l] = <i k|A|j l>: the c^2 matrix units are the first factors.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    if mode_count == 1:
+        return [matrix[None]]
+    if mode_count != 2:
+        raise ValueError("Kronecker factors supported for m <= 2")
+    c = round(matrix.shape[0] ** 0.5)
+    units = np.eye(c * c, dtype=complex).reshape(c * c, c, c)
+    blocks = matrix.reshape(c, c, c, c).transpose(0, 2, 1, 3)
+    return [units, blocks.reshape(c * c, c, c)]
 
 
 def _laguerre_diagonals(x, cutoff: int):

@@ -10,6 +10,7 @@ the leaked weight reported.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,9 +154,9 @@ class StateSpec:
             return StateSpec(
                 kind=str(raw["kind"]),
                 params=dict(raw.get("params", {})),
-                modes=int(raw.get("modes", 1)),
+                modes=_integer(raw.get("modes", 1), "modes"),
                 cutoff=None if raw.get("cutoff") is None
-                else int(raw["cutoff"]),
+                else _integer(raw["cutoff"], "cutoff"),
             )
         except (TypeError, ValueError) as exc:
             raise StateSpecError(f"malformed state spec: {exc}") from exc
@@ -173,12 +174,24 @@ def _as_complex(value, name: str) -> complex:
     raise StateSpecError(f"parameter '{name}' must be a number or [re, im]")
 
 
-def _number(value, name: str, convert=float):
+def _number(value, name: str) -> float:
     """Convert a spec parameter, reporting a malformed one as a spec error."""
     try:
-        return convert(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
         raise StateSpecError(f"parameter '{name}' must be a number") from exc
+
+
+def _integer(value, name: str) -> int:
+    """An integral spec field; fractions and booleans are errors, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool):
+        raise StateSpecError(f"'{name}' must be an integer, not a boolean")
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise StateSpecError(f"'{name}' must be an integer") from exc
 
 
 def _renormalized(matrix: np.ndarray, cutoff: int, mode_count: int,
@@ -307,7 +320,7 @@ def make_state(spec: StateSpec):
             return thermal_state(_number(params.get("nbar", 1.0), "nbar"),
                                  spec.modes)
         if kind == "fock":
-            return fock_state(_number(params.get("n", 1), "n", int), cutoff)
+            return fock_state(_integer(params.get("n", 1), "n"), cutoff)
         if kind == "cat":
             return cat_state(params.get("alpha", 2.0), cutoff)
         if kind == "gkp":

@@ -81,35 +81,56 @@ def monomial(context: Context, exponents) -> PolynomialObservable:
     return PolynomialObservable(context, [(1.0, tuple(exponents))])
 
 
+def _linear_terms(zeta, cutoff: int) -> list[np.ndarray]:
+    """Per-mode factor stacks of zeta . R_hat: one term per active mode."""
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    m = zeta.size // 2
+    q = fockspace.position_operator(cutoff)
+    p = fockspace.momentum_operator(cutoff)
+    active = [k for k in range(m) if zeta[k] or zeta[m + k]]
+    eye = np.eye(cutoff, dtype=complex)
+    factors = [np.repeat(eye[None], len(active), axis=0) for _ in range(m)]
+    for s, k in enumerate(active):
+        factors[k][s] = zeta[k] * q + zeta[m + k] * p
+    return factors
+
+
 def quantize_linear(zeta, cutoff: int) -> QuadratureOperator:
     """Sum_i zeta_i R_hat_i from the standard ladder-operator matrices."""
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    m = zeta.size // 2
-    ops = fockspace.quadrature_operators(m, cutoff)
-    dim = cutoff ** m
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for coef, op in zip(zeta, ops):
-        if coef != 0:
-            matrix += coef * op
+    matrix = fockspace.kronecker_sum(_linear_terms(zeta, cutoff))
     return QuadratureOperator(matrix, zeta)
 
 
-def _symmetrized_product(matrices: list[np.ndarray], indices) -> np.ndarray:
-    """Average of products over all distinct orderings of the index multiset."""
-    perms = sorted(set(itertools.permutations(indices)))
-    dim = matrices[0].shape[0]
-    cache: dict[tuple, np.ndarray] = {(): np.eye(dim, dtype=complex)}
+def quantize_terms(obs: PolynomialObservable, cutoff: int) -> list[np.ndarray]:
+    """Symmetric-ordering quantization as per-mode factor stacks.
+
+    Each generator zeta . R_hat is a sum of one term per mode it acts on,
+    and operator products multiply the term lists mode by mode, so every
+    symmetrized product stays a short sum of Kronecker products; see
+    fockspace for the factored form.
+    """
+    gens = [_linear_terms(z, cutoff) for z in obs.context.generators]
+    m = obs.context.mode_count
+    eye = np.eye(cutoff, dtype=complex)[None]
+    cache: dict[tuple, list] = {(): [eye] * m}
 
     def product_for(perm):
-        if perm in cache:
-            return cache[perm]
-        prefix = product_for(perm[:-1])
-        result = prefix @ matrices[perm[-1]]
-        cache[perm] = result
-        return result
+        if perm not in cache:
+            cache[perm] = [
+                np.matmul(a[:, None], b[None]).reshape(-1, cutoff, cutoff)
+                for a, b in zip(product_for(perm[:-1]), gens[perm[-1]])]
+        return cache[perm]
 
-    total = sum(product_for(p) for p in perms)
-    return total / len(perms)
+    parts = [[np.zeros((0, cutoff, cutoff), dtype=complex)] * m]
+    for coef, expo in obs.terms:
+        indices = tuple(i for i, e in enumerate(expo) for _ in range(e))
+        # the average over all distinct orderings of the index multiset
+        perms = sorted(set(itertools.permutations(indices)))
+        for perm in perms:
+            first, *rest = product_for(perm)
+            parts.append([coef / len(perms) * first] + rest)
+    return [np.concatenate(stacks) for stacks in zip(*parts)]
 
 
 def quantize_polynomial(obs: PolynomialObservable, cutoff: int) -> np.ndarray:
@@ -118,32 +139,7 @@ def quantize_polynomial(obs: PolynomialObservable, cutoff: int) -> np.ndarray:
     For a genuine context the symmetrized product equals the plain product
     of the generator matrices on levels at least 2*degree below the cutoff.
     """
-    gens = [quantize_linear(z, cutoff).matrix
-            for z in obs.context.generators]
-    dim = gens[0].shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    for coef, expo in obs.terms:
-        indices = tuple(i for i, e in enumerate(expo) for _ in range(e))
-        if not indices:
-            out += coef * np.eye(dim)
-            continue
-        out += coef * _symmetrized_product(gens, indices)
-    return out
-
-
-def plain_product(obs: PolynomialObservable, cutoff: int) -> np.ndarray:
-    """Left-to-right operator product, no symmetrization (comparison aid)."""
-    gens = [quantize_linear(z, cutoff).matrix
-            for z in obs.context.generators]
-    dim = gens[0].shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    for coef, expo in obs.terms:
-        term = coef * np.eye(dim, dtype=complex)
-        for i, e in enumerate(expo):
-            for _ in range(e):
-                term = term @ gens[i]
-        out += term
-    return out
+    return fockspace.kronecker_sum(quantize_terms(obs, cutoff))
 
 
 def trusted_block_mask(cutoff: int, mode_count: int, degree: int) -> np.ndarray:
@@ -240,11 +236,12 @@ def check_wigner_multiplicativity(obs: PolynomialObservable, cutoff: int,
     z_spec = z_spec or (GridSpec(1, 3.0, 41) if m == 1 else GridSpec(2, 3.0, 21))
     char_spec = char_spec or default_observable_char_spec(m, cutoff)
 
-    A = quantize_polynomial(obs, cutoff)
-    chi = characteristic_observable(A, m, char_spec)
+    factors = quantize_terms(obs, cutoff)
+    chi = characteristic_observable(factors, char_spec)
+    # exp(-|v|^2/4) from per-axis factors, one broadcast pass per block
     coords = char_spec.coordinate_blocks()
-    radius2 = sum(c ** 2 for c in coords)
-    chi.values = chi.values * np.exp(-radius2 / 4)
+    chi.values *= np.exp(-sum(c ** 2 for c in coords[:m]) / 4)
+    chi.values *= np.exp(-sum(c ** 2 for c in coords[m:]) / 4)
     symbol, boundary = weyl_symbol_from_characteristic(chi, z_spec)
 
     zblocks = z_spec.coordinate_blocks()
@@ -260,7 +257,7 @@ def check_wigner_multiplicativity(obs: PolynomialObservable, cutoff: int,
     inner = deviation[(slice(lo, hi),) * (2 * m)]
     inner_sup = float(np.max(inner))
 
-    pairing = _pairing_deviation(A, obs, cutoff)
+    pairing = _pairing_deviation(factors, obs, cutoff)
 
     passed = sup_dev < SYMBOL_TOL
     flagged = (not passed) and (inner_sup < 0.1 * sup_dev)
@@ -312,22 +309,26 @@ def metaplectic_covariance_suite(rng: np.random.Generator, trials: int = 20,
             "pass": bool(worst <= 1e-6)}
 
 
-def _pairing_deviation(A: np.ndarray, obs: PolynomialObservable,
+def _pairing_deviation(factors: list, obs: PolynomialObservable,
                        cutoff: int) -> float:
     """|Tr[A rho_G(z0)] - smoothed f(z0)| over displaced Gaussian test states.
 
     An independent route through operator traces: rho_G(z0) is the vacuum
     displaced to z0, whose pairing with A equals the vacuum-smoothed
-    symbol at z0.
+    symbol at z0.  The displaced vacuum is a product state, so the pairing
+    is sum_s prod_k <psi_k|B_sk|psi_k> over per-mode displaced vacua.
     """
     m = obs.context.mode_count
     rng = np.random.default_rng(202)
     points = [np.zeros(2 * m), rng.uniform(-1.5, 1.5, size=2 * m)]
     worst = 0.0
     for z0 in points:
-        D = fockspace.multimode_displacement(z0, cutoff)
-        vec = D[:, 0]
-        lhs = float(np.real(np.conj(vec) @ (A @ vec)))
+        alphas = (z0[:m] + 1j * z0[m:]) / np.sqrt(2)
+        pairs = 1.0
+        for alpha, stack in zip(alphas, factors):
+            vec = fockspace.displacement_matrix(alpha, cutoff)[:, 0]
+            pairs = pairs * np.einsum("i,sij,j->s", vec.conj(), stack, vec)
+        lhs = float(np.real(np.sum(pairs)))
         gen_values = [float(gen @ z0) for gen in obs.context.generators]
         rhs = float(smoothed_polynomial(obs, gen_values))
         worst = max(worst, abs(lhs - rhs))

@@ -26,6 +26,9 @@ from .states import FockDensityOperator, GaussianState
 BOUNDARY_DECAY = 1e-8
 IMAG_RESIDUE = 1e-8
 NORMALIZATION_TOL = 1e-3
+# Largest grid-sized array a GridSpec may call for, counted as complex128;
+# admits the 61^4 two-mode observable chi grid (221 MB) with room to spare.
+GRID_BYTES_LIMIT = 2 ** 30
 
 
 class InadequateWindowError(ValueError):
@@ -49,6 +52,12 @@ class GridSpec:
             raise ValueError("points must be odd and at least 3")
         if self.halfwidth <= 0:
             raise ValueError("halfwidth must be positive")
+        nbytes = 16 * self.points ** (2 * self.mode_count)
+        if nbytes > GRID_BYTES_LIMIT:
+            raise InadequateWindowError(
+                f"a {self.points}-point {self.mode_count}-mode grid needs "
+                f"{nbytes / 2 ** 30:.1f} GiB per array, above the "
+                f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB limit; use fewer points")
 
     @property
     def axis(self) -> np.ndarray:
@@ -153,24 +162,29 @@ def wigner_gaussian(state: GaussianState, spec: GridSpec) -> WignerGrid:
     return WignerGrid(spec, values)
 
 
-def _displacement_traces(matrix: np.ndarray, spec: GridSpec,
-                         scale: float) -> np.ndarray:
-    """Tr[A D(scale * v)] at every node v of a one- or two-mode grid."""
+def _displacement_traces(factors, spec: GridSpec, scale: float) -> np.ndarray:
+    """Tr[A D(scale * v)] at every node v of a one- or two-mode grid.
+
+    A is given by its per-mode factor stacks.  Since D(v) = D(v1) (x) D(v2),
+    Tr[(B (x) C) D(v)] = Tr[B D(v1)] Tr[C D(v2)], so the two-mode grid is
+    one product X^T Y of per-mode trace tables read from a single
+    displacement table.
+    """
     axis = spec.axis
     vq, vp = np.meshgrid(axis, axis, indexing="ij")
     alphas = scale * (vq + 1j * vp) / np.sqrt(2)
-    matrix = np.asarray(matrix, dtype=complex)
     if spec.mode_count == 1:
-        return fockspace.displacement_trace(matrix, alphas)
+        return fockspace.displacement_trace(factors[0].sum(axis=0), alphas)
     if spec.mode_count != 2:
         raise ValueError("phase-space grids supported for m <= 2")
-    c = round(matrix.shape[0] ** 0.5)
-    # d[(j, i), v] = <j|D|i>; Tr = sum A[(i1 i2), (j1 j2)] d1[j1,i1] d2[j2,i2]
+    c = factors[0].shape[1]
+    # d[(j, i), v] = <j|D|i>; Tr[B D] = sum B[i, j] d[(j, i)]
     d = fockspace.displacement_matrix(alphas.reshape(-1), c).reshape(c * c, -1)
-    mat = matrix.reshape(c, c, c, c).transpose(2, 0, 3, 1).reshape(c * c, -1)
+    x, y = (f.transpose(0, 2, 1).reshape(len(f), c * c) @ d for f in factors)
     p = spec.points
     # flat per-mode index is (vq, vp); reorder axes to (vq1, vq2, vp1, vp2)
-    return (d.T @ mat @ d).reshape(p, p, p, p).transpose(0, 2, 1, 3)
+    chi = (x.T @ y).reshape(p, p, p, p)
+    return np.ascontiguousarray(chi.transpose(0, 2, 1, 3))
 
 
 def characteristic_function(rho: FockDensityOperator,
@@ -178,18 +192,21 @@ def characteristic_function(rho: FockDensityOperator,
     """chi(v) = Tr[rho D(v)] from the exact displacement matrix elements."""
     if spec.mode_count != rho.mode_count:
         raise ValueError("grid/state mode mismatch")
-    grid = CharacteristicGrid(spec, _displacement_traces(rho.matrix, spec, 1.0))
+    factors = fockspace.kronecker_factors(rho.matrix, rho.mode_count)
+    grid = CharacteristicGrid(spec, _displacement_traces(factors, spec, 1.0))
     if abs(grid.origin_value() - 1.0) > 1e-6:
         raise ValueError("characteristic function origin deviates from 1")
     return grid
 
 
-def characteristic_observable(matrix: np.ndarray, mode_count: int,
-                              spec: GridSpec) -> CharacteristicGrid:
-    """Tr[A D(v)] for a truncated operator matrix (no trace-one check)."""
-    if spec.mode_count != mode_count:
+def characteristic_observable(factors, spec: GridSpec) -> CharacteristicGrid:
+    """Tr[A D(v)] for an operator given by its per-mode factor stacks.
+
+    No trace-one check; see fockspace for the factored form.
+    """
+    if len(factors) != spec.mode_count:
         raise ValueError("grid/observable mode mismatch")
-    return CharacteristicGrid(spec, _displacement_traces(matrix, spec, 1.0))
+    return CharacteristicGrid(spec, _displacement_traces(factors, spec, 1.0))
 
 
 def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
@@ -286,7 +303,9 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     parity = (-1.0) ** np.arange(rho.cutoff)
     sign = functools.reduce(np.kron, [parity] * rho.mode_count)
     # P rho signs the rows; rho P (signed columns) would give W(-z)
-    raw = _displacement_traces(sign[:, None] * rho.matrix, spec, 2.0)
+    factors = fockspace.kronecker_factors(sign[:, None] * rho.matrix,
+                                          rho.mode_count)
+    raw = _displacement_traces(factors, spec, 2.0)
     raw = raw / np.pi ** rho.mode_count
     scale = float(np.max(np.abs(raw.real)))
     imag = float(np.max(np.abs(raw.imag)))
@@ -389,9 +408,11 @@ def hudson_classify(state, spec: GridSpec | None = None,
         kurt = max(kurt, abs(m4 - 3 * var ** 2))
     gaussian_by_cumulant = kurt < 1e-3
     if (classification == "gaussian_nonnegative") != gaussian_by_cumulant:
-        raise ValueError(
+        # for a pure state they can only disagree when the window clips
+        # the marginals
+        raise InadequateWindowError(
             f"negativity and fourth-cumulant classifiers disagree "
-            f"(min {mn:.3e}, cumulant {kurt:.3e})")
+            f"(min {mn:.3e}, cumulant {kurt:.3e}); widen the window")
     return HudsonReport(classification, purity, mn, loc, kurt)
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 
 from wignerhvm.cli import main
+from wignerhvm.wigner import GridSpec
 
 
 def run(tmp_path, *argv):
@@ -85,6 +86,13 @@ def test_parse_failure_exit_2(tmp_path):
     code, _ = run(tmp_path, "wigner", "--state", '{"kind": "vacuum"}',
                   "--points", "4")
     assert code == 2
+    # integral fields are checked, not truncated by int()
+    for spec in ('{"kind": "fock", "params": {"n": 1.5}}',
+                 '{"kind": "fock", "params": {"n": true}}',
+                 '{"kind": "fock", "cutoff": 10.7}',
+                 '{"kind": "fock", "modes": 1.9}'):
+        code, _ = run(tmp_path, "wigner", "--state", spec)
+        assert code == 2, spec
 
 
 def test_window_inadequacy_exit_3(tmp_path):
@@ -95,6 +103,24 @@ def test_window_inadequacy_exit_3(tmp_path):
     # a covariance too singular for the grid to resolve
     code, _ = run(tmp_path, "wigner", "--state",
                   '{"kind": "squeezed", "params": {"r": 20}}')
+    assert code == 3
+    # a window that clips the marginals makes the Hudson classifiers disagree
+    code, _ = run(tmp_path, "hudson", "--state",
+                  '{"kind": "squeezed", "params": {"r": 1.0}}',
+                  "--window", "2", "--points", "41")
+    assert code == 3
+
+
+def test_grid_memory_guard_exit_3(tmp_path, monkeypatch):
+    # two modes at the default 257 points would need 257^4 values per grid;
+    # the guard must refuse before any grid-sized array is built
+    def refuse(self):
+        raise AssertionError("grid arrays requested past the memory guard")
+
+    monkeypatch.setattr(GridSpec, "coordinate_blocks", refuse)
+    monkeypatch.setattr(GridSpec, "axis", property(refuse))
+    code, _ = run(tmp_path, "wigner", "--state",
+                  '{"kind": "thermal", "modes": 2}')
     assert code == 3
 
 

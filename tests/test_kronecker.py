@@ -1,0 +1,101 @@
+"""The factored (per-mode Kronecker term) quantization and two-mode chi
+against the dense references they replaced: the dense symmetrized product
+of c^2 x c^2 generator matrices and the dense contraction d^T M d over a
+two-mode displacement table."""
+
+import itertools
+
+import numpy as np
+
+from wignerhvm import fockspace
+from wignerhvm.cli import _multiplicativity_cases
+from wignerhvm.phase_space import Context
+from wignerhvm.states import FockDensityOperator
+from wignerhvm.weyl import (PolynomialObservable, quantize_polynomial,
+                            quantize_terms)
+from wignerhvm.wigner import (GridSpec, characteristic_function,
+                              characteristic_observable, wigner_fock_direct)
+
+CHAR = GridSpec(2, 10.0, 21)
+REL_TOL = 1e-12
+
+
+def dense_quantize_polynomial(obs: PolynomialObservable,
+                              cutoff: int) -> np.ndarray:
+    """Symmetrized products of dense generator matrices, with a prefix cache."""
+    ops = fockspace.quadrature_operators(obs.context.mode_count, cutoff)
+    gens = [sum(z * op for z, op in zip(gen, ops))
+            for gen in obs.context.generators]
+    dim = ops[0].shape[0]
+    out = np.zeros((dim, dim), dtype=complex)
+    for coef, expo in obs.terms:
+        indices = tuple(i for i, e in enumerate(expo) for _ in range(e))
+        perms = sorted(set(itertools.permutations(indices)))
+        cache = {(): np.eye(dim, dtype=complex)}
+
+        def product_for(perm):
+            if perm not in cache:
+                cache[perm] = product_for(perm[:-1]) @ gens[perm[-1]]
+            return cache[perm]
+
+        out += coef * sum(product_for(p) for p in perms) / len(perms)
+    return out
+
+
+def dense_two_mode_traces(matrix: np.ndarray, spec: GridSpec,
+                          scale: float) -> np.ndarray:
+    """Tr[A D(scale * v)] on a two-mode grid by d^T M d."""
+    axis = spec.axis
+    vq, vp = np.meshgrid(axis, axis, indexing="ij")
+    alphas = scale * (vq + 1j * vp) / np.sqrt(2)
+    c = round(matrix.shape[0] ** 0.5)
+    # d[(j, i), v] = <j|D|i>; Tr = sum A[(i1 i2), (j1 j2)] d1[j1,i1] d2[j2,i2]
+    d = fockspace.displacement_matrix(alphas.reshape(-1), c).reshape(c * c, -1)
+    mat = matrix.reshape(c, c, c, c).transpose(2, 0, 3, 1).reshape(c * c, -1)
+    p = spec.points
+    return (d.T @ mat @ d).reshape(p, p, p, p).transpose(0, 2, 1, 3)
+
+
+def relative_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def check_against_dense(obs: PolynomialObservable, cutoff: int) -> None:
+    factors = quantize_terms(obs, cutoff)
+    dense = dense_quantize_polynomial(obs, cutoff)
+    assert relative_gap(quantize_polynomial(obs, cutoff), dense) <= REL_TOL
+    chi = characteristic_observable(factors, CHAR).values
+    assert relative_gap(chi, dense_two_mode_traces(dense, CHAR, 1.0)) <= REL_TOL
+
+
+def test_lemma_cases_match_dense_references():
+    cases = _multiplicativity_cases(12)
+    assert len(cases) == 12
+    for _, obs in cases:
+        assert len(quantize_terms(obs, 12)[0]) <= 3
+        check_against_dense(obs, 12)
+
+
+def test_mode_mixing_context_matches_dense_references():
+    # each generator acts on both modes, so it is a sum of two terms
+    ctx = Context([np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2),
+                   np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)])
+    obs = PolynomialObservable(ctx, [(1.0, (2, 1)), (-0.5, (0, 2)),
+                                     (0.25, (0, 0))])
+    check_against_dense(obs, 10)
+
+
+def test_random_density_matrix_through_both_routes():
+    rng = np.random.default_rng(4)
+    c = 6
+    g = rng.normal(size=(c * c, c * c)) + 1j * rng.normal(size=(c * c, c * c))
+    matrix = g @ g.conj().T
+    rho = FockDensityOperator(matrix / np.trace(matrix).real, c, 2)
+    spec = GridSpec(2, 4.0, 15)
+    chi = characteristic_function(rho, spec).values
+    assert relative_gap(chi, dense_two_mode_traces(rho.matrix, spec, 1.0)) \
+        <= REL_TOL
+    parity = np.kron((-1.0) ** np.arange(c), (-1.0) ** np.arange(c))
+    want = dense_two_mode_traces(parity[:, None] * rho.matrix, spec, 2.0)
+    got = wigner_fock_direct(rho, spec).values
+    assert relative_gap(got, want.real / np.pi ** 2) <= REL_TOL

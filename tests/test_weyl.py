@@ -5,11 +5,25 @@ from wignerhvm.phase_space import Context
 from wignerhvm.weyl import (PolynomialObservable, check_wigner_multiplicativity,
                             conjugate_by_metaplectic, gaussian_moment,
                             metaplectic_covariance_suite, monomial,
-                            plain_product, quantize_linear,
-                            quantize_polynomial, smoothed_polynomial,
-                            trusted_block_mask)
+                            quantize_linear, quantize_polynomial,
+                            smoothed_polynomial, trusted_block_mask)
 
 CUTOFF = 40
+
+
+def plain_product(obs: PolynomialObservable, cutoff: int) -> np.ndarray:
+    """Left-to-right dense operator product, no symmetrization."""
+    gens = [quantize_linear(z, cutoff).matrix
+            for z in obs.context.generators]
+    dim = gens[0].shape[0]
+    out = np.zeros((dim, dim), dtype=complex)
+    for coef, expo in obs.terms:
+        term = coef * np.eye(dim, dtype=complex)
+        for i, e in enumerate(expo):
+            for _ in range(e):
+                term = term @ gens[i]
+        out += term
+    return out
 
 
 def ctx_single():

@@ -276,3 +276,7 @@ def test_grid_spec_validation():
         GridSpec(1, -1.0, 257)
     with pytest.raises(ValueError):
         WignerGrid(GRID, np.ones((3, 3)))
+    # memory guard: the 61^4 observable chi grid fits, 257^4 does not
+    assert GridSpec(2, 10.0, 61).shape == (61,) * 4
+    with pytest.raises(InadequateWindowError):
+        GridSpec(2, 6.0, 257)

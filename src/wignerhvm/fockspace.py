@@ -12,20 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm, logm
+from scipy.special import ndtr
 
 from .phase_space import euler_decompose, is_symplectic
 
 
 def annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff)), k=1).astype(complex)
-
-
-def creation(cutoff: int) -> np.ndarray:
-    return annihilation(cutoff).conj().T
-
-
-def number_operator(cutoff: int) -> np.ndarray:
-    return np.diag(np.arange(cutoff)).astype(complex)
 
 
 def position_operator(cutoff: int) -> np.ndarray:
@@ -239,6 +232,36 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
         out[n + 1] = (np.sqrt(2.0 / (n + 1)) * x * out[n]
                       - np.sqrt(n / (n + 1)) * out[n - 1])
     return out
+
+
+def hermite_overlap_cdf(cutoff: int, x) -> np.ndarray:
+    """F[m, n, ...] = int_{-inf}^x psi_m psi_n for m, n < cutoff, at each x.
+
+    Off the diagonal the Wronskian identity gives
+    F_mn = (psi_m psi_n' - psi_n psi_m') / (2 (m - n)); on it the ladder
+    identity gives F_nn = F_(n-1)(n-1) - psi_(n-1) psi_n / sqrt(2n) from
+    F_00 = ndtr(sqrt(2) x).  Infinite x take the limits 0 and the identity.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    finite = ~np.isinf(flat)  # NaN points stay NaN
+    out = np.zeros((cutoff, cutoff, flat.size))
+    out[:, :, flat == np.inf] = np.eye(cutoff)[:, :, None]
+    psi = hermite_functions(cutoff, flat[finite])
+    n = np.arange(cutoff)
+    k = n[:, None]
+    # psi_n' = sqrt(n/2) psi_(n-1) - sqrt((n+1)/2) psi_(n+1); the rolled-in
+    # row 0 gets zero weight
+    dpsi = (np.sqrt(k / 2) * np.roll(psi, 1, axis=0)[:cutoff]
+            - np.sqrt((k + 1) / 2) * psi[1:])
+    psi = psi[:cutoff]
+    F = ((psi[:, None] * dpsi - psi * dpsi[:, None])
+         / (2.0 * (k - n) + np.eye(cutoff))[..., None])
+    steps = np.cumsum(psi[:-1] * psi[1:] / np.sqrt(2 * k[1:]), axis=0)
+    F[n, n] = (ndtr(np.sqrt(2) * flat[finite])
+               - np.vstack([np.zeros(F.shape[2]), steps]))
+    out[:, :, finite] = F
+    return out.reshape(cutoff, cutoff, *x.shape)
 
 
 def partial_trace_keep_first(rho: np.ndarray, cutoff: int,

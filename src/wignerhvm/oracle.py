@@ -1,11 +1,11 @@
 """Truncated-Fock quantum oracle: homodyne statistics as ground truth.
 
-Gaussian states get closed-form normal statistics.  Fock-represented
-states are handled by symplectically rotating the measured quadrature
-onto the first position axis (basis change + metaplectic conjugation) and
-expanding the reduced state in oscillator eigenfunctions, which keeps the
-truncation error away from the spectral edge of the raw quadrature
-matrices.
+Every probability of zeta . R_hat comes from one CDF: the closed-form
+normal CDF for Gaussian states, and for Fock-represented states the exact
+trace Tr[rho F(t/|zeta|)] against the Hermite-overlap integrals
+F_mn(x) = int_{-inf}^x psi_m psi_n, after a symplectic rotation (basis
+change + metaplectic conjugation) takes zeta/|zeta| onto the first
+position axis.
 """
 
 from __future__ import annotations
@@ -13,16 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from . import fockspace
 from .phase_space import Context, context_to_standard_basis
 from .states import FockDensityOperator, GaussianState, gaussian_to_fock
 from .weyl import PolynomialObservable, quantize_polynomial, trusted_block_mask
-
-DENSITY_AXIS_POINTS = 2048
-DENSITY_AXIS_HALFWIDTH = 12.0
 
 
 class ExpectationLeakageError(ValueError):
@@ -81,22 +77,23 @@ def _gaussian_marginal(state: GaussianState, zeta: np.ndarray):
 
 
 def _reduced_rotated_state(rho: FockDensityOperator, zeta: np.ndarray):
-    """Single-mode density matrix whose q-distribution is that of zeta.R."""
-    ctx = Context([zeta])
-    C = context_to_standard_basis(ctx)
-    S = np.linalg.inv(C)  # e_1^T S = zeta^T, so M rho M^dag measures q_1
-    if np.max(np.abs(S - np.eye(S.shape[0]))) < 1e-12:
-        reduced = fockspace.partial_trace_keep_first(
-            rho.matrix, rho.cutoff, rho.mode_count)
-    else:
+    """Single-mode state whose q-distribution is that of zeta.R/|zeta|; |zeta|.
+
+    Rotating onto the unit label keeps the one-mode map a pure rotation,
+    with no truncated squeeze to corrupt the top Fock levels.
+    """
+    scale = float(np.linalg.norm(zeta))
+    S = np.linalg.inv(context_to_standard_basis(Context([zeta / scale])))
+    matrix = rho.matrix  # e_1^T S = zeta^T/|zeta|: M rho M^dag measures q_1
+    if np.max(np.abs(S - np.eye(S.shape[0]))) >= 1e-12:
         M = fockspace.metaplectic_operator(S, rho.cutoff)
-        rotated = M @ rho.matrix @ M.conj().T
-        reduced = fockspace.partial_trace_keep_first(
-            rotated, rho.cutoff, rho.mode_count)
+        matrix = M @ matrix @ M.conj().T
+    reduced = fockspace.partial_trace_keep_first(
+        matrix, rho.cutoff, rho.mode_count)
     trace = float(np.trace(reduced).real)
     if trace < 0.5:
         raise ValueError("rotation lost most of the state; cutoff too small")
-    return reduced / trace
+    return reduced / trace, scale
 
 
 def homodyne_density(state, zeta, axis: np.ndarray) -> np.ndarray:
@@ -109,29 +106,28 @@ def homodyne_density(state, zeta, axis: np.ndarray) -> np.ndarray:
         sd = np.sqrt(var)
         z = (axis - mean) / sd
         return np.exp(-z ** 2 / 2) / np.sqrt(2 * np.pi) / sd
-    reduced = _reduced_rotated_state(state, zeta)
-    psi = fockspace.hermite_functions(state.cutoff - 1, axis)
-    density = np.einsum("ms,mn,ns->s", psi, reduced, psi).real
+    reduced, scale = _reduced_rotated_state(state, zeta)
+    psi = fockspace.hermite_functions(state.cutoff - 1, axis / scale)
+    density = np.einsum("ms,mn,ns->s", psi, reduced, psi).real / scale
     return np.clip(density, 0.0, None)
+
+
+def _cdf(state, zeta, points) -> np.ndarray:
+    """Pr(zeta . R_hat <= t) at each point t, infinite points included."""
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    if isinstance(state, GaussianState):
+        mean, var = _gaussian_marginal(state, zeta)
+        return ndtr((points - mean) / np.sqrt(var))
+    reduced, scale = _reduced_rotated_state(state, zeta)
+    F = fockspace.hermite_overlap_cdf(state.cutoff, points / scale)
+    return np.einsum("mn,mn...->...", reduced, F).real
 
 
 def quantum_homodyne_distribution(state, zeta,
                                   bins: BinSpec) -> OutcomeDistribution:
     """Binned distribution of zeta . R_hat: Tr[rho Pi(bin)] per bin."""
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
     edges = bins.edges
-    if isinstance(state, GaussianState):
-        mean, var = _gaussian_marginal(state, zeta)
-        cdf = ndtr((edges - mean) / np.sqrt(var))
-        return OutcomeDistribution(edges, np.diff(cdf))
-    axis = np.linspace(min(-DENSITY_AXIS_HALFWIDTH, bins.lo),
-                       max(DENSITY_AXIS_HALFWIDTH, bins.hi),
-                       DENSITY_AXIS_POINTS)
-    density = homodyne_density(state, zeta, axis)
-    cum = np.concatenate([[0.0], np.cumsum(
-        (density[1:] + density[:-1]) / 2 * np.diff(axis))])
-    cdf_at_edges = np.interp(edges, axis, cum)
-    return OutcomeDistribution(edges, np.diff(cdf_at_edges))
+    return OutcomeDistribution(edges, np.diff(_cdf(state, zeta, edges)))
 
 
 def _normalize_intervals(intervals):
@@ -150,30 +146,9 @@ def _normalize_intervals(intervals):
 
 def event_probability(state, zeta, intervals) -> float:
     """Tr[rho Pi_{zeta.R}(X)] for X a finite union of intervals."""
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
     intervals = _normalize_intervals(intervals)
-    if isinstance(state, GaussianState):
-        mean, var = _gaussian_marginal(state, zeta)
-        sd = np.sqrt(var)
-        return float(sum(ndtr((b - mean) / sd) - ndtr((a - mean) / sd)
-                         for a, b in intervals))
-    reduced = _reduced_rotated_state(state, zeta)
-    cutoff = reduced.shape[0]
-
-    def density(s):
-        psi = fockspace.hermite_functions(cutoff - 1, np.atleast_1d(s))[:, 0]
-        return float(np.real(psi @ reduced @ psi))
-
-    bound = DENSITY_AXIS_HALFWIDTH + 4
-    total = 0.0
-    for a, b in intervals:
-        a = max(a, -bound)
-        b = min(b, bound)
-        if b <= a:
-            continue
-        val, _ = quad(density, a, b, limit=200)
-        total += val
-    return float(total)
+    cdf = _cdf(state, zeta, np.reshape(intervals, (-1, 2)))
+    return float(sum(b - a for a, b in cdf))
 
 
 @dataclass
@@ -187,7 +162,7 @@ def expectation(state, obs: PolynomialObservable,
     """Tr[rho f(zeta_1.R, ...)] restricted to the trusted Fock block.
 
     The block keeps per-mode levels at least 2*degree below the cutoff,
-    since each quadrature factor couples one level upward; the leaked
+    since each factor zeta . R_hat couples one level upward; the leaked
     weight times the block-maximal observable scale bounds the error.
     """
     if isinstance(state, GaussianState):

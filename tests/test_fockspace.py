@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -72,3 +75,46 @@ def test_displacement_trace_matches_table_contraction():
     want = np.einsum("ij,ji...->...", A, table)
     assert got.shape == alphas.shape
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def hermite_product(m: int, n: int, s: float) -> float:
+    """psi_m(s) psi_n(s) from the scalar three-term recurrence."""
+    psi = [math.pi ** -0.25 * math.exp(-s * s / 2)]
+    for k in range(max(m, n)):
+        prev = psi[k - 1] if k else 0.0
+        psi.append(math.sqrt(2 / (k + 1)) * s * psi[k]
+                   - math.sqrt(k / (k + 1)) * prev)
+    return psi[m] * psi[n]
+
+
+def test_hermite_overlap_cdf_matches_quad():
+    xs = np.array([-9.0, -1.3, 0.2, 3.3, 8.0])
+    for cutoff in (30, 60):
+        F = fockspace.hermite_overlap_cdf(cutoff, xs)
+        assert F.shape == (cutoff, cutoff, xs.size)
+        assert np.array_equal(F, F.transpose(1, 0, 2))
+        # every psi_n, n < cutoff, is below 1e-30 left of this point
+        lo = -(np.sqrt(2 * cutoff + 1) + 12)
+        top = cutoff - 1
+        pairs = ((0, 0), (7, 7), (top, top), (4, 5), (top - 1, top),
+                 (3, cutoff // 2), (0, top))
+        for m, n in pairs:
+            for x, got in zip(xs, F[m, n]):
+                ref, _ = quad(lambda s: hermite_product(m, n, s), lo, x,
+                              limit=400, epsabs=1e-14, epsrel=1e-13)
+                assert abs(got - ref) < 1e-12, (cutoff, m, n, x)
+
+
+def test_hermite_overlap_cdf_limits_are_exact():
+    cutoff = 40
+    F = fockspace.hermite_overlap_cdf(cutoff, [-np.inf, np.inf])
+    assert np.array_equal(F[..., 0], np.zeros((cutoff, cutoff)))
+    assert np.array_equal(F[..., 1], np.eye(cutoff))
+    axis = np.concatenate([[-np.inf], np.linspace(-60, 60, 241), [np.inf]])
+    F = fockspace.hermite_overlap_cdf(cutoff, axis)
+    assert not np.any(np.isnan(F))
+    diag = F[np.arange(cutoff), np.arange(cutoff)]
+    assert np.all(np.diff(diag, axis=1) >= -1e-15)
+    assert np.max(np.abs(F[..., -2] - np.eye(cutoff))) < 1e-15
+    assert fockspace.hermite_overlap_cdf(3, np.zeros((2, 4))).shape == \
+        (3, 3, 2, 4)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from wignerhvm.cli import CHAR_TOLERANCE, EVENT_TOLERANCE, TV_TOLERANCE
 from wignerhvm.hvm import (NegativityError, build_hvm,
                            empirical_characteristic_check,
                            hvm_event_probability, hvm_homodyne_distribution,
@@ -9,7 +10,7 @@ from wignerhvm.hvm import (NegativityError, build_hvm,
 from wignerhvm.oracle import (BinSpec, event_probability,
                               quantum_homodyne_distribution, tv_distance)
 from wignerhvm.phase_space import Context
-from wignerhvm.states import StateSpec, make_state
+from wignerhvm.states import FockDensityOperator, StateSpec, make_state
 from wignerhvm.weyl import PolynomialObservable, monomial
 from wignerhvm.wigner import GridSpec, state_wigner, wigner_gaussian
 
@@ -104,6 +105,38 @@ def test_event_probability_matches_oracle_diagonal_label():
         hv = hvm_event_probability(model, zeta, interval)
         qv = event_probability(state, zeta, interval)
         assert abs(hv - qv) < 2e-3
+
+
+def lossy_photon(eta, cutoff=30):
+    """(1 - eta)|0><0| + eta|1><1|: W >= 0 exactly when eta <= 1/2."""
+    matrix = np.zeros((cutoff, cutoff))
+    matrix[0, 0], matrix[1, 1] = 1 - eta, eta
+    return FockDensityOperator(matrix, cutoff, 1)
+
+
+def test_forward_direction_against_fock_oracle():
+    # a nonnegative non-Gaussian state, so the oracle is the Fock route
+    rng = np.random.default_rng(33)
+    for eta in (0.2, 0.5):  # 0.5 puts W(0, 0) = 0 on the clamp
+        state = lossy_photon(eta)
+        model = build_hvm(state_wigner(state, GRID))
+        for k, zeta in enumerate(([1, 0], [0, 1], [0.6, 0.8])):
+            hist = hvm_homodyne_distribution(model, zeta, BINS, 100000,
+                                             seed=40 + k)
+            reference = quantum_homodyne_distribution(state, zeta, BINS)
+            assert tv_distance(hist, reference) <= TV_TOLERANCE, (eta, zeta)
+            for interval in ([(0, np.inf)], [(-1.0, 1.0)]):
+                hv = hvm_event_probability(model, zeta, interval)
+                qv = event_probability(state, zeta, interval)
+                assert abs(hv - qv) <= EVENT_TOLERANCE, (eta, zeta, interval)
+        pts = rng.uniform(-3, 3, size=(10, 2))
+        rep = empirical_characteristic_check(model, pts, state,
+                                             tolerance=CHAR_TOLERANCE)
+        assert rep["pass"], (eta, rep["max_deviation"])
+    with pytest.raises(NegativityError) as excinfo:
+        build_hvm(state_wigner(lossy_photon(0.52), GRID))
+    assert abs(excinfo.value.min_value - (1 - 2 * 0.52) / np.pi) < 1e-6
+    assert excinfo.value.location == (0.0, 0.0)
 
 
 def test_value_assignment_examples():

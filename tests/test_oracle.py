@@ -1,5 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -8,7 +13,8 @@ from wignerhvm.oracle import (BinSpec, ExpectationLeakageError,
                               expectation, homodyne_density,
                               quantum_homodyne_distribution, tv_distance)
 from wignerhvm.phase_space import Context
-from wignerhvm.states import StateSpec, gaussian_to_fock, make_state
+from wignerhvm.states import (FockDensityOperator, StateSpec,
+                              gaussian_to_fock, make_state)
 from wignerhvm.weyl import monomial
 from wignerhvm.wigner import GridSpec, state_wigner, grid_moment
 
@@ -50,7 +56,8 @@ def test_gaussian_and_fock_routes_agree():
                          ("squeezed", {"r": 0.5}), ("thermal", {"nbar": 1.0})):
         state = make_state(StateSpec(kind, params))
         rho = gaussian_to_fock(state, 30)
-        for zeta in ([1, 0], [0, 1], np.array([1, 1]) / np.sqrt(2)):
+        for zeta in ([1, 0], [0, 1], np.array([1, 1]) / np.sqrt(2),
+                     [2, 0], [0.6, 1.6]):
             dg = quantum_homodyne_distribution(state, zeta, BINS)
             df = quantum_homodyne_distribution(rho, zeta, BINS)
             assert tv_distance(dg, df) < 5e-3
@@ -93,6 +100,41 @@ def test_event_probability_examples():
                   -0.8, 0.8)
     got = event_probability(fock(1), [1, 0], [(-0.8, 0.8)])
     assert abs(got - ref) < 1e-8
+    assert abs(event_probability(fock(1), [1, 0], [(0, np.inf)]) - 0.5) < 1e-14
+    assert abs(event_probability(fock(1), [1, 0], [(-np.inf, np.inf)])
+               - 1.0) < 1e-14
+
+
+@st.composite
+def fock_states(draw):
+    cutoff = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
+    rho = A @ A.conj().T
+    return FockDensityOperator(rho / np.trace(rho).real, cutoff, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=fock_states(),
+       zeta=st.tuples(st.floats(-3, 3), st.floats(-3, 3)).filter(
+           lambda z: np.hypot(*z) > 1e-3),
+       lo=st.floats(-8, 8), width=st.floats(0.01, 16),
+       count=st.integers(1, 60))
+def test_bins_and_events_share_one_cdf(state, zeta, lo, width, count):
+    bins = BinSpec(lo, lo + width, count)
+    dist = quantum_homodyne_distribution(state, zeta, bins)
+    edges = dist.bin_edges
+    for a, b, mass in zip(edges[:-1], edges[1:], dist.masses):
+        assert abs(event_probability(state, zeta, [(a, b)]) - mass) < 1e-13
+    assert np.all(dist.masses >= -1e-15)
+    assert dist.masses.sum() <= 1 + 1e-13
+
+
+def test_import_skips_scipy_integrate():
+    code = "import sys, wignerhvm; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_event_probability_interval_validation():

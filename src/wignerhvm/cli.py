@@ -162,6 +162,10 @@ def cmd_hvm_compare(args) -> int:
     observables = _parse_observables(args, spec.modes)
     if args.samples < 1:
         raise CliError("need at least one sample", EXIT_PARSE)
+    try:
+        bins = oracle_mod.BinSpec(-args.window, args.window, args.bins)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_PARSE) from exc
     w = _state_wigner(state, grid, char)
     base = {"command": "hvm-compare", "state": spec.to_dict(),
             "grid": grid.to_dict(), "seed": args.seed, "n": args.samples}
@@ -174,7 +178,6 @@ def cmd_hvm_compare(args) -> int:
               f"{err.location} -> {path}")
         return EXIT_OK
 
-    bins = oracle_mod.BinSpec(-args.window, args.window, args.bins)
     window_sets = [
         ("[0, inf)", [(0.0, np.inf)]),
         ("[-1, 1]", [(-1.0, 1.0)]),

@@ -32,7 +32,8 @@ class BinSpec:
     count: int
 
     def __post_init__(self):
-        if self.count < 1 or self.hi <= self.lo:
+        # a NaN or infinite end makes hi - lo NaN or infinite
+        if self.count < 1 or not 0 < self.hi - self.lo < np.inf:
             raise ValueError("bad bin specification")
 
     @property
@@ -50,8 +51,8 @@ class OutcomeDistribution:
         self.masses = np.asarray(self.masses, dtype=float)
         if self.masses.size != self.bin_edges.size - 1:
             raise ValueError("need one mass per bin")
-        if np.any(self.masses < -1e-12):
-            raise ValueError("negative bin mass")
+        if not np.all(np.isfinite(self.masses) & (self.masses >= -1e-12)):
+            raise ValueError("bin masses must be finite and nonnegative")
 
 
 def distribution_to_csv(dist: OutcomeDistribution, path) -> None:

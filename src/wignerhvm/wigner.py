@@ -50,8 +50,8 @@ class GridSpec:
     def __post_init__(self):
         if self.points < 3 or self.points % 2 == 0:
             raise ValueError("points must be odd and at least 3")
-        if self.halfwidth <= 0:
-            raise ValueError("halfwidth must be positive")
+        if not (self.halfwidth > 0 and np.isfinite(self.step)):
+            raise ValueError("halfwidth must be positive with a finite step")
         nbytes = 16 * self.points ** (2 * self.mode_count)
         if nbytes > GRID_BYTES_LIMIT:
             raise InadequateWindowError(
@@ -317,9 +317,11 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
 def default_char_spec(mode_count: int, cutoff: int,
                       halfwidth: float | None = None,
                       points: int | None = None) -> GridSpec:
-    if mode_count == 1:
-        return GridSpec(1, halfwidth or 16.0, points or 257)
-    return GridSpec(mode_count, halfwidth or 12.0, points or 41)
+    if halfwidth is None:
+        halfwidth = 16.0 if mode_count == 1 else 12.0
+    if points is None:
+        points = 257 if mode_count == 1 else 41
+    return GridSpec(mode_count, halfwidth, points)
 
 
 def state_wigner(state, spec: GridSpec,

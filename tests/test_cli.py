@@ -58,6 +58,20 @@ def test_hvm_compare_gaussian_noncontextual(tmp_path):
                 "tv_distance", "tolerance", "pass"} <= set(row)
 
 
+def test_hvm_compare_two_mode_coherent_passes(tmp_path):
+    # a Gaussian state has a noncontextual model; events on the coarse
+    # two-mode grid must not carry the box model's step**2/12 variance
+    code, out = run(tmp_path, "hvm-compare", "--state",
+                    '{"kind":"coherent","params":{"alpha":[1.0,0.5]},'
+                    '"modes":2}', "--points", "41",
+                    "--observable", "0,0,1,0")
+    assert code == 0
+    report = load(out, "hvm_compare.json")
+    assert report["pass"] is True
+    events = {e["interval"]: e for e in report["observables"][0]["event_checks"]}
+    assert events["[-1, 1]"]["abs_error"] <= 1e-9
+
+
 def test_hvm_compare_contextual_witness(tmp_path):
     code, out = run(tmp_path, "hvm-compare", "--state",
                     '{"kind": "fock", "params": {"n": 1}, "cutoff": 25}')
@@ -93,6 +107,22 @@ def test_parse_failure_exit_2(tmp_path):
                  '{"kind": "fock", "modes": 1.9}'):
         code, _ = run(tmp_path, "wigner", "--state", spec)
         assert code == 2, spec
+    # non-finite or overflowing grid windows are parse failures
+    for command in ("wigner", "negativity", "hvm-compare", "hudson"):
+        for window in ("nan", "inf", "1e308"):
+            code, _ = run(tmp_path, command, "--state", '{"kind": "vacuum"}',
+                          "--window", window)
+            assert code == 2, (command, window)
+    # a user's 0 reaches the grid check instead of becoming the default
+    for flag in (["--char-window", "nan"], ["--char-window", "0"],
+                 ["--char-points", "0"]):
+        code, _ = run(tmp_path, "wigner", "--state", '{"kind": "vacuum"}',
+                      *flag)
+        assert code == 2, flag
+    for bins in ("0", "-3"):
+        code, _ = run(tmp_path, "hvm-compare", "--state",
+                      '{"kind": "vacuum"}', "--points", "41", "--bins", bins)
+        assert code == 2, bins
 
 
 def test_window_inadequacy_exit_3(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from wignerhvm.cli import CHAR_TOLERANCE, EVENT_TOLERANCE, TV_TOLERANCE
@@ -12,7 +14,8 @@ from wignerhvm.oracle import (BinSpec, event_probability,
 from wignerhvm.phase_space import Context
 from wignerhvm.states import FockDensityOperator, StateSpec, make_state
 from wignerhvm.weyl import PolynomialObservable, monomial
-from wignerhvm.wigner import GridSpec, state_wigner, wigner_gaussian
+from wignerhvm.wigner import (GridSpec, characteristic_at_points,
+                              state_wigner, wigner_gaussian)
 
 GRID = GridSpec(1, 6.0, 257)
 BINS = BinSpec(-6.0, 6.0, 50)
@@ -137,6 +140,68 @@ def test_forward_direction_against_fock_oracle():
         build_hvm(state_wigner(lossy_photon(0.52), GRID))
     assert abs(excinfo.value.min_value - (1 - 2 * 0.52) / np.pi) < 1e-6
     assert excinfo.value.location == (0.0, 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(eta=st.floats(0.0, 0.5),
+       angle=st.floats(0.0, 2 * np.pi), scale=st.floats(0.1, 3.0),
+       lo=st.floats(-4, 4), width=st.floats(0.01, 8),
+       kind=st.sampled_from(["finite", "below", "above"]))
+def test_band_limited_events_match_fock_oracle(eta, angle, scale, lo, width,
+                                               kind):
+    # a coarse 0.3-step grid, where a box model's step**2/12 variance shows
+    state = lossy_photon(eta)
+    model = build_hvm(state_wigner(state, GridSpec(1, 6.0, 41)))
+    zeta = scale * np.array([np.cos(angle), np.sin(angle)])
+    hi = lo + width
+    intervals = {"finite": [(lo, hi)], "below": [(-np.inf, hi)],
+                 "above": [(lo, np.inf)]}[kind]
+    hv = hvm_event_probability(model, zeta, intervals)
+    qv = event_probability(state, zeta, intervals)
+    assert abs(hv - qv) <= 1e-10
+
+
+def test_two_mode_gaussian_events_match_closed_form():
+    grid = GridSpec(2, 6.0, 41)
+    labels = ([1, 0, 0, 0], [0, 0, 1, 0], [0.6, 0, 0.8, 0],
+              np.array([1, 1, 0, 0]) / np.sqrt(2))
+    for kind, params in (("coherent", {"alpha": [1.0, 0.5]}),
+                         ("thermal", {"nbar": 0.25})):
+        state = make_state(StateSpec(kind, params, 2))
+        model = build_hvm(state_wigner(state, grid))
+        for zeta in labels:
+            for interval in ([(0, np.inf)], [(-1.0, 1.0)]):
+                hv = hvm_event_probability(model, zeta, interval)
+                qv = event_probability(state, zeta, interval)
+                assert abs(hv - qv) <= 1e-10, (kind, zeta, interval)
+
+
+def reference_characteristic_deviations(model, pts, state):
+    """|sum_cells p exp(i k . c) - chi| over explicit cell-center arrays."""
+    spec = model.measure.spec
+    m = spec.mode_count
+    probs = model.cell_probabilities()
+    centers = spec.axis[np.indices(spec.shape).reshape(2 * m, -1)]
+    deviations = []
+    for v, ref in zip(pts, characteristic_at_points(state, pts)):
+        k = np.concatenate([v[m:], -v[:m]])
+        value = complex(np.sum(probs * np.exp(1j * (k @ centers))))
+        deviations.append(abs(value - ref))
+    return np.array(deviations)
+
+
+def test_separable_characteristic_check_matches_dense_sum():
+    rng = np.random.default_rng(19)
+    coherent = make_state(StateSpec("coherent", {"alpha": [1.0, 0.5]}, 2))
+    cases = [(coherent, GridSpec(2, 6.0, 25)),
+             (lossy_photon(0.3), GRID)]
+    for state, grid in cases:
+        model = build_hvm(state_wigner(state, grid))
+        pts = rng.uniform(-3, 3, size=(4, 2 * grid.mode_count))
+        rep = empirical_characteristic_check(model, pts, state)
+        reference = reference_characteristic_deviations(model, pts, state)
+        assert np.max(np.abs(np.array(rep["deviations"]) - reference)) \
+            <= 1e-12
 
 
 def test_value_assignment_examples():

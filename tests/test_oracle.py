@@ -145,6 +145,19 @@ def test_event_probability_interval_validation():
         event_probability(vac, [1, 0], [(0, 2), (1, 3)])
 
 
+def test_bin_spec_and_distribution_validation():
+    for lo, hi, count in ((np.nan, 1.0, 3), (0.0, np.inf, 3),
+                          (-np.inf, 0.0, 3), (-1e308, 1e308, 3),
+                          (1.0, 0.0, 3), (0.0, 1.0, 0), (0.0, 1.0, -3)):
+        with pytest.raises(ValueError):
+            BinSpec(lo, hi, count)
+    edges = np.linspace(0, 1, 3)
+    for masses in ([np.nan, 1.0], [np.inf, 0.0], [-1e-3, 1.0]):
+        with pytest.raises(ValueError):
+            OutcomeDistribution(edges, masses)
+    OutcomeDistribution(edges, [-1e-13, 1.0])  # floating-point floor
+
+
 def test_tv_distance_properties():
     edges = np.linspace(0, 1, 4)
     a = OutcomeDistribution(edges, [1.0, 0.0, 0.0])

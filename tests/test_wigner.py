@@ -274,6 +274,9 @@ def test_grid_spec_validation():
         GridSpec(1, 6.0, 256)  # even
     with pytest.raises(ValueError):
         GridSpec(1, -1.0, 257)
+    for halfwidth in (float("nan"), float("inf"), 1e308):  # 1e308: step = inf
+        with pytest.raises(ValueError):
+            GridSpec(1, halfwidth, 41)
     with pytest.raises(ValueError):
         WignerGrid(GRID, np.ones((3, 3)))
     # memory guard: the 61^4 observable chi grid fits, 257^4 does not

@@ -69,8 +69,7 @@ def _grid_specs(args, modes: int):
         char = None
         if args.char_window is not None or args.char_points is not None:
             char = wigner_mod.default_char_spec(
-                modes, args.cutoff, halfwidth=args.char_window,
-                points=args.char_points)
+                modes, halfwidth=args.char_window, points=args.char_points)
     except InadequateWindowError as exc:
         raise CliError(str(exc), EXIT_NUMERICAL) from exc
     except ValueError as exc:

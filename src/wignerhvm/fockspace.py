@@ -11,10 +11,9 @@ stands for sum_s factors[0][s] (x) factors[1][s] (x) ...
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm, logm
 from scipy.special import ndtr
 
-from .phase_space import euler_decompose, is_symplectic
+from .phase_space import is_symplectic
 
 
 def annihilation(cutoff: int) -> np.ndarray:
@@ -29,24 +28,6 @@ def position_operator(cutoff: int) -> np.ndarray:
 def momentum_operator(cutoff: int) -> np.ndarray:
     a = annihilation(cutoff)
     return 1j * (a.conj().T - a) / np.sqrt(2)
-
-
-def mode_operator(op: np.ndarray, mode: int, mode_count: int) -> np.ndarray:
-    """Embed a single-mode operator into the mode_count-mode product space."""
-    cutoff = op.shape[0]
-    out = np.array([[1.0 + 0j]])
-    for k in range(mode_count):
-        out = np.kron(out, op if k == mode else np.eye(cutoff, dtype=complex))
-    return out
-
-
-def quadrature_operators(mode_count: int, cutoff: int) -> list[np.ndarray]:
-    """The vector R_hat = (q_1..q_m, p_1..p_m) as truncated matrices."""
-    q = position_operator(cutoff)
-    p = momentum_operator(cutoff)
-    ops = [mode_operator(q, k, mode_count) for k in range(mode_count)]
-    ops += [mode_operator(p, k, mode_count) for k in range(mode_count)]
-    return ops
 
 
 def kronecker_sum(factors) -> np.ndarray:
@@ -158,63 +139,43 @@ def multimode_displacement(mean, cutoff: int) -> np.ndarray:
     return out
 
 
-def squeeze_matrix(r: float, cutoff: int) -> np.ndarray:
-    """Single-mode squeeze with M^dag q M = e^(-r) q (shrinks q for r > 0)."""
-    a = annihilation(cutoff)
-    return expm((r / 2) * (a @ a - a.conj().T @ a.conj().T))
-
-
-def passive_unitary(u: np.ndarray, cutoff: int) -> np.ndarray:
-    """Fock-space unitary of a passive (beamsplitter/phase) transformation.
-
-    For a unitary u on the mode operators, returns M with M^dag a_j M =
-    sum_k u_jk a_k, i.e. M^dag R_hat M = K R_hat for the orthogonal
-    symplectic K = [[Re u, -Im u], [Im u, Re u]].
-    """
-    u = np.asarray(u, dtype=complex)
-    m = u.shape[0]
-    if np.max(np.abs(u @ u.conj().T - np.eye(m))) > 1e-8:
-        raise ValueError("mode transformation is not unitary")
-    h = -1j * logm(u)
-    h = (h + h.conj().T) / 2
-    a_ops = [mode_operator(annihilation(cutoff), k, m) for k in range(m)]
-    ham = np.zeros((cutoff ** m, cutoff ** m), dtype=complex)
-    for j in range(m):
-        for k in range(m):
-            if h[j, k] != 0:
-                ham += h[j, k] * a_ops[j].conj().T @ a_ops[k]
-    return expm(1j * ham)
-
-
-def orthogonal_symplectic_to_unitary(K: np.ndarray) -> np.ndarray:
-    """Extract the m x m mode unitary from an orthogonal symplectic matrix."""
-    K = np.asarray(K, dtype=float)
-    m = K.shape[0] // 2
-    u = K[:m, :m] + 1j * K[m:, :m]
-    if np.max(np.abs(u @ u.conj().T - np.eye(m))) > 1e-8:
-        raise ValueError("matrix is not orthogonal symplectic")
-    return u
-
-
 def metaplectic_operator(S: np.ndarray, cutoff: int) -> np.ndarray:
-    """Fock-space unitary M with M^dag R_hat M = S R_hat (low-block sense).
+    """Fock-space unitary M with M^dag R_hat M = S R_hat, up to a global phase.
 
-    Built from the Euler factorization S = K1 Z K2: passive unitaries for
-    K1, K2 and a per-mode squeeze for Z, each exponentiated on the
-    truncated space.
+    Exact truncated elements <k|M|l> from the Bargmann-representation
+    recurrence (Quesada et al., PRA 100, 022341 (2019); Miatto & Quesada,
+    Quantum 4, 366 (2020)).  With M^dag a M = U a + V a^dag and
+    W = (U^dag)^-1, the 2m-index G_k over k = (out, in) obeys
+    G_(k+1_i) = sum_j A_ij sqrt(k_j) G_(k-1_j) / sqrt(k_i + 1) with
+    A = [[W V^T, W], [W^T, -V^dag W]] and G_0 = |det U|^(-1/2).  Axes are
+    filled last to first: the pass over axis i sets the contiguous slabs
+    G[0, .., 0, n, ...] with every earlier axis at level 0.
     """
     S = np.asarray(S, dtype=float)
     m = S.shape[0] // 2
     if not is_symplectic(S, tol=1e-8):
         raise ValueError("matrix is not symplectic")
-    K1, d, K2 = euler_decompose(S)
-    u1 = orthogonal_symplectic_to_unitary(K1)
-    u2 = orthogonal_symplectic_to_unitary(K2)
-    # Z = diag(d, 1/d) scales q_i by d_i; squeeze_matrix(r) scales q by e^-r.
-    squeezes = np.array([[1.0 + 0j]])
-    for di in d:
-        squeezes = np.kron(squeezes, squeeze_matrix(-np.log(di), cutoff))
-    return passive_unitary(u1, cutoff) @ squeezes @ passive_unitary(u2, cutoff)
+    qq, qp, pq, pp = S[:m, :m], S[:m, m:], S[m:, :m], S[m:, m:]
+    U = (qq + pp + 1j * (pq - qp)) / 2
+    V = (qq - pp + 1j * (pq + qp)) / 2
+    W = np.linalg.inv(U.conj().T)
+    A = np.block([[W @ V.T, W], [W.T, -V.conj().T @ W]])
+    root = np.sqrt(np.arange(cutoff))
+    G = np.zeros((cutoff,) * (2 * m), dtype=complex)
+    G[(0,) * (2 * m)] = abs(np.linalg.det(U)) ** -0.5
+    for i in reversed(range(2 * m)):
+        head = (0,) * i
+        # sqrt(k_j) along each later axis j; root[0] = 0 zeroes the
+        # rolled-in level and, at n = 0, the k_i - 1 = -1 term
+        later = [(j, j - i - 1, root.reshape((-1,) + (1,) * (2 * m - 1 - j)))
+                 for j in range(i + 1, 2 * m)]
+        for n in range(cutoff - 1):
+            slab = G[head + (n,)]
+            step = A[i, i] * root[n] * G[head + (n - 1,)]
+            for j, axis, weight in later:
+                step = step + A[i, j] * weight * np.roll(slab, 1, axis=axis)
+            G[head + (n + 1,)] = step / root[n + 1]
+    return G.reshape(cutoff ** m, cutoff ** m)
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:

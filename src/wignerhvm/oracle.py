@@ -3,9 +3,8 @@
 Every probability of zeta . R_hat comes from one CDF: the closed-form
 normal CDF for Gaussian states, and for Fock-represented states the exact
 trace Tr[rho F(t/|zeta|)] against the Hermite-overlap integrals
-F_mn(x) = int_{-inf}^x psi_m psi_n, after a symplectic rotation (basis
-change + metaplectic conjugation) takes zeta/|zeta| onto the first
-position axis.
+F_mn(x) = int_{-inf}^x psi_m psi_n, after a passive metaplectic rotation
+takes zeta/|zeta| onto the first position axis.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import fockspace
-from .phase_space import Context, context_to_standard_basis
 from .states import FockDensityOperator, GaussianState, gaussian_to_fock
 from .weyl import PolynomialObservable, quantize_polynomial, trusted_block_mask
 
@@ -80,13 +78,20 @@ def _gaussian_marginal(state: GaussianState, zeta: np.ndarray):
 def _reduced_rotated_state(rho: FockDensityOperator, zeta: np.ndarray):
     """Single-mode state whose q-distribution is that of zeta.R/|zeta|; |zeta|.
 
-    Rotating onto the unit label keeps the one-mode map a pure rotation,
-    with no truncated squeeze to corrupt the top Fock levels.
+    The map onto the unit label is passive: its mode unitary u has the first
+    row (zeta_q - i zeta_p)/|zeta|, completed by QR, and
+    S = [[Re u, -Im u], [Im u, Re u]].  It keeps the total photon number, so
+    the exact truncated M is unitary on every state whose total photon
+    number is below the cutoff; the trace guard catches the rest.
     """
     scale = float(np.linalg.norm(zeta))
-    S = np.linalg.inv(context_to_standard_basis(Context([zeta / scale])))
+    m = rho.mode_count
+    first = (zeta[:m] - 1j * zeta[m:]) / scale
+    q, r = np.linalg.qr(np.column_stack([first.conj(), np.eye(m)[:, 1:]]))
+    u = (q * r[0, 0]).conj().T  # r[0, 0] = +-1 fixes the sign of the row
+    S = np.block([[u.real, -u.imag], [u.imag, u.real]])
     matrix = rho.matrix  # e_1^T S = zeta^T/|zeta|: M rho M^dag measures q_1
-    if np.max(np.abs(S - np.eye(S.shape[0]))) >= 1e-12:
+    if np.max(np.abs(S - np.eye(2 * m))) >= 1e-12:
         M = fockspace.metaplectic_operator(S, rho.cutoff)
         matrix = M @ matrix @ M.conj().T
     reduced = fockspace.partial_trace_keep_first(

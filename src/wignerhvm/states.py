@@ -177,9 +177,12 @@ def _as_complex(value, name: str) -> complex:
 def _number(value, name: str) -> float:
     """Convert a spec parameter, reporting a malformed one as a spec error."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise StateSpecError(f"parameter '{name}' must be a number") from exc
+    if not np.isfinite(number):  # JSON admits NaN and Infinity
+        raise StateSpecError(f"parameter '{name}' must be finite")
+    return number
 
 
 def _integer(value, name: str) -> int:
@@ -268,11 +271,15 @@ def gkp_state(delta: float, cutoff: int) -> FockDensityOperator:
     if delta <= 0:
         raise StateSpecError("peak width must be positive")
     spacing = 2 * np.sqrt(np.pi)
-    s_max = int(np.ceil(np.sqrt(45.0) / (delta * spacing))) + 1
-    q_max = s_max * spacing + 10 * delta
-    axis = np.linspace(-q_max, q_max, 8192)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_max = np.ceil(np.sqrt(45.0) / (delta * spacing)) + 1
+        q_max = s_max * spacing + 10 * delta
+        axis = np.linspace(-q_max, q_max, 8192)
+    # refuses a tiny delta before its endless loop over peaks (or overflow)
+    if not axis[1] - axis[0] < delta:
+        raise StateSpecError("peak width is below the quadrature step")
     psi = np.zeros_like(axis)
-    for s in range(-s_max, s_max + 1):
+    for s in range(-int(s_max), int(s_max) + 1):
         mu = s * spacing
         psi += np.exp(-0.5 * (delta * mu) ** 2) * np.exp(
             -((axis - mu) ** 2) / (2 * delta ** 2))
@@ -286,8 +293,12 @@ def photon_subtracted_squeezed_state(r: float, cutoff: int) -> FockDensityOperat
     """a S(r)|0>, proportional to the squeezed single photon S(r)|1>."""
     if r == 0:
         raise StateSpecError("photon subtraction needs nonzero squeezing")
-    return _pure_from_coefficients(fockspace.squeeze_matrix(r, cutoff)[:, 1],
-                                   cutoff)
+    with np.errstate(over="ignore"):
+        squeeze = np.diag([np.exp(-r), np.exp(r)])  # M^dag q M = e^(-r) q
+    if not np.isfinite(squeeze).all():  # the kept weight underflows to 0
+        raise LeakageError(1.0, cutoff)
+    return _pure_from_coefficients(
+        fockspace.metaplectic_operator(squeeze, cutoff)[:, 1], cutoff)
 
 
 def make_state(spec: StateSpec):

@@ -314,8 +314,7 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     return WignerGrid(spec, raw.real)
 
 
-def default_char_spec(mode_count: int, cutoff: int,
-                      halfwidth: float | None = None,
+def default_char_spec(mode_count: int, halfwidth: float | None = None,
                       points: int | None = None) -> GridSpec:
     if halfwidth is None:
         halfwidth = 16.0 if mode_count == 1 else 12.0
@@ -329,7 +328,7 @@ def state_wigner(state, spec: GridSpec,
     """Wigner grid of a state: Gaussian closed form or the Fock chi route."""
     if isinstance(state, GaussianState):
         return wigner_gaussian(state, spec)
-    char_spec = char_spec or default_char_spec(state.mode_count, state.cutoff)
+    char_spec = char_spec or default_char_spec(state.mode_count)
     chi = characteristic_function(state, char_spec)
     return wigner_from_characteristic(chi, spec)
 

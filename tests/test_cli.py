@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wignerhvm.cli import main
 from wignerhvm.wigner import GridSpec
@@ -100,6 +105,15 @@ def test_parse_failure_exit_2(tmp_path):
     code, _ = run(tmp_path, "wigner", "--state", '{"kind": "vacuum"}',
                   "--points", "4")
     assert code == 2
+    # a peak width below the quadrature step, not an endless loop over peaks
+    code, _ = run(tmp_path, "negativity", "--state",
+                  '{"kind": "gkp", "params": {"delta": 2.5e-145}}')
+    assert code == 2
+    for r in ("NaN", "Infinity"):  # JSON admits both
+        code, _ = run(tmp_path, "negativity", "--state",
+                      '{"kind": "photon_subtracted_squeezed", "params": '
+                      f'{{"r": {r}}}}}')
+        assert code == 2, r
     # integral fields are checked, not truncated by int()
     for spec in ('{"kind": "fock", "params": {"n": 1.5}}',
                  '{"kind": "fock", "params": {"n": true}}',
@@ -139,6 +153,63 @@ def test_window_inadequacy_exit_3(tmp_path):
                   '{"kind": "squeezed", "params": {"r": 1.0}}',
                   "--window", "2", "--points", "41")
     assert code == 3
+    # 10.8 % of the weight of this squeezed photon lies above cutoff 30
+    code, _ = run(tmp_path, "negativity", "--state",
+                  '{"kind": "photon_subtracted_squeezed", "params": {"r": 1.5},'
+                  ' "cutoff": 30}',
+                  "--window", "10", "--char-window", "24",
+                  "--char-points", "321")
+    assert code == 3
+    # e^r overflows: all of the weight is past the cutoff
+    code, _ = run(tmp_path, "negativity", "--state",
+                  '{"kind": "photon_subtracted_squeezed", "params": {"r": 710},'
+                  ' "cutoff": 12}')
+    assert code == 3
+
+
+# the parameter each state kind reads; vacuum reads none
+STATE_PARAMS = {"vacuum": None, "coherent": "alpha", "squeezed": "r",
+                "thermal": "nbar", "fock": "n", "cat": "alpha", "gkp": "delta",
+                "photon_subtracted_squeezed": "r"}
+
+
+@st.composite
+def state_specs(draw):
+    kind = draw(st.sampled_from(sorted(STATE_PARAMS)))
+    spec = {"kind": kind, "modes": draw(st.sampled_from([1, 1, 1, 2]))}
+    name = STATE_PARAMS[kind]
+    if name == "n":
+        spec["params"] = {name: draw(st.integers(-1, 8))}
+    elif name is not None:
+        spec["params"] = {name: draw(st.floats(-1.0, 2.0))}
+    cutoff = draw(st.one_of(st.none(), st.integers(0, 12)))
+    if cutoff is not None:
+        spec["cutoff"] = cutoff
+    return spec
+
+
+@settings(max_examples=30, deadline=None)
+@given(command=st.sampled_from(["wigner", "negativity", "hudson",
+                                "hvm-compare"]),
+       spec=state_specs(), points=st.integers(0, 10).map(lambda k: 2 * k + 1),
+       char_points=st.one_of(st.none(),
+                             st.integers(0, 20).map(lambda k: 2 * k + 1)),
+       window=st.floats(0.5, 10.0))
+def test_exit_codes_hold_for_drawn_inputs(command, spec, points, char_points,
+                                         window):
+    argv = [command, "--state", json.dumps(spec), "--points", str(points),
+            "--window", str(window)]
+    if char_points is not None:
+        argv += ["--char-points", str(char_points)]
+    if command == "hvm-compare":
+        argv += ["--samples", "2000"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", out])
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_grid_memory_guard_exit_3(tmp_path, monkeypatch):

@@ -6,6 +6,8 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from wignerhvm import fockspace
+from wignerhvm.phase_space import random_symplectic
+from wignerhvm.weyl import quantize_linear
 
 ALPHAS = (0.0, 0.3, 1.5 + 0.7j, -2.2j, -1.1 - 1.9j, 3.0)
 
@@ -75,6 +77,34 @@ def test_displacement_trace_matches_table_contraction():
     want = np.einsum("ij,ji...->...", A, table)
     assert got.shape == alphas.shape
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_metaplectic_two_mode_covariance_and_group_law():
+    """M^dag R_hat M = S R_hat and M(S1) M(S2) = e^(i theta) M(S1 S2).
+
+    Both hold exactly for the infinite operators; on a low block of a
+    cutoff-16 truncation the only error is the truncated sum over
+    intermediate levels.
+    """
+    cutoff, block = 16, 4
+    low = np.arange(cutoff) < block
+    sub = np.ix_(np.kron(low, low), np.kron(low, low))
+    ops = [quantize_linear(e, cutoff).matrix for e in np.eye(4)]
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        S1 = random_symplectic(2, rng, scale=0.1)
+        S2 = random_symplectic(2, rng, scale=0.1)
+        M1 = fockspace.metaplectic_operator(S1, cutoff)
+        M2 = fockspace.metaplectic_operator(S2, cutoff)
+        for row, op in zip(S1, ops):
+            moved = M1.conj().T @ op @ M1
+            want = quantize_linear(row, cutoff).matrix
+            assert np.max(np.abs(moved[sub] - want[sub])) < 1e-6
+        product = (M1 @ M2)[sub]
+        direct = fockspace.metaplectic_operator(S1 @ S2, cutoff)[sub]
+        phase = np.vdot(direct.ravel(), product.ravel())
+        phase /= abs(phase)
+        assert np.max(np.abs(product - phase * direct)) < 1e-9
 
 
 def hermite_product(m: int, n: int, s: float) -> float:

@@ -142,6 +142,37 @@ def test_forward_direction_against_fock_oracle():
     assert excinfo.value.location == (0.0, 0.0)
 
 
+def lossy_pair(eta, cutoff):
+    """A lossy photon in the mode (a_1 + a_2)/sqrt(2): W >= 0 iff eta <= 1/2."""
+    psi = np.zeros(cutoff ** 2)
+    psi[[1, cutoff]] = 1 / np.sqrt(2)  # |01> and |10>
+    matrix = eta * np.outer(psi, psi)
+    matrix[0, 0] = 1 - eta
+    return FockDensityOperator(matrix, cutoff, 2)
+
+
+def test_two_mode_forward_direction_against_fock_oracle():
+    # not Gaussian, and mode-mixing labels take the oracle through a
+    # two-mode metaplectic rotation; no sampling, which would need the
+    # 41^4 alias table
+    state = lossy_pair(0.4, 4)
+    model = build_hvm(state_wigner(state, GridSpec(2, 6.0, 41)))
+    for zeta in (np.array([1, 1, 0, 0]) / np.sqrt(2), [1, 0, 0, 0],
+                 [0.6, 0, 0, 0.8]):
+        for interval in ([(0, np.inf)], [(-1.0, 1.0)]):
+            hv = hvm_event_probability(model, zeta, interval)
+            qv = event_probability(state, zeta, interval)
+            assert abs(hv - qv) <= EVENT_TOLERANCE, (zeta, interval)
+            # a passive rotation is exact below the cutoff: no cutoff
+            # dependence, even for a label that mixes q_1 with p_2
+            wider = event_probability(lossy_pair(0.4, 8), zeta, interval)
+            assert abs(qv - wider) <= 1e-12, (zeta, interval)
+    pts = np.random.default_rng(34).uniform(-3, 3, size=(10, 4))
+    rep = empirical_characteristic_check(model, pts, state,
+                                         tolerance=CHAR_TOLERANCE)
+    assert rep["pass"], rep["max_deviation"]
+
+
 @settings(max_examples=50, deadline=None)
 @given(eta=st.floats(0.0, 0.5),
        angle=st.floats(0.0, 2 * np.pi), scale=st.floats(0.1, 3.0),

@@ -11,8 +11,8 @@ from wignerhvm import fockspace
 from wignerhvm.cli import _multiplicativity_cases
 from wignerhvm.phase_space import Context
 from wignerhvm.states import FockDensityOperator
-from wignerhvm.weyl import (PolynomialObservable, quantize_polynomial,
-                            quantize_terms)
+from wignerhvm.weyl import (PolynomialObservable, quantize_linear,
+                            quantize_polynomial, quantize_terms)
 from wignerhvm.wigner import (GridSpec, characteristic_function,
                               characteristic_observable, wigner_fock_direct)
 
@@ -23,7 +23,8 @@ REL_TOL = 1e-12
 def dense_quantize_polynomial(obs: PolynomialObservable,
                               cutoff: int) -> np.ndarray:
     """Symmetrized products of dense generator matrices, with a prefix cache."""
-    ops = fockspace.quadrature_operators(obs.context.mode_count, cutoff)
+    n = 2 * obs.context.mode_count
+    ops = [quantize_linear(e, cutoff).matrix for e in np.eye(n)]
     gens = [sum(z * op for z, op in zip(gen, ops))
             for gen in obs.context.generators]
     dim = ops[0].shape[0]

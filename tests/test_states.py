@@ -5,12 +5,14 @@ import pytest
 
 from wignerhvm import fockspace
 from wignerhvm.phase_space import random_symplectic
-from wignerhvm.states import (FockDensityOperator, GaussianChannel,
-                              GaussianState, LeakageError, StateSpec,
-                              StateSpecError, apply_gaussian_channel,
-                              apply_gaussian_unitary, compose_channels,
-                              gaussian_to_fock, identity_channel,
-                              loss_channel, make_state, vacuum_state)
+from wignerhvm.states import (LEAKAGE_LIMIT, FockDensityOperator,
+                              GaussianChannel, GaussianState, LeakageError,
+                              StateSpec, StateSpecError,
+                              apply_gaussian_channel, apply_gaussian_unitary,
+                              compose_channels, gaussian_to_fock,
+                              identity_channel, loss_channel, make_state,
+                              vacuum_state)
+from wignerhvm.weyl import quantize_linear
 
 
 def spec(kind, cutoff=None, **params):
@@ -81,24 +83,47 @@ def test_gkp_even_support_and_leakage():
         make_state(spec("gkp", cutoff=30, delta=0.3))
 
 
+def squeezed_vacuum(r: float, levels: int) -> np.ndarray:
+    """Closed-form S(r)|0> coefficients (q-squeezed): c_2k ~ (-tanh r)^k."""
+    coeffs = np.zeros(levels)
+    for k in range((levels + 1) // 2):
+        n = 2 * k
+        coeffs[n] = (np.cosh(r) ** -0.5 * (-np.tanh(r)) ** k
+                     * math.sqrt(math.factorial(n))
+                     / (2 ** k * math.factorial(k)))
+    return coeffs
+
+
+def photon_subtracted_squeezed(r: float, levels: int) -> np.ndarray:
+    """Closed-form a S(r)|0> / sinh r = S(r)|1> coefficients."""
+    c_sq = squeezed_vacuum(r, levels + 1)
+    return np.sqrt(np.arange(1, levels + 1)) * c_sq[1:] / np.sinh(r)
+
+
 def test_photon_subtracted_squeezed_matches_closed_form():
     r = 0.5
     cutoff = 30
     rho = make_state(spec("photon_subtracted_squeezed", cutoff=cutoff, r=r))
-    # squeezed vacuum coefficients (q-squeezed): c_{2k} ~ (-tanh r)^k
-    c_sq = np.zeros(cutoff + 1)
-    for k in range((cutoff + 1) // 2):
-        n = 2 * k
-        c_sq[n] = (np.cosh(r) ** -0.5 * (-np.tanh(r)) ** k
-                   * math.sqrt(math.factorial(n)) / (2 ** k * math.factorial(k)))
-    expected = np.array([math.sqrt(n + 1) * c_sq[n + 1] / np.sinh(r)
-                         for n in range(cutoff)])
+    expected = photon_subtracted_squeezed(r, cutoff)
     expected /= np.linalg.norm(expected)
     got = rho.matrix[:, 1].real / np.sqrt(rho.matrix[1, 1].real)
     got *= np.sign(got[1]) * np.sign(expected[1])
-    # squeeze exponential corrupts the top levels; compare the trusted block
-    assert np.max(np.abs(got[:20] - expected[:20])) < 1e-7
+    assert np.max(np.abs(got - expected)) < 1e-12
     assert np.max(np.abs(np.diag(rho.matrix.real)[::2])) < 1e-12
+
+
+def test_photon_subtracted_squeezed_reports_true_leakage():
+    cutoff = 30
+    rho = make_state(spec("photon_subtracted_squeezed", cutoff=cutoff, r=1.0))
+    kept = np.sum(photon_subtracted_squeezed(1.0, cutoff) ** 2)
+    assert 8e-4 < 1 - kept < LEAKAGE_LIMIT
+    assert abs(rho.leakage - (1 - kept)) < 1e-12
+
+
+def test_metaplectic_squeezed_vacuum_exact_at_every_level():
+    r, cutoff = 1.0, 30
+    M = fockspace.metaplectic_operator(np.diag([np.exp(-r), np.exp(r)]), cutoff)
+    assert np.max(np.abs(M[:, 0] - squeezed_vacuum(r, cutoff))) < 1e-12
 
 
 def test_apply_unitary_displacement():
@@ -240,19 +265,14 @@ def test_gaussian_to_fock_thermal_geometric():
 def test_gaussian_to_fock_squeezed_closed_form():
     r = 0.5
     rho = gaussian_to_fock(make_state(spec("squeezed", r=r)), 30)
-    coeffs = np.zeros(30)
-    for k in range(15):
-        n = 2 * k
-        coeffs[n] = (np.cosh(r) ** -0.5 * (-np.tanh(r)) ** k
-                     * math.sqrt(math.factorial(n))
-                     / (2 ** k * math.factorial(k)))
+    coeffs = squeezed_vacuum(r, 30)
     expected = np.outer(coeffs, coeffs)
     assert np.max(np.abs(rho.matrix.real[:20, :20] - expected[:20, :20])) < 1e-8
 
 
 def _moments_from_fock(rho):
-    ops = fockspace.quadrature_operators(rho.mode_count, rho.cutoff)
     n = 2 * rho.mode_count
+    ops = [quantize_linear(e, rho.cutoff).matrix for e in np.eye(n)]
     mean = np.array([np.trace(rho.matrix @ op).real for op in ops])
     cov = np.zeros((n, n))
     for i in range(n):

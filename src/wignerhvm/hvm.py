@@ -95,24 +95,65 @@ def build_hvm(w: WignerGrid) -> HiddenVariableModel:
 
 
 def _build_alias(probs: np.ndarray):
-    """Vose alias table: O(1) categorical draws from the cell distribution."""
+    """Vose alias table: O(1) categorical draws from the cell distribution.
+
+    Bit-identical to the sequential Vose loop (pop a small s and a large l
+    from stacks seeded in index order, set accept[s] = scaled[s] and
+    alias[s] = l, subtract 1 - scaled[s] from scaled[l], push l back onto
+    the stack its residual belongs to), with one Python step per large
+    cell instead of one per cell.  In that loop each large l, popped in
+    descending index order, makes one run: it absorbs the previous large's
+    residual (the carry), then the original smalls in pop order until its
+    own residual drops below 1, and is then the next small popped, the
+    following large's carry.  np.subtract.accumulate over [residual,
+    1 - scaled[s_1], 1 - scaled[s_2], ...] performs the loop's IEEE
+    subtractions in the loop's order, so every residual is bitwise equal.
+    """
     k = probs.size
     scaled = probs * k
     accept = np.zeros(k)
     alias = np.zeros(k, dtype=np.int64)
-    small = [i for i in range(k) if scaled[i] < 1.0]
-    large = [i for i in range(k) if scaled[i] >= 1.0]
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        accept[s] = scaled[s]
-        alias[s] = l
-        scaled[l] -= 1.0 - scaled[s]
-        (small if scaled[l] < 1.0 else large).append(l)
-    for i in large:
-        accept[i] = 1.0
-    for i in small:
-        accept[i] = 1.0
+    small = np.flatnonzero(scaled < 1.0)[::-1]  # pop order
+    large = np.flatnonzero(scaled >= 1.0)[::-1]
+    # an original small's scaled value never changes before it is consumed
+    debt = scaled[small]
+    np.subtract(1.0, debt, out=debt)
+    buf = np.empty(65, dtype=scaled.dtype)
+    pos = 0  # original smalls consumed so far
+    run_ends = np.zeros(large.size, dtype=np.int64)
+    carry = None  # residual of the previous large, the next small popped
+    stop = max(large.size - 1, 0)  # first large not consumed as a carry
+    for i, l in enumerate(large.tolist()):
+        residual = scaled[l]
+        if carry is not None:
+            residual = residual - (1.0 - carry)
+        window = 64
+        while residual >= 1.0 and pos < small.size:
+            m = min(window, small.size - pos)
+            if buf.size <= m:
+                buf = np.empty(2 * m + 1, dtype=scaled.dtype)
+            buf[0] = residual
+            buf[1:m + 1] = debt[pos:pos + m]
+            run = np.subtract.accumulate(buf[:m + 1])
+            # run[0] >= 1, so index 0 means the run goes on past the window
+            taken = int((run < 1.0).argmax()) or m
+            residual = run[taken]
+            pos += taken
+            window *= 2
+        run_ends[i] = pos
+        if residual >= 1.0:  # smalls ran out: l and later larges stay large
+            stop = i
+            break
+        scaled[l] = carry = residual
+    del debt
+    accept[small[:pos]] = scaled[small[:pos]]
+    alias[small[:pos]] = np.repeat(large[:stop + 1],
+                                   np.diff(run_ends[:stop + 1], prepend=0))
+    carried = large[:stop]  # each consumed by the large after it
+    accept[carried] = scaled[carried]
+    alias[carried] = large[1:stop + 1]
+    accept[small[pos:]] = 1.0
+    accept[large[stop:]] = 1.0
     return accept, alias
 
 
@@ -155,6 +196,7 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
     for c in range(0, (n + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK):
         count = min(SAMPLE_CHUNK, n - c * SAMPLE_CHUNK)
         chunks.append((c, count))
+    _ensure_alias(model)  # built once, before any worker reads the cache
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(

@@ -29,6 +29,10 @@ class StateSpecError(ValueError):
     """Malformed or unsupported state specification."""
 
 
+class InadequateWindowError(ValueError):
+    """Grid window or resolution cannot represent the requested function."""
+
+
 class LeakageError(ValueError):
     """Truncation removed more weight than the tolerance allows."""
 
@@ -229,8 +233,14 @@ def coherent_state(alpha, modes: int = 1) -> GaussianState:
 def squeezed_state(r: float, theta: float = 0.0) -> GaussianState:
     c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s], [s, c]])
-    cov = rot @ np.diag([np.exp(-2 * r), np.exp(2 * r)]) @ rot.T / 2
-    return GaussianState(np.zeros(2), cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = rot @ np.diag([np.exp(-2 * r), np.exp(2 * r)]) @ rot.T / 2
+    if not np.isfinite(cov).all():  # e^(2|r|) overflows
+        raise InadequateWindowError(
+            f"squeezing r = {r} overflows the covariance; no grid can "
+            "resolve the state")
+    # the rotated product is symmetric only up to rounding of e^(2|r|)
+    return GaussianState(np.zeros(2), (cov + cov.T) / 2)
 
 
 def thermal_state(nbar: float, modes: int = 1) -> GaussianState:
@@ -275,9 +285,12 @@ def gkp_state(delta: float, cutoff: int) -> FockDensityOperator:
         s_max = np.ceil(np.sqrt(45.0) / (delta * spacing)) + 1
         q_max = s_max * spacing + 10 * delta
         axis = np.linspace(-q_max, q_max, 8192)
+        spread = (2 * q_max) ** 2  # largest (q - mu)^2 the peaks evaluate
     # refuses a tiny delta before its endless loop over peaks (or overflow)
     if not axis[1] - axis[0] < delta:
         raise StateSpecError("peak width is below the quadrature step")
+    if not np.isfinite(spread):
+        raise StateSpecError("peak width is too large to evaluate")
     psi = np.zeros_like(axis)
     for s in range(-int(s_max), int(s_max) + 1):
         mu = s * spacing

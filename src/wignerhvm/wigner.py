@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fockspace
 from .phase_space import omega
-from .states import FockDensityOperator, GaussianState
+from .states import FockDensityOperator, GaussianState, InadequateWindowError
 
 BOUNDARY_DECAY = 1e-8
 IMAG_RESIDUE = 1e-8
@@ -29,10 +29,6 @@ NORMALIZATION_TOL = 1e-3
 # Largest grid-sized array a GridSpec may call for, counted as complex128;
 # admits the 61^4 two-mode observable chi grid (221 MB) with room to spare.
 GRID_BYTES_LIMIT = 2 ** 30
-
-
-class InadequateWindowError(ValueError):
-    """Grid window or resolution cannot represent the requested function."""
 
 
 class MixedStateError(ValueError):
@@ -159,7 +155,16 @@ def wigner_gaussian(state: GaussianState, spec: GridSpec) -> WignerGrid:
             quad = quad + prec[i, j] * di * dj
     values = np.exp(-0.5 * quad)
     values *= (2 * np.pi) ** (-spec.mode_count) / np.sqrt(det)
-    return WignerGrid(spec, values)
+    return _normalized_on_window(WignerGrid(spec, values))
+
+
+def _normalized_on_window(grid: WignerGrid) -> WignerGrid:
+    """The grid itself, unless the window misses too much of the mass."""
+    if abs(grid.normalization - 1.0) > NORMALIZATION_TOL:
+        raise InadequateWindowError(
+            f"Wigner normalization {grid.normalization:.6f} misses 1 by more "
+            f"than {NORMALIZATION_TOL}; widen the output window")
+    return grid
 
 
 def _displacement_traces(factors, spec: GridSpec, scale: float) -> np.ndarray:
@@ -262,12 +267,7 @@ def wigner_from_characteristic(chi: CharacteristicGrid,
     imag = float(np.max(np.abs(raw.imag)))
     if imag > IMAG_RESIDUE * max(scale, 1e-300):
         raise ValueError(f"imaginary residue {imag:.2e} too large")
-    grid = WignerGrid(out_spec, raw.real)
-    if abs(grid.normalization - 1.0) > NORMALIZATION_TOL:
-        raise InadequateWindowError(
-            f"Wigner normalization {grid.normalization:.6f} misses 1 by more "
-            f"than {NORMALIZATION_TOL}; widen the output window")
-    return grid
+    return _normalized_on_window(WignerGrid(out_spec, raw.real))
 
 
 def weyl_symbol_from_characteristic(chi: CharacteristicGrid,

@@ -109,6 +109,10 @@ def test_parse_failure_exit_2(tmp_path):
     code, _ = run(tmp_path, "negativity", "--state",
                   '{"kind": "gkp", "params": {"delta": 2.5e-145}}')
     assert code == 2
+    # a peak width whose squared quadrature span overflows
+    code, _ = run(tmp_path, "negativity", "--state",
+                  '{"kind": "gkp", "params": {"delta": 1e300}}')
+    assert code == 2
     for r in ("NaN", "Infinity"):  # JSON admits both
         code, _ = run(tmp_path, "negativity", "--state",
                       '{"kind": "photon_subtracted_squeezed", "params": '
@@ -148,7 +152,7 @@ def test_window_inadequacy_exit_3(tmp_path):
     code, _ = run(tmp_path, "wigner", "--state",
                   '{"kind": "squeezed", "params": {"r": 20}}')
     assert code == 3
-    # a window that clips the marginals makes the Hudson classifiers disagree
+    # a window that clips the marginals misses the normalization gate
     code, _ = run(tmp_path, "hudson", "--state",
                   '{"kind": "squeezed", "params": {"r": 1.0}}',
                   "--window", "2", "--points", "41")
@@ -164,6 +168,19 @@ def test_window_inadequacy_exit_3(tmp_path):
     code, _ = run(tmp_path, "negativity", "--state",
                   '{"kind": "photon_subtracted_squeezed", "params": {"r": 710},'
                   ' "cutoff": 12}')
+    assert code == 3
+    # e^(2r) overflows the Gaussian covariance itself
+    code, _ = run(tmp_path, "negativity", "--state",
+                  '{"kind": "squeezed", "params": {"r": 800}}')
+    assert code == 3
+    # rotated strong squeezing: a covariance symmetric only up to rounding
+    code, _ = run(tmp_path, "negativity", "--state",
+                  '{"kind": "squeezed", "params": {"r": 8, "theta": 1}}')
+    assert code == 3
+    # a Gaussian state whose mass lies outside the window
+    code, _ = run(tmp_path, "negativity", "--state",
+                  '{"kind": "coherent", "params": {"alpha": 10}}',
+                  "--points", "21")
     assert code == 3
 
 

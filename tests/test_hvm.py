@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from wignerhvm import hvm
 from wignerhvm.cli import CHAR_TOLERANCE, EVENT_TOLERANCE, TV_TOLERANCE
-from wignerhvm.hvm import (NegativityError, build_hvm,
+from wignerhvm.hvm import (NegativityError, _build_alias, build_hvm,
                            empirical_characteristic_check,
                            hvm_event_probability, hvm_homodyne_distribution,
                            sample, value_assignment)
@@ -59,6 +60,85 @@ def test_single_sample_regression_pin():
     s = sample(model, 1, seed=1)
     assert np.allclose(
         s[0], [0.12394498184623283, 0.44290544283455829], atol=1e-12)
+
+
+def reference_alias(probs):
+    """The sequential Vose loop, one Python step per cell."""
+    k = probs.size
+    scaled = probs * k
+    accept = np.zeros(k)
+    alias = np.zeros(k, dtype=np.int64)
+    small = [i for i in range(k) if scaled[i] < 1.0]
+    large = [i for i in range(k) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = l
+        scaled[l] -= 1.0 - scaled[s]
+        (small if scaled[l] < 1.0 else large).append(l)
+    for i in large:
+        accept[i] = 1.0
+    for i in small:
+        accept[i] = 1.0
+    return accept, alias
+
+
+def _masses(k, cells, values, floor=0.0):
+    p = np.full(k, floor)
+    p[list(cells)] = values
+    return p
+
+
+def _dirichlet(alpha, k, seed):
+    return np.random.default_rng(seed).dirichlet(np.full(k, alpha))
+
+
+def _grid_probs(kind, params, grid):
+    state = make_state(StateSpec(kind, params, grid.mode_count))
+    return build_hvm(state_wigner(state, grid)).cell_probabilities()
+
+
+ALIAS_CASES = {
+    "squeezed_257": lambda: _grid_probs("squeezed", {"r": 0.5}, GRID),
+    "thermal_21^4": lambda: _grid_probs("thermal", {"nbar": 0.5},
+                                        GridSpec(2, 6.0, 21)),
+    **{f"dirichlet_{alpha}_{seed}": (
+        lambda alpha=alpha, seed=seed: _dirichlet(alpha, 2000, seed))
+       for alpha in (0.3, 1.0, 5.0) for seed in (0, 1)},
+    "one_hot": lambda: _masses(97, [40], [1.0]),
+    **{f"uniform_1/{k}": (lambda k=k: np.full(k, 1 / k))
+       for k in (3, 7, 10, 49, 100)},
+    # dyadic masses: one partial residual lands exactly on 1.0
+    "three_cells": lambda: _masses(8, [1, 4, 6], [0.5, 0.25, 0.25]),
+    "three_cells_uneven": lambda: _masses(50, [2, 30, 31], [0.6, 0.3, 0.1]),
+    "subnormal_tail": lambda: _masses(300, [5, 150], [0.7, 0.3], 5e-324),
+    "subnormal_tail_dirichlet": lambda: np.concatenate(
+        [_dirichlet(1.0, 200, 2), np.full(100, 5e-324)]),
+    "single_cell": lambda: np.array([1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALIAS_CASES))
+def test_alias_table_matches_sequential_vose_loop(case):
+    probs = ALIAS_CASES[case]()
+    accept, alias = _build_alias(probs.copy())
+    ref_accept, ref_alias = reference_alias(probs.copy())
+    assert np.array_equal(accept, ref_accept)
+    assert np.array_equal(alias, ref_alias)
+
+
+def test_alias_table_built_once_under_threads(monkeypatch):
+    builds = []
+
+    def counting_build(probs):
+        builds.append(probs.size)
+        return _build_alias(probs)
+
+    monkeypatch.setattr(hvm, "_build_alias", counting_build)
+    _, model = model_for("squeezed", {"r": 0.5})
+    sample(model, 100000, seed=3, threads=4)
+    assert builds == [GRID.points ** 2]
 
 
 def test_sample_mean_convergence():

@@ -22,8 +22,8 @@ from . import oracle as oracle_mod
 from . import states as states_mod
 from . import wigner as wigner_mod
 from . import weyl as weyl_mod
-from .phase_space import (Context, plane_decomposition_vectors,
-                          planewise_decomposition_commutes, symplectic_form)
+from .phase_space import (Context, decomposition_commutators,
+                          plane_decomposition_vectors)
 from .states import (GaussianChannel, LeakageError, StateSpec, StateSpecError,
                      apply_gaussian_channel, compose_channels,
                      identity_channel, loss_channel, make_state)
@@ -57,10 +57,7 @@ def _load_state_spec(text: str) -> StateSpec:
         if not path.exists():
             raise CliError(f"state spec file not found: {text}", EXIT_PARSE)
         raw = path.read_text()
-    try:
-        return StateSpec.from_json(raw)
-    except StateSpecError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
+    return StateSpec.from_json(raw)
 
 
 def _grid_specs(args, modes: int):
@@ -81,19 +78,7 @@ def _build_state(args):
     spec = _load_state_spec(args.state)
     if args.cutoff is not None and spec.cutoff is None:
         spec = StateSpec(spec.kind, spec.params, spec.modes, args.cutoff)
-    try:
-        return spec, make_state(spec)
-    except StateSpecError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
-    except LeakageError as exc:
-        raise CliError(str(exc), EXIT_NUMERICAL) from exc
-
-
-def _state_wigner(state, grid, char):
-    try:
-        return wigner_mod.state_wigner(state, grid, char)
-    except InadequateWindowError as exc:
-        raise CliError(str(exc), EXIT_NUMERICAL) from exc
+    return spec, make_state(spec)
 
 
 def _write_report(args, name: str, payload: dict) -> Path:
@@ -108,7 +93,7 @@ def _write_report(args, name: str, payload: dict) -> Path:
 def cmd_wigner(args) -> int:
     spec, state = _build_state(args)
     grid, char = _grid_specs(args, spec.modes)
-    w = _state_wigner(state, grid, char)
+    w = wigner_mod.state_wigner(state, grid, char)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     wigner_mod.wigner_to_csv(w, out_dir / "wigner.csv")
@@ -123,7 +108,7 @@ def cmd_wigner(args) -> int:
 def cmd_negativity(args) -> int:
     spec, state = _build_state(args)
     grid, char = _grid_specs(args, spec.modes)
-    w = _state_wigner(state, grid, char)
+    w = wigner_mod.state_wigner(state, grid, char)
     payload = {"command": "negativity", "state": spec.to_dict(),
                **wigner_mod.sidecar_dict(w)}
     path = _write_report(args, "negativity.json", payload)
@@ -165,7 +150,7 @@ def cmd_hvm_compare(args) -> int:
         bins = oracle_mod.BinSpec(-args.window, args.window, args.bins)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-    w = _state_wigner(state, grid, char)
+    w = wigner_mod.state_wigner(state, grid, char)
     base = {"command": "hvm-compare", "state": spec.to_dict(),
             "grid": grid.to_dict(), "seed": args.seed, "n": args.samples}
     try:
@@ -233,12 +218,7 @@ def cmd_hvm_compare(args) -> int:
 def cmd_hudson(args) -> int:
     spec, state = _build_state(args)
     grid, char = _grid_specs(args, spec.modes)
-    try:
-        report = wigner_mod.hudson_classify(state, grid, char)
-    except MixedStateError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION) from exc
-    except InadequateWindowError as exc:
-        raise CliError(str(exc), EXIT_NUMERICAL) from exc
+    report = wigner_mod.hudson_classify(state, grid, char)
     payload = {"command": "hudson", "state": spec.to_dict(),
                **report.to_dict()}
     path = _write_report(args, "hudson.json", payload)
@@ -253,13 +233,9 @@ def _lemma_commutation_suite(rng, trials: int) -> dict:
         m = int(rng.integers(2, 5))
         i, j = rng.choice(m, size=2, replace=False)
         alpha, beta = rng.uniform(-10, 10, size=2)
-        u, v, u2, v2 = plane_decomposition_vectors(alpha, beta, i, j, m)
-        checks = (symplectic_form(u + v + u2 + v2, u + v - u2 - v2),
-                  symplectic_form(u + v2, v + u2),
-                  symplectic_form(u - v2, v - u2))
-        worst = max(worst, max(abs(c) for c in checks))
-        if not planewise_decomposition_commutes(u, v, u2, v2):
-            worst = max(worst, 1.0)
+        vectors = plane_decomposition_vectors(alpha, beta, i, j, m)
+        worst = max(worst, *(abs(c) for c in
+                             decomposition_commutators(*vectors)))
     return {"trials": trials, "max_commutator": worst,
             "tolerance": 1e-12, "pass": bool(worst <= 1e-12)}
 

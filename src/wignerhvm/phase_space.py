@@ -168,22 +168,24 @@ def context_to_standard_basis(ctx: Context) -> np.ndarray:
     return S
 
 
-def planewise_decomposition_commutes(u, v, u2, v2,
-                                     tol: float = ALGEBRAIC_TOL) -> bool:
-    """Check the commutators behind the two-plane additivity decomposition.
+def decomposition_commutators(u, v, u2, v2) -> tuple:
+    """The commutators behind the two-plane additivity decomposition.
 
     For u, v in one (q_i, p_i) plane and u2, v2 the cross-plane copies with
     swapped coefficients, u + v splits into two halves that commute, and the
-    mixed sums u +/- v2, v +/- u2 commute as well.
+    mixed sums u +/- v2, v +/- u2 commute as well: all three vanish.
     """
     u, v = as_phase_vector(u), as_phase_vector(v)
     u2, v2 = as_phase_vector(u2), as_phase_vector(v2)
-    checks = (
-        symplectic_form(u + v + u2 + v2, u + v - u2 - v2),
-        symplectic_form(u + v2, v + u2),
-        symplectic_form(u - v2, v - u2),
-    )
-    return all(abs(c) <= tol for c in checks)
+    return (symplectic_form(u + v + u2 + v2, u + v - u2 - v2),
+            symplectic_form(u + v2, v + u2),
+            symplectic_form(u - v2, v - u2))
+
+
+def planewise_decomposition_commutes(u, v, u2, v2,
+                                     tol: float = ALGEBRAIC_TOL) -> bool:
+    """Whether every decomposition commutator is within tol of zero."""
+    return all(abs(c) <= tol for c in decomposition_commutators(u, v, u2, v2))
 
 
 def plane_decomposition_vectors(alpha: float, beta: float, i: int, j: int,

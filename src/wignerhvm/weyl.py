@@ -236,10 +236,11 @@ def check_wigner_multiplicativity(obs: PolynomialObservable, cutoff: int,
 
     factors = quantize_terms(obs, cutoff)
     chi = characteristic_observable(factors, char_spec)
-    # exp(-|v|^2/4) from per-axis factors, one broadcast pass per block
-    coords = char_spec.coordinate_blocks()
-    chi.values *= np.exp(-sum(c ** 2 for c in coords[:m]) / 4)
-    chi.values *= np.exp(-sum(c ** 2 for c in coords[m:]) / 4)
+    # exp(-|v|^2/4) is a product over modes of exp(-(vq^2 + vp^2)/4)
+    axis = char_spec.axis
+    damp = np.exp(-(axis[:, None] ** 2 + axis[None, :] ** 2) / 4)
+    for table in chi.tables:
+        table *= damp
     symbol, boundary = weyl_symbol_from_characteristic(chi, z_spec)
 
     zblocks = z_spec.coordinate_blocks()

@@ -14,7 +14,6 @@ mode count; the Weyl symbol of an observable carries an extra (2 pi)^m.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,29 +108,49 @@ class WignerGrid:
 
 @dataclass
 class CharacteristicGrid:
+    """chi on a GridSpec, held as per-mode tables.
+
+    tables[k] is an (r, p, p) stack over mode k's (v_q, v_p) axes, and the
+    grid stands for sum_s tables[0][s] (x) tables[1][s], the factored form
+    of fockspace.  `values` is the dense grid with axes (q_1..q_m, p_1..p_m).
+    """
+
     spec: GridSpec
-    values: np.ndarray
+    tables: list
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.spec.shape:
-            raise ValueError("values shape does not match the grid")
+        self.tables = [np.asarray(t, dtype=complex) for t in self.tables]
+        shapes = [t.shape[1:] for t in self.tables]
+        if shapes != [(self.spec.points,) * 2] * self.spec.mode_count:
+            raise ValueError("tables do not match the grid")
+
+    @property
+    def values(self) -> np.ndarray:
+        return _kronecker_grid(self.tables)
 
     def origin_value(self) -> complex:
-        center = (self.spec.points // 2,) * (2 * self.spec.mode_count)
-        return complex(self.values[center])
+        center = self.spec.points // 2
+        terms = np.prod([t[:, center, center] for t in self.tables], axis=0)
+        return complex(terms.sum())
 
     def boundary_residual(self) -> float:
         """Largest |chi| on the grid boundary relative to the global max."""
-        vmax = float(np.max(np.abs(self.values)))
+        # abs keeps the mode-major memory order of the dense view, and basic
+        # slicing reads each face without copying the grid
+        mag = np.abs(self.values)
+        vmax = float(np.max(mag))
         if vmax == 0:
             return 0.0
-        worst = 0.0
-        for ax in range(self.values.ndim):
-            for idx in (0, -1):
-                face = np.take(self.values, idx, axis=ax)
-                worst = max(worst, float(np.max(np.abs(face))))
-        return worst / vmax
+        faces = ((slice(None),) * ax + (idx,)
+                 for ax in range(mag.ndim) for idx in (0, -1))
+        return max(float(np.max(mag[face])) for face in faces) / vmax
+
+
+def _kronecker_grid(tables) -> np.ndarray:
+    """sum_s tables[0][s] (x) tables[1][s] with axes (q_1..q_m, p_1..p_m)."""
+    if len(tables) == 1:
+        return tables[0].sum(axis=0)
+    return np.tensordot(*tables, axes=([0], [0])).transpose(0, 2, 1, 3)
 
 
 def wigner_gaussian(state: GaussianState, spec: GridSpec) -> WignerGrid:
@@ -145,14 +164,13 @@ def wigner_gaussian(state: GaussianState, spec: GridSpec) -> WignerGrid:
             "covariance is singular on this scale; the grid cannot "
             "resolve the state")
     prec = np.linalg.inv(cov)
-    n = 2 * spec.mode_count
-    coords = spec.coordinate_blocks()
+    d = [c - mu for c, mu in zip(spec.coordinate_blocks(), state.mean)]
+    # one axis at a time: term j spans axes 0..j, so only the last is
+    # grid-sized
     quad = 0.0
-    for i in range(n):
-        di = coords[i] - state.mean[i]
-        for j in range(n):
-            dj = coords[j] - state.mean[j]
-            quad = quad + prec[i, j] * di * dj
+    for j in range(len(d)):
+        cross = sum(prec[i, j] * d[i] for i in range(j))
+        quad = quad + d[j] * (prec[j, j] * d[j] + 2 * cross)
     values = np.exp(-0.5 * quad)
     values *= (2 * np.pi) ** (-spec.mode_count) / np.sqrt(det)
     return _normalized_on_window(WignerGrid(spec, values))
@@ -167,29 +185,32 @@ def _normalized_on_window(grid: WignerGrid) -> WignerGrid:
     return grid
 
 
-def _displacement_traces(factors, spec: GridSpec, scale: float) -> np.ndarray:
-    """Tr[A D(scale * v)] at every node v of a one- or two-mode grid.
+def _trace_tables(factors, alphas) -> list[np.ndarray]:
+    """Per-mode tables t[k][s] = Tr[B_sk D(alpha)] over alphas[k].
 
-    A is given by its per-mode factor stacks.  Since D(v) = D(v1) (x) D(v2),
-    Tr[(B (x) C) D(v)] = Tr[B D(v1)] Tr[C D(v2)], so the two-mode grid is
-    one product X^T Y of per-mode trace tables read from a single
-    displacement table.
+    A = sum_s B_s0 (x) B_s1 is given by its per-mode factor stacks, and
+    D(v) = D(v1) (x) D(v2), so Tr[A D(v)] = sum_s prod_k t[k][s] at each v.
+    One mode is a single table, whatever the number of terms.
     """
-    axis = spec.axis
-    vq, vp = np.meshgrid(axis, axis, indexing="ij")
-    alphas = scale * (vq + 1j * vp) / np.sqrt(2)
-    if spec.mode_count == 1:
-        return fockspace.displacement_trace(factors[0].sum(axis=0), alphas)
-    if spec.mode_count != 2:
+    if len(factors) == 1:
+        return [fockspace.displacement_trace(factors[0].sum(axis=0),
+                                             alphas[0])[None]]
+    if len(factors) != 2:
         raise ValueError("phase-space grids supported for m <= 2")
-    c = factors[0].shape[1]
-    # d[(j, i), v] = <j|D|i>; Tr[B D] = sum B[i, j] d[(j, i)]
-    d = fockspace.displacement_matrix(alphas.reshape(-1), c).reshape(c * c, -1)
-    x, y = (f.transpose(0, 2, 1).reshape(len(f), c * c) @ d for f in factors)
-    p = spec.points
-    # flat per-mode index is (vq, vp); reorder axes to (vq1, vq2, vp1, vp2)
-    chi = (x.T @ y).reshape(p, p, p, p)
-    return np.ascontiguousarray(chi.transpose(0, 2, 1, 3))
+    tables = []
+    for f, alpha in zip(factors, alphas):
+        c = f.shape[1]
+        # d[(j, i), v] = <j|D|i>; Tr[B D] = sum B[i, j] d[(j, i)]
+        d = fockspace.displacement_matrix(alpha.reshape(-1), c)
+        x = f.transpose(0, 2, 1).reshape(len(f), c * c) @ d.reshape(c * c, -1)
+        tables.append(x.reshape(len(f), *alpha.shape))
+    return tables
+
+
+def _grid_amplitudes(spec: GridSpec, scale: float) -> list[np.ndarray]:
+    """alpha = scale * (v_q + i v_p) / sqrt(2) over each mode's axes."""
+    vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
+    return [scale * (vq + 1j * vp) / np.sqrt(2)] * spec.mode_count
 
 
 def characteristic_function(rho: FockDensityOperator,
@@ -198,7 +219,8 @@ def characteristic_function(rho: FockDensityOperator,
     if spec.mode_count != rho.mode_count:
         raise ValueError("grid/state mode mismatch")
     factors = fockspace.kronecker_factors(rho.matrix, rho.mode_count)
-    grid = CharacteristicGrid(spec, _displacement_traces(factors, spec, 1.0))
+    grid = CharacteristicGrid(spec, _trace_tables(
+        factors, _grid_amplitudes(spec, 1.0)))
     if abs(grid.origin_value() - 1.0) > 1e-6:
         raise ValueError("characteristic function origin deviates from 1")
     return grid
@@ -211,7 +233,8 @@ def characteristic_observable(factors, spec: GridSpec) -> CharacteristicGrid:
     """
     if len(factors) != spec.mode_count:
         raise ValueError("grid/observable mode mismatch")
-    return CharacteristicGrid(spec, _displacement_traces(factors, spec, 1.0))
+    return CharacteristicGrid(spec, _trace_tables(
+        factors, _grid_amplitudes(spec, 1.0)))
 
 
 def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
@@ -223,34 +246,36 @@ def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
         phase = 1j * (k @ state.mean)
         damp = -0.5 * np.einsum("ij,jk,ik->i", k, state.covariance, k)
         return np.exp(phase + damp)
-    out = np.zeros(pts.shape[0], dtype=complex)
     m = state.mode_count
-    for idx, v in enumerate(pts):
-        dmat = np.array([[1.0 + 0j]])
-        for mode in range(m):
-            alpha = (v[mode] + 1j * v[m + mode]) / np.sqrt(2)
-            dmat = np.kron(dmat, fockspace.displacement_matrix(
-                alpha, state.cutoff))
-        out[idx] = np.trace(state.matrix @ dmat)
-    return out
+    factors = fockspace.kronecker_factors(state.matrix, m)
+    alphas = (pts[:, :m] + 1j * pts[:, m:]) / np.sqrt(2)
+    return np.prod(_trace_tables(factors, alphas.T), axis=0).sum(axis=0)
 
 
-def _symplectic_fourier(values: np.ndarray, v_spec: GridSpec,
+def _symplectic_fourier(tables, v_spec: GridSpec,
                         out_spec: GridSpec) -> np.ndarray:
-    """(2 pi)^(-2m) Int chi(v) exp(-i [v, z]) dv by separable quadrature."""
-    m = v_spec.mode_count
-    h = v_spec.step
-    v_axis = v_spec.axis
-    z_axis = out_spec.axis
-    result = np.asarray(values, dtype=complex)
-    # exp(-i [v, z]) = prod_i exp(+i vq_i zp_i) exp(-i vp_i zq_i)
-    for i in range(2 * m):
-        sign = 1.0 if i < m else -1.0
-        kernel = np.exp(sign * 1j * np.outer(v_axis, z_axis)) * h
-        result = np.tensordot(result, kernel, axes=([0], [0]))
-    # appended z-axes are (zp_1..zp_m, zq_1..zq_m); swap the blocks
-    result = np.transpose(result, axes=list(range(m, 2 * m)) + list(range(m)))
-    return result * (2 * np.pi) ** (-2 * m)
+    """(2 pi)^(-2m) Int chi(v) exp(-i [v, z]) dv by separable quadrature.
+
+    exp(-i [v, z]) = prod_k exp(-i vp_k zq_k) exp(+i vq_k zp_k), so each
+    mode's tables map from (v_q, v_p) to (z_q, z_p) on their own.
+    """
+    outer = np.outer(v_spec.axis, out_spec.axis)
+    to_q = np.exp(-1j * outer) * v_spec.step
+    to_p = np.exp(1j * outer) * v_spec.step
+    # the summation order decides which of a GKP lattice's mirror-image
+    # minima the argmin reports: keep v_q first and the constant last
+    out = _kronecker_grid([to_q.T @ (t.transpose(0, 2, 1) @ to_p)
+                           for t in tables])
+    return out * (2 * np.pi) ** (-2 * len(tables))
+
+
+def _real_part(raw: np.ndarray, tol: float) -> np.ndarray:
+    """raw.real, unless max |imag| exceeds tol times max |real|."""
+    scale = float(np.max(np.abs(raw.real)))
+    imag = float(np.max(np.abs(raw.imag)))
+    if imag > tol * max(scale, 1e-300):
+        raise ValueError(f"imaginary residue {imag:.2e} too large")
+    return raw.real
 
 
 def wigner_from_characteristic(chi: CharacteristicGrid,
@@ -262,12 +287,9 @@ def wigner_from_characteristic(chi: CharacteristicGrid,
         raise InadequateWindowError(
             f"characteristic function boundary residual {residual:.2e} "
             f"exceeds {BOUNDARY_DECAY:.0e}; widen the transform window")
-    raw = _symplectic_fourier(chi.values, chi.spec, out_spec)
-    scale = float(np.max(np.abs(raw.real)))
-    imag = float(np.max(np.abs(raw.imag)))
-    if imag > IMAG_RESIDUE * max(scale, 1e-300):
-        raise ValueError(f"imaginary residue {imag:.2e} too large")
-    return _normalized_on_window(WignerGrid(out_spec, raw.real))
+    raw = _symplectic_fourier(chi.tables, chi.spec, out_spec)
+    return _normalized_on_window(
+        WignerGrid(out_spec, _real_part(raw, IMAG_RESIDUE)))
 
 
 def weyl_symbol_from_characteristic(chi: CharacteristicGrid,
@@ -279,14 +301,10 @@ def weyl_symbol_from_characteristic(chi: CharacteristicGrid,
     flag the comparison instead of trusting it.
     """
     out_spec = out_spec or chi.spec
-    raw = _symplectic_fourier(chi.values, chi.spec, out_spec)
+    raw = _symplectic_fourier(chi.tables, chi.spec, out_spec)
     raw = raw * (2 * np.pi) ** chi.spec.mode_count
-    scale = float(np.max(np.abs(raw.real)))
-    imag = float(np.max(np.abs(raw.imag)))
-    if imag > 1e-6 * max(scale, 1e-300):
-        raise ValueError(f"imaginary residue {imag:.2e} too large for a "
-                         "Hermitian observable")
-    return WignerGrid(out_spec, raw.real), chi.boundary_residual()
+    symbol = WignerGrid(out_spec, _real_part(raw, 1e-6))
+    return symbol, chi.boundary_residual()
 
 
 def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
@@ -301,17 +319,13 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     if spec.mode_count != rho.mode_count:
         raise ValueError("grid/state mode mismatch")
     parity = (-1.0) ** np.arange(rho.cutoff)
-    sign = functools.reduce(np.kron, [parity] * rho.mode_count)
-    # P rho signs the rows; rho P (signed columns) would give W(-z)
-    factors = fockspace.kronecker_factors(sign[:, None] * rho.matrix,
-                                          rho.mode_count)
-    raw = _displacement_traces(factors, spec, 2.0)
+    # P = P_1 (x) P_2 signs the rows of every factor; rho P (signed
+    # columns) would give W(-z)
+    factors = [parity[:, None] * f for f in
+               fockspace.kronecker_factors(rho.matrix, rho.mode_count)]
+    raw = _kronecker_grid(_trace_tables(factors, _grid_amplitudes(spec, 2.0)))
     raw = raw / np.pi ** rho.mode_count
-    scale = float(np.max(np.abs(raw.real)))
-    imag = float(np.max(np.abs(raw.imag)))
-    if imag > IMAG_RESIDUE * max(scale, 1e-300):
-        raise ValueError(f"imaginary residue {imag:.2e} too large")
-    return WignerGrid(spec, raw.real)
+    return WignerGrid(spec, _real_part(raw, IMAG_RESIDUE))
 
 
 def default_char_spec(mode_count: int, halfwidth: float | None = None,

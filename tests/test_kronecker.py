@@ -1,7 +1,9 @@
-"""The factored (per-mode Kronecker term) quantization and two-mode chi
-against the dense references they replaced: the dense symmetrized product
-of c^2 x c^2 generator matrices and the dense contraction d^T M d over a
-two-mode displacement table."""
+"""The factored (per-mode Kronecker term) quantization, characteristic
+function and symplectic Fourier transform against the dense references
+they replaced: the dense symmetrized product of c^2 x c^2 generator
+matrices, the dense contraction d^T M d over a two-mode displacement table,
+the reordered X^T Y product of per-mode trace tables and the transform that
+contracts one phase-space axis at a time."""
 
 import itertools
 
@@ -11,12 +13,17 @@ from wignerhvm import fockspace
 from wignerhvm.cli import _multiplicativity_cases
 from wignerhvm.phase_space import Context
 from wignerhvm.states import FockDensityOperator
-from wignerhvm.weyl import (PolynomialObservable, quantize_linear,
-                            quantize_polynomial, quantize_terms)
+from wignerhvm.weyl import (PolynomialObservable,
+                            check_wigner_multiplicativity, quantize_linear,
+                            quantize_polynomial, quantize_terms,
+                            smoothed_polynomial)
 from wignerhvm.wigner import (GridSpec, characteristic_function,
-                              characteristic_observable, wigner_fock_direct)
+                              characteristic_observable, wigner_fock_direct,
+                              wigner_from_characteristic,
+                              weyl_symbol_from_characteristic)
 
 CHAR = GridSpec(2, 10.0, 21)
+Z = GridSpec(2, 3.0, 11)
 REL_TOL = 1e-12
 
 
@@ -57,6 +64,50 @@ def dense_two_mode_traces(matrix: np.ndarray, spec: GridSpec,
     return (d.T @ mat @ d).reshape(p, p, p, p).transpose(0, 2, 1, 3)
 
 
+def dense_displacement_traces(factors, spec: GridSpec,
+                              scale: float) -> np.ndarray:
+    """Tr[A D(scale * v)] on a two-mode grid as one product X^T Y.
+
+    X and Y are the per-mode trace tables read from one displacement
+    table; the product is copied into (vq1, vq2, vp1, vp2) order.
+    """
+    axis = spec.axis
+    vq, vp = np.meshgrid(axis, axis, indexing="ij")
+    alphas = scale * (vq + 1j * vp) / np.sqrt(2)
+    c = factors[0].shape[1]
+    d = fockspace.displacement_matrix(alphas.reshape(-1), c).reshape(c * c, -1)
+    x, y = (f.transpose(0, 2, 1).reshape(len(f), c * c) @ d for f in factors)
+    p = spec.points
+    chi = (x.T @ y).reshape(p, p, p, p)
+    return np.ascontiguousarray(chi.transpose(0, 2, 1, 3))
+
+
+def dense_symplectic_fourier(values: np.ndarray, v_spec: GridSpec,
+                             out_spec: GridSpec) -> np.ndarray:
+    """(2 pi)^(-2m) Int chi(v) exp(-i [v, z]) dv, one axis at a time."""
+    m = v_spec.mode_count
+    result = np.asarray(values, dtype=complex)
+    for i in range(2 * m):
+        sign = 1.0 if i < m else -1.0
+        kernel = np.exp(sign * 1j * np.outer(v_spec.axis, out_spec.axis))
+        result = np.tensordot(result, kernel * v_spec.step, axes=([0], [0]))
+    # appended z-axes are (zp_1..zp_m, zq_1..zq_m); swap the blocks
+    result = np.transpose(result, axes=list(range(m, 2 * m)) + list(range(m)))
+    return result * (2 * np.pi) ** (-2 * m)
+
+
+def dense_boundary_residual(values: np.ndarray) -> float:
+    """Largest |chi| over the faces of the box, relative to the global max."""
+    worst = max(float(np.max(np.abs(np.take(values, idx, axis=ax))))
+                for ax in range(values.ndim) for idx in (0, -1))
+    return worst / float(np.max(np.abs(values)))
+
+
+def dense_weyl_symbol(values: np.ndarray) -> np.ndarray:
+    raw = dense_symplectic_fourier(values, CHAR, Z) * (2 * np.pi) ** 2
+    return raw.real
+
+
 def relative_gap(got, want) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
@@ -65,8 +116,28 @@ def check_against_dense(obs: PolynomialObservable, cutoff: int) -> None:
     factors = quantize_terms(obs, cutoff)
     dense = dense_quantize_polynomial(obs, cutoff)
     assert relative_gap(quantize_polynomial(obs, cutoff), dense) <= REL_TOL
-    chi = characteristic_observable(factors, CHAR).values
-    assert relative_gap(chi, dense_two_mode_traces(dense, CHAR, 1.0)) <= REL_TOL
+    chi = characteristic_observable(factors, CHAR)
+    want = dense_displacement_traces(factors, CHAR, 1.0)
+    assert relative_gap(chi.values, want) <= REL_TOL
+    assert relative_gap(want, dense_two_mode_traces(dense, CHAR, 1.0)) \
+        <= REL_TOL
+    symbol, residual = weyl_symbol_from_characteristic(chi, Z)
+    assert relative_gap(symbol.values, dense_weyl_symbol(want)) <= REL_TOL
+    assert relative_gap(residual, dense_boundary_residual(want)) <= REL_TOL
+
+    # the lemma-check comparison, with exp(-|v|^2/4) on the dense grid
+    coords = CHAR.coordinate_blocks()
+    damped = want * np.exp(-sum(c ** 2 for c in coords) / 4)
+    symbol = dense_weyl_symbol(damped)
+    zblocks = Z.coordinate_blocks()
+    target = smoothed_polynomial(obs, [sum(z * c for z, c in zip(g, zblocks))
+                                       for g in obs.context.generators])
+    report = check_wigner_multiplicativity(obs, cutoff, Z, CHAR)
+    sup_dev = float(np.max(np.abs(symbol - target)))
+    scale = float(np.max(np.abs(symbol)))
+    assert abs(report["sup_norm_deviation"] - sup_dev) <= REL_TOL * scale
+    assert relative_gap(report["boundary_residual"],
+                        dense_boundary_residual(damped)) <= REL_TOL
 
 
 def test_lemma_cases_match_dense_references():
@@ -96,6 +167,12 @@ def test_random_density_matrix_through_both_routes():
     chi = characteristic_function(rho, spec).values
     assert relative_gap(chi, dense_two_mode_traces(rho.matrix, spec, 1.0)) \
         <= REL_TOL
+    # a window wide enough for the boundary-decay and normalization gates
+    char = GridSpec(2, 14.0, 41)
+    want = dense_symplectic_fourier(
+        dense_two_mode_traces(rho.matrix, char, 1.0), char, spec)
+    got = wigner_from_characteristic(characteristic_function(rho, char), spec)
+    assert relative_gap(got.values, want.real) <= REL_TOL
     parity = np.kron((-1.0) ** np.arange(c), (-1.0) ** np.arange(c))
     want = dense_two_mode_traces(parity[:, None] * rho.matrix, spec, 2.0)
     got = wigner_fock_direct(rho, spec).values

@@ -52,6 +52,31 @@ def test_squeezed_peak_unchanged():
     assert abs(w.values[c, c] - 1 / np.pi) < 1e-12
 
 
+def double_loop_wigner(state: GaussianState, spec: GridSpec) -> np.ndarray:
+    """The Gaussian closed form, its quadratic form in (2m)^2 grid passes."""
+    prec = np.linalg.inv(state.covariance)
+    coords = spec.coordinate_blocks()
+    quad = 0.0
+    for i in range(len(coords)):
+        di = coords[i] - state.mean[i]
+        for j in range(len(coords)):
+            dj = coords[j] - state.mean[j]
+            quad = quad + prec[i, j] * di * dj
+    return (np.exp(-0.5 * quad) * (2 * np.pi) ** (-spec.mode_count)
+            / np.sqrt(np.linalg.det(state.covariance)))
+
+
+def test_gaussian_quadratic_form_matches_double_loop():
+    rng = np.random.default_rng(8)
+    base = rng.uniform(-0.4, 0.4, size=(4, 4))
+    state = GaussianState(rng.uniform(-1, 1, size=4),
+                          0.5 * np.eye(4) + base @ base.T)
+    spec = GridSpec(2, 7.0, 25)
+    want = double_loop_wigner(state, spec)
+    got = wigner_gaussian(state, spec).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+
 def test_singular_covariance_rejected():
     state = GaussianState(np.zeros(2), 0.5 * np.eye(2))
     state.covariance = np.diag([0.5, 0.0])  # bypass init validation
@@ -86,6 +111,13 @@ def test_characteristic_at_points_routes_agree():
     fockv = characteristic_at_points(rho, pts)
     assert np.max(np.abs(gauss - fockv)) < 1e-8
     assert abs(gauss[0] - 1) < 1e-12
+    # two modes: per-mode trace tables at each point's own amplitudes
+    coh2 = make_state(StateSpec("coherent", {"alpha": [0.6, -0.4]}, 2))
+    pts2 = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -0.5, 0.3, 2.0],
+                     [-1.5, 0.7, 1.2, -0.4], [0.2, 2.2, -1.8, 0.9]])
+    gauss2 = characteristic_at_points(coh2, pts2)
+    fock2 = characteristic_at_points(gaussian_to_fock(coh2, 12), pts2)
+    assert np.max(np.abs(gauss2 - fock2)) < 1e-8
 
 
 def test_fourier_route_matches_gaussian_closed_form():
@@ -106,7 +138,7 @@ def test_fock1_wigner_value_at_origin():
 
 
 def test_flat_characteristic_rejected():
-    flat = CharacteristicGrid(CHAR, np.ones(CHAR.shape, dtype=complex))
+    flat = CharacteristicGrid(CHAR, [np.ones((1,) + CHAR.shape, dtype=complex)])
     with pytest.raises(InadequateWindowError):
         wigner_from_characteristic(flat, GRID)
 

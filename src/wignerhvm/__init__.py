@@ -11,10 +11,10 @@ from .hvm import (HiddenVariableModel, NegativityError, build_hvm,
                   hvm_homodyne_distribution, sample, value_assignment)
 from .oracle import (BinSpec, OutcomeDistribution, event_probability,
                      expectation, quantum_homodyne_distribution, tv_distance)
-from .phase_space import (Context, context_to_standard_basis, euler_decompose,
-                          is_context, is_symplectic, omega,
+from .phase_space import (Context, context_to_standard_basis, is_context,
+                          is_symplectic, omega,
                           planewise_decomposition_commutes, random_symplectic,
-                          symplectic_form, williamson)
+                          symplectic_form)
 from .states import (FockDensityOperator, GaussianChannel, GaussianState,
                      StateSpec, apply_gaussian_channel, apply_gaussian_unitary,
                      compose_channels, gaussian_to_fock, loss_channel,

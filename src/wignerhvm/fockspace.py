@@ -128,28 +128,42 @@ def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
     return out.reshape(alphas.shape)
 
 
-def multimode_displacement(mean, cutoff: int) -> np.ndarray:
-    """Displacement by a phase-space vector (q-block, p-block ordering)."""
-    mean = np.asarray(mean, dtype=float)
-    m = mean.size // 2
-    out = np.array([[1.0 + 0j]])
-    for k in range(m):
-        alpha = (mean[k] + 1j * mean[m + k]) / np.sqrt(2)
-        out = np.kron(out, displacement_matrix(alpha, cutoff))
-    return out
+def _bargmann(A: np.ndarray, b: np.ndarray, g0: complex,
+              cutoff: int) -> np.ndarray:
+    """Truncated Gaussian Bargmann array G_k, every index k_i < cutoff.
+
+    Exact elements from the recurrence (Quesada et al., PRA 100, 022341
+    (2019); Miatto & Quesada, Quantum 4, 366 (2020))
+    G_(k+1_i) = (b_i G_k + sum_j A_ij sqrt(k_j) G_(k-1_j)) / sqrt(k_i + 1)
+    from G_0 = g0.  Axes are filled last to first: the pass over axis i
+    sets the contiguous slabs G[0, .., 0, n, ...] with every earlier axis
+    at level 0.
+    """
+    n_axes = len(b)
+    root = np.sqrt(np.arange(cutoff))
+    G = np.zeros((cutoff,) * n_axes, dtype=complex)
+    G[(0,) * n_axes] = g0
+    for i in reversed(range(n_axes)):
+        head = (0,) * i
+        # sqrt(k_j) along each later axis j; root[0] = 0 zeroes the
+        # rolled-in level and, at n = 0, the k_i - 1 = -1 term
+        later = [(j, j - i - 1, root.reshape((-1,) + (1,) * (n_axes - 1 - j)))
+                 for j in range(i + 1, n_axes)]
+        for n in range(cutoff - 1):
+            slab = G[head + (n,)]
+            step = b[i] * slab + A[i, i] * root[n] * G[head + (n - 1,)]
+            for j, axis, weight in later:
+                step = step + A[i, j] * weight * np.roll(slab, 1, axis=axis)
+            G[head + (n + 1,)] = step / root[n + 1]
+    return G
 
 
 def metaplectic_operator(S: np.ndarray, cutoff: int) -> np.ndarray:
     """Fock-space unitary M with M^dag R_hat M = S R_hat, up to a global phase.
 
-    Exact truncated elements <k|M|l> from the Bargmann-representation
-    recurrence (Quesada et al., PRA 100, 022341 (2019); Miatto & Quesada,
-    Quantum 4, 366 (2020)).  With M^dag a M = U a + V a^dag and
-    W = (U^dag)^-1, the 2m-index G_k over k = (out, in) obeys
-    G_(k+1_i) = sum_j A_ij sqrt(k_j) G_(k-1_j) / sqrt(k_i + 1) with
-    A = [[W V^T, W], [W^T, -V^dag W]] and G_0 = |det U|^(-1/2).  Axes are
-    filled last to first: the pass over axis i sets the contiguous slabs
-    G[0, .., 0, n, ...] with every earlier axis at level 0.
+    The b = 0 case of `_bargmann` over k = (out, in): with
+    M^dag a M = U a + V a^dag and W = (U^dag)^-1,
+    A = [[W V^T, W], [W^T, -V^dag W]] and G_0 = |det U|^(-1/2).
     """
     S = np.asarray(S, dtype=float)
     m = S.shape[0] // 2
@@ -160,21 +174,8 @@ def metaplectic_operator(S: np.ndarray, cutoff: int) -> np.ndarray:
     V = (qq - pp + 1j * (pq + qp)) / 2
     W = np.linalg.inv(U.conj().T)
     A = np.block([[W @ V.T, W], [W.T, -V.conj().T @ W]])
-    root = np.sqrt(np.arange(cutoff))
-    G = np.zeros((cutoff,) * (2 * m), dtype=complex)
-    G[(0,) * (2 * m)] = abs(np.linalg.det(U)) ** -0.5
-    for i in reversed(range(2 * m)):
-        head = (0,) * i
-        # sqrt(k_j) along each later axis j; root[0] = 0 zeroes the
-        # rolled-in level and, at n = 0, the k_i - 1 = -1 term
-        later = [(j, j - i - 1, root.reshape((-1,) + (1,) * (2 * m - 1 - j)))
-                 for j in range(i + 1, 2 * m)]
-        for n in range(cutoff - 1):
-            slab = G[head + (n,)]
-            step = A[i, i] * root[n] * G[head + (n - 1,)]
-            for j, axis, weight in later:
-                step = step + A[i, j] * weight * np.roll(slab, 1, axis=axis)
-            G[head + (n + 1,)] = step / root[n + 1]
+    G = _bargmann(A, np.zeros(2 * m, dtype=complex),
+                  abs(np.linalg.det(U)) ** -0.5, cutoff)
     return G.reshape(cutoff ** m, cutoff ** m)
 
 

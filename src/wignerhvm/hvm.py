@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import sici
 
 from .oracle import BinSpec, OutcomeDistribution
-from .wigner import WignerGrid, characteristic_at_points
+from .wigner import WignerGrid, characteristic_at_points, min_value
 from .weyl import PolynomialObservable
 
 NEGATIVITY_TOL_FACTOR = 1e-9
@@ -83,9 +83,7 @@ def build_hvm(w: WignerGrid) -> HiddenVariableModel:
     tol = NEGATIVITY_TOL_FACTOR * vmax
     mn = float(values.min())
     if mn < -tol:
-        idx = np.unravel_index(np.argmin(values), values.shape)
-        location = tuple(float(w.spec.axis[i]) for i in idx)
-        raise NegativityError(mn, location, w.spec)
+        raise NegativityError(*min_value(w), w.spec)
     clamped = np.clip(values, 0.0, None)
     total = clamped.sum() * w.cell_volume
     if total <= 0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, schur, sqrtm
+from scipy.linalg import expm
 
 ALGEBRAIC_TOL = 1e-12
 MATRIX_TOL = 1e-10
@@ -212,100 +212,3 @@ def random_symplectic(mode_count: int, rng: np.random.Generator,
     g = rng.normal(scale=scale, size=(n, n))
     g = (g + g.T) / 2
     return expm(-omega(mode_count) @ g)
-
-
-def euler_decompose(S: np.ndarray):
-    """Factor a symplectic S as K1 @ Z @ K2.
-
-    K1, K2 are orthogonal symplectic and Z = diag(d_1..d_m, 1/d_1..1/d_m)
-    with d_i >= 1.  Obtained from the polar decomposition S = P O followed
-    by an omega-paired eigenbasis of the symmetric factor P.
-    """
-    S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    m = n // 2
-    if not is_symplectic(S):
-        raise ValueError("input matrix is not symplectic")
-    w = omega(m)
-    P = sqrtm(S @ S.T).real
-    O = np.linalg.solve(P, S)
-
-    vals, vecs = np.linalg.eigh(P)
-    unit_tol = 1e-8
-    order = np.argsort(vals)[::-1]
-    us, ds = [], []
-    unit_basis = []
-    for idx in order:
-        if vals[idx] > 1 + unit_tol:
-            us.append(vecs[:, idx])
-            ds.append(vals[idx])
-        elif abs(vals[idx] - 1) <= unit_tol:
-            unit_basis.append(vecs[:, idx])
-    # Pair the (near-)unit eigenspace so each chosen u brings omega*u along.
-    while len(us) < m:
-        if not unit_basis:
-            raise RuntimeError("eigenvalue pairing failed in Euler decomposition")
-        u = unit_basis.pop(0)
-        u = u / np.linalg.norm(u)
-        wu = w @ u
-        remaining = []
-        for vec in unit_basis:
-            vec = vec - (u @ vec) * u - (wu @ vec) * wu
-            if np.linalg.norm(vec) > 1e-9:
-                remaining.append(vec / np.linalg.norm(vec))
-        unit_basis = remaining
-        us.append(u)
-        ds.append(1.0)
-
-    K1 = np.column_stack(us + [w @ u for u in us])
-    d = np.asarray(ds)
-    Z = np.diag(np.concatenate([d, 1.0 / d]))
-    K2 = K1.T @ O
-    if np.max(np.abs(K1 @ Z @ K2 - S)) > 1e-8 * max(1.0, np.max(np.abs(S))):
-        raise RuntimeError("Euler decomposition did not reproduce the input")
-    return K1, d, K2
-
-
-def _interleave_permutation(mode_count: int) -> np.ndarray:
-    """Permutation with x_interleaved = P @ x_block."""
-    n = 2 * mode_count
-    P = np.zeros((n, n))
-    for i in range(mode_count):
-        P[2 * i, i] = 1.0
-        P[2 * i + 1, mode_count + i] = 1.0
-    return P
-
-
-def williamson(V: np.ndarray):
-    """Symplectic diagonalization V = S diag(nu, nu) S^T of a PD matrix.
-
-    Returns (S, nu) with S symplectic and the symplectic eigenvalues nu
-    (nu = 1/2 for every mode of a pure Gaussian state in hbar = 1 units).
-    """
-    V = np.asarray(V, dtype=float)
-    n = V.shape[0]
-    m = n // 2
-    P = _interleave_permutation(m)
-    Vi = P @ V @ P.T
-    w_int = P @ omega(m) @ P.T
-
-    M = sqrtm(Vi).real
-    invM = np.linalg.inv(M)
-    A = invM @ w_int @ invM
-    T, Q = schur((A - A.T) / 2)
-    # 2x2 antisymmetric blocks; flip columns until each superdiagonal is < 0.
-    for i in range(m):
-        if T[2 * i, 2 * i + 1] > 0:
-            Q[:, [2 * i, 2 * i + 1]] = Q[:, [2 * i + 1, 2 * i]]
-            T[2 * i, 2 * i + 1], T[2 * i + 1, 2 * i] = (
-                T[2 * i + 1, 2 * i], T[2 * i, 2 * i + 1])
-    t = np.array([-T[2 * i, 2 * i + 1] for i in range(m)])
-    if np.any(t <= 0):
-        raise ValueError("input matrix is not positive definite")
-    Db = np.diag(np.repeat(np.sqrt(t), 2))
-    S_int = M @ Q @ Db
-    nu = 1.0 / t
-    S = P.T @ S_int @ P
-    if not is_symplectic(S, tol=1e-8):
-        raise RuntimeError("Williamson decomposition produced a non-symplectic matrix")
-    return S, nu

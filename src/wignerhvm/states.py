@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import fockspace
-from .phase_space import is_symplectic, omega, williamson
+from .phase_space import is_symplectic, omega
 
 LEAKAGE_LIMIT = 1e-3
 
@@ -401,35 +401,29 @@ def loss_channel(eta: float, modes: int = 1) -> GaussianChannel:
                            (1 - eta) / 2 * np.eye(n), np.zeros(n))
 
 
-def _thermal_diagonal(nbar: float, cutoff: int) -> np.ndarray:
-    if nbar <= 1e-12:
-        d = np.zeros(cutoff)
-        d[0] = 1.0
-        return d
-    n = np.arange(cutoff)
-    return (nbar / (nbar + 1)) ** n / (nbar + 1)
-
-
 def gaussian_to_fock(state: GaussianState, cutoff: int) -> FockDensityOperator:
-    """Truncated-Fock representation of a Gaussian state.
+    """Truncated-Fock representation of a Gaussian state, renormalized.
 
-    Williamson-decomposes the covariance into a thermal core and a
-    symplectic transformation, applies the matching metaplectic unitary and
-    an exact displacement on the truncated space, then renormalizes.
+    Exact truncated elements <k|rho|l> from the Bargmann recurrence of
+    `fockspace.metaplectic_operator`, here with a first-order term, over
+    k = (ket modes, bra modes).  In complex coordinates
+    T = [[I, iI], [I, -iI]] / sqrt(2), Q = T sigma T^dag + I/2 and
+    gamma = T mean; with the ket/bra swap X = [[0, I], [I, 0]],
+    A = X (I - Q^-1)*, b = X (Q^-1 gamma)* and
+    G_0 = exp(-gamma^dag Q^-1 gamma / 2) / sqrt(det Q).  The leakage is
+    1 - Tr of the exact truncated matrix.
     """
     m = state.mode_count
     if m > 2:
         raise ValueError("dense Fock representation supported for m <= 2")
-    S, nu = williamson(state.covariance)
-    nbars = np.clip(nu - 0.5, 0.0, None)
-    diag = np.array([1.0])
-    for nb in nbars:
-        diag = np.kron(diag, _thermal_diagonal(nb, cutoff))
-    rho = np.diag(diag).astype(complex)
-    if np.max(np.abs(S - np.eye(2 * m))) > 1e-12:
-        M = fockspace.metaplectic_operator(S, cutoff)
-        rho = M @ rho @ M.conj().T
-    if np.max(np.abs(state.mean)) > 1e-14:
-        D = fockspace.multimode_displacement(state.mean, cutoff)
-        rho = D @ rho @ D.conj().T
+    eye, zero = np.eye(m), np.zeros((m, m))
+    T = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / np.sqrt(2)
+    X = np.block([[zero, eye], [eye, zero]])
+    Qinv = np.linalg.inv(T @ state.covariance @ T.conj().T + np.eye(2 * m) / 2)
+    gamma = T @ state.mean
+    g0 = (np.exp(-0.5 * (gamma.conj() @ Qinv @ gamma).real)
+          * np.sqrt(np.linalg.det(Qinv).real))
+    G = fockspace._bargmann(X @ (np.eye(2 * m) - Qinv).conj(),
+                            X @ (Qinv @ gamma).conj(), g0, cutoff)
+    rho = G.reshape(cutoff ** m, cutoff ** m)
     return _renormalized(rho, cutoff, m, weight=1.0)

@@ -197,11 +197,15 @@ def _trace_tables(factors, alphas) -> list[np.ndarray]:
                                              alphas[0])[None]]
     if len(factors) != 2:
         raise ValueError("phase-space grids supported for m <= 2")
-    tables = []
+    tables, last = [], None
     for f, alpha in zip(factors, alphas):
         c = f.shape[1]
-        # d[(j, i), v] = <j|D|i>; Tr[B D] = sum B[i, j] d[(j, i)]
-        d = fockspace.displacement_matrix(alpha.reshape(-1), c)
+        # d[(j, i), v] = <j|D|i>; Tr[B D] = sum B[i, j] d[(j, i)].  Grids
+        # hand both modes one amplitude array (and both share the cutoff),
+        # so one table then serves both.
+        if alpha is not last:
+            d = fockspace.displacement_matrix(alpha.reshape(-1), c)
+            last = alpha
         x = f.transpose(0, 2, 1).reshape(len(f), c * c) @ d.reshape(c * c, -1)
         tables.append(x.reshape(len(f), *alpha.shape))
     return tables
@@ -262,8 +266,6 @@ def _symplectic_fourier(tables, v_spec: GridSpec,
     outer = np.outer(v_spec.axis, out_spec.axis)
     to_q = np.exp(-1j * outer) * v_spec.step
     to_p = np.exp(1j * outer) * v_spec.step
-    # the summation order decides which of a GKP lattice's mirror-image
-    # minima the argmin reports: keep v_q first and the constant last
     out = _kronecker_grid([to_q.T @ (t.transpose(0, 2, 1) @ to_p)
                            for t in tables])
     return out * (2 * np.pi) ** (-2 * len(tables))
@@ -358,10 +360,17 @@ def log_negativity(grid: WignerGrid) -> float:
 
 
 def min_value(grid: WignerGrid):
-    """Grid minimum and its phase-space location."""
-    idx = np.unravel_index(np.argmin(grid.values), grid.values.shape)
+    """Grid minimum and its phase-space location.
+
+    The location is the first node in index order within 1e-12 max|W| of
+    the minimum, so rounding cannot choose between mirror-image minima.
+    """
+    values = grid.values
+    mn = values.min()
+    near = values <= mn + 1e-12 * np.max(np.abs(values))
+    idx = np.unravel_index(np.argmax(near), values.shape)
     location = tuple(float(grid.spec.axis[i]) for i in idx)
-    return float(grid.values[idx]), location
+    return float(mn), location
 
 
 def position_marginal(grid: WignerGrid, axis_index: int = 0):

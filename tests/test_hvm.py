@@ -15,7 +15,7 @@ from wignerhvm.oracle import (BinSpec, event_probability,
 from wignerhvm.phase_space import Context
 from wignerhvm.states import FockDensityOperator, StateSpec, make_state
 from wignerhvm.weyl import PolynomialObservable, monomial
-from wignerhvm.wigner import (GridSpec, characteristic_at_points,
+from wignerhvm.wigner import (GridSpec, WignerGrid, characteristic_at_points,
                               state_wigner, wigner_gaussian)
 
 GRID = GridSpec(1, 6.0, 257)
@@ -44,6 +44,16 @@ def test_build_raises_on_fock1_with_witness():
     assert err.location == (0.0, 0.0)
     payload = err.to_dict()
     assert payload["grid_spec"]["points"] == 257
+
+
+def test_witness_location_is_first_near_tie():
+    values = np.ones((3, 3))
+    values[0, 2] = -1.0
+    values[2, 0] = -1.0 - 1e-14
+    with pytest.raises(NegativityError) as excinfo:
+        build_hvm(WignerGrid(GridSpec(1, 1.0, 3), values))
+    assert excinfo.value.min_value == -1.0 - 1e-14
+    assert excinfo.value.location == (-1.0, 1.0)
 
 
 def test_sampling_determinism_and_prefix():

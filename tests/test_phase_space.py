@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from wignerhvm.phase_space import (ALGEBRAIC_TOL, Context,
-                                   context_to_standard_basis, euler_decompose,
-                                   is_context, is_symplectic, omega,
-                                   plane_decomposition_vectors,
+                                   context_to_standard_basis, is_context,
+                                   is_symplectic, plane_decomposition_vectors,
                                    planewise_decomposition_commutes,
-                                   random_symplectic, symplectic_form,
-                                   williamson)
+                                   random_symplectic, symplectic_form)
 
 
 def test_symplectic_form_examples():
@@ -124,46 +122,3 @@ def test_random_symplectic_is_symplectic():
     rng = np.random.default_rng(6)
     for m in (1, 2, 3):
         assert is_symplectic(random_symplectic(m, rng), tol=1e-9)
-
-
-def test_euler_decompose_reconstructs():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        m = int(rng.integers(1, 3))
-        S = random_symplectic(m, rng, scale=0.5)
-        K1, d, K2 = euler_decompose(S)
-        w = omega(m)
-        for K in (K1, K2):
-            assert np.allclose(K.T @ K, np.eye(2 * m), atol=1e-9)
-            assert np.allclose(K.T @ w @ K, w, atol=1e-9)
-        assert np.all(d >= 1 - 1e-9)
-        Z = np.diag(np.concatenate([d, 1 / d]))
-        assert np.allclose(K1 @ Z @ K2, S, atol=1e-8)
-
-
-def test_euler_decompose_orthogonal_input():
-    # degenerate unit-eigenvalue pairing path
-    th = 0.7
-    S = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    K1, d, K2 = euler_decompose(S)
-    assert np.allclose(d, [1.0])
-    assert np.allclose(K1 @ np.diag([1, 1]) @ K2, S, atol=1e-10)
-
-
-def test_williamson_recovers_symplectic_spectrum():
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        m = int(rng.integers(1, 3))
-        nu = np.sort(rng.uniform(0.5, 3.0, m))[::-1]
-        T = random_symplectic(m, rng, scale=0.4)
-        V = T @ np.diag(np.concatenate([nu, nu])) @ T.T
-        S, nu_out = williamson(V)
-        assert is_symplectic(S, tol=1e-8)
-        D = np.diag(np.concatenate([nu_out, nu_out]))
-        assert np.allclose(S @ D @ S.T, V, atol=1e-8)
-        assert np.allclose(np.sort(nu_out), np.sort(nu), atol=1e-8)
-
-
-def test_williamson_vacuum():
-    S, nu = williamson(0.5 * np.eye(2))
-    assert np.allclose(nu, [0.5])

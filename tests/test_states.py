@@ -309,6 +309,59 @@ def test_gaussian_to_fock_two_mode():
     assert np.max(np.abs(cov_out - state.covariance)) < 1e-3
 
 
+def reference_density(S, nu, mean, cutoff: int, keep: int) -> np.ndarray:
+    """<k|D M(S) tau(nu) M(S)^dag D^dag|l> at `cutoff`, k, l < keep per mode.
+
+    tau is the product of geometric thermal diagonals with mean photon
+    numbers nu - 1/2, so the state has covariance S diag(nu, nu) S^T and the
+    reference needs no Williamson decomposition.  Only the products reach
+    past `keep`, and they run to `cutoff`.
+    """
+    m = len(nu)
+    n = np.arange(cutoff)
+    tau, rows = np.array([1.0]), np.ones((1, 1), dtype=complex)
+    for k, v in enumerate(nu):
+        nbar = v - 0.5
+        tau = np.kron(tau, nbar ** n / (nbar + 1) ** (n + 1))
+        alpha = (mean[k] + 1j * mean[m + k]) / np.sqrt(2)
+        d = fockspace.displacement_matrix(alpha, cutoff)
+        rows = np.kron(rows, d[:keep])
+    y = rows @ fockspace.metaplectic_operator(S, cutoff)
+    return (y * tau) @ y.conj().T
+
+
+def test_gaussian_to_fock_matches_one_mode_reference():
+    # rotated squeezed thermal state with a mean, reference at cutoff 120
+    th, r = 0.4, 0.6
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    S = rot @ np.diag([np.exp(-r), np.exp(r)])
+    nu, mean = np.array([0.8]), np.array([0.7, -0.3])
+    state = GaussianState(mean, S @ np.diag([0.8, 0.8]) @ S.T)
+    rho = gaussian_to_fock(state, 20)
+    want = reference_density(S, nu, mean, 120, 20)
+    assert np.max(np.abs(rho.matrix * (1 - rho.leakage) - want)) <= 1e-13
+
+
+def test_gaussian_to_fock_matches_two_mode_reference():
+    rng = np.random.default_rng(15)
+    S = random_symplectic(2, rng, scale=0.25)
+    nu = rng.uniform(0.5, 0.9, 2)
+    mean = np.array([0.3, -0.2, 0.2, 0.1])
+    state = GaussianState(mean, S @ np.diag(np.concatenate([nu, nu])) @ S.T)
+    rho = gaussian_to_fock(state, 8)
+    want = reference_density(S, nu, mean, 40, 8)
+    assert np.max(np.abs(rho.matrix * (1 - rho.leakage) - want)) <= 1e-9
+
+
+def test_gaussian_to_fock_reports_true_leakage():
+    S = np.diag([np.exp(-0.5), np.exp(0.5)])
+    state = GaussianState(np.array([0.7, 0.2]), S @ S.T / 2)
+    psi = (fockspace.displacement_matrix((0.7 + 0.2j) / np.sqrt(2), 120)
+           @ fockspace.metaplectic_operator(S, 120)[:, 0])
+    rho = gaussian_to_fock(state, 20)
+    assert abs(rho.leakage - (1 - np.sum(np.abs(psi[:20]) ** 2))) <= 1e-12
+
+
 def test_state_spec_parsing():
     s = StateSpec.from_json('{"kind": "fock", "params": {"n": 2}, "cutoff": 20}')
     assert s.kind == "fock" and s.params["n"] == 2 and s.cutoff == 20

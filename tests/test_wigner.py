@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wignerhvm import fockspace
 from wignerhvm.oracle import homodyne_density
 from wignerhvm.states import GaussianState, StateSpec, gaussian_to_fock, make_state
 from wignerhvm.weyl import conjugate_by_metaplectic
@@ -208,6 +209,31 @@ def test_min_value_examples():
     assert min_value(vac)[0] > 0
     sq = wigner_gaussian(make_state(StateSpec("squeezed", {"r": 0.5})), GRID)
     assert min_value(sq)[0] > 0
+
+
+def test_min_value_location_is_first_near_tie_in_index_order():
+    spec = GridSpec(1, 1.0, 3)
+    values = np.ones((3, 3))
+    values[0, 2] = -1.0
+    values[2, 0] = -1.0 - 1e-14  # later and lower, but within 1e-12 max|W|
+    assert min_value(WignerGrid(spec, values)) == (-1.0 - 1e-14, (-1.0, 1.0))
+    values[2, 0] = values[1, 1] = -1.0  # exact ties
+    assert min_value(WignerGrid(spec, values)) == (-1.0, (-1.0, 1.0))
+
+
+def test_two_mode_grid_builds_one_displacement_table(monkeypatch):
+    rho = gaussian_to_fock(
+        make_state(StateSpec("coherent", {"alpha": [0.6, -0.4]}, 2)), 8)
+    calls = []
+    real = fockspace.displacement_matrix
+
+    def counted(alpha, cutoff):
+        calls.append(cutoff)
+        return real(alpha, cutoff)
+
+    monkeypatch.setattr(fockspace, "displacement_matrix", counted)
+    characteristic_function(rho, GridSpec(2, 6.0, 11))
+    assert calls == [8]
 
 
 def test_statistical_moments_match_oracle():

@@ -102,9 +102,12 @@ def displacement_matrix(alpha, cutoff: int) -> np.ndarray:
 def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
     """Tr[A D(alpha)] = sum_ij A[i, j] <j|D(alpha)|i> for every alpha.
 
-    The recurrence runs once per distinct |alpha|^2, and each diagonal
-    offset is added into the result as soon as it is complete, so no
-    cutoff-by-alphas array is ever held.
+    Offset k adds u alpha^k + l conj(alpha^k) = (u + l) Re alpha^k
+    + i (u - l) Im alpha^k, with u = sum_n A[n, n+k] v_n, l = (-1)^k sum_n
+    A[n+k, n] v_n (0 for k = 0) and radial factors v_n(|alpha|^2).  That is
+    an identity for any complex u and l, so A need not be Hermitian.  The
+    recurrence runs once per distinct |alpha|^2, alpha^k is a running
+    product, and no cutoff-by-alphas array is ever held.
     """
     A = np.asarray(A, dtype=complex)
     alphas = np.asarray(alphas, dtype=complex)
@@ -112,19 +115,20 @@ def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
     cutoff = A.shape[0]
     radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
     out = np.zeros(flat.shape, dtype=complex)
+    power = np.ones(flat.shape, dtype=complex)  # alpha^k
     for k, n, value in _laguerre_diagonals(radii, cutoff):
         if n == 0:
-            upper = np.zeros(radii.shape, dtype=complex)  # A[n, n+k] terms
-            lower = np.zeros(radii.shape, dtype=complex)  # A[n+k, n] terms
+            if k:
+                power *= flat
+            upper = np.zeros(radii.shape, dtype=complex)  # u_k
+            lower = np.zeros(radii.shape, dtype=complex)  # l_k
         if A[n, n + k]:
             upper += A[n, n + k] * value
         if k and A[n + k, n]:
-            lower += A[n + k, n] * value
+            lower += (-1) ** k * A[n + k, n] * value
         if n == cutoff - 1 - k and (upper.any() or lower.any()):
-            power = flat ** k
-            out += upper[where] * power
-            if k:
-                out += lower[where] * ((-1) ** k * np.conj(power))
+            out += (upper + lower)[where] * power.real
+            out += (1j * (upper - lower))[where] * power.imag
     return out.reshape(alphas.shape)
 
 

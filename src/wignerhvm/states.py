@@ -92,7 +92,9 @@ class FockDensityOperator:
         tr = float(np.trace(self.matrix).real)
         if abs(tr - 1.0) > 1e-6:
             raise ValueError(f"trace {tr} deviates from 1 beyond tolerance")
-        if np.min(np.linalg.eigvalsh(self.matrix)) < -1e-10:
+        try:  # M + 1e-10 I factors iff no eigenvalue of M is below -1e-10
+            np.linalg.cholesky(self.matrix + 1e-10 * np.eye(dim))
+        except np.linalg.LinAlgError:
             raise ValueError("density matrix is not positive semidefinite")
 
     @property

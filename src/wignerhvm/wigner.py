@@ -14,6 +14,7 @@ mode count; the Weyl symbol of an observable carries an extra (2 pi)^m.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -441,14 +442,17 @@ def hudson_classify(state, spec: GridSpec | None = None,
 
 
 def wigner_to_csv(grid: WignerGrid, path) -> None:
-    """One row per grid node in axes-major order: q1,...,p_m,W."""
+    """Rows q1,...,p_m,W per node in axes-major order, byte-identical to
+    np.savetxt with "%.18e", written one slab of the first axis at a time."""
     m = grid.spec.mode_count
     names = [f"q{i + 1}" for i in range(m)] + [f"p{i + 1}" for i in range(m)]
-    header = ",".join(names + ["W"])
-    coords = np.meshgrid(*([grid.spec.axis] * 2 * m), indexing="ij")
-    columns = [c.reshape(-1) for c in coords] + [grid.values.reshape(-1)]
-    data = np.column_stack(columns)
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
+    axis = [f"{x:.18e}," for x in grid.spec.axis.tolist()]
+    tails = ["".join(t) for t in itertools.product(axis, repeat=2 * m - 1)]
+    with open(path, "w") as fh:
+        fh.write(",".join(names + ["W"]) + "\n")
+        for head, slab in zip(axis, grid.values):
+            fh.write("".join([f"{head}{tail}{w:.18e}\n" for tail, w
+                              in zip(tails, slab.reshape(-1).tolist())]))
 
 
 def sidecar_dict(grid: WignerGrid) -> dict:

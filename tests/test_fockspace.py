@@ -7,6 +7,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from wignerhvm import fockspace
 from wignerhvm.phase_space import random_symplectic
+from wignerhvm.states import StateSpec, make_state
 from wignerhvm.weyl import quantize_linear
 
 ALPHAS = (0.0, 0.3, 1.5 + 0.7j, -2.2j, -1.1 - 1.9j, 3.0)
@@ -77,6 +78,58 @@ def test_displacement_trace_matches_table_contraction():
     want = np.einsum("ij,ji...->...", A, table)
     assert got.shape == alphas.shape
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def reference_displacement_trace(A, alphas):
+    """The earlier displacement_trace loop: alpha^k by pow, conj for -k."""
+    A = np.asarray(A, dtype=complex)
+    alphas = np.asarray(alphas, dtype=complex)
+    flat = alphas.reshape(-1)
+    cutoff = A.shape[0]
+    radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
+    out = np.zeros(flat.shape, dtype=complex)
+    for k, n, value in fockspace._laguerre_diagonals(radii, cutoff):
+        if n == 0:
+            upper = np.zeros(radii.shape, dtype=complex)  # A[n, n+k] terms
+            lower = np.zeros(radii.shape, dtype=complex)  # A[n+k, n] terms
+        if A[n, n + k]:
+            upper += A[n, n + k] * value
+        if k and A[n + k, n]:
+            lower += A[n + k, n] * value
+        if n == cutoff - 1 - k and (upper.any() or lower.any()):
+            power = flat ** k
+            out += upper[where] * power
+            if k:
+                out += lower[where] * ((-1) ** k * np.conj(power))
+    return out.reshape(alphas.shape)
+
+
+def test_displacement_trace_matches_reference_loop():
+    grid = np.linspace(-6.0, 6.0, 61)
+    vq, vp = np.meshgrid(grid, grid, indexing="ij")
+    alphas = (vq + 1j * vp) / np.sqrt(2)
+    rng = np.random.default_rng(11)
+    cat = make_state(StateSpec("cat", {"alpha": 2.0}, 1, 30)).matrix
+    gkp = make_state(StateSpec("gkp", {"delta": 0.3}, 1, 60)).matrix
+    pss = make_state(StateSpec("photon_subtracted_squeezed", {"r": 0.5},
+                               1, 30)).matrix
+    parity = (-1.0) ** np.arange(30)[:, None]
+    general = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+    gapped = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    gapped[np.arange(9), np.arange(3, 12)] = 0  # offset +3
+    gapped[np.arange(3, 12), np.arange(9)] = 0  # offset -3
+    # exactly repeated radii: (q, p) <-> (p, q), sign flips, and the origin
+    qp = np.array([[0.3, 1.1], [1.1, 0.3], [-0.3, 1.1], [0.3, -1.1],
+                   [-1.1, -0.3], [2.0, 0.0], [-2.0, 0.0], [0.0, 2.0],
+                   [0.0, 0.0], [0.7, -2.4]])
+    repeated = ((qp[:, 0] + 1j * qp[:, 1]) / np.sqrt(2)).reshape(2, 5)
+    cases = [(cat, alphas), (gkp, alphas), (parity * pss, 2 * alphas),
+             (general, alphas), (gapped, alphas), (general, repeated)]
+    for A, points in cases:
+        want = reference_displacement_trace(A, points)
+        got = fockspace.displacement_trace(A, points)
+        assert got.shape == points.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_metaplectic_two_mode_covariance_and_group_law():

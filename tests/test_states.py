@@ -244,6 +244,26 @@ def test_fock_operator_validation():
         FockDensityOperator(0.5 * np.eye(4), 4, 1)  # trace 2
 
 
+def test_fock_operator_positivity_threshold():
+    """Eigenvalues below -1e-10 are rejected, those above it are kept."""
+    rng = np.random.default_rng(5)
+    for cutoff, modes in ((12, 1), (6, 2)):
+        dim = cutoff ** modes
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                                + 1j * rng.normal(size=(dim, dim)))
+        for planted, accepted in ((-1e-9, False), (-2e-10, False),
+                                  (-5e-11, True), (-1e-11, True),
+                                  (0.0, True)):
+            spectrum = rng.dirichlet(np.ones(dim - 1)) * (1 - planted)
+            rho = (basis * np.append(planted, spectrum)) @ basis.conj().T
+            rho = (rho + rho.conj().T) / 2
+            if accepted:
+                FockDensityOperator(rho, cutoff, modes)
+            else:
+                with pytest.raises(ValueError, match="positive"):
+                    FockDensityOperator(rho, cutoff, modes)
+
+
 def test_gaussian_to_fock_vacuum_and_coherent():
     rho = gaussian_to_fock(vacuum_state(), 10)
     expected = np.zeros((10, 10))

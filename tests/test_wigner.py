@@ -327,6 +327,24 @@ def test_csv_export_and_sidecar(tmp_path):
                          "negativity_volume", "log_negativity"}
 
 
+def test_csv_export_matches_savetxt_bytes(tmp_path):
+    rng = np.random.default_rng(3)
+    for spec, header in ((GridSpec(1, 6.0, 257), "q1,p1,W"),
+                         (GridSpec(2, 4.0, 11), "q1,q2,p1,p2,W")):
+        values = rng.normal(scale=0.1, size=spec.shape)
+        values.flat[:5] = [-0.0, 5e-324, 1e300, -1e300, -2.5e-17]
+        grid = WignerGrid(spec, values)
+        path = tmp_path / f"{spec.mode_count}.csv"
+        wigner_to_csv(grid, path)
+        coords = np.meshgrid(*([spec.axis] * 2 * spec.mode_count),
+                             indexing="ij")
+        columns = [c.reshape(-1) for c in coords] + [values.reshape(-1)]
+        ref = tmp_path / f"{spec.mode_count}_ref.csv"
+        np.savetxt(ref, np.column_stack(columns), delimiter=",",
+                   header=header, comments="")
+        assert path.read_bytes() == ref.read_bytes()
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(1, 6.0, 256)  # even

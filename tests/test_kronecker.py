@@ -2,10 +2,12 @@
 function and symplectic Fourier transform against the dense references
 they replaced: the dense symmetrized product of c^2 x c^2 generator
 matrices, the dense contraction d^T M d over a two-mode displacement table,
-the reordered X^T Y product of per-mode trace tables and the transform that
-contracts one phase-space axis at a time."""
+the reordered X^T Y product of per-mode trace tables, the transform that
+contracts one phase-space axis at a time and the boundary residual read off
+the dense grid."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 
@@ -14,10 +16,12 @@ from wignerhvm.cli import _multiplicativity_cases
 from wignerhvm.phase_space import Context
 from wignerhvm.states import FockDensityOperator
 from wignerhvm.weyl import (PolynomialObservable,
-                            check_wigner_multiplicativity, quantize_linear,
+                            check_wigner_multiplicativity,
+                            default_observable_char_spec, quantize_linear,
                             quantize_polynomial, quantize_terms,
                             smoothed_polynomial)
-from wignerhvm.wigner import (GridSpec, characteristic_function,
+from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
+                              characteristic_function,
                               characteristic_observable, wigner_fock_direct,
                               wigner_from_characteristic,
                               weyl_symbol_from_characteristic)
@@ -177,3 +181,83 @@ def test_random_density_matrix_through_both_routes():
     want = dense_two_mode_traces(parity[:, None] * rho.matrix, spec, 2.0)
     got = wigner_fock_direct(rho, spec).values
     assert relative_gap(got, want.real / np.pi ** 2) <= REL_TOL
+
+
+def random_tables(rng, r: int, p: int, modes: int = 2) -> list:
+    return [rng.normal(size=(r, p, p)) + 1j * rng.normal(size=(r, p, p))
+            for _ in range(modes)]
+
+
+def test_streamed_residual_equals_dense_on_random_tables():
+    rng = np.random.default_rng(13)
+    for r in (1, 4, 7):
+        chi = CharacteristicGrid(GridSpec(2, 3.0, 9), random_tables(rng, r, 9))
+        assert chi.boundary_residual() == dense_boundary_residual(chi.values)
+
+
+def test_streamed_residual_finds_a_planted_maximum_on_every_face():
+    # one extra term that is a spike at (mode-1 point, mode-2 point); faces
+    # are axes (q1, q2, p1, p2) at index 0 or -1, and the center is interior
+    spec, p, mid = GridSpec(2, 3.0, 9), 9, 4
+    rng = np.random.default_rng(14)
+    faces = []
+    for idx in (0, p - 1):
+        faces += [((idx, mid), (mid, mid)), ((mid, mid), (idx, mid)),
+                  ((mid, idx), (mid, mid)), ((mid, mid), (mid, idx))]
+    for (site1, site2), on_face in ([(s, True) for s in faces]
+                                    + [(((mid, mid), (mid, mid)), False)]):
+        tables = [np.concatenate([0.01 * t, np.zeros((1, p, p))])
+                  for t in random_tables(rng, 3, p)]
+        tables[0][-1][site1] = tables[1][-1][site2] = 10.0
+        chi = CharacteristicGrid(spec, tables)
+        residual = chi.boundary_residual()
+        assert residual == dense_boundary_residual(chi.values)
+        assert (residual == 1.0) == on_face
+
+
+def test_one_mode_residual_finds_a_planted_maximum_on_every_edge():
+    spec, p, mid = GridSpec(1, 3.0, 9), 9, 4
+    rng = np.random.default_rng(15)
+    for site in ((0, mid), (p - 1, mid), (mid, 0), (mid, p - 1)):
+        (table,) = random_tables(rng, 4, p, modes=1)
+        table[0][site] = 100.0
+        chi = CharacteristicGrid(spec, [table])
+        assert chi.boundary_residual() == 1.0
+        assert chi.boundary_residual() == dense_boundary_residual(chi.values)
+
+
+def test_streamed_residual_of_an_odd_observable():
+    # x on {q1} has chi(0) = Tr x = 0, so the max is not at the origin
+    label, obs = _multiplicativity_cases(12)[0]
+    assert label == "x on {q1}"
+    chi = characteristic_observable(quantize_terms(obs, 12), CHAR)
+    assert abs(chi.origin_value()) <= 1e-12
+    assert chi.boundary_residual() == dense_boundary_residual(chi.values)
+
+
+def test_streamed_residual_of_zero_and_nan_tables():
+    spec = GridSpec(2, 3.0, 9)
+    assert CharacteristicGrid(
+        spec, [np.zeros((2, 9, 9))] * 2).boundary_residual() == 0.0
+    rng = np.random.default_rng(16)
+    for mode, site in ((0, (4, 4)), (1, (4, 4)), (0, (8, 2))):
+        tables = random_tables(rng, 3, 9)
+        tables[mode][1][site] = np.nan
+        chi = CharacteristicGrid(spec, tables)
+        assert np.isnan(dense_boundary_residual(chi.values))
+        assert np.isnan(chi.boundary_residual())
+
+
+def test_streamed_residual_never_holds_the_dense_grid():
+    # the lemma's 61^4 grid: its dense chi alone is 221 MB
+    obs = dict(_multiplicativity_cases(30))["xy^2 on {q1,p2}"]
+    spec = default_observable_char_spec(2, 30)
+    assert spec.points == 61
+    chi = characteristic_observable(quantize_terms(obs, 30), spec)
+    tracemalloc.start()
+    try:
+        chi.boundary_residual()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20

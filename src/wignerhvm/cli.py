@@ -50,14 +50,17 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_state_spec(text: str) -> StateSpec:
-    raw = text
-    if not text.lstrip().startswith("{"):
-        path = Path(text)
+def _state_spec(args) -> StateSpec:
+    raw = args.state
+    if not raw.lstrip().startswith("{"):
+        path = Path(raw)
         if not path.exists():
-            raise CliError(f"state spec file not found: {text}", EXIT_PARSE)
+            raise CliError(f"state spec file not found: {raw}", EXIT_PARSE)
         raw = path.read_text()
-    return StateSpec.from_json(raw)
+    spec = StateSpec.from_json(raw)
+    if args.cutoff is not None and spec.cutoff is None:
+        spec = StateSpec(spec.kind, spec.params, spec.modes, args.cutoff)
+    return spec
 
 
 def _grid_specs(args, modes: int):
@@ -74,13 +77,6 @@ def _grid_specs(args, modes: int):
     return grid, char
 
 
-def _build_state(args):
-    spec = _load_state_spec(args.state)
-    if args.cutoff is not None and spec.cutoff is None:
-        spec = StateSpec(spec.kind, spec.params, spec.modes, args.cutoff)
-    return spec, make_state(spec)
-
-
 def _write_report(args, name: str, payload: dict) -> Path:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     out_dir = Path(args.out)
@@ -91,7 +87,8 @@ def _write_report(args, name: str, payload: dict) -> Path:
 
 
 def cmd_wigner(args) -> int:
-    spec, state = _build_state(args)
+    spec = _state_spec(args)
+    state = make_state(spec)
     grid, char = _grid_specs(args, spec.modes)
     w = wigner_mod.state_wigner(state, grid, char)
     out_dir = Path(args.out)
@@ -106,7 +103,8 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_negativity(args) -> int:
-    spec, state = _build_state(args)
+    spec = _state_spec(args)
+    state = make_state(spec)
     grid, char = _grid_specs(args, spec.modes)
     w = wigner_mod.state_wigner(state, grid, char)
     payload = {"command": "negativity", "state": spec.to_dict(),
@@ -141,11 +139,20 @@ def _parse_observables(args, modes: int):
 
 
 def cmd_hvm_compare(args) -> int:
-    spec, state = _build_state(args)
-    grid, char = _grid_specs(args, spec.modes)
-    observables = _parse_observables(args, spec.modes)
+    spec = _state_spec(args)
     if args.samples < 1:
         raise CliError("need at least one sample", EXIT_PARSE)
+    levels = spec.fock_cutoff ** 2 if spec.kind in states_mod.FOCK_KINDS else 1
+    nbytes = 8 * max(2 * spec.modes * args.samples, levels * (args.bins + 1))
+    if nbytes > wigner_mod.GRID_BYTES_LIMIT:
+        raise CliError(
+            f"the samples or the oracle's CDF table would need "
+            f"{nbytes / 2 ** 30:.1f} GiB, above the "
+            f"{wigner_mod.GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit",
+            EXIT_PARSE)
+    state = make_state(spec)
+    grid, char = _grid_specs(args, spec.modes)
+    observables = _parse_observables(args, spec.modes)
     try:
         bins = oracle_mod.BinSpec(-args.window, args.window, args.bins)
     except ValueError as exc:
@@ -216,7 +223,8 @@ def cmd_hvm_compare(args) -> int:
 
 
 def cmd_hudson(args) -> int:
-    spec, state = _build_state(args)
+    spec = _state_spec(args)
+    state = make_state(spec)
     grid, char = _grid_specs(args, spec.modes)
     report = wigner_mod.hudson_classify(state, grid, char)
     payload = {"command": "hudson", "state": spec.to_dict(),

@@ -100,36 +100,38 @@ def displacement_matrix(alpha, cutoff: int) -> np.ndarray:
 
 
 def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
-    """Tr[A D(alpha)] = sum_ij A[i, j] <j|D(alpha)|i> for every alpha.
+    """Tr[A_s D(alpha)], shape (r, *alphas.shape), for an (r, c, c) stack A.
 
     Offset k adds u alpha^k + l conj(alpha^k) = (u + l) Re alpha^k
-    + i (u - l) Im alpha^k, with u = sum_n A[n, n+k] v_n, l = (-1)^k sum_n
-    A[n+k, n] v_n (0 for k = 0) and radial factors v_n(|alpha|^2).  That is
-    an identity for any complex u and l, so A need not be Hermitian.  The
-    recurrence runs once per distinct |alpha|^2, alpha^k is a running
-    product, and no cutoff-by-alphas array is ever held.
+    + i (u - l) Im alpha^k, with u = sum_n A_s[n, n+k] v_n, l = (-1)^k
+    sum_n A_s[n+k, n] v_n (0 for k = 0) and radial factors v_n(|alpha|^2).
+    That is an identity for any complex u and l, so A need not be Hermitian.
+    The recurrence runs once per distinct |alpha|^2 for the whole stack,
+    alpha^k is a running product, and no cutoff-by-alphas array is held.
     """
     A = np.asarray(A, dtype=complex)
     alphas = np.asarray(alphas, dtype=complex)
     flat = alphas.reshape(-1)
-    cutoff = A.shape[0]
+    rows, cutoff = A.shape[:2]
     radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
-    out = np.zeros(flat.shape, dtype=complex)
+    out = np.zeros((rows, flat.size), dtype=complex)
     power = np.ones(flat.shape, dtype=complex)  # alpha^k
+    used = A.any(axis=0)  # entries nonzero in some row
     for k, n, value in _laguerre_diagonals(radii, cutoff):
         if n == 0:
             if k:
                 power *= flat
-            upper = np.zeros(radii.shape, dtype=complex)  # u_k
-            lower = np.zeros(radii.shape, dtype=complex)  # l_k
-        if A[n, n + k]:
-            upper += A[n, n + k] * value
-        if k and A[n + k, n]:
-            lower += (-1) ** k * A[n + k, n] * value
-        if n == cutoff - 1 - k and (upper.any() or lower.any()):
-            out += (upper + lower)[where] * power.real
-            out += (1j * (upper - lower))[where] * power.imag
-    return out.reshape(alphas.shape)
+            upper = np.zeros((rows, radii.size), dtype=complex)  # u_k
+            lower = np.zeros((rows, radii.size), dtype=complex)  # l_k
+        if used[n, n + k]:
+            upper += A[:, n, n + k, None] * value
+        if k and used[n + k, n]:
+            lower += (-1) ** k * A[:, n + k, n, None] * value
+        if n == cutoff - 1 - k:
+            for s in np.flatnonzero(upper.any(axis=1) | lower.any(axis=1)):
+                out[s] += (upper[s] + lower[s])[where] * power.real
+                out[s] += (1j * (upper[s] - lower[s]))[where] * power.imag
+    return out.reshape(rows, *alphas.shape)
 
 
 def _bargmann(A: np.ndarray, b: np.ndarray, g0: complex,

@@ -171,6 +171,11 @@ class StateSpec:
         return {"kind": self.kind, "params": dict(self.params),
                 "modes": self.modes, "cutoff": self.cutoff}
 
+    @property
+    def fock_cutoff(self) -> int:
+        """The truncation make_state uses for the Fock kinds."""
+        return self.cutoff if self.cutoff is not None else 30
+
 
 def _as_complex(value, name: str) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
@@ -320,7 +325,7 @@ def make_state(spec: StateSpec):
     """Build the state for a spec: Gaussian kinds exactly, the rest on Fock."""
     kind = spec.kind
     params = spec.params
-    cutoff = spec.cutoff if spec.cutoff is not None else 30
+    cutoff = spec.fock_cutoff
     if kind not in GAUSSIAN_KINDS + FOCK_KINDS:
         raise StateSpecError(f"unknown state kind '{kind}'")
     if kind in FOCK_KINDS and cutoff < 2:

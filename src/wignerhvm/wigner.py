@@ -26,8 +26,8 @@ from .states import FockDensityOperator, GaussianState, InadequateWindowError
 BOUNDARY_DECAY = 1e-8
 IMAG_RESIDUE = 1e-8
 NORMALIZATION_TOL = 1e-3
-# Largest grid-sized array a GridSpec may call for, counted as complex128:
-# it bounds dense W grids and the dense CharacteristicGrid.values view.
+# Largest array a request may call for, in bytes: dense W and chi grids
+# (counted as complex128), and hvm-compare's samples and oracle CDF table.
 GRID_BYTES_LIMIT = 2 ** 30
 
 
@@ -208,25 +208,10 @@ def _trace_tables(factors, alphas) -> list[np.ndarray]:
 
     A = sum_s B_s0 (x) B_s1 is given by its per-mode factor stacks, and
     D(v) = D(v1) (x) D(v2), so Tr[A D(v)] = sum_s prod_k t[k][s] at each v.
-    One mode is a single table, whatever the number of terms.
     """
-    if len(factors) == 1:
-        return [fockspace.displacement_trace(factors[0].sum(axis=0),
-                                             alphas[0])[None]]
-    if len(factors) != 2:
+    if len(factors) > 2:
         raise ValueError("phase-space grids supported for m <= 2")
-    tables, last = [], None
-    for f, alpha in zip(factors, alphas):
-        c = f.shape[1]
-        # d[(j, i), v] = <j|D|i>; Tr[B D] = sum B[i, j] d[(j, i)].  Grids
-        # hand both modes one amplitude array (and both share the cutoff),
-        # so one table then serves both.
-        if alpha is not last:
-            d = fockspace.displacement_matrix(alpha.reshape(-1), c)
-            last = alpha
-        x = f.transpose(0, 2, 1).reshape(len(f), c * c) @ d.reshape(c * c, -1)
-        tables.append(x.reshape(len(f), *alpha.shape))
-    return tables
+    return list(map(fockspace.displacement_trace, factors, alphas))
 
 
 def _grid_amplitudes(spec: GridSpec, scale: float) -> list[np.ndarray]:
@@ -262,13 +247,12 @@ def characteristic_observable(factors, spec: GridSpec) -> CharacteristicGrid:
 def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
     """chi(v) at arbitrary phase-space points (closed form or exact trace)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m = state.mode_count
     if isinstance(state, GaussianState):
-        m = state.mode_count
         k = -pts @ omega(m).T  # k = omega^T v
         phase = 1j * (k @ state.mean)
         damp = -0.5 * np.einsum("ij,jk,ik->i", k, state.covariance, k)
         return np.exp(phase + damp)
-    m = state.mode_count
     factors = fockspace.kronecker_factors(state.matrix, m)
     alphas = (pts[:, :m] + 1j * pts[:, m:]) / np.sqrt(2)
     return np.prod(_trace_tables(factors, alphas.T), axis=0).sum(axis=0)

@@ -141,6 +141,16 @@ def test_parse_failure_exit_2(tmp_path):
         code, _ = run(tmp_path, "hvm-compare", "--state",
                       '{"kind": "vacuum"}', "--points", "41", "--bins", bins)
         assert code == 2, bins
+    # arrays above wigner.GRID_BYTES_LIMIT are refused before any allocation
+    for flag in (["--bins", "1000000000"], ["--samples", "100000000"]):
+        code, _ = run(tmp_path, "hvm-compare", "--state",
+                      '{"kind": "vacuum"}', *flag)
+        assert code == 2, flag
+    # a Fock state's CDF table holds cutoff^2 (bins + 1) values: 1.2 GiB
+    code, _ = run(tmp_path, "hvm-compare", "--state",
+                  '{"kind": "fock", "params": {"n": 0}, "cutoff": 400}',
+                  "--bins", "1000")
+    assert code == 2
 
 
 def test_window_inadequacy_exit_3(tmp_path):

@@ -73,7 +73,7 @@ def test_displacement_trace_matches_table_contraction():
                    [0.0, 0.0], [0.7, -2.4]])
     alphas = ((qp[:, 0] + 1j * qp[:, 1]) / np.sqrt(2)).reshape(2, 5)
     assert np.unique(np.abs(alphas) ** 2).size < alphas.size
-    got = fockspace.displacement_trace(A, alphas)
+    got = fockspace.displacement_trace(A[None], alphas)[0]
     table = fockspace.displacement_matrix(alphas, cutoff)
     want = np.einsum("ij,ji...->...", A, table)
     assert got.shape == alphas.shape
@@ -127,9 +127,36 @@ def test_displacement_trace_matches_reference_loop():
              (general, alphas), (gapped, alphas), (general, repeated)]
     for A, points in cases:
         want = reference_displacement_trace(A, points)
-        got = fockspace.displacement_trace(A, points)
+        got = fockspace.displacement_trace(A[None], points)[0]
         assert got.shape == points.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_displacement_trace_stack_rows_match_reference_loop():
+    """One call on an (r, c, c) stack gives each row's own trace."""
+    grid = np.linspace(-6.0, 6.0, 61)
+    vq, vp = np.meshgrid(grid, grid, indexing="ij")
+    alphas = (vq + 1j * vp) / np.sqrt(2)
+    rng = np.random.default_rng(5)
+    c = 6
+    general = rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c))
+    gapped = rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c))
+    gapped[np.arange(3), np.arange(3, 6)] = 0  # offset +3
+    gapped[np.arange(3, 6), np.arange(3)] = 0  # offset -3
+    # the matrix units kronecker_factors makes for a dense two-mode rho
+    dim = c * c
+    root = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = root @ root.conj().T
+    units, blocks = fockspace.kronecker_factors(rho / np.trace(rho), 2)
+    assert units.shape == (c * c, c, c)
+    stack = np.concatenate([np.zeros((1, c, c)), general[None], gapped[None],
+                            units, blocks])
+    got = fockspace.displacement_trace(stack, alphas)
+    assert got.shape == (len(stack),) + alphas.shape
+    assert not got[0].any()
+    for A, row in zip(stack[1:], got[1:]):
+        want = reference_displacement_trace(A, alphas)
+        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_metaplectic_two_mode_covariance_and_group_law():

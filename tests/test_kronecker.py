@@ -261,3 +261,17 @@ def test_streamed_residual_never_holds_the_dense_grid():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def test_lemma_characteristic_observable_holds_no_displacement_table():
+    # a c x c x p^2 table of <m|D|n> at cutoff 30 on 61^2 points is 53.6 MB
+    obs = dict(_multiplicativity_cases(30))["xy^2 on {q1,p2}"]
+    factors = quantize_terms(obs, 30)
+    spec = default_observable_char_spec(2, 30)
+    tracemalloc.start()
+    try:
+        characteristic_observable(factors, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

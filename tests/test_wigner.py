@@ -221,19 +221,20 @@ def test_min_value_location_is_first_near_tie_in_index_order():
     assert min_value(WignerGrid(spec, values)) == (-1.0, (-1.0, 1.0))
 
 
-def test_two_mode_grid_builds_one_displacement_table(monkeypatch):
+def test_two_mode_grid_runs_one_recurrence_per_mode(monkeypatch):
     rho = gaussian_to_fock(
         make_state(StateSpec("coherent", {"alpha": [0.6, -0.4]}, 2)), 8)
+    assert len(fockspace.kronecker_factors(rho.matrix, 2)[0]) == 64
     calls = []
-    real = fockspace.displacement_matrix
+    real = fockspace._laguerre_diagonals
 
-    def counted(alpha, cutoff):
+    def counted(x, cutoff):
         calls.append(cutoff)
-        return real(alpha, cutoff)
+        return real(x, cutoff)
 
-    monkeypatch.setattr(fockspace, "displacement_matrix", counted)
+    monkeypatch.setattr(fockspace, "_laguerre_diagonals", counted)
     characteristic_function(rho, GridSpec(2, 6.0, 11))
-    assert calls == [8]
+    assert calls == [8, 8]
 
 
 def test_statistical_moments_match_oracle():

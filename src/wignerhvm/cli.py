@@ -142,8 +142,12 @@ def cmd_hvm_compare(args) -> int:
     spec = _state_spec(args)
     if args.samples < 1:
         raise CliError("need at least one sample", EXIT_PARSE)
+    if args.threads < 1:
+        raise CliError("need at least one thread", EXIT_PARSE)
     levels = spec.fock_cutoff ** 2 if spec.kind in states_mod.FOCK_KINDS else 1
-    nbytes = 8 * max(2 * spec.modes * args.samples, levels * (args.bins + 1))
+    # the samples and their outcomes zeta . phi are held together
+    nbytes = 8 * max((2 * spec.modes + 1) * args.samples,
+                     levels * (args.bins + 1))
     if nbytes > wigner_mod.GRID_BYTES_LIMIT:
         raise CliError(
             f"the samples or the oracle's CDF table would need "

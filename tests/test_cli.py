@@ -141,6 +141,11 @@ def test_parse_failure_exit_2(tmp_path):
         code, _ = run(tmp_path, "hvm-compare", "--state",
                       '{"kind": "vacuum"}', "--points", "41", "--bins", bins)
         assert code == 2, bins
+    for threads in ("0", "-3"):
+        code, _ = run(tmp_path, "hvm-compare", "--state",
+                      '{"kind": "vacuum"}', "--points", "41",
+                      "--threads", threads)
+        assert code == 2, threads
     # arrays above wigner.GRID_BYTES_LIMIT are refused before any allocation
     for flag in (["--bins", "1000000000"], ["--samples", "100000000"]):
         code, _ = run(tmp_path, "hvm-compare", "--state",

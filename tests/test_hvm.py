@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from scipy.stats import norm
 
 from wignerhvm import hvm
 from wignerhvm.cli import CHAR_TOLERANCE, EVENT_TOLERANCE, TV_TOLERANCE
-from wignerhvm.hvm import (NegativityError, _build_alias, build_hvm,
+from wignerhvm.hvm import (NegativityError, build_hvm,
                            empirical_characteristic_check,
                            hvm_event_probability, hvm_homodyne_distribution,
                            sample, value_assignment)
@@ -69,29 +71,7 @@ def test_single_sample_regression_pin():
     _, model = model_for("vacuum")
     s = sample(model, 1, seed=1)
     assert np.allclose(
-        s[0], [0.12394498184623283, 0.44290544283455829], atol=1e-12)
-
-
-def reference_alias(probs):
-    """The sequential Vose loop, one Python step per cell."""
-    k = probs.size
-    scaled = probs * k
-    accept = np.zeros(k)
-    alias = np.zeros(k, dtype=np.int64)
-    small = [i for i in range(k) if scaled[i] < 1.0]
-    large = [i for i in range(k) if scaled[i] >= 1.0]
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        accept[s] = scaled[s]
-        alias[s] = l
-        scaled[l] -= 1.0 - scaled[s]
-        (small if scaled[l] < 1.0 else large).append(l)
-    for i in large:
-        accept[i] = 1.0
-    for i in small:
-        accept[i] = 1.0
-    return accept, alias
+        s[0], [0.02111548576527822, 1.1083199818462328], atol=1e-12)
 
 
 def _masses(k, cells, values, floor=0.0):
@@ -100,55 +80,66 @@ def _masses(k, cells, values, floor=0.0):
     return p
 
 
-def _dirichlet(alpha, k, seed):
-    return np.random.default_rng(seed).dirichlet(np.full(k, alpha))
-
-
-def _grid_probs(kind, params, grid):
-    state = make_state(StateSpec(kind, params, grid.mode_count))
-    return build_hvm(state_wigner(state, grid)).cell_probabilities()
-
-
-ALIAS_CASES = {
-    "squeezed_257": lambda: _grid_probs("squeezed", {"r": 0.5}, GRID),
-    "thermal_21^4": lambda: _grid_probs("thermal", {"nbar": 0.5},
-                                        GridSpec(2, 6.0, 21)),
-    **{f"dirichlet_{alpha}_{seed}": (
-        lambda alpha=alpha, seed=seed: _dirichlet(alpha, 2000, seed))
-       for alpha in (0.3, 1.0, 5.0) for seed in (0, 1)},
-    "one_hot": lambda: _masses(97, [40], [1.0]),
-    **{f"uniform_1/{k}": (lambda k=k: np.full(k, 1 / k))
-       for k in (3, 7, 10, 49, 100)},
-    # dyadic masses: one partial residual lands exactly on 1.0
-    "three_cells": lambda: _masses(8, [1, 4, 6], [0.5, 0.25, 0.25]),
-    "three_cells_uneven": lambda: _masses(50, [2, 30, 31], [0.6, 0.3, 0.1]),
-    "subnormal_tail": lambda: _masses(300, [5, 150], [0.7, 0.3], 5e-324),
-    "subnormal_tail_dirichlet": lambda: np.concatenate(
-        [_dirichlet(1.0, 200, 2), np.full(100, 5e-324)]),
-    "single_cell": lambda: np.array([1.0]),
+CELL_GRID = GridSpec(1, 10.0, 21)  # step 1: a cell's volume is 1
+CELL_CASES = {
+    "one_hot_last": lambda k: _masses(k, [k - 1], [1.0]),
+    # zero cells between the two massive ones and after the second
+    "two_cells": lambda k: _masses(k, [3, 200], [0.7, 0.3]),
+    "subnormal_tail": lambda k: _masses(k, [5, 150], [0.7, 0.3], 5e-324),
+    "dirichlet_0.3": lambda k: np.random.default_rng(0).dirichlet(
+        np.full(k, 0.3)),
 }
 
 
-@pytest.mark.parametrize("case", sorted(ALIAS_CASES))
-def test_alias_table_matches_sequential_vose_loop(case):
-    probs = ALIAS_CASES[case]()
-    accept, alias = _build_alias(probs.copy())
-    ref_accept, ref_alias = reference_alias(probs.copy())
-    assert np.array_equal(accept, ref_accept)
-    assert np.array_equal(alias, ref_alias)
+@pytest.mark.parametrize("case", sorted(CELL_CASES))
+def test_sampled_cells_follow_the_cell_masses(case):
+    k = CELL_GRID.points ** 2
+    masses = CELL_CASES[case](k)
+    model = build_hvm(WignerGrid(CELL_GRID, masses.reshape(CELL_GRID.shape)))
+    n = 100000
+    phi = sample(model, n, seed=21)
+    cells = np.rint((phi - CELL_GRID.axis[0]) / CELL_GRID.step).astype(int)
+    counts = np.bincount(np.ravel_multi_index(cells.T, CELL_GRID.shape),
+                         minlength=k)
+    assert not np.any(counts[masses == 0])
+    probs = model.cell_probabilities()
+    tv = 0.5 * np.abs(counts / n - probs).sum()
+    # E[TV] <= sum_i sqrt(p_i / n) / 2, and one draw moves TV by at most
+    # 1/n, so McDiarmid puts TV above this bound with probability < 1e-6
+    bound = 0.5 * np.sqrt(probs / n).sum() + np.sqrt(np.log(1e6) / (2 * n))
+    assert tv <= bound, (tv, bound)
 
 
-def test_alias_table_built_once_under_threads(monkeypatch):
-    builds = []
-
-    def counting_build(probs):
-        builds.append(probs.size)
-        return _build_alias(probs)
-
-    monkeypatch.setattr(hvm, "_build_alias", counting_build)
+def test_cumulative_table_built_once_under_threads(monkeypatch):
     _, model = model_for("squeezed", {"r": 0.5})
+    calls = []
+    original = hvm.HiddenVariableModel.cell_probabilities
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(hvm.HiddenVariableModel, "cell_probabilities",
+                        counting)
     sample(model, 100000, seed=3, threads=4)
-    assert builds == [GRID.points ** 2]
+    sample(model, 100000, seed=4, threads=4)
+    assert len(calls) == 1
+
+
+def test_sample_holds_one_samples_array():
+    _, model = model_for("vacuum")
+    sample(model, 1, seed=0)  # the cumulative table is not counted
+    n = 1 << 20
+    nbytes = 8 * 2 * n
+    tracemalloc.start()
+    try:
+        phi = sample(model, n, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert phi.nbytes == nbytes
+    # one chunk's uniforms and indices ride on top of the array
+    assert peak < 1.25 * nbytes, peak / nbytes
 
 
 def test_sample_mean_convergence():
@@ -243,8 +234,8 @@ def lossy_pair(eta, cutoff):
 
 def test_two_mode_forward_direction_against_fock_oracle():
     # not Gaussian, and mode-mixing labels take the oracle through a
-    # two-mode metaplectic rotation; no sampling, which would need the
-    # 41^4 alias table
+    # two-mode metaplectic rotation; exact events and characteristic
+    # checks only, no sampling
     state = lossy_pair(0.4, 4)
     model = build_hvm(state_wigner(state, GridSpec(2, 6.0, 41)))
     for zeta in (np.array([1, 1, 0, 0]) / np.sqrt(2), [1, 0, 0, 0],

@@ -11,7 +11,6 @@ stands for sum_s factors[0][s] (x) factors[1][s] (x) ...
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 from .phase_space import is_symplectic
 
@@ -78,25 +77,6 @@ def _laguerre_diagonals(x, cutoff: int):
             lag_prev, lag = lag, (
                 (2 * n + k + 1 - x) * lag - (n + k) * lag_prev) / (n + 1)
             pref *= np.sqrt((n + 1) / (n + 1 + k))
-
-
-def displacement_matrix(alpha, cutoff: int) -> np.ndarray:
-    """Matrix elements <m|D(alpha)|n> of D(alpha) = exp(alpha a^dag - h.c.).
-
-    alpha is a scalar or an array; the result d[m, n, ...] has shape
-    (cutoff, cutoff, *alpha.shape).  Entrywise exact (Cahill & Glauber):
-    <n+k|D|n> = sqrt(n!/(n+k)!) alpha^k e^(-|alpha|^2/2) L_n^k(|alpha|^2),
-    and <n|D|n+k> carries (-conj(alpha))^k instead of alpha^k.
-    """
-    alpha = np.asarray(alpha, dtype=complex)
-    out = np.zeros((cutoff, cutoff) + alpha.shape, dtype=complex)
-    for k, n, value in _laguerre_diagonals(np.abs(alpha) ** 2, cutoff):
-        if n == 0:
-            up = alpha ** k
-            down = (-1) ** k * np.conj(up)
-        out[n + k, n] = value * up
-        out[n, n + k] = value * down
-    return out
 
 
 def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
@@ -210,6 +190,7 @@ def hermite_overlap_cdf(cutoff: int, x) -> np.ndarray:
     identity gives F_nn = F_(n-1)(n-1) - psi_(n-1) psi_n / sqrt(2n) from
     F_00 = ndtr(sqrt(2) x).  Infinite x take the limits 0 and the identity.
     """
+    from scipy.special import ndtr
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     finite = ~np.isinf(flat)  # NaN points stay NaN

@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import sici
 
 from .oracle import BinSpec, OutcomeDistribution
 from .wigner import WignerGrid, characteristic_at_points, min_value
@@ -179,8 +178,10 @@ def hvm_event_probability(model: HiddenVariableModel, zeta,
     |omega_k| <= pi/step.  Its projection onto zeta . phi is
     sin(B t)/(pi t) with B = pi/(step max_k |zeta_k|), so each node at
     t_i = zeta . c_i contributes p_i [Si(B(b - t_i)) - Si(B(a - t_i))]/pi
-    (Si(+-inf) = +-pi/2 covers semi-infinite intervals).
+    (Si(+-inf) = +-pi/2, taken as constants, covers semi-infinite intervals).
     """
+    from scipy.special import sici
+
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     if not np.any(zeta):
         raise ValueError("observable label must be nonzero")
@@ -189,11 +190,15 @@ def hvm_event_probability(model: HiddenVariableModel, zeta,
     outcomes = sum(z * block for z, block in
                    zip(zeta, spec.coordinate_blocks()) if z)
     bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
+
+    def si(edge):  # Si(B (edge - t_i)) at every node
+        if np.isinf(edge):
+            return np.copysign(np.pi / 2, edge)
+        return sici(bandwidth * (edge - outcomes))[0]
+
     total = 0.0
     for a, b in intervals:
-        upper = sici(bandwidth * (b - outcomes))[0]
-        lower = sici(bandwidth * (a - outcomes))[0]
-        total += float(np.sum(probs * (upper - lower))) / np.pi
+        total += float(np.sum(probs * (si(b) - si(a)))) / np.pi
     return total
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import fockspace
 from .states import FockDensityOperator, GaussianState, gaussian_to_fock
@@ -122,6 +121,7 @@ def _cdf(state, zeta, points) -> np.ndarray:
     """Pr(zeta . R_hat <= t) at each point t, infinite points included."""
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     if isinstance(state, GaussianState):
+        from scipy.special import ndtr
         mean, var = _gaussian_marginal(state, zeta)
         return ndtr((points - mean) / np.sqrt(var))
     reduced, scale = _reduced_rotated_state(state, zeta)

@@ -325,7 +325,10 @@ def _pairing_deviation(factors: list, obs: PolynomialObservable,
         alphas = (z0[:m] + 1j * z0[m:]) / np.sqrt(2)
         pairs = 1.0
         for alpha, stack in zip(alphas, factors):
-            vec = fockspace.displacement_matrix(alpha, cutoff)[:, 0]
+            # <n|D(alpha)|0> = e^(-|alpha|^2/2) alpha^n / sqrt(n!)
+            vec = np.cumprod(np.concatenate([
+                [np.exp(-abs(alpha) ** 2 / 2)],
+                alpha / np.sqrt(np.arange(1, cutoff))]))
             pairs = pairs * np.einsum("i,sij,j->s", vec.conj(), stack, vec)
         lhs = float(np.real(np.sum(pairs)))
         gen_values = [float(gen @ z0) for gen in obs.context.generators]

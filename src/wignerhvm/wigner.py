@@ -383,12 +383,6 @@ def position_marginal(grid: WignerGrid, axis_index: int = 0):
     return grid.spec.axis, density
 
 
-def grid_moment(grid: WignerGrid, axis_index: int, power: int) -> float:
-    """Int W(z) z_i^k dz over the grid."""
-    axis, density = position_marginal(grid, axis_index)
-    return float((density * axis ** power).sum() * grid.spec.step)
-
-
 @dataclass
 class HudsonReport:
     classification: str

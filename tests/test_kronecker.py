@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 
-from wignerhvm import fockspace
 from wignerhvm.cli import _multiplicativity_cases
 from wignerhvm.phase_space import Context
 from wignerhvm.states import FockDensityOperator
@@ -25,6 +24,8 @@ from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
                               characteristic_observable, wigner_fock_direct,
                               wigner_from_characteristic,
                               weyl_symbol_from_characteristic)
+
+from reference import displacement_matrix
 
 CHAR = GridSpec(2, 10.0, 21)
 Z = GridSpec(2, 3.0, 11)
@@ -62,7 +63,7 @@ def dense_two_mode_traces(matrix: np.ndarray, spec: GridSpec,
     alphas = scale * (vq + 1j * vp) / np.sqrt(2)
     c = round(matrix.shape[0] ** 0.5)
     # d[(j, i), v] = <j|D|i>; Tr = sum A[(i1 i2), (j1 j2)] d1[j1,i1] d2[j2,i2]
-    d = fockspace.displacement_matrix(alphas.reshape(-1), c).reshape(c * c, -1)
+    d = displacement_matrix(alphas.reshape(-1), c).reshape(c * c, -1)
     mat = matrix.reshape(c, c, c, c).transpose(2, 0, 3, 1).reshape(c * c, -1)
     p = spec.points
     return (d.T @ mat @ d).reshape(p, p, p, p).transpose(0, 2, 1, 3)
@@ -79,7 +80,7 @@ def dense_displacement_traces(factors, spec: GridSpec,
     vq, vp = np.meshgrid(axis, axis, indexing="ij")
     alphas = scale * (vq + 1j * vp) / np.sqrt(2)
     c = factors[0].shape[1]
-    d = fockspace.displacement_matrix(alphas.reshape(-1), c).reshape(c * c, -1)
+    d = displacement_matrix(alphas.reshape(-1), c).reshape(c * c, -1)
     x, y = (f.transpose(0, 2, 1).reshape(len(f), c * c) @ d for f in factors)
     p = spec.points
     chi = (x.T @ y).reshape(p, p, p, p)

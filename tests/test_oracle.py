@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -16,7 +17,9 @@ from wignerhvm.phase_space import Context
 from wignerhvm.states import (FockDensityOperator, StateSpec,
                               gaussian_to_fock, make_state)
 from wignerhvm.weyl import monomial
-from wignerhvm.wigner import GridSpec, state_wigner, grid_moment
+from wignerhvm.wigner import GridSpec, state_wigner
+
+from reference import grid_moment
 
 BINS = BinSpec(-6.0, 6.0, 50)
 
@@ -130,11 +133,46 @@ def test_bins_and_events_share_one_cdf(state, zeta, lo, width, count):
     assert dist.masses.sum() <= 1 + 1e-13
 
 
-def test_import_skips_scipy_integrate():
-    code = "import sys, wignerhvm; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+NO_SCIPY_SCRIPT = """
+import json, sys
+
+def scipy_modules():
+    return sorted(k for k in sys.modules
+                  if k == "scipy" or k.startswith("scipy."))
+
+loaded = {}
+import wignerhvm
+loaded["import wignerhvm"] = scipy_modules()
+from wignerhvm import cli
+loaded["import wignerhvm.cli"] = scipy_modules()
+cat = json.dumps({"kind": "cat", "params": {"alpha": 2.0}, "cutoff": 30})
+for command in ("negativity", "hudson", "hvm-compare"):
+    assert cli.main([command, "--state", cat, "--out", sys.argv[1]]) == 0
+    loaded[command] = scipy_modules()
+import numpy as np
+from wignerhvm import weyl
+weyl.metaplectic_covariance_suite(np.random.default_rng(0), trials=2)
+loaded["metaplectic suite"] = scipy_modules()
+from wignerhvm.hvm import build_hvm, hvm_event_probability
+from wignerhvm.states import StateSpec, make_state
+from wignerhvm.wigner import GridSpec, state_wigner
+model = build_hvm(state_wigner(make_state(StateSpec("vacuum")),
+                               GridSpec(1, 6.0, 41)))
+hvm_event_probability(model, [1, 0], [(0.0, 1.0)])
+loaded["hvm_event_probability"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_wigner_paths_never_import_scipy(tmp_path):
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+                         capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    control = loaded.pop("hvm_event_probability")
+    assert loaded == {step: [] for step in loaded}
+    assert len(loaded) == 6
+    # positive control: the band-limited event kernel does load sici
+    assert "scipy.special" in control
 
 
 def test_event_probability_interval_validation():

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from wignerhvm import fockspace
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.states import (LEAKAGE_LIMIT, FockDensityOperator,
                               GaussianChannel, GaussianState, LeakageError,
                               StateSpec, StateSpecError,
-                              apply_gaussian_channel, apply_gaussian_unitary,
+                              _pure_from_coefficients, apply_gaussian_channel,
+                              apply_gaussian_unitary, cat_state,
                               compose_channels, gaussian_to_fock,
                               identity_channel, loss_channel, make_state,
                               vacuum_state)
 from wignerhvm.weyl import quantize_linear
+
+from reference import displacement_matrix
 
 
 def spec(kind, cutoff=None, **params):
@@ -67,6 +71,20 @@ def test_cat_coefficients_match_closed_form():
     assert np.max(np.abs(got - np.abs(amps))) < 1e-8
     assert abs(np.trace(rho.matrix).real - 1) < 1e-12
     assert rho.leakage < 1e-8
+
+
+@pytest.mark.parametrize("alpha", (0.5, 2.0, [3, 1]))
+def test_cat_amplitudes_match_gammaln_route(alpha):
+    a = complex(*alpha) if isinstance(alpha, list) else alpha
+    x = abs(a) ** 2
+    norm = np.sqrt(4 * np.cosh(x) * np.exp(-x)) * np.exp(x / 2)
+    for cutoff in (30, 200):
+        n = np.arange(cutoff)
+        amps = (a ** n + (-a) ** n) * np.exp(-0.5 * gammaln(n + 1)) / norm
+        got = cat_state(alpha, cutoff).matrix
+        want = _pure_from_coefficients(amps, cutoff).matrix
+        assert np.max(np.abs(got - want)) <= 1e-15, cutoff
+    assert np.all(np.isfinite(cat_state(alpha, 400).matrix))
 
 
 def test_cat_cutoff_too_small():
@@ -344,7 +362,7 @@ def reference_density(S, nu, mean, cutoff: int, keep: int) -> np.ndarray:
         nbar = v - 0.5
         tau = np.kron(tau, nbar ** n / (nbar + 1) ** (n + 1))
         alpha = (mean[k] + 1j * mean[m + k]) / np.sqrt(2)
-        d = fockspace.displacement_matrix(alpha, cutoff)
+        d = displacement_matrix(alpha, cutoff)
         rows = np.kron(rows, d[:keep])
     y = rows @ fockspace.metaplectic_operator(S, cutoff)
     return (y * tau) @ y.conj().T
@@ -376,7 +394,7 @@ def test_gaussian_to_fock_matches_two_mode_reference():
 def test_gaussian_to_fock_reports_true_leakage():
     S = np.diag([np.exp(-0.5), np.exp(0.5)])
     state = GaussianState(np.array([0.7, 0.2]), S @ S.T / 2)
-    psi = (fockspace.displacement_matrix((0.7 + 0.2j) / np.sqrt(2), 120)
+    psi = (displacement_matrix((0.7 + 0.2j) / np.sqrt(2), 120)
            @ fockspace.metaplectic_operator(S, 120)[:, 0])
     rho = gaussian_to_fock(state, 20)
     assert abs(rho.leakage - (1 - np.sum(np.abs(psi[:20]) ** 2))) <= 1e-12

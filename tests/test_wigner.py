@@ -8,12 +8,13 @@ from wignerhvm.weyl import conjugate_by_metaplectic
 from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
                               InadequateWindowError, MixedStateError,
                               WignerGrid, characteristic_at_points,
-                              characteristic_function, grid_moment,
-                              hudson_classify, log_negativity, min_value,
-                              negativity_volume, position_marginal,
-                              sidecar_dict, state_wigner, wigner_fock_direct,
-                              wigner_from_characteristic, wigner_gaussian,
-                              wigner_to_csv)
+                              characteristic_function, hudson_classify,
+                              log_negativity, min_value, negativity_volume,
+                              position_marginal, sidecar_dict, state_wigner,
+                              wigner_fock_direct, wigner_from_characteristic,
+                              wigner_gaussian, wigner_to_csv)
+
+from reference import grid_moment
 
 GRID = GridSpec(1, 6.0, 257)
 CHAR = GridSpec(1, 16.0, 257)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -289,6 +290,17 @@ def _multiplicativity_cases(cutoff: int):
 
 
 def cmd_lemma_check(args) -> int:
+    if args.cutoff < 1:
+        raise CliError("need a cutoff of at least 1", EXIT_PARSE)
+    # the metaplectic suite holds c x c complex matrices
+    nbytes = 16 * args.cutoff ** 2
+    if nbytes > wigner_mod.GRID_BYTES_LIMIT:
+        largest = math.isqrt(wigner_mod.GRID_BYTES_LIMIT // 16)
+        raise CliError(
+            f"cutoff {args.cutoff} needs {nbytes / 2 ** 30:.1f} GiB "
+            f"matrices, above the "
+            f"{wigner_mod.GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit; "
+            f"the largest cutoff is {largest}", EXIT_PARSE)
     rng = np.random.default_rng(args.seed)
     commutation = _lemma_commutation_suite(rng, 100)
     linearity = _assignment_linearity_suite(rng, 100)
@@ -344,6 +356,10 @@ def _parse_channel(text: str, modes: int) -> GaussianChannel:
 def cmd_channel_compose(args) -> int:
     if len(args.channel) < 2:
         raise CliError("need at least two --channel arguments", EXIT_PARSE)
+    if args.modes < 1:
+        raise CliError("--modes must be at least 1", EXIT_PARSE)
+    if args.trials < 1:
+        raise CliError("need at least one trial", EXIT_PARSE)
     channels = [_parse_channel(t, args.modes) for t in args.channel]
     composed = channels[0]
     for ch in channels[1:]:
@@ -377,6 +393,18 @@ def cmd_channel_compose(args) -> int:
     return EXIT_OK if payload["pass"] else EXIT_NUMERICAL
 
 
+def _seed(text: str) -> int:
+    """A --seed value: np.random.default_rng takes nonnegative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"need a nonnegative integer, not {text!r}")
+    return seed
+
+
 def _add_common(parser, state_required=True):
     if state_required:
         parser.add_argument("--state", required=True,
@@ -386,7 +414,7 @@ def _add_common(parser, state_required=True):
     parser.add_argument("--cutoff", type=int, default=None)
     parser.add_argument("--char-window", type=float, default=None)
     parser.add_argument("--char-points", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=12345)
+    parser.add_argument("--seed", type=_seed, default=12345)
     parser.add_argument("--out", default="out")
 
 
@@ -424,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="transform-multiplicativity, commutation, and "
                             "metaplectic covariance suites")
     p.add_argument("--cutoff", type=int, default=40)
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=_seed, default=12345)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_lemma_check)
 
@@ -435,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="channel JSON (repeatable, applied left to right)")
     p.add_argument("--modes", type=int, default=1)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=_seed, default=12345)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_channel_compose)
     return parser

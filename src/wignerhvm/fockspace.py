@@ -56,23 +56,25 @@ def kronecker_factors(matrix: np.ndarray, mode_count: int) -> list[np.ndarray]:
     return [units, blocks.reshape(c * c, c, c)]
 
 
-def _laguerre_diagonals(x, cutoff: int):
-    """Yield (k, n, sqrt(n!/(n+k)!) e^(-x/2) L_n^k(x)) for all n + k < cutoff.
+def _laguerre_diagonals(x, depths):
+    """Yield (k, n, sqrt(n!/(n+k)!) e^(-x/2) L_n^k(x)) for n < depths[k].
 
-    Offsets k come in increasing order, each with n = 0 .. cutoff-k-1.  The
-    stable three-term recurrence in n runs on the e^(-x/2)-scaled
-    polynomials and carries the square-root prefactor multiplicatively, so
-    no factorials appear.
+    Offsets k come in increasing order, each with n = 0 .. depths[k]-1; an
+    offset of depth 0 yields nothing.  Depths cutoff - k give every
+    n + k < cutoff.  The stable three-term recurrence in n runs on the
+    e^(-x/2)-scaled polynomials and carries the square-root prefactor
+    multiplicatively, so no factorials appear and a shorter depth only
+    drops the tail of the same values.
     """
     env = np.exp(-x / 2)
     head = 1.0  # 1/sqrt(k!)
-    for k in range(cutoff):
+    for k, depth in enumerate(depths):
         if k:
             head /= np.sqrt(k)
         pref = head
         lag_prev = np.zeros_like(env)
         lag = env
-        for n in range(cutoff - k):
+        for n in range(depth):
             yield k, n, pref * lag
             lag_prev, lag = lag, (
                 (2 * n + k + 1 - x) * lag - (n + k) * lag_prev) / (n + 1)
@@ -87,7 +89,11 @@ def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
     sum_n A_s[n+k, n] v_n (0 for k = 0) and radial factors v_n(|alpha|^2).
     That is an identity for any complex u and l, so A need not be Hermitian.
     The recurrence runs once per distinct |alpha|^2 for the whole stack,
-    alpha^k is a running product, and no cutoff-by-alphas array is held.
+    and for offset k only up to the last n whose A_s[n, n+k] or
+    A_s[n+k, n] is nonzero in some row; an offset with both diagonals zero
+    is skipped.  alpha^k is a running product that takes one factor per
+    offset, skipped or not, so it keeps the bits of the full loop; no
+    cutoff-by-alphas array is held.
     """
     A = np.asarray(A, dtype=complex)
     alphas = np.asarray(alphas, dtype=complex)
@@ -97,17 +103,23 @@ def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
     out = np.zeros((rows, flat.size), dtype=complex)
     power = np.ones(flat.shape, dtype=complex)  # alpha^k
     used = A.any(axis=0)  # entries nonzero in some row
-    for k, n, value in _laguerre_diagonals(radii, cutoff):
+    depths = []
+    for k in range(cutoff):
+        hit = np.flatnonzero(np.diagonal(used, k) | np.diagonal(used, -k))
+        depths.append(hit[-1] + 1 if hit.size else 0)
+    reached = 0  # power holds alpha^reached
+    for k, n, value in _laguerre_diagonals(radii, depths):
         if n == 0:
-            if k:
+            for _ in range(k - reached):
                 power *= flat
+            reached = k
             upper = np.zeros((rows, radii.size), dtype=complex)  # u_k
             lower = np.zeros((rows, radii.size), dtype=complex)  # l_k
         if used[n, n + k]:
             upper += A[:, n, n + k, None] * value
         if k and used[n + k, n]:
             lower += (-1) ** k * A[:, n + k, n, None] * value
-        if n == cutoff - 1 - k:
+        if n == depths[k] - 1:
             for s in np.flatnonzero(upper.any(axis=1) | lower.any(axis=1)):
                 out[s] += (upper[s] + lower[s])[where] * power.real
                 out[s] += (1j * (upper[s] - lower[s]))[where] * power.imag

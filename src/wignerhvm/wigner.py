@@ -142,7 +142,14 @@ class CharacteristicGrid:
         Two modes are read from the tables a, b as (r, p^2) blocks, one
         (p, p^2) slab of a^T b per row of mode-1 points; the boundary is
         mode 1 or mode 2 on its (4p - 4)-point ring.  Each element is the
-        one `values` holds, so both maxima equal the dense ones.
+        one `values` holds, so both maxima equal the dense ones.  By
+        Cauchy-Schwarz every |chi| in a slab is at most the largest column
+        norm of its block of a times the largest column norm of b; slabs
+        are visited in decreasing bound, and one whose bound is below the
+        maximum found so far cannot hold the global max and is skipped.
+        The bound is widened by 8 (r + 2) units of relative rounding, for the
+        r-term sums and the norms, and as many smallest subnormals, for
+        products below the normal range; a NaN bound is never below anything.
         """
         p = self.spec.points
         ring = np.ones((p, p), dtype=bool)
@@ -154,9 +161,18 @@ class CharacteristicGrid:
             vmax, edge = np.max(mag), np.max(mag[ring])
         else:
             a, b = flat
-            # np.max, not max(): a NaN in any slab must reach the result
-            vmax = np.max([np.max(np.abs(a[:, i * p:(i + 1) * p].T @ b))
-                           for i in range(p)])
+            norm_a, norm_b = (np.hypot.reduce(np.abs(t), axis=0) for t in flat)
+            slack = 8 * (len(a) + 2)
+            bounds = np.max(norm_a.reshape(p, p), axis=1) * np.max(norm_b)
+            bounds = (bounds * (1 + slack * np.finfo(float).eps)
+                      + slack * np.finfo(float).smallest_subnormal)
+            vmax = 0.0
+            for i in np.argsort(-bounds, kind="stable"):
+                if bounds[i] < vmax:
+                    continue
+                # np.maximum, not max(): a NaN in any slab must reach vmax
+                vmax = np.maximum(
+                    vmax, np.max(np.abs(a[:, i * p:(i + 1) * p].T @ b)))
             edge = np.maximum(np.max(np.abs(a[:, ring].T @ b)),
                               np.max(np.abs(a.T @ b[:, ring])))
         if vmax == 0:

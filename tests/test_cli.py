@@ -156,6 +156,35 @@ def test_parse_failure_exit_2(tmp_path):
                   '{"kind": "fock", "params": {"n": 0}, "cutoff": 400}',
                   "--bins", "1000")
     assert code == 2
+    # np.random.default_rng takes no negative seed, whether or not it runs
+    vacuum = ["--state", '{"kind": "vacuum"}']
+    losses = ["--channel", '{"kind": "loss", "eta": 0.7}',
+              "--channel", '{"kind": "loss", "eta": 0.6}']
+    for command, extra in (("wigner", vacuum), ("negativity", vacuum),
+                           ("hvm-compare", vacuum), ("hudson", vacuum),
+                           ("lemma-check", []), ("channel-compose", losses)):
+        for seed in ("-1", "x"):
+            code, _ = run(tmp_path, command, *extra, "--seed", seed)
+            assert code == 2, (command, seed)
+    # lemma-check's c x c matrices: at least 1, and within the array limit
+    for cutoff in ("0", "-3", "8193", "100000"):
+        code, _ = run(tmp_path, "lemma-check", "--cutoff", cutoff)
+        assert code == 2, cutoff
+    # a channel check over no trials or no modes checks nothing
+    for flag in (["--trials", "0"], ["--trials", "-2"], ["--modes", "0"],
+                 ["--modes", "-1"]):
+        code, _ = run(tmp_path, "channel-compose", *losses, *flag)
+        assert code == 2, flag
+
+
+def test_parse_failure_messages_name_the_bound(tmp_path, capsys):
+    run(tmp_path, "lemma-check", "--cutoff", "100000")
+    assert "the largest cutoff is 8192" in capsys.readouterr().err
+    run(tmp_path, "lemma-check", "--cutoff", "0")
+    assert "at least 1" in capsys.readouterr().err
+    run(tmp_path, "channel-compose", "--channel", '{"kind": "identity"}',
+        "--channel", '{"kind": "identity"}', "--modes", "0")
+    assert "--modes must be at least 1" in capsys.readouterr().err
 
 
 def test_window_inadequacy_exit_3(tmp_path):
@@ -302,6 +331,14 @@ def test_channel_compose_needs_two(tmp_path):
     code, _ = run(tmp_path, "channel-compose",
                   "--channel", '{"kind": "loss", "eta": 0.7}')
     assert code == 2
+
+
+def test_lemma_check_tiny_cutoffs_exit_3(tmp_path):
+    # cutoffs 1 and 2 pass the parser and fail the transform cases
+    for cutoff in ("1", "2"):
+        code, out = run(tmp_path, "lemma-check", "--cutoff", cutoff)
+        assert code == 3, cutoff
+        assert load(out, "lemma_check.json")["n_failed"] == 12
 
 
 def test_lemma_check_degraded_cutoff_flags(tmp_path):

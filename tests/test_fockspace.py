@@ -6,11 +6,13 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from wignerhvm import fockspace
+from wignerhvm.cli import _multiplicativity_cases
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.states import StateSpec, make_state
-from wignerhvm.weyl import quantize_linear
+from wignerhvm.weyl import (default_observable_char_spec, quantize_linear,
+                            quantize_terms)
 
-from reference import displacement_matrix
+from reference import displacement_matrix, full_depth_displacement_trace
 
 ALPHAS = (0.0, 0.3, 1.5 + 0.7j, -2.2j, -1.1 - 1.9j, 3.0)
 
@@ -90,7 +92,8 @@ def reference_displacement_trace(A, alphas):
     cutoff = A.shape[0]
     radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
     out = np.zeros(flat.shape, dtype=complex)
-    for k, n, value in fockspace._laguerre_diagonals(radii, cutoff):
+    for k, n, value in fockspace._laguerre_diagonals(
+            radii, range(cutoff, 0, -1)):
         if n == 0:
             upper = np.zeros(radii.shape, dtype=complex)  # A[n, n+k] terms
             lower = np.zeros(radii.shape, dtype=complex)  # A[n+k, n] terms
@@ -159,6 +162,43 @@ def test_displacement_trace_stack_rows_match_reference_loop():
     for A, row in zip(stack[1:], got[1:]):
         want = reference_displacement_trace(A, alphas)
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_offset_skipping_keeps_every_bit_of_the_full_depth_loop(monkeypatch):
+    """Unused offsets and diagonal tails are skipped, bit for bit."""
+    depths = []
+    real = fockspace._laguerre_diagonals
+
+    def recorded(x, offsets):
+        depths.append(list(offsets))
+        return real(x, offsets)
+
+    monkeypatch.setattr(fockspace, "_laguerre_diagonals", recorded)
+    spec = default_observable_char_spec(2, 30)
+    vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
+    alphas = (vq + 1j * vp) / np.sqrt(2)
+    parity = (-1.0) ** np.arange(30)[:, None]
+
+    def matrix(kind, params, cutoff=30):
+        return make_state(StateSpec(kind, params, 1, cutoff)).matrix[None]
+
+    pss = matrix("photon_subtracted_squeezed", {"r": 0.5})
+    stacks = [(matrix("fock", {"n": 1}), alphas),
+              (matrix("fock", {"n": 5}), alphas),
+              (matrix("cat", {"alpha": 2.0}), alphas),
+              (pss, alphas), (parity * pss, 2 * alphas),
+              (matrix("gkp", {"delta": 0.3}, 60), alphas)]
+    for _, obs in _multiplicativity_cases(30):
+        stacks += [(stack, alphas) for stack in quantize_terms(obs, 30)]
+    for A, points in stacks:
+        got = fockspace.displacement_trace(A, points)
+        assert np.array_equal(got, full_depth_displacement_trace(A, points))
+    # |1><1| needs offset 0 to n = 1 only and |5><5| offset 0 to n = 5; the
+    # even cat has no odd offsets and no odd level, so offset k stops at
+    # n = 28 - k
+    assert depths[0] == [2] + [0] * 29
+    assert depths[1] == [6] + [0] * 29
+    assert depths[2] == [29 - k if k % 2 == 0 else 0 for k in range(30)]
 
 
 def test_metaplectic_two_mode_covariance_and_group_law():

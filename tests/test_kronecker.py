@@ -249,6 +249,105 @@ def test_streamed_residual_of_zero_and_nan_tables():
         assert np.isnan(chi.boundary_residual())
 
 
+def planted_tables(r: int, columns_1, columns_2, p: int = 9) -> list:
+    """Two (r, p, p) tables, zero but for the given (site, r-vector) columns.
+
+    Slab i of the residual is mode 1's q index i, so a column at (i, j)
+    sits in slab i; sites with 0 or p - 1 are on the ring.
+    """
+    tables = [np.zeros((r, p, p), dtype=complex) for _ in range(2)]
+    for table, columns in zip(tables, (columns_1, columns_2)):
+        for site, vector in columns:
+            table[:, site[0], site[1]] = vector
+    return tables
+
+
+def test_pruning_visits_every_slab_after_an_all_zero_top_slab():
+    # the largest-norm column is orthogonal to every mode-2 column, so the
+    # slab visited first is all zero and bounds nothing below it
+    tables = planted_tables(3, [((4, 4), [0, 0, 100.0]),
+                                ((2, 4), [2.0, 0, 0]),
+                                ((0, 3), [0.5, 0, 0])],
+                            [((4, 4), [1.0, 2.0, 0])])
+    chi = CharacteristicGrid(GridSpec(2, 3.0, 9), tables)
+    assert chi.boundary_residual() == dense_boundary_residual(chi.values)
+    assert chi.boundary_residual() == 0.25
+
+
+def pruned_slab_grid(v, w, running: float) -> CharacteristicGrid:
+    """A grid whose true max |v . w| is in slab 2, found after `running`.
+
+    Slab 5 has the larger bound while |v| < 1 and yields `running` first;
+    the ring holds running / 2, so pruning slab 2 would make the residual
+    about 1/2.
+    """
+    return CharacteristicGrid(GridSpec(2, 3.0, 9), planted_tables(
+        4, [((2, 4), [*v, 0]), ((5, 4), [0, 0, 0, 1.0]),
+            ((0, 4), [0, 0, 0, 0.5])],
+        [((4, 4), [*w, 0]), ((4, 3), [0, 0, 0, running])]))
+
+
+def bound_below_max(pairs, units: int):
+    """The first (v, w, max |chi|, bound) whose Cauchy-Schwarz bound, from
+    np.hypot norms as the pruning takes them, lies `units` units in the
+    last place below the computed max."""
+    for v, w in pairs:
+        top = np.max(np.abs(pruned_slab_grid(v, w, 0.0).values))
+        bound = np.hypot.reduce(np.abs(v)) * np.hypot.reduce(np.abs(w))
+        if top - bound >= units * np.spacing(top):
+            return v, w, top, bound
+    raise AssertionError("no such pair")
+
+
+def integer_columns():
+    # v = w up to a power of two: exact dot products, rounded norms
+    for column in itertools.product(range(1, 10), repeat=3):
+        column = np.array(column, dtype=float)
+        yield column / 256, column
+
+
+def subnormal_columns(draws: int = 2000):
+    # products below the normal range, where rounding is absolute
+    rng = np.random.default_rng(21)
+    for _ in range(draws):
+        v = (rng.normal(size=3) + 1j * rng.normal(size=3)) * 2.0 ** -528
+        yield v, v.conj() * rng.uniform(0.3, 3)
+
+
+def test_pruning_keeps_a_slab_whose_bound_ties_the_running_max():
+    # the rounded bound of slab 2 is one ulp below its max, and the running
+    # max equals that bound exactly
+    v, w, top, bound = bound_below_max(integer_columns(), 1)
+    chi = pruned_slab_grid(v, w, bound)
+    assert chi.boundary_residual() == dense_boundary_residual(chi.values)
+    assert chi.boundary_residual() == bound / 2 / top
+
+
+def test_pruning_bound_covers_its_own_rounding():
+    # the rounded bound is two or more units below the max, and the running
+    # max lies strictly between them: relative rounding of normal numbers
+    # and absolute rounding of subnormal ones must both widen the bound
+    for pairs in (integer_columns(), subnormal_columns()):
+        v, w, top, bound = bound_below_max(pairs, 2)
+        running = np.nextafter(top, 0)
+        assert bound < running
+        chi = pruned_slab_grid(v, w, running)
+        assert chi.boundary_residual() == dense_boundary_residual(chi.values)
+        assert chi.boundary_residual() < 0.5
+
+
+def test_pruning_visits_a_nan_in_a_low_bound_slab():
+    # without the NaN, slab 1's bound would be far below the max of slab 4;
+    # alone, the NaN must not leave a zero running max and a residual of 0
+    for columns in ([((4, 4), [10.0, 0, 0]), ((1, 2), [1e-3, np.nan, 0]),
+                     ((0, 3), [0.5, 0, 0])],
+                    [((1, 2), [0, np.nan, 0])]):
+        tables = planted_tables(3, columns, [((4, 4), [1.0, 0, 0])])
+        chi = CharacteristicGrid(GridSpec(2, 3.0, 9), tables)
+        assert np.isnan(dense_boundary_residual(chi.values))
+        assert np.isnan(chi.boundary_residual())
+
+
 def test_streamed_residual_never_holds_the_dense_grid():
     # the lemma's 61^4 grid: its dense chi alone is 221 MB
     obs = dict(_multiplicativity_cases(30))["xy^2 on {q1,p2}"]

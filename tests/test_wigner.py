@@ -229,13 +229,14 @@ def test_two_mode_grid_runs_one_recurrence_per_mode(monkeypatch):
     calls = []
     real = fockspace._laguerre_diagonals
 
-    def counted(x, cutoff):
-        calls.append(cutoff)
-        return real(x, cutoff)
+    def counted(x, depths):
+        calls.append(list(depths))
+        return real(x, depths)
 
     monkeypatch.setattr(fockspace, "_laguerre_diagonals", counted)
     characteristic_function(rho, GridSpec(2, 6.0, 11))
-    assert calls == [8, 8]
+    # both stacks are dense, so every offset runs to full depth
+    assert calls == [list(range(8, 0, -1))] * 2
 
 
 def test_statistical_moments_match_oracle():

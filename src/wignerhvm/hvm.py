@@ -11,11 +11,13 @@ into a typed error carrying the witness location.
 Event probabilities and samples use two readings of the same node
 weights.  Events integrate the band-limited (Whittaker-Shannon)
 interpolant of the weights, which reproduces the continuous Wigner
-measure wherever the grid resolves it.  Samples draw a grid cell from
-its mass by inverse CDF and then a uniform point in a box around its
-node (the jitter removes grid artifacts from histograms); the box model
-adds a variance of step**2 / 12 per axis, which is why exact events do
-not integrate it.
+measure wherever the grid resolves it; an event reads only the axes its
+label uses, so the other axes are summed out of the weights first, and a
+marginal of more than two axes is streamed by slabs.  Samples draw a grid
+cell from its mass by inverse CDF and then a uniform point in a box
+around its node (the jitter removes grid artifacts from histograms); the
+box model adds a variance of step**2 / 12 per axis, which is why exact
+events do not integrate it.
 """
 
 from __future__ import annotations
@@ -156,13 +158,23 @@ def value_assignment(phi, obs: PolynomialObservable) -> float:
     return float(obs(*values))
 
 
+def _label(model: HiddenVariableModel, zeta) -> np.ndarray:
+    """zeta as a float vector; it must be nonzero with one entry per axis."""
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    axes = 2 * model.mode_count
+    if zeta.size != axes:
+        raise ValueError(f"observable label needs {axes} coefficients, "
+                         f"got {zeta.size}")
+    if not np.any(zeta):
+        raise ValueError("observable label must be nonzero")
+    return zeta
+
+
 def hvm_homodyne_distribution(model: HiddenVariableModel, zeta,
                               bins: BinSpec, n: int, seed: int,
                               threads: int = 1) -> OutcomeDistribution:
     """Histogram of zeta . phi over n hidden-state samples."""
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    if not np.any(zeta):
-        raise ValueError("observable label must be nonzero")
+    zeta = _label(model, zeta)
     phi = sample(model, n, seed, threads=threads)
     outcomes = phi @ zeta
     counts, _ = np.histogram(outcomes, bins=bins.edges)
@@ -179,51 +191,82 @@ def hvm_event_probability(model: HiddenVariableModel, zeta,
     sin(B t)/(pi t) with B = pi/(step max_k |zeta_k|), so each node at
     t_i = zeta . c_i contributes p_i [Si(B(b - t_i)) - Si(B(a - t_i))]/pi
     (Si(+-inf) = +-pi/2, taken as constants, covers semi-infinite intervals).
+
+    t_i does not depend on the axes where zeta_k = 0, so those axes are
+    summed out of the weights first and the nodes are those of the
+    marginal on the used axes.  A marginal of more than two axes is
+    streamed by first-axis slabs, one sici call per slab for every finite
+    edge, so no temporary is as large as the marginal.  Each edge pair
+    must satisfy a <= b with neither edge NaN.
     """
     from scipy.special import sici
 
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    if not np.any(zeta):
-        raise ValueError("observable label must be nonzero")
+    zeta = _label(model, zeta)
+    edges = np.array(list(intervals), dtype=float).reshape(-1, 2)
+    if np.isnan(edges).any() or np.any(edges[:, 0] > edges[:, 1]):
+        raise ValueError("each interval needs edges a <= b, neither NaN")
     spec = model.measure.spec
-    probs = model.cell_probabilities().reshape(spec.shape)
-    outcomes = sum(z * block for z, block in
-                   zip(zeta, spec.coordinate_blocks()) if z)
+    weights = model.measure.values
+    idle = tuple(np.flatnonzero(zeta == 0))
+    if idle:
+        weights = weights.sum(axis=idle)
     bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
-
-    def si(edge):  # Si(B (edge - t_i)) at every node
-        if np.isinf(edge):
-            return np.copysign(np.pi / 2, edge)
-        return sici(bandwidth * (edge - outcomes))[0]
-
+    # z * axis broadcast along the used axes: summed in axis order, these
+    # are the products and sums of zeta . c over the full grid
+    used = zeta[zeta != 0]
+    lines = [(z * spec.axis).reshape((-1,) + (1,) * (used.size - 1 - d))
+             for d, z in enumerate(used)]
+    flat = edges.reshape(-1)
+    finite = np.isfinite(flat)
+    slabs = weights.ndim > 2
+    chunks = zip(weights, lines[0]) if slabs else [(weights, lines[0])]
+    column = (-1,) + (1,) * (weights.ndim - slabs)  # one row per finite edge
     total = 0.0
-    for a, b in intervals:
-        total += float(np.sum(probs * (si(b) - si(a)))) / np.pi
-    return total
+    for w, outcomes in chunks:
+        for line in lines[1:]:
+            outcomes = outcomes + line
+        si = iter(sici(bandwidth * (flat[finite].reshape(column)
+                                    - outcomes))[0])
+        si_at = [next(si) if f else np.copysign(np.pi / 2, e)
+                 for e, f in zip(flat, finite)]
+        for lower, upper in zip(si_at[::2], si_at[1::2]):
+            total += np.sum(w * (upper - lower))
+    return float(total / weights.sum()) / np.pi
 
 
 def empirical_characteristic_check(model: HiddenVariableModel, points,
                                    state, tolerance: float = 2e-3) -> dict:
     """Compare the measure's Fourier transform with the state's chi.
 
-    Integrates exp(i [v, phi]) against the model measure on the grid, one
-    axis at a time, and checks it against Tr[rho D(v)] at each test point;
-    agreement is the statistical face of the Fourier-inversion argument
-    linking the two.
+    Integrates exp(i [v, phi]) against the model measure on the grid and
+    checks it against Tr[rho D(v)] at each test point; agreement is the
+    statistical face of the Fourier-inversion argument linking the two.
+    The phase factorizes over the tensor grid, so all points are
+    contracted together one axis at a time: the first axis by two real
+    products of the cos and sin phases with the measure, which never
+    makes a complex copy of the grid, and each later axis by a small
+    einsum.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     spec = model.measure.spec
     m = spec.mode_count
-    probs = model.cell_probabilities().reshape(spec.shape)
+    values = model.measure.values
     reference = characteristic_at_points(state, pts)
-    deviations = []
-    for v, ref in zip(pts, reference):
-        k = np.concatenate([v[m:], -v[:m]])  # [v, phi] = (omega^T v) . phi
-        value = probs
-        for k_axis in k:  # the phase factorizes over the tensor grid
-            value = np.tensordot(value, np.exp(1j * k_axis * spec.axis),
-                                 axes=([0], [0]))
-        deviations.append(abs(complex(value) - ref))
+    # [v, phi] = (omega^T v) . phi
+    k = np.concatenate([pts[:, m:], -pts[:, :m]], axis=1)
+    angles = k[:, :, None] * spec.axis  # (point, axis, node)
+    phases = np.exp(1j * angles[:, 1:])
+
+    flat = values.reshape(spec.points, -1)
+    value = 0
+    for unit, phase in ((1, np.cos), (1j, np.sin)):
+        part = phase(angles[:, 0]) @ flat
+        for d in range(phases.shape[1]):
+            part = np.einsum("pjr,pj->pr",
+                             part.reshape(len(pts), spec.points, -1),
+                             phases[:, d])
+        value = value + unit * part[:, 0]
+    deviations = np.abs(value / values.sum() - reference)
     max_dev = float(max(deviations))
     return {
         "points": pts.tolist(),

@@ -5,11 +5,15 @@ Laguerre recurrence; the tests pin it against the closed form and the
 matrix exponential, and use it as the reference for the stacked trace
 `fockspace.displacement_trace`.  `full_depth_displacement_trace` is that
 trace with the recurrence run to full depth on every offset, the loop the
-package used before it learnt to skip unused offsets.  `grid_moment`
-integrates a Wigner grid's one-axis marginal.
+package used before it learnt to skip unused offsets.
+`full_grid_event_probability` is the hidden-variable event probability
+summed over every node of the full grid, the sum the package used before
+it learnt to sum idle axes out first.  `grid_moment` integrates a Wigner
+grid's one-axis marginal.
 """
 
 import numpy as np
+from scipy.special import sici
 
 from wignerhvm.fockspace import _laguerre_diagonals
 from wignerhvm.wigner import WignerGrid, position_marginal
@@ -60,6 +64,30 @@ def full_depth_displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
                 out[s] += (upper[s] + lower[s])[where] * power.real
                 out[s] += (1j * (upper[s] - lower[s]))[where] * power.imag
     return out.reshape(rows, *alphas.shape)
+
+
+def full_grid_event_probability(model, zeta, intervals) -> float:
+    """Band-limited P(zeta . phi in the intervals), one node sum per interval.
+
+    Every node of the full grid carries its normalized cell mass p_i and
+    t_i = zeta . c_i, and adds p_i [Si(B(b - t_i)) - Si(B(a - t_i))]/pi.
+    """
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    spec = model.measure.spec
+    probs = model.cell_probabilities().reshape(spec.shape)
+    outcomes = sum(z * block for z, block in
+                   zip(zeta, spec.coordinate_blocks()) if z)
+    bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
+
+    def si(edge):
+        if np.isinf(edge):
+            return np.copysign(np.pi / 2, edge)
+        return sici(bandwidth * (edge - outcomes))[0]
+
+    total = 0.0
+    for a, b in intervals:
+        total += float(np.sum(probs * (si(b) - si(a)))) / np.pi
+    return total
 
 
 def grid_moment(grid: WignerGrid, axis_index: int, power: int) -> float:

@@ -21,6 +21,8 @@ from wignerhvm.weyl import PolynomialObservable, monomial
 from wignerhvm.wigner import (GridSpec, WignerGrid, characteristic_at_points,
                               state_wigner, wigner_gaussian)
 
+from reference import full_grid_event_probability
+
 GRID = GridSpec(1, 6.0, 257)
 BINS = BinSpec(-6.0, 6.0, 50)
 
@@ -289,23 +291,109 @@ def test_two_mode_gaussian_events_match_closed_form():
                 assert abs(hv - qv) <= 1e-10, (kind, zeta, interval)
 
 
-def test_semi_infinite_events_match_sici_of_infinity_bit_for_bit():
-    # Si(+-inf) is taken as the constant +-pi/2; the reference evaluates
-    # sici over the whole grid at both edges
-    assert sici(np.inf)[0] == np.pi / 2 and sici(-np.inf)[0] == -np.pi / 2
+@pytest.fixture(scope="module")
+def coherent_pair():
     state = make_state(StateSpec("coherent", {"alpha": [1.0, 0.5]}, 2))
-    model = build_hvm(state_wigner(state, GridSpec(2, 6.0, 41)))
-    spec = model.measure.spec
-    probs = model.cell_probabilities().reshape(spec.shape)
+    return state, build_hvm(state_wigner(state, GridSpec(2, 6.0, 41)))
+
+
+def test_semi_infinite_events_match_sici_of_infinity_bit_for_bit(
+        coherent_pair):
+    # Si(+-inf) is taken as the constant +-pi/2; the reference evaluates
+    # sici at both edges on every node of the same marginal, summed over
+    # the same first-axis slabs when it has more than two axes
+    assert sici(np.inf)[0] == np.pi / 2 and sici(-np.inf)[0] == -np.pi / 2
+    _, model = coherent_pair
+    axis = model.measure.spec.axis
+    step = model.measure.spec.step
     for zeta in ([1.0, 0, 0, 0], [0.6, 0, 0.8, 0], [0.3, -0.5, 0, 0.9]):
-        outcomes = sum(z * block for z, block in
-                       zip(zeta, spec.coordinate_blocks()) if z)
-        bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
+        zeta = np.array(zeta)
+        marginal = model.measure.values.sum(
+            axis=tuple(np.flatnonzero(zeta == 0)))
+        used = zeta[zeta != 0]
+        outcomes = 0
+        for d, z in enumerate(used):
+            shape = [1] * used.size
+            shape[d] = -1
+            outcomes = outcomes + z * axis.reshape(shape)
+        bandwidth = np.pi / (step * np.max(np.abs(zeta)))
+        slabs = (list(zip(marginal, outcomes)) if marginal.ndim > 2
+                 else [(marginal, outcomes)])
         for a, b in ((0.0, np.inf), (-np.inf, 0.0), (-1.0, np.inf)):
-            upper = sici(bandwidth * (b - outcomes))[0]
-            lower = sici(bandwidth * (a - outcomes))[0]
-            want = float(np.sum(probs * (upper - lower))) / np.pi
+            total = 0.0
+            for w, t in slabs:
+                upper = sici(bandwidth * (b - t))[0]
+                lower = sici(bandwidth * (a - t))[0]
+                total += np.sum(w * (upper - lower))
+            want = float(total / marginal.sum()) / np.pi
             assert hvm_event_probability(model, zeta, [(a, b)]) == want
+
+
+UNION = [(-np.inf, -0.5), (0.2, 0.7), (1.0, np.inf)]
+
+
+def test_marginal_events_match_full_grid_node_sum(coherent_pair):
+    # summing idle axes out first, and streaming slabs, only reorders the
+    # sums of the full-grid reference
+    _, two_mode = coherent_pair
+    _, one_mode = model_for("squeezed", {"r": 0.5})
+    cases = [(two_mode, zeta, intervals)
+             for zeta in ([1, 0, 0, 0], [0, 0, 1, 0], [0.6, 0, 0.8, 0],
+                          [0.3, -0.5, 0, 0.9], [0.5, 0.5, 0.5, 0.5])
+             for intervals in ([(0.0, np.inf)], UNION)]
+    cases += [(one_mode, [0.6, 0.8], intervals)
+              for intervals in ([(-np.inf, 0.0)], [(-1.0, 1.0)], UNION)]
+    for model, zeta, intervals in cases:
+        got = hvm_event_probability(model, zeta, intervals)
+        want = full_grid_event_probability(model, zeta, intervals)
+        assert abs(got - want) <= 1e-14, (zeta, intervals, got - want)
+
+
+@pytest.mark.parametrize("zeta", [[1, 0, 0, 0, 5], [1, 0]])
+def test_event_probability_rejects_wrong_length_label(coherent_pair, zeta):
+    _, model = coherent_pair
+    with pytest.raises(ValueError, match="needs 4 coefficients"):
+        hvm_event_probability(model, zeta, [(0.0, np.inf)])
+
+
+def test_homodyne_distribution_rejects_wrong_length_label(coherent_pair):
+    _, model = coherent_pair
+    for zeta in ([1, 0, 0, 0, 5], [1, 0]):
+        with pytest.raises(ValueError, match="needs 4 coefficients"):
+            hvm_homodyne_distribution(model, zeta, BINS, 10, seed=0)
+
+
+def test_event_probability_rejects_nan_or_reversed_edges():
+    _, model = model_for("vacuum")
+    for intervals in ([(np.nan, 1.0)], [(0.0, np.nan)], [(1.0, -1.0)],
+                      [(-1.0, 1.0), (np.inf, -np.inf)]):
+        with pytest.raises(ValueError, match="a <= b"):
+            hvm_event_probability(model, [1, 0], intervals)
+    assert hvm_event_probability(model, [1, 0], [(0.5, 0.5)]) == 0.0
+
+
+def test_queries_hold_no_grid_sized_temporary(coherent_pair):
+    state, model = coherent_pair
+    grid_bytes = 8 * 41 ** 4
+    assert model.measure.values.nbytes == grid_bytes
+    pts = np.random.default_rng(5).uniform(-3, 3, size=(10, 4))
+    queries = {
+        "idle axes": lambda: hvm_event_probability(
+            model, [1, 0, 0, 0], [(-1.0, 1.0)]),
+        "slabs": lambda: hvm_event_probability(
+            model, [0.5, 0.5, 0.5, 0.5], [(-1.0, 1.0)]),
+        "characteristic": lambda: empirical_characteristic_check(
+            model, pts, state),
+    }
+    for name, query in queries.items():
+        query()  # imports and first-call set-up are not counted
+        tracemalloc.start()
+        try:
+            query()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes, (name, peak / grid_bytes)
 
 
 def reference_characteristic_deviations(model, pts, state):

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +31,15 @@ from .states import (GaussianChannel, LeakageError, StateSpec, StateSpecError,
                      identity_channel, loss_channel, make_state)
 from .wigner import GridSpec, InadequateWindowError, MixedStateError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
 EXIT_PRECONDITION = 4
+ERROR_EXIT = {InadequateWindowError: EXIT_NUMERICAL,
+              LeakageError: EXIT_NUMERICAL, StateSpecError: EXIT_PARSE,
+              MixedStateError: EXIT_PRECONDITION}
 
 TV_TOLERANCE = 0.02
 EVENT_TOLERANCE = 2e-3
@@ -125,10 +129,9 @@ def _parse_observables(args, modes: int):
                 vec = np.array([float(x) for x in text.split(",")])
             except ValueError as exc:
                 raise CliError(f"bad observable '{text}'", EXIT_PARSE) from exc
-            if vec.size != 2 * modes:
-                raise CliError(
-                    f"observable '{text}' needs {2 * modes} coefficients",
-                    EXIT_PARSE)
+            if vec.size != 2 * modes or not np.isfinite(vec).all():
+                raise CliError(f"observable '{text}' needs {2 * modes} "
+                               f"finite coefficients", EXIT_PARSE)
             if not np.any(vec):
                 raise CliError("observable must be nonzero", EXIT_PRECONDITION)
             out.append(vec)
@@ -361,9 +364,10 @@ def cmd_channel_compose(args) -> int:
     if args.trials < 1:
         raise CliError("need at least one trial", EXIT_PARSE)
     channels = [_parse_channel(t, args.modes) for t in args.channel]
-    composed = channels[0]
-    for ch in channels[1:]:
-        composed = compose_channels(composed, ch)
+    try:
+        composed = reduce(compose_channels, channels)
+    except ValueError as exc:
+        raise CliError(f"bad channel composition: {exc}", EXIT_PARSE) from exc
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):
@@ -375,9 +379,11 @@ def cmd_channel_compose(args) -> int:
         for ch in channels:
             seq = apply_gaussian_channel(seq, ch)
         direct = apply_gaussian_channel(state, composed)
-        worst = max(worst,
-                    float(np.max(np.abs(seq.mean - direct.mean))),
-                    float(np.max(np.abs(seq.covariance - direct.covariance))))
+        gaps = [seq.mean - direct.mean, seq.covariance - direct.covariance]
+        # np.max, not max(): a NaN deviation must reach worst
+        worst = float(np.max([worst, *(np.max(np.abs(g)) for g in gaps)]))
+    if not np.isfinite(worst):
+        raise CliError("sequential application overflows", EXIT_NUMERICAL)
     payload = {
         "command": "channel-compose",
         "modes": args.modes,
@@ -477,18 +483,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, *ERROR_EXIT) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (InadequateWindowError, LeakageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except MixedStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except StateSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return exc.code if isinstance(exc, CliError) else ERROR_EXIT[type(exc)]
 
 
 if __name__ == "__main__":

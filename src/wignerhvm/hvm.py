@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import BinSpec, OutcomeDistribution
-from .wigner import WignerGrid, characteristic_at_points, min_value
+from .oracle import BinSpec, OutcomeDistribution, _normalize_intervals
+from .wigner import (NEGATIVITY_TOL_FACTOR, WignerGrid,
+                     characteristic_at_points, min_value)
 from .weyl import PolynomialObservable
 
-NEGATIVITY_TOL_FACTOR = 1e-9
 SAMPLE_CHUNK = 1 << 14
 
 
@@ -196,15 +196,12 @@ def hvm_event_probability(model: HiddenVariableModel, zeta,
     summed out of the weights first and the nodes are those of the
     marginal on the used axes.  A marginal of more than two axes is
     streamed by first-axis slabs, one sici call per slab for every finite
-    edge, so no temporary is as large as the marginal.  Each edge pair
-    must satisfy a <= b with neither edge NaN.
+    edge, so no temporary is as large as the marginal.
     """
     from scipy.special import sici
 
     zeta = _label(model, zeta)
-    edges = np.array(list(intervals), dtype=float).reshape(-1, 2)
-    if np.isnan(edges).any() or np.any(edges[:, 0] > edges[:, 1]):
-        raise ValueError("each interval needs edges a <= b, neither NaN")
+    edges = np.array(_normalize_intervals(intervals)).reshape(-1, 2)
     spec = model.measure.spec
     weights = model.measure.values
     idle = tuple(np.flatnonzero(zeta == 0))

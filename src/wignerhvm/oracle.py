@@ -137,11 +137,12 @@ def quantum_homodyne_distribution(state, zeta,
 
 
 def _normalize_intervals(intervals):
+    """Sorted, disjoint float pairs a <= b (a == b is an empty event)."""
     out = []
     for a, b in intervals:
         a, b = float(a), float(b)
-        if b <= a:
-            raise ValueError("empty interval")
+        if not a <= b:  # False for a NaN edge
+            raise ValueError("each interval needs edges a <= b, neither NaN")
         out.append((a, b))
     out.sort()
     for (a1, b1), (a2, b2) in zip(out, out[1:]):

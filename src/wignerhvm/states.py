@@ -119,6 +119,8 @@ class GaussianChannel:
         n = self.d.size
         if self.X.shape != (n, n) or self.Y.shape != (n, n) or n % 2 != 0:
             raise ValueError("channel dimensions inconsistent")
+        if not all(np.isfinite(a).all() for a in (self.X, self.Y, self.d)):
+            raise ValueError("channel entries must be finite")
         if np.max(np.abs(self.Y - self.Y.T)) > 1e-12:
             raise ValueError("Y is not symmetric")
         w = omega(n // 2)

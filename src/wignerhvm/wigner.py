@@ -15,7 +15,7 @@ mode count; the Weyl symbol of an observable carries an extra (2 pi)^m.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .states import FockDensityOperator, GaussianState, InadequateWindowError
 BOUNDARY_DECAY = 1e-8
 IMAG_RESIDUE = 1e-8
 NORMALIZATION_TOL = 1e-3
+# negative W within this factor of max |W| is rounding (build_hvm, hudson)
+NEGATIVITY_TOL_FACTOR = 1e-9
+PURITY_TOL = 1e-6
 # Largest array a request may call for, in bytes: dense W and chi grids
 # (counted as complex128), and hvm-compare's samples and oracle CDF table.
 GRID_BYTES_LIMIT = 2 ** 30
@@ -73,13 +76,8 @@ class GridSpec:
 
     def coordinate_blocks(self):
         """Broadcastable coordinate arrays, one per phase-space axis."""
-        n = 2 * self.mode_count
-        out = []
-        for i in range(n):
-            shape = [1] * n
-            shape[i] = self.points
-            out.append(self.axis.reshape(shape))
-        return out
+        return np.meshgrid(*[self.axis] * (2 * self.mode_count),
+                           indexing="ij", sparse=True)
 
     def to_dict(self) -> dict:
         return {"mode_count": self.mode_count, "halfwidth": self.halfwidth,
@@ -239,11 +237,8 @@ def _grid_amplitudes(spec: GridSpec, scale: float) -> list[np.ndarray]:
 def characteristic_function(rho: FockDensityOperator,
                             spec: GridSpec) -> CharacteristicGrid:
     """chi(v) = Tr[rho D(v)] from the exact displacement matrix elements."""
-    if spec.mode_count != rho.mode_count:
-        raise ValueError("grid/state mode mismatch")
-    factors = fockspace.kronecker_factors(rho.matrix, rho.mode_count)
-    grid = CharacteristicGrid(spec, _trace_tables(
-        factors, _grid_amplitudes(spec, 1.0)))
+    grid = characteristic_observable(
+        fockspace.kronecker_factors(rho.matrix, rho.mode_count), spec)
     if abs(grid.origin_value() - 1.0) > 1e-6:
         raise ValueError("characteristic function origin deviates from 1")
     return grid
@@ -391,12 +386,33 @@ def min_value(grid: WignerGrid):
     return float(mn), location
 
 
-def position_marginal(grid: WignerGrid, axis_index: int = 0):
-    """Marginal density along one phase-space axis (integrating the rest)."""
-    n = 2 * grid.spec.mode_count
-    other = tuple(i for i in range(n) if i != axis_index)
-    density = grid.values.sum(axis=other) * grid.spec.step ** (n - 1)
-    return grid.spec.axis, density
+def covariance_state(state) -> GaussianState:
+    """The Gaussian state with the first two moments of `state`.
+
+    A Fock state's moments are exact: mu_i = Tr[rho R_i] and sigma_ij =
+    Tr[rho (R_i R_j + R_j R_i)/2] - mu_i mu_j.  Per-mode products are formed
+    at cutoff + 1 and cut back, so the top level keeps its whole
+    <n|R_i R_j|n>; each trace contracts rho elementwise, with no matmul.
+    """
+    if isinstance(state, GaussianState):
+        return state
+    c, m = state.cutoff, state.mode_count
+    quads = (fockspace.position_operator(c + 1),
+             fockspace.momentum_operator(c + 1))
+    tensor = state.matrix.reshape((c,) * (2 * m))  # (kets, bras)
+
+    def moment(*axes):  # Re Tr[rho R_axes[0] R_axes[1] ...]
+        factors = [np.eye(c + 1)] * m
+        for i in axes:
+            factors[i % m] = factors[i % m] @ quads[i // m]
+        # Tr[rho F] = sum rho[a b, i j] F_1[i, a] F_2[j, b]
+        return np.einsum("ab"[:m] + "ij"[:m] + ",ia,jb"[:3 * m] + "->", tensor,
+                         *(f[:c, :c] for f in factors)).real
+
+    mean = np.array([moment(i) for i in range(2 * m)])
+    second = np.array([[moment(i, j) for j in range(2 * m)]
+                       for i in range(2 * m)])
+    return GaussianState(mean, (second + second.T) / 2 - np.outer(mean, mean))
 
 
 @dataclass
@@ -405,51 +421,38 @@ class HudsonReport:
     purity: float
     min_value: float
     min_location: tuple
-    fourth_cumulant: float
+    covariance_purity: float
 
     def to_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "purity": self.purity,
-            "min_value": self.min_value,
-            "min_location": list(self.min_location),
-            "fourth_cumulant": self.fourth_cumulant,
-        }
+        return {**asdict(self), "min_location": list(self.min_location)}
 
 
 def hudson_classify(state, spec: GridSpec | None = None,
                     char_spec: GridSpec | None = None) -> HudsonReport:
     """Classify a pure state as Gaussian-nonnegative or Wigner-negative.
 
-    For pure states the two notions coincide; mixed inputs are rejected and
-    callers must inspect the grid minimum directly instead.
+    For pure states the two notions coincide (Hudson; Soto & Claverie for
+    m modes); mixed inputs are rejected.  The grid minimum is read with
+    build_hvm's clamp.  The second opinion needs no grid: a pure state is
+    Gaussian iff the purity 1/sqrt(det 2 sigma) of its covariance_state is 1.
     """
     purity = state.purity()
-    if purity <= 1 - 1e-6:
+    if purity <= 1 - PURITY_TOL:
         raise MixedStateError(
             f"purity {purity:.6f} below the pure-state threshold")
     spec = spec or GridSpec(state.mode_count, 6.0, 257)
     w = state_wigner(state, spec, char_spec)
     mn, loc = min_value(w)
-    tol = 1e-6 * float(np.max(np.abs(w.values)))
+    tol = NEGATIVITY_TOL_FACTOR * float(np.max(np.abs(w.values)))
     classification = "gaussian_nonnegative" if mn >= -tol else "negative"
-
-    kurt = 0.0
-    for ax in range(2 * spec.mode_count):
-        axis, density = position_marginal(w, ax)
-        mass = density.sum() * spec.step
-        mu = (density * axis).sum() * spec.step / mass
-        var = (density * (axis - mu) ** 2).sum() * spec.step / mass
-        m4 = (density * (axis - mu) ** 4).sum() * spec.step / mass
-        kurt = max(kurt, abs(m4 - 3 * var ** 2))
-    gaussian_by_cumulant = kurt < 1e-3
-    if (classification == "gaussian_nonnegative") != gaussian_by_cumulant:
-        # for a pure state they can only disagree when the window clips
-        # the marginals
+    cov_purity = covariance_state(state).purity()
+    if (classification == "gaussian_nonnegative") != \
+            (cov_purity > 1 - PURITY_TOL):
         raise InadequateWindowError(
-            f"negativity and fourth-cumulant classifiers disagree "
-            f"(min {mn:.3e}, cumulant {kurt:.3e}); widen the window")
-    return HudsonReport(classification, purity, mn, loc, kurt)
+            f"negativity and covariance classifiers disagree (min {mn:.3e}, "
+            f"covariance purity {cov_purity:.9f}); refine the grid's "
+            f"resolution or widen its window")
+    return HudsonReport(classification, purity, mn, loc, cov_purity)
 
 
 def wigner_to_csv(grid: WignerGrid, path) -> None:

@@ -8,15 +8,15 @@ trace with the recurrence run to full depth on every offset, the loop the
 package used before it learnt to skip unused offsets.
 `full_grid_event_probability` is the hidden-variable event probability
 summed over every node of the full grid, the sum the package used before
-it learnt to sum idle axes out first.  `grid_moment` integrates a Wigner
-grid's one-axis marginal.
+it learnt to sum idle axes out first.  `position_marginal` is a Wigner
+grid's one-axis marginal density and `grid_moment` integrates it.
 """
 
 import numpy as np
 from scipy.special import sici
 
 from wignerhvm.fockspace import _laguerre_diagonals
-from wignerhvm.wigner import WignerGrid, position_marginal
+from wignerhvm.wigner import WignerGrid
 
 
 def displacement_matrix(alpha, cutoff: int) -> np.ndarray:
@@ -88,6 +88,14 @@ def full_grid_event_probability(model, zeta, intervals) -> float:
     for a, b in intervals:
         total += float(np.sum(probs * (si(b) - si(a)))) / np.pi
     return total
+
+
+def position_marginal(grid: WignerGrid, axis_index: int = 0):
+    """Marginal density along one phase-space axis (integrating the rest)."""
+    n = 2 * grid.spec.mode_count
+    other = tuple(i for i in range(n) if i != axis_index)
+    density = grid.values.sum(axis=other) * grid.spec.step ** (n - 1)
+    return grid.spec.axis, density
 
 
 def grid_moment(grid: WignerGrid, axis_index: int, power: int) -> float:

@@ -146,6 +146,11 @@ def test_parse_failure_exit_2(tmp_path):
                       '{"kind": "vacuum"}', "--points", "41",
                       "--threads", threads)
         assert code == 2, threads
+    # a non-finite observable label is a bad flag, not an oracle traceback
+    for text in ("nan,1", "inf,1"):
+        code, _ = run(tmp_path, "hvm-compare", "--state",
+                      '{"kind": "vacuum"}', "--observable", text)
+        assert code == 2, text
     # arrays above wigner.GRID_BYTES_LIMIT are refused before any allocation
     for flag in (["--bins", "1000000000"], ["--samples", "100000000"]):
         code, _ = run(tmp_path, "hvm-compare", "--state",
@@ -303,6 +308,37 @@ def test_hudson_classifications(tmp_path):
     assert load(out, "hudson.json")["classification"] == "negative"
 
 
+def test_hudson_squeezed_needs_no_wide_window(tmp_path):
+    # the covariance test reads no grid marginal, so a window that clips
+    # the 8-sigma tails of the squeezed quadrature still classifies
+    code, out = run(tmp_path, "hudson", "--state",
+                    '{"kind": "squeezed", "params": {"r": 1.0}}',
+                    "--window", "8")
+    assert code == 0
+    report = load(out, "hudson.json")
+    assert report["classification"] == "gaussian_nonnegative"
+    assert abs(report["covariance_purity"] - 1) <= 1e-12
+    assert report["schema_version"] == 2
+
+
+def test_hudson_and_hvm_compare_agree_on_small_cats(tmp_path, capsys):
+    for alpha in (0.25, 0.28):
+        state = json.dumps({"kind": "cat", "params": {"alpha": alpha},
+                            "cutoff": 30})
+        code, out = run(tmp_path, "hudson", "--state", state)
+        assert code == 0, alpha
+        assert load(out, "hudson.json")["classification"] == "negative"
+        code, out = run(tmp_path, "hvm-compare", "--state", state)
+        assert code == 0, alpha
+        assert load(out, "hvm_compare.json")["status"] == "contextual"
+    # at alpha = 0.2 the grid minimum (-7e-14) is rounding, yet the
+    # covariance purity (0.999997) says non-Gaussian: the grid is too coarse
+    code, _ = run(tmp_path, "hudson", "--state",
+                  '{"kind": "cat", "params": {"alpha": 0.2}, "cutoff": 30}')
+    assert code == 3
+    assert "resolution" in capsys.readouterr().err
+
+
 def test_report_determinism_across_runs_and_threads(tmp_path):
     args = ["hvm-compare", "--state", '{"kind": "vacuum"}',
             "--samples", "30000", "--seed", "7"]
@@ -325,6 +361,30 @@ def test_channel_compose_two_losses(tmp_path):
     assert np.allclose(report["composed"]["X"],
                        np.sqrt(0.42) * np.eye(2), atol=1e-12)
     assert report["max_sequential_deviation"] <= 1e-12
+
+
+def test_channel_compose_refuses_non_finite_channels(tmp_path, capsys):
+    zero = "[[0, 0], [0, 0]]"
+    huge = f'{{"X": [[1e200, 0], [0, 1e-200]], "Y": {zero}, "d": [0, 0]}}'
+    identity = '{"kind": "identity"}'
+    pairs = [
+        (f'{{"X": [[NaN, 0], [0, 1]], "Y": {zero}, "d": [0, 0]}}', identity),
+        (f'{{"X": [[1, 0], [0, 1]], "Y": {zero}, "d": [Infinity, 0]}}',
+         identity),
+        (huge, huge),  # each is finite, their product overflows
+    ]
+    for first, second in pairs:
+        code, out = run(tmp_path, "channel-compose", "--channel", first,
+                        "--channel", second)
+        assert code == 2, (first, second)
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "channel_compose.json").exists()
+    # finite channels and a finite composition, but the sequential
+    # covariance overflows: a NaN deviation must fail, not vanish in max()
+    code, out = run(tmp_path, "channel-compose", "--channel", huge,
+                    "--channel", identity)
+    assert code == 3
+    assert not (out / "channel_compose.json").exists()
 
 
 def test_channel_compose_needs_two(tmp_path):

@@ -372,6 +372,22 @@ def test_event_probability_rejects_nan_or_reversed_edges():
     assert hvm_event_probability(model, [1, 0], [(0.5, 0.5)]) == 0.0
 
 
+def test_model_and_oracle_share_one_interval_rule():
+    state, model = model_for("vacuum")
+    for query in (lambda iv: hvm_event_probability(model, [1, 0], iv),
+                  lambda iv: event_probability(state, [1, 0], iv)):
+        for intervals in ([(-np.inf, np.inf), (0.0, 1.0)],
+                          [(0.0, 2.0), (1.0, 3.0)]):
+            with pytest.raises(ValueError, match="overlapping"):
+                query(intervals)
+        with pytest.raises(ValueError, match="a <= b"):
+            query([(np.nan, 1.0)])
+        assert query([(0.5, 0.5)]) == 0.0
+        # pairs are sorted, so their order does not matter
+        assert query([(1.0, 2.0), (-2.0, -1.0)]) == \
+            query([(-2.0, -1.0), (1.0, 2.0)])
+
+
 def test_queries_hold_no_grid_sized_temporary(coherent_pair):
     state, model = coherent_pair
     grid_bytes = 8 * 41 ** 4

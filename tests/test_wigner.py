@@ -3,18 +3,19 @@ import pytest
 
 from wignerhvm import fockspace
 from wignerhvm.oracle import homodyne_density
-from wignerhvm.states import GaussianState, StateSpec, gaussian_to_fock, make_state
+from wignerhvm.states import (FockDensityOperator, GaussianState, StateSpec,
+                              gaussian_to_fock, make_state)
 from wignerhvm.weyl import conjugate_by_metaplectic
 from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
                               InadequateWindowError, MixedStateError,
                               WignerGrid, characteristic_at_points,
-                              characteristic_function, hudson_classify,
-                              log_negativity, min_value, negativity_volume,
-                              position_marginal, sidecar_dict, state_wigner,
+                              characteristic_function, covariance_state,
+                              hudson_classify, log_negativity, min_value,
+                              negativity_volume, sidecar_dict, state_wigner,
                               wigner_fock_direct, wigner_from_characteristic,
                               wigner_gaussian, wigner_to_csv)
 
-from reference import grid_moment
+from reference import grid_moment, position_marginal
 
 GRID = GridSpec(1, 6.0, 257)
 CHAR = GridSpec(1, 16.0, 257)
@@ -308,11 +309,44 @@ def test_hudson_classification():
     assert hudson_classify(sq, GRID).classification == "gaussian_nonnegative"
     rep = hudson_classify(fock(1), GRID)
     assert rep.classification == "negative"
-    assert rep.fourth_cumulant > 1e-3
+    assert abs(rep.covariance_purity - 1 / 3) <= 1e-12
     cat = make_state(StateSpec("cat", {"alpha": 2.0}, 1, 30))
     assert hudson_classify(cat, GRID).classification == "negative"
     with pytest.raises(MixedStateError):
         hudson_classify(make_state(StateSpec("thermal", {"nbar": 1.0})), GRID)
+
+
+def test_covariance_purity_of_number_states():
+    # sigma = (n + 1/2) I, so 1/sqrt(det 2 sigma) = 1/(2n + 1)
+    for n in (0, 1, 5):
+        assert abs(covariance_state(fock(n)).purity() - 1 / (2 * n + 1)) \
+            <= 1e-12, n
+
+
+def test_covariance_keeps_the_top_level_whole():
+    # <c-1|q^2|c-1> = (2c - 1)/2 needs the level c that the truncated
+    # ladder operators lack; without it the purity would be 1/(c - 1)
+    c = 12
+    matrix = np.zeros((c, c))
+    matrix[c - 1, c - 1] = 1.0
+    top = covariance_state(FockDensityOperator(matrix, c, 1))
+    assert abs(top.purity() - 1 / (2 * c - 1)) <= 1e-12
+    assert np.max(np.abs(top.covariance - (c - 0.5) * np.eye(2))) <= 1e-12
+
+
+def test_two_mode_covariance_matches_the_gaussian_state():
+    # two-mode squeezing correlates q1 with q2 and p1 with -p2
+    ch, sh = np.cosh(0.3), np.sinh(0.3)
+    S = np.array([[ch, sh, 0, 0], [sh, ch, 0, 0],
+                  [0, 0, ch, -sh], [0, 0, -sh, ch]])
+    state = GaussianState([0.3, -0.2, 0.1, 0.4], S @ S.T / 2)
+    rho = gaussian_to_fock(state, 30)
+    assert rho.leakage <= 1e-12
+    moments = covariance_state(rho)
+    assert np.max(np.abs(moments.covariance - state.covariance)) <= 1e-9
+    assert np.max(np.abs(moments.mean - state.mean)) <= 1e-9
+    assert abs(state.covariance[0, 1]) > 0.1
+    assert covariance_state(state) is state
 
 
 def test_csv_export_and_sidecar(tmp_path):

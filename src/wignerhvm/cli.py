@@ -25,7 +25,7 @@ from . import states as states_mod
 from . import wigner as wigner_mod
 from . import weyl as weyl_mod
 from .phase_space import (Context, decomposition_commutators,
-                          plane_decomposition_vectors)
+                          observable_label, plane_decomposition_vectors)
 from .states import (GaussianChannel, LeakageError, StateSpec, StateSpecError,
                      apply_gaussian_channel, compose_channels,
                      identity_channel, loss_channel, make_state)
@@ -129,12 +129,13 @@ def _parse_observables(args, modes: int):
                 vec = np.array([float(x) for x in text.split(",")])
             except ValueError as exc:
                 raise CliError(f"bad observable '{text}'", EXIT_PARSE) from exc
-            if vec.size != 2 * modes or not np.isfinite(vec).all():
-                raise CliError(f"observable '{text}' needs {2 * modes} "
-                               f"finite coefficients", EXIT_PARSE)
             if not np.any(vec):
                 raise CliError("observable must be nonzero", EXIT_PRECONDITION)
-            out.append(vec)
+            try:
+                out.append(observable_label(vec, modes))
+            except ValueError as exc:
+                raise CliError(f"observable '{text}': {exc}",
+                               EXIT_PARSE) from exc
         return out
     if modes != 1:
         raise CliError("default observables exist only for one mode",
@@ -348,9 +349,13 @@ def _parse_channel(text: str, modes: int) -> GaussianChannel:
         if kind == "identity":
             return identity_channel(modes)
         if kind == "raw":
-            return GaussianChannel(np.array(raw["X"], dtype=float),
-                                   np.array(raw["Y"], dtype=float),
-                                   np.array(raw["d"], dtype=float))
+            channel = GaussianChannel(np.array(raw["X"], dtype=float),
+                                      np.array(raw["Y"], dtype=float),
+                                      np.array(raw["d"], dtype=float))
+            if channel.mode_count != modes:
+                raise CliError(f"channel acts on {channel.mode_count} modes, "
+                               f"--modes is {modes}", EXIT_PARSE)
+            return channel
     except (KeyError, ValueError) as exc:
         raise CliError(f"bad channel spec: {exc}", EXIT_PARSE) from exc
     raise CliError(f"unknown channel kind '{kind}'", EXIT_PARSE)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .oracle import BinSpec, OutcomeDistribution, _normalize_intervals
+from .phase_space import observable_label
 from .wigner import (NEGATIVITY_TOL_FACTOR, WignerGrid,
                      characteristic_at_points, min_value)
 from .weyl import PolynomialObservable
@@ -158,23 +159,11 @@ def value_assignment(phi, obs: PolynomialObservable) -> float:
     return float(obs(*values))
 
 
-def _label(model: HiddenVariableModel, zeta) -> np.ndarray:
-    """zeta as a float vector; it must be nonzero with one entry per axis."""
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    axes = 2 * model.mode_count
-    if zeta.size != axes:
-        raise ValueError(f"observable label needs {axes} coefficients, "
-                         f"got {zeta.size}")
-    if not np.any(zeta):
-        raise ValueError("observable label must be nonzero")
-    return zeta
-
-
 def hvm_homodyne_distribution(model: HiddenVariableModel, zeta,
                               bins: BinSpec, n: int, seed: int,
                               threads: int = 1) -> OutcomeDistribution:
     """Histogram of zeta . phi over n hidden-state samples."""
-    zeta = _label(model, zeta)
+    zeta = observable_label(zeta, model.mode_count)
     phi = sample(model, n, seed, threads=threads)
     outcomes = phi @ zeta
     counts, _ = np.histogram(outcomes, bins=bins.edges)
@@ -200,7 +189,7 @@ def hvm_event_probability(model: HiddenVariableModel, zeta,
     """
     from scipy.special import sici
 
-    zeta = _label(model, zeta)
+    zeta = observable_label(zeta, model.mode_count)
     edges = np.array(_normalize_intervals(intervals)).reshape(-1, 2)
     spec = model.measure.spec
     weights = model.measure.values

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fockspace
+from .phase_space import observable_label, passive_frame
 from .states import FockDensityOperator, GaussianState, gaussian_to_fock
 from .weyl import PolynomialObservable, quantize_polynomial, trusted_block_mask
 
@@ -77,20 +78,16 @@ def _gaussian_marginal(state: GaussianState, zeta: np.ndarray):
 def _reduced_rotated_state(rho: FockDensityOperator, zeta: np.ndarray):
     """Single-mode state whose q-distribution is that of zeta.R/|zeta|; |zeta|.
 
-    The map onto the unit label is passive: its mode unitary u has the first
-    row (zeta_q - i zeta_p)/|zeta|, completed by QR, and
-    S = [[Re u, -Im u], [Im u, Re u]].  It keeps the total photon number, so
-    the exact truncated M is unitary on every state whose total photon
-    number is below the cutoff; the trace guard catches the rest.
+    The map onto the unit label is passive: S = O^T for the passive frame
+    O of zeta, whose first column is zeta/|zeta|.  It keeps the total
+    photon number, so the exact truncated M is unitary on every state
+    whose total photon number is below the cutoff; the trace guard
+    catches the rest.
     """
     scale = float(np.linalg.norm(zeta))
-    m = rho.mode_count
-    first = (zeta[:m] - 1j * zeta[m:]) / scale
-    q, r = np.linalg.qr(np.column_stack([first.conj(), np.eye(m)[:, 1:]]))
-    u = (q * r[0, 0]).conj().T  # r[0, 0] = +-1 fixes the sign of the row
-    S = np.block([[u.real, -u.imag], [u.imag, u.real]])
+    S = passive_frame(zeta)[0].T
     matrix = rho.matrix  # e_1^T S = zeta^T/|zeta|: M rho M^dag measures q_1
-    if np.max(np.abs(S - np.eye(2 * m))) >= 1e-12:
+    if np.max(np.abs(S - np.eye(len(S)))) >= 1e-12:
         M = fockspace.metaplectic_operator(S, rho.cutoff)
         matrix = M @ matrix @ M.conj().T
     reduced = fockspace.partial_trace_keep_first(
@@ -103,9 +100,7 @@ def _reduced_rotated_state(rho: FockDensityOperator, zeta: np.ndarray):
 
 def homodyne_density(state, zeta, axis: np.ndarray) -> np.ndarray:
     """Probability density of the observable zeta . R_hat on the given axis."""
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    if not np.any(zeta):
-        raise ValueError("observable label must be nonzero")
+    zeta = observable_label(zeta, state.mode_count)
     if isinstance(state, GaussianState):
         mean, var = _gaussian_marginal(state, zeta)
         sd = np.sqrt(var)
@@ -119,7 +114,7 @@ def homodyne_density(state, zeta, axis: np.ndarray) -> np.ndarray:
 
 def _cdf(state, zeta, points) -> np.ndarray:
     """Pr(zeta . R_hat <= t) at each point t, infinite points included."""
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    zeta = observable_label(zeta, state.mode_count)
     if isinstance(state, GaussianState):
         from scipy.special import ndtr
         mean, var = _gaussian_marginal(state, zeta)

@@ -65,15 +65,24 @@ def is_context(vectors, comm_tol: float = ALGEBRAIC_TOL,
     mat = np.array([as_phase_vector(v) for v in vectors], dtype=float)
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise ValueError("need a nonempty list of vectors")
-    if len({row.size for row in mat}) != 1:
-        raise ValueError("mode-count mismatch")
-    k = mat.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(symplectic_form(mat[i], mat[j])) > comm_tol:
-                return False
+    # entry (i, j) of G omega G^T is the commutator [g_i, g_j]
+    if np.max(np.abs(mat @ omega(mat.shape[1] // 2) @ mat.T)) > comm_tol:
+        return False
     sv = np.linalg.svd(mat, compute_uv=False)
     return bool(sv[-1] > rank_rtol * sv[0])
+
+
+def observable_label(zeta, mode_count: int) -> np.ndarray:
+    """zeta as a float vector: finite, nonzero, with one entry per axis."""
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    if zeta.size != 2 * mode_count:
+        raise ValueError(f"observable label needs {2 * mode_count} "
+                         f"coefficients, got {zeta.size}")
+    if not np.all(np.isfinite(zeta)):
+        raise ValueError("observable label must be finite")
+    if not np.any(zeta):
+        raise ValueError("observable label must be nonzero")
+    return zeta
 
 
 @dataclass(frozen=True)
@@ -99,69 +108,40 @@ class Context:
         return self.generators.shape[0]
 
 
-def context_to_standard_basis(ctx: Context) -> np.ndarray:
-    """Symplectic S mapping each generator onto a standard position axis.
+def passive_frame(generators) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal symplectic O and R with generators @ O = [R^T 0].
 
-    Returns S with generators[i] @ S = e_i and S^T omega S = omega.  The
-    generators become the first columns of a full symplectic basis; their
-    canonical partners are solved for, and the basis is completed by
-    symplectic Gram-Schmidt over the standard basis vectors.
+    Commuting generators span an isotropic subspace, so the orthonormal Q
+    of generators^T = Q R (diag R > 0) is orthonormal over C^m as q + ip
+    too.  A complex QR completes it to a mode unitary V, unitary even
+    when the padded block is singular, and O = [[Re V, -Im V],
+    [Im V, Re V]] is the passive map whose first k columns are Q.
     """
-    gens = ctx.generators
-    m = ctx.mode_count
-    k = ctx.size
+    gens = np.atleast_2d(np.asarray(generators, dtype=float))
+    k, m = gens.shape[0], gens.shape[1] // 2
+    Q, R = np.linalg.qr(gens.T)
+    signs = np.sign(np.diag(R))
+    Q, R = Q * signs, R * signs[:, None]
+    V, r = np.linalg.qr(np.column_stack([Q[:m] + 1j * Q[m:],
+                                         np.eye(m)[:, k:]]))
+    V[:, :k] *= np.diag(r)[:k]  # undo the phase QR put on each column
+    return np.block([[V.real, -V.imag], [V.imag, V.real]]), R
+
+
+def context_to_standard_basis(ctx: Context) -> np.ndarray:
+    """Symplectic S with generators[i] @ S = e_i.
+
+    The passive frame takes the generators to [R^T 0], and diag(A, A^-T)
+    with A = R^-T on the first k position axes takes R^T to the identity.
+    """
+    gens, m, k = ctx.generators, ctx.mode_count, ctx.size
     if k > m:
         raise ValueError("a context has at most one generator per mode")
-    w = omega(m)
-
-    a_cols = [gens[i].copy() for i in range(k)]
-    b_cols: list[np.ndarray] = []
-    # Partner of a_i: [a_j, b_i] = -delta_ij and [b_j, b_i] = 0 for j < i.
-    for i in range(k):
-        rows = [a @ w for a in a_cols]
-        rhs = [-1.0 if j == i else 0.0 for j in range(k)]
-        for b in b_cols:
-            rows.append(b @ w)
-            rhs.append(0.0)
-        sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-        b_cols.append(sol)
-
-    pairs = list(zip(a_cols, b_cols))
-
-    def project(vec):
-        out = vec.astype(float).copy()
-        for a, b in pairs:
-            out = out + symplectic_form(out, b) * a - symplectic_form(out, a) * b
-        return out
-
-    candidates = [np.eye(2 * m)[:, j] for j in range(2 * m)]
-    while len(pairs) < m:
-        base = None
-        for idx, cand in enumerate(candidates):
-            vec = project(cand)
-            if np.linalg.norm(vec) > 1e-9:
-                base = vec
-                del candidates[idx]
-                break
-        if base is None:
-            raise RuntimeError("failed to complete symplectic basis")
-        best_val, best_idx = 0.0, None
-        projected = [project(c) for c in candidates]
-        for idx, cand in enumerate(projected):
-            val = abs(symplectic_form(base, cand))
-            if val > best_val:
-                best_val, best_idx = val, idx
-        if best_idx is None or best_val < 1e-9:
-            raise RuntimeError("no symplectic partner found during completion")
-        partner = projected[best_idx]
-        del candidates[best_idx]
-        partner = -partner / symplectic_form(base, partner)
-        pairs.append((base, partner))
-
-    basis = np.column_stack([p[0] for p in pairs] + [p[1] for p in pairs])
-    if np.max(np.abs(basis.T @ w @ basis - w)) > MATRIX_TOL:
-        raise RuntimeError("constructed basis is not symplectic")
-    S = np.linalg.inv(basis).T
+    O, R = passive_frame(gens)
+    scaling = np.eye(2 * m)
+    scaling[:k, :k] = np.linalg.inv(R).T
+    scaling[m:m + k, m:m + k] = R
+    S = O @ scaling
     if np.max(np.abs(gens @ S - np.eye(2 * m)[:k])) > MATRIX_TOL:
         raise RuntimeError("basis change does not map generators to e_i")
     return S

@@ -56,6 +56,9 @@ class GaussianState:
         n = self.mean.size
         if n % 2 != 0 or self.covariance.shape != (n, n):
             raise ValueError("mean/covariance dimensions inconsistent")
+        if not all(np.isfinite(a).all() for a in (self.mean, self.covariance)):
+            raise InadequateWindowError(
+                "Gaussian mean or covariance overflows to a non-finite value")
         if np.max(np.abs(self.covariance - self.covariance.T)) > 1e-12:
             raise ValueError("covariance is not symmetric")
         heis = self.covariance + 0.5j * omega(n // 2)
@@ -234,7 +237,8 @@ def coherent_state(alpha, modes: int = 1) -> GaussianState:
     alphas = np.atleast_1d(np.asarray(alpha))
     if alphas.size != modes:
         raise StateSpecError("one amplitude per mode required")
-    mean = np.concatenate([np.sqrt(2) * alphas.real, np.sqrt(2) * alphas.imag])
+    with np.errstate(over="ignore"):  # GaussianState refuses an inf mean
+        mean = np.sqrt(2) * np.concatenate([alphas.real, alphas.imag])
     return GaussianState(mean.astype(float), 0.5 * np.eye(2 * modes))
 
 

@@ -387,6 +387,24 @@ def test_channel_compose_refuses_non_finite_channels(tmp_path, capsys):
     assert not (out / "channel_compose.json").exists()
 
 
+def test_channel_compose_mode_mismatch_exits_2(tmp_path, capsys):
+    # a raw two-mode channel at the default --modes 1
+    raw = json.dumps({"X": np.eye(4).tolist(), "Y": np.zeros((4, 4)).tolist(),
+                      "d": [0, 0, 0, 0]})
+    code, out = run(tmp_path, "channel-compose", "--channel", raw,
+                    "--channel", raw)
+    assert code == 2
+    assert "--modes is 1" in capsys.readouterr().err
+    assert not (out / "channel_compose.json").exists()
+
+
+def test_overflowing_coherent_mean_exits_3(tmp_path):
+    code, out = run(tmp_path, "negativity", "--state",
+                    '{"kind": "coherent", "params": {"alpha": 1.5e308}}')
+    assert code == 3
+    assert not (out / "negativity.json").exists()
+
+
 def test_channel_compose_needs_two(tmp_path):
     code, _ = run(tmp_path, "channel-compose",
                   "--channel", '{"kind": "loss", "eta": 0.7}')
@@ -422,3 +440,6 @@ def test_observable_flag_parsing(tmp_path):
     code, _ = run(tmp_path, "hvm-compare", "--state", '{"kind": "vacuum"}',
                   "--observable", "1,0,0")
     assert code == 2
+    code, _ = run(tmp_path, "hvm-compare", "--state", '{"kind": "vacuum"}',
+                  "--observable", "0,0")
+    assert code == 4

@@ -363,6 +363,18 @@ def test_homodyne_distribution_rejects_wrong_length_label(coherent_pair):
             hvm_homodyne_distribution(model, zeta, BINS, 10, seed=0)
 
 
+@pytest.mark.parametrize("zeta, message", (
+    ([0, 0], "nonzero"), ([np.nan, 1], "finite"), ([np.inf, 1], "finite")))
+def test_queries_reject_zero_or_non_finite_labels(zeta, message):
+    # (nan, 1) used to give a nan event and (inf, 1) all-zero masses; the
+    # wrong-length tests above cover the label's size
+    _, model = model_for("vacuum")
+    with pytest.raises(ValueError, match=message):
+        hvm_event_probability(model, zeta, [(0.0, np.inf)])
+    with pytest.raises(ValueError, match=message):
+        hvm_homodyne_distribution(model, zeta, BINS, 10, seed=0)
+
+
 def test_event_probability_rejects_nan_or_reversed_edges():
     _, model = model_for("vacuum")
     for intervals in ([(np.nan, 1.0)], [(0.0, np.nan)], [(1.0, -1.0)],

@@ -183,6 +183,20 @@ def test_event_probability_interval_validation():
         event_probability(vac, [1, 0], [(0, 2), (1, 3)])
 
 
+@pytest.mark.parametrize("zeta, message", (
+    ([0, 0], "nonzero"), ([np.nan, 1], "finite"), ([np.inf, 1], "finite"),
+    ([1, 0, 0], "needs 2 coefficients")))
+def test_queries_reject_bad_labels(zeta, message):
+    # event_probability used to return nan for (0, 0) and (nan, 1)
+    axis = np.linspace(-1, 1, 5)
+    for state in (make_state(StateSpec("vacuum")), fock(1)):
+        for query in (lambda: homodyne_density(state, zeta, axis),
+                      lambda: quantum_homodyne_distribution(state, zeta, BINS),
+                      lambda: event_probability(state, zeta, [(0, np.inf)])):
+            with pytest.raises(ValueError, match=message):
+                query()
+
+
 def test_bin_spec_and_distribution_validation():
     for lo, hi, count in ((np.nan, 1.0, 3), (0.0, np.inf, 3),
                           (-np.inf, 0.0, 3), (-1e308, 1e308, 3),

@@ -7,7 +7,8 @@ from scipy.special import gammaln
 from wignerhvm import fockspace
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.states import (LEAKAGE_LIMIT, FockDensityOperator,
-                              GaussianChannel, GaussianState, LeakageError,
+                              GaussianChannel, GaussianState,
+                              InadequateWindowError, LeakageError,
                               StateSpec, StateSpecError,
                               _pure_from_coefficients, apply_gaussian_channel,
                               apply_gaussian_unitary, cat_state,
@@ -251,6 +252,16 @@ def test_channel_cp_violation_rejected():
 def test_gaussian_state_uncertainty_violation_rejected():
     with pytest.raises(ValueError):
         GaussianState(np.zeros(2), 0.1 * np.eye(2))
+
+
+def test_gaussian_state_rejects_non_finite_entries():
+    # NaN passes the symmetry test and eigvalsh does not raise on inf
+    for mean, cov in ((np.array([np.inf, 0.0]), 0.5 * np.eye(2)),
+                      (np.array([np.nan, 0.0]), 0.5 * np.eye(2)),
+                      (np.zeros(2), np.diag([0.5, np.nan])),
+                      (np.zeros(2), np.diag([np.inf, 0.5]))):
+        with pytest.raises(InadequateWindowError, match="overflows"):
+            GaussianState(mean, cov)
 
 
 def test_fock_operator_validation():

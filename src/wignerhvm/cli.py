@@ -68,18 +68,17 @@ def _state_spec(args) -> StateSpec:
     return spec
 
 
-def _grid_specs(args, modes: int):
+def _grid_spec(args, modes: int) -> GridSpec:
+    if args.char_window is not None or args.char_points is not None:
+        print("warning: --char-window and --char-points are ignored; Fock "
+              "states take the parity route, with no transform window",
+              file=sys.stderr)
     try:
-        grid = GridSpec(modes, args.window, args.points)
-        char = None
-        if args.char_window is not None or args.char_points is not None:
-            char = wigner_mod.default_char_spec(
-                modes, halfwidth=args.char_window, points=args.char_points)
+        return GridSpec(modes, args.window, args.points)
     except InadequateWindowError as exc:
         raise CliError(str(exc), EXIT_NUMERICAL) from exc
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-    return grid, char
 
 
 def _write_report(args, name: str, payload: dict) -> Path:
@@ -94,8 +93,8 @@ def _write_report(args, name: str, payload: dict) -> Path:
 def cmd_wigner(args) -> int:
     spec = _state_spec(args)
     state = make_state(spec)
-    grid, char = _grid_specs(args, spec.modes)
-    w = wigner_mod.state_wigner(state, grid, char)
+    grid = _grid_spec(args, spec.modes)
+    w = wigner_mod.state_wigner(state, grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     wigner_mod.wigner_to_csv(w, out_dir / "wigner.csv")
@@ -110,8 +109,8 @@ def cmd_wigner(args) -> int:
 def cmd_negativity(args) -> int:
     spec = _state_spec(args)
     state = make_state(spec)
-    grid, char = _grid_specs(args, spec.modes)
-    w = wigner_mod.state_wigner(state, grid, char)
+    grid = _grid_spec(args, spec.modes)
+    w = wigner_mod.state_wigner(state, grid)
     payload = {"command": "negativity", "state": spec.to_dict(),
                **wigner_mod.sidecar_dict(w)}
     path = _write_report(args, "negativity.json", payload)
@@ -160,13 +159,13 @@ def cmd_hvm_compare(args) -> int:
             f"{wigner_mod.GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit",
             EXIT_PARSE)
     state = make_state(spec)
-    grid, char = _grid_specs(args, spec.modes)
+    grid = _grid_spec(args, spec.modes)
     observables = _parse_observables(args, spec.modes)
     try:
         bins = oracle_mod.BinSpec(-args.window, args.window, args.bins)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-    w = wigner_mod.state_wigner(state, grid, char)
+    w = wigner_mod.state_wigner(state, grid)
     base = {"command": "hvm-compare", "state": spec.to_dict(),
             "grid": grid.to_dict(), "seed": args.seed, "n": args.samples}
     try:
@@ -234,8 +233,8 @@ def cmd_hvm_compare(args) -> int:
 def cmd_hudson(args) -> int:
     spec = _state_spec(args)
     state = make_state(spec)
-    grid, char = _grid_specs(args, spec.modes)
-    report = wigner_mod.hudson_classify(state, grid, char)
+    grid = _grid_spec(args, spec.modes)
+    report = wigner_mod.hudson_classify(state, grid)
     payload = {"command": "hudson", "state": spec.to_dict(),
                **report.to_dict()}
     path = _write_report(args, "hudson.json", payload)
@@ -423,8 +422,9 @@ def _add_common(parser, state_required=True):
     parser.add_argument("--window", type=float, default=6.0)
     parser.add_argument("--points", type=int, default=257)
     parser.add_argument("--cutoff", type=int, default=None)
-    parser.add_argument("--char-window", type=float, default=None)
-    parser.add_argument("--char-points", type=int, default=None)
+    # accepted for old scripts and ignored: Fock states need no chi grid
+    parser.add_argument("--char-window", help=argparse.SUPPRESS)
+    parser.add_argument("--char-points", help=argparse.SUPPRESS)
     parser.add_argument("--seed", type=_seed, default=12345)
     parser.add_argument("--out", default="out")
 

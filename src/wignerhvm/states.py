@@ -160,11 +160,14 @@ class StateSpec:
         extra = set(raw) - known
         if extra:
             raise StateSpecError(f"unknown state spec fields: {sorted(extra)}")
+        modes = _integer(raw.get("modes", 1), "modes")
+        if modes < 1:
+            raise StateSpecError(f"'modes' must be at least 1, not {modes}")
         try:
             return StateSpec(
                 kind=str(raw["kind"]),
                 params=dict(raw.get("params", {})),
-                modes=_integer(raw.get("modes", 1), "modes"),
+                modes=modes,
                 cutoff=None if raw.get("cutoff") is None
                 else _integer(raw["cutoff"], "cutoff"),
             )
@@ -383,8 +386,10 @@ def apply_gaussian_channel(state: GaussianState,
                            channel: GaussianChannel) -> GaussianState:
     if channel.mode_count != state.mode_count:
         raise ValueError("channel/state mode mismatch")
-    mean = channel.X @ state.mean + channel.d
-    cov = channel.X @ state.covariance @ channel.X.T + channel.Y
+    # an overflow reaches GaussianState's finiteness check, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = channel.X @ state.mean + channel.d
+        cov = channel.X @ state.covariance @ channel.X.T + channel.Y
     return GaussianState(mean, cov)
 
 
@@ -393,9 +398,11 @@ def compose_channels(first: GaussianChannel,
     """Channel equal to applying `first` then `second`."""
     if first.mode_count != second.mode_count:
         raise ValueError("channel dimension mismatch")
-    X = second.X @ first.X
-    Y = second.X @ first.Y @ second.X.T + second.Y
-    d = second.X @ first.d + second.d
+    # an overflow reaches GaussianChannel's finiteness check, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = second.X @ first.X
+        Y = second.X @ first.Y @ second.X.T + second.Y
+        d = second.X @ first.d + second.d
     return GaussianChannel(X, Y, d)
 
 

@@ -323,7 +323,7 @@ def weyl_symbol_from_characteristic(chi: CharacteristicGrid,
 
 
 def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
-    """Wigner function without the characteristic-function transform.
+    """Wigner grid of a Fock state, with no characteristic-function transform.
 
     Royer's parity identity W(z) = pi^-m Tr[P rho D(2 alpha(z))], with P
     the parity operator, reuses the displacement-element kernel of the chi
@@ -343,23 +343,11 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     return WignerGrid(spec, _real_part(raw, IMAG_RESIDUE))
 
 
-def default_char_spec(mode_count: int, halfwidth: float | None = None,
-                      points: int | None = None) -> GridSpec:
-    if halfwidth is None:
-        halfwidth = 16.0 if mode_count == 1 else 12.0
-    if points is None:
-        points = 257 if mode_count == 1 else 41
-    return GridSpec(mode_count, halfwidth, points)
-
-
-def state_wigner(state, spec: GridSpec,
-                 char_spec: GridSpec | None = None) -> WignerGrid:
-    """Wigner grid of a state: Gaussian closed form or the Fock chi route."""
+def state_wigner(state, spec: GridSpec) -> WignerGrid:
+    """Wigner grid of a state: Gaussian closed form or the parity route."""
     if isinstance(state, GaussianState):
         return wigner_gaussian(state, spec)
-    char_spec = char_spec or default_char_spec(state.mode_count)
-    chi = characteristic_function(state, char_spec)
-    return wigner_from_characteristic(chi, spec)
+    return _normalized_on_window(wigner_fock_direct(state, spec))
 
 
 def negativity_volume(grid: WignerGrid) -> float:
@@ -427,8 +415,7 @@ class HudsonReport:
         return {**asdict(self), "min_location": list(self.min_location)}
 
 
-def hudson_classify(state, spec: GridSpec | None = None,
-                    char_spec: GridSpec | None = None) -> HudsonReport:
+def hudson_classify(state, spec: GridSpec | None = None) -> HudsonReport:
     """Classify a pure state as Gaussian-nonnegative or Wigner-negative.
 
     For pure states the two notions coincide (Hudson; Soto & Claverie for
@@ -441,17 +428,21 @@ def hudson_classify(state, spec: GridSpec | None = None,
         raise MixedStateError(
             f"purity {purity:.6f} below the pure-state threshold")
     spec = spec or GridSpec(state.mode_count, 6.0, 257)
-    w = state_wigner(state, spec, char_spec)
+    w = state_wigner(state, spec)
     mn, loc = min_value(w)
     tol = NEGATIVITY_TOL_FACTOR * float(np.max(np.abs(w.values)))
     classification = "gaussian_nonnegative" if mn >= -tol else "negative"
     cov_purity = covariance_state(state).purity()
     if (classification == "gaussian_nonnegative") != \
             (cov_purity > 1 - PURITY_TOL):
+        if -tol <= mn < 0:
+            hint = ("the grid minimum is negative but inside the clamp of "
+                    f"{NEGATIVITY_TOL_FACTOR:g} max|W|")
+        else:
+            hint = "refine the grid's resolution or widen its window"
         raise InadequateWindowError(
             f"negativity and covariance classifiers disagree (min {mn:.3e}, "
-            f"covariance purity {cov_purity:.9f}); refine the grid's "
-            f"resolution or widen its window")
+            f"covariance purity {cov_purity:.9f}); {hint}")
     return HudsonReport(classification, purity, mn, loc, cov_purity)
 
 

@@ -49,11 +49,11 @@ NEGATIVE_STATES = {
     "pss(0.5)": StateSpec("photon_subtracted_squeezed", {"r": 0.5}, 1, 30),
 }
 
-# per-state (wigner grid, characteristic grid)
-STATE_SETUPS = {name: (GRID, CHAR) for name in
+# per-state Wigner grid
+STATE_SETUPS = {name: GRID for name in
                 list(GAUSSIAN_STATES) + ["fock(1)", "fock(2)", "cat(2)"]}
-STATE_SETUPS["gkp(0.3)"] = (GridSpec(1, 10.0, 321), GridSpec(1, 24.0, 601))
-STATE_SETUPS["pss(0.5)"] = (GridSpec(1, 8.0, 257), GridSpec(1, 20.0, 321))
+STATE_SETUPS["gkp(0.3)"] = GridSpec(1, 10.0, 321)
+STATE_SETUPS["pss(0.5)"] = GridSpec(1, 8.0, 257)
 
 ALL_STATES = {**GAUSSIAN_STATES, **NEGATIVE_STATES}
 
@@ -62,8 +62,7 @@ OBSERVABLES = (np.array([1.0, 0.0]), np.array([0.0, 1.0]),
 
 
 def wigner_of(name):
-    grid, char = STATE_SETUPS[name]
-    return state_wigner(make_state(ALL_STATES[name]), grid, char)
+    return state_wigner(make_state(ALL_STATES[name]), STATE_SETUPS[name])
 
 
 def test_criterion_1_route_agreement():
@@ -236,12 +235,12 @@ def test_criterion_10_channel_composition():
 def test_criterion_11_hudson_classifier(tmp_path):
     pure_gaussian = ("vacuum", "coherent(1)", "squeezed(0.5)")
     for name in pure_gaussian:
-        grid, char = STATE_SETUPS[name]
-        rep = hudson_classify(make_state(ALL_STATES[name]), grid, char)
+        rep = hudson_classify(make_state(ALL_STATES[name]),
+                              STATE_SETUPS[name])
         assert rep.classification == "gaussian_nonnegative", name
     for name in NEGATIVE_STATES:
-        grid, char = STATE_SETUPS[name]
-        rep = hudson_classify(make_state(ALL_STATES[name]), grid, char)
+        rep = hudson_classify(make_state(ALL_STATES[name]),
+                              STATE_SETUPS[name])
         assert rep.classification == "negative", name
     code = main(["hudson", "--state",
                  '{"kind": "thermal", "params": {"nbar": 1.0}}',

@@ -4,6 +4,7 @@ import json
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,12 +132,12 @@ def test_parse_failure_exit_2(tmp_path):
             code, _ = run(tmp_path, command, "--state", '{"kind": "vacuum"}',
                           "--window", window)
             assert code == 2, (command, window)
-    # a user's 0 reaches the grid check instead of becoming the default
-    for flag in (["--char-window", "nan"], ["--char-window", "0"],
-                 ["--char-points", "0"]):
-        code, _ = run(tmp_path, "wigner", "--state", '{"kind": "vacuum"}',
-                      *flag)
-        assert code == 2, flag
+    # a state over no modes, or a negative number of them
+    for command in ("wigner", "negativity", "hvm-compare", "hudson"):
+        for modes in (0, -1):
+            code, _ = run(tmp_path, command, "--state",
+                          json.dumps({"kind": "vacuum", "modes": modes}))
+            assert code == 2, (command, modes)
     for bins in ("0", "-3"):
         code, _ = run(tmp_path, "hvm-compare", "--state",
                       '{"kind": "vacuum"}', "--points", "41", "--bins", bins)
@@ -192,6 +193,22 @@ def test_parse_failure_messages_name_the_bound(tmp_path, capsys):
     assert "--modes must be at least 1" in capsys.readouterr().err
 
 
+def test_char_flags_are_ignored(tmp_path, capsys):
+    # the README gkp example: the parity route has no chi grid to set
+    gkp = ["--state", '{"kind": "gkp", "params": {"delta": 0.3}, '
+           '"cutoff": 60}', "--window", "10", "--points", "321"]
+    char = ["--char-window", "24", "--char-points", "601"]
+    for command, names in (("hudson", ["hudson.json"]),
+                           ("wigner", ["wigner.json", "wigner.csv"])):
+        blobs = []
+        for sub, extra in (("plain", []), ("char", char)):
+            out = tmp_path / command / sub
+            assert main([command, *gkp, *extra, "--out", str(out)]) == 0
+            blobs.append([(out / name).read_bytes() for name in names])
+        assert blobs[0] == blobs[1], command
+        assert capsys.readouterr().err.count("ignored") == 1
+
+
 def test_window_inadequacy_exit_3(tmp_path):
     # grid state on the default 6-window: leakage/window checks must trip
     code, _ = run(tmp_path, "wigner", "--state",
@@ -242,7 +259,8 @@ STATE_PARAMS = {"vacuum": None, "coherent": "alpha", "squeezed": "r",
 @st.composite
 def state_specs(draw):
     kind = draw(st.sampled_from(sorted(STATE_PARAMS)))
-    spec = {"kind": kind, "modes": draw(st.sampled_from([1, 1, 1, 2]))}
+    spec = {"kind": kind,
+            "modes": draw(st.sampled_from([1, 1, 1, 2, 0, -1]))}
     name = STATE_PARAMS[kind]
     if name == "n":
         spec["params"] = {name: draw(st.integers(-1, 8))}
@@ -331,12 +349,14 @@ def test_hudson_and_hvm_compare_agree_on_small_cats(tmp_path, capsys):
         code, out = run(tmp_path, "hvm-compare", "--state", state)
         assert code == 0, alpha
         assert load(out, "hvm_compare.json")["status"] == "contextual"
-    # at alpha = 0.2 the grid minimum (-7e-14) is rounding, yet the
-    # covariance purity (0.999997) says non-Gaussian: the grid is too coarse
+    # at alpha = 0.2 the grid minimum (-7e-14) is inside the rounding
+    # clamp, yet the covariance purity (0.999997) says non-Gaussian
     code, _ = run(tmp_path, "hudson", "--state",
                   '{"kind": "cat", "params": {"alpha": 0.2}, "cutoff": 30}')
     assert code == 3
-    assert "resolution" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "negative but inside the clamp" in err
+    assert "resolution" not in err
 
 
 def test_report_determinism_across_runs_and_threads(tmp_path):
@@ -363,6 +383,7 @@ def test_channel_compose_two_losses(tmp_path):
     assert report["max_sequential_deviation"] <= 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_channel_compose_refuses_non_finite_channels(tmp_path, capsys):
     zero = "[[0, 0], [0, 0]]"
     huge = f'{{"X": [[1e200, 0], [0, 1e-200]], "Y": {zero}, "d": [0, 0]}}'

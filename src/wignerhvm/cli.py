@@ -452,7 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated quadrature coefficients (repeatable)")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads that draw the sampler's chunks (default 1); "
+                        "exact events use every usable core regardless, and "
+                        "the report is the same for any value")
     p.set_defaults(func=cmd_hvm_compare)
 
     p = sub.add_parser("hudson", help="pure-state Gaussianity classification")

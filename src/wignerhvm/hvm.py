@@ -13,15 +13,18 @@ weights.  Events integrate the band-limited (Whittaker-Shannon)
 interpolant of the weights, which reproduces the continuous Wigner
 measure wherever the grid resolves it; an event reads only the axes its
 label uses, so the other axes are summed out of the weights first, and a
-marginal of more than two axes is streamed by slabs.  Samples draw a grid
-cell from its mass by inverse CDF and then a uniform point in a box
-around its node (the jitter removes grid artifacts from histograms); the
-box model adds a variance of step**2 / 12 per axis, which is why exact
-events do not integrate it.
+marginal of more than two axes is streamed by slabs, which run on the
+usable cores and are summed in one fixed order, so the result has the
+same bits on any number of cores.  Samples draw a grid cell from its mass
+by inverse CDF, searching each chunk's keys in sorted order, and then a
+uniform point in a box around its node (the jitter removes grid artifacts
+from histograms); the box model adds a variance of step**2 / 12 per axis,
+which is why exact events do not integrate it.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -34,6 +37,10 @@ from .wigner import (NEGATIVITY_TOL_FACTOR, WignerGrid,
 from .weyl import PolynomialObservable
 
 SAMPLE_CHUNK = 1 << 14
+# at most one event thread per this many slabs: each thread holds about
+# five slab-sized temporaries, so the threads together hold less than the
+# marginal whatever the core count
+SLAB_SHARE = 8
 
 
 class NegativityError(ValueError):
@@ -76,7 +83,8 @@ class HiddenVariableModel:
 
     def cell_probabilities(self) -> np.ndarray:
         probs = self.measure.values.reshape(-1) * self.measure.cell_volume
-        return probs / probs.sum()
+        probs /= probs.sum()
+        return probs
 
 
 def build_hvm(w: WignerGrid) -> HiddenVariableModel:
@@ -100,6 +108,16 @@ def build_hvm(w: WignerGrid) -> HiddenVariableModel:
     return HiddenVariableModel(normalized, renormalization=float(total))
 
 
+def _slab_workers(slabs: int) -> int:
+    """Threads for an event's slab loop: the usable cores, at most one per
+    SLAB_SHARE slabs."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, slabs // SLAB_SHARE))
+
+
 def _sample_chunk(model: HiddenVariableModel, seed: int, chunk_index: int,
                   out: np.ndarray) -> None:
     cdf = model._alias
@@ -108,8 +126,12 @@ def _sample_chunk(model: HiddenVariableModel, seed: int, chunk_index: int,
         np.random.SeedSequence([seed, chunk_index])))
     u = rng.random((out.shape[0], 1 + out.shape[1]))
     # side="right" skips zero-mass cells, whose cdf equals their
-    # predecessor's, and u < 1 keeps u * cdf[-1] below the last entry
-    idx = np.searchsorted(cdf, u[:, 0] * cdf[-1], side="right")
+    # predecessor's, and u < 1 keeps u * cdf[-1] below the last entry;
+    # keys searched in sorted order start each search near the last hit
+    keys = u[:, 0] * cdf[-1]
+    order = np.argsort(keys)
+    idx = np.empty_like(order)
+    idx[order] = np.searchsorted(cdf, keys[order], side="right")
     coords = np.unravel_index(idx, spec.shape)
     for d in range(out.shape[1]):
         out[:, d] = spec.axis[coords[d]] + (u[:, 1 + d] - 0.5) * spec.step
@@ -120,17 +142,20 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
     """n hidden states, shape (n, 2m); row i depends only on (seed, i).
 
     Each row draws a grid cell by inverse CDF, a binary search of the
-    cumulative cell masses (computed once per model), and then a uniform
-    point in that cell's box.  The stream is chunked with per-chunk
-    substreams derived from (seed, chunk index), so any thread count and
-    any chunk-level parallelism reproduce the identical array, and
-    prefixes agree between runs of different lengths.  Chunks fill slices
-    of one preallocated array.
+    cumulative cell masses (computed once per model, in place), and then a
+    uniform point in that cell's box.  A chunk's keys are searched in
+    sorted order, so each search starts near the last, and the cells are
+    scattered back to their rows: the same cells one search per key finds.
+    The stream is chunked with per-chunk substreams derived from (seed,
+    chunk index), so any thread count and any chunk-level parallelism
+    reproduce the identical array, and prefixes agree between runs of
+    different lengths.  Chunks fill slices of one preallocated array.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     if model._alias is None:  # built once, before any worker reads it
-        model._alias = np.cumsum(model.cell_probabilities())
+        cdf = model.cell_probabilities()
+        model._alias = np.cumsum(cdf, out=cdf)
     phi = np.empty((n, 2 * model.mode_count))
     chunks = range((n + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK)
 
@@ -185,12 +210,16 @@ def hvm_event_probability(model: HiddenVariableModel, zeta,
     summed out of the weights first and the nodes are those of the
     marginal on the used axes.  A marginal of more than two axes is
     streamed by first-axis slabs, one sici call per slab for every finite
-    edge, so no temporary is as large as the marginal.
+    edge, so no temporary is as large as the marginal.  sici releases the
+    GIL, so the slabs run on a thread per usable core (os.sched_getaffinity,
+    capped by _slab_workers); each slab's per-interval sums are then added
+    in slab-major order, as one serial pass would add them, so the result
+    has the same bits on any number of cores.
     """
     from scipy.special import sici
 
     zeta = observable_label(zeta, model.mode_count)
-    edges = np.array(_normalize_intervals(intervals)).reshape(-1, 2)
+    edges = _normalize_intervals(intervals)
     spec = model.measure.spec
     weights = model.measure.values
     idle = tuple(np.flatnonzero(zeta == 0))
@@ -202,21 +231,36 @@ def hvm_event_probability(model: HiddenVariableModel, zeta,
     used = zeta[zeta != 0]
     lines = [(z * spec.axis).reshape((-1,) + (1,) * (used.size - 1 - d))
              for d, z in enumerate(used)]
-    flat = edges.reshape(-1)
-    finite = np.isfinite(flat)
-    slabs = weights.ndim > 2
-    chunks = zip(weights, lines[0]) if slabs else [(weights, lines[0])]
-    column = (-1,) + (1,) * (weights.ndim - slabs)  # one row per finite edge
-    total = 0.0
-    for w, outcomes in chunks:
+
+    def partial_sums(w, outcomes):
+        """sum(w * (Si(B(b - t)) - Si(B(a - t)))) per interval (a, b)."""
         for line in lines[1:]:
             outcomes = outcomes + line
-        si = iter(sici(bandwidth * (flat[finite].reshape(column)
-                                    - outcomes))[0])
-        si_at = [next(si) if f else np.copysign(np.pi / 2, e)
-                 for e, f in zip(flat, finite)]
-        for lower, upper in zip(si_at[::2], si_at[1::2]):
-            total += np.sum(w * (upper - lower))
+
+        def si(edge):
+            if np.isinf(edge):
+                return np.copysign(np.pi / 2, edge)
+            return sici(bandwidth * (edge - outcomes))[0]
+
+        sums = []
+        for a, b in edges:
+            mass = si(b)
+            mass -= si(a)
+            mass *= w
+            sums.append(np.sum(mass))
+        return sums
+
+    if weights.ndim <= 2:
+        rows = [partial_sums(weights, lines[0])]
+    elif (workers := _slab_workers(len(weights))) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(partial_sums, weights, lines[0]))
+    else:
+        rows = list(map(partial_sums, weights, lines[0]))
+    total = 0.0
+    for row in rows:  # slab-major, as one serial pass would add them
+        for part in row:
+            total += part
     return float(total / weights.sum()) / np.pi
 
 

@@ -30,8 +30,13 @@ NORMALIZATION_TOL = 1e-3
 NEGATIVITY_TOL_FACTOR = 1e-9
 PURITY_TOL = 1e-6
 # Largest array a request may call for, in bytes: dense W and chi grids
-# (counted as complex128), and hvm-compare's samples and oracle CDF table.
+# (counted as complex128), the parity route's working set, and
+# hvm-compare's samples and oracle CDF table.
 GRID_BYTES_LIMIT = 2 ** 30
+# p^2-sized complex arrays the parity route holds beside its stacks: the
+# amplitudes, alpha^k, the radii's sort and inverse, and two per-row
+# products (tracemalloc, one mode: a peak of 5.0-5.3 p^2 arrays in all)
+PARITY_TEMPORARIES = 4
 
 
 class MixedStateError(ValueError):
@@ -322,6 +327,20 @@ def weyl_symbol_from_characteristic(chi: CharacteristicGrid,
     return symbol, chi.boundary_residual()
 
 
+def parity_route_bytes(rows: int, mode_count: int, points: int) -> int:
+    """Peak bytes of wigner_fock_direct with r-row factor stacks.
+
+    The traces hold every mode's r x p^2 stack, the last mode's per-radius
+    sums u and l (2 r R, with R <= p^2 / 2 distinct radii by the q <-> p
+    symmetry) and PARITY_TEMPORARIES p^2 arrays; forming the grid holds
+    the stacks, the grid and its scaled copy.
+    """
+    nodes = points ** 2
+    traces = (mode_count + 1) * rows * nodes + PARITY_TEMPORARIES * nodes
+    grid = mode_count * rows * nodes + 2 * points ** (2 * mode_count)
+    return 16 * max(traces, grid)
+
+
 def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     """Wigner grid of a Fock state, with no characteristic-function transform.
 
@@ -329,10 +348,20 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     the parity operator, reuses the displacement-element kernel of the chi
     route at doubled amplitude but needs neither the Fourier transform nor
     its window.  The kernel itself is checked independently by the Gaussian
-    closed form and the analytic Fock-state tests.
+    closed form and the analytic Fock-state tests.  A grid whose working
+    set (parity_route_bytes) exceeds GRID_BYTES_LIMIT is refused with
+    InadequateWindowError before any array is built.
     """
     if spec.mode_count != rho.mode_count:
         raise ValueError("grid/state mode mismatch")
+    # kronecker_factors gives one mode 1 row and two modes c^2 rows
+    nbytes = parity_route_bytes(rho.cutoff ** (2 * rho.mode_count - 2),
+                                spec.mode_count, spec.points)
+    if nbytes > GRID_BYTES_LIMIT:
+        raise InadequateWindowError(
+            f"the parity route on a {spec.points}-point grid needs "
+            f"{nbytes / 2 ** 30:.2f} GiB of working arrays, above the "
+            f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB limit; use fewer points")
     parity = (-1.0) ** np.arange(rho.cutoff)
     # P = P_1 (x) P_2 signs the rows of every factor; rho P (signed
     # columns) would give W(-z)

@@ -8,8 +8,13 @@ trace with the recurrence run to full depth on every offset, the loop the
 package used before it learnt to skip unused offsets.
 `full_grid_event_probability` is the hidden-variable event probability
 summed over every node of the full grid, the sum the package used before
-it learnt to sum idle axes out first.  `position_marginal` is a Wigner
-grid's one-axis marginal density and `grid_moment` integrates it.
+it learnt to sum idle axes out first, and `serial_slab_event_probability`
+is the marginal sum in one serial pass over the slabs, the loop the
+package ran before its slabs went to threads.  `searchsorted_sample`
+draws the hidden-variable samples with one binary search per key, in key
+order, as the package did before it learnt to search sorted keys.
+`position_marginal` is a Wigner grid's one-axis marginal density and
+`grid_moment` integrates it.
 """
 
 import numpy as np
@@ -88,6 +93,53 @@ def full_grid_event_probability(model, zeta, intervals) -> float:
     for a, b in intervals:
         total += float(np.sum(probs * (si(b) - si(a)))) / np.pi
     return total
+
+
+def serial_slab_event_probability(model, zeta, intervals) -> float:
+    """The same sum over the marginal on the used axes, slab by slab.
+
+    One sici call per slab for all finite edges; the intervals' sums are
+    added slab-major, in the order the threaded loop must reproduce.
+    """
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    spec = model.measure.spec
+    weights = model.measure.values.sum(axis=tuple(np.flatnonzero(zeta == 0)))
+    used = zeta[zeta != 0]
+    lines = [(z * spec.axis).reshape((-1,) + (1,) * (used.size - 1 - d))
+             for d, z in enumerate(used)]
+    bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
+    flat = np.array(intervals, dtype=float).reshape(-1)
+    finite = np.isfinite(flat)
+    total = 0.0
+    for w, outcomes in zip(weights, lines[0]):
+        for line in lines[1:]:
+            outcomes = outcomes + line
+        column = flat[finite].reshape((-1,) + (1,) * w.ndim)
+        si = iter(sici(bandwidth * (column - outcomes))[0])
+        si_at = [next(si) if f else np.copysign(np.pi / 2, e)
+                 for e, f in zip(flat, finite)]
+        for lower, upper in zip(si_at[::2], si_at[1::2]):
+            total += np.sum(w * (upper - lower))
+    return float(total / weights.sum()) / np.pi
+
+
+def searchsorted_sample(model, n: int, seed: int,
+                        chunk: int) -> np.ndarray:
+    """n hidden states drawn chunk by chunk, one plain search per key."""
+    spec = model.measure.spec
+    probs = model.measure.values.reshape(-1) * model.measure.cell_volume
+    cdf = np.cumsum(probs / probs.sum())
+    phi = np.empty((n, 2 * spec.mode_count))
+    for c, start in enumerate(range(0, n, chunk)):
+        out = phi[start:start + chunk]
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([seed, c])))
+        u = rng.random((out.shape[0], 1 + out.shape[1]))
+        idx = np.searchsorted(cdf, u[:, 0] * cdf[-1], side="right")
+        coords = np.unravel_index(idx, spec.shape)
+        for d in range(out.shape[1]):
+            out[:, d] = spec.axis[coords[d]] + (u[:, 1 + d] - 0.5) * spec.step
+    return phi
 
 
 def position_marginal(grid: WignerGrid, axis_index: int = 0):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,6 +308,29 @@ def test_grid_memory_guard_exit_3(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "wigner", "--state",
                   '{"kind": "thermal", "modes": 2}')
     assert code == 3
+
+
+@pytest.mark.parametrize("command",
+                         ["wigner", "negativity", "hudson", "hvm-compare"])
+def test_parity_route_memory_guard_exit_3(tmp_path, monkeypatch, command):
+    # 4001^2 nodes pass the one-array grid guard, but the parity route
+    # would hold about six complex arrays of that size; it must refuse
+    # before it builds any of them
+    def refuse(self):
+        raise AssertionError("grid arrays requested past the memory guard")
+
+    GridSpec(1, 6.0, 4001)  # the grid itself is within the limit
+    monkeypatch.setattr(GridSpec, "axis", property(refuse))
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, command, "--state",
+                      '{"kind": "fock", "params": {"n": 1}, "cutoff": 25}',
+                      "--points", "4001")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 16 * 4001 ** 2 / 100, peak
 
 
 def test_mixed_hudson_exit_4(tmp_path):

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,8 @@ from wignerhvm.weyl import PolynomialObservable, monomial
 from wignerhvm.wigner import (GridSpec, WignerGrid, characteristic_at_points,
                               state_wigner, wigner_gaussian)
 
-from reference import full_grid_event_probability
+from reference import (full_grid_event_probability, searchsorted_sample,
+                       serial_slab_event_probability)
 
 GRID = GridSpec(1, 6.0, 257)
 BINS = BinSpec(-6.0, 6.0, 50)
@@ -347,6 +349,61 @@ def test_marginal_events_match_full_grid_node_sum(coherent_pair):
         got = hvm_event_probability(model, zeta, intervals)
         want = full_grid_event_probability(model, zeta, intervals)
         assert abs(got - want) <= 1e-14, (zeta, intervals, got - want)
+
+
+def test_sorted_key_sampling_matches_plain_search(coherent_pair):
+    # sorted keys and the in-place cumulative table change no bit of the
+    # samples, on every chunk (the last one short) and at any thread count
+    _, model = coherent_pair
+    n = 3 * hvm.SAMPLE_CHUNK + 5
+    want = searchsorted_sample(model, n, seed=7, chunk=hvm.SAMPLE_CHUNK)
+    for threads in (1, 4):
+        fresh = hvm.HiddenVariableModel(model.measure)
+        assert np.array_equal(sample(fresh, n, seed=7, threads=threads), want)
+
+
+def test_first_sample_holds_one_grid_sized_array(coherent_pair):
+    # the cumulative table is built in place: the cell masses, their
+    # normalization and their running sum share one array
+    _, model = coherent_pair
+    grid_bytes = model.measure.values.nbytes
+    sample(hvm.HiddenVariableModel(model.measure), 10, seed=0)  # warm-up
+    fresh = hvm.HiddenVariableModel(model.measure)
+    tracemalloc.start()
+    try:
+        sample(fresh, 10, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fresh._alias.nbytes == grid_bytes
+    assert peak < 1.5 * grid_bytes, peak / grid_bytes
+
+
+@pytest.mark.parametrize("zeta", [[0.5, 0.5, 0.5, 0.5], [0.3, -0.5, 0, 0.9]])
+def test_slab_events_have_the_same_bits_on_any_core_count(
+        coherent_pair, monkeypatch, zeta):
+    _, model = coherent_pair
+    pools = []
+
+    class Recording(hvm.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(hvm, "ThreadPoolExecutor", Recording)
+    got = {}
+    for cores in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cores=cores: set(range(cores)))
+        got[cores] = hvm_event_probability(model, zeta, UNION)
+    assert pools == [4]  # one core runs the slabs inline
+    want = serial_slab_event_probability(model, zeta, UNION)
+    assert got[1] == got[4] == want
+    # where there is no affinity call, every core counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert hvm_event_probability(model, zeta, UNION) == want
+    assert pools == [4, 3]
 
 
 @pytest.mark.parametrize("zeta", [[1, 0, 0, 0, 5], [1, 0]])

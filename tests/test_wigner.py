@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,10 @@ from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
                               WignerGrid, characteristic_at_points,
                               characteristic_function, covariance_state,
                               hudson_classify, log_negativity, min_value,
-                              negativity_volume, sidecar_dict, state_wigner,
-                              wigner_fock_direct, wigner_from_characteristic,
-                              wigner_gaussian, wigner_to_csv)
+                              negativity_volume, parity_route_bytes,
+                              sidecar_dict, state_wigner, wigner_fock_direct,
+                              wigner_from_characteristic, wigner_gaussian,
+                              wigner_to_csv)
 
 from reference import grid_moment, position_marginal
 
@@ -294,6 +297,30 @@ def test_two_mode_routes_agree():
     r2 = blocks[1] ** 2 + blocks[3] ** 2
     analytic = ((2 * r1 - 1) * np.exp(-r1) / np.pi) * (np.exp(-r2) / np.pi)
     assert np.max(np.abs(wc.values - analytic)) < 1e-10
+
+
+def test_parity_route_bytes_bound_the_measured_peak():
+    # the estimate the memory guard uses must not undercount the route's
+    # working set, nor overcount it by more than a third
+    cutoff = 12
+    vac_mat = np.zeros((cutoff, cutoff), dtype=complex)
+    vac_mat[0, 0] = 1.0
+    pair = FockDensityOperator(np.kron(fock(1, cutoff).matrix, vac_mat),
+                               cutoff, 2)
+    cases = [(fock(1, 25), 257), (fock(1, 25), 601), (fock(3, 8), 401),
+             (pair, 15), (pair, 25)]
+    for rho, points in cases:
+        spec = GridSpec(rho.mode_count, 6.0, points)
+        rows = rho.cutoff ** (2 * rho.mode_count - 2)
+        bound = parity_route_bytes(rows, rho.mode_count, points)
+        wigner_fock_direct(rho, spec)  # first-call set-up is not counted
+        tracemalloc.start()
+        try:
+            wigner_fock_direct(rho, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.75 * bound <= peak <= bound, (points, peak / bound)
 
 
 def test_photon_subtracted_matches_scaled_kernel():

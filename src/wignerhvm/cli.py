@@ -48,6 +48,12 @@ CHAR_TOLERANCE = 2e-3
 DEFAULT_OBSERVABLES = ((1.0, 0.0), (0.0, 1.0),
                        (1 / np.sqrt(2), 1 / np.sqrt(2)))
 
+# lemma-check's working set (tracemalloc): its largest multiplicativity
+# case holds 30.0 c x c complex arrays at cutoffs 200-400, the metaplectic
+# suite 9.0, and the cutoff-free chi tables and symbol grids about 12 MB
+LEMMA_MATRICES = 32
+LEMMA_FIXED_BYTES = 2 ** 24
+
 
 class CliError(Exception):
     def __init__(self, message, code):
@@ -292,16 +298,22 @@ def _multiplicativity_cases(cutoff: int):
     return cases
 
 
+def lemma_check_bytes(cutoff: int) -> int:
+    """Peak bytes of lemma-check: LEMMA_MATRICES c x c complex arrays
+    beside the LEMMA_FIXED_BYTES that no cutoff changes."""
+    return 16 * LEMMA_MATRICES * cutoff ** 2 + LEMMA_FIXED_BYTES
+
+
 def cmd_lemma_check(args) -> int:
     if args.cutoff < 1:
         raise CliError("need a cutoff of at least 1", EXIT_PARSE)
-    # the metaplectic suite holds c x c complex matrices
-    nbytes = 16 * args.cutoff ** 2
+    nbytes = lemma_check_bytes(args.cutoff)
     if nbytes > wigner_mod.GRID_BYTES_LIMIT:
-        largest = math.isqrt(wigner_mod.GRID_BYTES_LIMIT // 16)
+        largest = math.isqrt((wigner_mod.GRID_BYTES_LIMIT - LEMMA_FIXED_BYTES)
+                             // (16 * LEMMA_MATRICES))
         raise CliError(
-            f"cutoff {args.cutoff} needs {nbytes / 2 ** 30:.1f} GiB "
-            f"matrices, above the "
+            f"cutoff {args.cutoff} needs {nbytes / 2 ** 30:.5g} GiB of "
+            f"arrays, above the "
             f"{wigner_mod.GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit; "
             f"the largest cutoff is {largest}", EXIT_PARSE)
     rng = np.random.default_rng(args.seed)

@@ -116,10 +116,14 @@ def quantize_terms(obs: PolynomialObservable, cutoff: int) -> list[np.ndarray]:
     cache: dict[tuple, list] = {(): [eye] * m}
 
     def product_for(perm):
-        if perm not in cache:
-            cache[perm] = [
-                np.matmul(a[:, None], b[None]).reshape(-1, cutoff, cutoff)
-                for a, b in zip(product_for(perm[:-1]), gens[perm[-1]])]
+        # prefixes left to right, not by recursion: a closure that calls
+        # itself is a reference cycle, which would keep the cache alive
+        # after return until the garbage collector happens to run
+        for n in range(1, len(perm) + 1):
+            if perm[:n] not in cache:
+                cache[perm[:n]] = [
+                    np.matmul(a[:, None], b[None]).reshape(-1, cutoff, cutoff)
+                    for a, b in zip(cache[perm[:n - 1]], gens[perm[n - 1]])]
         return cache[perm]
 
     parts = [[np.zeros((0, cutoff, cutoff), dtype=complex)] * m]

@@ -142,42 +142,60 @@ class CharacteristicGrid:
     def boundary_residual(self) -> float:
         """Largest |chi| on the grid boundary relative to the global max.
 
-        Two modes are read from the tables a, b as (r, p^2) blocks, one
-        (p, p^2) slab of a^T b per row of mode-1 points; the boundary is
-        mode 1 or mode 2 on its (4p - 4)-point ring.  Each element is the
-        one `values` holds, so both maxima equal the dense ones.  By
-        Cauchy-Schwarz every |chi| in a slab is at most the largest column
-        norm of its block of a times the largest column norm of b; slabs
-        are visited in decreasing bound, and one whose bound is below the
-        maximum found so far cannot hold the global max and is skipped.
-        The bound is widened by 8 (r + 2) units of relative rounding, for the
-        r-term sums and the norms, and as many smallest subnormals, for
-        products below the normal range; a NaN bound is never below anything.
+        Two modes are read from the tables a, b as (r, p^2) blocks; slab i
+        is row i of mode-1 points, and the boundary is mode 1 or mode 2 on
+        its (4p - 4)-point ring.  All three maxima follow one pruning rule
+        over blocks of a^T b: the global max over the (p, p^2) slabs, mode
+        1's face over each slab's ring points against all of b, and mode 2's
+        face over each slab against b's ring points.  By Cauchy-Schwarz
+        every |chi| in a block is at most the largest column norm of its
+        columns of a times the largest of its columns of b; blocks are
+        visited in decreasing bound, and one whose bound is below the
+        maximum found so far is skipped.  The bound is widened by 8 (r + 2)
+        units of relative rounding, for the r-term sums and the norms, and
+        as many smallest subnormals, for products below the normal range;
+        a NaN bound is never below anything.  Every block has at least two
+        rows and the columns of a^T b or of a^T b[:, ring], so its elements
+        keep the bits of those whole products; one row or column alone
+        would be a matrix-vector product, which may round differently.
         """
         p = self.spec.points
         ring = np.ones((p, p), dtype=bool)
         ring[1:-1, 1:-1] = False
-        ring = ring.reshape(-1)
         flat = [t.reshape(len(t), p * p) for t in self.tables]
         if len(flat) == 1:
             mag = np.abs(flat[0].sum(axis=0))
-            vmax, edge = np.max(mag), np.max(mag[ring])
+            vmax, edge = np.max(mag), np.max(mag[ring.reshape(-1)])
         else:
             a, b = flat
             norm_a, norm_b = (np.hypot.reduce(np.abs(t), axis=0) for t in flat)
             slack = 8 * (len(a) + 2)
-            bounds = np.max(norm_a.reshape(p, p), axis=1) * np.max(norm_b)
-            bounds = (bounds * (1 + slack * np.finfo(float).eps)
-                      + slack * np.finfo(float).smallest_subnormal)
-            vmax = 0.0
-            for i in np.argsort(-bounds, kind="stable"):
-                if bounds[i] < vmax:
-                    continue
-                # np.maximum, not max(): a NaN in any slab must reach vmax
-                vmax = np.maximum(
-                    vmax, np.max(np.abs(a[:, i * p:(i + 1) * p].T @ b)))
-            edge = np.maximum(np.max(np.abs(a[:, ring].T @ b)),
-                              np.max(np.abs(a.T @ b[:, ring])))
+
+            def pruned_max(bounds, block):
+                bounds = (bounds * (1 + slack * np.finfo(float).eps)
+                          + slack * np.finfo(float).smallest_subnormal)
+                top = 0.0
+                for i in np.argsort(-bounds, kind="stable"):
+                    if bounds[i] < top:
+                        continue
+                    # np.maximum, not max(): a NaN in any block must reach top
+                    top = np.maximum(top, np.max(np.abs(block(i))))
+                return top
+
+            def slab(i):
+                return a[:, i * p:(i + 1) * p]
+
+            ring_b = np.flatnonzero(ring)
+            slab_norm = np.max(norm_a.reshape(p, p), axis=1)
+            ring_norm = np.max(np.where(ring, norm_a.reshape(p, p), 0), axis=1)
+            vmax = pruned_max(slab_norm * np.max(norm_b),
+                              lambda i: slab(i).T @ b)
+            # candidates 0..p-1 are mode 1's face, p..2p-1 mode 2's
+            edge = pruned_max(
+                np.concatenate([ring_norm * np.max(norm_b),
+                                slab_norm * np.max(norm_b[ring_b])]),
+                lambda k: (slab(k)[:, ring[k]].T @ b if k < p
+                           else slab(k - p).T @ b[:, ring_b]))
         if vmax == 0:
             return 0.0
         return float(edge) / float(vmax)

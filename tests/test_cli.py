@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerhvm.cli import main
+from wignerhvm.cli import _multiplicativity_cases, lemma_check_bytes, main
+from wignerhvm.weyl import (check_wigner_multiplicativity,
+                            metaplectic_covariance_suite)
 from wignerhvm.wigner import GridSpec
 
 
@@ -173,8 +175,8 @@ def test_parse_failure_exit_2(tmp_path):
         for seed in ("-1", "x"):
             code, _ = run(tmp_path, command, *extra, "--seed", seed)
             assert code == 2, (command, seed)
-    # lemma-check's c x c matrices: at least 1, and within the array limit
-    for cutoff in ("0", "-3", "8193", "100000"):
+    # lemma-check's working set: a cutoff of at least 1, within the limit
+    for cutoff in ("0", "-3", "1437", "8192", "100000"):
         code, _ = run(tmp_path, "lemma-check", "--cutoff", cutoff)
         assert code == 2, cutoff
     # a channel check over no trials or no modes checks nothing
@@ -186,7 +188,7 @@ def test_parse_failure_exit_2(tmp_path):
 
 def test_parse_failure_messages_name_the_bound(tmp_path, capsys):
     run(tmp_path, "lemma-check", "--cutoff", "100000")
-    assert "the largest cutoff is 8192" in capsys.readouterr().err
+    assert "the largest cutoff is 1436" in capsys.readouterr().err
     run(tmp_path, "lemma-check", "--cutoff", "0")
     assert "at least 1" in capsys.readouterr().err
     run(tmp_path, "channel-compose", "--channel", '{"kind": "identity"}',
@@ -472,6 +474,31 @@ def test_lemma_check_degraded_cutoff_flags(tmp_path):
     assert report["n_flagged"] == len(report["multiplicativity"])
     assert report["commutation_identities"]["pass"]
     assert report["metaplectic_covariance"]["pass"]
+
+
+def test_lemma_check_bytes_bound_the_measured_peak(tmp_path):
+    # the cutoff guard must not undercount lemma-check's working set: at
+    # cutoff 8 the cutoff-free chi tables dominate the whole command; at
+    # 240 the c x c matrices of its two largest cases and of the
+    # metaplectic suite do, and the command holds one of them at a time
+    def traced_peak(job):
+        tracemalloc.start()
+        try:
+            job()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak = traced_peak(lambda: run(tmp_path, "lemma-check", "--cutoff", "8"))
+    assert 0.5 * lemma_check_bytes(8) <= peak <= lemma_check_bytes(8)
+    cutoff = 240
+    cases = dict(_multiplicativity_cases(cutoff))
+    jobs = [lambda obs=cases[label]: check_wigner_multiplicativity(obs, cutoff)
+            for label in ("xy^2 on {q1,q2}", "xy^2 on {q1,p2}")]
+    jobs.append(lambda: metaplectic_covariance_suite(
+        np.random.default_rng(1), trials=2, cutoff=cutoff))
+    peak = max(traced_peak(job) for job in jobs)
+    assert 0.5 * lemma_check_bytes(cutoff) <= peak <= lemma_check_bytes(cutoff)
 
 
 def test_observable_flag_parsing(tmp_path):

@@ -6,6 +6,7 @@ the reordered X^T Y product of per-mode trace tables, the transform that
 contracts one phase-space axis at a time and the boundary residual read off
 the dense grid."""
 
+import gc
 import itertools
 import tracemalloc
 
@@ -129,6 +130,7 @@ def check_against_dense(obs: PolynomialObservable, cutoff: int) -> None:
     symbol, residual = weyl_symbol_from_characteristic(chi, Z)
     assert relative_gap(symbol.values, dense_weyl_symbol(want)) <= REL_TOL
     assert relative_gap(residual, dense_boundary_residual(want)) <= REL_TOL
+    assert chi.boundary_residual() == dense_boundary_residual(chi.values)
 
     # the lemma-check comparison, with exp(-|v|^2/4) on the dense grid
     coords = CHAR.coordinate_blocks()
@@ -194,6 +196,36 @@ def test_streamed_residual_equals_dense_on_random_tables():
     for r in (1, 4, 7):
         chi = CharacteristicGrid(GridSpec(2, 3.0, 9), random_tables(rng, r, 9))
         assert chi.boundary_residual() == dense_boundary_residual(chi.values)
+
+
+def unpruned_boundary_residual(chi: CharacteristicGrid) -> float:
+    """Every slab of a^T b, and the whole ring products a[:, ring]^T b and
+    a^T b[:, ring], with a, b the two tables as (r, p^2) blocks."""
+    p = chi.spec.points
+    a, b = (t.reshape(len(t), p * p) for t in chi.tables)
+    ring = np.ones((p, p), dtype=bool)
+    ring[1:-1, 1:-1] = False
+    ring = ring.reshape(-1)
+    top = max(np.max(np.abs(a[:, i * p:(i + 1) * p].T @ b)) for i in range(p))
+    edge = max(np.max(np.abs(a[:, ring].T @ b)),
+               np.max(np.abs(a.T @ b[:, ring])))
+    return float(edge) / float(top)
+
+
+def test_pruned_residual_keeps_the_bits_of_the_whole_products():
+    # the ring of one mode is raised so the edge max lies on its face; a
+    # matrix-vector product per ring point rounds differently from these
+    rng = np.random.default_rng(17)
+    for p in (9, 21):
+        raise_ring = np.full((p, p), 3.0)
+        raise_ring[1:-1, 1:-1] = 1.0
+        for r in (1, 2, 3, 5, 8):
+            for face in (0, 1):
+                tables = random_tables(rng, r, p)
+                tables[face] *= raise_ring
+                chi = CharacteristicGrid(GridSpec(2, 3.0, p), tables)
+                assert chi.boundary_residual() == \
+                    unpruned_boundary_residual(chi), (p, r, face)
 
 
 def test_streamed_residual_finds_a_planted_maximum_on_every_face():
@@ -287,12 +319,30 @@ def pruned_slab_grid(v, w, running: float) -> CharacteristicGrid:
         [((4, 4), [*w, 0]), ((4, 3), [0, 0, 0, running])]))
 
 
-def bound_below_max(pairs, units: int):
+def pruned_ring_grid(face: int):
+    """Like pruned_slab_grid, with the true max on one face of the ring.
+
+    a's columns sit in slabs 2 and 5 and b's at two points, on the ring of
+    mode `face` and inside the other mode's ring.  Slab 5's block has the
+    larger bound and yields `running` first; the max |v . w| is in slab
+    2's, so pruning it would make the residual running / max instead of 1.
+    """
+    column = 0 if face == 1 else 4
+    sites = [(4, 4), (4, 3)] if face == 1 else [(4, 0), (4, 8)]
+
+    def grid(v, w, running: float) -> CharacteristicGrid:
+        return CharacteristicGrid(GridSpec(2, 3.0, 9), planted_tables(
+            4, [((2, column), [*v, 0]), ((5, column), [0, 0, 0, 1.0])],
+            [(sites[0], [*w, 0]), (sites[1], [0, 0, 0, running])]))
+    return grid
+
+
+def bound_below_max(pairs, units: int, grid=pruned_slab_grid):
     """The first (v, w, max |chi|, bound) whose Cauchy-Schwarz bound, from
     np.hypot norms as the pruning takes them, lies `units` units in the
     last place below the computed max."""
     for v, w in pairs:
-        top = np.max(np.abs(pruned_slab_grid(v, w, 0.0).values))
+        top = np.max(np.abs(grid(v, w, 0.0).values))
         bound = np.hypot.reduce(np.abs(v)) * np.hypot.reduce(np.abs(w))
         if top - bound >= units * np.spacing(top):
             return v, w, top, bound
@@ -348,6 +398,61 @@ def test_pruning_visits_a_nan_in_a_low_bound_slab():
         assert np.isnan(chi.boundary_residual())
 
 
+# mode 1's face: a's column 0 of each slab is on the ring and b's (4, 3)
+# is inside it; mode 2's face: a's column 4 is inside and b's (4, 0) is on it
+RING_FACES = {1: (0, (4, 3)), 2: (4, (4, 0))}
+
+
+def test_ring_pruning_visits_every_block_after_an_all_zero_top_block():
+    # slab 3's ring block has the largest bound but is orthogonal to b, so
+    # it bounds nothing below it; the ring max 0.5 is in slab 6's block
+    for face, (column, site) in RING_FACES.items():
+        tables = planted_tables(3, [((3, column), [0, 0, 100.0]),
+                                    ((6, column), [0.5, 0, 0]),
+                                    ((4, 4), [0, 2.0, 0])],
+                                [(site, [1.0, 0, 0]), ((4, 4), [0, 1.0, 0])])
+        chi = CharacteristicGrid(GridSpec(2, 3.0, 9), tables)
+        assert chi.boundary_residual() == dense_boundary_residual(chi.values)
+        assert chi.boundary_residual() == 0.25, face
+
+
+def test_ring_pruning_keeps_a_block_whose_bound_ties_the_running_max():
+    for face in RING_FACES:
+        grid = pruned_ring_grid(face)
+        v, w, top, bound = bound_below_max(integer_columns(), 1, grid)
+        chi = grid(v, w, bound)
+        assert chi.boundary_residual() == dense_boundary_residual(chi.values)
+        assert chi.boundary_residual() == 1.0, face
+
+
+def test_ring_pruning_bound_covers_its_own_rounding():
+    for face in RING_FACES:
+        grid = pruned_ring_grid(face)
+        for pairs in (integer_columns(), subnormal_columns()):
+            v, w, top, bound = bound_below_max(pairs, 2, grid)
+            running = np.nextafter(top, 0)
+            assert bound < running
+            chi = grid(v, w, running)
+            assert chi.boundary_residual() == \
+                dense_boundary_residual(chi.values)
+            assert chi.boundary_residual() == 1.0, face
+
+
+def test_ring_pruning_visits_a_nan_in_a_low_bound_block():
+    # the NaN sits in a ring block whose bound, without it, would be far
+    # below the ring max; the global max meets the same NaN, so this pins
+    # that no skip or ordering turns the residual into a number
+    for face, (column, site) in RING_FACES.items():
+        for columns in ([((4, 4), [10.0, 0, 0]),
+                         ((1, column), [1e-3, np.nan, 0]),
+                         ((6, column), [0.5, 0, 0])],
+                        [((1, column), [0, np.nan, 0])]):
+            tables = planted_tables(3, columns, [(site, [1.0, 0, 0])])
+            chi = CharacteristicGrid(GridSpec(2, 3.0, 9), tables)
+            assert np.isnan(dense_boundary_residual(chi.values))
+            assert np.isnan(chi.boundary_residual()), face
+
+
 def test_streamed_residual_never_holds_the_dense_grid():
     # the lemma's 61^4 grid: its dense chi alone is 221 MB
     obs = dict(_multiplicativity_cases(30))["xy^2 on {q1,p2}"]
@@ -360,7 +465,7 @@ def test_streamed_residual_never_holds_the_dense_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    assert peak < 8 * 2 ** 20
 
 
 def test_lemma_characteristic_observable_holds_no_displacement_table():
@@ -375,3 +480,18 @@ def test_lemma_characteristic_observable_holds_no_displacement_table():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_quantize_terms_frees_its_prefix_products_on_return():
+    # a closure that calls itself holds the product cache in a reference
+    # cycle, and lemma-check's cases would pile up until a gc pass
+    obs = dict(_multiplicativity_cases(120))["xy^2 on {q1,q2}"]
+    gc.disable()
+    tracemalloc.start()
+    try:
+        quantize_terms(obs, 120)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 16 * 120 ** 2

@@ -171,11 +171,11 @@ def cmd_hvm_compare(args) -> int:
         bins = oracle_mod.BinSpec(-args.window, args.window, args.bins)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-    w = wigner_mod.state_wigner(state, grid)
     base = {"command": "hvm-compare", "state": spec.to_dict(),
             "grid": grid.to_dict(), "seed": args.seed, "n": args.samples}
     try:
-        model = hvm_mod.build_hvm(w)
+        # no local name keeps W alive beside the model's own grid
+        model = hvm_mod.build_hvm(wigner_mod.state_wigner(state, grid))
     except hvm_mod.NegativityError as err:
         payload = {**base, "status": "contextual", "witness": err.to_dict()}
         path = _write_report(args, "hvm_compare.json", payload)

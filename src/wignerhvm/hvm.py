@@ -93,19 +93,27 @@ def build_hvm(w: WignerGrid) -> HiddenVariableModel:
     Negative cells smaller in magnitude than 1e-9 times the grid maximum
     are floating-point floor and get clamped to zero; anything below that
     raises NegativityError with the witness.
+
+    Memory: the call allocates one grid beyond its input, the clamped copy
+    that is normalized in place and becomes the model's grid (the largest
+    magnitude is read from the min and the max, with no |W| temporary).
+    The input is never modified.  Once ``sample`` has run, the model holds
+    that grid plus its cumulative cell masses, and nothing else grid-sized;
+    a caller that drops W after this call holds those two grids in all.
     """
     values = w.values
-    vmax = float(np.max(np.abs(values)))
-    tol = NEGATIVITY_TOL_FACTOR * vmax
     mn = float(values.min())
+    vmax = max(float(values.max()), -mn)
+    tol = NEGATIVITY_TOL_FACTOR * vmax
     if mn < -tol:
         raise NegativityError(*min_value(w), w.spec)
     clamped = np.clip(values, 0.0, None)
     total = clamped.sum() * w.cell_volume
     if total <= 0:
         raise ValueError("measure has no mass")
-    normalized = WignerGrid(w.spec, clamped / total)
-    return HiddenVariableModel(normalized, renormalization=float(total))
+    clamped /= total
+    return HiddenVariableModel(WignerGrid(w.spec, clamped),
+                               renormalization=float(total))
 
 
 def _slab_workers(slabs: int) -> int:

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import fockspace
 from .phase_space import observable_label, passive_frame
-from .states import FockDensityOperator, GaussianState, gaussian_to_fock
+from .states import (FockDensityOperator, GaussianState,
+                     InadequateWindowError, gaussian_to_fock)
 from .weyl import PolynomialObservable, quantize_polynomial, trusted_block_mask
 
 
@@ -70,8 +71,13 @@ def tv_distance(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
 
 
 def _gaussian_marginal(state: GaussianState, zeta: np.ndarray):
-    mean = float(zeta @ state.mean)
-    var = float(zeta @ state.covariance @ zeta)
+    with np.errstate(over="ignore"):
+        mean = float(zeta @ state.mean)
+        var = float(zeta @ state.covariance @ zeta)
+    if not (np.isfinite(mean) and 0 < var < np.inf):
+        raise InadequateWindowError(
+            f"zeta . R has mean {mean!r} and variance {var!r} in floating "
+            "point; its distribution cannot be resolved")
     return mean, var
 
 

@@ -73,7 +73,12 @@ def is_context(vectors, comm_tol: float = ALGEBRAIC_TOL,
 
 
 def observable_label(zeta, mode_count: int) -> np.ndarray:
-    """zeta as a float vector: finite, nonzero, with one entry per axis."""
+    """zeta as a float vector: finite, nonzero, with one entry per axis.
+
+    Its squared norm must be finite and nonzero too, so that quadratic
+    forms in zeta, such as the variance zeta . sigma . zeta, neither
+    overflow nor underflow to zero on a state of ordinary size.
+    """
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     if zeta.size != 2 * mode_count:
         raise ValueError(f"observable label needs {2 * mode_count} "
@@ -82,6 +87,11 @@ def observable_label(zeta, mode_count: int) -> np.ndarray:
         raise ValueError("observable label must be finite")
     if not np.any(zeta):
         raise ValueError("observable label must be nonzero")
+    with np.errstate(over="ignore"):
+        norm2 = float(zeta @ zeta)
+    if not 0 < norm2 < np.inf:
+        raise ValueError("observable label's squared norm overflows or "
+                         "underflows to zero")
     return zeta
 
 

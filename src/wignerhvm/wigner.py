@@ -56,6 +56,11 @@ class GridSpec:
             raise ValueError("points must be odd and at least 3")
         if not (self.halfwidth > 0 and np.isfinite(self.step)):
             raise ValueError("halfwidth must be positive with a finite step")
+        with np.errstate(over="ignore"):
+            volume = np.float64(self.step) ** (2 * self.mode_count)
+        if not np.isfinite(volume):
+            raise ValueError("the grid's cell volume overflows; use a "
+                             "narrower window or more points")
         nbytes = 16 * self.points ** (2 * self.mode_count)
         if nbytes > GRID_BYTES_LIMIT:
             raise InadequateWindowError(
@@ -209,7 +214,15 @@ def _kronecker_grid(tables) -> np.ndarray:
 
 
 def wigner_gaussian(state: GaussianState, spec: GridSpec) -> WignerGrid:
-    """Closed-form Gaussian Wigner function, strictly positive everywhere."""
+    """Closed-form Gaussian Wigner function, strictly positive everywhere.
+
+    Memory: one grid, the returned one.  The quadratic form is summed one
+    axis at a time, so only its last term is grid-sized; that term is
+    built in one buffer, which takes the earlier terms, the factor -1/2,
+    the exponential and the normalization in place.  Each step is the same
+    IEEE operation as in the plain expression, its operands commuted at
+    most, so the grid has the same bits.
+    """
     if spec.mode_count != state.mode_count:
         raise ValueError("grid/state mode mismatch")
     cov = state.covariance
@@ -225,8 +238,12 @@ def wigner_gaussian(state: GaussianState, spec: GridSpec) -> WignerGrid:
     quad = 0.0
     for j in range(len(d)):
         cross = sum(prec[i, j] * d[i] for i in range(j))
-        quad = quad + d[j] * (prec[j, j] * d[j] + 2 * cross)
-    values = np.exp(-0.5 * quad)
+        term = prec[j, j] * d[j] + 2 * cross
+        term *= d[j]
+        term += quad
+        quad = term
+    quad *= -0.5
+    values = np.exp(quad, out=quad)
     values *= (2 * np.pi) ** (-spec.mode_count) / np.sqrt(det)
     return _normalized_on_window(WignerGrid(spec, values))
 

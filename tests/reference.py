@@ -13,6 +13,11 @@ is the marginal sum in one serial pass over the slabs, the loop the
 package ran before its slabs went to threads.  `searchsorted_sample`
 draws the hidden-variable samples with one binary search per key, in key
 order, as the package did before it learnt to search sorted keys.
+`expression_wigner_gaussian` evaluates the Gaussian Wigner grid as one
+expression, a new array per step, and `copying_hvm_measure` clamps and
+normalizes a grid into a second copy: the package's forms before each
+learnt to finish its grid in place; `pinned_gaussians` are the states
+and grids on which the tests compare them bit for bit.
 `position_marginal` is a Wigner grid's one-axis marginal density and
 `grid_moment` integrates it.
 """
@@ -21,7 +26,9 @@ import numpy as np
 from scipy.special import sici
 
 from wignerhvm.fockspace import _laguerre_diagonals
-from wignerhvm.wigner import WignerGrid
+from wignerhvm.phase_space import random_symplectic
+from wignerhvm.states import GaussianState, StateSpec, make_state
+from wignerhvm.wigner import GridSpec, WignerGrid
 
 
 def displacement_matrix(alpha, cutoff: int) -> np.ndarray:
@@ -140,6 +147,42 @@ def searchsorted_sample(model, n: int, seed: int,
         for d in range(out.shape[1]):
             out[:, d] = spec.axis[coords[d]] + (u[:, 1 + d] - 0.5) * spec.step
     return phi
+
+
+def expression_wigner_gaussian(state, spec) -> np.ndarray:
+    """(2 pi)^-m det(sigma)^-1/2 exp(-d . sigma^-1 d / 2) on the grid nodes."""
+    prec = np.linalg.inv(state.covariance)
+    d = [c - mu for c, mu in zip(spec.coordinate_blocks(), state.mean)]
+    quad = 0.0
+    for j in range(len(d)):
+        cross = sum(prec[i, j] * d[i] for i in range(j))
+        quad = quad + d[j] * (prec[j, j] * d[j] + 2 * cross)
+    values = np.exp(-0.5 * quad)
+    values *= ((2 * np.pi) ** (-spec.mode_count)
+               / np.sqrt(np.linalg.det(state.covariance)))
+    return values
+
+
+def pinned_gaussians() -> dict:
+    """name -> (Gaussian state, grid): one and two modes, one correlated."""
+    rng = np.random.default_rng(25)
+    S = random_symplectic(2, rng, scale=0.3)
+    one_mode = GridSpec(1, 6.0, 257)
+    return {
+        "squeezed": (make_state(StateSpec("squeezed", {"r": 0.5})), one_mode),
+        "thermal": (make_state(StateSpec("thermal", {"nbar": 1.0})),
+                    one_mode),
+        "two-mode coherent": (make_state(StateSpec(
+            "coherent", {"alpha": [1.0, 0.5]}, 2)), GridSpec(2, 6.0, 25)),
+        "correlated": (GaussianState(rng.uniform(-0.5, 0.5, size=4),
+                                     0.5 * S @ S.T), GridSpec(2, 7.0, 25)),
+    }
+
+
+def copying_hvm_measure(grid: WignerGrid) -> np.ndarray:
+    """The grid clamped at zero and scaled to unit mass, as a new array."""
+    clamped = np.clip(grid.values, 0.0, None)
+    return clamped / (clamped.sum() * grid.cell_volume)
 
 
 def position_marginal(grid: WignerGrid, axis_index: int = 0):

@@ -3,6 +3,7 @@ import io
 import json
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -129,12 +130,18 @@ def test_parse_failure_exit_2(tmp_path):
                  '{"kind": "fock", "modes": 1.9}'):
         code, _ = run(tmp_path, "wigner", "--state", spec)
         assert code == 2, spec
-    # non-finite or overflowing grid windows are parse failures
+    # non-finite or overflowing grid windows, or a cell volume step^(2m)
+    # that overflows, are parse failures
     for command in ("wigner", "negativity", "hvm-compare", "hudson"):
-        for window in ("nan", "inf", "1e308"):
+        for window in ("nan", "inf", "1e308", "1e200"):
             code, _ = run(tmp_path, command, "--state", '{"kind": "vacuum"}',
                           "--window", window)
             assert code == 2, (command, window)
+        extra = ["--observable", "1,0,0,0"] if command == "hvm-compare" else []
+        code, _ = run(tmp_path, command, "--state",
+                      '{"kind": "vacuum", "modes": 2}', "--window", "1e80",
+                      "--points", "5", *extra)
+        assert code == 2, command
     # a state over no modes, or a negative number of them
     for command in ("wigner", "negativity", "hvm-compare", "hudson"):
         for modes in (0, -1):
@@ -184,6 +191,38 @@ def test_parse_failure_exit_2(tmp_path):
                  ["--modes", "-1"]):
         code, _ = run(tmp_path, "channel-compose", *losses, *flag)
         assert code == 2, flag
+
+
+def test_extreme_observable_labels_exit_without_nan(tmp_path):
+    # labels whose squared norm, and so the oracle's variance, underflows
+    # to zero or overflows: refused, with no warning and no NaN report
+    for text in ("1e-300,0", "1e160,0", "1e300,1e300"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path, "hvm-compare", "--state",
+                            '{"kind": "vacuum"}', "--samples", "1000",
+                            "--observable", text)
+        assert code in (2, 3), text
+        assert not caught, (text, [str(w.message) for w in caught])
+        report = out / "hvm_compare.json"
+        assert not report.exists() or "NaN" not in report.read_text(), text
+
+
+def test_two_mode_hvm_compare_holds_two_grids(tmp_path):
+    # W is built and copied once into the model's grid; once the model
+    # exists W is dropped, and the sampler's CDF is the second grid.  The
+    # label has idle axes, so no slab threads ride on top of the grids.
+    argv = ["hvm-compare", "--state", '{"kind": "thermal", "modes": 2}',
+            "--points", "31", "--samples", "2000", "--observable", "1,0,0,0"]
+    assert run(tmp_path, *argv)[0] == 0  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2.4 * 8 * 31 ** 4, peak / (8 * 31 ** 4)
 
 
 def test_parse_failure_messages_name_the_bound(tmp_path, capsys):

@@ -22,7 +22,8 @@ from wignerhvm.weyl import PolynomialObservable, monomial
 from wignerhvm.wigner import (GridSpec, WignerGrid, characteristic_at_points,
                               state_wigner, wigner_gaussian)
 
-from reference import (full_grid_event_probability, searchsorted_sample,
+from reference import (copying_hvm_measure, full_grid_event_probability,
+                       pinned_gaussians, searchsorted_sample,
                        serial_slab_event_probability)
 
 GRID = GridSpec(1, 6.0, 257)
@@ -574,3 +575,34 @@ def test_negative_zero_clamping():
     model = build_hvm(w)
     assert model.measure.values[0, 0] == 0.0
     assert abs(model.renormalization - 1) < 1e-6
+
+
+@pytest.mark.parametrize("name", list(pinned_gaussians()))
+def test_one_copy_measure_keeps_every_bit_and_the_input(name):
+    # the clamped copy is normalized in place; the caller's grid, with its
+    # sub-tolerance negative noise, is read and never written
+    state, spec = pinned_gaussians()[name]
+    w = wigner_gaussian(state, spec)
+    w.values.reshape(-1)[::97] *= -1e-12
+    before = w.values.copy()
+    model = build_hvm(w)
+    assert np.array_equal(model.measure.values, copying_hvm_measure(w))
+    assert np.array_equal(w.values, before)
+
+
+def test_build_holds_one_grid_beyond_its_input():
+    # one clamped copy of the input, normalized in place, is the model's
+    # grid; the largest magnitude is read from the min and the max
+    w = wigner_gaussian(make_state(StateSpec("thermal", {"nbar": 0.5}, 2)),
+                        GridSpec(2, 6.0, 31))
+    grid_bytes = 8 * 31 ** 4
+    assert w.values.nbytes == grid_bytes
+    build_hvm(w)  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        model = build_hvm(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.measure.values.nbytes == grid_bytes
+    assert peak < 1.3 * grid_bytes, peak / grid_bytes

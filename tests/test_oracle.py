@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from wignerhvm.oracle import (BinSpec, ExpectationLeakageError,
                               expectation, homodyne_density,
                               quantum_homodyne_distribution, tv_distance)
 from wignerhvm.phase_space import Context
-from wignerhvm.states import (FockDensityOperator, StateSpec,
+from wignerhvm.states import (FockDensityOperator, GaussianState,
+                              InadequateWindowError, StateSpec,
                               gaussian_to_fock, make_state)
 from wignerhvm.weyl import monomial
 from wignerhvm.wigner import GridSpec, state_wigner
@@ -73,6 +75,25 @@ def test_scaled_label_rescales_distribution():
     rho = gaussian_to_fock(vac, 30)
     distf = quantum_homodyne_distribution(rho, [2, 0], BINS)
     assert tv_distance(distf, gauss_bins(0.0, 2.0)) < 5e-3
+
+
+def test_unresolvable_gaussian_variance_is_a_window_error():
+    # zeta . sigma . zeta overflows or underflows to zero, or zeta . mean
+    # overflows, though the label's own squared norm is a normal float:
+    # no NaN, no warning
+    cases = [([0.0, 0.0], np.diag([1e300, 1.0]), [1e10, 0.0]),
+             ([0.0, 0.0], np.diag([1e-200, 1e200]), [1e-130, 0.0]),
+             ([1e200, 0.0], 0.5 * np.eye(2), [1e150, 0.0])]
+    for mean, cov, zeta in cases:
+        state = GaussianState(mean, cov)
+        for query in (
+                lambda: quantum_homodyne_distribution(state, zeta, BINS),
+                lambda: event_probability(state, zeta, [(0.0, np.inf)]),
+                lambda: homodyne_density(state, zeta, BINS.edges)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InadequateWindowError):
+                    query()
 
 
 def test_expectation_examples():

@@ -4,8 +4,8 @@ from scipy.linalg import expm
 
 from wignerhvm.phase_space import (ALGEBRAIC_TOL, Context, _expm,
                                    context_to_standard_basis, is_context,
-                                   is_symplectic, omega, passive_frame,
-                                   plane_decomposition_vectors,
+                                   is_symplectic, observable_label, omega,
+                                   passive_frame, plane_decomposition_vectors,
                                    planewise_decomposition_commutes,
                                    random_symplectic, symplectic_form)
 
@@ -39,6 +39,15 @@ def test_symplectic_form_bilinearity():
 def test_symplectic_form_dimension_mismatch():
     with pytest.raises(ValueError):
         symplectic_form([1, 0], [1, 0, 0, 0])
+
+
+def test_observable_label_needs_a_normal_squared_norm():
+    for zeta in ([1e-300, 0], [1e160, 0], [1e300, 1e300], [1e-170, 1e-170]):
+        with pytest.raises(ValueError, match="squared norm"):
+            observable_label(zeta, 1)
+    # labels far from unit size whose squared norm is still normal
+    for zeta in ([1e-150, 0], [1e150, -1e150]):
+        assert np.array_equal(observable_label(zeta, 1), zeta)
 
 
 def test_is_context_examples():

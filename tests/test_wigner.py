@@ -18,7 +18,8 @@ from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
                               wigner_from_characteristic, wigner_gaussian,
                               wigner_to_csv)
 
-from reference import grid_moment, position_marginal
+from reference import (expression_wigner_gaussian, grid_moment,
+                       pinned_gaussians, position_marginal)
 
 GRID = GridSpec(1, 6.0, 257)
 CHAR = GridSpec(1, 16.0, 257)
@@ -81,6 +82,32 @@ def test_gaussian_quadratic_form_matches_double_loop():
     want = double_loop_wigner(state, spec)
     got = wigner_gaussian(state, spec).values
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+
+@pytest.mark.parametrize("name", list(pinned_gaussians()))
+def test_in_place_gaussian_keeps_every_bit(name):
+    # each step the in-place route takes is the expression's own IEEE
+    # operation, with its operands commuted at most
+    state, spec = pinned_gaussians()[name]
+    got = wigner_gaussian(state, spec).values
+    assert np.array_equal(got, expression_wigner_gaussian(state, spec))
+
+
+def test_gaussian_wigner_holds_one_grid():
+    # the exponent's last term is built in one buffer, which is finished
+    # in place and returned; the earlier terms span fewer axes
+    state = make_state(StateSpec("thermal", {"nbar": 0.5}, 2))
+    spec = GridSpec(2, 6.0, 31)
+    grid_bytes = 8 * 31 ** 4
+    wigner_gaussian(state, spec)  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        w = wigner_gaussian(state, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.values.nbytes == grid_bytes
+    assert peak < 1.3 * grid_bytes, peak / grid_bytes
 
 
 def test_singular_covariance_rejected():

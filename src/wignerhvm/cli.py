@@ -161,7 +161,7 @@ def cmd_hvm_compare(args) -> int:
     if nbytes > wigner_mod.GRID_BYTES_LIMIT:
         raise CliError(
             f"the samples or the oracle's CDF table would need "
-            f"{nbytes / 2 ** 30:.1f} GiB, above the "
+            f"{states_mod.gib(nbytes)} GiB, above the "
             f"{wigner_mod.GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit",
             EXIT_PARSE)
     state = make_state(spec)
@@ -312,8 +312,8 @@ def cmd_lemma_check(args) -> int:
         largest = math.isqrt((wigner_mod.GRID_BYTES_LIMIT - LEMMA_FIXED_BYTES)
                              // (16 * LEMMA_MATRICES))
         raise CliError(
-            f"cutoff {args.cutoff} needs {nbytes / 2 ** 30:.5g} GiB of "
-            f"arrays, above the "
+            f"cutoff {args.cutoff} needs {states_mod.gib(nbytes, '.5g')} "
+            f"GiB of arrays, above the "
             f"{wigner_mod.GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit; "
             f"the largest cutoff is {largest}", EXIT_PARSE)
     rng = np.random.default_rng(args.seed)

@@ -64,21 +64,39 @@ def _laguerre_diagonals(x, depths):
     n + k < cutoff.  The stable three-term recurrence in n runs on the
     e^(-x/2)-scaled polynomials and carries the square-root prefactor
     multiplicatively, so no factorials appear and a shorter depth only
-    drops the tail of the same values.
+    drops the tail of the same values.  Each step
+    ((2n + k + 1 - x) L_n - (n + k) L_(n-1)) / (n + 1) is taken in place on
+    three rotating buffers, one IEEE operation at a time as the plain
+    expression would round it; every yielded value is a new array.
     """
     env = np.exp(-x / 2)
     head = 1.0  # 1/sqrt(k!)
+    lag, lag_prev, spare = (np.empty_like(env) for _ in range(3))
     for k, depth in enumerate(depths):
         if k:
             head /= np.sqrt(k)
         pref = head
-        lag_prev = np.zeros_like(env)
-        lag = env
+        np.copyto(lag, env)
+        lag_prev.fill(0.0)
         for n in range(depth):
             yield k, n, pref * lag
-            lag_prev, lag = lag, (
-                (2 * n + k + 1 - x) * lag - (n + k) * lag_prev) / (n + 1)
+            if n + 1 < depth:
+                np.subtract(2 * n + k + 1, x, out=spare)
+                spare *= lag
+                lag_prev *= n + k
+                spare -= lag_prev
+                spare /= n + 1
+                lag_prev, lag, spare = lag, spare, lag_prev
             pref *= np.sqrt((n + 1) / (n + 1 + k))
+
+
+def _offset_depths(used: np.ndarray) -> list[int]:
+    """Per offset k, one past the last n with used[n, n+k] or used[n+k, n]."""
+    depths = []
+    for k in range(len(used)):
+        hit = np.flatnonzero(np.diagonal(used, k) | np.diagonal(used, -k))
+        depths.append(hit[-1] + 1 if hit.size else 0)
+    return depths
 
 
 def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
@@ -93,20 +111,20 @@ def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
     A_s[n+k, n] is nonzero in some row; an offset with both diagonals zero
     is skipped.  alpha^k is a running product that takes one factor per
     offset, skipped or not, so it keeps the bits of the full loop; no
-    cutoff-by-alphas array is held.
+    cutoff-by-alphas array is held.  This complex form serves the chi
+    tables, the Weyl symbols and the two-mode parity route; a one-mode
+    Wigner grid takes parity_trace, one diagonal per offset in a real
+    buffer.
     """
     A = np.asarray(A, dtype=complex)
     alphas = np.asarray(alphas, dtype=complex)
     flat = alphas.reshape(-1)
-    rows, cutoff = A.shape[:2]
+    rows = len(A)
     radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
     out = np.zeros((rows, flat.size), dtype=complex)
     power = np.ones(flat.shape, dtype=complex)  # alpha^k
     used = A.any(axis=0)  # entries nonzero in some row
-    depths = []
-    for k in range(cutoff):
-        hit = np.flatnonzero(np.diagonal(used, k) | np.diagonal(used, -k))
-        depths.append(hit[-1] + 1 if hit.size else 0)
+    depths = _offset_depths(used)
     reached = 0  # power holds alpha^reached
     for k, n, value in _laguerre_diagonals(radii, depths):
         if n == 0:
@@ -124,6 +142,55 @@ def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
                 out[s] += (upper[s] + lower[s])[where] * power.real
                 out[s] += (1j * (upper[s] - lower[s]))[where] * power.imag
     return out.reshape(rows, *alphas.shape)
+
+
+def parity_trace(rho: np.ndarray, alphas) -> np.ndarray:
+    """Re Tr[P rho D(alpha)], shape alphas.shape, for a one-mode matrix rho.
+
+    P D(alpha) is Hermitian, so this is Tr[P rho_H D(alpha)] with rho_H =
+    (rho + rho^dag)/2, and for P rho_H the lower sums of
+    displacement_trace are the conjugates of its upper ones: offset k
+    adds 2 Re(u_k alpha^k) = 2 Re u_k Re alpha^k - 2 Im u_k Im alpha^k,
+    with u_k = sum_n (-1)^n rho_H[n, n+k] v_n(|alpha|^2), and k = 0 adds
+    the real u_0.  So one diagonal per offset is summed, in real arithmetic
+    when rho is real; Im alpha^k is then never read.  Each step is the IEEE
+    operation that displacement_trace(P rho) applies to the real part of
+    the same term, so for an exactly Hermitian rho the bits are those of
+    its real part.  The grid is summed in place in a real buffer that the
+    result owns; the offsets, their depths and alpha^k run as there.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    signs = (-1.0) ** np.arange(len(rho))
+    upper = signs[:, None] * ((rho + rho.conj().T) / 2)  # P rho_H
+    if not upper.imag.any():
+        upper = upper.real
+    alphas = np.asarray(alphas, dtype=complex)
+    flat = alphas.reshape(-1)
+    radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
+    out = np.zeros(alphas.shape)
+    total = out.reshape(-1)  # a view: sums land in out
+    term = np.empty(flat.shape)
+    power = np.ones(flat.shape, dtype=complex)  # alpha^k
+    depths = _offset_depths(upper != 0)
+    reached = 0  # power holds alpha^reached
+    for k, n, value in _laguerre_diagonals(radii, depths):
+        if n == 0:
+            for _ in range(k - reached):
+                power *= flat
+            reached = k
+            u = np.zeros(radii.size, dtype=upper.dtype)  # u_k
+        if upper[n, n + k]:
+            u += upper[n, n + k] * value
+        if n == depths[k] - 1 and u.any():
+            parts = [(u.real + u.real if k else u.real, power.real)]
+            if k and np.iscomplexobj(u):
+                parts.append((-(u.imag + u.imag), power.imag))
+            for radial, factor in parts:
+                # "clip": every index is in range, and "raise" buffers out
+                np.take(radial, where, out=term, mode="clip")
+                term *= factor
+                total += term
+    return out
 
 
 def _bargmann(A: np.ndarray, b: np.ndarray, g0: complex,

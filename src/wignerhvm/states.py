@@ -19,9 +19,23 @@ from . import fockspace
 from .phase_space import is_symplectic, omega
 
 LEAKAGE_LIMIT = 1e-3
+# Largest array a request may call for, in bytes: dense W and chi grids
+# (counted as complex128), the parity route's working set, a Fock state's
+# matrix, and hvm-compare's samples and oracle CDF table.
+GRID_BYTES_LIMIT = 2 ** 30
+# the most modes whose smallest grid, 3 points per axis, is within the
+# limit: 16 * 3^(2m) <= 2^30 for m <= 8
+MAX_MODES = int(np.log(GRID_BYTES_LIMIT / 16) / np.log(9))
 
 GAUSSIAN_KINDS = ("vacuum", "coherent", "squeezed", "thermal")
 FOCK_KINDS = ("fock", "cat", "gkp", "photon_subtracted_squeezed")
+
+
+def gib(nbytes: int, spec: str = ".1f") -> str:
+    """A byte count in GiB for a message; past float range, a power of 2."""
+    if nbytes.bit_length() > 1000:
+        return f"at least 2^{nbytes.bit_length() - 31}"
+    return format(nbytes / 2 ** 30, spec)
 
 
 class StateSpecError(ValueError):
@@ -30,6 +44,15 @@ class StateSpecError(ValueError):
 
 class InadequateWindowError(ValueError):
     """Grid window or resolution cannot represent the requested function."""
+
+
+def require_grid_modes(modes: int) -> None:
+    """Refuse more modes than a 3-point grid can have within the limit."""
+    if modes > MAX_MODES:
+        raise InadequateWindowError(
+            f"a grid over more than {MAX_MODES} modes needs more than the "
+            f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit even at 3 "
+            "points per axis")
 
 
 class LeakageError(ValueError):
@@ -150,7 +173,7 @@ class StateSpec:
         if isinstance(text_or_dict, str):
             try:
                 raw = json.loads(text_or_dict)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer past 4300 digits
                 raise StateSpecError(f"invalid state JSON: {exc}") from exc
         else:
             raw = text_or_dict
@@ -340,6 +363,13 @@ def make_state(spec: StateSpec):
         raise StateSpecError("cutoff must be at least 2")
     if kind in FOCK_KINDS and spec.modes != 1:
         raise StateSpecError(f"'{kind}' is a single-mode state")
+    require_grid_modes(spec.modes)
+    if kind in FOCK_KINDS and 16 * cutoff ** 2 > GRID_BYTES_LIMIT:  # one mode
+        raise InadequateWindowError(
+            f"a cutoff-{cutoff} density matrix needs "
+            f"{gib(16 * cutoff ** 2)} GiB, above the "
+            f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit; use a "
+            "smaller cutoff")
     try:
         if kind == "vacuum":
             return vacuum_state(spec.modes)

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import fockspace
 from .phase_space import omega
-from .states import FockDensityOperator, GaussianState, InadequateWindowError
+from .states import (GRID_BYTES_LIMIT, FockDensityOperator, GaussianState,
+                     InadequateWindowError, gib, require_grid_modes)
 
 BOUNDARY_DECAY = 1e-8
 IMAG_RESIDUE = 1e-8
@@ -29,14 +30,17 @@ NORMALIZATION_TOL = 1e-3
 # negative W within this factor of max |W| is rounding (build_hvm, hudson)
 NEGATIVITY_TOL_FACTOR = 1e-9
 PURITY_TOL = 1e-6
-# Largest array a request may call for, in bytes: dense W and chi grids
-# (counted as complex128), the parity route's working set, and
-# hvm-compare's samples and oracle CDF table.
-GRID_BYTES_LIMIT = 2 ** 30
-# p^2-sized complex arrays the parity route holds beside its stacks: the
-# amplitudes, alpha^k, the radii's sort and inverse, and two per-row
-# products (tracemalloc, one mode: a peak of 5.0-5.3 p^2 arrays in all)
+# p^2-sized complex arrays the two-mode traces hold beside their tables:
+# the amplitudes, alpha^k, the radii's sort and inverse, and two per-row
+# products
 PARITY_TEMPORARIES = 4
+# p^2-sized real arrays the one-mode route holds at its peak.  np.unique
+# holds 8: the amplitudes (2), |alpha|^2, and its copy, order, sorted
+# values, cumsum and inverse.  The sum over offsets holds 7 (amplitudes,
+# alpha^k, inverse, grid, one term) and about nine per-radius buffers;
+# rounding of the axis leaves up to 0.26 p^2 distinct radii on the grids
+# tried, so tracemalloc reads 8.3-9.3 arrays in all
+PARITY_REAL_ARRAYS = 10
 
 
 class MixedStateError(ValueError):
@@ -54,6 +58,7 @@ class GridSpec:
     def __post_init__(self):
         if self.points < 3 or self.points % 2 == 0:
             raise ValueError("points must be odd and at least 3")
+        require_grid_modes(self.mode_count)  # before 3^(2m) is counted
         if not (self.halfwidth > 0 and np.isfinite(self.step)):
             raise ValueError("halfwidth must be positive with a finite step")
         with np.errstate(over="ignore"):
@@ -65,7 +70,7 @@ class GridSpec:
         if nbytes > GRID_BYTES_LIMIT:
             raise InadequateWindowError(
                 f"a {self.points}-point {self.mode_count}-mode grid needs "
-                f"{nbytes / 2 ** 30:.1f} GiB per array, above the "
+                f"{gib(nbytes)} GiB per array, above the "
                 f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB limit; use fewer points")
 
     @property
@@ -365,15 +370,21 @@ def weyl_symbol_from_characteristic(chi: CharacteristicGrid,
 def parity_route_bytes(rows: int, mode_count: int, points: int) -> int:
     """Peak bytes of wigner_fock_direct with r-row factor stacks.
 
-    The traces hold every mode's r x p^2 stack, the last mode's per-radius
-    sums u and l (2 r R, with R <= p^2 / 2 distinct radii by the q <-> p
-    symmetry) and PARITY_TEMPORARIES p^2 arrays; forming the grid holds
-    the stacks, the grid and its scaled copy.
+    One mode takes the real route: PARITY_REAL_ARRAYS real p^2 arrays.  Two
+    modes hold their factor stacks, r = c^2 rows of c x c blocks per mode,
+    throughout.  The traces add every mode's r x p^2 table, the last mode's
+    per-radius sums u and l (2 r R, with R <= p^2 / 2 distinct radii by the
+    q <-> p symmetry) and PARITY_TEMPORARIES p^2 arrays; forming the grid
+    holds at most the tables, the complex grid and its real copy.
     """
     nodes = points ** 2
-    traces = (mode_count + 1) * rows * nodes + PARITY_TEMPORARIES * nodes
-    grid = mode_count * rows * nodes + 2 * points ** (2 * mode_count)
-    return 16 * max(traces, grid)
+    if mode_count == 1:
+        return 8 * PARITY_REAL_ARRAYS * nodes
+    # in real (8-byte) units
+    stacks = 2 * mode_count * rows * rows
+    traces = 2 * ((mode_count + 1) * rows + PARITY_TEMPORARIES) * nodes
+    forming = 2 * mode_count * rows * nodes + 3 * points ** (2 * mode_count)
+    return 8 * (stacks + max(traces, forming))
 
 
 def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
@@ -383,9 +394,17 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     the parity operator, reuses the displacement-element kernel of the chi
     route at doubled amplitude but needs neither the Fourier transform nor
     its window.  The kernel itself is checked independently by the Gaussian
-    closed form and the analytic Fock-state tests.  A grid whose working
-    set (parity_route_bytes) exceeds GRID_BYTES_LIMIT is refused with
-    InadequateWindowError before any array is built.
+    closed form and the analytic Fock-state tests.  One mode sums its real
+    part directly (fockspace.parity_trace): one diagonal per offset, in a
+    real grid with the bits of the complex grid's real part when rho is
+    exactly Hermitian, as make_state builds it.  No imaginary part is
+    formed, so there is no residue for _real_part to check.  Two modes
+    form the complex grid from displacement_trace's tables, divide it in
+    place and return a copy of its real part once _real_part has checked
+    the residue.  Either way the returned grid owns its bytes.  A grid
+    whose working set (parity_route_bytes) exceeds GRID_BYTES_LIMIT is
+    refused with InadequateWindowError before any array is built: one mode
+    stops at 3,663 points per axis.
     """
     if spec.mode_count != rho.mode_count:
         raise ValueError("grid/state mode mismatch")
@@ -397,14 +416,21 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
             f"the parity route on a {spec.points}-point grid needs "
             f"{nbytes / 2 ** 30:.2f} GiB of working arrays, above the "
             f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB limit; use fewer points")
+    if rho.mode_count == 1:
+        values = fockspace.parity_trace(rho.matrix,
+                                        _grid_amplitudes(spec, 2.0)[0])
+        # numpy divides a complex grid by a real scalar as a product with
+        # its reciprocal; this product keeps those bits
+        values *= 1 / np.pi
+        return WignerGrid(spec, values)
     parity = (-1.0) ** np.arange(rho.cutoff)
     # P = P_1 (x) P_2 signs the rows of every factor; rho P (signed
     # columns) would give W(-z)
     factors = [parity[:, None] * f for f in
                fockspace.kronecker_factors(rho.matrix, rho.mode_count)]
     raw = _kronecker_grid(_trace_tables(factors, _grid_amplitudes(spec, 2.0)))
-    raw = raw / np.pi ** rho.mode_count
-    return WignerGrid(spec, _real_part(raw, IMAG_RESIDUE))
+    raw /= np.pi ** rho.mode_count
+    return WignerGrid(spec, _real_part(raw, IMAG_RESIDUE).copy())
 
 
 def state_wigner(state, spec: GridSpec) -> WignerGrid:

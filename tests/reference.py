@@ -18,6 +18,12 @@ expression, a new array per step, and `copying_hvm_measure` clamps and
 normalizes a grid into a second copy: the package's forms before each
 learnt to finish its grid in place; `pinned_gaussians` are the states
 and grids on which the tests compare them bit for bit.
+`allocating_laguerre_diagonals` is the displacement-element recurrence
+with a new array per step, the loop the package ran before it stepped in
+place, and `complex_parity_wigner` is the parity-route Wigner grid formed
+in complex arithmetic from both diagonals of every offset and divided out
+of place, as the package formed it before one mode took the real route
+and two modes divided in place.
 `position_marginal` is a Wigner grid's one-axis marginal density and
 `grid_moment` integrates it.
 """
@@ -25,10 +31,11 @@ and grids on which the tests compare them bit for bit.
 import numpy as np
 from scipy.special import sici
 
+from wignerhvm import fockspace
 from wignerhvm.fockspace import _laguerre_diagonals
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.states import GaussianState, StateSpec, make_state
-from wignerhvm.wigner import GridSpec, WignerGrid
+from wignerhvm.wigner import GridSpec, WignerGrid, _kronecker_grid
 
 
 def displacement_matrix(alpha, cutoff: int) -> np.ndarray:
@@ -76,6 +83,35 @@ def full_depth_displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
                 out[s] += (upper[s] + lower[s])[where] * power.real
                 out[s] += (1j * (upper[s] - lower[s]))[where] * power.imag
     return out.reshape(rows, *alphas.shape)
+
+
+def allocating_laguerre_diagonals(x, depths):
+    """The same (k, n, value) triples, each recurrence step a new array."""
+    env = np.exp(-x / 2)
+    head = 1.0  # 1/sqrt(k!)
+    for k, depth in enumerate(depths):
+        if k:
+            head /= np.sqrt(k)
+        pref = head
+        lag_prev = np.zeros_like(env)
+        lag = env
+        for n in range(depth):
+            yield k, n, pref * lag
+            lag_prev, lag = lag, (
+                (2 * n + k + 1 - x) * lag - (n + k) * lag_prev) / (n + 1)
+            pref *= np.sqrt((n + 1) / (n + 1 + k))
+
+
+def complex_parity_wigner(rho, spec: GridSpec) -> np.ndarray:
+    """Re pi^-m Tr[P rho D(2 alpha(z))] from complex displacement traces."""
+    parity = (-1.0) ** np.arange(rho.cutoff)
+    factors = [parity[:, None] * f for f in
+               fockspace.kronecker_factors(rho.matrix, rho.mode_count)]
+    vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
+    alphas = 2.0 * (vq + 1j * vp) / np.sqrt(2)
+    raw = _kronecker_grid([fockspace.displacement_trace(f, alphas)
+                           for f in factors])
+    return (raw / np.pi ** rho.mode_count).real
 
 
 def full_grid_event_probability(model, zeta, intervals) -> float:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from wignerhvm.cli import _multiplicativity_cases, lemma_check_bytes, main
 from wignerhvm.weyl import (check_wigner_multiplicativity,
                             metaplectic_covariance_suite)
-from wignerhvm.wigner import GridSpec
+from wignerhvm.wigner import GridSpec, InadequateWindowError
 
 
 def run(tmp_path, *argv):
@@ -127,7 +127,9 @@ def test_parse_failure_exit_2(tmp_path):
     for spec in ('{"kind": "fock", "params": {"n": 1.5}}',
                  '{"kind": "fock", "params": {"n": true}}',
                  '{"kind": "fock", "cutoff": 10.7}',
-                 '{"kind": "fock", "modes": 1.9}'):
+                 '{"kind": "fock", "modes": 1.9}',
+                 # past Python's 4300-digit limit on integer parsing
+                 '{"kind": "vacuum", "modes": 1%s}' % ("0" * 5000)):
         code, _ = run(tmp_path, "wigner", "--state", spec)
         assert code == 2, spec
     # non-finite or overflowing grid windows, or a cell volume step^(2m)
@@ -183,7 +185,7 @@ def test_parse_failure_exit_2(tmp_path):
             code, _ = run(tmp_path, command, *extra, "--seed", seed)
             assert code == 2, (command, seed)
     # lemma-check's working set: a cutoff of at least 1, within the limit
-    for cutoff in ("0", "-3", "1437", "8192", "100000"):
+    for cutoff in ("0", "-3", "1437", "8192", "100000", str(10 ** 200)):
         code, _ = run(tmp_path, "lemma-check", "--cutoff", cutoff)
         assert code == 2, cutoff
     # a channel check over no trials or no modes checks nothing
@@ -372,6 +374,38 @@ def test_parity_route_memory_guard_exit_3(tmp_path, monkeypatch, command):
         tracemalloc.stop()
     assert code == 3
     assert peak < 16 * 4001 ** 2 / 100, peak
+
+
+@pytest.mark.parametrize("command",
+                         ["wigner", "negativity", "hudson", "hvm-compare"])
+def test_oversized_states_exit_before_any_allocation(tmp_path, command):
+    # a cutoff-100000 density matrix would take 149 GiB, and no grid over 9
+    # or more modes fits the limit even at 3 points per axis; 257^200 once
+    # overflowed the grid guard's own message.  hvm-compare's sample and
+    # CDF-table guard, a bad-flag check, refuses the largest two first.
+    fock = '{"kind": "fock", "params": {"n": 1}, "cutoff": 100000}'
+    cases = [('{"kind": "vacuum", "modes": 100}', 3),
+             ('{"kind": "vacuum", "modes": 1e300}', 3), (fock, 3)]
+    if command == "hvm-compare":
+        cases[1:] = [(cases[1][0], 2), (fock, 2)]
+    for spec, want in cases:
+        tracemalloc.start()
+        try:
+            code, _ = run(tmp_path, command, "--state", spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == want, spec
+        assert peak < 2 ** 22, (spec, peak)
+
+
+def test_grid_guards_count_past_float_range():
+    # 16 * points^2 is too large for a float; the message still formats
+    with pytest.raises(InadequateWindowError, match="at least 2"):
+        GridSpec(1, 6.0, 10 ** 200 + 1)
+    with pytest.raises(InadequateWindowError, match="8 modes"):
+        GridSpec(9, 6.0, 3)
+    GridSpec(8, 6.0, 3)  # 3^16 values: within the limit
 
 
 def test_mixed_hudson_exit_4(tmp_path):

@@ -12,7 +12,8 @@ from wignerhvm.states import StateSpec, make_state
 from wignerhvm.weyl import (default_observable_char_spec, quantize_linear,
                             quantize_terms)
 
-from reference import displacement_matrix, full_depth_displacement_trace
+from reference import (allocating_laguerre_diagonals, displacement_matrix,
+                       full_depth_displacement_trace)
 
 ALPHAS = (0.0, 0.3, 1.5 + 0.7j, -2.2j, -1.1 - 1.9j, 3.0)
 
@@ -162,6 +163,26 @@ def test_displacement_trace_stack_rows_match_reference_loop():
     for A, row in zip(stack[1:], got[1:]):
         want = reference_displacement_trace(A, alphas)
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_in_place_recurrence_keeps_every_bit_of_the_allocating_loop():
+    """Each yielded value equals the allocating loop's, bit for bit."""
+    grid = np.linspace(-10.0, 10.0, 161)
+    radii = np.unique(2 * (grid[:, None] ** 2 + grid[None, :] ** 2))
+    cases = [(radii, range(60, 0, -1)), (radii, [3, 0, 0, 5, 1, 0, 2]),
+             (radii[:7], [0, 0, 4]), (np.float64(2.25), range(12, 0, -1)),
+             (np.array(0.7), [4, 2, 0, 3]), (1.3, [2, 2])]
+    for x, depths in cases:
+        got = list(fockspace._laguerre_diagonals(x, depths))
+        want = list(allocating_laguerre_diagonals(x, depths))
+        assert [(k, n) for k, n, _ in got] == [(k, n) for k, n, _ in want]
+        for (_, _, a), (_, _, b) in zip(got, want):
+            assert type(a) is type(b) and np.shape(a) == np.shape(b)
+            assert np.array_equal(a, b)
+    # each value is a new array, so a kept one is not overwritten
+    kept = [v for _, _, v in fockspace._laguerre_diagonals(radii, [3, 3])]
+    want = [v for _, _, v in allocating_laguerre_diagonals(radii, [3, 3])]
+    assert all(np.array_equal(a, b) for a, b in zip(kept, want))
 
 
 def test_offset_skipping_keeps_every_bit_of_the_full_depth_loop(monkeypatch):

@@ -18,8 +18,8 @@ from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
                               wigner_from_characteristic, wigner_gaussian,
                               wigner_to_csv)
 
-from reference import (expression_wigner_gaussian, grid_moment,
-                       pinned_gaussians, position_marginal)
+from reference import (complex_parity_wigner, expression_wigner_gaussian,
+                       grid_moment, pinned_gaussians, position_marginal)
 
 GRID = GridSpec(1, 6.0, 257)
 CHAR = GridSpec(1, 16.0, 257)
@@ -324,6 +324,63 @@ def test_two_mode_routes_agree():
     r2 = blocks[1] ** 2 + blocks[3] ** 2
     analytic = ((2 * r1 - 1) * np.exp(-r1) / np.pi) * (np.exp(-r2) / np.pi)
     assert np.max(np.abs(wc.values - analytic)) < 1e-10
+
+
+# the negative states and output grids of the negativity benchmark
+BENCH_STATES = {
+    "fock1": (StateSpec("fock", {"n": 1}, 1, 25), GRID),
+    "fock5": (StateSpec("fock", {"n": 5}, 1, 30), GRID),
+    "cat2": (StateSpec("cat", {"alpha": 2.0}, 1, 30), GRID),
+    "pss": (StateSpec("photon_subtracted_squeezed", {"r": 0.5}, 1, 30),
+            GridSpec(1, 8.0, 257)),
+    "gkp": (StateSpec("gkp", {"delta": 0.3}, 1, 60), GridSpec(1, 10.0, 321)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_STATES))
+def test_real_parity_route_matches_complex_route(name):
+    spec, grid = BENCH_STATES[name]
+    w = wigner_fock_direct(make_state(spec), grid)
+    want = complex_parity_wigner(make_state(spec), grid)
+    assert np.max(np.abs(w.values - want)) <= 1e-15 * np.max(np.abs(want))
+    assert w.values.base is None  # no complex grid kept alive
+
+
+def test_real_parity_route_takes_the_hermitian_part():
+    # a complex rho, Hermitian only to ~1e-11: the real route sums rho_H
+    # and still gives the complex route's real part
+    cutoff = 12
+    rng = np.random.default_rng(7)
+
+    def noise():
+        return rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(
+            size=(cutoff, cutoff))
+
+    g = noise() / np.arange(1, cutoff + 1) ** 2  # light high levels
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    rho += 1e-11 * noise()
+    assert 1e-12 < np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+    state = FockDensityOperator(rho, cutoff, 1)
+    spec = GridSpec(1, 5.0, 101)
+    w = wigner_fock_direct(state, spec)
+    want = complex_parity_wigner(state, spec)
+    assert np.max(np.abs(w.values - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_two_mode_parity_grid_keeps_its_bits_and_owns_them():
+    cutoff = 8
+    coherent = gaussian_to_fock(
+        make_state(StateSpec("coherent", {"alpha": [0.6, -0.4]}, 2)), cutoff)
+    f1 = fock(1, cutoff)
+    vac_mat = np.zeros((cutoff, cutoff), dtype=complex)
+    vac_mat[0, 0] = 1.0
+    pair = FockDensityOperator(np.kron(f1.matrix, vac_mat), cutoff, 2)
+    for rho in (coherent, pair):
+        spec = GridSpec(2, 3.5, 15)
+        w = wigner_fock_direct(rho, spec)
+        assert np.array_equal(w.values, complex_parity_wigner(rho, spec))
+        assert w.values.base is None
 
 
 def test_parity_route_bytes_bound_the_measured_peak():

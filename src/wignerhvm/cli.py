@@ -89,10 +89,15 @@ def _grid_spec(args, modes: int) -> GridSpec:
 
 def _write_report(args, name: str, payload: dict) -> Path:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise CliError(f"{name} would hold a non-finite number; no report "
+                       "written", EXIT_NUMERICAL) from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(text + "\n")
     return path
 
 

@@ -93,7 +93,8 @@ class GaussianState:
         return self.mean.size // 2
 
     def purity(self) -> float:
-        return float(1.0 / np.sqrt(np.linalg.det(2 * self.covariance)))
+        with np.errstate(over="ignore"):  # an inf det is purity 0
+            return float(1.0 / np.sqrt(np.linalg.det(2 * self.covariance)))
 
 
 @dataclass

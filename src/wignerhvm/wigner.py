@@ -41,6 +41,15 @@ PARITY_TEMPORARIES = 4
 # rounding of the axis leaves up to 0.26 p^2 distinct radii on the grids
 # tried, so tracemalloc reads 8.3-9.3 arrays in all
 PARITY_REAL_ARRAYS = 10
+# nodes per block of first-axis slabs that wigner_to_csv dedupes at once;
+# a 257^2 grid is one block, and the block's texts and np.unique arrays
+# peak near 50 bytes a node when every value is distinct
+CSV_BLOCK_NODES = 2 ** 17
+# "%.18e\n" of a float64 is at most 27 bytes: the sign, 19 digits, the
+# point, "e", a signed exponent of up to 3 digits and the newline
+CSV_TEXT_WIDTH = 27
+# values formatted per list before they are copied into the text array
+CSV_FORMAT_CHUNK = 2 ** 10
 
 
 class MixedStateError(ValueError):
@@ -59,6 +68,11 @@ class GridSpec:
         if self.points < 3 or self.points % 2 == 0:
             raise ValueError("points must be odd and at least 3")
         require_grid_modes(self.mode_count)  # before 3^(2m) is counted
+        nbytes = 16 * self.points ** (2 * self.mode_count)
+        try:
+            float(self.points)
+        except OverflowError:  # no step to check, and far above the limit
+            raise self._oversized(nbytes) from None
         if not (self.halfwidth > 0 and np.isfinite(self.step)):
             raise ValueError("halfwidth must be positive with a finite step")
         with np.errstate(over="ignore"):
@@ -66,12 +80,14 @@ class GridSpec:
         if not np.isfinite(volume):
             raise ValueError("the grid's cell volume overflows; use a "
                              "narrower window or more points")
-        nbytes = 16 * self.points ** (2 * self.mode_count)
         if nbytes > GRID_BYTES_LIMIT:
-            raise InadequateWindowError(
-                f"a {self.points}-point {self.mode_count}-mode grid needs "
-                f"{gib(nbytes)} GiB per array, above the "
-                f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB limit; use fewer points")
+            raise self._oversized(nbytes)
+
+    def _oversized(self, nbytes: int) -> InadequateWindowError:
+        return InadequateWindowError(
+            f"a {self.points}-point {self.mode_count}-mode grid needs "
+            f"{gib(nbytes)} GiB per array, above the "
+            f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB limit; use fewer points")
 
     @property
     def axis(self) -> np.ndarray:
@@ -231,7 +247,8 @@ def wigner_gaussian(state: GaussianState, spec: GridSpec) -> WignerGrid:
     if spec.mode_count != state.mode_count:
         raise ValueError("grid/state mode mismatch")
     cov = state.covariance
-    det = np.linalg.det(cov)
+    with np.errstate(over="ignore"):  # inf: no mass on the grid, exit 3 below
+        det = np.linalg.det(cov)
     if det <= 0 or np.linalg.cond(cov) > 1e12:
         raise InadequateWindowError(
             "covariance is singular on this scale; the grid cannot "
@@ -239,14 +256,15 @@ def wigner_gaussian(state: GaussianState, spec: GridSpec) -> WignerGrid:
     prec = np.linalg.inv(cov)
     d = [c - mu for c, mu in zip(spec.coordinate_blocks(), state.mean)]
     # one axis at a time: term j spans axes 0..j, so only the last is
-    # grid-sized
+    # grid-sized; an overflow is an exponent of -inf, a node where W is 0
     quad = 0.0
-    for j in range(len(d)):
-        cross = sum(prec[i, j] * d[i] for i in range(j))
-        term = prec[j, j] * d[j] + 2 * cross
-        term *= d[j]
-        term += quad
-        quad = term
+    with np.errstate(over="ignore"):
+        for j in range(len(d)):
+            cross = sum(prec[i, j] * d[i] for i in range(j))
+            term = prec[j, j] * d[j] + 2 * cross
+            term *= d[j]
+            term += quad
+            quad = term
     quad *= -0.5
     values = np.exp(quad, out=quad)
     values *= (2 * np.pi) ** (-spec.mode_count) / np.sqrt(det)
@@ -538,16 +556,47 @@ def hudson_classify(state, spec: GridSpec | None = None) -> HudsonReport:
 
 def wigner_to_csv(grid: WignerGrid, path) -> None:
     """Rows q1,...,p_m,W per node in axes-major order, byte-identical to
-    np.savetxt with "%.18e", written one slab of the first axis at a time."""
+    np.savetxt with "%.18e", written one slab of the first axis at a time.
+
+    W is formatted once per distinct bit pattern in each block of slabs
+    (about CSV_BLOCK_NODES nodes): Wigner grids repeat their values
+    exactly under mirror symmetry.  The key is the bits, not the value,
+    since 0.0 and -0.0 are printed differently.
+    """
     m = grid.spec.mode_count
     names = [f"q{i + 1}" for i in range(m)] + [f"p{i + 1}" for i in range(m)]
-    axis = [f"{x:.18e}," for x in grid.spec.axis.tolist()]
-    tails = ["".join(t) for t in itertools.product(axis, repeat=2 * m - 1)]
-    with open(path, "w") as fh:
-        fh.write(",".join(names + ["W"]) + "\n")
-        for head, slab in zip(axis, grid.values):
-            fh.write("".join([f"{head}{tail}{w:.18e}\n" for tail, w
-                              in zip(tails, slab.reshape(-1).tolist())]))
+    axis = [f"{x:.18e},".encode() for x in grid.spec.axis.tolist()]
+    tails = [b"".join(t) for t in itertools.product(axis, repeat=2 * m - 1)]
+    # a slab's rows are joined from (head, tail, W) triples; the tails are
+    # the same in every slab
+    parts = [b""] * (3 * len(tails))
+    parts[1::3] = tails
+    step = max(1, CSV_BLOCK_NODES // len(tails))
+    with open(path, "wb") as fh:
+        fh.write(",".join(names + ["W"]).encode() + b"\n")
+        for start in range(0, len(axis), step):
+            _write_csv_block(fh, parts, axis[start:start + step],
+                             grid.values[start:start + step])
+
+
+def _write_csv_block(fh, parts, heads, block) -> None:
+    """The rows of one block of first-axis slabs.
+
+    The texts are held in one bytes array rather than as an object per
+    value: the pages of many small objects stay resident after they are
+    freed.
+    """
+    bits, inverse = np.unique(block.reshape(-1).view(np.int64),
+                              return_inverse=True)
+    values = bits.view(np.float64)
+    text = np.empty(values.size, dtype=f"S{CSV_TEXT_WIDTH}")
+    for k in range(0, values.size, CSV_FORMAT_CHUNK):
+        text[k:k + CSV_FORMAT_CHUNK] = [
+            f"{w:.18e}\n" for w in values[k:k + CSV_FORMAT_CHUNK].tolist()]
+    for head, row in zip(heads, inverse.reshape(len(heads), -1)):
+        parts[0::3] = [head] * len(row)
+        parts[2::3] = text[row].tolist()
+        fh.write(b"".join(parts))
 
 
 def sidecar_dict(grid: WignerGrid) -> dict:

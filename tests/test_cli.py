@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerhvm import wigner as wigner_module
 from wignerhvm.cli import _multiplicativity_cases, lemma_check_bytes, main
 from wignerhvm.weyl import (check_wigner_multiplicativity,
                             metaplectic_covariance_suite)
@@ -406,6 +407,53 @@ def test_grid_guards_count_past_float_range():
     with pytest.raises(InadequateWindowError, match="8 modes"):
         GridSpec(9, 6.0, 3)
     GridSpec(8, 6.0, 3)  # 3^16 values: within the limit
+
+
+@pytest.mark.parametrize("command",
+                         ["wigner", "negativity", "hudson", "hvm-compare"])
+def test_points_past_float_range_exit_3(tmp_path, capsys, command):
+    # 10^400 + 1 points has no float step, and its grid is far above the
+    # byte limit whatever the window; a bad window on a grid that fits is
+    # still a parse failure
+    huge = str(10 ** 400 + 1)
+    for window in ("6", "-1"):
+        code, _ = run(tmp_path, command, "--state", '{"kind": "vacuum"}',
+                      "--points", huge, "--window", window)
+        assert code == 3, window
+        assert "GiB limit" in capsys.readouterr().err
+    code, _ = run(tmp_path, command, "--state", '{"kind": "vacuum"}',
+                  "--points", "21", "--window", "-1")
+    assert code == 2
+    with pytest.raises(InadequateWindowError, match="at least 2"):
+        GridSpec(1, -1.0, 10 ** 400 + 1)
+
+
+@pytest.mark.parametrize("command",
+                         ["wigner", "negativity", "hudson", "hvm-compare"])
+def test_overflowing_gaussians_exit_without_warnings(tmp_path, command):
+    # det(sigma) overflows for the thermal state and the quadratic form for
+    # the coherent one: no mass is left on the grid, so the normalization
+    # gate refuses both (hudson refuses the mixed thermal state first)
+    cases = [('{"kind": "thermal", "params": {"nbar": 1e300}}',
+              4 if command == "hudson" else 3),
+             ('{"kind": "coherent", "params": {"alpha": 1e200}}', 3)]
+    for spec, want in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, command, "--state", spec,
+                          "--points", "21")
+        assert code == want, spec
+
+
+def test_non_finite_report_exit_3(tmp_path, monkeypatch, capsys):
+    # a NaN in a payload is refused, not written as a bare NaN token
+    sidecar = wigner_module.sidecar_dict
+    monkeypatch.setattr(wigner_module, "sidecar_dict",
+                        lambda w: {**sidecar(w), "log_negativity": np.nan})
+    code, out = run(tmp_path, "negativity", "--state", '{"kind": "vacuum"}')
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "negativity.json").exists()
 
 
 def test_mixed_hudson_exit_4(tmp_path):

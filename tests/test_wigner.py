@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wignerhvm import fockspace
+from wignerhvm import wigner as wigner_module
 from wignerhvm.oracle import homodyne_density
 from wignerhvm.states import (FockDensityOperator, GaussianState, StateSpec,
                               gaussian_to_fock, make_state)
@@ -480,22 +481,94 @@ def test_csv_export_and_sidecar(tmp_path):
                          "negativity_volume", "log_negativity"}
 
 
+def savetxt_bytes(tmp_path, grid):
+    """np.savetxt's "%.18e" bytes for the CSV that wigner_to_csv writes."""
+    spec, ref = grid.spec, tmp_path / "ref.csv"
+    names = [f"{x}{i + 1}" for x in "qp" for i in range(spec.mode_count)]
+    coords = np.meshgrid(*([spec.axis] * 2 * spec.mode_count), indexing="ij")
+    columns = [c.reshape(-1) for c in coords] + [grid.values.reshape(-1)]
+    np.savetxt(ref, np.column_stack(columns), delimiter=",",
+               header=",".join(names + ["W"]), comments="")
+    return ref.read_bytes()
+
+
+def csv_bytes(tmp_path, grid):
+    path = tmp_path / "w.csv"
+    wigner_to_csv(grid, path)
+    return path.read_bytes()
+
+
 def test_csv_export_matches_savetxt_bytes(tmp_path):
     rng = np.random.default_rng(3)
-    for spec, header in ((GridSpec(1, 6.0, 257), "q1,p1,W"),
-                         (GridSpec(2, 4.0, 11), "q1,q2,p1,p2,W")):
+    for spec in (GridSpec(1, 6.0, 257), GridSpec(2, 4.0, 11)):
         values = rng.normal(scale=0.1, size=spec.shape)
         values.flat[:5] = [-0.0, 5e-324, 1e300, -1e300, -2.5e-17]
         grid = WignerGrid(spec, values)
-        path = tmp_path / f"{spec.mode_count}.csv"
-        wigner_to_csv(grid, path)
-        coords = np.meshgrid(*([spec.axis] * 2 * spec.mode_count),
-                             indexing="ij")
-        columns = [c.reshape(-1) for c in coords] + [values.reshape(-1)]
-        ref = tmp_path / f"{spec.mode_count}_ref.csv"
-        np.savetxt(ref, np.column_stack(columns), delimiter=",",
-                   header=header, comments="")
-        assert path.read_bytes() == ref.read_bytes()
+        assert csv_bytes(tmp_path, grid) == savetxt_bytes(tmp_path, grid)
+
+
+def test_csv_export_keys_repeated_values_by_bits(tmp_path):
+    # 0.0 == -0.0, but they print differently: a dedupe keyed by value
+    # would print one of them for the other
+    for spec in (GridSpec(1, 2.0, 5), GridSpec(2, 2.0, 3)):
+        values = np.zeros(spec.shape)
+        values.flat[1::3] = -0.0
+        values.flat[2::3] = 0.5
+        grid = WignerGrid(spec, values)
+        assert csv_bytes(tmp_path, grid) == savetxt_bytes(tmp_path, grid)
+
+
+def test_csv_export_of_mirror_symmetric_grids(tmp_path):
+    cat = state_wigner(make_state(StateSpec("cat", {"alpha": 1.5}, 1, 30)),
+                       GridSpec(1, 6.0, 65))
+    assert np.array_equal(cat.values, cat.values[::-1, ::-1])
+    spec = GridSpec(2, 2.0, 7)
+    pool = np.array([0.0, -0.0, 0.25, -1 / 3, 5e-324, 1e300])
+    values = np.random.default_rng(5).choice(pool, size=spec.shape)
+    values = values + np.flip(values)  # exactly symmetric under z -> -z
+    for grid in (cat, WignerGrid(spec, values)):
+        distinct = np.unique(grid.values.view(np.int64)).size
+        assert distinct <= grid.values.size // 2 + 1
+        assert csv_bytes(tmp_path, grid) == savetxt_bytes(tmp_path, grid)
+
+
+@pytest.mark.parametrize("budget", [1, 50, 300, None])
+@pytest.mark.parametrize("spec", [GridSpec(1, 3.0, 21), GridSpec(2, 3.0, 5)])
+def test_csv_export_by_blocks_and_of_views(tmp_path, monkeypatch, spec,
+                                           budget):
+    # budgets below one slab, of a few slabs with a short last block, and
+    # the default single block; values repeat across blocks and are read
+    # through a transposed (non-contiguous) view
+    if budget is not None:
+        monkeypatch.setattr(wigner_module, "CSV_BLOCK_NODES", budget)
+    pool = np.array([0.0, -0.0, 0.125, -0.125, 1e-300, 2 / 3])
+    values = np.random.default_rng(9).choice(pool, size=spec.shape).T
+    assert not values.flags.c_contiguous
+    grid = WignerGrid(spec, values)
+    assert grid.values.base is not None
+    assert csv_bytes(tmp_path, grid) == savetxt_bytes(tmp_path, grid)
+
+
+def test_csv_export_working_set_is_set_by_the_block_budget(tmp_path,
+                                                           monkeypatch):
+    # every value distinct, so each block formats all of its nodes: about
+    # 50 bytes a node for np.unique's arrays and the texts, on top of the
+    # tails and the rows of one slab (about 620 bytes a slab node for two
+    # modes) and one formatting chunk; a whole-grid dedupe would hold the
+    # first term for all 66,049 or 50,625 nodes
+    monkeypatch.setattr(wigner_module, "CSV_BLOCK_NODES", 2 ** 12)
+    rng = np.random.default_rng(11)
+    for spec in (GridSpec(1, 6.0, 257), GridSpec(2, 4.0, 15)):
+        grid = WignerGrid(spec, rng.normal(size=spec.shape))
+        slab = spec.points ** (2 * spec.mode_count - 1)
+        block = max(1, 2 ** 12 // slab) * slab
+        tracemalloc.start()
+        try:
+            wigner_to_csv(grid, tmp_path / "w.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * block + 768 * slab + 2 ** 18, (spec, peak)
 
 
 def test_grid_spec_validation():

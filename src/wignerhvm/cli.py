@@ -317,7 +317,8 @@ def cmd_lemma_check(args) -> int:
         largest = math.isqrt((wigner_mod.GRID_BYTES_LIMIT - LEMMA_FIXED_BYTES)
                              // (16 * LEMMA_MATRICES))
         raise CliError(
-            f"cutoff {args.cutoff} needs {states_mod.gib(nbytes, '.5g')} "
+            f"cutoff {states_mod.short_int(args.cutoff)} needs "
+            f"{states_mod.gib(nbytes, '.5g')} "
             f"GiB of arrays, above the "
             f"{wigner_mod.GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit; "
             f"the largest cutoff is {largest}", EXIT_PARSE)

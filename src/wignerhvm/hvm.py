@@ -12,8 +12,13 @@ Event probabilities and samples use two readings of the same node
 weights.  Events integrate the band-limited (Whittaker-Shannon)
 interpolant of the weights, which reproduces the continuous Wigner
 measure wherever the grid resolves it; an event reads only the axes its
-label uses, so the other axes are summed out of the weights first, and a
-marginal of more than two axes is streamed by slabs, which run on the
+label uses, so the other axes are summed out of the weights first.  When
+the used coefficients are integer multiples n_k g of one scale, every
+node projects onto a lattice outcome g step key, and the weights are
+binned by that integer key, so the sine integral is evaluated once per
+distinct outcome rather than once per node; this path is taken whenever
+the key count is at most the node count.  Labels with no such lattice
+stream a marginal of more than two axes by slabs, which run on the
 usable cores and are summed in one fixed order, so the result has the
 same bits on any number of cores.  Samples draw a grid cell from its mass
 by inverse CDF, searching each chunk's keys in sorted order, and then a
@@ -116,6 +121,59 @@ def build_hvm(w: WignerGrid) -> HiddenVariableModel:
                                renormalization=float(total))
 
 
+def _projection_lattice(used: np.ndarray, points: int, nodes: int):
+    """(g, n) with every used coefficient n_k g to 4 ulp, or None.
+
+    n are the smallest such integers, found by trying g = |zeta_k0| / n0
+    for n0 = 1, 2, ... on the axis k0 of smallest |zeta_k|.  On the grid's
+    nodes h (j_k - c), c = (points - 1) / 2, the outcome zeta . c_i is then
+    g h key_i with key_i = sum_k n_k (j_k - c), which takes
+    R = 2 c sum_k |n_k| + 1 values; a lattice is returned only if R is at
+    most the marginal's node count.
+    """
+    size = np.abs(used)
+    most = (nodes - 1) // (points - 1)  # the largest sum of |n_k|
+    with np.errstate(over="ignore"):
+        if size.max() / size.min() > most:  # one |n_k| alone exceeds it
+            return None
+    scale = size.min() / np.arange(1, most // size.size + 1)
+    n = np.rint(used / scale[:, None])
+    fits = np.all(np.abs(n * scale[:, None] - used) <= 4 * np.spacing(size),
+                  axis=1)
+    fits &= np.abs(n).sum(axis=1) <= most
+    if not fits.any():
+        return None
+    first = np.argmax(fits)
+    return float(scale[first]), n[first].astype(np.intp)
+
+
+def _lattice_masses(weights: np.ndarray, n: np.ndarray,
+                    points: int) -> np.ndarray:
+    """The marginal's weights summed per key + R // 2, in C order.
+
+    Each axis contributes n_k (j_k - c) + |n_k| c, a key from 0 up.  A
+    marginal of more than two axes is binned one first-axis slab at a time
+    against the keys of the other axes, and each slab's bins are added at
+    its first-axis key, so no key array is as large as the marginal.
+    """
+    half = (points - 1) // 2
+    shifted = [k * np.arange(-half, half + 1) + abs(k) * half for k in n]
+    masses = np.zeros(2 * half * int(np.abs(n).sum()) + 1)
+    if weights.ndim > 2:
+        slabs = zip(shifted[0], weights)
+        shifted = shifted[1:]
+    else:
+        slabs = [(0, weights)]
+    keys = shifted[0]
+    for line in shifted[1:]:
+        keys = np.add.outer(keys, line)
+    keys = keys.reshape(-1)
+    for offset, w in slabs:
+        part = np.bincount(keys, w.reshape(-1))
+        masses[offset:offset + len(part)] += part
+    return masses
+
+
 def _slab_workers(slabs: int) -> int:
     """Threads for an event's slab loop: the usable cores, at most one per
     SLAB_SHARE slabs."""
@@ -216,12 +274,22 @@ def hvm_event_probability(model: HiddenVariableModel, zeta,
 
     t_i does not depend on the axes where zeta_k = 0, so those axes are
     summed out of the weights first and the nodes are those of the
-    marginal on the used axes.  A marginal of more than two axes is
-    streamed by first-axis slabs, one sici call per slab for every finite
-    edge, so no temporary is as large as the marginal.  sici releases the
-    GIL, so the slabs run on a thread per usable core (os.sched_getaffinity,
-    capped by _slab_workers); each slab's per-interval sums are then added
-    in slab-major order, as one serial pass would add them, so the result
+    marginal on the used axes.
+
+    Lattice labels: when the used coefficients are n_k g for integers n_k
+    (the smallest that fit to 4 ulp, see _projection_lattice), node i sits
+    at t_i = g step key_i with an integer key_i = sum_k n_k (j_k - c).  If
+    the R = 2 c sum_k |n_k| + 1 keys are no more than the marginal's nodes,
+    the weights are binned by key (np.bincount, one first-axis slab at a
+    time beyond two axes) and sici is evaluated once per finite edge on
+    the R outcomes g step k, k = -R//2 ... R//2, with no thread pool.
+
+    Other labels: a marginal of more than two axes is streamed by
+    first-axis slabs, one sici call per slab for every finite edge, so no
+    temporary is as large as the marginal.  sici releases the GIL, so the
+    slabs run on a thread per usable core (os.sched_getaffinity, capped by
+    _slab_workers); each slab's per-interval sums are then added in
+    slab-major order, as one serial pass would add them, so the result
     has the same bits on any number of cores.
     """
     from scipy.special import sici
@@ -234,16 +302,10 @@ def hvm_event_probability(model: HiddenVariableModel, zeta,
     if idle:
         weights = weights.sum(axis=idle)
     bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
-    # z * axis broadcast along the used axes: summed in axis order, these
-    # are the products and sums of zeta . c over the full grid
     used = zeta[zeta != 0]
-    lines = [(z * spec.axis).reshape((-1,) + (1,) * (used.size - 1 - d))
-             for d, z in enumerate(used)]
 
     def partial_sums(w, outcomes):
         """sum(w * (Si(B(b - t)) - Si(B(a - t)))) per interval (a, b)."""
-        for line in lines[1:]:
-            outcomes = outcomes + line
 
         def si(edge):
             if np.isinf(edge):
@@ -258,13 +320,31 @@ def hvm_event_probability(model: HiddenVariableModel, zeta,
             sums.append(np.sum(mass))
         return sums
 
-    if weights.ndim <= 2:
-        rows = [partial_sums(weights, lines[0])]
-    elif (workers := _slab_workers(len(weights))) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(partial_sums, weights, lines[0]))
+    lattice = _projection_lattice(used, spec.points, weights.size)
+    if lattice is not None:
+        scale, n = lattice
+        masses = _lattice_masses(weights, n, spec.points)
+        reach = len(masses) // 2
+        rows = [partial_sums(masses, scale * spec.step
+                             * np.arange(-reach, reach + 1))]
     else:
-        rows = list(map(partial_sums, weights, lines[0]))
+        # z * axis broadcast along the used axes: summed in axis order,
+        # these are the products and sums of zeta . c over the full grid
+        lines = [(z * spec.axis).reshape((-1,) + (1,) * (used.size - 1 - d))
+                 for d, z in enumerate(used)]
+
+        def slab_sums(w, outcomes):
+            for line in lines[1:]:
+                outcomes = outcomes + line
+            return partial_sums(w, outcomes)
+
+        if weights.ndim <= 2:
+            rows = [slab_sums(weights, lines[0])]
+        elif (workers := _slab_workers(len(weights))) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(slab_sums, weights, lines[0]))
+        else:
+            rows = list(map(slab_sums, weights, lines[0]))
     total = 0.0
     for row in rows:  # slab-major, as one serial pass would add them
         for part in row:

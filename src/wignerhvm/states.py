@@ -32,10 +32,20 @@ FOCK_KINDS = ("fock", "cat", "gkp", "photon_subtracted_squeezed")
 
 
 def gib(nbytes: int, spec: str = ".1f") -> str:
-    """A byte count in GiB for a message; past float range, a power of 2."""
+    """A byte count in GiB for a message: in ``spec`` below a million GiB,
+    to three digits above it, and past float range as a power of 2."""
     if nbytes.bit_length() > 1000:
         return f"at least 2^{nbytes.bit_length() - 31}"
-    return format(nbytes / 2 ** 30, spec)
+    value = nbytes / 2 ** 30
+    return format(value, spec if value < 1e6 else ".3g")
+
+
+def short_int(n: int) -> str:
+    """An integer for a message: in full below 10^12, else as d.ddde+N."""
+    if abs(n) < 10 ** 12:
+        return str(n)
+    from decimal import Decimal  # exact at any size; only on this path
+    return format(Decimal(n), ".3e")
 
 
 class StateSpecError(ValueError):
@@ -367,7 +377,7 @@ def make_state(spec: StateSpec):
     require_grid_modes(spec.modes)
     if kind in FOCK_KINDS and 16 * cutoff ** 2 > GRID_BYTES_LIMIT:  # one mode
         raise InadequateWindowError(
-            f"a cutoff-{cutoff} density matrix needs "
+            f"a cutoff-{short_int(cutoff)} density matrix needs "
             f"{gib(16 * cutoff ** 2)} GiB, above the "
             f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit; use a "
             "smaller cutoff")

@@ -22,7 +22,8 @@ import numpy as np
 from . import fockspace
 from .phase_space import omega
 from .states import (GRID_BYTES_LIMIT, FockDensityOperator, GaussianState,
-                     InadequateWindowError, gib, require_grid_modes)
+                     InadequateWindowError, gib, require_grid_modes,
+                     short_int)
 
 BOUNDARY_DECAY = 1e-8
 IMAG_RESIDUE = 1e-8
@@ -85,8 +86,8 @@ class GridSpec:
 
     def _oversized(self, nbytes: int) -> InadequateWindowError:
         return InadequateWindowError(
-            f"a {self.points}-point {self.mode_count}-mode grid needs "
-            f"{gib(nbytes)} GiB per array, above the "
+            f"a {short_int(self.points)}-point {self.mode_count}-mode grid "
+            f"needs {gib(nbytes)} GiB per array, above the "
             f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB limit; use fewer points")
 
     @property

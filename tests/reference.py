@@ -10,7 +10,10 @@ package used before it learnt to skip unused offsets.
 summed over every node of the full grid, the sum the package used before
 it learnt to sum idle axes out first, and `serial_slab_event_probability`
 is the marginal sum in one serial pass over the slabs, the loop the
-package ran before its slabs went to threads.  `searchsorted_sample`
+package ran before its slabs went to threads; it is still the package's
+sum for labels with no projection lattice.  `lattice_event_probability`
+is the sum for labels that have one, with every node's key written out
+and each first-axis slab binned against it.  `searchsorted_sample`
 draws the hidden-variable samples with one binary search per key, in key
 order, as the package did before it learnt to search sorted keys.
 `expression_wigner_gaussian` evaluates the Gaussian Wigner grid as one
@@ -163,6 +166,45 @@ def serial_slab_event_probability(model, zeta, intervals) -> float:
                  for e, f in zip(flat, finite)]
         for lower, upper in zip(si_at[::2], si_at[1::2]):
             total += np.sum(w * (upper - lower))
+    return float(total / weights.sum()) / np.pi
+
+
+def lattice_event_probability(model, zeta, intervals, n) -> float:
+    """The same sum with the weights binned by each node's projection key.
+
+    The used coefficients are n_k g, with g = |zeta_k| / |n_k| on the
+    first axis of smallest |zeta_k|, so node j of the marginal sits at
+    t = g step key, key = sum_k n_k (j_k - c), c = (points - 1) / 2.  The
+    weights are binned by key, each first-axis slab in turn when the
+    marginal has more than two axes, and each interval adds
+    sum(bin * (Si(B(b - t)) - Si(B(a - t)))) over the keys; sici is
+    evaluated at every edge, infinite ones included.
+    """
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    spec = model.measure.spec
+    weights = model.measure.values.sum(axis=tuple(np.flatnonzero(zeta == 0)))
+    used = zeta[zeta != 0]
+    first = np.argmin(np.abs(used))
+    g = abs(used[first]) / abs(n[first])
+    half = (spec.points - 1) // 2
+    reach = half * sum(abs(k) for k in n)
+    keys = reach
+    for d, k in enumerate(n):
+        shape = [1] * used.size
+        shape[d] = -1
+        keys = keys + k * np.arange(-half, half + 1).reshape(shape)
+    bins = np.zeros(2 * reach + 1)
+    slabs = zip(keys, weights) if weights.ndim > 2 else [(keys, weights)]
+    for key, w in slabs:
+        bins += np.bincount(key.reshape(-1), w.reshape(-1),
+                            minlength=bins.size)
+    outcomes = g * spec.step * np.arange(-reach, reach + 1)
+    bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
+    total = 0.0
+    for a, b in sorted(intervals):
+        upper = sici(bandwidth * (b - outcomes))[0]
+        lower = sici(bandwidth * (a - outcomes))[0]
+        total += np.sum(bins * (upper - lower))
     return float(total / weights.sum()) / np.pi
 
 

@@ -428,6 +428,23 @@ def test_points_past_float_range_exit_3(tmp_path, capsys, command):
         GridSpec(1, -1.0, 10 ** 400 + 1)
 
 
+@pytest.mark.parametrize("digits", [13, 62, 401])
+def test_oversized_counts_print_short(tmp_path, capsys, digits):
+    # a point count or cutoff of any length prints as d.ddde+N, and a GiB
+    # count within float range to three digits; the exit codes hold
+    huge = str(10 ** (digits - 1) + 1)
+    fock = '{"kind": "fock", "params": {"n": 1}, "cutoff": %s}' % huge
+    for argv, want in ((["wigner", "--state", '{"kind": "vacuum"}',
+                         "--points", huge], 3),
+                       (["wigner", "--state", fock], 3),
+                       (["lemma-check", "--cutoff", huge], 2)):
+        code, _ = run(tmp_path, *argv)
+        assert code == want, argv
+        err = capsys.readouterr().err
+        assert "GiB" in err and len(err) < 200, err
+        assert f"1.000e+{digits - 1}" in err, err
+
+
 @pytest.mark.parametrize("command",
                          ["wigner", "negativity", "hudson", "hvm-compare"])
 def test_overflowing_gaussians_exit_without_warnings(tmp_path, command):

@@ -23,8 +23,8 @@ from wignerhvm.wigner import (GridSpec, WignerGrid, characteristic_at_points,
                               state_wigner, wigner_gaussian)
 
 from reference import (copying_hvm_measure, full_grid_event_probability,
-                       pinned_gaussians, searchsorted_sample,
-                       serial_slab_event_probability)
+                       lattice_event_probability, pinned_gaussians,
+                       searchsorted_sample, serial_slab_event_probability)
 
 GRID = GridSpec(1, 6.0, 257)
 BINS = BinSpec(-6.0, 6.0, 50)
@@ -300,36 +300,47 @@ def coherent_pair():
     return state, build_hvm(state_wigner(state, GridSpec(2, 6.0, 41)))
 
 
+# labels whose used coefficients are n_k g, with their integers n_k, and
+# labels with no such lattice over three or more axes
+LATTICE = [([1.0, 0, 0, 0], [1]), ([0.6, 0, 0.8, 0], [3, 4]),
+           ([0.3, -0.5, 0, 0.9], [3, -5, 9]),
+           ([0.5, 0.5, 0.5, 0.5], [1, 1, 1, 1])]
+NO_LATTICE = [[1.0, 1 / np.sqrt(2), 1 / np.sqrt(3), 0],
+              [np.cos(1), np.sin(1), np.cos(2), np.sin(2)]]
+
+
 def test_semi_infinite_events_match_sici_of_infinity_bit_for_bit(
         coherent_pair):
-    # Si(+-inf) is taken as the constant +-pi/2; the reference evaluates
-    # sici at both edges on every node of the same marginal, summed over
-    # the same first-axis slabs when it has more than two axes
+    # Si(+-inf) is taken as the constant +-pi/2; the references evaluate
+    # sici at both edges, on every projection key for lattice labels and
+    # otherwise on every node of the same marginal, summed over the same
+    # first-axis slabs when it has more than two axes
     assert sici(np.inf)[0] == np.pi / 2 and sici(-np.inf)[0] == -np.pi / 2
     _, model = coherent_pair
     axis = model.measure.spec.axis
     step = model.measure.spec.step
-    for zeta in ([1.0, 0, 0, 0], [0.6, 0, 0.8, 0], [0.3, -0.5, 0, 0.9]):
-        zeta = np.array(zeta)
-        marginal = model.measure.values.sum(
-            axis=tuple(np.flatnonzero(zeta == 0)))
-        used = zeta[zeta != 0]
-        outcomes = 0
-        for d, z in enumerate(used):
-            shape = [1] * used.size
-            shape[d] = -1
-            outcomes = outcomes + z * axis.reshape(shape)
-        bandwidth = np.pi / (step * np.max(np.abs(zeta)))
-        slabs = (list(zip(marginal, outcomes)) if marginal.ndim > 2
-                 else [(marginal, outcomes)])
-        for a, b in ((0.0, np.inf), (-np.inf, 0.0), (-1.0, np.inf)):
-            total = 0.0
-            for w, t in slabs:
-                upper = sici(bandwidth * (b - t))[0]
-                lower = sici(bandwidth * (a - t))[0]
-                total += np.sum(w * (upper - lower))
-            want = float(total / marginal.sum()) / np.pi
+    semi_infinite = ((0.0, np.inf), (-np.inf, 0.0), (-1.0, np.inf))
+    for zeta, n in LATTICE[:3]:
+        for a, b in semi_infinite:
+            want = lattice_event_probability(model, zeta, [(a, b)], n)
             assert hvm_event_probability(model, zeta, [(a, b)]) == want
+    zeta = np.array(NO_LATTICE[0])
+    marginal = model.measure.values.sum(axis=tuple(np.flatnonzero(zeta == 0)))
+    used = zeta[zeta != 0]
+    outcomes = 0
+    for d, z in enumerate(used):
+        shape = [1] * used.size
+        shape[d] = -1
+        outcomes = outcomes + z * axis.reshape(shape)
+    bandwidth = np.pi / (step * np.max(np.abs(zeta)))
+    for a, b in semi_infinite:
+        total = 0.0
+        for w, t in zip(marginal, outcomes):
+            upper = sici(bandwidth * (b - t))[0]
+            lower = sici(bandwidth * (a - t))[0]
+            total += np.sum(w * (upper - lower))
+        want = float(total / marginal.sum()) / np.pi
+        assert hvm_event_probability(model, zeta, [(a, b)]) == want
 
 
 UNION = [(-np.inf, -0.5), (0.2, 0.7), (1.0, np.inf)]
@@ -342,7 +353,8 @@ def test_marginal_events_match_full_grid_node_sum(coherent_pair):
     _, one_mode = model_for("squeezed", {"r": 0.5})
     cases = [(two_mode, zeta, intervals)
              for zeta in ([1, 0, 0, 0], [0, 0, 1, 0], [0.6, 0, 0.8, 0],
-                          [0.3, -0.5, 0, 0.9], [0.5, 0.5, 0.5, 0.5])
+                          [0.3, -0.5, 0, 0.9], [0.5, 0.5, 0.5, 0.5],
+                          NO_LATTICE[0])
              for intervals in ([(0.0, np.inf)], UNION)]
     cases += [(one_mode, [0.6, 0.8], intervals)
               for intervals in ([(-np.inf, 0.0)], [(-1.0, 1.0)], UNION)]
@@ -380,9 +392,12 @@ def test_first_sample_holds_one_grid_sized_array(coherent_pair):
     assert peak < 1.5 * grid_bytes, peak / grid_bytes
 
 
-@pytest.mark.parametrize("zeta", [[0.5, 0.5, 0.5, 0.5], [0.3, -0.5, 0, 0.9]])
+# the lattice labels first, so that they keep their old ids
+@pytest.mark.parametrize("zeta, n", [LATTICE[3], LATTICE[2]]
+                         + [(zeta, None) for zeta in NO_LATTICE],
+                         ids=["zeta0", "zeta1", "zeta2", "zeta3"])
 def test_slab_events_have_the_same_bits_on_any_core_count(
-        coherent_pair, monkeypatch, zeta):
+        coherent_pair, monkeypatch, zeta, n):
     _, model = coherent_pair
     pools = []
 
@@ -397,14 +412,82 @@ def test_slab_events_have_the_same_bits_on_any_core_count(
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid, cores=cores: set(range(cores)))
         got[cores] = hvm_event_probability(model, zeta, UNION)
-    assert pools == [4]  # one core runs the slabs inline
-    want = serial_slab_event_probability(model, zeta, UNION)
+    if n is None:
+        assert pools == [4]  # one core runs the slabs inline
+        want = serial_slab_event_probability(model, zeta, UNION)
+    else:
+        assert pools == []  # binned by key in one serial pass
+        want = lattice_event_probability(model, zeta, UNION, n)
     assert got[1] == got[4] == want
     # where there is no affinity call, every core counts
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert hvm_event_probability(model, zeta, UNION) == want
-    assert pools == [4, 3]
+    assert pools == ([4, 3] if n is None else [])
+
+
+def test_lattice_events_evaluate_sici_once_per_key(coherent_pair,
+                                                   monkeypatch):
+    # at most R = (points - 1) sum |n_k| + 1 points per finite edge, one
+    # call each; labels with no lattice still evaluate every node
+    import scipy.special
+
+    _, model = coherent_pair
+    calls = []
+
+    def spy(x):
+        calls.append(np.size(x))
+        return sici(x)
+
+    monkeypatch.setattr(scipy.special, "sici", spy)
+    finite_edges = 4  # UNION's two semi-infinite intervals and (0.2, 0.7)
+    for zeta, n in LATTICE:
+        calls.clear()
+        hvm_event_probability(model, zeta, UNION)
+        keys = 40 * np.abs(n).sum() + 1
+        assert len(calls) == finite_edges, zeta
+        assert max(calls) <= keys, (zeta, calls)
+    calls.clear()
+    hvm_event_probability(model, NO_LATTICE[0], UNION)
+    assert sum(calls) == finite_edges * 41 ** 3
+
+
+@pytest.mark.parametrize("zeta, n", LATTICE[:2] + [(NO_LATTICE[0], None)])
+def test_power_of_two_scaling_keeps_every_bit(coherent_pair, zeta, n):
+    # scaling the label and the edges by 2^e scales every outcome, edge and
+    # 1/bandwidth exactly, on the lattice path and on the slab path
+    _, model = coherent_pair
+    want = hvm_event_probability(model, zeta, UNION)
+    for e in (-500, -7, 9, 500):
+        scaled = [(np.ldexp(a, e), np.ldexp(b, e)) for a, b in UNION]
+        got = hvm_event_probability(model, np.ldexp(zeta, e), scaled)
+        assert got == want, e
+
+
+@pytest.fixture(scope="module")
+def small_pair():
+    state = make_state(StateSpec("thermal", {"nbar": 0.25}, 2))
+    return build_hvm(state_wigner(state, GridSpec(2, 5.0, 15)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.lists(st.integers(-4, 4), min_size=4, max_size=4).filter(any),
+       g=st.floats(0.05, 2.0), e=st.sampled_from([-500, 0, 500]),
+       lo=st.floats(-4, 4), width=st.floats(0.01, 8),
+       kind=st.sampled_from(["finite", "below", "above"]))
+def test_lattice_events_match_full_grid_node_sum(small_pair, n, g, e, lo,
+                                                 width, kind):
+    # 2^+-500 is about the widest scale the label rule lets through: its
+    # squared norm must be finite and nonzero
+    zeta = np.ldexp(g * np.array(n, dtype=float), e)
+    used = zeta[zeta != 0]
+    assert hvm._projection_lattice(used, 15, 15 ** used.size) is not None
+    lo, hi = np.ldexp(lo, e), np.ldexp(lo + width, e)
+    intervals = {"finite": [(lo, hi)], "below": [(-np.inf, hi)],
+                 "above": [(lo, np.inf)]}[kind]
+    got = hvm_event_probability(small_pair, zeta, intervals)
+    want = full_grid_event_probability(small_pair, zeta, intervals)
+    assert abs(got - want) <= 1e-14, (got, want)
 
 
 @pytest.mark.parametrize("zeta", [[1, 0, 0, 0, 5], [1, 0]])
@@ -466,8 +549,10 @@ def test_queries_hold_no_grid_sized_temporary(coherent_pair):
     queries = {
         "idle axes": lambda: hvm_event_probability(
             model, [1, 0, 0, 0], [(-1.0, 1.0)]),
-        "slabs": lambda: hvm_event_probability(
+        "lattice": lambda: hvm_event_probability(
             model, [0.5, 0.5, 0.5, 0.5], [(-1.0, 1.0)]),
+        "slabs": lambda: hvm_event_probability(
+            model, NO_LATTICE[1], [(-1.0, 1.0)]),
         "characteristic": lambda: empirical_characteristic_check(
             model, pts, state),
     }

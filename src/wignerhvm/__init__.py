@@ -7,8 +7,9 @@ quantum oracle.
 """
 
 from .hvm import (HiddenVariableModel, NegativityError, build_hvm,
-                  empirical_characteristic_check, hvm_event_probability,
-                  hvm_homodyne_distribution, sample, value_assignment)
+                  empirical_characteristic_check, hvm_event_probabilities,
+                  hvm_event_probability, hvm_homodyne_distribution, sample,
+                  value_assignment)
 from .oracle import (BinSpec, OutcomeDistribution, event_probability,
                      expectation, quantum_homodyne_distribution, tv_distance)
 from .phase_space import (Context, context_to_standard_basis, is_context,

@@ -159,6 +159,9 @@ def cmd_hvm_compare(args) -> int:
         raise CliError("need at least one sample", EXIT_PARSE)
     if args.threads < 1:
         raise CliError("need at least one thread", EXIT_PARSE)
+    # the state's own checks first, so an oversized state exits as it does
+    # in every other command
+    states_mod.check_state_spec(spec)
     levels = spec.fock_cutoff ** 2 if spec.kind in states_mod.FOCK_KINDS else 1
     # the samples and their outcomes zeta . phi are held together
     nbytes = 8 * max((2 * spec.modes + 1) * args.samples,
@@ -206,8 +209,9 @@ def cmd_hvm_compare(args) -> int:
                                        out_dir / f"oracle_{idx}.csv")
         tv = oracle_mod.tv_distance(hvm_dist, oracle_dist)
         events = []
-        for label, intervals in window_sets:
-            hv = hvm_mod.hvm_event_probability(model, zeta, intervals)
+        hvs = hvm_mod.hvm_event_probabilities(
+            model, zeta, [intervals for _, intervals in window_sets])
+        for (label, intervals), hv in zip(window_sets, hvs):
             qv = oracle_mod.event_probability(state, zeta, intervals)
             events.append({
                 "interval": label, "hvm": hv, "oracle": qv,

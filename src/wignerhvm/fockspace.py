@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .phase_space import is_symplectic
+from .special import ndtr
 
 
 def annihilation(cutoff: int) -> np.ndarray:
@@ -267,9 +268,9 @@ def hermite_overlap_cdf(cutoff: int, x) -> np.ndarray:
     Off the diagonal the Wronskian identity gives
     F_mn = (psi_m psi_n' - psi_n psi_m') / (2 (m - n)); on it the ladder
     identity gives F_nn = F_(n-1)(n-1) - psi_(n-1) psi_n / sqrt(2n) from
-    F_00 = ndtr(sqrt(2) x).  Infinite x take the limits 0 and the identity.
+    F_00 = ndtr(sqrt(2) x) (special.ndtr).  Infinite x take the limits 0
+    and the identity.
     """
-    from scipy.special import ndtr
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     finite = ~np.isinf(flat)  # NaN points stay NaN

@@ -18,18 +18,17 @@ node projects onto a lattice outcome g step key, and the weights are
 binned by that integer key, so the sine integral is evaluated once per
 distinct outcome rather than once per node; this path is taken whenever
 the key count is at most the node count.  Labels with no such lattice
-stream a marginal of more than two axes by slabs, which run on the
-usable cores and are summed in one fixed order, so the result has the
-same bits on any number of cores.  Samples draw a grid cell from its mass
-by inverse CDF, searching each chunk's keys in sorted order, and then a
-uniform point in a box around its node (the jitter removes grid artifacts
-from histograms); the box model adds a variance of step**2 / 12 per axis,
-which is why exact events do not integrate it.
+stream a marginal of more than two axes by first-axis slabs, grouped in
+blocks for the sine-integral kernel and summed in one fixed order.
+Samples draw a grid cell from its mass by inverse CDF, searching each
+chunk's keys in sorted order, and then a uniform point in a box around
+its node (the jitter removes grid artifacts from histograms); the box
+model adds a variance of step**2 / 12 per axis, which is why exact
+events do not integrate it.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -37,15 +36,14 @@ import numpy as np
 
 from .oracle import BinSpec, OutcomeDistribution, _normalize_intervals
 from .phase_space import observable_label
+from .special import sine_integral
 from .wigner import (NEGATIVITY_TOL_FACTOR, WignerGrid,
                      characteristic_at_points, min_value)
 from .weyl import PolynomialObservable
 
 SAMPLE_CHUNK = 1 << 14
-# at most one event thread per this many slabs: each thread holds about
-# five slab-sized temporaries, so the threads together hold less than the
-# marginal whatever the core count
-SLAB_SHARE = 8
+# the fewest outcomes per sine-integral call on the slab path
+EVENT_BLOCK = 1 << 16
 
 
 class NegativityError(ValueError):
@@ -174,16 +172,6 @@ def _lattice_masses(weights: np.ndarray, n: np.ndarray,
     return masses
 
 
-def _slab_workers(slabs: int) -> int:
-    """Threads for an event's slab loop: the usable cores, at most one per
-    SLAB_SHARE slabs."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, slabs // SLAB_SHARE))
-
-
 def _sample_chunk(model: HiddenVariableModel, seed: int, chunk_index: int,
                   out: np.ndarray) -> None:
     cdf = model._alias
@@ -271,31 +259,39 @@ def hvm_event_probability(model: HiddenVariableModel, zeta,
     sin(B t)/(pi t) with B = pi/(step max_k |zeta_k|), so each node at
     t_i = zeta . c_i contributes p_i [Si(B(b - t_i)) - Si(B(a - t_i))]/pi
     (Si(+-inf) = +-pi/2, taken as constants, covers semi-infinite intervals).
+    Si is special.sine_integral.  hvm_event_probabilities gives several
+    interval sets of one label from one marginal.
+    """
+    return hvm_event_probabilities(model, zeta, [intervals])[0]
+
+
+def hvm_event_probabilities(model: HiddenVariableModel, zeta,
+                            interval_sets) -> list:
+    """hvm_event_probability of each interval set, from one marginal.
 
     t_i does not depend on the axes where zeta_k = 0, so those axes are
-    summed out of the weights first and the nodes are those of the
-    marginal on the used axes.
+    summed out of the weights once, and the nodes are those of the
+    marginal on the used axes.  Each set's sum is added in the order a
+    call for that set alone adds it, so it has the same bits.
 
     Lattice labels: when the used coefficients are n_k g for integers n_k
     (the smallest that fit to 4 ulp, see _projection_lattice), node i sits
     at t_i = g step key_i with an integer key_i = sum_k n_k (j_k - c).  If
     the R = 2 c sum_k |n_k| + 1 keys are no more than the marginal's nodes,
     the weights are binned by key (np.bincount, one first-axis slab at a
-    time beyond two axes) and sici is evaluated once per finite edge on
-    the R outcomes g step k, k = -R//2 ... R//2, with no thread pool.
+    time beyond two axes) and Si is evaluated once per finite edge on the
+    R outcomes g step k, k = -R//2 ... R//2.
 
     Other labels: a marginal of more than two axes is streamed by
-    first-axis slabs, one sici call per slab for every finite edge, so no
-    temporary is as large as the marginal.  sici releases the GIL, so the
-    slabs run on a thread per usable core (os.sched_getaffinity, capped by
-    _slab_workers); each slab's per-interval sums are then added in
-    slab-major order, as one serial pass would add them, so the result
-    has the same bits on any number of cores.
+    first-axis slabs, so no temporary is as large as the marginal.  Si is
+    evaluated on blocks of whole slabs of at least EVENT_BLOCK outcomes,
+    one call per finite edge and block, and each slab's per-interval sums
+    are added in slab-major order.  No thread is started: the Si kernel
+    is a few hundred short numpy calls per block, and two threads
+    contending for the GIL between them were slower than one.
     """
-    from scipy.special import sici
-
     zeta = observable_label(zeta, model.mode_count)
-    edges = _normalize_intervals(intervals)
+    sets = [_normalize_intervals(intervals) for intervals in interval_sets]
     spec = model.measure.spec
     weights = model.measure.values
     idle = tuple(np.flatnonzero(zeta == 0))
@@ -304,52 +300,60 @@ def hvm_event_probability(model: HiddenVariableModel, zeta,
     bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
     used = zeta[zeta != 0]
 
-    def partial_sums(w, outcomes):
-        """sum(w * (Si(B(b - t)) - Si(B(a - t)))) per interval (a, b)."""
+    intervals = [interval for edges in sets for interval in edges]
+
+    def slab_sums(w, outcomes) -> np.ndarray:
+        """sum(w * (Si(B(b - t)) - Si(B(a - t)))) per slab (first axis)
+        and interval (a, b), as a (slabs, intervals) array."""
 
         def si(edge):
             if np.isinf(edge):
                 return np.copysign(np.pi / 2, edge)
-            return sici(bandwidth * (edge - outcomes))[0]
+            arg = edge - outcomes
+            arg *= bandwidth
+            return sine_integral(arg)
 
-        sums = []
-        for a, b in edges:
+        columns = []
+        for a, b in intervals:
             mass = si(b)
             mass -= si(a)
             mass *= w
-            sums.append(np.sum(mass))
-        return sums
+            columns.append([np.sum(part) for part in mass])
+        return np.array(columns).reshape(-1, len(w)).T
 
     lattice = _projection_lattice(used, spec.points, weights.size)
     if lattice is not None:
         scale, n = lattice
         masses = _lattice_masses(weights, n, spec.points)
         reach = len(masses) // 2
-        rows = [partial_sums(masses, scale * spec.step
-                             * np.arange(-reach, reach + 1))]
+        outcomes = scale * spec.step * np.arange(-reach, reach + 1)
+        sums = slab_sums(masses[None], outcomes[None])
     else:
         # z * axis broadcast along the used axes: summed in axis order,
         # these are the products and sums of zeta . c over the full grid
         lines = [(z * spec.axis).reshape((-1,) + (1,) * (used.size - 1 - d))
                  for d, z in enumerate(used)]
-
-        def slab_sums(w, outcomes):
+        slabs, first = weights, lines[0]
+        if weights.ndim <= 2:  # one slab
+            slabs, first = weights[None], first[None]
+        per = -(-EVENT_BLOCK // slabs[0].size)  # slabs per block
+        blocks = []
+        for start in range(0, len(slabs), per):
+            outcomes = first[start:start + per]
             for line in lines[1:]:
                 outcomes = outcomes + line
-            return partial_sums(w, outcomes)
-
-        if weights.ndim <= 2:
-            rows = [slab_sums(weights, lines[0])]
-        elif (workers := _slab_workers(len(weights))) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(slab_sums, weights, lines[0]))
-        else:
-            rows = list(map(slab_sums, weights, lines[0]))
-    total = 0.0
-    for row in rows:  # slab-major, as one serial pass would add them
-        for part in row:
+            blocks.append(slab_sums(slabs[start:start + per], outcomes))
+        sums = np.concatenate(blocks)
+    weight = weights.sum()
+    probabilities, start = [], 0
+    for edges in sets:
+        total = 0.0
+        # slab-major, as one pass over the slabs adds them
+        for part in sums[:, start:start + len(edges)].flat:
             total += part
-    return float(total / weights.sum()) / np.pi
+        start += len(edges)
+        probabilities.append(float(total / weight) / np.pi)
+    return probabilities
 
 
 def empirical_characteristic_check(model: HiddenVariableModel, points,

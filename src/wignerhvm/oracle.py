@@ -1,10 +1,10 @@
 """Truncated-Fock quantum oracle: homodyne statistics as ground truth.
 
 Every probability of zeta . R_hat comes from one CDF: the closed-form
-normal CDF for Gaussian states, and for Fock-represented states the exact
-trace Tr[rho F(t/|zeta|)] against the Hermite-overlap integrals
-F_mn(x) = int_{-inf}^x psi_m psi_n, after a passive metaplectic rotation
-takes zeta/|zeta| onto the first position axis.
+normal CDF (special.ndtr) for Gaussian states, and for Fock-represented
+states the exact trace Tr[rho F(t/|zeta|)] against the Hermite-overlap
+integrals F_mn(x) = int_{-inf}^x psi_m psi_n, after a passive
+metaplectic rotation takes zeta/|zeta| onto the first position axis.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 from . import fockspace
 from .phase_space import observable_label, passive_frame
+from .special import ndtr
 from .states import (FockDensityOperator, GaussianState,
                      InadequateWindowError, gaussian_to_fock)
 from .weyl import PolynomialObservable, quantize_polynomial, trusted_block_mask
@@ -122,7 +123,6 @@ def _cdf(state, zeta, points) -> np.ndarray:
     """Pr(zeta . R_hat <= t) at each point t, infinite points included."""
     zeta = observable_label(zeta, state.mode_count)
     if isinstance(state, GaussianState):
-        from scipy.special import ndtr
         mean, var = _gaussian_marginal(state, zeta)
         return ndtr((points - mean) / np.sqrt(var))
     reduced, scale = _reduced_rotated_state(state, zeta)

@@ -363,10 +363,10 @@ def photon_subtracted_squeezed_state(r: float, cutoff: int) -> FockDensityOperat
         fockspace.metaplectic_operator(squeeze, cutoff)[:, 1], cutoff)
 
 
-def make_state(spec: StateSpec):
-    """Build the state for a spec: Gaussian kinds exactly, the rest on Fock."""
+def check_state_spec(spec: StateSpec) -> None:
+    """The checks make_state runs before it builds anything: the kind, the
+    Fock cutoff and mode count, and the state's size against the limit."""
     kind = spec.kind
-    params = spec.params
     cutoff = spec.fock_cutoff
     if kind not in GAUSSIAN_KINDS + FOCK_KINDS:
         raise StateSpecError(f"unknown state kind '{kind}'")
@@ -381,6 +381,14 @@ def make_state(spec: StateSpec):
             f"{gib(16 * cutoff ** 2)} GiB, above the "
             f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit; use a "
             "smaller cutoff")
+
+
+def make_state(spec: StateSpec):
+    """Build the state for a spec: Gaussian kinds exactly, the rest on Fock."""
+    check_state_spec(spec)
+    kind = spec.kind
+    params = spec.params
+    cutoff = spec.fock_cutoff
     try:
         if kind == "vacuum":
             return vacuum_state(spec.modes)

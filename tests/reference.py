@@ -9,11 +9,13 @@ package used before it learnt to skip unused offsets.
 `full_grid_event_probability` is the hidden-variable event probability
 summed over every node of the full grid, the sum the package used before
 it learnt to sum idle axes out first, and `serial_slab_event_probability`
-is the marginal sum in one serial pass over the slabs, the loop the
-package ran before its slabs went to threads; it is still the package's
-sum for labels with no projection lattice.  `lattice_event_probability`
+is the marginal sum in one pass over the slabs, one kernel call per slab;
+it is the package's sum for labels with no projection lattice, whose
+kernel calls take blocks of slabs.  `lattice_event_probability`
 is the sum for labels that have one, with every node's key written out
-and each first-axis slab binned against it.  `searchsorted_sample`
+and each first-axis slab binned against it.  Every Si in them is the
+package's own kernel, `special.sine_integral`, so they pin the order of
+the package's sums bit for bit.  `searchsorted_sample`
 draws the hidden-variable samples with one binary search per key, in key
 order, as the package did before it learnt to search sorted keys.
 `expression_wigner_gaussian` evaluates the Gaussian Wigner grid as one
@@ -32,11 +34,11 @@ and two modes divided in place.
 """
 
 import numpy as np
-from scipy.special import sici
 
 from wignerhvm import fockspace
 from wignerhvm.fockspace import _laguerre_diagonals
 from wignerhvm.phase_space import random_symplectic
+from wignerhvm.special import sine_integral
 from wignerhvm.states import GaussianState, StateSpec, make_state
 from wignerhvm.wigner import GridSpec, WignerGrid, _kronecker_grid
 
@@ -133,7 +135,7 @@ def full_grid_event_probability(model, zeta, intervals) -> float:
     def si(edge):
         if np.isinf(edge):
             return np.copysign(np.pi / 2, edge)
-        return sici(bandwidth * (edge - outcomes))[0]
+        return sine_integral(bandwidth * (edge - outcomes))
 
     total = 0.0
     for a, b in intervals:
@@ -144,8 +146,8 @@ def full_grid_event_probability(model, zeta, intervals) -> float:
 def serial_slab_event_probability(model, zeta, intervals) -> float:
     """The same sum over the marginal on the used axes, slab by slab.
 
-    One sici call per slab for all finite edges; the intervals' sums are
-    added slab-major, in the order the threaded loop must reproduce.
+    One Si kernel call per slab for all finite edges; the intervals' sums
+    are added slab-major, in the order the blocked loop must reproduce.
     """
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     spec = model.measure.spec
@@ -161,7 +163,7 @@ def serial_slab_event_probability(model, zeta, intervals) -> float:
         for line in lines[1:]:
             outcomes = outcomes + line
         column = flat[finite].reshape((-1,) + (1,) * w.ndim)
-        si = iter(sici(bandwidth * (column - outcomes))[0])
+        si = iter(sine_integral(bandwidth * (column - outcomes)))
         si_at = [next(si) if f else np.copysign(np.pi / 2, e)
                  for e, f in zip(flat, finite)]
         for lower, upper in zip(si_at[::2], si_at[1::2]):
@@ -177,7 +179,7 @@ def lattice_event_probability(model, zeta, intervals, n) -> float:
     t = g step key, key = sum_k n_k (j_k - c), c = (points - 1) / 2.  The
     weights are binned by key, each first-axis slab in turn when the
     marginal has more than two axes, and each interval adds
-    sum(bin * (Si(B(b - t)) - Si(B(a - t)))) over the keys; sici is
+    sum(bin * (Si(B(b - t)) - Si(B(a - t)))) over the keys; Si is
     evaluated at every edge, infinite ones included.
     """
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
@@ -202,8 +204,8 @@ def lattice_event_probability(model, zeta, intervals, n) -> float:
     bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
     total = 0.0
     for a, b in sorted(intervals):
-        upper = sici(bandwidth * (b - outcomes))[0]
-        lower = sici(bandwidth * (a - outcomes))[0]
+        upper = sine_integral(bandwidth * (b - outcomes))
+        lower = sine_integral(bandwidth * (a - outcomes))
         total += np.sum(bins * (upper - lower))
     return float(total / weights.sum()) / np.pi
 

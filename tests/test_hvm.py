@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import sici
 from scipy.stats import norm
 
 from wignerhvm import hvm
 from wignerhvm.cli import CHAR_TOLERANCE, EVENT_TOLERANCE, TV_TOLERANCE
 from wignerhvm.hvm import (NegativityError, build_hvm,
                            empirical_characteristic_check,
-                           hvm_event_probability, hvm_homodyne_distribution,
-                           sample, value_assignment)
+                           hvm_event_probabilities, hvm_event_probability,
+                           hvm_homodyne_distribution, sample,
+                           value_assignment)
 from wignerhvm.oracle import (BinSpec, event_probability,
                               quantum_homodyne_distribution, tv_distance)
 from wignerhvm.phase_space import Context
+from wignerhvm.special import sine_integral
 from wignerhvm.states import FockDensityOperator, StateSpec, make_state
 from wignerhvm.weyl import PolynomialObservable, monomial
 from wignerhvm.wigner import (GridSpec, WignerGrid, characteristic_at_points,
@@ -312,10 +313,11 @@ NO_LATTICE = [[1.0, 1 / np.sqrt(2), 1 / np.sqrt(3), 0],
 def test_semi_infinite_events_match_sici_of_infinity_bit_for_bit(
         coherent_pair):
     # Si(+-inf) is taken as the constant +-pi/2; the references evaluate
-    # sici at both edges, on every projection key for lattice labels and
-    # otherwise on every node of the same marginal, summed over the same
-    # first-axis slabs when it has more than two axes
-    assert sici(np.inf)[0] == np.pi / 2 and sici(-np.inf)[0] == -np.pi / 2
+    # the kernel at both edges, on every projection key for lattice labels
+    # and otherwise on every node of the same marginal, summed over the
+    # same first-axis slabs when it has more than two axes
+    assert sine_integral(np.inf) == np.pi / 2
+    assert sine_integral(-np.inf) == -np.pi / 2
     _, model = coherent_pair
     axis = model.measure.spec.axis
     step = model.measure.spec.step
@@ -336,8 +338,8 @@ def test_semi_infinite_events_match_sici_of_infinity_bit_for_bit(
     for a, b in semi_infinite:
         total = 0.0
         for w, t in zip(marginal, outcomes):
-            upper = sici(bandwidth * (b - t))[0]
-            lower = sici(bandwidth * (a - t))[0]
+            upper = sine_integral(bandwidth * (b - t))
+            lower = sine_integral(bandwidth * (a - t))
             total += np.sum(w * (upper - lower))
         want = float(total / marginal.sum()) / np.pi
         assert hvm_event_probability(model, zeta, [(a, b)]) == want
@@ -413,33 +415,25 @@ def test_slab_events_have_the_same_bits_on_any_core_count(
                             lambda pid, cores=cores: set(range(cores)))
         got[cores] = hvm_event_probability(model, zeta, UNION)
     if n is None:
-        assert pools == [4]  # one core runs the slabs inline
         want = serial_slab_event_probability(model, zeta, UNION)
     else:
-        assert pools == []  # binned by key in one serial pass
         want = lattice_event_probability(model, zeta, UNION, n)
     assert got[1] == got[4] == want
-    # where there is no affinity call, every core counts
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert hvm_event_probability(model, zeta, UNION) == want
-    assert pools == ([4, 3] if n is None else [])
+    assert pools == []  # slabs and keys alike are summed in one pass
 
 
 def test_lattice_events_evaluate_sici_once_per_key(coherent_pair,
                                                    monkeypatch):
     # at most R = (points - 1) sum |n_k| + 1 points per finite edge, one
     # call each; labels with no lattice still evaluate every node
-    import scipy.special
-
     _, model = coherent_pair
     calls = []
 
     def spy(x):
         calls.append(np.size(x))
-        return sici(x)
+        return sine_integral(x)
 
-    monkeypatch.setattr(scipy.special, "sici", spy)
+    monkeypatch.setattr(hvm, "sine_integral", spy)
     finite_edges = 4  # UNION's two semi-infinite intervals and (0.2, 0.7)
     for zeta, n in LATTICE:
         calls.clear()
@@ -450,6 +444,9 @@ def test_lattice_events_evaluate_sici_once_per_key(coherent_pair,
     calls.clear()
     hvm_event_probability(model, NO_LATTICE[0], UNION)
     assert sum(calls) == finite_edges * 41 ** 3
+    # the 41 slabs of 41^2 outcomes go in blocks of 39 (at least
+    # EVENT_BLOCK outcomes) and 2
+    assert calls == [39 * 41 ** 2] * finite_edges + [2 * 41 ** 2] * finite_edges
 
 
 @pytest.mark.parametrize("zeta, n", LATTICE[:2] + [(NO_LATTICE[0], None)])
@@ -462,6 +459,19 @@ def test_power_of_two_scaling_keeps_every_bit(coherent_pair, zeta, n):
         scaled = [(np.ldexp(a, e), np.ldexp(b, e)) for a, b in UNION]
         got = hvm_event_probability(model, np.ldexp(zeta, e), scaled)
         assert got == want, e
+
+
+@pytest.mark.parametrize("zeta", [LATTICE[0][0], LATTICE[3][0], NO_LATTICE[0],
+                                  [0.6, 0.8]])
+def test_interval_sets_from_one_marginal_keep_every_bit(coherent_pair, zeta):
+    # hvm-compare's sets and UNION, with an empty set among them: each set
+    # is added as a call for it alone adds it
+    _, model = coherent_pair if len(zeta) == 4 else model_for("thermal")
+    sets = [[(0.0, np.inf)], [(-1.0, 1.0)], [], UNION]
+    want = [hvm_event_probability(model, zeta, intervals)
+            for intervals in sets]
+    assert hvm_event_probabilities(model, zeta, sets) == want
+    assert want[2] == 0.0
 
 
 @pytest.fixture(scope="module")

@@ -170,17 +170,30 @@ cat = json.dumps({"kind": "cat", "params": {"alpha": 2.0}, "cutoff": 30})
 for command in ("negativity", "hudson", "hvm-compare"):
     assert cli.main([command, "--state", cat, "--out", sys.argv[1]]) == 0
     loaded[command] = scipy_modules()
+# models built and compared with the Gaussian and the Hermite-CDF oracle
+for name, spec in (("thermal", {"kind": "thermal"}),
+                   ("fock", {"kind": "fock", "params": {"n": 0},
+                             "cutoff": 10})):
+    assert cli.main(["hvm-compare", "--state", json.dumps(spec),
+                     "--samples", "1000", "--out", sys.argv[1]]) == 0
+    loaded["hvm-compare " + name] = scipy_modules()
 import numpy as np
 from wignerhvm import weyl
 weyl.metaplectic_covariance_suite(np.random.default_rng(0), trials=2)
 loaded["metaplectic suite"] = scipy_modules()
 from wignerhvm.hvm import build_hvm, hvm_event_probability
+from wignerhvm.oracle import event_probability
 from wignerhvm.states import StateSpec, make_state
 from wignerhvm.wigner import GridSpec, state_wigner
-model = build_hvm(state_wigner(make_state(StateSpec("vacuum")),
-                               GridSpec(1, 6.0, 41)))
-hvm_event_probability(model, [1, 0], [(0.0, 1.0)])
+state = make_state(StateSpec("vacuum", {}, 2))
+model = build_hvm(state_wigner(state, GridSpec(2, 6.0, 21)))
+event_probability(state, [1, 0, 0, 0], [(0.0, 1.0)])
+loaded["event_probability"] = scipy_modules()
+hvm_event_probability(model, [1, 0, 0.5, 0], [(0.0, 1.0)])  # a lattice
+hvm_event_probability(model, [1, 2 ** 0.5, 3 ** 0.5, 0], [(0.0, 1.0)])
 loaded["hvm_event_probability"] = scipy_modules()
+import scipy.special  # the positive control
+loaded["control"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
@@ -189,10 +202,10 @@ def test_wigner_paths_never_import_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
                          capture_output=True, text=True, check=True)
     loaded = json.loads(out.stdout.splitlines()[-1])
-    control = loaded.pop("hvm_event_probability")
+    control = loaded.pop("control")
     assert loaded == {step: [] for step in loaded}
-    assert len(loaded) == 6
-    # positive control: the band-limited event kernel does load sici
+    assert len(loaded) == 10
+    # positive control: the check sees the script's own import
     assert "scipy.special" in control
 
 

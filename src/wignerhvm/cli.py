@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -476,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=50)
     p.add_argument("--threads", type=int, default=1,
                    help="threads that draw the sampler's chunks (default 1); "
-                        "exact events use every usable core regardless, and "
-                        "the report is the same for any value")
+                        "exact events run on the calling thread, and the "
+                        "report is the same for any value")
     p.set_defaults(func=cmd_hvm_compare)
 
     p = sub.add_parser("hudson", help="pure-state Gaussianity classification")
@@ -505,8 +505,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's tree, built once per process.
+
+    parse_args leaves it as it was: each call fills a new namespace, and
+    an append action copies its default list before it appends.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

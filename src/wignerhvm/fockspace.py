@@ -145,8 +145,8 @@ def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
     return out.reshape(rows, *alphas.shape)
 
 
-def parity_trace(rho: np.ndarray, alphas) -> np.ndarray:
-    """Re Tr[P rho D(alpha)], shape alphas.shape, for a one-mode matrix rho.
+def parity_trace(rho: np.ndarray, alphas, mirrored: bool = False) -> np.ndarray:
+    """Re Tr[P rho D(alpha)] over a grid of amplitudes, for a one-mode rho.
 
     P D(alpha) is Hermitian, so this is Tr[P rho_H D(alpha)] with rho_H =
     (rho + rho^dag)/2, and for P rho_H the lower sums of
@@ -157,8 +157,21 @@ def parity_trace(rho: np.ndarray, alphas) -> np.ndarray:
     when rho is real; Im alpha^k is then never read.  Each step is the IEEE
     operation that displacement_trace(P rho) applies to the real part of
     the same term, so for an exactly Hermitian rho the bits are those of
-    its real part.  The grid is summed in place in a real buffer that the
-    result owns; the offsets, their depths and alpha^k run as there.
+    its real part.  The offsets, their depths and alpha^k run as there.
+
+    Without `mirrored` the result has shape alphas.shape.  With it, alphas
+    is the r x c quadrant q >= 0, p >= 0 of a grid whose axis is exactly
+    sign-symmetric, rows and columns counted from the zero node out, and
+    the result is the whole (2r - 1) x (2c - 1) grid.  The mirror images
+    (-q, p), (q, -p) and (-q, -p) of a node have the amplitudes
+    -conj(alpha), conj(alpha) and -alpha bit for bit, so the same
+    |alpha|^2 and an alpha^k that differs only in sign: Re alpha^k takes
+    (-1)^k under a q-flip, and Im alpha^k one more -1 under a q- or p-flip
+    alone.  Each term is formed once, on the quadrant, and added to or
+    subtracted from one sum per image, which is the full-grid loop's IEEE
+    operation at that node.  A real rho reads no Im alpha^k, so a p-flip
+    changes nothing: two sums, or four for a complex rho.  The sums are
+    real buffers, and the returned grid owns its bytes.
     """
     rho = np.asarray(rho, dtype=complex)
     signs = (-1.0) ** np.arange(len(rho))
@@ -166,32 +179,60 @@ def parity_trace(rho: np.ndarray, alphas) -> np.ndarray:
     if not upper.imag.any():
         upper = upper.real
     alphas = np.asarray(alphas, dtype=complex)
-    flat = alphas.reshape(-1)
-    radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
-    out = np.zeros(alphas.shape)
-    total = out.reshape(-1)  # a view: sums land in out
-    term = np.empty(flat.shape)
-    power = np.ones(flat.shape, dtype=complex)  # alpha^k
+    # (q-flip, p-flip) per image, written out in this order
+    images = [(1, 1), (1, 0), (0, 1), (0, 0)] if mirrored else [(0, 0)]
+    p_signed = np.iscomplexobj(upper)  # whether a p-flip changes a term
+    sums = _image_sums(upper, alphas,
+                       dict.fromkeys((q, p & p_signed) for q, p in images))
+    if not mirrored:
+        return sums[0, 0]
+    rows, cols = alphas.shape
+    out = np.empty((2 * rows - 1, 2 * cols - 1))
+    # the zero row and column lie in two images; they hold the same values
+    # there, and the one that flips fewer axes is written last
+    for q_flip, p_flip in images:
+        q = slice(rows - 1, None, -1 if q_flip else 1)
+        p = slice(cols - 1, None, -1 if p_flip else 1)
+        out[q, p] = sums[q_flip, p_flip & p_signed]
+    return out
+
+
+def _image_sums(upper: np.ndarray, alphas: np.ndarray, images) -> dict:
+    """parity_trace's sum over offsets, one real grid per (q, p) flip.
+
+    Its loop buffers are freed on return, before the caller assembles.
+    """
+    radii, where = np.unique(np.abs(alphas) ** 2, return_inverse=True)
+    where = where.reshape(alphas.shape)
+    sums = {image: np.zeros(alphas.shape) for image in images}
+    term = np.empty(alphas.shape)
+    power = np.ones(alphas.shape, dtype=complex)  # alpha^k
     depths = _offset_depths(upper != 0)
     reached = 0  # power holds alpha^reached
     for k, n, value in _laguerre_diagonals(radii, depths):
         if n == 0:
             for _ in range(k - reached):
-                power *= flat
+                power *= alphas
             reached = k
             u = np.zeros(radii.size, dtype=upper.dtype)  # u_k
         if upper[n, n + k]:
             u += upper[n, n + k] * value
         if n == depths[k] - 1 and u.any():
-            parts = [(u.real + u.real if k else u.real, power.real)]
+            parts = [(u.real + u.real if k else u.real, power.real, False)]
             if k and np.iscomplexobj(u):
-                parts.append((-(u.imag + u.imag), power.imag))
-            for radial, factor in parts:
+                parts.append((-(u.imag + u.imag), power.imag, True))
+            for radial, factor, imaginary in parts:
                 # "clip": every index is in range, and "raise" buffers out
                 np.take(radial, where, out=term, mode="clip")
                 term *= factor
-                total += term
-    return out
+                for (q_flip, p_flip), total in sums.items():
+                    # the image's term is -term when an odd k meets a
+                    # q-flip, or the Im part meets a single flip, not both
+                    if (q_flip and k % 2) ^ (imaginary and q_flip ^ p_flip):
+                        total -= term
+                    else:
+                        total += term
+    return sums
 
 
 def _bargmann(A: np.ndarray, b: np.ndarray, g0: complex,

@@ -347,7 +347,8 @@ def gkp_state(delta: float, cutoff: int) -> FockDensityOperator:
             -((axis - mu) ** 2) / (2 * delta ** 2))
     psi /= np.sqrt(np.trapezoid(psi ** 2, axis))
     basis = fockspace.hermite_functions(cutoff - 1, axis)
-    coeffs = np.trapezoid(basis * psi[None, :], axis, axis=1)
+    basis *= psi
+    coeffs = np.trapezoid(basis, axis, axis=1)
     return _pure_from_coefficients(coeffs, cutoff)
 
 

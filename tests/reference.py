@@ -28,7 +28,9 @@ with a new array per step, the loop the package ran before it stepped in
 place, and `complex_parity_wigner` is the parity-route Wigner grid formed
 in complex arithmetic from both diagonals of every offset and divided out
 of place, as the package formed it before one mode took the real route
-and two modes divided in place.
+and two modes divided in place.  `full_grid_parity_trace` is the real
+route summed at every node of the grid, as the package summed it before
+it learnt to sum one quadrant of a mirror-symmetric grid.
 `position_marginal` is a Wigner grid's one-axis marginal density and
 `grid_moment` integrates it.
 """
@@ -36,7 +38,7 @@ and two modes divided in place.
 import numpy as np
 
 from wignerhvm import fockspace
-from wignerhvm.fockspace import _laguerre_diagonals
+from wignerhvm.fockspace import _laguerre_diagonals, _offset_depths
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.special import sine_integral
 from wignerhvm.states import GaussianState, StateSpec, make_state
@@ -117,6 +119,46 @@ def complex_parity_wigner(rho, spec: GridSpec) -> np.ndarray:
     raw = _kronecker_grid([fockspace.displacement_trace(f, alphas)
                            for f in factors])
     return (raw / np.pi ** rho.mode_count).real
+
+
+def full_grid_parity_trace(rho, alphas) -> np.ndarray:
+    """Re Tr[P rho D(alpha)] summed at every node of the grid.
+
+    The one-mode real route as the package ran it before it learnt to sum
+    one quadrant of a mirror-symmetric grid: the amplitudes, radii,
+    alpha^k and every term span the whole grid, in one real buffer.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    signs = (-1.0) ** np.arange(len(rho))
+    upper = signs[:, None] * ((rho + rho.conj().T) / 2)  # P rho_H
+    if not upper.imag.any():
+        upper = upper.real
+    alphas = np.asarray(alphas, dtype=complex)
+    flat = alphas.reshape(-1)
+    radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
+    out = np.zeros(alphas.shape)
+    total = out.reshape(-1)  # a view: sums land in out
+    term = np.empty(flat.shape)
+    power = np.ones(flat.shape, dtype=complex)  # alpha^k
+    depths = _offset_depths(upper != 0)
+    reached = 0  # power holds alpha^reached
+    for k, n, value in _laguerre_diagonals(radii, depths):
+        if n == 0:
+            for _ in range(k - reached):
+                power *= flat
+            reached = k
+            u = np.zeros(radii.size, dtype=upper.dtype)  # u_k
+        if upper[n, n + k]:
+            u += upper[n, n + k] * value
+        if n == depths[k] - 1 and u.any():
+            parts = [(u.real + u.real if k else u.real, power.real)]
+            if k and np.iscomplexobj(u):
+                parts.append((-(u.imag + u.imag), power.imag))
+            for radial, factor in parts:
+                np.take(radial, where, out=term, mode="clip")
+                term *= factor
+                total += term
+    return out
 
 
 def full_grid_event_probability(model, zeta, intervals) -> float:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerhvm import cli as cli_module
 from wignerhvm import wigner as wigner_module
 from wignerhvm.cli import _multiplicativity_cases, lemma_check_bytes, main
 from wignerhvm.weyl import (check_wigner_multiplicativity,
@@ -543,6 +544,22 @@ def test_channel_compose_two_losses(tmp_path):
     assert np.allclose(report["composed"]["X"],
                        np.sqrt(0.42) * np.eye(2), atol=1e-12)
     assert report["max_sequential_deviation"] <= 1e-12
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
+    loss = '{"kind": "loss", "eta": 0.7}'
+    code, _ = run(tmp_path, "channel-compose", "--channel", loss,
+                  "--channel", loss)
+    assert code == 0
+
+    def rebuild():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli_module, "build_parser", rebuild)
+    # a --channel list kept from the call above would make this two
+    # channels; one channel is a parse error
+    code, _ = run(tmp_path, "channel-compose", "--channel", loss)
+    assert code == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

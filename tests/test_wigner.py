@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
                               wigner_to_csv)
 
 from reference import (complex_parity_wigner, expression_wigner_gaussian,
-                       grid_moment, pinned_gaussians, position_marginal)
+                       full_grid_parity_trace, grid_moment, pinned_gaussians,
+                       position_marginal)
 
 GRID = GridSpec(1, 6.0, 257)
 CHAR = GridSpec(1, 16.0, 257)
@@ -347,9 +349,8 @@ def test_real_parity_route_matches_complex_route(name):
     assert w.values.base is None  # no complex grid kept alive
 
 
-def test_real_parity_route_takes_the_hermitian_part():
-    # a complex rho, Hermitian only to ~1e-11: the real route sums rho_H
-    # and still gives the complex route's real part
+def nearly_hermitian_state():
+    """A complex rho, Hermitian only to ~1e-11."""
     cutoff = 12
     rng = np.random.default_rng(7)
 
@@ -362,11 +363,54 @@ def test_real_parity_route_takes_the_hermitian_part():
     rho /= np.trace(rho).real
     rho += 1e-11 * noise()
     assert 1e-12 < np.max(np.abs(rho - rho.conj().T)) <= 1e-10
-    state = FockDensityOperator(rho, cutoff, 1)
+    return FockDensityOperator(rho, cutoff, 1)
+
+
+def rotated_cat():
+    """The cat(2) state turned in phase space: rho_mn e^(0.4 i (m - n))."""
+    cat = make_state(StateSpec("cat", {"alpha": 2.0}, 1, 30)).matrix
+    n = np.arange(30)
+    return FockDensityOperator(cat * np.exp(0.4j * (n[:, None] - n)), 30, 1)
+
+
+def test_real_parity_route_takes_the_hermitian_part():
+    # the real route sums rho_H and still gives the complex route's real
+    # part
+    state = nearly_hermitian_state()
     spec = GridSpec(1, 5.0, 101)
     w = wigner_fock_direct(state, spec)
     want = complex_parity_wigner(state, spec)
     assert np.max(np.abs(w.values - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+# a mirrored axis sums one quadrant; 6.0/41 and 6.0/401 round to axes
+# that are not sign-symmetric and sum the whole grid
+QUADRANT_CASES = {
+    **{name: (partial(make_state, spec), grid)
+       for name, (spec, grid) in BENCH_STATES.items()},
+    "rotated-cat": (rotated_cat, GRID),
+    "coherent": (partial(gaussian_to_fock, make_state(
+        StateSpec("coherent", {"alpha": 1.2})), 25), GRID),  # odd offsets
+    "nearly-hermitian": (nearly_hermitian_state, GridSpec(1, 7.5, 31)),
+    "fock1-41": (partial(fock, 1, 25), GridSpec(1, 6.0, 41)),
+    "rotated-cat-401": (rotated_cat, GridSpec(1, 6.0, 401)),
+    "cat2-3": (partial(make_state, BENCH_STATES["cat2"][0]),
+               GridSpec(1, 6.0, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRANT_CASES))
+def test_parity_route_keeps_the_full_grid_bits(name):
+    build, spec = QUADRANT_CASES[name]
+    rho = build()
+    assert spec.mirrored == (spec.points not in (41, 401))
+    w = wigner_fock_direct(rho, spec)
+    vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
+    alphas = 2.0 * (vq + 1j * vp) / np.sqrt(2)
+    want = full_grid_parity_trace(rho.matrix, alphas)
+    want *= 1 / np.pi
+    assert np.array_equal(w.values, want)
+    assert w.values.base is None
 
 
 def test_two_mode_parity_grid_keeps_its_bits_and_owns_them():
@@ -392,12 +436,15 @@ def test_parity_route_bytes_bound_the_measured_peak():
     vac_mat[0, 0] = 1.0
     pair = FockDensityOperator(np.kron(fock(1, cutoff).matrix, vac_mat),
                                cutoff, 2)
-    cases = [(fock(1, 25), 257), (fock(1, 25), 601), (fock(3, 8), 401),
+    # one mode: 257, 513 and the rotated cat are mirrored, 401 and 601 not
+    cases = [(fock(1, 25), 257), (fock(1, 25), 513), (fock(1, 25), 601),
+             (fock(1, 25), 401), (fock(3, 8), 401), (rotated_cat(), 257),
              (pair, 15), (pair, 25)]
     for rho, points in cases:
         spec = GridSpec(rho.mode_count, 6.0, points)
         rows = rho.cutoff ** (2 * rho.mode_count - 2)
-        bound = parity_route_bytes(rows, rho.mode_count, points)
+        bound = parity_route_bytes(rows, rho.mode_count, points,
+                                   spec.mirrored, rho.matrix.imag.any())
         wigner_fock_direct(rho, spec)  # first-call set-up is not counted
         tracemalloc.start()
         try:

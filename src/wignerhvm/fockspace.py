@@ -145,11 +145,25 @@ def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
     return out.reshape(rows, *alphas.shape)
 
 
-def parity_trace(rho: np.ndarray, alphas, mirrored: bool = False) -> np.ndarray:
-    """Re Tr[P rho D(alpha)] over a grid of amplitudes, for a one-mode rho.
+def parity_matrix(rho: np.ndarray) -> np.ndarray:
+    """P rho_H for a one-mode matrix rho, rho_H = (rho + rho^dag)/2.
+
+    Real when rho_H is exactly real, as for every real rho; complex
+    otherwise.  parity_trace sums it, and its dtype decides whether a
+    mirrored grid may be summed on one quadrant.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    signs = (-1.0) ** np.arange(len(rho))
+    upper = signs[:, None] * ((rho + rho.conj().T) / 2)
+    return upper.real if not upper.imag.any() else upper
+
+
+def parity_trace(upper: np.ndarray, alphas,
+                 mirrored: bool = False) -> np.ndarray:
+    """Re Tr[P rho D(alpha)] over a grid of amplitudes, upper = P rho_H.
 
     P D(alpha) is Hermitian, so this is Tr[P rho_H D(alpha)] with rho_H =
-    (rho + rho^dag)/2, and for P rho_H the lower sums of
+    (rho + rho^dag)/2 (parity_matrix), and for P rho_H the lower sums of
     displacement_trace are the conjugates of its upper ones: offset k
     adds 2 Re(u_k alpha^k) = 2 Re u_k Re alpha^k - 2 Im u_k Im alpha^k,
     with u_k = sum_n (-1)^n rho_H[n, n+k] v_n(|alpha|^2), and k = 0 adds
@@ -159,79 +173,72 @@ def parity_trace(rho: np.ndarray, alphas, mirrored: bool = False) -> np.ndarray:
     the same term, so for an exactly Hermitian rho the bits are those of
     its real part.  The offsets, their depths and alpha^k run as there.
 
-    Without `mirrored` the result has shape alphas.shape.  With it, alphas
-    is the r x c quadrant q >= 0, p >= 0 of a grid whose axis is exactly
-    sign-symmetric, rows and columns counted from the zero node out, and
-    the result is the whole (2r - 1) x (2c - 1) grid.  The mirror images
-    (-q, p), (q, -p) and (-q, -p) of a node have the amplitudes
-    -conj(alpha), conj(alpha) and -alpha bit for bit, so the same
-    |alpha|^2 and an alpha^k that differs only in sign: Re alpha^k takes
-    (-1)^k under a q-flip, and Im alpha^k one more -1 under a q- or p-flip
-    alone.  Each term is formed once, on the quadrant, and added to or
-    subtracted from one sum per image, which is the full-grid loop's IEEE
-    operation at that node.  A real rho reads no Im alpha^k, so a p-flip
-    changes nothing: two sums, or four for a complex rho.  The sums are
-    real buffers, and the returned grid owns its bytes.
+    Without `mirrored` the result has shape alphas.shape.  With it, upper
+    is real and alphas is the r x c quadrant q >= 0, p >= 0 of a grid
+    whose axis is exactly sign-symmetric, rows and columns counted from
+    the zero node out, and the result is the whole (2r - 1) x (2c - 1)
+    grid.  The mirror images (-q, p), (q, -p) and (-q, -p) of a node have
+    the amplitudes -conj(alpha), conj(alpha) and -alpha bit for bit, so
+    the same |alpha|^2 and Re alpha^k up to the sign (-1)^k of a q-flip;
+    a real upper reads no Im alpha^k, so a p-flip changes nothing.  Each
+    term is formed once, on the quadrant, and added to the node's sum and
+    added to or subtracted from its q-flipped image's sum, which is the
+    full-grid loop's IEEE operation at that node.  The sums are real
+    buffers, and the returned grid owns its bytes.
     """
-    rho = np.asarray(rho, dtype=complex)
-    signs = (-1.0) ** np.arange(len(rho))
-    upper = signs[:, None] * ((rho + rho.conj().T) / 2)  # P rho_H
-    if not upper.imag.any():
-        upper = upper.real
-    alphas = np.asarray(alphas, dtype=complex)
-    # (q-flip, p-flip) per image, written out in this order
-    images = [(1, 1), (1, 0), (0, 1), (0, 0)] if mirrored else [(0, 0)]
-    p_signed = np.iscomplexobj(upper)  # whether a p-flip changes a term
-    sums = _image_sums(upper, alphas,
-                       dict.fromkeys((q, p & p_signed) for q, p in images))
+    if mirrored and np.iscomplexobj(upper):
+        raise ValueError("a mirrored quadrant needs a real P rho_H")
+    sums = _offset_sums(upper, np.asarray(alphas, dtype=complex), mirrored)
     if not mirrored:
-        return sums[0, 0]
-    rows, cols = alphas.shape
+        return sums[0]
+    plain, flipped = sums
+    rows, cols = plain.shape
     out = np.empty((2 * rows - 1, 2 * cols - 1))
-    # the zero row and column lie in two images; they hold the same values
-    # there, and the one that flips fewer axes is written last
-    for q_flip, p_flip in images:
-        q = slice(rows - 1, None, -1 if q_flip else 1)
-        p = slice(cols - 1, None, -1 if p_flip else 1)
-        out[q, p] = sums[q_flip, p_flip & p_signed]
+    # the zero row lies in both images and holds the same values there up
+    # to the sign of a zero; the unflipped sum, written last, keeps it
+    for total, q in ((flipped, slice(rows - 1, None, -1)),
+                     (plain, slice(rows - 1, None))):
+        out[q, cols - 1:] = total
+        out[q, cols - 1::-1] = total
     return out
 
 
-def _image_sums(upper: np.ndarray, alphas: np.ndarray, images) -> dict:
-    """parity_trace's sum over offsets, one real grid per (q, p) flip.
+def _offset_sums(upper: np.ndarray, alphas: np.ndarray,
+                 mirrored: bool) -> list[np.ndarray]:
+    """parity_trace's sum over offsets, and with `mirrored` its q-flip.
 
     Its loop buffers are freed on return, before the caller assembles.
     """
-    radii, where = np.unique(np.abs(alphas) ** 2, return_inverse=True)
-    where = where.reshape(alphas.shape)
-    sums = {image: np.zeros(alphas.shape) for image in images}
-    term = np.empty(alphas.shape)
-    power = np.ones(alphas.shape, dtype=complex)  # alpha^k
+    flat = alphas.reshape(-1)
+    radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
+    sums = [np.zeros(alphas.shape) for _ in range(1 + mirrored)]
+    total, *flipped = [s.reshape(-1) for s in sums]  # views: sums land there
+    term = np.empty(flat.shape)
+    power = np.ones(flat.shape, dtype=complex)  # alpha^k
     depths = _offset_depths(upper != 0)
     reached = 0  # power holds alpha^reached
     for k, n, value in _laguerre_diagonals(radii, depths):
         if n == 0:
             for _ in range(k - reached):
-                power *= alphas
+                power *= flat
             reached = k
             u = np.zeros(radii.size, dtype=upper.dtype)  # u_k
         if upper[n, n + k]:
             u += upper[n, n + k] * value
         if n == depths[k] - 1 and u.any():
-            parts = [(u.real + u.real if k else u.real, power.real, False)]
+            parts = [(u.real + u.real if k else u.real, power.real)]
             if k and np.iscomplexobj(u):
-                parts.append((-(u.imag + u.imag), power.imag, True))
-            for radial, factor, imaginary in parts:
+                parts.append((-(u.imag + u.imag), power.imag))
+            for radial, factor in parts:
                 # "clip": every index is in range, and "raise" buffers out
                 np.take(radial, where, out=term, mode="clip")
                 term *= factor
-                for (q_flip, p_flip), total in sums.items():
-                    # the image's term is -term when an odd k meets a
-                    # q-flip, or the Im part meets a single flip, not both
-                    if (q_flip and k % 2) ^ (imaginary and q_flip ^ p_flip):
-                        total -= term
+                total += term
+                for image in flipped:  # Re alpha^k takes (-1)^k
+                    if k % 2:
+                        image -= term
                     else:
-                        total += term
+                        image += term
     return sums
 
 

@@ -378,6 +378,42 @@ def test_parity_route_memory_guard_exit_3(tmp_path, monkeypatch, command):
     assert peak < 16 * 4001 ** 2 / 100, peak
 
 
+# a real rho on 7.5/7681 sums a quadrant of 3,841^2 nodes, past the limit
+# at 6,425 points; a complex rho_H sums the whole grid even on a mirrored
+# axis, so 6.0/4097, within the quadrant limit, is past the 3,663 of the
+# whole grid
+MIRRORED_GUARD_CASES = {
+    "real-7681": ('{"kind": "fock", "params": {"n": 1}, "cutoff": 25}',
+                  7.5, 7681),
+    "complex-4097": ('{"kind": "cat", "params": {"alpha": [1.5, 0.8]}, '
+                     '"cutoff": 25}', 6.0, 4097),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIRRORED_GUARD_CASES))
+@pytest.mark.parametrize("command",
+                         ["wigner", "negativity", "hudson", "hvm-compare"])
+def test_mirrored_parity_route_memory_guard_exit_3(tmp_path, monkeypatch,
+                                                   command, case):
+    state, window, points = MIRRORED_GUARD_CASES[case]
+
+    def refuse(self):
+        raise AssertionError("grid arrays requested past the memory guard")
+
+    spec = GridSpec(1, window, points)  # the grid itself is within the limit
+    assert np.array_equal(spec.axis[::-1], -spec.axis)  # mirrored
+    monkeypatch.setattr(GridSpec, "axis", property(refuse))
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, command, "--state", state,
+                      "--window", str(window), "--points", str(points))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 16 * 4001 ** 2 / 100, peak
+
+
 @pytest.mark.parametrize("command",
                          ["wigner", "negativity", "hudson", "hvm-compare"])
 def test_oversized_states_exit_before_any_allocation(tmp_path, command):

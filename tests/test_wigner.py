@@ -383,8 +383,14 @@ def test_real_parity_route_takes_the_hermitian_part():
     assert np.max(np.abs(w.values - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-# a mirrored axis sums one quadrant; 6.0/41 and 6.0/401 round to axes
-# that are not sign-symmetric and sum the whole grid
+def mirrored(spec):
+    """Whether the grid's axis is exactly sign-symmetric."""
+    return np.array_equal(spec.axis[::-1], -spec.axis)
+
+
+# a real rho_H on a mirrored axis sums one quadrant; a complex one, or
+# 6.0/41 and 6.0/401, which round to axes that are not sign-symmetric,
+# sum the whole grid
 QUADRANT_CASES = {
     **{name: (partial(make_state, spec), grid)
        for name, (spec, grid) in BENCH_STATES.items()},
@@ -403,7 +409,7 @@ QUADRANT_CASES = {
 def test_parity_route_keeps_the_full_grid_bits(name):
     build, spec = QUADRANT_CASES[name]
     rho = build()
-    assert spec.mirrored == (spec.points not in (41, 401))
+    assert mirrored(spec) == (spec.points not in (41, 401))
     w = wigner_fock_direct(rho, spec)
     vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
     alphas = 2.0 * (vq + 1j * vp) / np.sqrt(2)
@@ -436,15 +442,17 @@ def test_parity_route_bytes_bound_the_measured_peak():
     vac_mat[0, 0] = 1.0
     pair = FockDensityOperator(np.kron(fock(1, cutoff).matrix, vac_mat),
                                cutoff, 2)
-    # one mode: 257, 513 and the rotated cat are mirrored, 401 and 601 not
-    cases = [(fock(1, 25), 257), (fock(1, 25), 513), (fock(1, 25), 601),
-             (fock(1, 25), 401), (fock(3, 8), 401), (rotated_cat(), 257),
-             (pair, 15), (pair, 25)]
-    for rho, points in cases:
+    # one mode: 257 and 513 sum a quadrant; 401 and 601 are not mirrored,
+    # and the rotated cat's complex rho_H sums the whole mirrored 257 grid
+    cases = [(fock(1, 25), 257, True), (fock(1, 25), 513, True),
+             (fock(1, 25), 601, False), (fock(1, 25), 401, False),
+             (fock(3, 8), 401, False), (rotated_cat(), 257, False),
+             (pair, 15, False), (pair, 25, False)]
+    for rho, points, quadrant in cases:
         spec = GridSpec(rho.mode_count, 6.0, points)
+        assert mirrored(spec) == (points in (25, 257, 513)), points
         rows = rho.cutoff ** (2 * rho.mode_count - 2)
-        bound = parity_route_bytes(rows, rho.mode_count, points,
-                                   spec.mirrored, rho.matrix.imag.any())
+        bound = parity_route_bytes(rows, rho.mode_count, points, quadrant)
         wigner_fock_direct(rho, spec)  # first-call set-up is not counted
         tracemalloc.start()
         try:

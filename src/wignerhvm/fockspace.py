@@ -114,8 +114,8 @@ def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
     offset, skipped or not, so it keeps the bits of the full loop; no
     cutoff-by-alphas array is held.  This complex form serves the chi
     tables, the Weyl symbols and the two-mode parity route; a one-mode
-    Wigner grid takes parity_trace, one diagonal per offset in a real
-    buffer.
+    Wigner grid takes parity_trace, one diagonal per offset in real
+    buffers over one quadrant.
     """
     A = np.asarray(A, dtype=complex)
     alphas = np.asarray(alphas, dtype=complex)
@@ -149,8 +149,8 @@ def parity_matrix(rho: np.ndarray) -> np.ndarray:
     """P rho_H for a one-mode matrix rho, rho_H = (rho + rho^dag)/2.
 
     Real when rho_H is exactly real, as for every real rho; complex
-    otherwise.  parity_trace sums it, and its dtype decides whether a
-    mirrored grid may be summed on one quadrant.
+    otherwise.  parity_trace sums it, and its dtype decides how many
+    mirror-image sums that takes.
     """
     rho = np.asarray(rho, dtype=complex)
     signs = (-1.0) ** np.arange(len(rho))
@@ -158,9 +158,8 @@ def parity_matrix(rho: np.ndarray) -> np.ndarray:
     return upper.real if not upper.imag.any() else upper
 
 
-def parity_trace(upper: np.ndarray, alphas,
-                 mirrored: bool = False) -> np.ndarray:
-    """Re Tr[P rho D(alpha)] over a grid of amplitudes, upper = P rho_H.
+def parity_trace(upper: np.ndarray, alphas) -> np.ndarray:
+    """Re Tr[P rho D(alpha)] over a mirrored amplitude grid, upper = P rho_H.
 
     P D(alpha) is Hermitian, so this is Tr[P rho_H D(alpha)] with rho_H =
     (rho + rho^dag)/2 (parity_matrix), and for P rho_H the lower sums of
@@ -173,46 +172,44 @@ def parity_trace(upper: np.ndarray, alphas,
     the same term, so for an exactly Hermitian rho the bits are those of
     its real part.  The offsets, their depths and alpha^k run as there.
 
-    Without `mirrored` the result has shape alphas.shape.  With it, upper
-    is real and alphas is the r x c quadrant q >= 0, p >= 0 of a grid
-    whose axis is exactly sign-symmetric, rows and columns counted from
-    the zero node out, and the result is the whole (2r - 1) x (2c - 1)
-    grid.  The mirror images (-q, p), (q, -p) and (-q, -p) of a node have
+    alphas is the r x c quadrant q, p >= 0 of a sign-symmetric grid
+    (GridSpec.axis), counted from the zero node out; the result is the
+    whole (2r - 1) x (2c - 1) grid.  A node's q-, p- and double flip have
     the amplitudes -conj(alpha), conj(alpha) and -alpha bit for bit, so
-    the same |alpha|^2 and Re alpha^k up to the sign (-1)^k of a q-flip;
-    a real upper reads no Im alpha^k, so a p-flip changes nothing.  Each
-    term is formed once, on the quadrant, and added to the node's sum and
-    added to or subtracted from its q-flipped image's sum, which is the
-    full-grid loop's IEEE operation at that node.  The sums are real
-    buffers, and the returned grid owns its bytes.
+    the same |alpha|^2, and with s = (-1)^k the Re alpha^k term takes the
+    signs (1, s, 1, s) there and the Im alpha^k term (1, -s, -1, s).  Each
+    term is formed once and added to or subtracted from each image's sum,
+    the whole-grid loop's IEEE operation at that node: four sums for a
+    complex upper, two (node, q-flip) for a real one, whose p-flips equal
+    its nodes.  The returned grid owns its bytes.
     """
-    if mirrored and np.iscomplexobj(upper):
-        raise ValueError("a mirrored quadrant needs a real P rho_H")
-    sums = _offset_sums(upper, np.asarray(alphas, dtype=complex), mirrored)
-    if not mirrored:
-        return sums[0]
-    plain, flipped = sums
-    rows, cols = plain.shape
+    sums = _offset_sums(upper, np.asarray(alphas, dtype=complex))
+    if len(sums) == 2:  # a real upper's p-flips equal its nodes
+        sums += sums
+    node, q_flip, p_flip, double = sums
+    rows, cols = node.shape
     out = np.empty((2 * rows - 1, 2 * cols - 1))
-    # the zero row lies in both images and holds the same values there up
-    # to the sign of a zero; the unflipped sum, written last, keeps it
-    for total, q in ((flipped, slice(rows - 1, None, -1)),
-                     (plain, slice(rows - 1, None))):
-        out[q, cols - 1:] = total
-        out[q, cols - 1::-1] = total
+    up, down = slice(rows - 1, None), slice(rows - 1, None, -1)
+    right, left = slice(cols - 1, None), slice(cols - 1, None, -1)
+    # the zero row and column lie in two images and hold the same values
+    # there up to the sign of a zero; the image with fewer flips, written
+    # later, keeps them
+    for total, q, p in ((double, down, left), (q_flip, down, right),
+                        (p_flip, up, left), (node, up, right)):
+        out[q, p] = total
     return out
 
 
-def _offset_sums(upper: np.ndarray, alphas: np.ndarray,
-                 mirrored: bool) -> list[np.ndarray]:
-    """parity_trace's sum over offsets, and with `mirrored` its q-flip.
+def _offset_sums(upper: np.ndarray, alphas: np.ndarray) -> list[np.ndarray]:
+    """parity_trace's sums over offsets, one per mirror image it holds.
 
     Its loop buffers are freed on return, before the caller assembles.
     """
     flat = alphas.reshape(-1)
     radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
-    sums = [np.zeros(alphas.shape) for _ in range(1 + mirrored)]
-    total, *flipped = [s.reshape(-1) for s in sums]  # views: sums land there
+    sums = [np.zeros(alphas.shape)
+            for _ in range(4 if np.iscomplexobj(upper) else 2)]
+    totals = [s.reshape(-1) for s in sums]  # views: sums land there
     term = np.empty(flat.shape)
     power = np.ones(flat.shape, dtype=complex)  # alpha^k
     depths = _offset_depths(upper != 0)
@@ -226,19 +223,21 @@ def _offset_sums(upper: np.ndarray, alphas: np.ndarray,
         if upper[n, n + k]:
             u += upper[n, n + k] * value
         if n == depths[k] - 1 and u.any():
-            parts = [(u.real + u.real if k else u.real, power.real)]
+            s = -1 if k % 2 else 1
+            parts = [(u.real + u.real if k else u.real, power.real,
+                      (1, s, 1, s))]
             if k and np.iscomplexobj(u):
-                parts.append((-(u.imag + u.imag), power.imag))
-            for radial, factor in parts:
+                parts.append((-(u.imag + u.imag), power.imag,
+                              (1, -s, -1, s)))
+            for radial, factor, signs in parts:
                 # "clip": every index is in range, and "raise" buffers out
                 np.take(radial, where, out=term, mode="clip")
                 term *= factor
-                total += term
-                for image in flipped:  # Re alpha^k takes (-1)^k
-                    if k % 2:
-                        image -= term
+                for total, sign in zip(totals, signs):
+                    if sign > 0:
+                        total += term
                     else:
-                        image += term
+                        total -= term
     return sums
 
 

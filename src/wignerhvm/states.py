@@ -222,7 +222,7 @@ def _as_complex(value, name: str) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_number(value[0], name), _number(value[1], name))
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_number(value, name))
     raise StateSpecError(f"parameter '{name}' must be a number or [re, im]")
 
 
@@ -253,7 +253,8 @@ def _renormalized(matrix: np.ndarray, cutoff: int, mode_count: int,
                   weight: float) -> FockDensityOperator:
     """Package a truncated matrix; weight is the trace before truncation."""
     tr = float(np.trace(matrix).real)
-    leakage = float(max(weight - tr, 0.0))
+    # a trace past float range (or NaN) keeps none of the weight
+    leakage = float(max(weight - tr, 0.0)) if np.isfinite(tr) else weight
     if leakage > LEAKAGE_LIMIT:
         raise LeakageError(leakage, cutoff)
     matrix = (matrix + matrix.conj().T) / 2
@@ -313,11 +314,14 @@ def cat_state(alpha, cutoff: int) -> FockDensityOperator:
     alpha = _as_complex(alpha, "alpha")
     n = np.arange(cutoff)
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(n[1:]))])  # log n!
-    amps = (alpha ** n + (-alpha) ** n) * np.exp(-0.5 * log_fact)
-    x = abs(alpha) ** 2
-    # exact norm of the untruncated coefficient sequence
-    norm = np.sqrt(4 * np.cosh(x) * np.exp(-x)) * np.exp(x / 2)
-    return _pure_from_coefficients(amps / norm, cutoff)
+    # past float range these turn inf or NaN, and _renormalized refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = (alpha ** n + (-alpha) ** n) * np.exp(-0.5 * log_fact)
+        x = np.abs(alpha) ** 2
+        # exact norm of the untruncated coefficient sequence
+        norm = np.sqrt(4 * np.cosh(x) * np.exp(-x)) * np.exp(x / 2)
+        coeffs = amps / norm
+    return _pure_from_coefficients(coeffs, cutoff)
 
 
 def gkp_state(delta: float, cutoff: int) -> FockDensityOperator:

@@ -35,23 +35,14 @@ PURITY_TOL = 1e-6
 # the amplitudes, alpha^k, the radii's sort and inverse, and two per-row
 # products
 PARITY_TEMPORARIES = 4
-# p^2-sized real arrays the one-mode route holds at its peak when it sums
-# the whole grid.  np.unique holds 8: the amplitudes (2), |alpha|^2,
-# and its copy, order, sorted values, cumsum and inverse.  The sum over
-# offsets holds 7 (amplitudes, alpha^k, inverse, grid, one term) and about
-# nine per-radius buffers; rounding of the axis leaves up to 0.26 p^2
-# distinct radii on the grids tried, so tracemalloc reads 8.3-9.3 arrays
-# in all
-PARITY_REAL_ARRAYS = 10
 # real arrays per quadrant node, N = ((p + 1)/2)^2, that the one-mode route
-# holds at its peak when it sums one quadrant (a real rho_H on a mirrored
-# grid).  Its sum over offsets sets it: the amplitudes and alpha^k (2
-# each), the inverse, one term, the node's sum and its q-flip's, and about
-# eight per-radius buffers over at most N/2 + p distinct radii by the
-# q <-> p symmetry.  The buffers are freed before the whole grid is
-# written from the two sums, about 2 p^2 in all.  tracemalloc reads
-# 11.2-11.5 N at 257-1,025 points
-PARITY_QUADRANT_ARRAYS = 13
+# holds at its peak beside two per mirror-image sum: the amplitudes and
+# alpha^k (2 each), the inverse, one term and about six per-radius buffers
+# over at most N/2 + p distinct radii.  A sum counts twice because a
+# complex rho_H, beside two more sums, holds a complex u_k, its products
+# and a second radial part.  tracemalloc reads 11.2-12.3 N for a real rho_H
+# (13 counted) and 14.8-16.1 N for a complex one (17) at 257-1,025 points
+PARITY_QUADRANT_ARRAYS = 9
 # nodes per block of first-axis slabs that wigner_to_csv dedupes at once;
 # a 257^2 grid is one block, and the block's texts and np.unique arrays
 # peak near 50 bytes a node when every value is distinct
@@ -102,7 +93,16 @@ class GridSpec:
 
     @property
     def axis(self) -> np.ndarray:
-        return np.linspace(-self.halfwidth, self.halfwidth, self.points)
+        """np.linspace's upper half, mirrored below a 0.0 centre.
+
+        So axis[::-1] == -axis exactly; a node is within 3 ulp of the
+        halfwidth of linspace's, and equal where linspace is mirrored.
+        """
+        axis = np.linspace(-self.halfwidth, self.halfwidth, self.points)
+        half = self.points // 2
+        axis[half] = 0.0
+        axis[:half] = -axis[:half:-1]
+        return axis
 
     @property
     def step(self) -> float:
@@ -401,24 +401,23 @@ def weyl_symbol_from_characteristic(chi: CharacteristicGrid,
 
 
 def parity_route_bytes(rows: int, mode_count: int, points: int,
-                       quadrant: bool = False) -> int:
+                       sums: int = 2) -> int:
     """Peak bytes of wigner_fock_direct with r-row factor stacks.
 
-    One mode takes the real route.  It sums the whole grid,
-    PARITY_REAL_ARRAYS real p^2 arrays, unless `quadrant`: a real rho_H on
-    an exactly sign-symmetric axis sums the quadrant of ((p + 1)/2)^2
-    nodes, PARITY_QUADRANT_ARRAYS real arrays of that size.  Two
-    modes hold their factor stacks, r = c^2 rows of c x c blocks per mode,
-    throughout.  The traces add every mode's r x p^2 table, the last mode's
-    per-radius sums u and l (2 r R, with R <= p^2 / 2 distinct radii by the
-    q <-> p symmetry) and PARITY_TEMPORARIES p^2 arrays; forming the grid
-    holds at most the tables, the complex grid and its real copy.
+    One mode sums the quadrant of N = ((p + 1)/2)^2 nodes into `sums` real
+    arrays, two for a real rho_H and four for a complex one
+    (fockspace.parity_trace), and holds PARITY_QUADRANT_ARRAYS + 2 sums
+    arrays of that size at its peak.  Two modes hold their factor stacks,
+    r = c^2 rows of c x c blocks per mode, throughout.  The traces add
+    every mode's r x p^2 table, the last mode's per-radius sums u and l
+    (2 r R, with R <= p^2 / 2 distinct radii by the q <-> p symmetry) and
+    PARITY_TEMPORARIES p^2 arrays; forming the grid holds at most the
+    tables, the complex grid and its real copy.
     """
-    nodes = points ** 2
-    if mode_count == 1 and quadrant:
-        return 8 * PARITY_QUADRANT_ARRAYS * ((points + 1) // 2) ** 2
     if mode_count == 1:
-        return 8 * PARITY_REAL_ARRAYS * nodes
+        arrays = PARITY_QUADRANT_ARRAYS + 2 * sums
+        return 8 * arrays * ((points + 1) // 2) ** 2
+    nodes = points ** 2
     # in real (8-byte) units
     stacks = 2 * mode_count * rows * rows
     traces = 2 * ((mode_count + 1) * rows + PARITY_TEMPORARIES) * nodes
@@ -434,45 +433,38 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     route at doubled amplitude but needs neither the Fourier transform nor
     its window.  The kernel itself is checked independently by the Gaussian
     closed form and the analytic Fock-state tests.  One mode sums its real
-    part directly (fockspace.parity_trace): one diagonal per offset, in a
-    real grid with the bits of the complex grid's real part when rho is
-    exactly Hermitian, as make_state builds it.  No imaginary part is
-    formed, so there is no residue for _real_part to check.  When rho_H is
-    real and the axis is exactly sign-symmetric (axis[::-1] == -axis, as
-    linspace rounds 6.0/257 but not 6.0/401), only the amplitudes of the
-    quadrant q, p >= 0 are built, and parity_trace writes the other three
-    quadrants from its mirror-image sums with the same bits; no full
-    meshgrid is formed.  Two modes form the complex grid from
-    displacement_trace's tables, divide it in place and return a copy of
-    its real part once _real_part has checked the residue.  Either way the
-    returned grid owns its bytes.  A grid whose working set
-    (parity_route_bytes) exceeds GRID_BYTES_LIMIT is refused with
-    InadequateWindowError before any grid-sized array is built: one mode
-    stops at 3,663 points per axis, or at 6,425 when it sums a quadrant.
+    part directly (fockspace.parity_trace), one diagonal per offset in real
+    buffers, with the bits of the complex grid's real part when rho is
+    exactly Hermitian, as make_state builds it; no imaginary part is left
+    for _real_part to check.  Only the amplitudes of the quadrant q, p >= 0
+    of the sign-symmetric axis are built, and parity_trace writes the whole
+    grid from mirror-image sums with a whole-grid sum's bits.  Two modes
+    form the complex grid from displacement_trace's tables, divide it in
+    place and return a copy of its real part once _real_part has checked
+    the residue.  Either way the returned grid owns its bytes.  A grid
+    whose working set (parity_route_bytes) exceeds GRID_BYTES_LIMIT is
+    refused with InadequateWindowError before any grid-sized array is
+    built: one mode stops at 6,425 points per axis for a real rho_H, or at
+    5,617 for a complex one.
     """
     if spec.mode_count != rho.mode_count:
         raise ValueError("grid/state mode mismatch")
-    quadrant = False
+    sums = 2  # the one-mode route's mirror-image sums
     if rho.mode_count == 1:
         upper = fockspace.parity_matrix(rho.matrix)
-        # the values of spec.axis, formed once; a 1-D line, not a grid
-        # array, so it may precede the guard
-        axis = np.linspace(-spec.halfwidth, spec.halfwidth, spec.points)
-        quadrant = (not np.iscomplexobj(upper)
-                    and np.array_equal(axis[::-1], -axis))
+        if np.iscomplexobj(upper):
+            sums = 4
     # kronecker_factors gives one mode 1 row and two modes c^2 rows
     nbytes = parity_route_bytes(rho.cutoff ** (2 * rho.mode_count - 2),
-                                spec.mode_count, spec.points, quadrant)
+                                spec.mode_count, spec.points, sums)
     if nbytes > GRID_BYTES_LIMIT:
         raise InadequateWindowError(
             f"the parity route on a {spec.points}-point grid needs "
             f"{nbytes / 2 ** 30:.2f} GiB of working arrays, above the "
             f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB limit; use fewer points")
     if rho.mode_count == 1:
-        if quadrant:
-            axis = axis[spec.points // 2:]
-        values = fockspace.parity_trace(upper, _amplitudes(axis, 2.0),
-                                        quadrant)
+        quadrant = spec.axis[spec.points // 2:]
+        values = fockspace.parity_trace(upper, _amplitudes(quadrant, 2.0))
         # numpy divides a complex grid by a real scalar as a product with
         # its reciprocal; this product keeps those bits
         values *= 1 / np.pi

@@ -30,7 +30,8 @@ in complex arithmetic from both diagonals of every offset and divided out
 of place, as the package formed it before one mode took the real route
 and two modes divided in place.  `full_grid_parity_trace` is the real
 route summed at every node of the grid, as the package summed it before
-it learnt to sum one quadrant of a mirror-symmetric grid.
+it learnt to sum one quadrant of its mirror-symmetric grid; it is the one
+whole-grid sum left, kept as the reference for the quadrant's bits.
 `position_marginal` is a Wigner grid's one-axis marginal density and
 `grid_moment` integrates it.
 """
@@ -126,7 +127,8 @@ def full_grid_parity_trace(rho, alphas) -> np.ndarray:
 
     The one-mode real route as the package ran it before it learnt to sum
     one quadrant of a mirror-symmetric grid: the amplitudes, radii,
-    alpha^k and every term span the whole grid, in one real buffer.
+    alpha^k and every term span the whole grid, in one real buffer.  It
+    takes any grid of amplitudes, mirrored or not.
     """
     rho = np.asarray(rho, dtype=complex)
     signs = (-1.0) ** np.arange(len(rho))

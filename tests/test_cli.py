@@ -355,22 +355,32 @@ def test_grid_memory_guard_exit_3(tmp_path, monkeypatch):
     assert code == 3
 
 
+def refuse_parity_grids(monkeypatch):
+    """Make the one-mode parity route's first grid-sized array an error."""
+    def refuse(*args):
+        raise AssertionError("grid arrays requested past the memory guard")
+
+    monkeypatch.setattr(wigner_module, "_amplitudes", refuse)
+    monkeypatch.setattr(wigner_module.fockspace, "parity_trace", refuse)
+
+
 @pytest.mark.parametrize("command",
                          ["wigner", "negativity", "hudson", "hvm-compare"])
 def test_parity_route_memory_guard_exit_3(tmp_path, monkeypatch, command):
-    # 4001^2 nodes pass the one-array grid guard, but the parity route
-    # would hold about six complex arrays of that size; it must refuse
-    # before it builds any of them
-    def refuse(self):
-        raise AssertionError("grid arrays requested past the memory guard")
-
-    GridSpec(1, 6.0, 4001)  # the grid itself is within the limit
-    monkeypatch.setattr(GridSpec, "axis", property(refuse))
+    # 6427^2 nodes pass the one-array grid guard, but the parity route's
+    # quadrant of 3,214^2 nodes is past its limit at 6,425 points; it must
+    # refuse before it builds any array of that size.  np.linspace would
+    # not round this axis sign-symmetric; GridSpec.axis is
+    spec = GridSpec(1, 6.0, 6427)  # the grid itself is within the limit
+    linspace = np.linspace(-6.0, 6.0, 6427)
+    assert not np.array_equal(linspace[::-1], -linspace)
+    assert np.array_equal(spec.axis[::-1], -spec.axis)
+    refuse_parity_grids(monkeypatch)
     tracemalloc.start()
     try:
         code, _ = run(tmp_path, command, "--state",
                       '{"kind": "fock", "params": {"n": 1}, "cutoff": 25}',
-                      "--points", "4001")
+                      "--points", "6427")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -379,14 +389,13 @@ def test_parity_route_memory_guard_exit_3(tmp_path, monkeypatch, command):
 
 
 # a real rho on 7.5/7681 sums a quadrant of 3,841^2 nodes, past the limit
-# at 6,425 points; a complex rho_H sums the whole grid even on a mirrored
-# axis, so 6.0/4097, within the quadrant limit, is past the 3,663 of the
-# whole grid
+# at 6,425 points; a complex rho_H holds four mirror-image sums, not two,
+# so 6.0/5619, within the real limit, is past its own at 5,617
 MIRRORED_GUARD_CASES = {
     "real-7681": ('{"kind": "fock", "params": {"n": 1}, "cutoff": 25}',
                   7.5, 7681),
-    "complex-4097": ('{"kind": "cat", "params": {"alpha": [1.5, 0.8]}, '
-                     '"cutoff": 25}', 6.0, 4097),
+    "complex-5619": ('{"kind": "cat", "params": {"alpha": [1.5, 0.8]}, '
+                     '"cutoff": 25}', 6.0, 5619),
 }
 
 
@@ -396,13 +405,8 @@ MIRRORED_GUARD_CASES = {
 def test_mirrored_parity_route_memory_guard_exit_3(tmp_path, monkeypatch,
                                                    command, case):
     state, window, points = MIRRORED_GUARD_CASES[case]
-
-    def refuse(self):
-        raise AssertionError("grid arrays requested past the memory guard")
-
-    spec = GridSpec(1, window, points)  # the grid itself is within the limit
-    assert np.array_equal(spec.axis[::-1], -spec.axis)  # mirrored
-    monkeypatch.setattr(GridSpec, "axis", property(refuse))
+    GridSpec(1, window, points)  # the grid itself is within the limit
+    refuse_parity_grids(monkeypatch)
     tracemalloc.start()
     try:
         code, _ = run(tmp_path, command, "--state", state,
@@ -495,6 +499,24 @@ def test_overflowing_gaussians_exit_without_warnings(tmp_path, command):
             code, _ = run(tmp_path, command, "--state", spec,
                           "--points", "21")
         assert code == want, spec
+
+
+@pytest.mark.parametrize("command",
+                         ["wigner", "negativity", "hudson", "hvm-compare"])
+def test_extreme_cat_amplitudes_exit_without_warnings(tmp_path, command):
+    # cosh|alpha|^2 overflows past |alpha|^2 = 710 and alpha^n past float
+    # range; such a state keeps none of its weight below the cutoff, so the
+    # leakage check refuses it, and a non-finite alpha is a spec error
+    cases = [("30", 3), ("5000", 3), ("1e300", 3), ("-1e300", 3),
+             ("[20, 20]", 3), ("NaN", 2), ("Infinity", 2), ("-Infinity", 2)]
+    for alpha, want in cases:
+        spec = ('{"kind": "cat", "params": {"alpha": %s}, "cutoff": 30}'
+                % alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _ = run(tmp_path, command, "--state", spec,
+                          "--points", "21")
+        assert code == want, alpha
 
 
 def test_non_finite_report_exit_3(tmp_path, monkeypatch, capsys):

@@ -373,6 +373,39 @@ def rotated_cat():
     return FockDensityOperator(cat * np.exp(0.4j * (n[:, None] - n)), 30, 1)
 
 
+def test_grid_axis_is_mirrored_within_3_ulp_of_linspace():
+    # np.linspace rounds most (window, points) pairs to an axis that is not
+    # sign-symmetric; GridSpec.axis is, bit for bit, with +0.0 at its centre
+    for halfwidth in (0.5, 1.0, 2.5, 3.0, 3.5, 5.0, 6.0, 7.5, 8.0, 10.0,
+                      12.0, 20.0, 1e-3, 1e3):
+        for points in [*range(3, 1030, 2), 4001, 4097, 6427, 7681]:
+            axis = GridSpec(1, halfwidth, points).axis
+            half = points // 2
+            assert np.array_equal(axis[:half].view(np.int64),
+                                  (-axis[:half:-1]).view(np.int64))
+            assert axis[half].view(np.int64) == 0
+            linspace = np.linspace(-halfwidth, halfwidth, points)
+            assert (np.max(np.abs(axis - linspace))
+                    <= 3 * np.spacing(halfwidth)), (halfwidth, points)
+
+
+@pytest.mark.parametrize("halfwidth,points", [(6.0, 257), (8.0, 257),
+                                              (10.0, 321)])
+def test_grid_axis_keeps_linspace_bits_on_the_bench_grids(halfwidth, points):
+    want = np.linspace(-halfwidth, halfwidth, points)
+    got = GridSpec(1, halfwidth, points).axis
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("state", [
+    make_state(StateSpec("squeezed", {"r": 0.5})), fock(1, 25)])
+def test_mirror_symmetric_states_have_mirror_symmetric_grids(state):
+    # 6.0/41 is one of the axes np.linspace does not round sign-symmetric
+    w = state_wigner(state, GridSpec(1, 6.0, 41)).values
+    assert np.array_equal(w, w[::-1])
+    assert np.array_equal(w, w[:, ::-1])
+
+
 def test_real_parity_route_takes_the_hermitian_part():
     # the real route sums rho_H and still gives the complex route's real
     # part
@@ -383,14 +416,10 @@ def test_real_parity_route_takes_the_hermitian_part():
     assert np.max(np.abs(w.values - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def mirrored(spec):
-    """Whether the grid's axis is exactly sign-symmetric."""
-    return np.array_equal(spec.axis[::-1], -spec.axis)
-
-
-# a real rho_H on a mirrored axis sums one quadrant; a complex one, or
-# 6.0/41 and 6.0/401, which round to axes that are not sign-symmetric,
-# sum the whole grid
+# the one-mode route sums one quadrant and writes the rest from mirror
+# images; it must keep the bits of a whole-grid sum for a real or complex
+# rho_H, and on axes that np.linspace would not round sign-symmetric
+# (6.0/41, 6.0/401)
 QUADRANT_CASES = {
     **{name: (partial(make_state, spec), grid)
        for name, (spec, grid) in BENCH_STATES.items()},
@@ -409,13 +438,12 @@ QUADRANT_CASES = {
 def test_parity_route_keeps_the_full_grid_bits(name):
     build, spec = QUADRANT_CASES[name]
     rho = build()
-    assert mirrored(spec) == (spec.points not in (41, 401))
     w = wigner_fock_direct(rho, spec)
     vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
     alphas = 2.0 * (vq + 1j * vp) / np.sqrt(2)
     want = full_grid_parity_trace(rho.matrix, alphas)
     want *= 1 / np.pi
-    assert np.array_equal(w.values, want)
+    assert np.array_equal(w.values.view(np.int64), want.view(np.int64))
     assert w.values.base is None
 
 
@@ -442,17 +470,16 @@ def test_parity_route_bytes_bound_the_measured_peak():
     vac_mat[0, 0] = 1.0
     pair = FockDensityOperator(np.kron(fock(1, cutoff).matrix, vac_mat),
                                cutoff, 2)
-    # one mode: 257 and 513 sum a quadrant; 401 and 601 are not mirrored,
-    # and the rotated cat's complex rho_H sums the whole mirrored 257 grid
-    cases = [(fock(1, 25), 257, True), (fock(1, 25), 513, True),
-             (fock(1, 25), 601, False), (fock(1, 25), 401, False),
-             (fock(3, 8), 401, False), (rotated_cat(), 257, False),
-             (pair, 15, False), (pair, 25, False)]
-    for rho, points, quadrant in cases:
+    # one mode sums a quadrant into two mirror-image sums for a real rho_H
+    # and four for the rotated cat's complex one; two modes ignore the count
+    cases = [(fock(1, 25), 257, 2), (fock(1, 25), 513, 2),
+             (fock(1, 25), 601, 2), (fock(1, 25), 401, 2),
+             (fock(3, 8), 401, 2), (rotated_cat(), 257, 4),
+             (pair, 15, 2), (pair, 25, 2)]
+    for rho, points, sums in cases:
         spec = GridSpec(rho.mode_count, 6.0, points)
-        assert mirrored(spec) == (points in (25, 257, 513)), points
         rows = rho.cutoff ** (2 * rho.mode_count - 2)
-        bound = parity_route_bytes(rows, rho.mode_count, points, quadrant)
+        bound = parity_route_bytes(rows, rho.mode_count, points, sums)
         wigner_fock_direct(rho, spec)  # first-call set-up is not counted
         tracemalloc.start()
         try:

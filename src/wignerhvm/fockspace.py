@@ -292,20 +292,24 @@ def metaplectic_operator(S: np.ndarray, cutoff: int) -> np.ndarray:
     return G.reshape(cutoff ** m, cutoff ** m)
 
 
-def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal oscillator eigenfunctions psi_0..psi_n_max on the axis x.
-
-    Upward recurrence on the normalized functions; the per-step square-root
-    coefficients keep every row O(1), so no factorial overflow occurs.
-    """
+def hermite_rows(n_max: int, x):
+    """Yield psi_0..psi_n_max at x, one new array per row, by the upward
+    recurrence on the normalized functions, whose O(1) rows never overflow."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros((n_max + 1, x.size))
-    out[0] = np.pi ** -0.25 * np.exp(-x ** 2 / 2)
-    if n_max >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = (np.sqrt(2.0 / (n + 1)) * x * out[n]
-                      - np.sqrt(n / (n + 1)) * out[n - 1])
+    prev, row = 0.0, np.pi ** -0.25 * np.exp(-x ** 2 / 2)
+    yield row
+    for n in range(n_max):  # the first step's prev term is exactly 0.0
+        prev, row = row, (np.sqrt(2.0 / (n + 1)) * x * row
+                          - np.sqrt(n / (n + 1)) * prev)
+        yield row
+
+
+def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
+    """The (n_max + 1, x.size) table of the streamed hermite_rows on x.ravel();
+    gkp_state's quadrature takes a row at a time: no cutoff-sized memory."""
+    out = np.empty((n_max + 1, np.size(x)))
+    for n, row in enumerate(hermite_rows(n_max, np.ravel(x))):
+        out[n] = row
     return out
 
 

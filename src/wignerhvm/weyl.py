@@ -24,7 +24,6 @@ from .phase_space import Context
 from .wigner import (GridSpec, characteristic_observable,
                      weyl_symbol_from_characteristic)
 
-PRODUCT_BLOCK_TOL = 1e-8
 SYMBOL_TOL = 1e-3
 
 

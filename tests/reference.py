@@ -32,6 +32,11 @@ and two modes divided in place.  `full_grid_parity_trace` is the real
 route summed at every node of the grid, as the package summed it before
 it learnt to sum one quadrant of its mirror-symmetric grid; it is the one
 whole-grid sum left, kept as the reference for the quadrant's bits.
+`whole_table_hermite_functions` is the Hermite recurrence written into one
+(n_max + 1, x.size) table, and `whole_table_gkp_coefficients` is the GKP
+state's quadrature over that whole table, scaled in place and integrated
+along its rows by one 2-D `np.trapezoid`: the package's forms before it
+learnt to stream the recurrence one row at a time.
 `position_marginal` is a Wigner grid's one-axis marginal density and
 `grid_moment` integrates it.
 """
@@ -321,3 +326,34 @@ def grid_moment(grid: WignerGrid, axis_index: int, power: int) -> float:
     """Int W(z) z_i^k dz over the grid."""
     axis, density = position_marginal(grid, axis_index)
     return float((density * axis ** power).sum() * grid.spec.step)
+
+
+def whole_table_hermite_functions(n_max: int, x) -> np.ndarray:
+    """psi_0..psi_n_max on x, each row written into one preallocated table."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((n_max + 1, x.size))
+    out[0] = np.pi ** -0.25 * np.exp(-x ** 2 / 2)
+    if n_max >= 1:
+        out[1] = np.sqrt(2.0) * x * out[0]
+    for n in range(1, n_max):
+        out[n + 1] = (np.sqrt(2.0 / (n + 1)) * x * out[n]
+                      - np.sqrt(n / (n + 1)) * out[n - 1])
+    return out
+
+
+def whole_table_gkp_coefficients(delta: float, cutoff: int) -> np.ndarray:
+    """The GKP state's Fock coefficients before truncation and renormalizing:
+    psi(q) on the 8192-point axis, projected onto the whole basis table."""
+    spacing = 2 * np.sqrt(np.pi)
+    s_max = np.ceil(np.sqrt(45.0) / (delta * spacing)) + 1
+    q_max = s_max * spacing + 10 * delta
+    axis = np.linspace(-q_max, q_max, 8192)
+    psi = np.zeros_like(axis)
+    for s in range(-int(s_max), int(s_max) + 1):
+        mu = s * spacing
+        psi += np.exp(-0.5 * (delta * mu) ** 2) * np.exp(
+            -((axis - mu) ** 2) / (2 * delta ** 2))
+    psi /= np.sqrt(np.trapezoid(psi ** 2, axis))
+    basis = whole_table_hermite_functions(cutoff - 1, axis)
+    basis *= psi
+    return np.trapezoid(basis, axis, axis=1)

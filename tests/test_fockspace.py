@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
@@ -13,7 +14,8 @@ from wignerhvm.weyl import (default_observable_char_spec, quantize_linear,
                             quantize_terms)
 
 from reference import (allocating_laguerre_diagonals, displacement_matrix,
-                       full_depth_displacement_trace)
+                       full_depth_displacement_trace,
+                       whole_table_hermite_functions)
 
 ALPHAS = (0.0, 0.3, 1.5 + 0.7j, -2.2j, -1.1 - 1.9j, 3.0)
 
@@ -291,3 +293,15 @@ def test_hermite_overlap_cdf_limits_are_exact():
     assert np.max(np.abs(F[..., -2] - np.eye(cutoff))) < 1e-15
     assert fockspace.hermite_overlap_cdf(3, np.zeros((2, 4))).shape == \
         (3, 3, 2, 4)
+
+
+@pytest.mark.parametrize("n_max", (0, 1, 2, 30, 60))
+def test_hermite_functions_keep_the_whole_table_bits(n_max):
+    axis = np.linspace(-40.0, 40.0, 1601)  # psi underflows in the tails
+    grid = axis[:1600].reshape(40, 40)  # a 2-D x is read flattened
+    empty = np.array([])  # hermite_overlap_cdf at infinite points only
+    for x in (axis, grid, empty):
+        got = fockspace.hermite_functions(n_max, x)
+        want = whole_table_hermite_functions(n_max, x.ravel())
+        assert got.shape == want.shape == (n_max + 1, x.size)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from wignerhvm import fockspace
 from wignerhvm.oracle import (BinSpec, ExpectationLeakageError,
                               OutcomeDistribution, event_probability,
                               expectation, homodyne_density,
@@ -21,7 +22,7 @@ from wignerhvm.states import (FockDensityOperator, GaussianState,
 from wignerhvm.weyl import monomial
 from wignerhvm.wigner import GridSpec, state_wigner
 
-from reference import grid_moment
+from reference import grid_moment, whole_table_hermite_functions
 
 BINS = BinSpec(-6.0, 6.0, 50)
 
@@ -277,3 +278,26 @@ def test_statistical_formula_consistency():
     w1 = state_wigner(fock(1), grid)
     assert abs(expectation(fock(1), monomial(ctx, (2,))).value
                - grid_moment(w1, 0, 2)) < 2e-3
+
+
+@pytest.mark.parametrize("eta", (0.2, 0.4))
+def test_fock_oracle_keeps_the_whole_hermite_table_bits(monkeypatch, eta):
+    # the lossy photon (1 - eta)|0><0| + eta|1><1| at cutoff 30 on 50 bins,
+    # for q and two labels the metaplectic rotation turns onto q
+    matrix = np.zeros((30, 30))
+    matrix[0, 0], matrix[1, 1] = 1 - eta, eta
+    state = FockDensityOperator(matrix, 30, 1)
+    points = np.concatenate([[-np.inf], BINS.edges, [np.inf]])
+
+    def oracle_outputs():
+        out = [fockspace.hermite_overlap_cdf(30, points)]
+        for zeta in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
+            out.append(homodyne_density(state, zeta, BINS.edges))
+            out.append(quantum_homodyne_distribution(state, zeta, BINS).masses)
+        return out
+
+    got = oracle_outputs()
+    monkeypatch.setattr(fockspace, "hermite_functions",
+                        whole_table_hermite_functions)
+    for a, b in zip(got, oracle_outputs(), strict=True):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))

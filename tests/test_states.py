@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from wignerhvm import fockspace
+from wignerhvm import fockspace, states
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.states import (LEAKAGE_LIMIT, FockDensityOperator,
                               GaussianChannel, GaussianState,
@@ -17,7 +18,7 @@ from wignerhvm.states import (LEAKAGE_LIMIT, FockDensityOperator,
                               vacuum_state)
 from wignerhvm.weyl import quantize_linear
 
-from reference import displacement_matrix
+from reference import displacement_matrix, whole_table_gkp_coefficients
 
 
 def spec(kind, cutoff=None, **params):
@@ -100,6 +101,40 @@ def test_gkp_even_support_and_leakage():
     assert np.max(diag[1::2]) < 1e-12  # odd levels unoccupied
     with pytest.raises(LeakageError):
         make_state(spec("gkp", cutoff=30, delta=0.3))
+
+
+@pytest.mark.parametrize("delta", (0.2, 0.25, 0.3, 0.35, 0.5, 0.8))
+def test_gkp_streamed_quadrature_keeps_the_whole_table_bits(monkeypatch,
+                                                            delta):
+    # each coefficient is the pairwise sum of its own row, streamed or not;
+    # they are read before truncation, so leaking cutoffs count too
+    seen = []
+    build = states._pure_from_coefficients
+    monkeypatch.setattr(states, "_pure_from_coefficients",
+                        lambda coeffs, cutoff: seen.append(coeffs)
+                        or build(coeffs, cutoff))
+    for cutoff in (2, 3, 10, 30, 60, 100):
+        try:
+            states.gkp_state(delta, cutoff)
+        except LeakageError:
+            pass
+        want = whole_table_gkp_coefficients(delta, cutoff)
+        assert seen[-1].shape == want.shape == (cutoff,)
+        assert np.array_equal(seen[-1].view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("cutoff", (60, 300))
+def test_gkp_quadrature_memory_does_not_grow_with_the_cutoff(cutoff):
+    # a few 8192-point rows beside the c x c matrices; the whole basis table
+    # alone would be 8 * 8192 c bytes
+    states.gkp_state(0.3, cutoff)  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        states.gkp_state(0.3, cutoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 16 * cutoff ** 2 + 2 ** 20, peak / 2 ** 20
 
 
 def squeezed_vacuum(r: float, levels: int) -> np.ndarray:

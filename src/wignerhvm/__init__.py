@@ -24,9 +24,8 @@ from .weyl import (PolynomialObservable, QuadratureOperator,
                    check_wigner_multiplicativity, conjugate_by_metaplectic,
                    quantize_linear, quantize_polynomial)
 from .wigner import (CharacteristicGrid, GridSpec, InadequateWindowError,
-                     MixedStateError, WignerGrid, characteristic_function,
-                     hudson_classify, log_negativity, min_value,
-                     negativity_volume, state_wigner, wigner_fock_direct,
-                     wigner_from_characteristic, wigner_gaussian)
+                     MixedStateError, WignerGrid, hudson_classify,
+                     log_negativity, min_value, negativity_volume,
+                     state_wigner, wigner_fock_direct, wigner_gaussian)
 
 __version__ = "0.1.0"

@@ -21,8 +21,13 @@ from .phase_space import is_symplectic, omega
 LEAKAGE_LIMIT = 1e-3
 # Largest array a request may call for, in bytes: dense W and chi grids
 # (counted as complex128), the parity route's working set, a Fock state's
-# matrix, and hvm-compare's samples and oracle CDF table.
+# build, and hvm-compare's samples and oracle CDF table.
 GRID_BYTES_LIMIT = 2 ** 30
+# c x c complex arrays a one-mode Fock state's build holds at its peak:
+# tracemalloc reads 4.02-4.18 for fock, cat and gkp and 5.03-5.10 for
+# photon_subtracted_squeezed at c = 300 and 600 (the renormalized copies,
+# the Hermitian check and the Cholesky factor)
+STATE_BUILD_ARRAYS = 6
 # the most modes whose smallest grid, 3 points per axis, is within the
 # limit: 16 * 3^(2m) <= 2^30 for m <= 8
 MAX_MODES = int(np.log(GRID_BYTES_LIMIT / 16) / np.log(9))
@@ -367,7 +372,8 @@ def photon_subtracted_squeezed_state(r: float, cutoff: int) -> FockDensityOperat
 
 def check_state_spec(spec: StateSpec) -> None:
     """Checks make_state runs before building: the kind, the Fock cutoff and
-    modes, and 16 c^2 bytes to the limit; gkp adds no cutoff x 8192 table."""
+    modes, and the build's STATE_BUILD_ARRAYS c x c complex arrays to the
+    limit; gkp adds no cutoff x 8192 table."""
     kind = spec.kind
     cutoff = spec.fock_cutoff
     if kind not in GAUSSIAN_KINDS + FOCK_KINDS:
@@ -377,10 +383,11 @@ def check_state_spec(spec: StateSpec) -> None:
     if kind in FOCK_KINDS and spec.modes != 1:
         raise StateSpecError(f"'{kind}' is a single-mode state")
     require_grid_modes(spec.modes)
-    if kind in FOCK_KINDS and 16 * cutoff ** 2 > GRID_BYTES_LIMIT:  # one mode
+    nbytes = 16 * STATE_BUILD_ARRAYS * cutoff ** 2 if kind in FOCK_KINDS else 0
+    if nbytes > GRID_BYTES_LIMIT:  # one mode
         raise InadequateWindowError(
-            f"a cutoff-{short_int(cutoff)} density matrix needs "
-            f"{gib(16 * cutoff ** 2)} GiB, above the "
+            f"building a cutoff-{short_int(cutoff)} state needs "
+            f"{gib(nbytes)} GiB of working arrays, above the "
             f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit; use a "
             "smaller cutoff")
 

@@ -25,6 +25,8 @@ from .states import (GRID_BYTES_LIMIT, FockDensityOperator, GaussianState,
                      InadequateWindowError, gib, require_grid_modes,
                      short_int)
 
+# largest |chi| on a transform window's boundary, relative to its max,
+# for which a state's windowed Wigner transform is trusted
 BOUNDARY_DECAY = 1e-8
 IMAG_RESIDUE = 1e-8
 NORMALIZATION_TOL = 1e-3
@@ -171,11 +173,6 @@ class CharacteristicGrid:
     def values(self) -> np.ndarray:
         return _kronecker_grid(self.tables)
 
-    def origin_value(self) -> complex:
-        center = self.spec.points // 2
-        terms = np.prod([t[:, center, center] for t in self.tables], axis=0)
-        return complex(terms.sum())
-
     def boundary_residual(self) -> float:
         """Largest |chi| on the grid boundary relative to the global max.
 
@@ -312,16 +309,6 @@ def _grid_amplitudes(spec: GridSpec, scale: float) -> list[np.ndarray]:
     return [_amplitudes(spec.axis, scale)] * spec.mode_count
 
 
-def characteristic_function(rho: FockDensityOperator,
-                            spec: GridSpec) -> CharacteristicGrid:
-    """chi(v) = Tr[rho D(v)] from the exact displacement matrix elements."""
-    grid = characteristic_observable(
-        fockspace.kronecker_factors(rho.matrix, rho.mode_count), spec)
-    if abs(grid.origin_value() - 1.0) > 1e-6:
-        raise ValueError("characteristic function origin deviates from 1")
-    return grid
-
-
 def characteristic_observable(factors, spec: GridSpec) -> CharacteristicGrid:
     """Tr[A D(v)] for an operator given by its per-mode factor stacks.
 
@@ -371,20 +358,6 @@ def _real_part(raw: np.ndarray, tol: float) -> np.ndarray:
     return raw.real
 
 
-def wigner_from_characteristic(chi: CharacteristicGrid,
-                               out_spec: GridSpec | None = None) -> WignerGrid:
-    """State Wigner grid from its characteristic grid (windowed transform)."""
-    out_spec = out_spec or chi.spec
-    residual = chi.boundary_residual()
-    if residual > BOUNDARY_DECAY:
-        raise InadequateWindowError(
-            f"characteristic function boundary residual {residual:.2e} "
-            f"exceeds {BOUNDARY_DECAY:.0e}; widen the transform window")
-    raw = _symplectic_fourier(chi.tables, chi.spec, out_spec)
-    return _normalized_on_window(
-        WignerGrid(out_spec, _real_part(raw, IMAG_RESIDUE)))
-
-
 def weyl_symbol_from_characteristic(chi: CharacteristicGrid,
                                     out_spec: GridSpec | None = None):
     """Weyl symbol of an observable from Tr[A D(v)].
@@ -429,10 +402,10 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     """Wigner grid of a Fock state, with no characteristic-function transform.
 
     Royer's parity identity W(z) = pi^-m Tr[P rho D(2 alpha(z))], with P
-    the parity operator, reuses the displacement-element kernel of the chi
-    route at doubled amplitude but needs neither the Fourier transform nor
-    its window.  The kernel itself is checked independently by the Gaussian
-    closed form and the analytic Fock-state tests.  One mode sums its real
+    the parity operator, evaluates the displacement-element kernel at
+    doubled amplitude and needs neither a Fourier transform nor its window.
+    The kernel itself is checked independently by the Gaussian closed form
+    and the analytic Fock-state tests.  One mode sums its real
     part directly (fockspace.parity_trace), one diagonal per offset in real
     buffers, with the bits of the complex grid's real part when rho is
     exactly Hermitian, as make_state builds it; no imaginary part is left

@@ -39,6 +39,14 @@ along its rows by one 2-D `np.trapezoid`: the package's forms before it
 learnt to stream the recurrence one row at a time.
 `position_marginal` is a Wigner grid's one-axis marginal density and
 `grid_moment` integrates it.
+`characteristic_function` is a state's chi(v) = Tr[rho D(v)] on a grid,
+whose value at the origin, `origin_value`, must be 1, and
+`wigner_from_characteristic` is its windowed symplectic Fourier transform
+under the boundary-decay, imaginary-residue and normalization gates: the
+package's route from a state to its Wigner grid before the parity identity
+replaced it, kept as the chi route that criterion 1 compares with the
+closed form and the parity route.  Both are composed of the package's own
+kernels, the same that give lemma-check's Weyl symbols.
 """
 
 import numpy as np
@@ -48,7 +56,11 @@ from wignerhvm.fockspace import _laguerre_diagonals, _offset_depths
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.special import sine_integral
 from wignerhvm.states import GaussianState, StateSpec, make_state
-from wignerhvm.wigner import GridSpec, WignerGrid, _kronecker_grid
+from wignerhvm.wigner import (BOUNDARY_DECAY, IMAG_RESIDUE, CharacteristicGrid,
+                              GridSpec, InadequateWindowError, WignerGrid,
+                              _kronecker_grid, _normalized_on_window,
+                              _real_part, _symplectic_fourier,
+                              characteristic_observable)
 
 
 def displacement_matrix(alpha, cutoff: int) -> np.ndarray:
@@ -166,6 +178,36 @@ def full_grid_parity_trace(rho, alphas) -> np.ndarray:
                 term *= factor
                 total += term
     return out
+
+
+def origin_value(chi: CharacteristicGrid) -> complex:
+    """chi(0): the products of the per-mode tables at the centre node."""
+    center = chi.spec.points // 2
+    terms = np.prod([t[:, center, center] for t in chi.tables], axis=0)
+    return complex(terms.sum())
+
+
+def characteristic_function(rho, spec: GridSpec) -> CharacteristicGrid:
+    """chi(v) = Tr[rho D(v)] from the exact displacement matrix elements."""
+    grid = characteristic_observable(
+        fockspace.kronecker_factors(rho.matrix, rho.mode_count), spec)
+    if abs(origin_value(grid) - 1.0) > 1e-6:
+        raise ValueError("characteristic function origin deviates from 1")
+    return grid
+
+
+def wigner_from_characteristic(chi: CharacteristicGrid,
+                               out_spec: GridSpec | None = None) -> WignerGrid:
+    """State Wigner grid from its characteristic grid (windowed transform)."""
+    out_spec = out_spec or chi.spec
+    residual = chi.boundary_residual()
+    if residual > BOUNDARY_DECAY:
+        raise InadequateWindowError(
+            f"characteristic function boundary residual {residual:.2e} "
+            f"exceeds {BOUNDARY_DECAY:.0e}; widen the transform window")
+    raw = _symplectic_fourier(chi.tables, chi.spec, out_spec)
+    return _normalized_on_window(
+        WignerGrid(out_spec, _real_part(raw, IMAG_RESIDUE)))
 
 
 def full_grid_event_probability(model, zeta, intervals) -> float:

@@ -26,10 +26,11 @@ from wignerhvm.states import (GaussianState, StateSpec, apply_gaussian_channel,
                               make_state)
 from wignerhvm.weyl import (check_wigner_multiplicativity,
                             metaplectic_covariance_suite)
-from wignerhvm.wigner import (GridSpec, characteristic_function,
-                              hudson_classify, min_value, negativity_volume,
-                              state_wigner, wigner_fock_direct,
-                              wigner_from_characteristic, wigner_gaussian)
+from wignerhvm.wigner import (GridSpec, hudson_classify, min_value,
+                              negativity_volume, state_wigner,
+                              wigner_fock_direct, wigner_gaussian)
+
+from reference import characteristic_function, wigner_from_characteristic
 
 GRID = GridSpec(1, 6.0, 257)
 CHAR = GridSpec(1, 16.0, 257)

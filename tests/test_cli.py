@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 import tracemalloc
 import warnings
@@ -11,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerhvm import cli as cli_module
+from wignerhvm import states as states_module
 from wignerhvm import wigner as wigner_module
 from wignerhvm.cli import _multiplicativity_cases, lemma_check_bytes, main
+from wignerhvm.states import (GRID_BYTES_LIMIT, STATE_BUILD_ARRAYS, StateSpec,
+                              check_state_spec)
 from wignerhvm.weyl import (check_wigner_multiplicativity,
                             metaplectic_covariance_suite)
 from wignerhvm.wigner import GridSpec, InadequateWindowError
@@ -240,12 +244,16 @@ def test_parse_failure_messages_name_the_bound(tmp_path, capsys):
 
 
 def test_char_flags_are_ignored(tmp_path, capsys):
-    # the README gkp example: the parity route has no chi grid to set
+    # the README gkp example: the parity route has no chi grid to set; the
+    # bench passes the flags to all four commands, hvm-compare's contextual
+    # job among them
     gkp = ["--state", '{"kind": "gkp", "params": {"delta": 0.3}, '
            '"cutoff": 60}', "--window", "10", "--points", "321"]
     char = ["--char-window", "24", "--char-points", "601"]
     for command, names in (("hudson", ["hudson.json"]),
-                           ("wigner", ["wigner.json", "wigner.csv"])):
+                           ("wigner", ["wigner.json", "wigner.csv"]),
+                           ("negativity", ["negativity.json"]),
+                           ("hvm-compare", ["hvm_compare.json"])):
         blobs = []
         for sub, extra in (("plain", []), ("char", char)):
             out = tmp_path / command / sub
@@ -416,6 +424,33 @@ def test_mirrored_parity_route_memory_guard_exit_3(tmp_path, monkeypatch,
         tracemalloc.stop()
     assert code == 3
     assert peak < 16 * 4001 ** 2 / 100, peak
+
+
+@pytest.mark.parametrize("command",
+                         ["wigner", "negativity", "hudson", "hvm-compare"])
+def test_state_build_memory_guard_exit_3(tmp_path, monkeypatch, capsys,
+                                         command):
+    # the largest cutoff whose build, STATE_BUILD_ARRAYS c x c complex
+    # arrays, fits the limit is admitted; one above it is refused before
+    # any c x c array exists
+    cutoff = math.isqrt(GRID_BYTES_LIMIT // (16 * STATE_BUILD_ARRAYS))
+    check_state_spec(StateSpec("fock", {"n": 1}, 1, cutoff))
+
+    def refuse(*args):
+        raise AssertionError("state built past the memory guard")
+
+    monkeypatch.setattr(states_module, "fock_state", refuse)
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, command, "--state",
+                      '{"kind": "fock", "params": {"n": 1}, "cutoff": %d}'
+                      % (cutoff + 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert f"building a cutoff-{cutoff + 1} state" in capsys.readouterr().err
+    assert peak < 16 * cutoff ** 2 / 100, peak
 
 
 @pytest.mark.parametrize("command",

@@ -137,6 +137,42 @@ def test_gkp_quadrature_memory_does_not_grow_with_the_cutoff(cutoff):
     assert peak < 8 * 16 * cutoff ** 2 + 2 ** 20, peak / 2 ** 20
 
 
+def largest_admitted_cutoff() -> int:
+    """The largest one-mode Fock cutoff check_state_spec admits."""
+    low, high = 2, 2 ** 20
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            states.check_state_spec(spec("fock", mid, n=1))
+            low = mid
+        except InadequateWindowError:
+            high = mid
+    return low
+
+
+FOCK_KIND_PARAMS = {"fock": {"n": 1}, "cat": {"alpha": 2.0},
+                    "gkp": {"delta": 0.3},
+                    "photon_subtracted_squeezed": {"r": 0.5}}
+
+
+@pytest.mark.parametrize("cutoff", (300, 600))
+@pytest.mark.parametrize("kind", sorted(FOCK_KIND_PARAMS))
+def test_state_build_peak_is_within_the_counted_bytes(kind, cutoff):
+    # check_state_spec admits a cutoff while its count of the build, a
+    # fixed number of bytes per c^2, is within the limit; the build must
+    # hold no more than that count
+    per_level = states.GRID_BYTES_LIMIT / largest_admitted_cutoff() ** 2
+    state_spec = spec(kind, cutoff, **FOCK_KIND_PARAMS[kind])
+    make_state(state_spec)  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        make_state(state_spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_level * cutoff ** 2, peak / (16 * cutoff ** 2)
+
+
 def squeezed_vacuum(r: float, levels: int) -> np.ndarray:
     """Closed-form S(r)|0> coefficients (q-squeezed): c_2k ~ (-tanh r)^k."""
     coeffs = np.zeros(levels)

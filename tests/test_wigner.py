@@ -13,16 +13,16 @@ from wignerhvm.weyl import conjugate_by_metaplectic
 from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
                               InadequateWindowError, MixedStateError,
                               WignerGrid, characteristic_at_points,
-                              characteristic_function, covariance_state,
-                              hudson_classify, log_negativity, min_value,
-                              negativity_volume, parity_route_bytes,
-                              sidecar_dict, state_wigner, wigner_fock_direct,
-                              wigner_from_characteristic, wigner_gaussian,
+                              covariance_state, hudson_classify,
+                              log_negativity, min_value, negativity_volume,
+                              parity_route_bytes, sidecar_dict, state_wigner,
+                              wigner_fock_direct, wigner_gaussian,
                               wigner_to_csv)
 
-from reference import (complex_parity_wigner, expression_wigner_gaussian,
-                       full_grid_parity_trace, grid_moment, pinned_gaussians,
-                       position_marginal)
+from reference import (characteristic_function, complex_parity_wigner,
+                       expression_wigner_gaussian, full_grid_parity_trace,
+                       grid_moment, pinned_gaussians, position_marginal,
+                       wigner_from_characteristic)
 
 GRID = GridSpec(1, 6.0, 257)
 CHAR = GridSpec(1, 16.0, 257)
@@ -120,23 +120,29 @@ def test_singular_covariance_rejected():
         wigner_gaussian(state, GRID)
 
 
+def char_nodes():
+    """The CHAR nodes as (v_q, v_p) rows, in the grid's index order."""
+    vq, vp = np.meshgrid(CHAR.axis, CHAR.axis, indexing="ij")
+    return np.stack([vq.ravel(), vp.ravel()], axis=1)
+
+
 def test_characteristic_vacuum_closed_form():
     rho = gaussian_to_fock(make_state(StateSpec("vacuum")), 20)
-    chi = characteristic_function(rho, CHAR)
-    vq = CHAR.axis[:, None]
-    vp = CHAR.axis[None, :]
-    expected = np.exp(-(vq ** 2 + vp ** 2) / 4)
-    assert np.max(np.abs(chi.values - expected)) < 1e-12
-    assert abs(chi.origin_value() - 1) < 1e-8
+    v = char_nodes()
+    chi = characteristic_at_points(rho, v)
+    expected = np.exp(-(v ** 2).sum(axis=1) / 4)
+    assert np.max(np.abs(chi - expected)) < 1e-12
+    origin = np.flatnonzero((v == 0).all(axis=1))
+    assert origin.size == 1
+    assert abs(chi[origin[0]] - 1) < 1e-8
 
 
 def test_characteristic_fock1_closed_form():
-    chi = characteristic_function(fock(1, 10), CHAR)
-    vq = CHAR.axis[:, None]
-    vp = CHAR.axis[None, :]
-    r2 = vq ** 2 + vp ** 2
+    v = char_nodes()
+    chi = characteristic_at_points(fock(1, 10), v)
+    r2 = (v ** 2).sum(axis=1)
     expected = (1 - r2 / 2) * np.exp(-r2 / 4)
-    assert np.max(np.abs(chi.values - expected)) < 1e-12
+    assert np.max(np.abs(chi - expected)) < 1e-12
 
 
 def test_characteristic_at_points_routes_agree():

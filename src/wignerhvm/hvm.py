@@ -24,12 +24,16 @@ Samples draw a grid cell from its mass by inverse CDF, searching each
 chunk's keys in sorted order, and then a uniform point in a box around
 its node (the jitter removes grid artifacts from histograms); the box
 model adds a variance of step**2 / 12 per axis, which is why exact
-events do not integrate it.
+events do not integrate it.  The model owns the only grid: build_hvm
+clamps and normalizes its input in place, and sample keeps one running
+sum per block of SAMPLE_BLOCK cells, rebuilding a block's cumulative
+masses from it only when a key falls there.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +46,8 @@ from .wigner import (NEGATIVITY_TOL_FACTOR, WignerGrid,
 from .weyl import PolynomialObservable
 
 SAMPLE_CHUNK = 1 << 14
+# cells per block of the cumulative cell masses, and per leaf of their sum
+SAMPLE_BLOCK = 1 << 16
 # the fewest outcomes per sine-integral call on the slab path
 EVENT_BLOCK = 1 << 16
 
@@ -71,14 +77,18 @@ class NegativityError(ValueError):
 class HiddenVariableModel:
     """Probability measure over phase space backed by a Wigner grid.
 
-    ``_alias`` caches the cumulative cell masses that ``sample`` searches.
-    The slot keeps its historical name because the benchmark reads
-    ``model._alias is None`` to time the first ``sample`` call.
+    ``sample`` stores, on its first call, the normalizer S of the cell
+    masses in ``_mass`` and, in ``_alias``, the running sum of the cell
+    probabilities at the end of each block of SAMPLE_BLOCK cells: one
+    float per block, not one per cell.  The slot keeps its historical
+    name because the benchmark reads ``model._alias is None`` to time the
+    first ``sample`` call.
     """
 
     measure: WignerGrid
     renormalization: float = 1.0
     _alias: np.ndarray | None = field(default=None, repr=False)
+    _mass: float = field(default=0.0, repr=False)
 
     @property
     def mode_count(self) -> int:
@@ -97,12 +107,11 @@ def build_hvm(w: WignerGrid) -> HiddenVariableModel:
     are floating-point floor and get clamped to zero; anything below that
     raises NegativityError with the witness.
 
-    Memory: the call allocates one grid beyond its input, the clamped copy
-    that is normalized in place and becomes the model's grid (the largest
-    magnitude is read from the min and the max, with no |W| temporary).
-    The input is never modified.  Once ``sample`` has run, the model holds
-    that grid plus its cumulative cell masses, and nothing else grid-sized;
-    a caller that drops W after this call holds those two grids in all.
+    The input is consumed: its array is clamped and normalized in place
+    and becomes the model's grid, so the call allocates nothing
+    grid-sized (the largest magnitude is read from the min and the max,
+    with no |W| temporary).  The negativity check comes first, so a
+    NegativityError leaves the input's bits untouched.
     """
     values = w.values
     mn = float(values.min())
@@ -110,13 +119,12 @@ def build_hvm(w: WignerGrid) -> HiddenVariableModel:
     tol = NEGATIVITY_TOL_FACTOR * vmax
     if mn < -tol:
         raise NegativityError(*min_value(w), w.spec)
-    clamped = np.clip(values, 0.0, None)
-    total = clamped.sum() * w.cell_volume
+    np.clip(values, 0.0, None, out=values)
+    total = values.sum() * w.cell_volume
     if total <= 0:
         raise ValueError("measure has no mass")
-    clamped /= total
-    return HiddenVariableModel(WignerGrid(w.spec, clamped),
-                               renormalization=float(total))
+    values /= total
+    return HiddenVariableModel(w, renormalization=float(total))
 
 
 def _projection_lattice(used: np.ndarray, points: int, nodes: int):
@@ -172,23 +180,53 @@ def _lattice_masses(weights: np.ndarray, n: np.ndarray,
     return masses
 
 
-def _sample_chunk(model: HiddenVariableModel, seed: int, chunk_index: int,
-                  out: np.ndarray) -> None:
-    cdf = model._alias
-    spec = model.measure.spec
+def _mass_total(flat: np.ndarray, volume: float) -> float:
+    """(flat * volume).sum() with its bits, one leaf at a time.
+
+    np.sum adds a contiguous array pairwise, halving n at n // 2 rounded
+    down to a multiple of 8; recursing on the same halves and summing
+    each leaf of at most SAMPLE_BLOCK cells with np.sum makes the same
+    additions, with no temporary larger than a leaf.
+    """
+    if flat.size <= SAMPLE_BLOCK:
+        return float(np.sum(flat * volume))
+    half = flat.size // 2 - flat.size // 2 % 8
+    return _mass_total(flat[:half], volume) + _mass_total(flat[half:], volume)
+
+
+def _block_cdf(flat: np.ndarray, volume: float, mass: float, block: int,
+               start: float) -> np.ndarray:
+    """The cumulative cell probabilities over one block, as a new array.
+
+    start is the running sum before the block.  It is added to the
+    block's first cell and the cumsum continues from there, so each entry
+    is the sum np.cumsum over the whole grid adds, with the same bits.
+    """
+    part = flat[block * SAMPLE_BLOCK:(block + 1) * SAMPLE_BLOCK] * volume
+    part /= mass
+    if block:
+        part[0] += start
+    return np.cumsum(part, out=part)
+
+
+def _cumulative_blocks(model: HiddenVariableModel):
+    """(S, ends): the cell masses' total and the running sum of the cell
+    probabilities at the end of each block of SAMPLE_BLOCK cells."""
+    flat = model.measure.values.reshape(-1)
+    volume = model.measure.cell_volume
+    mass = _mass_total(flat, volume)
+    ends = np.empty(-(-flat.size // SAMPLE_BLOCK))
+    for b in range(len(ends)):
+        ends[b] = _block_cdf(flat, volume, mass, b, ends[b - 1])[-1]
+    return mass, ends
+
+
+def _uniforms(seed: int, chunk_index: int, rows: int,
+              dims: int) -> np.ndarray:
+    """The chunk's (rows, 1 + dims) uniforms: the cell key, then the box."""
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([seed, chunk_index])))
-    u = rng.random((out.shape[0], 1 + out.shape[1]))
-    # side="right" skips zero-mass cells, whose cdf equals their
-    # predecessor's, and u < 1 keeps u * cdf[-1] below the last entry;
-    # keys searched in sorted order start each search near the last hit
-    keys = u[:, 0] * cdf[-1]
-    order = np.argsort(keys)
-    idx = np.empty_like(order)
-    idx[order] = np.searchsorted(cdf, keys[order], side="right")
-    coords = np.unravel_index(idx, spec.shape)
-    for d in range(out.shape[1]):
-        out[:, d] = spec.axis[coords[d]] + (u[:, 1 + d] - 0.5) * spec.step
+    return rng.random((rows, 1 + dims))
 
 
 def sample(model: HiddenVariableModel, n: int, seed: int,
@@ -196,33 +234,78 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
     """n hidden states, shape (n, 2m); row i depends only on (seed, i).
 
     Each row draws a grid cell by inverse CDF, a binary search of the
-    cumulative cell masses (computed once per model, in place), and then a
-    uniform point in that cell's box.  A chunk's keys are searched in
-    sorted order, so each search starts near the last, and the cells are
-    scattered back to their rows: the same cells one search per key finds.
+    cumulative cell masses, and then a uniform point in that cell's box.
     The stream is chunked with per-chunk substreams derived from (seed,
     chunk index), so any thread count and any chunk-level parallelism
     reproduce the identical array, and prefixes agree between runs of
     different lengths.  Chunks fill slices of one preallocated array.
+
+    No grid-sized table is held.  The first call stores the normalizer S
+    and the running sum at each block end (_cumulative_blocks).  Then
+    three passes: each chunk draws its keys u * total and sorts them,
+    keeping the sorted keys and their order in its rows of the output;
+    each block holding a key rebuilds its cumulative masses from the
+    stored start (_block_cdf) and searches its keys there, writing their
+    cells over them; and each chunk redraws its uniforms to place every
+    row in its cell's box.  The cells are those one plain search per key
+    of np.cumsum(cell_probabilities()) finds.  Chunks go to a pool of
+    ``threads`` workers in the first and last pass, blocks in the second.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     if model._alias is None:  # built once, before any worker reads it
-        cdf = model.cell_probabilities()
-        model._alias = np.cumsum(cdf, out=cdf)
-    phi = np.empty((n, 2 * model.mode_count))
-    chunks = range((n + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK)
+        model._mass, model._alias = _cumulative_blocks(model)
+    ends, mass = model._alias, model._mass
+    flat = model.measure.values.reshape(-1)
+    volume = model.measure.cell_volume
+    spec = model.measure.spec
+    axis, step = spec.axis, spec.step
+    dims = 2 * model.mode_count
+    phi = np.empty((n, dims))
+    rows = [phi[start:start + SAMPLE_CHUNK]
+            for start in range(0, n, SAMPLE_CHUNK)]
 
-    def draw(c):
-        _sample_chunk(model, seed, c,
-                      phi[c * SAMPLE_CHUNK:(c + 1) * SAMPLE_CHUNK])
+    def sort_keys(c):
+        """The chunk's sorted keys, then their rows as integers, in the
+        first 2k floats of its k rows; and how many keys lie below each
+        block end."""
+        k, buf = len(rows[c]), rows[c].reshape(-1)
+        # side="right" below skips zero-mass cells, whose cdf equals their
+        # predecessor's, and u < 1 keeps u * ends[-1] below the last entry
+        keys = _uniforms(seed, c, k, dims)[:, 0] * ends[-1]
+        order = buf[k:2 * k].view(np.intp)
+        order[:] = np.argsort(keys)
+        np.take(keys, order, out=buf[:k])
+        return np.searchsorted(buf[:k], ends, side="left")
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(draw, chunks))
-    else:
-        for c in chunks:
-            draw(c)
+    def search(b):
+        """Each key in block b replaced by its cell."""
+        cdf = _block_cdf(flat, volume, mass, b, ends[b - 1])
+        for out, cut in zip(rows, cuts):
+            lo, hi = (cut[b - 1] if b else 0), cut[b]
+            if lo < hi:
+                keys = out.reshape(-1)[lo:hi]
+                cells = np.searchsorted(cdf, keys, side="right")
+                cells += b * SAMPLE_BLOCK
+                keys.view(np.intp)[:] = cells
+
+    def place(c):
+        out = rows[c]
+        k, buf = len(out), out.reshape(-1)
+        idx = np.empty(k, dtype=np.intp)
+        idx[buf[k:2 * k].view(np.intp)] = buf[:k].view(np.intp)
+        u = _uniforms(seed, c, k, dims)
+        coords = np.unravel_index(idx, spec.shape)
+        for d in range(dims):
+            out[:, d] = axis[coords[d]] + (u[:, 1 + d] - 0.5) * step
+
+    with (ThreadPoolExecutor(max_workers=threads) if threads > 1
+          else nullcontext()) as pool:
+        run = pool.map if pool else map
+        cuts = list(run(sort_keys, range(len(rows))))
+        counts = np.diff(np.sum(cuts, axis=0), prepend=0)
+        list(run(search, np.flatnonzero(counts)))
+        list(run(place, range(len(rows))))
     return phi
 
 

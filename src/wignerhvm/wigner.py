@@ -137,7 +137,9 @@ class WignerGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.spec.shape:
             raise ValueError("values shape does not match the grid")
-        if not np.all(np.isfinite(self.values)):
+        # NaN propagates through min and max, so no boolean grid is needed
+        if not (np.isfinite(self.values.min())
+                and np.isfinite(self.values.max())):
             raise ValueError("grid contains non-finite values")
 
     @property

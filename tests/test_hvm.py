@@ -1,4 +1,5 @@
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -120,14 +121,13 @@ def test_sampled_cells_follow_the_cell_masses(case):
 def test_cumulative_table_built_once_under_threads(monkeypatch):
     _, model = model_for("squeezed", {"r": 0.5})
     calls = []
-    original = hvm.HiddenVariableModel.cell_probabilities
+    original = hvm._cumulative_blocks
 
-    def counting(self):
+    def counting(model):
         calls.append(1)
-        return original(self)
+        return original(model)
 
-    monkeypatch.setattr(hvm.HiddenVariableModel, "cell_probabilities",
-                        counting)
+    monkeypatch.setattr(hvm, "_cumulative_blocks", counting)
     sample(model, 100000, seed=3, threads=4)
     sample(model, 100000, seed=4, threads=4)
     assert len(calls) == 1
@@ -378,8 +378,9 @@ def test_sorted_key_sampling_matches_plain_search(coherent_pair):
 
 
 def test_first_sample_holds_one_grid_sized_array(coherent_pair):
-    # the cumulative table is built in place: the cell masses, their
-    # normalization and their running sum share one array
+    # the first call keeps one running sum per block of cells; the cell
+    # masses are summed and accumulated a block at a time, so no array
+    # near the grid's size is made, the model's own grid aside
     _, model = coherent_pair
     grid_bytes = model.measure.values.nbytes
     sample(hvm.HiddenVariableModel(model.measure), 10, seed=0)  # warm-up
@@ -390,8 +391,82 @@ def test_first_sample_holds_one_grid_sized_array(coherent_pair):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert fresh._alias.nbytes == grid_bytes
-    assert peak < 1.5 * grid_bytes, peak / grid_bytes
+    blocks = -(-model.measure.values.size // hvm.SAMPLE_BLOCK)
+    assert blocks == 44
+    assert fresh._alias.shape == (blocks,)
+    assert fresh._alias.dtype == np.float64
+    assert peak < 0.1 * grid_bytes, peak / grid_bytes
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 127, 128, 129, (1 << 16) - 1,
+                                  1 << 16, (1 << 16) + 1, 257 ** 2, 41 ** 4])
+def test_leaf_wise_mass_total_is_np_sum_bit_for_bit(size):
+    # cell masses spread over many binades, so any other order of the
+    # additions would round differently somewhere
+    rng = np.random.default_rng(size)
+    flat = rng.random(size) * np.exp(rng.normal(scale=5.0, size=size))
+    volume = 0.3 ** 4
+    assert hvm._mass_total(flat, volume) == (flat * volume).sum()
+
+
+@pytest.mark.parametrize("case", ["coherent", "many_binades"])
+def test_block_ends_are_the_full_cumulative_sum(coherent_pair, case):
+    # each stored end is np.cumsum's entry at the block's last cell, and
+    # the normalizer is the sum cell_probabilities divides by
+    _, pair = coherent_pair
+    values = pair.measure.values
+    if case == "many_binades":  # zero cells among them
+        rng = np.random.default_rng(1)
+        values = np.exp(rng.normal(scale=8.0, size=values.shape))
+        values[rng.random(values.shape) < 0.2] = 0.0
+    spec = pair.measure.spec
+    model = hvm.HiddenVariableModel(WignerGrid(spec, values))
+    sample(model, 1, seed=0)
+    cdf = np.cumsum(model.cell_probabilities())
+    last = np.minimum(np.arange(1, len(model._alias) + 1) * hvm.SAMPLE_BLOCK,
+                      cdf.size) - 1
+    assert np.array_equal(model._alias, cdf[last])
+    masses = values.reshape(-1) * model.measure.cell_volume
+    assert model._mass == masses.sum()
+
+
+# 577^2 = 332,929 cells: five blocks of 2^16 and a short sixth
+MULTI_BLOCK = GridSpec(1, 8.0, 577)
+
+
+def _block_masses(case):
+    masses = np.random.default_rng(31).random(MULTI_BLOCK.points ** 2)
+    block = hvm.SAMPLE_BLOCK
+    if case == "zero_blocks":  # blocks 2 and 3 and part of 1 hold no mass
+        masses[3 * block // 2:4 * block] = 0.0
+    else:  # all of the mass in the last, short block
+        masses[:5 * block] = 0.0
+    return masses.reshape(MULTI_BLOCK.shape)
+
+
+@pytest.mark.parametrize("case", ["zero_blocks", "last_block"])
+def test_block_search_matches_plain_search(case):
+    model = build_hvm(WignerGrid(MULTI_BLOCK, _block_masses(case)))
+    n = 2 * hvm.SAMPLE_CHUNK + 3
+    want = searchsorted_sample(model, n, seed=5, chunk=hvm.SAMPLE_CHUNK)
+    cells = np.rint((want - MULTI_BLOCK.axis[0]) / MULTI_BLOCK.step)
+    flat = np.ravel_multi_index(cells.astype(int).T, MULTI_BLOCK.shape)
+    blocks = {"zero_blocks": [0, 1, 4, 5], "last_block": [5]}[case]
+    assert np.unique(flat // hvm.SAMPLE_BLOCK).tolist() == blocks
+    again = searchsorted_sample(model, n, seed=6, chunk=hvm.SAMPLE_CHUNK)
+    # more workers than cores, switching often: the blocks' searches write
+    # disjoint rows of one array from several threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 3):
+            fresh = hvm.HiddenVariableModel(model.measure)
+            got = sample(fresh, n, seed=5, threads=threads)
+            assert np.array_equal(got, want)
+            got = sample(fresh, n, seed=6, threads=threads)
+            assert np.array_equal(got, again)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # the lattice labels first, so that they keep their old ids
@@ -674,25 +749,35 @@ def test_negative_zero_clamping():
 
 @pytest.mark.parametrize("name", list(pinned_gaussians()))
 def test_one_copy_measure_keeps_every_bit_and_the_input(name):
-    # the clamped copy is normalized in place; the caller's grid, with its
-    # sub-tolerance negative noise, is read and never written
+    # the input is clamped and normalized in place, with the bits of a
+    # clamped and normalized copy, and its array is the model's grid
     state, spec = pinned_gaussians()[name]
     w = wigner_gaussian(state, spec)
     w.values.reshape(-1)[::97] *= -1e-12
-    before = w.values.copy()
+    want = copying_hvm_measure(WignerGrid(spec, w.values.copy()))
     model = build_hvm(w)
-    assert np.array_equal(model.measure.values, copying_hvm_measure(w))
-    assert np.array_equal(w.values, before)
+    assert np.array_equal(model.measure.values, want)
+    assert np.shares_memory(model.measure.values, w.values)
+
+
+def test_negativity_error_leaves_the_input_untouched():
+    # the checks come before the first write
+    w = state_wigner(make_state(StateSpec("fock", {"n": 1}, 1, 20)), GRID)
+    w.values.reshape(-1)[::97] *= -1e-12
+    before = w.values.copy()
+    with pytest.raises(NegativityError):
+        build_hvm(w)
+    assert np.array_equal(w.values.view(np.int64), before.view(np.int64))
 
 
 def test_build_holds_one_grid_beyond_its_input():
-    # one clamped copy of the input, normalized in place, is the model's
-    # grid; the largest magnitude is read from the min and the max
+    # at most that: the input's array is clamped and normalized in place,
+    # and the largest magnitude is read from the min and the max
     w = wigner_gaussian(make_state(StateSpec("thermal", {"nbar": 0.5}, 2)),
                         GridSpec(2, 6.0, 31))
     grid_bytes = 8 * 31 ** 4
     assert w.values.nbytes == grid_bytes
-    build_hvm(w)  # first-call set-up is not counted
+    build_hvm(WignerGrid(w.spec, w.values.copy()))  # first-call set-up
     tracemalloc.start()
     try:
         model = build_hvm(w)
@@ -700,4 +785,4 @@ def test_build_holds_one_grid_beyond_its_input():
     finally:
         tracemalloc.stop()
     assert model.measure.values.nbytes == grid_bytes
-    assert peak < 1.3 * grid_bytes, peak / grid_bytes
+    assert peak < 0.01 * grid_bytes, peak / grid_bytes

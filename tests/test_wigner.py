@@ -252,6 +252,17 @@ def test_min_value_examples():
     assert min_value(sq)[0] > 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_grid_rejected(bad):
+    # one non-finite node anywhere, the middle one included
+    spec = GridSpec(1, 1.0, 3)
+    for index in ((0, 0), (1, 1), (2, 2)):
+        values = np.ones((3, 3))
+        values[index] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            WignerGrid(spec, values)
+
+
 def test_min_value_location_is_first_near_tie_in_index_order():
     spec = GridSpec(1, 1.0, 3)
     values = np.ones((3, 3))

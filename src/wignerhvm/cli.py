@@ -50,9 +50,10 @@ DEFAULT_OBSERVABLES = ((1.0, 0.0), (0.0, 1.0),
 
 # lemma-check's working set (tracemalloc): its largest multiplicativity
 # case holds 30.0 c x c complex arrays at cutoffs 200-400, the metaplectic
-# suite 9.0, and the cutoff-free chi tables and symbol grids about 12 MB
+# suite 9.0, and the cutoff-free chi tables and their traces about 6.2 MB;
+# each symbol is reduced one slab at a time, so no symbol grid is held
 LEMMA_MATRICES = 32
-LEMMA_FIXED_BYTES = 2 ** 24
+LEMMA_FIXED_BYTES = 2 ** 23
 
 
 class CliError(Exception):

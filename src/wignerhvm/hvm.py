@@ -450,7 +450,11 @@ def empirical_characteristic_check(model: HiddenVariableModel, points,
     contracted together one axis at a time: the first axis by two real
     products of the cos and sin phases with the measure, which never
     makes a complex copy of the grid, and each later axis by a small
-    einsum.
+    einsum.  The first-axis products are taken on blocks of second-axis
+    slabs of at least EVENT_BLOCK nodes (one block for one mode), so no
+    product spans the grid.  The first block is contracted with its
+    second-axis phases by the einsum, and each later slab's contraction
+    is added in slab order, as one einsum over the whole axis adds them.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     spec = model.measure.spec
@@ -462,13 +466,24 @@ def empirical_characteristic_check(model: HiddenVariableModel, points,
     angles = k[:, :, None] * spec.axis  # (point, axis, node)
     phases = np.exp(1j * angles[:, 1:])
 
-    flat = values.reshape(spec.points, -1)
+    p = spec.points
+    slabs = values.reshape(p, p, -1)  # (first axis, second axis, the rest)
+    per = p if m == 1 else -(-EVENT_BLOCK // slabs[:, 0].size)
     value = 0
     for unit, phase in ((1, np.cos), (1j, np.sin)):
-        part = phase(angles[:, 0]) @ flat
-        for d in range(phases.shape[1]):
-            part = np.einsum("pjr,pj->pr",
-                             part.reshape(len(pts), spec.points, -1),
+        first = phase(angles[:, 0])
+        for start in range(0, p, per):
+            block = slabs[:, start:start + per]
+            prod = (first @ block.reshape(p, -1)).reshape(
+                len(pts), block.shape[1], -1)
+            if not start:  # einsum's sum starts from zero, slab after slab
+                part = np.einsum("pjr,pj->pr", prod, phases[:, 0, :per])
+            else:
+                terms = prod * phases[:, 0, start:start + per, None]
+                for term in terms.transpose(1, 0, 2):
+                    part += term
+        for d in range(1, phases.shape[1]):
+            part = np.einsum("pjr,pj->pr", part.reshape(len(pts), p, -1),
                              phases[:, d])
         value = value + unit * part[:, 0]
     deviations = np.abs(value / values.sum() - reference)

@@ -221,6 +221,20 @@ def default_observable_char_spec(mode_count: int, cutoff: int) -> GridSpec:
     return GridSpec(2, 10.0, 61)
 
 
+def _damped_characteristic(factors, char_spec: GridSpec):
+    """Tr[A D(v)] exp(-|v|^2/4) on char_spec, A given by its factor stacks.
+
+    The damping is a product over modes of exp(-(vq^2 + vp^2)/4), so it
+    multiplies every mode's tables in place.
+    """
+    chi = characteristic_observable(factors, char_spec)
+    axis = char_spec.axis
+    damp = np.exp(-(axis[:, None] ** 2 + axis[None, :] ** 2) / 4)
+    for table in chi.tables:
+        table *= damp
+    return chi
+
+
 def check_wigner_multiplicativity(obs: PolynomialObservable, cutoff: int,
                                   z_spec: GridSpec | None = None,
                                   char_spec: GridSpec | None = None,
@@ -238,26 +252,19 @@ def check_wigner_multiplicativity(obs: PolynomialObservable, cutoff: int,
     char_spec = char_spec or default_observable_char_spec(m, cutoff)
 
     factors = quantize_terms(obs, cutoff)
-    chi = characteristic_observable(factors, char_spec)
-    # exp(-|v|^2/4) is a product over modes of exp(-(vq^2 + vp^2)/4)
-    axis = char_spec.axis
-    damp = np.exp(-(axis[:, None] ** 2 + axis[None, :] ** 2) / 4)
-    for table in chi.tables:
-        table *= damp
-    symbol, boundary = weyl_symbol_from_characteristic(chi, z_spec)
+    chi = _damped_characteristic(factors, char_spec)
 
-    zblocks = z_spec.coordinate_blocks()
-    gen_values = [sum(z * c for z, c in zip(gen, zblocks))
-                  for gen in obs.context.generators]
-    target = smoothed_polynomial(obs, gen_values)
-    deviation = np.abs(symbol.values - target)
-    sup_dev = float(np.max(deviation))
+    def target(blocks):
+        # a zero coefficient adds a signed zero, which moves no |deviation|,
+        # and would broadcast the generator's values over that axis
+        return smoothed_polynomial(obs, [
+            sum(z * c for z, c in zip(gen, blocks) if z)
+            for gen in obs.context.generators])
 
-    # inner half-window sup to detect edge-concentrated truncation error
+    # the inner half-window sup detects edge-concentrated truncation error
     pts = z_spec.points
-    lo, hi = pts // 4, pts - pts // 4
-    inner = deviation[(slice(lo, hi),) * (2 * m)]
-    inner_sup = float(np.max(inner))
+    sup_dev, inner_sup, boundary = weyl_symbol_from_characteristic(
+        chi, z_spec, target, slice(pts // 4, pts - pts // 4))
 
     pairing = _pairing_deviation(factors, obs, cutoff)
 

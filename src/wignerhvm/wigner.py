@@ -336,43 +336,73 @@ def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
     return np.prod(_trace_tables(factors, alphas.T), axis=0).sum(axis=0)
 
 
-def _symplectic_fourier(tables, v_spec: GridSpec,
-                        out_spec: GridSpec) -> np.ndarray:
-    """(2 pi)^(-2m) Int chi(v) exp(-i [v, z]) dv by separable quadrature.
+def _fourier_tables(tables, v_spec: GridSpec, out_spec: GridSpec) -> list:
+    """Each mode's tables mapped from (v_q, v_p) to (z_q, z_p).
 
     exp(-i [v, z]) = prod_k exp(-i vp_k zq_k) exp(+i vq_k zp_k), so each
-    mode's tables map from (v_q, v_p) to (z_q, z_p) on their own.
+    mode's tables map on their own, by separable quadrature; the
+    symplectic Fourier transform (2 pi)^(-2m) Int chi(v) exp(-i [v, z]) dv
+    is _kronecker_grid of the mapped tables times (2 pi)^(-2m).
     """
     outer = np.outer(v_spec.axis, out_spec.axis)
     to_q = np.exp(-1j * outer) * v_spec.step
     to_p = np.exp(1j * outer) * v_spec.step
-    out = _kronecker_grid([to_q.T @ (t.transpose(0, 2, 1) @ to_p)
-                           for t in tables])
-    return out * (2 * np.pi) ** (-2 * len(tables))
+    return [to_q.T @ (t.transpose(0, 2, 1) @ to_p) for t in tables]
+
+
+def _require_real(scale, imag, tol: float) -> None:
+    """Raise unless imag (max |imag|) is within tol times scale (max |real|)."""
+    if imag > tol * max(scale, 1e-300):
+        raise ValueError(f"imaginary residue {imag:.2e} too large")
 
 
 def _real_part(raw: np.ndarray, tol: float) -> np.ndarray:
     """raw.real, unless max |imag| exceeds tol times max |real|."""
-    scale = float(np.max(np.abs(raw.real)))
-    imag = float(np.max(np.abs(raw.imag)))
-    if imag > tol * max(scale, 1e-300):
-        raise ValueError(f"imaginary residue {imag:.2e} too large")
+    _require_real(float(np.max(np.abs(raw.real))),
+                  float(np.max(np.abs(raw.imag))), tol)
     return raw.real
 
 
 def weyl_symbol_from_characteristic(chi: CharacteristicGrid,
-                                    out_spec: GridSpec | None = None):
-    """Weyl symbol of an observable from Tr[A D(v)].
+                                    out_spec: GridSpec, target, inner: slice):
+    """Sup-norm distance of an observable's Weyl symbol from a target.
 
-    Returns (grid, boundary_residual); a large residual means the window
-    truncates the observable's characteristic data and the caller should
-    flag the comparison instead of trusting it.
+    The symbol is (2 pi)^m times the symplectic Fourier transform of
+    Tr[A D(v)].  It is formed one first-axis (z_q1) slab at a time from
+    the mapped tables (_fourier_tables), so no array the size of the z
+    grid is held; target(blocks) gives the comparison function on a
+    slab's coordinate blocks, out_spec's with block 0 sliced to the slab.
+    Each slab has the bits of the whole grid's, and the sups are maxima,
+    which do not round.  Returns (sup, inner_sup, boundary_residual): the
+    largest |symbol - target| over the grid and over the window `inner`
+    of every axis, and chi's boundary residual; a large residual means
+    the window truncates the observable's characteristic data and the
+    caller should flag the comparison instead of trusting it.  After the
+    last slab, a max |imag| above 1e-6 max |real|, or a non-finite real
+    part, raises ValueError.
     """
-    out_spec = out_spec or chi.spec
-    raw = _symplectic_fourier(chi.tables, chi.spec, out_spec)
-    raw = raw * (2 * np.pi) ** chi.spec.mode_count
-    symbol = WignerGrid(out_spec, _real_part(raw, 1e-6))
-    return symbol, chi.boundary_residual()
+    m = chi.spec.mode_count
+    mapped = _fourier_tables(chi.tables, chi.spec, out_spec)
+    blocks = list(out_spec.coordinate_blocks())
+    window = (slice(None),) + (inner,) * (2 * m - 1)
+    inner_rows = range(out_spec.points)[inner]
+    # np.maximum, not max(): a NaN in any slab must reach the result
+    sup = inner_sup = scale = imag = 0.0
+    for i in range(out_spec.points):
+        rows = slice(i, i + 1)
+        raw = _kronecker_grid([mapped[0][:, rows]] + mapped[1:])
+        raw *= (2 * np.pi) ** (-2 * m)
+        raw *= (2 * np.pi) ** m
+        scale = np.maximum(scale, np.max(np.abs(raw.real)))
+        imag = np.maximum(imag, np.max(np.abs(raw.imag)))
+        deviation = np.abs(raw.real - target([blocks[0][rows]] + blocks[1:]))
+        sup = np.maximum(sup, np.max(deviation))
+        if i in inner_rows:
+            inner_sup = np.maximum(inner_sup, np.max(deviation[window]))
+    _require_real(float(scale), float(imag), 1e-6)
+    if not np.isfinite(scale):
+        raise ValueError("symbol contains non-finite values")
+    return float(sup), float(inner_sup), chi.boundary_residual()
 
 
 def parity_route_bytes(rows: int, mode_count: int, points: int,

@@ -6,6 +6,10 @@ matrix exponential, and use it as the reference for the stacked trace
 `fockspace.displacement_trace`.  `full_depth_displacement_trace` is that
 trace with the recurrence run to full depth on every offset, the loop the
 package used before it learnt to skip unused offsets.
+`whole_product_characteristic_deviations` is the hidden-variable model's
+characteristic check with the first axis contracted by one cos and one
+sin product spanning the grid, as the package contracted it before it
+learnt to take those products on blocks of second-axis slabs.
 `full_grid_event_probability` is the hidden-variable event probability
 summed over every node of the full grid, the sum the package used before
 it learnt to sum idle axes out first, and `serial_slab_event_probability`
@@ -47,6 +51,11 @@ package's route from a state to its Wigner grid before the parity identity
 replaced it, kept as the chi route that criterion 1 compares with the
 closed form and the parity route.  Both are composed of the package's own
 kernels, the same that give lemma-check's Weyl symbols.
+`symplectic_fourier` is that transform as one dense complex grid,
+`whole_grid_weyl_symbol` an observable's Weyl symbol formed from it, and
+`whole_grid_symbol_deviations` lemma-check's comparison of that symbol
+with the smoothed polynomial over the whole grid: the package's forms
+before it learnt to reduce the symbol one first-axis slab at a time.
 """
 
 import numpy as np
@@ -56,10 +65,14 @@ from wignerhvm.fockspace import _laguerre_diagonals, _offset_depths
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.special import sine_integral
 from wignerhvm.states import GaussianState, StateSpec, make_state
+from wignerhvm.weyl import (PolynomialObservable, _damped_characteristic,
+                            default_observable_char_spec, quantize_terms,
+                            smoothed_polynomial)
 from wignerhvm.wigner import (BOUNDARY_DECAY, IMAG_RESIDUE, CharacteristicGrid,
                               GridSpec, InadequateWindowError, WignerGrid,
-                              _kronecker_grid, _normalized_on_window,
-                              _real_part, _symplectic_fourier,
+                              _fourier_tables, _kronecker_grid,
+                              _normalized_on_window, _real_part,
+                              characteristic_at_points,
                               characteristic_observable)
 
 
@@ -196,6 +209,42 @@ def characteristic_function(rho, spec: GridSpec) -> CharacteristicGrid:
     return grid
 
 
+def symplectic_fourier(tables, v_spec: GridSpec,
+                       out_spec: GridSpec) -> np.ndarray:
+    """(2 pi)^(-2m) Int chi(v) exp(-i [v, z]) dv as one dense complex grid."""
+    out = _kronecker_grid(_fourier_tables(tables, v_spec, out_spec))
+    return out * (2 * np.pi) ** (-2 * len(tables))
+
+
+def whole_grid_weyl_symbol(chi: CharacteristicGrid,
+                           out_spec: GridSpec | None = None):
+    """(symbol grid, boundary residual) of an observable from Tr[A D(v)]."""
+    out_spec = out_spec or chi.spec
+    raw = symplectic_fourier(chi.tables, chi.spec, out_spec)
+    raw = raw * (2 * np.pi) ** chi.spec.mode_count
+    symbol = WignerGrid(out_spec, _real_part(raw, 1e-6))
+    return symbol, chi.boundary_residual()
+
+
+def whole_grid_symbol_deviations(obs: PolynomialObservable, cutoff: int,
+                                 z_spec: GridSpec | None = None,
+                                 char_spec: GridSpec | None = None) -> tuple:
+    """check_wigner_multiplicativity's (sup_norm_deviation,
+    inner_sup_deviation, boundary_residual) from the whole symbol grid."""
+    m = obs.context.mode_count
+    z_spec = z_spec or (GridSpec(1, 3.0, 41) if m == 1 else GridSpec(2, 3.0, 21))
+    char_spec = char_spec or default_observable_char_spec(m, cutoff)
+    chi = _damped_characteristic(quantize_terms(obs, cutoff), char_spec)
+    symbol, boundary = whole_grid_weyl_symbol(chi, z_spec)
+    zblocks = z_spec.coordinate_blocks()
+    target = smoothed_polynomial(obs, [sum(z * c for z, c in zip(gen, zblocks))
+                                       for gen in obs.context.generators])
+    deviation = np.abs(symbol.values - target)
+    pts = z_spec.points
+    inner = deviation[(slice(pts // 4, pts - pts // 4),) * (2 * m)]
+    return float(np.max(deviation)), float(np.max(inner)), float(boundary)
+
+
 def wigner_from_characteristic(chi: CharacteristicGrid,
                                out_spec: GridSpec | None = None) -> WignerGrid:
     """State Wigner grid from its characteristic grid (windowed transform)."""
@@ -205,9 +254,32 @@ def wigner_from_characteristic(chi: CharacteristicGrid,
         raise InadequateWindowError(
             f"characteristic function boundary residual {residual:.2e} "
             f"exceeds {BOUNDARY_DECAY:.0e}; widen the transform window")
-    raw = _symplectic_fourier(chi.tables, chi.spec, out_spec)
+    raw = symplectic_fourier(chi.tables, chi.spec, out_spec)
     return _normalized_on_window(
         WignerGrid(out_spec, _real_part(raw, IMAG_RESIDUE)))
+
+
+def whole_product_characteristic_deviations(model, points, state) -> list:
+    """empirical_characteristic_check's deviations, the first axis
+    contracted by (points x grid / first axis) cos and sin products."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    spec = model.measure.spec
+    m = spec.mode_count
+    values = model.measure.values
+    k = np.concatenate([pts[:, m:], -pts[:, :m]], axis=1)
+    angles = k[:, :, None] * spec.axis
+    phases = np.exp(1j * angles[:, 1:])
+    flat = values.reshape(spec.points, -1)
+    value = 0
+    for unit, phase in ((1, np.cos), (1j, np.sin)):
+        part = phase(angles[:, 0]) @ flat
+        for d in range(phases.shape[1]):
+            part = np.einsum("pjr,pj->pr",
+                             part.reshape(len(pts), spec.points, -1),
+                             phases[:, d])
+        value = value + unit * part[:, 0]
+    reference = characteristic_at_points(state, pts)
+    return [float(d) for d in np.abs(value / values.sum() - reference)]
 
 
 def full_grid_event_probability(model, zeta, intervals) -> float:

@@ -26,7 +26,8 @@ from wignerhvm.wigner import (GridSpec, WignerGrid, characteristic_at_points,
 
 from reference import (copying_hvm_measure, full_grid_event_probability,
                        lattice_event_probability, pinned_gaussians,
-                       searchsorted_sample, serial_slab_event_probability)
+                       searchsorted_sample, serial_slab_event_probability,
+                       whole_product_characteristic_deviations)
 
 GRID = GridSpec(1, 6.0, 257)
 BINS = BinSpec(-6.0, 6.0, 50)
@@ -678,6 +679,38 @@ def test_separable_characteristic_check_matches_dense_sum():
         reference = reference_characteristic_deviations(model, pts, state)
         assert np.max(np.abs(np.array(rep["deviations"]) - reference)) \
             <= 1e-12
+
+
+def test_blocked_characteristic_check_has_the_whole_product_bits(
+        coherent_pair):
+    # a two-mode grid of one slab per block, one of five-slab blocks, and
+    # one mode, whose grid is one block
+    rng = np.random.default_rng(23)
+    coherent = make_state(StateSpec("coherent", {"alpha": [1.0, 0.5]}, 2))
+    cases = [coherent_pair,
+             (coherent, build_hvm(state_wigner(coherent, GridSpec(2, 6.0, 25)))),
+             model_for("squeezed", {"r": 0.5})]
+    for state, model in cases:
+        pts = rng.uniform(-3, 3, size=(10, 2 * model.mode_count))
+        got = empirical_characteristic_check(model, pts, state)["deviations"]
+        want = whole_product_characteristic_deviations(model, pts, state)
+        assert np.array_equal(np.array(got).view(np.int64),
+                              np.array(want).view(np.int64))
+
+
+def test_characteristic_check_holds_one_slab_of_products(coherent_pair):
+    # a whole (points x 41^3) cos or sin product is 5.5 MB; one slab's
+    # product, its complex terms and the running sum read 1.2 MB in all
+    state, model = coherent_pair
+    pts = np.random.default_rng(5).uniform(-3, 3, size=(10, 4))
+    empirical_characteristic_check(model, pts, state)  # first-call set-up
+    tracemalloc.start()
+    try:
+        empirical_characteristic_check(model, pts, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(pts) * 41 ** 3 / 3, peak / 1e6
 
 
 def test_value_assignment_examples():

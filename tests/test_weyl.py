@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
+from wignerhvm import fockspace
+from wignerhvm.cli import _multiplicativity_cases
 from wignerhvm.phase_space import Context
-from wignerhvm.weyl import (PolynomialObservable, check_wigner_multiplicativity,
+from wignerhvm.weyl import (PolynomialObservable, _damped_characteristic,
+                            check_wigner_multiplicativity,
                             conjugate_by_metaplectic, gaussian_moment,
                             metaplectic_covariance_suite, monomial,
                             quantize_linear, quantize_polynomial,
                             smoothed_polynomial, trusted_block_mask)
+from wignerhvm.wigner import GridSpec, weyl_symbol_from_characteristic
+
+from reference import whole_grid_symbol_deviations, whole_grid_weyl_symbol
 
 CUTOFF = 40
 
@@ -178,3 +184,37 @@ def test_multiplicativity_degraded_cutoff_flagged():
     assert not rep["pass"]
     assert rep["truncation_flagged"]
     assert rep["inner_sup_deviation"] < 0.1 * rep["sup_norm_deviation"]
+
+
+def bits(values) -> list:
+    return [int(np.float64(v).view(np.int64)) for v in values]
+
+
+@pytest.mark.parametrize("cutoff", [8, 30, CUTOFF])
+def test_slab_deviations_have_the_whole_grid_bits(cutoff):
+    # every lemma-check case and the one-mode monomials, each symbol read
+    # one first-axis slab at a time
+    one_mode = [(expo, monomial(ctx_single(), expo)) for expo in ((1,), (2,))]
+    for label, obs in _multiplicativity_cases(cutoff) + one_mode:
+        rep = check_wigner_multiplicativity(obs, cutoff)
+        got = [rep["sup_norm_deviation"], rep["inner_sup_deviation"],
+               rep["boundary_residual"]]
+        assert bits(got) == bits(whole_grid_symbol_deviations(obs, cutoff)), \
+            label
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+def test_imaginary_symbol_raises_the_residue_error(modes):
+    # i q_1 is anti-Hermitian: its Weyl symbol i z_q1 has no real part
+    cutoff = 12
+    eye = np.eye(cutoff, dtype=complex)[None]
+    factors = [1j * fockspace.position_operator(cutoff)[None]] + \
+        [eye] * (modes - 1)
+    char_spec = GridSpec(modes, 10.0, 41 if modes == 1 else 21)
+    z_spec = GridSpec(modes, 3.0, 11)
+    chi = _damped_characteristic(factors, char_spec)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        weyl_symbol_from_characteristic(chi, z_spec, lambda blocks: 0.0,
+                                        slice(2, 9))
+    with pytest.raises(ValueError, match="imaginary residue"):
+        whole_grid_weyl_symbol(chi, z_spec)

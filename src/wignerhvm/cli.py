@@ -50,10 +50,12 @@ DEFAULT_OBSERVABLES = ((1.0, 0.0), (0.0, 1.0),
 
 # lemma-check's working set (tracemalloc): its largest multiplicativity
 # case holds 30.0 c x c complex arrays at cutoffs 200-400, the metaplectic
-# suite 9.0, and the cutoff-free chi tables and their traces about 6.2 MB;
-# each symbol is reduced one slab at a time, so no symbol grid is held
+# suite 9.0, and the cutoff-free chi tables and their traces about 1.6 MB
+# (1.55 MB at cutoff 8 after a warm-up run); each symbol is reduced one
+# slab at a time and the boundary residual one run of mode-1 points at a
+# time, so neither a symbol grid nor a (p, p^2) slab product is held
 LEMMA_MATRICES = 32
-LEMMA_FIXED_BYTES = 2 ** 23
+LEMMA_FIXED_BYTES = 2 ** 21
 
 
 class CliError(Exception):

@@ -92,12 +92,15 @@ def _laguerre_diagonals(x, depths):
 
 
 def _offset_depths(used: np.ndarray) -> list[int]:
-    """Per offset k, one past the last n with used[n, n+k] or used[n+k, n]."""
-    depths = []
-    for k in range(len(used)):
-        hit = np.flatnonzero(np.diagonal(used, k) | np.diagonal(used, -k))
-        depths.append(hit[-1] + 1 if hit.size else 0)
-    return depths
+    """Per offset k, one past the last n with used[n, n+k] or used[n+k, n].
+
+    One pass over the used entries: entry (i, j) sits on offset |j - i| at
+    n = min(i, j).
+    """
+    rows, cols = np.nonzero(used)
+    depths = np.zeros(len(used), dtype=int)
+    np.maximum.at(depths, np.abs(cols - rows), np.minimum(rows, cols) + 1)
+    return depths.tolist()
 
 
 def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:

@@ -54,6 +54,10 @@ CSV_BLOCK_NODES = 2 ** 17
 CSV_TEXT_WIDTH = 27
 # values formatted per list before they are copied into the text array
 CSV_FORMAT_CHUNK = 2 ** 10
+# mode-1 points per block of CharacteristicGrid.boundary_residual: every
+# block splits rows only, so the run length moves no bit of the residual,
+# only its peak (two (run, p^2) arrays) and its time
+RESIDUAL_RUN_POINTS = 8
 
 
 class MixedStateError(ValueError):
@@ -158,8 +162,8 @@ class CharacteristicGrid:
     tables[k] is an (r, p, p) stack over mode k's (v_q, v_p) axes, and the
     grid stands for sum_s tables[0][s] (x) tables[1][s], the factored form
     of fockspace.  The boundary residual is computed from the tables by
-    slabs; `values` is the dense grid with axes (q_1..q_m, p_1..p_m), a view
-    for references and tests.
+    runs of mode-1 points; `values` is the dense grid with axes
+    (q_1..q_m, p_1..p_m), a view for references and tests.
     """
 
     spec: GridSpec
@@ -178,22 +182,29 @@ class CharacteristicGrid:
     def boundary_residual(self) -> float:
         """Largest |chi| on the grid boundary relative to the global max.
 
-        Two modes are read from the tables a, b as (r, p^2) blocks; slab i
-        is row i of mode-1 points, and the boundary is mode 1 or mode 2 on
-        its (4p - 4)-point ring.  All three maxima follow one pruning rule
-        over blocks of a^T b: the global max over the (p, p^2) slabs, mode
-        1's face over each slab's ring points against all of b, and mode 2's
-        face over each slab against b's ring points.  By Cauchy-Schwarz
-        every |chi| in a block is at most the largest column norm of its
-        columns of a times the largest of its columns of b; blocks are
-        visited in decreasing bound, and one whose bound is below the
-        maximum found so far is skipped.  The bound is widened by 8 (r + 2)
-        units of relative rounding, for the r-term sums and the norms, and
-        as many smallest subnormals, for products below the normal range;
-        a NaN bound is never below anything.  Every block has at least two
-        rows and the columns of a^T b or of a^T b[:, ring], so its elements
-        keep the bits of those whole products; one row or column alone
-        would be a matrix-vector product, which may round differently.
+        Two modes are read from the tables a, b as (r, p^2) blocks, so chi
+        is a^T b over (mode-1 point, mode-2 point), and the boundary is
+        mode 1 or mode 2 on its (4p - 4)-point ring.  All three maxima are
+        one pruned_max(points, cols) over blocks a[:, run]^T b[:, cols]:
+        the global max takes every mode-1 point against all of b, mode 1's
+        face its ring points against all of b, and mode 2's face every
+        mode-1 point against b's ring points.  A run is RESIDUAL_RUN_POINTS
+        consecutive entries of `points`, the last taking the remainder.
+
+        By Cauchy-Schwarz every |chi| in a block is at most the largest
+        column norm of its run of a times the largest of b[:, cols].  The
+        bound is widened by 8 (r + 2) units of relative rounding, for the
+        r-term sums and the norms, and as many smallest subnormals, for
+        products below the normal range.  Blocks are visited NaN bounds
+        first, then in decreasing bound, and the loop stops at the first
+        bound below the maximum found so far; a NaN bound comes before that
+        stop, so it is never below anything.
+
+        Runs split the rows of a^T b, never its columns.  Every run has at
+        least two rows and all of `cols`, so its elements keep the bits of
+        the whole products a^T b, a[:, ring]^T b and a^T b[:, ring]: one
+        row alone would be a matrix-vector product, and a share of the
+        columns of b may also round differently.
         """
         p = self.spec.points
         ring = np.ones((p, p), dtype=bool)
@@ -207,31 +218,32 @@ class CharacteristicGrid:
             norm_a, norm_b = (np.hypot.reduce(np.abs(t), axis=0) for t in flat)
             slack = 8 * (len(a) + 2)
 
-            def pruned_max(bounds, block):
+            def pruned_max(points, cols):
+                # a start at or past len - 1 would leave a one-row run
+                starts = np.arange(0, len(points) - 1, RESIDUAL_RUN_POINTS)
+                bounds = (np.maximum.reduceat(norm_a[points], starts)
+                          * np.max(norm_b[cols]))
                 bounds = (bounds * (1 + slack * np.finfo(float).eps)
                           + slack * np.finfo(float).smallest_subnormal)
+                stops = np.append(starts[1:], len(points))
+                right = b[:, cols]
+                # NaN sorts last in -bounds; np.isnan puts it first
+                order = np.lexsort((-bounds, ~np.isnan(bounds)))
                 top = 0.0
-                for i in np.argsort(-bounds, kind="stable"):
+                for i in order:
                     if bounds[i] < top:
-                        continue
+                        break
+                    # one expression, so no block outlives its own max;
                     # np.maximum, not max(): a NaN in any block must reach top
-                    top = np.maximum(top, np.max(np.abs(block(i))))
+                    top = np.maximum(top, np.max(np.abs(
+                        a[:, points[starts[i]:stops[i]]].T @ right)))
                 return top
 
-            def slab(i):
-                return a[:, i * p:(i + 1) * p]
-
-            ring_b = np.flatnonzero(ring)
-            slab_norm = np.max(norm_a.reshape(p, p), axis=1)
-            ring_norm = np.max(np.where(ring, norm_a.reshape(p, p), 0), axis=1)
-            vmax = pruned_max(slab_norm * np.max(norm_b),
-                              lambda i: slab(i).T @ b)
-            # candidates 0..p-1 are mode 1's face, p..2p-1 mode 2's
-            edge = pruned_max(
-                np.concatenate([ring_norm * np.max(norm_b),
-                                slab_norm * np.max(norm_b[ring_b])]),
-                lambda k: (slab(k)[:, ring[k]].T @ b if k < p
-                           else slab(k - p).T @ b[:, ring_b]))
+            every = np.arange(p * p)
+            ring_points = np.flatnonzero(ring)
+            vmax = pruned_max(every, slice(None))
+            edge = np.maximum(pruned_max(ring_points, slice(None)),
+                              pruned_max(every, ring_points))
         if vmax == 0:
             return 0.0
         return float(edge) / float(vmax)

@@ -29,7 +29,9 @@ learnt to finish its grid in place; `pinned_gaussians` are the states
 and grids on which the tests compare them bit for bit.
 `allocating_laguerre_diagonals` is the displacement-element recurrence
 with a new array per step, the loop the package ran before it stepped in
-place, and `complex_parity_wigner` is the parity-route Wigner grid formed
+place; `diagonal_offset_depths` reads each offset's depth from its two
+diagonals, one pair of `np.diagonal` calls per offset, as the package did
+before it took every used entry in one pass; and `complex_parity_wigner` is the parity-route Wigner grid formed
 in complex arithmetic from both diagonals of every offset and divided out
 of place, as the package formed it before one mode took the real route
 and two modes divided in place.  `full_grid_parity_trace` is the real
@@ -138,6 +140,15 @@ def allocating_laguerre_diagonals(x, depths):
             lag_prev, lag = lag, (
                 (2 * n + k + 1 - x) * lag - (n + k) * lag_prev) / (n + 1)
             pref *= np.sqrt((n + 1) / (n + 1 + k))
+
+
+def diagonal_offset_depths(used: np.ndarray) -> list[int]:
+    """Per offset k, one past the last n with used[n, n+k] or used[n+k, n]."""
+    depths = []
+    for k in range(len(used)):
+        hit = np.flatnonzero(np.diagonal(used, k) | np.diagonal(used, -k))
+        depths.append(int(hit[-1]) + 1 if hit.size else 0)
+    return depths
 
 
 def complex_parity_wigner(rho, spec: GridSpec) -> np.ndarray:

@@ -13,8 +13,8 @@ from wignerhvm.states import StateSpec, make_state
 from wignerhvm.weyl import (default_observable_char_spec, quantize_linear,
                             quantize_terms)
 
-from reference import (allocating_laguerre_diagonals, displacement_matrix,
-                       full_depth_displacement_trace,
+from reference import (allocating_laguerre_diagonals, diagonal_offset_depths,
+                       displacement_matrix, full_depth_displacement_trace,
                        whole_table_hermite_functions)
 
 ALPHAS = (0.0, 0.3, 1.5 + 0.7j, -2.2j, -1.1 - 1.9j, 3.0)
@@ -222,6 +222,18 @@ def test_offset_skipping_keeps_every_bit_of_the_full_depth_loop(monkeypatch):
     assert depths[0] == [2] + [0] * 29
     assert depths[1] == [6] + [0] * 29
     assert depths[2] == [29 - k if k % 2 == 0 else 0 for k in range(30)]
+
+
+def test_offset_depths_match_the_diagonal_loop():
+    """One pass over the used entries gives each diagonal pair's depth."""
+    rng = np.random.default_rng(36)
+    for c in (1, 2, 30, 60):
+        masks = [rng.random((c, c)) < q for q in (0.02, 0.3, 1.0)]
+        masks += [np.diag(rng.random(c) < 0.5), np.zeros((c, c), dtype=bool)]
+        for used in masks:
+            got = fockspace._offset_depths(used)
+            assert got == diagonal_offset_depths(used), c
+            assert all(type(d) is int for d in got)
 
 
 def test_metaplectic_two_mode_covariance_and_group_law():

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 
+from wignerhvm import wigner
 from wignerhvm.cli import _multiplicativity_cases
 from wignerhvm.phase_space import Context
 from wignerhvm.states import FockDensityOperator
@@ -105,8 +106,9 @@ def dense_boundary_residual(values: np.ndarray) -> float:
     """Largest |chi| over the faces of the box, relative to the global max.
 
     On two modes np.tensordot rounds some elements of the grid differently
-    from the slab and ring products boundary_residual takes, so the two
-    agree to rounding; unpruned_boundary_residual has those products' bits.
+    from the whole products whose row runs boundary_residual takes, so the
+    two agree to rounding; unpruned_boundary_residual has those products'
+    bits.
     """
     worst = max(float(np.max(np.abs(np.take(values, idx, axis=ax))))
                 for ax in range(values.ndim) for idx in (0, -1))
@@ -219,19 +221,55 @@ def test_streamed_residual_equals_dense_on_random_tables():
 
 
 def test_pruned_residual_keeps_the_bits_of_the_whole_products():
-    # the ring of one mode is raised so the edge max lies on its face; a
-    # matrix-vector product per ring point rounds differently from these
+    # the ring of one mode is raised so the edge max lies on its face, or
+    # neither is; a matrix-vector product per ring point, or a share of the
+    # columns of b, rounds differently from these.  An odd p^2 is 1 mod 8,
+    # so the last run of mode-1 points is 9 long.  81 points take the
+    # extreme term counts only: each unpruned case there takes 0.3 s
     rng = np.random.default_rng(17)
-    for p in (9, 21):
+    for p in (9, 21, 23, 41, 61, 81):
         raise_ring = np.full((p, p), 3.0)
         raise_ring[1:-1, 1:-1] = 1.0
-        for r in (1, 2, 3, 5, 8):
-            for face in (0, 1):
+        for r in ((1, 8) if p == 81 else (1, 2, 3, 5, 8)):
+            for face in (None, 0, 1):
                 tables = random_tables(rng, r, p)
-                tables[face] *= raise_ring
+                if face is not None:
+                    tables[face] *= raise_ring
                 chi = CharacteristicGrid(GridSpec(2, 3.0, p), tables)
                 assert chi.boundary_residual() == \
                     unpruned_boundary_residual(chi), (p, r, face)
+
+
+def test_residual_run_length_moves_no_bit(monkeypatch):
+    # runs of 2 leave a last run of 3 on p^2 points and of 2 on the ring;
+    # a run longer than the points is one block of them all
+    rng = np.random.default_rng(18)
+    cases = []
+    for p, r, face in ((9, 3, 0), (21, 5, 1), (23, 8, 0)):
+        raise_ring = np.full((p, p), 3.0)
+        raise_ring[1:-1, 1:-1] = 1.0
+        tables = random_tables(rng, r, p)
+        tables[face] *= raise_ring
+        cases.append(CharacteristicGrid(GridSpec(2, 3.0, p), tables))
+    want = [unpruned_boundary_residual(chi) for chi in cases]
+    for run in (2, 3, 5, 8, 16, 10 ** 6):
+        monkeypatch.setattr(wigner, "RESIDUAL_RUN_POINTS", run)
+        assert [chi.boundary_residual() for chi in cases] == want, run
+
+
+def test_pruned_residual_holds_one_run_of_rows():
+    # the parent form held a (p, p^2) complex slab product and its |.|:
+    # 5.3 MB at 61 points; a run of 8 mode-1 points holds 0.7 MB
+    rng = np.random.default_rng(19)
+    chi = CharacteristicGrid(GridSpec(2, 3.0, 61), random_tables(rng, 3, 61))
+    chi.boundary_residual()
+    tracemalloc.start()
+    try:
+        chi.boundary_residual()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_streamed_residual_finds_a_planted_maximum_on_every_face():
@@ -292,8 +330,10 @@ def test_streamed_residual_of_zero_and_nan_tables():
 def planted_tables(r: int, columns_1, columns_2, p: int = 9) -> list:
     """Two (r, p, p) tables, zero but for the given (site, r-vector) columns.
 
-    Slab i of the residual is mode 1's q index i, so a column at (i, j)
-    sits in slab i; sites with 0 or p - 1 are on the ring.
+    Slab i is mode 1's q index i, so a column at (i, j) sits in slab i;
+    sites with 0 or p - 1 are on the ring.  The residual's runs of 8 mode-1
+    points (or of 8 ring points) put each planted column of a below in a
+    run of its own, so each slab named below is its own block.
     """
     tables = [np.zeros((r, p, p), dtype=complex) for _ in range(2)]
     for table, columns in zip(tables, (columns_1, columns_2)):

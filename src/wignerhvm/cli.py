@@ -50,12 +50,14 @@ DEFAULT_OBSERVABLES = ((1.0, 0.0), (0.0, 1.0),
 
 # lemma-check's working set (tracemalloc): its largest multiplicativity
 # case holds 30.0 c x c complex arrays at cutoffs 200-400, the metaplectic
-# suite 9.0, and the cutoff-free chi tables and their traces about 1.6 MB
+# suite 9.1, and the cutoff-free chi tables and their traces about 1.6 MB
 # (1.55 MB at cutoff 8 after a warm-up run); each symbol is reduced one
 # slab at a time and the boundary residual one run of mode-1 points at a
-# time, so neither a symbol grid nor a (p, p^2) slab product is held
+# time, so neither a symbol grid nor a (p, p^2) slab product is held.  The
+# suite stacks its operators up to METAPLECTIC_STACK_BYTES, so the fixed
+# 2 MiB bounds either the chi tables or the stack past its first operator
 LEMMA_MATRICES = 32
-LEMMA_FIXED_BYTES = 2 ** 21
+LEMMA_FIXED_BYTES = weyl_mod.METAPLECTIC_STACK_BYTES
 
 
 class CliError(Exception):

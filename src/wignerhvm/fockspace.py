@@ -244,34 +244,71 @@ def _offset_sums(upper: np.ndarray, alphas: np.ndarray) -> list[np.ndarray]:
     return sums
 
 
-def _bargmann(A: np.ndarray, b: np.ndarray, g0: complex,
-              cutoff: int) -> np.ndarray:
-    """Truncated Gaussian Bargmann array G_k, every index k_i < cutoff.
+def _bargmann(A: np.ndarray, b: np.ndarray, g0, cutoff: int) -> np.ndarray:
+    """Truncated Gaussian Bargmann arrays of a stack, every index k_i < cutoff.
 
-    Exact elements from the recurrence (Quesada et al., PRA 100, 022341
-    (2019); Miatto & Quesada, Quantum 4, 366 (2020))
+    A is (T, n, n), b (T, n) and g0 (T,) for T arrays; the result G is
+    (T, cutoff, ..., cutoff).  Exact elements from the recurrence
+    (Quesada et al., PRA 100, 022341 (2019); Miatto & Quesada, Quantum 4,
+    366 (2020))
     G_(k+1_i) = (b_i G_k + sum_j A_ij sqrt(k_j) G_(k-1_j)) / sqrt(k_i + 1)
     from G_0 = g0.  Axes are filled last to first: the pass over axis i
-    sets the contiguous slabs G[0, .., 0, n, ...] with every earlier axis
-    at level 0.
+    sets the contiguous slabs G[t, 0, .., 0, n, ...] with every earlier
+    axis at level 0.  The last axis's pass steps single elements, member
+    by member, in numpy scalar arithmetic, which rounds differently from
+    array arithmetic.  Every earlier pass takes one array operation per
+    level for the whole stack, each member's coefficient broadcast over
+    its own slab, so each element is rounded as the same operation on
+    that member's slab alone rounds it.
     """
-    n_axes = len(b)
+    stack, n_axes = b.shape
+    last = n_axes - 1
     root = np.sqrt(np.arange(cutoff))
-    G = np.zeros((cutoff,) * n_axes, dtype=complex)
-    G[(0,) * n_axes] = g0
-    for i in reversed(range(n_axes)):
-        head = (0,) * i
-        # sqrt(k_j) along each later axis j; root[0] = 0 zeroes the
-        # rolled-in level and, at n = 0, the k_i - 1 = -1 term
-        later = [(j, j - i - 1, root.reshape((-1,) + (1,) * (n_axes - 1 - j)))
+    G = np.zeros((stack,) + (cutoff,) * n_axes, dtype=complex)
+    for t in range(stack):
+        line = G[(t,) + (0,) * last]
+        line[0] = g0[t]
+        # root[0] = 0 zeroes the n = 0 term of the unset level -1
+        for n in range(cutoff - 1):
+            line[n + 1] = (b[t, last] * line[n] + A[t, last, last] * root[n]
+                           * line[n - 1]) / root[n + 1]
+    for i in reversed(range(last)):
+        head = (slice(None),) + (0,) * i
+        member = (stack,) + (1,) * (last - i)  # one value per member's slab
+        first = b[:, i].reshape(member)
+        diagonal = A[:, i, i, None] * root  # A_ii sqrt(k_i), level by level
+        # A_ij sqrt(k_j) along each later axis j, slab axis j - i; root[0]
+        # = 0 zeroes the rolled-in level
+        later = [(j - i, A[:, i, j].reshape(member)
+                  * root.reshape((-1,) + (1,) * (last - j)))
                  for j in range(i + 1, n_axes)]
         for n in range(cutoff - 1):
             slab = G[head + (n,)]
-            step = b[i] * slab + A[i, i] * root[n] * G[head + (n - 1,)]
-            for j, axis, weight in later:
-                step = step + A[i, j] * weight * np.roll(slab, 1, axis=axis)
+            step = (first * slab
+                    + diagonal[:, n].reshape(member) * G[head + (n - 1,)])
+            for axis, weight in later:
+                step = step + weight * np.roll(slab, 1, axis=axis)
             G[head + (n + 1,)] = step / root[n + 1]
     return G
+
+
+def metaplectic_operators(S: np.ndarray, cutoff: int) -> np.ndarray:
+    """metaplectic_operator of each of a (T, 2m, 2m) stack of symplectic
+    matrices, as one (T, c^m, c^m) array from one stacked `_bargmann`;
+    ValueError if any member is not symplectic."""
+    S = np.asarray(S, dtype=float)
+    stack, m = len(S), S.shape[-1] // 2
+    if not all(is_symplectic(s, tol=1e-8) for s in S):
+        raise ValueError("matrix is not symplectic")
+    qq, qp, pq, pp = S[:, :m, :m], S[:, :m, m:], S[:, m:, :m], S[:, m:, m:]
+    U = (qq + pp + 1j * (pq - qp)) / 2
+    V = (qq - pp + 1j * (pq + qp)) / 2
+    W = np.linalg.inv(U.conj().swapaxes(1, 2))
+    A = np.block([[W @ V.swapaxes(1, 2), W],
+                  [W.swapaxes(1, 2), -V.conj().swapaxes(1, 2) @ W]])
+    g0 = [abs(det) ** -0.5 for det in np.linalg.det(U)]
+    G = _bargmann(A, np.zeros((stack, 2 * m), dtype=complex), g0, cutoff)
+    return G.reshape(stack, cutoff ** m, cutoff ** m)
 
 
 def metaplectic_operator(S: np.ndarray, cutoff: int) -> np.ndarray:
@@ -281,18 +318,7 @@ def metaplectic_operator(S: np.ndarray, cutoff: int) -> np.ndarray:
     M^dag a M = U a + V a^dag and W = (U^dag)^-1,
     A = [[W V^T, W], [W^T, -V^dag W]] and G_0 = |det U|^(-1/2).
     """
-    S = np.asarray(S, dtype=float)
-    m = S.shape[0] // 2
-    if not is_symplectic(S, tol=1e-8):
-        raise ValueError("matrix is not symplectic")
-    qq, qp, pq, pp = S[:m, :m], S[:m, m:], S[m:, :m], S[m:, m:]
-    U = (qq + pp + 1j * (pq - qp)) / 2
-    V = (qq - pp + 1j * (pq + qp)) / 2
-    W = np.linalg.inv(U.conj().T)
-    A = np.block([[W @ V.T, W], [W.T, -V.conj().T @ W]])
-    G = _bargmann(A, np.zeros(2 * m, dtype=complex),
-                  abs(np.linalg.det(U)) ** -0.5, cutoff)
-    return G.reshape(cutoff ** m, cutoff ** m)
+    return metaplectic_operators(np.asarray(S, dtype=float)[None], cutoff)[0]
 
 
 def hermite_rows(n_max: int, x):

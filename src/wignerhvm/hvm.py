@@ -32,7 +32,6 @@ masses from it only when a key falls there.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -48,7 +47,8 @@ from .weyl import PolynomialObservable
 SAMPLE_CHUNK = 1 << 14
 # cells per block of the cumulative cell masses, and per leaf of their sum
 SAMPLE_BLOCK = 1 << 16
-# the fewest outcomes per sine-integral call on the slab path
+# the fewest outcomes per sine-integral call on the slab path, and the most
+# values a call takes for several edges at once
 EVENT_BLOCK = 1 << 16
 
 
@@ -299,8 +299,13 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
         for d in range(dims):
             out[:, d] = axis[coords[d]] + (u[:, 1 + d] - 0.5) * step
 
-    with (ThreadPoolExecutor(max_workers=threads) if threads > 1
-          else nullcontext()) as pool:
+    if threads > 1:
+        # imported here: a bare `import wignerhvm` loads no executor
+        from concurrent.futures import ThreadPoolExecutor
+        executor = ThreadPoolExecutor(max_workers=threads)
+    else:
+        executor = nullcontext()
+    with executor as pool:
         run = pool.map if pool else map
         cuts = list(run(sort_keys, range(len(rows))))
         counts = np.diff(np.sum(cuts, axis=0), prepend=0)
@@ -362,16 +367,19 @@ def hvm_event_probabilities(model: HiddenVariableModel, zeta,
     at t_i = g step key_i with an integer key_i = sum_k n_k (j_k - c).  If
     the R = 2 c sum_k |n_k| + 1 keys are no more than the marginal's nodes,
     the weights are binned by key (np.bincount, one first-axis slab at a
-    time beyond two axes) and Si is evaluated once per finite edge on the
-    R outcomes g step k, k = -R//2 ... R//2.
+    time beyond two axes) and Si is evaluated on the R outcomes
+    g step k, k = -R//2 ... R//2, for every finite edge of every set in
+    one kernel call while they fit in EVENT_BLOCK values.
 
     Other labels: a marginal of more than two axes is streamed by
     first-axis slabs, so no temporary is as large as the marginal.  Si is
     evaluated on blocks of whole slabs of at least EVENT_BLOCK outcomes,
-    one call per finite edge and block, and each slab's per-interval sums
-    are added in slab-major order.  No thread is started: the Si kernel
-    is a few hundred short numpy calls per block, and two threads
-    contending for the GIL between them were slower than one.
+    one call per finite edge and block (a last, shorter block takes as
+    many edges per call as fit in EVENT_BLOCK values), and each slab's
+    per-interval sums are added in slab-major order.  No thread is
+    started: the Si kernel is a few hundred short numpy calls per block,
+    and two threads contending for the GIL between them were slower than
+    one.
     """
     zeta = observable_label(zeta, model.mode_count)
     sets = [_normalize_intervals(intervals) for intervals in interval_sets]
@@ -384,22 +392,37 @@ def hvm_event_probabilities(model: HiddenVariableModel, zeta,
     used = zeta[zeta != 0]
 
     intervals = [interval for edges in sets for interval in edges]
+    finite = [e for interval in intervals for e in interval
+              if not np.isinf(e)]
 
     def slab_sums(w, outcomes) -> np.ndarray:
         """sum(w * (Si(B(b - t)) - Si(B(a - t)))) per slab (first axis)
-        and interval (a, b), as a (slabs, intervals) array."""
+        and interval (a, b), as a (slabs, intervals) array.
+
+        One kernel call takes as many finite edges as fit in EVENT_BLOCK
+        values, at least one; Si is elementwise, so each value has the
+        bits of a call for its edge alone.
+        """
+        per = max(1, EVENT_BLOCK // outcomes.size)
+
+        def finite_rows():
+            for start in range(0, len(finite), per):
+                arg = np.subtract.outer(finite[start:start + per], outcomes)
+                arg *= bandwidth
+                yield from sine_integral(arg)
+
+        rows = finite_rows()  # each row is read once, so it may be overwritten
 
         def si(edge):
             if np.isinf(edge):
                 return np.copysign(np.pi / 2, edge)
-            arg = edge - outcomes
-            arg *= bandwidth
-            return sine_integral(arg)
+            return next(rows)
 
         columns = []
         for a, b in intervals:
+            low = si(a)
             mass = si(b)
-            mass -= si(a)
+            mass -= low
             mass *= w
             columns.append([np.sum(part) for part in mass])
         return np.array(columns).reshape(-1, len(w)).T

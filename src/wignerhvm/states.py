@@ -500,7 +500,7 @@ def gaussian_to_fock(state: GaussianState, cutoff: int) -> FockDensityOperator:
     gamma = T @ state.mean
     g0 = (np.exp(-0.5 * (gamma.conj() @ Qinv @ gamma).real)
           * np.sqrt(np.linalg.det(Qinv).real))
-    G = fockspace._bargmann(X @ (np.eye(2 * m) - Qinv).conj(),
-                            X @ (Qinv @ gamma).conj(), g0, cutoff)
+    G = fockspace._bargmann((X @ (np.eye(2 * m) - Qinv).conj())[None],
+                            (X @ (Qinv @ gamma).conj())[None], [g0], cutoff)
     rho = G.reshape(cutoff ** m, cutoff ** m)
     return _renormalized(rho, cutoff, m, weight=1.0)

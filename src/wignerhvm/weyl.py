@@ -25,6 +25,10 @@ from .wigner import (GridSpec, characteristic_observable,
                      weyl_symbol_from_characteristic)
 
 SYMBOL_TOL = 1e-3
+# bytes of metaplectic operators metaplectic_covariance_suite builds at
+# once (one operator where a single one is larger): lemma-check's fixed
+# 2 MiB, so 20 at cutoff 50, two up to cutoff 256 and one from 257 on
+METAPLECTIC_STACK_BYTES = 2 ** 21
 
 
 @dataclass
@@ -193,23 +197,48 @@ def smoothed_polynomial(obs: PolynomialObservable, values: list[np.ndarray]):
     Gaussian correction with covariance C_ij = zeta_i . zeta_j / 2 on the
     generator coordinates.
     """
+    return _smoothed(_smoothing_terms(obs), values)
+
+
+def _smoothing_terms(obs: PolynomialObservable) -> list:
+    """smoothed_polynomial's terms with their Gaussian moments taken, for
+    one observable on any values.
+
+    One (lead, rest) per nonzero moment: lead is coef * moment times the
+    binomials of the generators before the first that keeps a power, and
+    rest holds (i, binomial, power) for that generator and every later
+    one.  _smoothed applies rest in order, so each product is the one a
+    factor-by-factor evaluation forms.
+    """
     gens = obs.context.generators
     cov = gens @ gens.T / 2
-    total = 0.0
+    terms = []
     for coef, expo in obs.terms:
         ranges = [range(e + 1) for e in expo]
         for drop in itertools.product(*ranges):
             mom = gaussian_moment(cov, drop)
             if mom == 0.0:
                 continue
-            weight = coef * mom
-            term = weight
+            lead, rest = coef * mom, []
             for i, (e, j) in enumerate(zip(expo, drop)):
-                weight_binom = comb(e, j)
-                term = term * weight_binom
-                if e - j:
-                    term = term * values[i] ** (e - j)
-            total = total + term
+                if rest or e - j:
+                    rest.append((i, comb(e, j), e - j))
+                else:
+                    lead = lead * comb(e, j)
+            terms.append((lead, rest))
+    return terms
+
+
+def _smoothed(terms: list, values: list[np.ndarray]):
+    """The sum of _smoothing_terms at the generator values."""
+    total = 0.0
+    for lead, rest in terms:
+        term = lead
+        for i, binomial, power in rest:
+            term = term * binomial
+            if power:
+                term = term * values[i] ** power
+        total = total + term
     return total
 
 
@@ -253,11 +282,12 @@ def check_wigner_multiplicativity(obs: PolynomialObservable, cutoff: int,
 
     factors = quantize_terms(obs, cutoff)
     chi = _damped_characteristic(factors, char_spec)
+    smoothing = _smoothing_terms(obs)  # once, not once per slab
 
     def target(blocks):
         # a zero coefficient adds a signed zero, which moves no |deviation|,
         # and would broadcast the generator's values over that axis
-        return smoothed_polynomial(obs, [
+        return _smoothed(smoothing, [
             sum(z * c for z, c in zip(gen, blocks) if z)
             for gen in obs.context.generators])
 
@@ -266,7 +296,7 @@ def check_wigner_multiplicativity(obs: PolynomialObservable, cutoff: int,
     sup_dev, inner_sup, boundary = weyl_symbol_from_characteristic(
         chi, z_spec, target, slice(pts // 4, pts - pts // 4))
 
-    pairing = _pairing_deviation(factors, obs, cutoff)
+    pairing = _pairing_deviation(factors, obs, cutoff, smoothing)
 
     passed = sup_dev < SYMBOL_TOL
     flagged = (not passed) and (inner_sup < 0.1 * sup_dev)
@@ -300,32 +330,52 @@ def metaplectic_covariance_suite(rng: np.random.Generator, trials: int = 20,
     M^dag op M is a sum truncated at the cutoff, and a squeezed column's
     weight past the cutoff falls off only geometrically in tanh(r).  So the
     block sits well below the cutoff and the random squeezes stay moderate.
+
+    Every (S, zeta) is drawn first, in the order a draw-and-check loop
+    takes them; the operators M(S) are then built by one stacked
+    recurrence (fockspace.metaplectic_operators) per stack of at most
+    METAPLECTIC_STACK_BYTES, or one operator where a single one is larger,
+    and each is conjugated as conjugate_by_metaplectic conjugates it.
     """
     from .phase_space import random_symplectic
-    worst = 0.0
+    draws = []
     for _ in range(trials):
         S = random_symplectic(1, rng, scale=scale)
         zeta = rng.uniform(-1.5, 1.5, size=2)
         if not np.any(zeta):
             zeta = np.array([1.0, 0.0])
-        op = quantize_linear(zeta, cutoff).matrix
-        got = conjugate_by_metaplectic(op, S, cutoff)
+        draws.append((S, zeta))
+
+    def deviation(S, zeta, M) -> float:  # its matrices die on return
         want = quantize_linear(S.T @ zeta, cutoff).matrix
-        dev = np.max(np.abs(got[:block, :block] - want[:block, :block]))
-        worst = max(worst, float(dev))
+        op = quantize_linear(zeta, cutoff).matrix
+        got = M.conj().T @ op @ M
+        return float(np.max(np.abs(got[:block, :block]
+                                   - want[:block, :block])))
+
+    stack = max(1, METAPLECTIC_STACK_BYTES // (16 * cutoff ** 2))
+    worst = 0.0
+    for start in range(0, trials, stack):
+        part = draws[start:start + stack]
+        operators = fockspace.metaplectic_operators([S for S, _ in part],
+                                                    cutoff)
+        for k, (S, zeta) in enumerate(part):
+            worst = max(worst, deviation(S, zeta, operators[k]))
+        del operators  # freed before the next stack is built
     return {"trials": trials, "cutoff": cutoff, "block": block,
             "max_deviation": worst, "tolerance": 1e-6,
             "pass": bool(worst <= 1e-6)}
 
 
 def _pairing_deviation(factors: list, obs: PolynomialObservable,
-                       cutoff: int) -> float:
+                       cutoff: int, smoothing: list) -> float:
     """|Tr[A rho_G(z0)] - smoothed f(z0)| over displaced Gaussian test states.
 
     An independent route through operator traces: rho_G(z0) is the vacuum
     displaced to z0, whose pairing with A equals the vacuum-smoothed
     symbol at z0.  The displaced vacuum is a product state, so the pairing
     is sum_s prod_k <psi_k|B_sk|psi_k> over per-mode displaced vacua.
+    smoothing is the observable's _smoothing_terms.
     """
     m = obs.context.mode_count
     rng = np.random.default_rng(202)
@@ -342,6 +392,6 @@ def _pairing_deviation(factors: list, obs: PolynomialObservable,
             pairs = pairs * np.einsum("i,sij,j->s", vec.conj(), stack, vec)
         lhs = float(np.real(np.sum(pairs)))
         gen_values = [float(gen @ z0) for gen in obs.context.generators]
-        rhs = float(smoothed_polynomial(obs, gen_values))
+        rhs = float(_smoothed(smoothing, gen_values))
         worst = max(worst, abs(lhs - rhs))
     return worst

@@ -58,6 +58,12 @@ kernels, the same that give lemma-check's Weyl symbols.
 `whole_grid_symbol_deviations` lemma-check's comparison of that symbol
 with the smoothed polynomial over the whole grid: the package's forms
 before it learnt to reduce the symbol one first-axis slab at a time.
+`member_bargmann` is the Bargmann recurrence for one array at a time, with
+scalar coefficients on every pass, `member_metaplectic_operator` the
+metaplectic operator built on it, and `trialwise_covariance_suite` the
+metaplectic covariance suite that draws, builds and conjugates one trial
+at a time: the package's forms before it learnt to run a stack of
+recurrences at once.
 """
 
 import numpy as np
@@ -68,8 +74,8 @@ from wignerhvm.phase_space import random_symplectic
 from wignerhvm.special import sine_integral
 from wignerhvm.states import GaussianState, StateSpec, make_state
 from wignerhvm.weyl import (PolynomialObservable, _damped_characteristic,
-                            default_observable_char_spec, quantize_terms,
-                            smoothed_polynomial)
+                            default_observable_char_spec, quantize_linear,
+                            quantize_terms, smoothed_polynomial)
 from wignerhvm.wigner import (BOUNDARY_DECAY, IMAG_RESIDUE, CharacteristicGrid,
                               GridSpec, InadequateWindowError, WignerGrid,
                               _fourier_tables, _kronecker_grid,
@@ -482,3 +488,63 @@ def whole_table_gkp_coefficients(delta: float, cutoff: int) -> np.ndarray:
     basis = whole_table_hermite_functions(cutoff - 1, axis)
     basis *= psi
     return np.trapezoid(basis, axis, axis=1)
+
+
+def member_bargmann(A: np.ndarray, b: np.ndarray, g0: complex,
+                    cutoff: int) -> np.ndarray:
+    """One truncated Gaussian Bargmann array G_k, every index k_i < cutoff,
+    from the recurrence of `fockspace._bargmann` for a single member: A is
+    (n, n), b (n,), and every pass steps its own slabs with scalar
+    coefficients and one np.roll per later axis and level."""
+    n_axes = len(b)
+    root = np.sqrt(np.arange(cutoff))
+    G = np.zeros((cutoff,) * n_axes, dtype=complex)
+    G[(0,) * n_axes] = g0
+    for i in reversed(range(n_axes)):
+        head = (0,) * i
+        later = [(j, j - i - 1, root.reshape((-1,) + (1,) * (n_axes - 1 - j)))
+                 for j in range(i + 1, n_axes)]
+        for n in range(cutoff - 1):
+            slab = G[head + (n,)]
+            step = b[i] * slab + A[i, i] * root[n] * G[head + (n - 1,)]
+            for j, axis, weight in later:
+                step = step + A[i, j] * weight * np.roll(slab, 1, axis=axis)
+            G[head + (n + 1,)] = step / root[n + 1]
+    return G
+
+
+def member_metaplectic_operator(S: np.ndarray, cutoff: int) -> np.ndarray:
+    """`fockspace.metaplectic_operator` with its own setup and recurrence,
+    one symplectic matrix at a time."""
+    S = np.asarray(S, dtype=float)
+    m = S.shape[0] // 2
+    qq, qp, pq, pp = S[:m, :m], S[:m, m:], S[m:, :m], S[m:, m:]
+    U = (qq + pp + 1j * (pq - qp)) / 2
+    V = (qq - pp + 1j * (pq + qp)) / 2
+    W = np.linalg.inv(U.conj().T)
+    A = np.block([[W @ V.T, W], [W.T, -V.conj().T @ W]])
+    G = member_bargmann(A, np.zeros(2 * m, dtype=complex),
+                        abs(np.linalg.det(U)) ** -0.5, cutoff)
+    return G.reshape(cutoff ** m, cutoff ** m)
+
+
+def trialwise_covariance_suite(rng: np.random.Generator, trials: int = 20,
+                               cutoff: int = 50, block: int = 12,
+                               scale: float = 0.15) -> dict:
+    """`weyl.metaplectic_covariance_suite` one trial at a time: each draw's
+    operator is built and conjugated before the next draw."""
+    worst = 0.0
+    for _ in range(trials):
+        S = random_symplectic(1, rng, scale=scale)
+        zeta = rng.uniform(-1.5, 1.5, size=2)
+        if not np.any(zeta):
+            zeta = np.array([1.0, 0.0])
+        op = quantize_linear(zeta, cutoff).matrix
+        M = member_metaplectic_operator(S, cutoff)
+        got = M.conj().T @ op @ M
+        want = quantize_linear(S.T @ zeta, cutoff).matrix
+        dev = np.max(np.abs(got[:block, :block] - want[:block, :block]))
+        worst = max(worst, float(dev))
+    return {"trials": trials, "cutoff": cutoff, "block": block,
+            "max_deviation": worst, "tolerance": 1e-6,
+            "pass": bool(worst <= 1e-6)}

@@ -744,7 +744,7 @@ def test_lemma_check_bytes_bound_the_measured_peak(tmp_path):
     jobs = [lambda obs=cases[label]: check_wigner_multiplicativity(obs, cutoff)
             for label in ("xy^2 on {q1,q2}", "xy^2 on {q1,p2}")]
     jobs.append(lambda: metaplectic_covariance_suite(
-        np.random.default_rng(1), trials=2, cutoff=cutoff))
+        np.random.default_rng(1), trials=20, cutoff=cutoff))
     peak = max(traced_peak(job) for job in jobs)
     assert 0.5 * lemma_check_bytes(cutoff) <= peak <= lemma_check_bytes(cutoff)
 

@@ -15,6 +15,7 @@ from wignerhvm.weyl import (default_observable_char_spec, quantize_linear,
 
 from reference import (allocating_laguerre_diagonals, diagonal_offset_depths,
                        displacement_matrix, full_depth_displacement_trace,
+                       member_bargmann, member_metaplectic_operator,
                        whole_table_hermite_functions)
 
 ALPHAS = (0.0, 0.3, 1.5 + 0.7j, -2.2j, -1.1 - 1.9j, 3.0)
@@ -262,6 +263,47 @@ def test_metaplectic_two_mode_covariance_and_group_law():
         phase = np.vdot(direct.ravel(), product.ravel())
         phase /= abs(phase)
         assert np.max(np.abs(product - phase * direct)) < 1e-9
+
+
+@pytest.mark.parametrize("modes, cutoff, stack",
+                         [(1, 50, 1), (1, 50, 20), (1, 256, 2), (2, 8, 1),
+                          (2, 8, 3)])
+def test_stacked_metaplectic_operators_keep_every_bit(modes, cutoff, stack):
+    # one stacked recurrence gives each member the bits of its own; two
+    # cutoff-256 operators fill lemma-check's 2 MiB stack exactly
+    rng = np.random.default_rng(17)
+    symplectics = [random_symplectic(modes, rng, scale=0.3)
+                   for _ in range(stack)]
+    got = fockspace.metaplectic_operators(symplectics, cutoff)
+    assert got.shape == (stack, cutoff ** modes, cutoff ** modes)
+    for S, M in zip(symplectics, got):
+        want = member_metaplectic_operator(S, cutoff).tobytes()
+        assert M.tobytes() == want
+        assert fockspace.metaplectic_operator(S, cutoff).tobytes() == want
+
+
+@pytest.mark.parametrize("axes, cutoff, stack",
+                         [(2, 30, 1), (2, 30, 4), (3, 9, 2), (4, 7, 3)])
+def test_stacked_bargmann_keeps_every_bit(axes, cutoff, stack):
+    # a first-order term b and a general complex A, as gaussian_to_fock
+    # passes them, on every axis count up to two modes' four
+    rng = np.random.default_rng(axes * cutoff + stack)
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    A, b, g0 = (0.3 * normal(stack, axes, axes), normal(stack, axes),
+                normal(stack))
+    got = fockspace._bargmann(A, b, g0, cutoff)
+    assert got.shape == (stack,) + (cutoff,) * axes
+    for t in range(stack):
+        want = member_bargmann(A[t], b[t], g0[t], cutoff)
+        assert got[t].tobytes() == want.tobytes()
+
+
+def test_metaplectic_operators_reject_a_non_symplectic_member():
+    with pytest.raises(ValueError, match="not symplectic"):
+        fockspace.metaplectic_operators([np.eye(2), 2 * np.eye(2)], 10)
 
 
 def hermite_product(m: int, n: int, s: float) -> float:

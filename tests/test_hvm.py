@@ -1,4 +1,7 @@
+import concurrent.futures
+import json
 import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -479,12 +482,12 @@ def test_slab_events_have_the_same_bits_on_any_core_count(
     _, model = coherent_pair
     pools = []
 
-    class Recording(hvm.ThreadPoolExecutor):
+    class Recording(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(hvm, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     got = {}
     for cores in (1, 4):
         monkeypatch.setattr(os, "sched_getaffinity",
@@ -500,8 +503,8 @@ def test_slab_events_have_the_same_bits_on_any_core_count(
 
 def test_lattice_events_evaluate_sici_once_per_key(coherent_pair,
                                                    monkeypatch):
-    # at most R = (points - 1) sum |n_k| + 1 points per finite edge, one
-    # call each; labels with no lattice still evaluate every node
+    # at most R = (points - 1) sum |n_k| + 1 points per finite edge, all
+    # edges in one call; labels with no lattice still evaluate every node
     _, model = coherent_pair
     calls = []
 
@@ -515,14 +518,24 @@ def test_lattice_events_evaluate_sici_once_per_key(coherent_pair,
         calls.clear()
         hvm_event_probability(model, zeta, UNION)
         keys = 40 * np.abs(n).sum() + 1
-        assert len(calls) == finite_edges, zeta
-        assert max(calls) <= keys, (zeta, calls)
+        assert len(calls) == 1, zeta
+        assert calls[0] <= finite_edges * keys, (zeta, calls)
+    # the finite edges of every set share that call: 1 + 2 + 0 + 4 here
+    calls.clear()
+    sets = [[(0.0, np.inf)], [(-1.0, 1.0)], [], UNION]
+    hvm_event_probabilities(model, LATTICE[2][0], sets)
+    assert len(calls) == 1 and calls[0] % 7 == 0, calls
+    calls.clear()
+    hvm_event_probability(model, LATTICE[2][0], [(-np.inf, np.inf)])
+    assert calls == []  # no finite edge, no call
     calls.clear()
     hvm_event_probability(model, NO_LATTICE[0], UNION)
     assert sum(calls) == finite_edges * 41 ** 3
     # the 41 slabs of 41^2 outcomes go in blocks of 39 (at least
-    # EVENT_BLOCK outcomes) and 2
-    assert calls == [39 * 41 ** 2] * finite_edges + [2 * 41 ** 2] * finite_edges
+    # EVENT_BLOCK outcomes), one call per edge, and 2, whose four edges
+    # fit in one call of at most EVENT_BLOCK values
+    assert calls == ([39 * 41 ** 2] * finite_edges
+                     + [finite_edges * 2 * 41 ** 2])
 
 
 @pytest.mark.parametrize("zeta, n", LATTICE[:2] + [(NO_LATTICE[0], None)])
@@ -548,6 +561,30 @@ def test_interval_sets_from_one_marginal_keep_every_bit(coherent_pair, zeta):
             for intervals in sets]
     assert hvm_event_probabilities(model, zeta, sets) == want
     assert want[2] == 0.0
+
+
+BARE_IMPORT_SCRIPT = """
+import json, sys
+import wignerhvm
+loaded = ["concurrent.futures" in sys.modules]
+from wignerhvm.hvm import build_hvm, sample
+from wignerhvm.states import StateSpec, make_state
+from wignerhvm.wigner import GridSpec, state_wigner
+model = build_hvm(state_wigner(make_state(StateSpec("vacuum")),
+                               GridSpec(1, 6.0, 21)))
+sample(model, 100, seed=0)
+loaded.append("concurrent.futures" in sys.modules)
+sample(model, 100, seed=0, threads=2)  # the positive control
+loaded.append("concurrent.futures" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_bare_import_loads_no_executor():
+    # only a threaded sample() imports concurrent.futures (and logging)
+    out = subprocess.run([sys.executable, "-c", BARE_IMPORT_SCRIPT],
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [False, False, True]
 
 
 @pytest.fixture(scope="module")

@@ -8,21 +8,17 @@ quantum oracle.
 
 from .hvm import (HiddenVariableModel, NegativityError, build_hvm,
                   empirical_characteristic_check, hvm_event_probabilities,
-                  hvm_event_probability, hvm_homodyne_distribution, sample,
-                  value_assignment)
+                  hvm_event_probability, hvm_homodyne_distribution, sample)
 from .oracle import (BinSpec, OutcomeDistribution, event_probability,
-                     expectation, quantum_homodyne_distribution, tv_distance)
-from .phase_space import (Context, context_to_standard_basis, is_context,
-                          is_symplectic, omega,
+                     quantum_homodyne_distribution, tv_distance)
+from .phase_space import (Context, is_context, is_symplectic, omega,
                           planewise_decomposition_commutes, random_symplectic,
                           symplectic_form)
 from .states import (FockDensityOperator, GaussianChannel, GaussianState,
-                     StateSpec, apply_gaussian_channel, apply_gaussian_unitary,
-                     compose_channels, gaussian_to_fock, loss_channel,
-                     make_state)
-from .weyl import (PolynomialObservable, QuadratureOperator,
-                   check_wigner_multiplicativity, conjugate_by_metaplectic,
-                   quantize_linear, quantize_polynomial)
+                     StateSpec, apply_gaussian_channel, compose_channels,
+                     gaussian_to_fock, loss_channel, make_state)
+from .weyl import (PolynomialObservable, check_wigner_multiplicativity,
+                   quantize_linear)
 from .wigner import (CharacteristicGrid, GridSpec, InadequateWindowError,
                      MixedStateError, WignerGrid, hudson_classify,
                      log_negativity, min_value, negativity_volume,

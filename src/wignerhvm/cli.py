@@ -442,10 +442,9 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _add_common(parser, state_required=True):
-    if state_required:
-        parser.add_argument("--state", required=True,
-                            help="state spec JSON (inline or a file path)")
+def _add_common(parser):
+    parser.add_argument("--state", required=True,
+                        help="state spec JSON (inline or a file path)")
     parser.add_argument("--window", type=float, default=6.0)
     parser.add_argument("--points", type=int, default=257)
     parser.add_argument("--cutoff", type=int, default=None)

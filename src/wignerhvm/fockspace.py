@@ -35,7 +35,7 @@ def kronecker_sum(factors) -> np.ndarray:
     m = len(factors)
     rows, cols = "abcdefgh"[:m], "ijklmnop"[:m]
     terms = ",".join(f"s{r}{c}" for r, c in zip(rows, cols))
-    dense = np.einsum(f"{terms}->{rows}{cols}", *factors, optimize=True)
+    dense = np.einsum(f"{terms}->{rows}{cols}", *factors)
     dim = int(np.prod([f.shape[1] for f in factors]))
     return dense.reshape(dim, dim)
 

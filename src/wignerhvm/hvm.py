@@ -1,12 +1,14 @@
 """Phase-space hidden-variable model for nonnegative Wigner functions.
 
 The hidden-state space is phase space itself: a nonnegative normalized
-Wigner grid is the probability measure, a hidden state phi assigns the
-value zeta . phi to the observable zeta . R_hat, and polynomials of
-commuting observables take the corresponding polynomial of those values,
-so functional relations inside a context hold identically.  Negativity
-anywhere makes the construction impossible, and build_hvm turns that
-into a typed error carrying the witness location.
+Wigner grid is the probability measure, and a hidden state phi assigns
+the value zeta . phi to the observable zeta . R_hat.  That assignment is
+the outcome hvm_homodyne_distribution histograms, and lemma-check's
+assignment_linearity suite checks that it is additive in zeta; a
+polynomial of commuting observables takes the same polynomial of those
+values, so functional relations inside a context hold identically.
+Negativity anywhere makes the construction impossible, and build_hvm
+turns that into a typed error carrying the witness location.
 
 Event probabilities and samples use two readings of the same node
 weights.  Events integrate the band-limited (Whittaker-Shannon)
@@ -42,7 +44,6 @@ from .phase_space import observable_label
 from .special import sine_integral
 from .wigner import (NEGATIVITY_TOL_FACTOR, WignerGrid,
                      characteristic_at_points, min_value)
-from .weyl import PolynomialObservable
 
 SAMPLE_CHUNK = 1 << 14
 # cells per block of the cumulative cell masses, and per leaf of their sum
@@ -93,11 +94,6 @@ class HiddenVariableModel:
     @property
     def mode_count(self) -> int:
         return self.measure.spec.mode_count
-
-    def cell_probabilities(self) -> np.ndarray:
-        probs = self.measure.values.reshape(-1) * self.measure.cell_volume
-        probs /= probs.sum()
-        return probs
 
 
 def build_hvm(w: WignerGrid) -> HiddenVariableModel:
@@ -248,8 +244,9 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
     stored start (_block_cdf) and searches its keys there, writing their
     cells over them; and each chunk redraws its uniforms to place every
     row in its cell's box.  The cells are those one plain search per key
-    of np.cumsum(cell_probabilities()) finds.  Chunks go to a pool of
-    ``threads`` workers in the first and last pass, blocks in the second.
+    of the grid's np.cumsum of cell probabilities finds.  Chunks go to a
+    pool of ``threads`` workers in the first and last pass, blocks in the
+    second.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -312,18 +309,6 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
         list(run(search, np.flatnonzero(counts)))
         list(run(place, range(len(rows))))
     return phi
-
-
-def value_assignment(phi, obs: PolynomialObservable) -> float:
-    """f evaluated at the linear values zeta_i . phi.
-
-    Linear observables get exactly zeta . phi, so additivity in zeta holds
-    identically, commuting or not; polynomial observables respect their
-    defining functional relation by construction.
-    """
-    phi = np.asarray(phi, dtype=float).reshape(-1)
-    values = [float(gen @ phi) for gen in obs.context.generators]
-    return float(obs(*values))
 
 
 def hvm_homodyne_distribution(model: HiddenVariableModel, zeta,

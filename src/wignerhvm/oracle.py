@@ -16,13 +16,7 @@ import numpy as np
 from . import fockspace
 from .phase_space import observable_label, passive_frame
 from .special import ndtr
-from .states import (FockDensityOperator, GaussianState,
-                     InadequateWindowError, gaussian_to_fock)
-from .weyl import PolynomialObservable, quantize_polynomial, trusted_block_mask
-
-
-class ExpectationLeakageError(ValueError):
-    """Truncation leakage too large for the requested expectation value."""
+from .states import FockDensityOperator, GaussianState, InadequateWindowError
 
 
 @dataclass(frozen=True)
@@ -158,34 +152,3 @@ def event_probability(state, zeta, intervals) -> float:
     cdf = _cdf(state, zeta, np.reshape(intervals, (-1, 2)))
     return float(sum(b - a for a, b in cdf))
 
-
-@dataclass
-class ExpectationResult:
-    value: float
-    truncation_bound: float
-
-
-def expectation(state, obs: PolynomialObservable,
-                cutoff: int | None = None) -> ExpectationResult:
-    """Tr[rho f(zeta_1.R, ...)] restricted to the trusted Fock block.
-
-    The block keeps per-mode levels at least 2*degree below the cutoff,
-    since each factor zeta . R_hat couples one level upward; the leaked
-    weight times the block-maximal observable scale bounds the error.
-    """
-    if isinstance(state, GaussianState):
-        rho = gaussian_to_fock(state, cutoff or 40)
-    else:
-        rho = state
-    A = quantize_polynomial(obs, rho.cutoff)
-    mask = trusted_block_mask(rho.cutoff, rho.mode_count, obs.degree)
-    sub = np.ix_(mask, mask)
-    rho_block = rho.matrix[sub]
-    a_block = A[sub]
-    value = float(np.trace(rho_block @ a_block).real)
-    leak = max(0.0, 1.0 - float(np.trace(rho_block).real))
-    bound = leak * float(np.max(np.abs(np.diag(a_block))))
-    if bound > 1e-3 * max(1.0, abs(value)):
-        raise ExpectationLeakageError(
-            f"truncation bound {bound:.2e} too large for value {value:.3e}")
-    return ExpectationResult(value, bound)

@@ -59,17 +59,16 @@ def is_symplectic(S: np.ndarray, tol: float = MATRIX_TOL) -> bool:
     return bool(np.max(np.abs(S.T @ w @ S - w)) <= tol)
 
 
-def is_context(vectors, comm_tol: float = ALGEBRAIC_TOL,
-               rank_rtol: float = 1e-10) -> bool:
+def is_context(vectors) -> bool:
     """True iff the vectors pairwise commute and are linearly independent."""
     mat = np.array([as_phase_vector(v) for v in vectors], dtype=float)
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise ValueError("need a nonempty list of vectors")
     # entry (i, j) of G omega G^T is the commutator [g_i, g_j]
-    if np.max(np.abs(mat @ omega(mat.shape[1] // 2) @ mat.T)) > comm_tol:
+    if np.max(np.abs(mat @ omega(mat.shape[1] // 2) @ mat.T)) > ALGEBRAIC_TOL:
         return False
     sv = np.linalg.svd(mat, compute_uv=False)
-    return bool(sv[-1] > rank_rtol * sv[0])
+    return bool(sv[-1] > 1e-10 * sv[0])
 
 
 def observable_label(zeta, mode_count: int) -> np.ndarray:
@@ -136,25 +135,6 @@ def passive_frame(generators) -> tuple[np.ndarray, np.ndarray]:
                                          np.eye(m)[:, k:]]))
     V[:, :k] *= np.diag(r)[:k]  # undo the phase QR put on each column
     return np.block([[V.real, -V.imag], [V.imag, V.real]]), R
-
-
-def context_to_standard_basis(ctx: Context) -> np.ndarray:
-    """Symplectic S with generators[i] @ S = e_i.
-
-    The passive frame takes the generators to [R^T 0], and diag(A, A^-T)
-    with A = R^-T on the first k position axes takes R^T to the identity.
-    """
-    gens, m, k = ctx.generators, ctx.mode_count, ctx.size
-    if k > m:
-        raise ValueError("a context has at most one generator per mode")
-    O, R = passive_frame(gens)
-    scaling = np.eye(2 * m)
-    scaling[:k, :k] = np.linalg.inv(R).T
-    scaling[m:m + k, m:m + k] = R
-    S = O @ scaling
-    if np.max(np.abs(gens @ S - np.eye(2 * m)[:k])) > MATRIX_TOL:
-        raise RuntimeError("basis change does not map generators to e_i")
-    return S
 
 
 def decomposition_commutators(u, v, u2, v2) -> tuple:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fockspace
-from .phase_space import is_symplectic, omega
+from .phase_space import omega
 
 LEAKAGE_LIMIT = 1e-3
 # Largest array a request may call for, in bytes: dense W and chi grids
@@ -427,17 +427,6 @@ def make_state(spec: StateSpec):
             _number(params.get("r", 0.5), "r"), cutoff)
     except (TypeError, KeyError) as exc:
         raise StateSpecError(f"bad parameters for '{kind}': {exc}") from exc
-
-
-def apply_gaussian_unitary(state: GaussianState, S: np.ndarray,
-                           d=None) -> GaussianState:
-    S = np.asarray(S, dtype=float)
-    if not is_symplectic(S):
-        raise ValueError("transformation matrix is not symplectic")
-    if d is None:
-        d = np.zeros(S.shape[0])
-    d = np.asarray(d, dtype=float).reshape(-1)
-    return GaussianState(S @ state.mean + d, S @ state.covariance @ S.T)
 
 
 def apply_gaussian_channel(state: GaussianState,

@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from . import fockspace
-from .phase_space import Context
+from .phase_space import Context, random_symplectic
 from .wigner import (GridSpec, characteristic_observable,
                      weyl_symbol_from_characteristic)
 
@@ -29,14 +29,6 @@ SYMBOL_TOL = 1e-3
 # once (one operator where a single one is larger): lemma-check's fixed
 # 2 MiB, so 20 at cutoff 50, two up to cutoff 256 and one from 257 on
 METAPLECTIC_STACK_BYTES = 2 ** 21
-
-
-@dataclass
-class QuadratureOperator:
-    """Truncated matrix of a homodyne observable zeta . R_hat."""
-
-    matrix: np.ndarray
-    label: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,10 +72,6 @@ class PolynomialObservable:
         return total
 
 
-def monomial(context: Context, exponents) -> PolynomialObservable:
-    return PolynomialObservable(context, [(1.0, tuple(exponents))])
-
-
 def _linear_terms(zeta, cutoff: int) -> list[np.ndarray]:
     """Per-mode factor stacks of zeta . R_hat: one term per active mode."""
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
@@ -98,11 +86,9 @@ def _linear_terms(zeta, cutoff: int) -> list[np.ndarray]:
     return factors
 
 
-def quantize_linear(zeta, cutoff: int) -> QuadratureOperator:
+def quantize_linear(zeta, cutoff: int) -> np.ndarray:
     """Sum_i zeta_i R_hat_i from the standard ladder-operator matrices."""
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    matrix = fockspace.kronecker_sum(_linear_terms(zeta, cutoff))
-    return QuadratureOperator(matrix, zeta)
+    return fockspace.kronecker_sum(_linear_terms(zeta, cutoff))
 
 
 def quantize_terms(obs: PolynomialObservable, cutoff: int) -> list[np.ndarray]:
@@ -140,37 +126,6 @@ def quantize_terms(obs: PolynomialObservable, cutoff: int) -> list[np.ndarray]:
     return [np.concatenate(stacks) for stacks in zip(*parts)]
 
 
-def quantize_polynomial(obs: PolynomialObservable, cutoff: int) -> np.ndarray:
-    """Symmetric-ordering quantization of f over its commuting context.
-
-    For a genuine context the symmetrized product equals the plain product
-    of the generator matrices on levels at least 2*degree below the cutoff.
-    """
-    return fockspace.kronecker_sum(quantize_terms(obs, cutoff))
-
-
-def trusted_block_mask(cutoff: int, mode_count: int, degree: int) -> np.ndarray:
-    """Boolean mask of multi-indices with every mode level <= cutoff - 2*degree."""
-    limit = cutoff - 2 * degree
-    keep = np.arange(cutoff) <= limit
-    mask = keep.copy()
-    for _ in range(mode_count - 1):
-        mask = np.kron(mask, keep)
-    return mask
-
-
-def conjugate_by_metaplectic(op: np.ndarray, S: np.ndarray,
-                             cutoff: int) -> np.ndarray:
-    """Heisenberg action of a symplectic transformation on an operator.
-
-    Maps quantize_linear(zeta) to quantize_linear(S^T zeta) on the trusted
-    block; implemented as M(S)^dag op M(S).  The elements of M(S) are exact,
-    but the product sums over levels below the cutoff only.
-    """
-    M = fockspace.metaplectic_operator(S, cutoff)
-    return M.conj().T @ op @ M
-
-
 def gaussian_moment(cov: np.ndarray, counts) -> float:
     """E[prod_i g_i^counts_i] for centered jointly Gaussian g with covariance cov."""
     slots = [i for i, c in enumerate(counts) for _ in range(c)]
@@ -189,20 +144,14 @@ def gaussian_moment(cov: np.ndarray, counts) -> float:
     return pairings(slots)
 
 
-def smoothed_polynomial(obs: PolynomialObservable, values: list[np.ndarray]):
-    """The polynomial convolved with the vacuum-Wigner smoothing kernel.
-
-    values[i] is the array of generator coordinates zeta_i . z on the
-    comparison grid.  Smoothing in z with covariance I/2 induces the
-    Gaussian correction with covariance C_ij = zeta_i . zeta_j / 2 on the
-    generator coordinates.
-    """
-    return _smoothed(_smoothing_terms(obs), values)
-
-
 def _smoothing_terms(obs: PolynomialObservable) -> list:
-    """smoothed_polynomial's terms with their Gaussian moments taken, for
-    one observable on any values.
+    """The polynomial convolved with the vacuum-Wigner smoothing kernel,
+    as terms with their Gaussian moments taken, for one observable on any
+    values.
+
+    Smoothing in z with covariance I/2 induces the Gaussian correction
+    with covariance C_ij = zeta_i . zeta_j / 2 on the generator
+    coordinates zeta_i . z.
 
     One (lead, rest) per nonzero moment: lead is coef * moment times the
     binomials of the generators before the first that keeps a power, and
@@ -230,7 +179,8 @@ def _smoothing_terms(obs: PolynomialObservable) -> list:
 
 
 def _smoothed(terms: list, values: list[np.ndarray]):
-    """The sum of _smoothing_terms at the generator values."""
+    """The sum of _smoothing_terms at the generator values: values[i] is
+    the array of coordinates zeta_i . z on the comparison grid."""
     total = 0.0
     for lead, rest in terms:
         term = lead
@@ -322,8 +272,7 @@ def _describe(obs: PolynomialObservable) -> str:
 
 
 def metaplectic_covariance_suite(rng: np.random.Generator, trials: int = 20,
-                                 cutoff: int = 50, block: int = 12,
-                                 scale: float = 0.15) -> dict:
+                                 cutoff: int = 50, block: int = 12) -> dict:
     """Random single-mode covariance check: conjugation maps labels by S^T.
 
     Compared on a low block only: M(S) is exact element by element, but
@@ -335,20 +284,19 @@ def metaplectic_covariance_suite(rng: np.random.Generator, trials: int = 20,
     takes them; the operators M(S) are then built by one stacked
     recurrence (fockspace.metaplectic_operators) per stack of at most
     METAPLECTIC_STACK_BYTES, or one operator where a single one is larger,
-    and each is conjugated as conjugate_by_metaplectic conjugates it.
+    and each conjugates op as M^dag op M.
     """
-    from .phase_space import random_symplectic
     draws = []
     for _ in range(trials):
-        S = random_symplectic(1, rng, scale=scale)
+        S = random_symplectic(1, rng, scale=0.15)
         zeta = rng.uniform(-1.5, 1.5, size=2)
         if not np.any(zeta):
             zeta = np.array([1.0, 0.0])
         draws.append((S, zeta))
 
     def deviation(S, zeta, M) -> float:  # its matrices die on return
-        want = quantize_linear(S.T @ zeta, cutoff).matrix
-        op = quantize_linear(zeta, cutoff).matrix
+        want = quantize_linear(S.T @ zeta, cutoff)
+        op = quantize_linear(zeta, cutoff)
         got = M.conj().T @ op @ M
         return float(np.max(np.abs(got[:block, :block]
                                    - want[:block, :block])))

@@ -64,6 +64,12 @@ metaplectic operator built on it, and `trialwise_covariance_suite` the
 metaplectic covariance suite that draws, builds and conjugates one trial
 at a time: the package's forms before it learnt to run a stack of
 recurrences at once.
+`monomial`, `quantize_polynomial` (the dense matrix of the package's
+factor stacks), `trusted_block_mask` and `smoothed_polynomial` (the
+package's vacuum-smoothed polynomial, evaluated in one call) are the Weyl
+helpers that only the tests use, and `cell_probabilities` is a
+hidden-variable model's normalized cell masses, the table its sampler
+searches.
 """
 
 import numpy as np
@@ -74,8 +80,9 @@ from wignerhvm.phase_space import random_symplectic
 from wignerhvm.special import sine_integral
 from wignerhvm.states import GaussianState, StateSpec, make_state
 from wignerhvm.weyl import (PolynomialObservable, _damped_characteristic,
+                            _smoothed, _smoothing_terms,
                             default_observable_char_spec, quantize_linear,
-                            quantize_terms, smoothed_polynomial)
+                            quantize_terms)
 from wignerhvm.wigner import (BOUNDARY_DECAY, IMAG_RESIDUE, CharacteristicGrid,
                               GridSpec, InadequateWindowError, WignerGrid,
                               _fourier_tables, _kronecker_grid,
@@ -307,7 +314,7 @@ def full_grid_event_probability(model, zeta, intervals) -> float:
     """
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     spec = model.measure.spec
-    probs = model.cell_probabilities().reshape(spec.shape)
+    probs = cell_probabilities(model).reshape(spec.shape)
     outcomes = sum(z * block for z, block in
                    zip(zeta, spec.coordinate_blocks()) if z)
     bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
@@ -539,12 +546,47 @@ def trialwise_covariance_suite(rng: np.random.Generator, trials: int = 20,
         zeta = rng.uniform(-1.5, 1.5, size=2)
         if not np.any(zeta):
             zeta = np.array([1.0, 0.0])
-        op = quantize_linear(zeta, cutoff).matrix
+        op = quantize_linear(zeta, cutoff)
         M = member_metaplectic_operator(S, cutoff)
         got = M.conj().T @ op @ M
-        want = quantize_linear(S.T @ zeta, cutoff).matrix
+        want = quantize_linear(S.T @ zeta, cutoff)
         dev = np.max(np.abs(got[:block, :block] - want[:block, :block]))
         worst = max(worst, float(dev))
     return {"trials": trials, "cutoff": cutoff, "block": block,
             "max_deviation": worst, "tolerance": 1e-6,
             "pass": bool(worst <= 1e-6)}
+
+
+def monomial(context, exponents) -> PolynomialObservable:
+    return PolynomialObservable(context, [(1.0, tuple(exponents))])
+
+
+def quantize_polynomial(obs: PolynomialObservable, cutoff: int) -> np.ndarray:
+    """Symmetric-ordering quantization of f over its commuting context.
+
+    For a genuine context the symmetrized product equals the plain product
+    of the generator matrices on levels at least 2*degree below the cutoff.
+    """
+    return fockspace.kronecker_sum(quantize_terms(obs, cutoff))
+
+
+def trusted_block_mask(cutoff: int, mode_count: int, degree: int) -> np.ndarray:
+    """Boolean mask of multi-indices with every mode level <= cutoff - 2*degree."""
+    keep = np.arange(cutoff) <= cutoff - 2 * degree
+    mask = keep.copy()
+    for _ in range(mode_count - 1):
+        mask = np.kron(mask, keep)
+    return mask
+
+
+def smoothed_polynomial(obs: PolynomialObservable, values: list):
+    """The polynomial convolved with the vacuum-Wigner smoothing kernel, at
+    the generator coordinates values[i] = zeta_i . z."""
+    return _smoothed(_smoothing_terms(obs), values)
+
+
+def cell_probabilities(model) -> np.ndarray:
+    """The model's cell masses over their sum, flattened in C order."""
+    probs = model.measure.values.reshape(-1) * model.measure.cell_volume
+    probs /= probs.sum()
+    return probs

@@ -247,7 +247,7 @@ def test_metaplectic_two_mode_covariance_and_group_law():
     cutoff, block = 16, 4
     low = np.arange(cutoff) < block
     sub = np.ix_(np.kron(low, low), np.kron(low, low))
-    ops = [quantize_linear(e, cutoff).matrix for e in np.eye(4)]
+    ops = [quantize_linear(e, cutoff) for e in np.eye(4)]
     rng = np.random.default_rng(7)
     for _ in range(3):
         S1 = random_symplectic(2, rng, scale=0.1)
@@ -256,7 +256,7 @@ def test_metaplectic_two_mode_covariance_and_group_law():
         M2 = fockspace.metaplectic_operator(S2, cutoff)
         for row, op in zip(S1, ops):
             moved = M1.conj().T @ op @ M1
-            want = quantize_linear(row, cutoff).matrix
+            want = quantize_linear(row, cutoff)
             assert np.max(np.abs(moved[sub] - want[sub])) < 1e-6
         product = (M1 @ M2)[sub]
         direct = fockspace.metaplectic_operator(S1 @ S2, cutoff)[sub]

@@ -12,23 +12,22 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from wignerhvm import hvm
-from wignerhvm.cli import CHAR_TOLERANCE, EVENT_TOLERANCE, TV_TOLERANCE
+from wignerhvm.cli import (CHAR_TOLERANCE, EVENT_TOLERANCE, TV_TOLERANCE,
+                           _assignment_linearity_suite)
 from wignerhvm.hvm import (NegativityError, build_hvm,
                            empirical_characteristic_check,
                            hvm_event_probabilities, hvm_event_probability,
-                           hvm_homodyne_distribution, sample,
-                           value_assignment)
+                           hvm_homodyne_distribution, sample)
 from wignerhvm.oracle import (BinSpec, event_probability,
                               quantum_homodyne_distribution, tv_distance)
-from wignerhvm.phase_space import Context
 from wignerhvm.special import sine_integral
 from wignerhvm.states import FockDensityOperator, StateSpec, make_state
-from wignerhvm.weyl import PolynomialObservable, monomial
 from wignerhvm.wigner import (GridSpec, WignerGrid, characteristic_at_points,
                               state_wigner, wigner_gaussian)
 
-from reference import (copying_hvm_measure, full_grid_event_probability,
-                       lattice_event_probability, pinned_gaussians,
+from reference import (cell_probabilities, copying_hvm_measure,
+                       full_grid_event_probability, lattice_event_probability,
+                       pinned_gaussians,
                        searchsorted_sample, serial_slab_event_probability,
                        whole_product_characteristic_deviations)
 
@@ -114,7 +113,7 @@ def test_sampled_cells_follow_the_cell_masses(case):
     counts = np.bincount(np.ravel_multi_index(cells.T, CELL_GRID.shape),
                          minlength=k)
     assert not np.any(counts[masses == 0])
-    probs = model.cell_probabilities()
+    probs = cell_probabilities(model)
     tv = 0.5 * np.abs(counts / n - probs).sum()
     # E[TV] <= sum_i sqrt(p_i / n) / 2, and one draw moves TV by at most
     # 1/n, so McDiarmid puts TV above this bound with probability < 1e-6
@@ -426,7 +425,7 @@ def test_block_ends_are_the_full_cumulative_sum(coherent_pair, case):
     spec = pair.measure.spec
     model = hvm.HiddenVariableModel(WignerGrid(spec, values))
     sample(model, 1, seed=0)
-    cdf = np.cumsum(model.cell_probabilities())
+    cdf = np.cumsum(cell_probabilities(model))
     last = np.minimum(np.arange(1, len(model._alias) + 1) * hvm.SAMPLE_BLOCK,
                       cdf.size) - 1
     assert np.array_equal(model._alias, cdf[last])
@@ -694,7 +693,7 @@ def reference_characteristic_deviations(model, pts, state):
     """|sum_cells p exp(i k . c) - chi| over explicit cell-center arrays."""
     spec = model.measure.spec
     m = spec.mode_count
-    probs = model.cell_probabilities()
+    probs = cell_probabilities(model)
     centers = spec.axis[np.indices(spec.shape).reshape(2 * m, -1)]
     deviations = []
     for v, ref in zip(pts, characteristic_at_points(state, pts)):
@@ -750,41 +749,10 @@ def test_characteristic_check_holds_one_slab_of_products(coherent_pair):
     assert peak < 8 * len(pts) * 41 ** 3 / 3, peak / 1e6
 
 
-def test_value_assignment_examples():
-    ctx = Context([[1.0, 0.0]])
-    q = monomial(ctx, (1,))
-    assert value_assignment([1.0, 2.0], q) == 1.0
-    e = np.eye(4)
-    xy = monomial(Context([e[0], e[1]]), (1, 1))
-    assert value_assignment([1.0, 3.0, 2.0, 4.0], xy) == 3.0
-
-
 def test_value_assignment_additivity_exact():
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        m = int(rng.integers(1, 4))
-        phi = rng.uniform(-5, 5, 2 * m)
-        z1 = rng.uniform(-3, 3, 2 * m)
-        z2 = rng.uniform(-3, 3, 2 * m)
-        lhs = (z1 + z2) @ phi
-        rhs = z1 @ phi + z2 @ phi
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_value_assignment_noncontextuality():
-    # f of the generator values equals the assignment of f(context)
-    rng = np.random.default_rng(10)
-    e = np.eye(4)
-    ctx = Context([e[0], e[3]])
-    for _ in range(50):
-        coeffs = rng.uniform(-2, 2, 3)
-        obs = PolynomialObservable(ctx, [(coeffs[0], (1, 0)),
-                                         (coeffs[1], (0, 2)),
-                                         (coeffs[2], (1, 1))])
-        phi = rng.uniform(-4, 4, 4)
-        direct = value_assignment(phi, obs)
-        via_parts = obs(float(e[0] @ phi), float(e[3] @ phi))
-        assert direct == pytest.approx(via_parts, rel=1e-12, abs=1e-12)
+    # lemma-check's suite: (z1 + z2) . phi = z1 . phi + z2 . phi
+    report = _assignment_linearity_suite(np.random.default_rng(9), 100)
+    assert report["pass"] and report["max_deviation"] <= 1e-12
 
 
 def test_empirical_characteristic_check():

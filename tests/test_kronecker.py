@@ -19,14 +19,13 @@ from wignerhvm.states import FockDensityOperator
 from wignerhvm.weyl import (PolynomialObservable,
                             check_wigner_multiplicativity,
                             default_observable_char_spec, quantize_linear,
-                            quantize_polynomial, quantize_terms,
-                            smoothed_polynomial)
+                            quantize_terms)
 from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
                               characteristic_observable, wigner_fock_direct)
 
 from reference import (characteristic_function, displacement_matrix,
-                       origin_value, whole_grid_weyl_symbol,
-                       wigner_from_characteristic)
+                       origin_value, quantize_polynomial, smoothed_polynomial,
+                       whole_grid_weyl_symbol, wigner_from_characteristic)
 
 CHAR = GridSpec(2, 10.0, 21)
 Z = GridSpec(2, 3.0, 11)
@@ -37,7 +36,7 @@ def dense_quantize_polynomial(obs: PolynomialObservable,
                               cutoff: int) -> np.ndarray:
     """Symmetrized products of dense generator matrices, with a prefix cache."""
     n = 2 * obs.context.mode_count
-    ops = [quantize_linear(e, cutoff).matrix for e in np.eye(n)]
+    ops = [quantize_linear(e, cutoff) for e in np.eye(n)]
     gens = [sum(z * op for z, op in zip(gen, ops))
             for gen in obs.context.generators]
     dim = ops[0].shape[0]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from wignerhvm.phase_space import (ALGEBRAIC_TOL, Context, _expm,
-                                   context_to_standard_basis, is_context,
+from wignerhvm.phase_space import (ALGEBRAIC_TOL, Context, _expm, is_context,
                                    is_symplectic, observable_label, omega,
                                    passive_frame, plane_decomposition_vectors,
                                    planewise_decomposition_commutes,
@@ -59,39 +58,6 @@ def test_is_context_examples():
 def test_context_rejects_degenerate():
     with pytest.raises(ValueError):
         Context([[1, 0], [2, 0]])
-
-
-def test_basis_change_identity_case():
-    S = context_to_standard_basis(Context([[1.0, 0.0]]))
-    assert np.allclose(S, np.eye(2), atol=1e-12)
-
-
-def test_basis_change_momentum_generator():
-    gen = np.array([0.0, 1.0, 0.0, 0.0])
-    S = context_to_standard_basis(Context([gen]))
-    assert np.allclose(gen @ S, [1, 0, 0, 0], atol=1e-10)
-    assert is_symplectic(S)
-
-
-def test_basis_change_scaled_generator_is_squeeze():
-    gen = np.array([2.0, 0.0])
-    S = context_to_standard_basis(Context([gen]))
-    assert np.allclose(gen @ S, [1, 0], atol=1e-10)
-    assert is_symplectic(S)
-
-
-def test_basis_change_random_contexts():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        m = int(rng.integers(1, 5))
-        k = int(rng.integers(1, m + 1))
-        T = random_symplectic(m, rng, scale=0.4)
-        gens = [T @ np.eye(2 * m)[:, i] for i in range(k)]
-        ctx = Context(gens)
-        S = context_to_standard_basis(ctx)
-        assert is_symplectic(S, tol=1e-9)
-        image = ctx.generators @ S
-        assert np.allclose(image, np.eye(2 * m)[:k], atol=1e-9)
 
 
 def check_frame(gens):

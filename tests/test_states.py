@@ -12,8 +12,7 @@ from wignerhvm.states import (LEAKAGE_LIMIT, FockDensityOperator,
                               InadequateWindowError, LeakageError,
                               StateSpec, StateSpecError,
                               _pure_from_coefficients, apply_gaussian_channel,
-                              apply_gaussian_unitary, cat_state,
-                              compose_channels, gaussian_to_fock,
+                              cat_state, compose_channels, gaussian_to_fock,
                               identity_channel, loss_channel, make_state,
                               vacuum_state)
 from wignerhvm.weyl import quantize_linear
@@ -216,15 +215,23 @@ def test_metaplectic_squeezed_vacuum_exact_at_every_level():
     assert np.max(np.abs(M[:, 0] - squeezed_vacuum(r, cutoff))) < 1e-12
 
 
+def unitary_channel(S, d=None) -> GaussianChannel:
+    """The Gaussian unitary R -> S R + d as a channel with no added noise."""
+    S = np.asarray(S, dtype=float)
+    return GaussianChannel(S, np.zeros_like(S),
+                           np.zeros(len(S)) if d is None else d)
+
+
 def test_apply_unitary_displacement():
-    s = apply_gaussian_unitary(vacuum_state(), np.eye(2), [1.0, 0.0])
+    s = apply_gaussian_channel(vacuum_state(),
+                               unitary_channel(np.eye(2), [1.0, 0.0]))
     assert np.allclose(s.mean, [1, 0])
     assert np.allclose(s.covariance, 0.5 * np.eye(2))
 
 
 def test_apply_unitary_squeeze():
     S = np.diag([np.exp(-0.5), np.exp(0.5)])
-    s = apply_gaussian_unitary(vacuum_state(), S)
+    s = apply_gaussian_channel(vacuum_state(), unitary_channel(S))
     assert np.allclose(np.diag(s.covariance),
                        [0.5 * np.exp(-1), 0.5 * np.exp(1)])
 
@@ -232,20 +239,21 @@ def test_apply_unitary_squeeze():
 def test_apply_unitary_identity_and_purity():
     rng = np.random.default_rng(0)
     s = make_state(spec("thermal", nbar=1.3))
-    out = apply_gaussian_unitary(s, np.eye(2), np.zeros(2))
+    out = apply_gaussian_channel(s, unitary_channel(np.eye(2)))
     assert np.allclose(out.mean, s.mean)
     assert np.allclose(out.covariance, s.covariance)
     for _ in range(10):
-        S = random_symplectic(1, rng)
-        out = apply_gaussian_unitary(s, S)
+        out = apply_gaussian_channel(
+            s, unitary_channel(random_symplectic(1, rng)))
         before = np.linalg.det(2 * s.covariance)
         after = np.linalg.det(2 * out.covariance)
         assert abs(before - after) < 1e-10
 
 
 def test_apply_unitary_rejects_non_symplectic():
+    # with no added noise, complete positivity needs X omega X^T = omega
     with pytest.raises(ValueError):
-        apply_gaussian_unitary(vacuum_state(), 2 * np.eye(2))
+        unitary_channel(2 * np.eye(2))
 
 
 def test_channel_identity_and_loss_fixed_point():
@@ -392,7 +400,7 @@ def test_gaussian_to_fock_squeezed_closed_form():
 
 def _moments_from_fock(rho):
     n = 2 * rho.mode_count
-    ops = [quantize_linear(e, rho.cutoff).matrix for e in np.eye(n)]
+    ops = [quantize_linear(e, rho.cutoff) for e in np.eye(n)]
     mean = np.array([np.trace(rho.matrix @ op).real for op in ops])
     cov = np.zeros((n, n))
     for i in range(n):

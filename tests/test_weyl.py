@@ -5,14 +5,12 @@ from wignerhvm import fockspace, weyl
 from wignerhvm.cli import _multiplicativity_cases
 from wignerhvm.phase_space import Context
 from wignerhvm.weyl import (PolynomialObservable, _damped_characteristic,
-                            check_wigner_multiplicativity,
-                            conjugate_by_metaplectic, gaussian_moment,
-                            metaplectic_covariance_suite, monomial,
-                            quantize_linear, quantize_polynomial,
-                            smoothed_polynomial, trusted_block_mask)
+                            check_wigner_multiplicativity, gaussian_moment,
+                            metaplectic_covariance_suite, quantize_linear)
 from wignerhvm.wigner import GridSpec, weyl_symbol_from_characteristic
 
-from reference import (trialwise_covariance_suite,
+from reference import (monomial, quantize_polynomial, smoothed_polynomial,
+                       trialwise_covariance_suite, trusted_block_mask,
                        whole_grid_symbol_deviations, whole_grid_weyl_symbol)
 
 CUTOFF = 40
@@ -20,8 +18,7 @@ CUTOFF = 40
 
 def plain_product(obs: PolynomialObservable, cutoff: int) -> np.ndarray:
     """Left-to-right dense operator product, no symmetrization."""
-    gens = [quantize_linear(z, cutoff).matrix
-            for z in obs.context.generators]
+    gens = [quantize_linear(z, cutoff) for z in obs.context.generators]
     dim = gens[0].shape[0]
     out = np.zeros((dim, dim), dtype=complex)
     for coef, expo in obs.terms:
@@ -48,7 +45,7 @@ def ctx_q1_p2():
 
 
 def test_quantize_linear_position_matrix():
-    q = quantize_linear([1, 0], 8).matrix
+    q = quantize_linear([1, 0], 8)
     for n in range(7):
         assert abs(q[n, n + 1] - np.sqrt((n + 1) / 2)) < 1e-14
         assert abs(q[n + 1, n] - np.sqrt((n + 1) / 2)) < 1e-14
@@ -56,13 +53,13 @@ def test_quantize_linear_position_matrix():
 
 
 def test_quantize_linear_zero_vector():
-    z = quantize_linear([0, 0], 6).matrix
+    z = quantize_linear([0, 0], 6)
     assert np.max(np.abs(z)) == 0
 
 
 def test_canonical_commutator_below_edge():
-    q = quantize_linear([1, 0], 20).matrix
-    p = quantize_linear([0, 1], 20).matrix
+    q = quantize_linear([1, 0], 20)
+    p = quantize_linear([0, 1], 20)
     comm = q @ p - p @ q
     block = comm[:19, :19]
     assert np.max(np.abs(block - 1j * np.eye(19))) < 1e-12
@@ -71,7 +68,7 @@ def test_canonical_commutator_below_edge():
 def test_quantize_polynomial_degree_one():
     obs = monomial(ctx_single(), (1,))
     got = quantize_polynomial(obs, 12)
-    assert np.allclose(got, quantize_linear([1, 0], 12).matrix)
+    assert np.allclose(got, quantize_linear([1, 0], 12))
 
 
 def test_quantize_polynomial_cross_mode_product():
@@ -86,7 +83,7 @@ def test_quantize_polynomial_cross_mode_product():
 def test_quantize_polynomial_square_low_block():
     obs = monomial(ctx_single(), (2,))
     got = quantize_polynomial(obs, 16)
-    q = quantize_linear([1, 0], 16).matrix
+    q = quantize_linear([1, 0], 16)
     direct = q @ q
     mask = trusted_block_mask(16, 1, 2)
     sub = np.ix_(mask, mask)
@@ -115,31 +112,37 @@ def test_polynomial_evaluation():
     assert obs(3.0, -1.0) == 2 * 3 * (-1) + 1.0
 
 
+def conjugate(op: np.ndarray, S: np.ndarray, cutoff: int) -> np.ndarray:
+    """Heisenberg action M(S)^dag op M(S) of a symplectic transformation."""
+    M = fockspace.metaplectic_operator(S, cutoff)
+    return M.conj().T @ op @ M
+
+
 def test_conjugate_identity():
-    q = quantize_linear([1, 0], 20).matrix
-    out = conjugate_by_metaplectic(q, np.eye(2), 20)
+    q = quantize_linear([1, 0], 20)
+    out = conjugate(q, np.eye(2), 20)
     assert np.max(np.abs(out - q)) < 1e-12
 
 
 def test_conjugate_rotation_quarter_turn():
     th = np.pi / 2
     S = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    q = quantize_linear([1, 0], 30).matrix
-    got = conjugate_by_metaplectic(q, S, 30)
-    want = quantize_linear(S.T @ np.array([1.0, 0.0]), 30).matrix  # -> -p
+    q = quantize_linear([1, 0], 30)
+    got = conjugate(q, S, 30)
+    want = quantize_linear(S.T @ np.array([1.0, 0.0]), 30)  # -> -p
     assert np.max(np.abs(got[:24, :24] - want[:24, :24])) < 1e-10
 
 
 def test_conjugate_squeeze_scales_position():
     S = np.diag([np.exp(-0.3), np.exp(0.3)])
-    q = quantize_linear([1, 0], 40).matrix
-    got = conjugate_by_metaplectic(q, S, 40)
+    q = quantize_linear([1, 0], 40)
+    got = conjugate(q, S, 40)
     assert np.max(np.abs(got[:12, :12] - np.exp(-0.3) * q[:12, :12])) < 1e-6
 
 
 def test_conjugate_rejects_non_symplectic():
     with pytest.raises(ValueError):
-        conjugate_by_metaplectic(np.eye(10), 2 * np.eye(2), 10)
+        fockspace.metaplectic_operator(2 * np.eye(2), 10)
 
 
 def test_metaplectic_covariance_suite():

@@ -9,7 +9,6 @@ from wignerhvm import wigner as wigner_module
 from wignerhvm.oracle import homodyne_density
 from wignerhvm.states import (FockDensityOperator, GaussianState, StateSpec,
                               gaussian_to_fock, make_state)
-from wignerhvm.weyl import conjugate_by_metaplectic
 from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
                               InadequateWindowError, MixedStateError,
                               WignerGrid, characteristic_at_points,
@@ -316,7 +315,8 @@ def test_negativity_invariant_under_gaussian_unitary():
     th = 0.9
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     S = rot @ np.diag([np.exp(-0.3), np.exp(0.3)])
-    moved = conjugate_by_metaplectic(rho.matrix, np.linalg.inv(S), 40)
+    M = fockspace.metaplectic_operator(np.linalg.inv(S), 40)
+    moved = M.conj().T @ rho.matrix @ M
     rho2 = type(rho)(moved / np.trace(moved).real, 40, 1)
     w2 = state_wigner(rho2, GRID)
     assert abs(negativity_volume(w2) - base) < 2e-3

@@ -168,9 +168,9 @@ def cmd_hvm_compare(args) -> int:
     # in every other command
     states_mod.check_state_spec(spec)
     levels = spec.fock_cutoff ** 2 if spec.kind in states_mod.FOCK_KINDS else 1
-    # the samples and their outcomes zeta . phi are held together
-    nbytes = 8 * max((2 * spec.modes + 1) * args.samples,
-                     levels * (args.bins + 1))
+    # the samples stream into the histogram: a sorted key and its order
+    # (16 bytes) are held per sample, at any mode count
+    nbytes = 8 * max(2 * args.samples, levels * (args.bins + 1))
     if nbytes > wigner_mod.GRID_BYTES_LIMIT:
         raise CliError(
             f"the samples or the oracle's CDF table would need "

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerhvm import cli as cli_module
+from wignerhvm import hvm as hvm_module
 from wignerhvm import states as states_module
 from wignerhvm import wigner as wigner_module
 from wignerhvm.cli import _multiplicativity_cases, lemma_check_bytes, main
@@ -613,6 +614,59 @@ def test_hudson_and_hvm_compare_agree_on_small_cats(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "negative but inside the clamp" in err
     assert "resolution" not in err
+
+
+def test_samples_guard_counts_a_key_and_its_order_per_sample(tmp_path,
+                                                            monkeypatch):
+    # streamed, a sample holds 16 bytes at any mode count, not the
+    # 8 (2m + 1) of the samples and their outcomes
+    monkeypatch.setattr(wigner_module, "GRID_BYTES_LIMIT", 2_000_000)
+    vacuum = ["hvm-compare", "--state", '{"kind": "vacuum"}']
+    code, out = run(tmp_path, *vacuum, "--samples", "100000")  # 1.6 MB
+    assert code == 0
+    assert load(out, "hvm_compare.json")["pass"] is True
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled past the guard")
+
+    monkeypatch.setattr(hvm_module, "sample", refuse)
+    monkeypatch.setattr(wigner_module, "state_wigner", refuse)
+    code, _ = run(tmp_path, *vacuum, "--samples", "200000")  # 3.2 MB
+    assert code == 2
+    # at the real limit the ceiling is 2^26 samples at one and two modes
+    monkeypatch.undo()
+    monkeypatch.setattr(hvm_module, "sample", refuse)
+    monkeypatch.setattr(wigner_module, "state_wigner", refuse)
+    pair = '{"kind": "coherent", "params": {"alpha": [1, 0]}, "modes": 2}'
+    for state in ('{"kind": "vacuum"}', pair):
+        code, _ = run(tmp_path, "hvm-compare", "--state", state,
+                      "--samples", str(2 ** 26 + 1))
+        assert code == 2, state
+
+
+def test_hvm_compare_samples_through_hvm_sample(tmp_path, monkeypatch):
+    # bench/spans.py counts sample() calls by (model, n) and times the
+    # first by model._alias; the reachability pass needs sample reached
+    calls = []
+    original = hvm_module.sample
+
+    def counting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args[:2], args[0]._alias is not None))
+        return result
+
+    monkeypatch.setattr(hvm_module, "sample", counting)
+    code, _ = run(tmp_path, "hvm-compare", "--state", '{"kind": "vacuum"}',
+                  "--samples", "5000", "--observable", "1,0",
+                  "--observable", "0.6,0.8", "--observable", "0,1")
+    assert code == 0
+    assert len(calls) == 3
+    models = {id(model) for (model, _), _ in calls}
+    assert len(models) == 1
+    for (model, n), built in calls:
+        assert isinstance(model, hvm_module.HiddenVariableModel)
+        assert n == 5000
+        assert built
 
 
 def test_report_determinism_across_runs_and_threads(tmp_path):

@@ -152,6 +152,22 @@ def test_sample_holds_one_samples_array():
     assert peak < 1.25 * nbytes, peak / nbytes
 
 
+def test_streamed_histogram_holds_a_key_and_its_order_per_sample():
+    _, model = model_for("vacuum")
+    sample(model, 1, seed=0)  # the cumulative table is not counted
+    n = 1 << 20
+    nbytes = 16 * n
+    tracemalloc.start()
+    try:
+        hvm_homodyne_distribution(model, [1.0, 0.0], BINS, n, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk's rows, uniforms and outcomes ride on top of the buffer;
+    # the whole samples and their outcomes would take 24 bytes a sample
+    assert peak < 1.25 * nbytes, peak / nbytes
+
+
 def test_sample_mean_convergence():
     _, model = model_for("vacuum")
     phi = sample(model, 100000, seed=11)
@@ -378,6 +394,23 @@ def test_sorted_key_sampling_matches_plain_search(coherent_pair):
     for threads in (1, 4):
         fresh = hvm.HiddenVariableModel(model.measure)
         assert np.array_equal(sample(fresh, n, seed=7, threads=threads), want)
+
+
+@pytest.mark.parametrize("n", [3 * hvm.SAMPLE_CHUNK + 5, 100003])
+def test_streamed_histogram_is_the_whole_samples_histogram(coherent_pair, n):
+    # chunk-wise rows @ zeta and integer counts summed over chunks give the
+    # bits of one histogram of the whole (n, 2m) array's projections
+    _, squeezed = model_for("squeezed", {"r": 0.5})
+    cases = [(squeezed, [1.0, 0.0]), (squeezed, [0.6, 0.8])]
+    cases += [(coherent_pair[1], zeta) for zeta in
+              ([0.6, 0, 0.8, 0], [0.5, 0.5, 0.5, 0.5], NO_LATTICE[0])]
+    for model, zeta in cases:
+        zeta = np.array(zeta)
+        want = np.histogram(sample(model, n, seed=9) @ zeta, BINS.edges)[0]
+        for threads in (1, 3):
+            got = hvm_homodyne_distribution(model, zeta, BINS, n, seed=9,
+                                            threads=threads)
+            assert np.array_equal(got.masses, want / n), (zeta, threads)
 
 
 def test_first_sample_holds_one_grid_sized_array(coherent_pair):

@@ -49,15 +49,15 @@ DEFAULT_OBSERVABLES = ((1.0, 0.0), (0.0, 1.0),
                        (1 / np.sqrt(2), 1 / np.sqrt(2)))
 
 # lemma-check's working set (tracemalloc): its largest multiplicativity
-# case holds 30.0 c x c complex arrays at cutoffs 200-400, the metaplectic
-# suite 9.1, and the cutoff-free chi tables and their traces about 1.6 MB
-# (1.55 MB at cutoff 8 after a warm-up run); each symbol is reduced one
-# slab at a time and the boundary residual one run of mode-1 points at a
-# time, so neither a symbol grid nor a (p, p^2) slab product is held.  The
-# suite stacks its operators up to METAPLECTIC_STACK_BYTES, so the fixed
-# 2 MiB bounds either the chi tables or the stack past its first operator
-LEMMA_MATRICES = 32
-LEMMA_FIXED_BYTES = weyl_mod.METAPLECTIC_STACK_BYTES
+# case holds 18.0 c x c complex arrays at cutoffs 200-400 (quantize_terms
+# of xy^2 on two modes), the metaplectic suite 8.0-10.1, and the
+# cutoff-free chi tables and their traces about 1.6 MB (1.55 MB at cutoff
+# 8 after a warm-up run); each symbol is reduced one slab at a time and
+# the boundary residual one run of mode-1 points at a time, so neither a
+# symbol grid nor a (p, p^2) slab product is held.  The suite stacks its
+# operators up to METAPLECTIC_STACK_BYTES, so those fixed 2 MiB bound
+# either the chi tables or the stack past its first operator
+LEMMA_MATRICES = 20
 
 
 class CliError(Exception):
@@ -172,11 +172,8 @@ def cmd_hvm_compare(args) -> int:
     # (16 bytes) are held per sample, at any mode count
     nbytes = 8 * max(2 * args.samples, levels * (args.bins + 1))
     if nbytes > wigner_mod.GRID_BYTES_LIMIT:
-        raise CliError(
-            f"the samples or the oracle's CDF table would need "
-            f"{states_mod.gib(nbytes)} GiB, above the "
-            f"{wigner_mod.GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit",
-            EXIT_PARSE)
+        raise CliError(states_mod.over_limit(
+            "the samples or the oracle's CDF table", nbytes), EXIT_PARSE)
     state = make_state(spec)
     grid = _grid_spec(args, spec.modes)
     observables = _parse_observables(args, spec.modes)
@@ -314,8 +311,8 @@ def _multiplicativity_cases(cutoff: int):
 
 def lemma_check_bytes(cutoff: int) -> int:
     """Peak bytes of lemma-check: LEMMA_MATRICES c x c complex arrays
-    beside the LEMMA_FIXED_BYTES that no cutoff changes."""
-    return 16 * LEMMA_MATRICES * cutoff ** 2 + LEMMA_FIXED_BYTES
+    beside the METAPLECTIC_STACK_BYTES that no cutoff changes."""
+    return 16 * LEMMA_MATRICES * cutoff ** 2 + weyl_mod.METAPLECTIC_STACK_BYTES
 
 
 def cmd_lemma_check(args) -> int:
@@ -323,14 +320,12 @@ def cmd_lemma_check(args) -> int:
         raise CliError("need a cutoff of at least 1", EXIT_PARSE)
     nbytes = lemma_check_bytes(args.cutoff)
     if nbytes > wigner_mod.GRID_BYTES_LIMIT:
-        largest = math.isqrt((wigner_mod.GRID_BYTES_LIMIT - LEMMA_FIXED_BYTES)
+        largest = math.isqrt((wigner_mod.GRID_BYTES_LIMIT
+                              - weyl_mod.METAPLECTIC_STACK_BYTES)
                              // (16 * LEMMA_MATRICES))
-        raise CliError(
-            f"cutoff {states_mod.short_int(args.cutoff)} needs "
-            f"{states_mod.gib(nbytes, '.5g')} "
-            f"GiB of arrays, above the "
-            f"{wigner_mod.GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit; "
-            f"the largest cutoff is {largest}", EXIT_PARSE)
+        raise CliError(states_mod.over_limit(
+            f"cutoff {states_mod.short_int(args.cutoff)}", nbytes, ".5g")
+            + f"; the largest cutoff is {largest}", EXIT_PARSE)
     rng = np.random.default_rng(args.seed)
     commutation = _lemma_commutation_suite(rng, 100)
     linearity = _assignment_linearity_suite(rng, 100)

@@ -10,10 +10,19 @@ stands for sum_s factors[0][s] (x) factors[1][s] (x) ...
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from .phase_space import is_symplectic
 from .special import ndtr
+
+# nodes per block of the streamed grid routes: parity_trace sums a 256^2
+# quadrant tile with its transpose at once, and wigner_to_csv dedupes a
+# block of slabs (a 257^2 grid is one; its texts and np.unique arrays peak
+# near 50 bytes a node when every value is distinct)
+BLOCK_NODES = 2 ** 17
 
 
 def annihilation(cutoff: int) -> np.ndarray:
@@ -161,7 +170,14 @@ def parity_matrix(rho: np.ndarray) -> np.ndarray:
     return upper.real if not upper.imag.any() else upper
 
 
-def parity_trace(upper: np.ndarray, alphas) -> np.ndarray:
+def amplitudes(q_axis, p_axis, scale: float) -> np.ndarray:
+    """alpha = scale * (v_q + i v_p) / sqrt(2) over a (q_axis, p_axis) grid."""
+    vq, vp = np.meshgrid(q_axis, p_axis, indexing="ij")
+    return scale * (vq + 1j * vp) / np.sqrt(2)
+
+
+def parity_trace(upper: np.ndarray, axis: np.ndarray,
+                 scale: float) -> np.ndarray:
     """Re Tr[P rho D(alpha)] over a mirrored amplitude grid, upper = P rho_H.
 
     P D(alpha) is Hermitian, so this is Tr[P rho_H D(alpha)] with rho_H =
@@ -175,31 +191,53 @@ def parity_trace(upper: np.ndarray, alphas) -> np.ndarray:
     the same term, so for an exactly Hermitian rho the bits are those of
     its real part.  The offsets, their depths and alpha^k run as there.
 
-    alphas is the r x c quadrant q, p >= 0 of a sign-symmetric grid
-    (GridSpec.axis), counted from the zero node out; the result is the
-    whole (2r - 1) x (2c - 1) grid.  A node's q-, p- and double flip have
-    the amplitudes -conj(alpha), conj(alpha) and -alpha bit for bit, so
-    the same |alpha|^2, and with s = (-1)^k the Re alpha^k term takes the
-    signs (1, s, 1, s) there and the Im alpha^k term (1, -s, -1, s).  Each
-    term is formed once and added to or subtracted from each image's sum,
-    the whole-grid loop's IEEE operation at that node: four sums for a
-    complex upper, two (node, q-flip) for a real one, whose p-flips equal
-    its nodes.  The returned grid owns its bytes.
+    axis is the half q, p >= 0 of a sign-symmetric axis (GridSpec.axis),
+    from the zero node out; the amplitudes(axis, axis, scale) of that
+    r x r quadrant give the whole (2r - 1) x (2r - 1) grid.  A node's q-,
+    p- and double flip have the amplitudes -conj(alpha), conj(alpha) and
+    -alpha bit for bit, so the same |alpha|^2, and with s = (-1)^k the
+    Re alpha^k term takes the signs (1, s, 1, s) there and the Im alpha^k
+    term (1, -s, -1, s).  Each term is formed once and added to or
+    subtracted from each image's sum, the whole-grid loop's IEEE operation
+    at that node: four sums for a complex upper, two (node, q-flip) for a
+    real one, whose p-flips equal its nodes.
+
+    The quadrant is summed by square tiles, tile (I, J) in one pass with
+    its transpose (J, I), whose radii are the same, so np.unique still
+    merges each node with its q <-> p swap and a pass holds at most about
+    BLOCK_NODES nodes, whatever the grid.  Every step is elementwise, so
+    a node's bits do not depend on its tile.  The grid, which owns its
+    bytes, is allocated after the first pass: a one-tile grid peaks as a
+    whole-quadrant sum would.
     """
-    sums = _offset_sums(upper, np.asarray(alphas, dtype=complex))
-    if len(sums) == 2:  # a real upper's p-flips equal its nodes
-        sums += sums
-    node, q_flip, p_flip, double = sums
-    rows, cols = node.shape
-    out = np.empty((2 * rows - 1, 2 * cols - 1))
-    up, down = slice(rows - 1, None), slice(rows - 1, None, -1)
-    right, left = slice(cols - 1, None), slice(cols - 1, None, -1)
-    # the zero row and column lie in two images and hold the same values
-    # there up to the sign of a zero; the image with fewer flips, written
-    # later, keeps them
-    for total, q, p in ((double, down, left), (q_flip, down, right),
-                        (p_flip, up, left), (node, up, right)):
-        out[q, p] = total
+    r = len(axis)
+    # numpy multiplies one-element complex arrays on a path of its own,
+    # which rounds alpha^k differently: every tile has two rows or more, a
+    # start at or past r - 1 being merged into the tile before it
+    side = max(2, math.isqrt(BLOCK_NODES // 2))
+    starts = [*range(0, r - 1, side), r]
+    tiles = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    up, down = slice(r - 1, None), slice(r - 1, None, -1)
+    out = None
+    for i, j in itertools.combinations_with_replacement(range(len(tiles)), 2):
+        # tile (I, J) and, off the diagonal, its transpose (J, I)
+        pair = [(tiles[i], tiles[j])] + [(tiles[j], tiles[i])] * (i != j)
+        sums = _offset_sums(upper, np.stack(
+            [amplitudes(axis[q], axis[p], scale).reshape(-1)
+             for q, p in pair]))
+        if len(sums) == 2:  # a real upper's p-flips equal its nodes
+            sums += sums
+        node, q_flip, p_flip, double = sums
+        if out is None:
+            out = np.empty((2 * r - 1, 2 * r - 1))
+        # the zero row and column lie in two images and hold the same
+        # values there up to the sign of a zero; the image with fewer
+        # flips, written later, keeps them
+        for total, rows, cols in ((double, down, down), (q_flip, down, up),
+                                  (p_flip, up, down), (node, up, up)):
+            image = out[rows, cols]
+            for (q, p), part in zip(pair, total):
+                image[q, p] = part.reshape(image[q, p].shape)
     return out
 
 

@@ -36,13 +36,18 @@ GAUSSIAN_KINDS = ("vacuum", "coherent", "squeezed", "thermal")
 FOCK_KINDS = ("fock", "cat", "gkp", "photon_subtracted_squeezed")
 
 
-def gib(nbytes: int, spec: str = ".1f") -> str:
-    """A byte count in GiB for a message: in ``spec`` below a million GiB,
-    to three digits above it, and past float range as a power of 2."""
+def over_limit(subject: str, nbytes: int, spec: str = ".1f") -> str:
+    """The refusal of a working set above GRID_BYTES_LIMIT: "<subject>
+    needs <nbytes> GiB, above the 1 GiB limit", the GiB count in ``spec``
+    below a million, to three digits above it, and past float range as a
+    power of 2."""
     if nbytes.bit_length() > 1000:
-        return f"at least 2^{nbytes.bit_length() - 31}"
-    value = nbytes / 2 ** 30
-    return format(value, spec if value < 1e6 else ".3g")
+        size = f"at least 2^{nbytes.bit_length() - 31}"
+    else:
+        value = nbytes / 2 ** 30
+        size = format(value, spec if value < 1e6 else ".3g")
+    return (f"{subject} needs {size} GiB, above the "
+            f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB limit")
 
 
 def short_int(n: int) -> str:
@@ -385,11 +390,9 @@ def check_state_spec(spec: StateSpec) -> None:
     require_grid_modes(spec.modes)
     nbytes = 16 * STATE_BUILD_ARRAYS * cutoff ** 2 if kind in FOCK_KINDS else 0
     if nbytes > GRID_BYTES_LIMIT:  # one mode
-        raise InadequateWindowError(
-            f"building a cutoff-{short_int(cutoff)} state needs "
-            f"{gib(nbytes)} GiB of working arrays, above the "
-            f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB array limit; use a "
-            "smaller cutoff")
+        raise InadequateWindowError(over_limit(
+            f"building a cutoff-{short_int(cutoff)} state", nbytes)
+            + "; use a smaller cutoff")
 
 
 def make_state(spec: StateSpec):

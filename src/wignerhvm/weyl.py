@@ -95,33 +95,25 @@ def quantize_terms(obs: PolynomialObservable, cutoff: int) -> list[np.ndarray]:
     """Symmetric-ordering quantization as per-mode factor stacks.
 
     Each generator zeta . R_hat is a sum of one term per mode it acts on,
-    and operator products multiply the term lists mode by mode, so every
-    symmetrized product stays a short sum of Kronecker products; see
-    fockspace for the factored form.
+    and operator products multiply the term lists mode by mode, left to
+    right, so every symmetrized product stays a short sum of Kronecker
+    products; see fockspace for the factored form.
     """
     gens = [_linear_terms(z, cutoff) for z in obs.context.generators]
     m = obs.context.mode_count
     eye = np.eye(cutoff, dtype=complex)[None]
-    cache: dict[tuple, list] = {(): [eye] * m}
-
-    def product_for(perm):
-        # prefixes left to right, not by recursion: a closure that calls
-        # itself is a reference cycle, which would keep the cache alive
-        # after return until the garbage collector happens to run
-        for n in range(1, len(perm) + 1):
-            if perm[:n] not in cache:
-                cache[perm[:n]] = [
-                    np.matmul(a[:, None], b[None]).reshape(-1, cutoff, cutoff)
-                    for a, b in zip(cache[perm[:n - 1]], gens[perm[n - 1]])]
-        return cache[perm]
-
     parts = [[np.zeros((0, cutoff, cutoff), dtype=complex)] * m]
     for coef, expo in obs.terms:
         indices = tuple(i for i, e in enumerate(expo) for _ in range(e))
         # the average over all distinct orderings of the index multiset
         perms = sorted(set(itertools.permutations(indices)))
         for perm in perms:
-            first, *rest = product_for(perm)
+            product = [eye] * m
+            for i in perm:
+                product = [
+                    np.matmul(a[:, None], b[None]).reshape(-1, cutoff, cutoff)
+                    for a, b in zip(product, gens[i])]
+            first, *rest = product
             parts.append([coef / len(perms) * first] + rest)
     return [np.concatenate(stacks) for stacks in zip(*parts)]
 

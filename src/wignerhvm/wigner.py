@@ -22,7 +22,7 @@ import numpy as np
 from . import fockspace
 from .phase_space import omega
 from .states import (GRID_BYTES_LIMIT, FockDensityOperator, GaussianState,
-                     InadequateWindowError, gib, require_grid_modes,
+                     InadequateWindowError, over_limit, require_grid_modes,
                      short_int)
 
 # largest |chi| on a transform window's boundary, relative to its max,
@@ -37,18 +37,6 @@ PURITY_TOL = 1e-6
 # the amplitudes, alpha^k, the radii's sort and inverse, and two per-row
 # products
 PARITY_TEMPORARIES = 4
-# real arrays per quadrant node, N = ((p + 1)/2)^2, that the one-mode route
-# holds at its peak beside two per mirror-image sum: the amplitudes and
-# alpha^k (2 each), the inverse, one term and about six per-radius buffers
-# over at most N/2 + p distinct radii.  A sum counts twice because a
-# complex rho_H, beside two more sums, holds a complex u_k, its products
-# and a second radial part.  tracemalloc reads 11.2-12.3 N for a real rho_H
-# (13 counted) and 14.8-16.1 N for a complex one (17) at 257-1,025 points
-PARITY_QUADRANT_ARRAYS = 9
-# nodes per block of first-axis slabs that wigner_to_csv dedupes at once;
-# a 257^2 grid is one block, and the block's texts and np.unique arrays
-# peak near 50 bytes a node when every value is distinct
-CSV_BLOCK_NODES = 2 ** 17
 # "%.18e\n" of a float64 is at most 27 bytes: the sign, 19 digits, the
 # point, "e", a signed exponent of up to 3 digits and the newline
 CSV_TEXT_WIDTH = 27
@@ -92,10 +80,9 @@ class GridSpec:
             raise self._oversized(nbytes)
 
     def _oversized(self, nbytes: int) -> InadequateWindowError:
-        return InadequateWindowError(
-            f"a {short_int(self.points)}-point {self.mode_count}-mode grid "
-            f"needs {gib(nbytes)} GiB per array, above the "
-            f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB limit; use fewer points")
+        return InadequateWindowError(over_limit(
+            f"one array of a {short_int(self.points)}-point "
+            f"{self.mode_count}-mode grid", nbytes) + "; use fewer points")
 
     @property
     def axis(self) -> np.ndarray:
@@ -313,14 +300,9 @@ def _trace_tables(factors, alphas) -> list[np.ndarray]:
     return list(map(fockspace.displacement_trace, factors, alphas))
 
 
-def _amplitudes(axis: np.ndarray, scale: float) -> np.ndarray:
-    """alpha = scale * (v_q + i v_p) / sqrt(2) over one mode's axes."""
-    vq, vp = np.meshgrid(axis, axis, indexing="ij")
-    return scale * (vq + 1j * vp) / np.sqrt(2)
-
-
 def _grid_amplitudes(spec: GridSpec, scale: float) -> list[np.ndarray]:
-    return [_amplitudes(spec.axis, scale)] * spec.mode_count
+    axis = spec.axis
+    return [fockspace.amplitudes(axis, axis, scale)] * spec.mode_count
 
 
 def characteristic_observable(factors, spec: GridSpec) -> CharacteristicGrid:
@@ -417,28 +399,22 @@ def weyl_symbol_from_characteristic(chi: CharacteristicGrid,
     return float(sup), float(inner_sup), chi.boundary_residual()
 
 
-def parity_route_bytes(rows: int, mode_count: int, points: int,
-                       sums: int = 2) -> int:
-    """Peak bytes of wigner_fock_direct with r-row factor stacks.
+def parity_route_bytes(rows: int, points: int) -> int:
+    """Peak bytes of the two-mode wigner_fock_direct with r-row factor
+    stacks.
 
-    One mode sums the quadrant of N = ((p + 1)/2)^2 nodes into `sums` real
-    arrays, two for a real rho_H and four for a complex one
-    (fockspace.parity_trace), and holds PARITY_QUADRANT_ARRAYS + 2 sums
-    arrays of that size at its peak.  Two modes hold their factor stacks,
-    r = c^2 rows of c x c blocks per mode, throughout.  The traces add
-    every mode's r x p^2 table, the last mode's per-radius sums u and l
-    (2 r R, with R <= p^2 / 2 distinct radii by the q <-> p symmetry) and
-    PARITY_TEMPORARIES p^2 arrays; forming the grid holds at most the
-    tables, the complex grid and its real copy.
+    The factor stacks, r = c^2 rows of c x c blocks per mode, are held
+    throughout.  The traces add every mode's r x p^2 table, the last
+    mode's per-radius sums u and l (2 r R, with R <= p^2 / 2 distinct
+    radii by the q <-> p symmetry) and PARITY_TEMPORARIES p^2 arrays;
+    forming the grid holds at most the tables, the complex grid and its
+    real copy.
     """
-    if mode_count == 1:
-        arrays = PARITY_QUADRANT_ARRAYS + 2 * sums
-        return 8 * arrays * ((points + 1) // 2) ** 2
     nodes = points ** 2
     # in real (8-byte) units
-    stacks = 2 * mode_count * rows * rows
-    traces = 2 * ((mode_count + 1) * rows + PARITY_TEMPORARIES) * nodes
-    forming = 2 * mode_count * rows * nodes + 3 * points ** (2 * mode_count)
+    stacks = 4 * rows * rows
+    traces = 2 * (3 * rows + PARITY_TEMPORARIES) * nodes
+    forming = 4 * rows * nodes + 3 * nodes ** 2
     return 8 * (stacks + max(traces, forming))
 
 
@@ -453,39 +429,33 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     part directly (fockspace.parity_trace), one diagonal per offset in real
     buffers, with the bits of the complex grid's real part when rho is
     exactly Hermitian, as make_state builds it; no imaginary part is left
-    for _real_part to check.  Only the amplitudes of the quadrant q, p >= 0
-    of the sign-symmetric axis are built, and parity_trace writes the whole
-    grid from mirror-image sums with a whole-grid sum's bits.  Two modes
-    form the complex grid from displacement_trace's tables, divide it in
-    place and return a copy of its real part once _real_part has checked
-    the residue.  Either way the returned grid owns its bytes.  A grid
-    whose working set (parity_route_bytes) exceeds GRID_BYTES_LIMIT is
-    refused with InadequateWindowError before any grid-sized array is
-    built: one mode stops at 6,425 points per axis for a real rho_H, or at
-    5,617 for a complex one.
+    for _real_part to check.  It sums the quadrant q, p >= 0 of the
+    sign-symmetric axis by tiles and writes the whole grid from
+    mirror-image sums with a whole-grid sum's bits, so beside the grid it
+    holds a tile's working set, whatever the points: one-mode Fock grids
+    are bounded like Gaussian ones, by GridSpec.  Two modes form the
+    complex grid from displacement_trace's tables, divide it in place and
+    return a copy of its real part once _real_part has checked the
+    residue; a grid whose working set (parity_route_bytes) exceeds
+    GRID_BYTES_LIMIT is refused with InadequateWindowError before any
+    grid-sized array is built.  Either way the returned grid owns its
+    bytes.
     """
     if spec.mode_count != rho.mode_count:
         raise ValueError("grid/state mode mismatch")
-    sums = 2  # the one-mode route's mirror-image sums
     if rho.mode_count == 1:
-        upper = fockspace.parity_matrix(rho.matrix)
-        if np.iscomplexobj(upper):
-            sums = 4
-    # kronecker_factors gives one mode 1 row and two modes c^2 rows
-    nbytes = parity_route_bytes(rho.cutoff ** (2 * rho.mode_count - 2),
-                                spec.mode_count, spec.points, sums)
-    if nbytes > GRID_BYTES_LIMIT:
-        raise InadequateWindowError(
-            f"the parity route on a {spec.points}-point grid needs "
-            f"{nbytes / 2 ** 30:.2f} GiB of working arrays, above the "
-            f"{GRID_BYTES_LIMIT / 2 ** 30:.0f} GiB limit; use fewer points")
-    if rho.mode_count == 1:
-        quadrant = spec.axis[spec.points // 2:]
-        values = fockspace.parity_trace(upper, _amplitudes(quadrant, 2.0))
+        values = fockspace.parity_trace(fockspace.parity_matrix(rho.matrix),
+                                        spec.axis[spec.points // 2:], 2.0)
         # numpy divides a complex grid by a real scalar as a product with
         # its reciprocal; this product keeps those bits
         values *= 1 / np.pi
         return WignerGrid(spec, values)
+    # kronecker_factors gives two modes c^2 rows
+    nbytes = parity_route_bytes(rho.cutoff ** 2, spec.points)
+    if nbytes > GRID_BYTES_LIMIT:
+        raise InadequateWindowError(over_limit(
+            f"the parity route on a {spec.points}-point grid", nbytes)
+            + "; use fewer points")
     parity = (-1.0) ** np.arange(rho.cutoff)
     # P = P_1 (x) P_2 signs the rows of every factor; rho P (signed
     # columns) would give W(-z)
@@ -604,7 +574,7 @@ def wigner_to_csv(grid: WignerGrid, path) -> None:
     np.savetxt with "%.18e", written one slab of the first axis at a time.
 
     W is formatted once per distinct bit pattern in each block of slabs
-    (about CSV_BLOCK_NODES nodes): Wigner grids repeat their values
+    (about fockspace.BLOCK_NODES nodes): Wigner grids repeat their values
     exactly under mirror symmetry.  The key is the bits, not the value,
     since 0.0 and -0.0 are printed differently.
     """
@@ -616,7 +586,7 @@ def wigner_to_csv(grid: WignerGrid, path) -> None:
     # the same in every slab
     parts = [b""] * (3 * len(tails))
     parts[1::3] = tails
-    step = max(1, CSV_BLOCK_NODES // len(tails))
+    step = max(1, fockspace.BLOCK_NODES // len(tails))
     with open(path, "wb") as fh:
         fh.write(",".join(names + ["W"]).encode() + b"\n")
         for start in range(0, len(axis), step):

@@ -192,7 +192,7 @@ def test_parse_failure_exit_2(tmp_path):
             code, _ = run(tmp_path, command, *extra, "--seed", seed)
             assert code == 2, (command, seed)
     # lemma-check's working set: a cutoff of at least 1, within the limit
-    for cutoff in ("0", "-3", "1447", "8192", "100000", str(10 ** 200)):
+    for cutoff in ("0", "-3", "1830", "8192", "100000", str(10 ** 200)):
         code, _ = run(tmp_path, "lemma-check", "--cutoff", cutoff)
         assert code == 2, cutoff
     # a channel check over no trials or no modes checks nothing
@@ -236,7 +236,7 @@ def test_two_mode_hvm_compare_holds_one_grid(tmp_path):
 
 def test_parse_failure_messages_name_the_bound(tmp_path, capsys):
     run(tmp_path, "lemma-check", "--cutoff", "100000")
-    assert "the largest cutoff is 1446" in capsys.readouterr().err
+    assert "the largest cutoff is 1829" in capsys.readouterr().err
     run(tmp_path, "lemma-check", "--cutoff", "0")
     assert "at least 1" in capsys.readouterr().err
     run(tmp_path, "channel-compose", "--channel", '{"kind": "identity"}',
@@ -364,32 +364,25 @@ def test_grid_memory_guard_exit_3(tmp_path, monkeypatch):
     assert code == 3
 
 
-def refuse_parity_grids(monkeypatch):
-    """Make the one-mode parity route's first grid-sized array an error."""
-    def refuse(*args):
-        raise AssertionError("grid arrays requested past the memory guard")
-
-    monkeypatch.setattr(wigner_module, "_amplitudes", refuse)
-    monkeypatch.setattr(wigner_module.fockspace, "parity_trace", refuse)
+class RouteStarted(Exception):
+    """Raised in place of the one-mode parity route's sums."""
 
 
-@pytest.mark.parametrize("command",
-                         ["wigner", "negativity", "hudson", "hvm-compare"])
-def test_parity_route_memory_guard_exit_3(tmp_path, monkeypatch, command):
-    # 6427^2 nodes pass the one-array grid guard, but the parity route's
-    # quadrant of 3,214^2 nodes is past its limit at 6,425 points; it must
-    # refuse before it builds any array of that size.  np.linspace would
-    # not round this axis sign-symmetric; GridSpec.axis is
-    spec = GridSpec(1, 6.0, 6427)  # the grid itself is within the limit
-    linspace = np.linspace(-6.0, 6.0, 6427)
-    assert not np.array_equal(linspace[::-1], -linspace)
-    assert np.array_equal(spec.axis[::-1], -spec.axis)
-    refuse_parity_grids(monkeypatch)
+def route_starts_and_grid_guard_exits_3(tmp_path, monkeypatch, command,
+                                        state, window, points):
+    """The one-mode parity route starts on a `points` grid, and GridSpec's
+    one-array bound, its only memory guard, refuses 8,193 points with exit
+    3 before any grid-sized array is built."""
+    def started(*args):
+        raise RouteStarted
+
+    monkeypatch.setattr(wigner_module.fockspace, "parity_trace", started)
+    argv = [command, "--state", state, "--window", str(window)]
     tracemalloc.start()
     try:
-        code, _ = run(tmp_path, command, "--state",
-                      '{"kind": "fock", "params": {"n": 1}, "cutoff": 25}',
-                      "--points", "6427")
+        with pytest.raises(RouteStarted):
+            run(tmp_path, *argv, "--points", str(points))
+        code, _ = run(tmp_path, *argv, "--points", "8193")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -397,9 +390,25 @@ def test_parity_route_memory_guard_exit_3(tmp_path, monkeypatch, command):
     assert peak < 16 * 4001 ** 2 / 100, peak
 
 
-# a real rho on 7.5/7681 sums a quadrant of 3,841^2 nodes, past the limit
-# at 6,425 points; a complex rho_H holds four mirror-image sums, not two,
-# so 6.0/5619, within the real limit, is past its own at 5,617
+@pytest.mark.parametrize("command",
+                         ["wigner", "negativity", "hudson", "hvm-compare"])
+def test_parity_route_memory_guard_exit_3(tmp_path, monkeypatch, command):
+    # the one-mode route sums its quadrant by tiles, so a 6,427-point grid,
+    # which a whole-quadrant working set refused, starts; only GridSpec's
+    # bound stops a grid.  np.linspace would not round this axis
+    # sign-symmetric; GridSpec.axis is
+    spec = GridSpec(1, 6.0, 6427)
+    linspace = np.linspace(-6.0, 6.0, 6427)
+    assert not np.array_equal(linspace[::-1], -linspace)
+    assert np.array_equal(spec.axis[::-1], -spec.axis)
+    route_starts_and_grid_guard_exits_3(
+        tmp_path, monkeypatch, command,
+        '{"kind": "fock", "params": {"n": 1}, "cutoff": 25}', 6.0, 6427)
+
+
+# grids a whole-quadrant working set refused: a real rho_H past 6,425
+# points, and a complex one, which held four mirror-image sums, not two,
+# past 5,617
 MIRRORED_GUARD_CASES = {
     "real-7681": ('{"kind": "fock", "params": {"n": 1}, "cutoff": 25}',
                   7.5, 7681),
@@ -413,18 +422,8 @@ MIRRORED_GUARD_CASES = {
                          ["wigner", "negativity", "hudson", "hvm-compare"])
 def test_mirrored_parity_route_memory_guard_exit_3(tmp_path, monkeypatch,
                                                    command, case):
-    state, window, points = MIRRORED_GUARD_CASES[case]
-    GridSpec(1, window, points)  # the grid itself is within the limit
-    refuse_parity_grids(monkeypatch)
-    tracemalloc.start()
-    try:
-        code, _ = run(tmp_path, command, "--state", state,
-                      "--window", str(window), "--points", str(points))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 3
-    assert peak < 16 * 4001 ** 2 / 100, peak
+    route_starts_and_grid_guard_exits_3(tmp_path, monkeypatch, command,
+                                        *MIRRORED_GUARD_CASES[case])
 
 
 @pytest.mark.parametrize("command",

@@ -530,8 +530,9 @@ def test_lemma_characteristic_observable_holds_no_displacement_table():
 
 
 def test_quantize_terms_frees_its_prefix_products_on_return():
-    # a closure that calls itself holds the product cache in a reference
-    # cycle, and lemma-check's cases would pile up until a gc pass
+    # the ordered products are formed left to right and dropped once
+    # stacked; nothing may outlive the call, even with no gc pass, or
+    # lemma-check's cases would pile up
     obs = dict(_multiplicativity_cases(120))["xy^2 on {q1,q2}"]
     gc.disable()
     tracemalloc.start()

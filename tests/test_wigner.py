@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from wignerhvm import fockspace
-from wignerhvm import wigner as wigner_module
 from wignerhvm.oracle import homodyne_density
 from wignerhvm.states import (FockDensityOperator, GaussianState, StateSpec,
                               gaussian_to_fock, make_state)
@@ -479,28 +478,80 @@ def test_two_mode_parity_grid_keeps_its_bits_and_owns_them():
         assert w.values.base is None
 
 
+# a quadrant of r = points // 2 + 1 rows against tiles of side 8 (2 * 8^2
+# nodes a pass): one tile (r = 8), two (16), two with a one-row remainder
+# merged (17), three with it merged (25) and four with a three-row last
+# tile (27); and the smallest side, 2, which any smaller budget keeps
+TILE_CASES = [(2 * 8 ** 2, 15), (2 * 8 ** 2, 31), (2 * 8 ** 2, 33),
+              (2 * 8 ** 2, 49), (2 * 8 ** 2, 53), (1, 41)]
+
+
+@pytest.mark.parametrize("nodes,points", TILE_CASES)
+@pytest.mark.parametrize("build", [partial(fock, 1, 25), rotated_cat],
+                         ids=["real", "complex"])
+def test_tiled_parity_trace_keeps_the_full_grid_bits(monkeypatch, build,
+                                                     nodes, points):
+    # each tile pair is summed in a pass of its own; a node's bits must
+    # not depend on the tile it falls in, for a real or a complex rho_H
+    monkeypatch.setattr(fockspace, "BLOCK_NODES", nodes)
+    rho = build()
+    axis = GridSpec(1, 6.0, points).axis
+    got = fockspace.parity_trace(fockspace.parity_matrix(rho.matrix),
+                                 axis[points // 2:], 2.0)
+    vq, vp = np.meshgrid(axis, axis, indexing="ij")
+    want = full_grid_parity_trace(rho.matrix, 2.0 * (vq + 1j * vp)
+                                  / np.sqrt(2))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_one_mode_parity_route_working_set_is_set_by_the_tile():
+    # beside the grid it returns, the route holds one tile pair's working
+    # set (at most BLOCK_NODES = 2^17 nodes a pass), whatever the points:
+    # one-tile grids up to 513 points, and multi-tile ones at 1,025 and
+    # 2,049 points, where the passes hold 53k-61k distinct radii of their
+    # 66k node pairs, so the two peaks agree within a quarter.  A one-tile
+    # grid is allocated after its pass, so it peaks at 2.8-2.9 grids for a
+    # real rho_H and 3.9-4.1 for a complex one, one grid below a route
+    # that allocates it first
+    wigner_fock_direct(fock(1, 25), GridSpec(1, 6.0, 41))  # set-up
+    beyond = {}
+    for name, rho, points in [
+            ("fock1", fock(1, 25), 257), ("fock1", fock(1, 25), 401),
+            ("fock1", fock(1, 25), 513), ("fock1", fock(1, 25), 601),
+            ("fock3", fock(3, 8), 401), ("rotated-cat", rotated_cat(), 257),
+            ("fock1", fock(1, 25), 1025), ("fock1", fock(1, 25), 2049),
+            ("rotated-cat", rotated_cat(), 1025),
+            ("rotated-cat", rotated_cat(), 2049)]:
+        tracemalloc.start()
+        try:
+            wigner_fock_direct(rho, GridSpec(1, 6.0, points))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        beyond[name, points] = peak - 8 * points ** 2
+        if points <= 513:
+            grids = 4.5 if name == "rotated-cat" else 3.25
+            assert peak < grids * 8 * points ** 2, (name, points, peak)
+    assert max(beyond.values()) < 24 * 2 ** 20, beyond
+    for name in ("fock1", "rotated-cat"):
+        assert beyond[name, 2049] < 1.25 * beyond[name, 1025], beyond
+
+
 def test_parity_route_bytes_bound_the_measured_peak():
-    # the estimate the memory guard uses must not undercount the route's
-    # working set, nor overcount it by more than a third
+    # the estimate the two-mode memory guard uses must not undercount the
+    # route's working set, nor overcount it by more than a third
     cutoff = 12
     vac_mat = np.zeros((cutoff, cutoff), dtype=complex)
     vac_mat[0, 0] = 1.0
     pair = FockDensityOperator(np.kron(fock(1, cutoff).matrix, vac_mat),
                                cutoff, 2)
-    # one mode sums a quadrant into two mirror-image sums for a real rho_H
-    # and four for the rotated cat's complex one; two modes ignore the count
-    cases = [(fock(1, 25), 257, 2), (fock(1, 25), 513, 2),
-             (fock(1, 25), 601, 2), (fock(1, 25), 401, 2),
-             (fock(3, 8), 401, 2), (rotated_cat(), 257, 4),
-             (pair, 15, 2), (pair, 25, 2)]
-    for rho, points, sums in cases:
-        spec = GridSpec(rho.mode_count, 6.0, points)
-        rows = rho.cutoff ** (2 * rho.mode_count - 2)
-        bound = parity_route_bytes(rows, rho.mode_count, points, sums)
-        wigner_fock_direct(rho, spec)  # first-call set-up is not counted
+    for points in (15, 25):
+        spec = GridSpec(2, 6.0, points)
+        bound = parity_route_bytes(cutoff ** 2, points)
+        wigner_fock_direct(pair, spec)  # first-call set-up is not counted
         tracemalloc.start()
         try:
-            wigner_fock_direct(rho, spec)
+            wigner_fock_direct(pair, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -639,7 +690,7 @@ def test_csv_export_by_blocks_and_of_views(tmp_path, monkeypatch, spec,
     # the default single block; values repeat across blocks and are read
     # through a transposed (non-contiguous) view
     if budget is not None:
-        monkeypatch.setattr(wigner_module, "CSV_BLOCK_NODES", budget)
+        monkeypatch.setattr(fockspace, "BLOCK_NODES", budget)
     pool = np.array([0.0, -0.0, 0.125, -0.125, 1e-300, 2 / 3])
     values = np.random.default_rng(9).choice(pool, size=spec.shape).T
     assert not values.flags.c_contiguous
@@ -655,7 +706,7 @@ def test_csv_export_working_set_is_set_by_the_block_budget(tmp_path,
     # tails and the rows of one slab (about 620 bytes a slab node for two
     # modes) and one formatting chunk; a whole-grid dedupe would hold the
     # first term for all 66,049 or 50,625 nodes
-    monkeypatch.setattr(wigner_module, "CSV_BLOCK_NODES", 2 ** 12)
+    monkeypatch.setattr(fockspace, "BLOCK_NODES", 2 ** 12)
     rng = np.random.default_rng(11)
     for spec in (GridSpec(1, 6.0, 257), GridSpec(2, 4.0, 15)):
         grid = WignerGrid(spec, rng.normal(size=spec.shape))

@@ -82,7 +82,7 @@ def _state_spec(args) -> StateSpec:
 def _grid_spec(args, modes: int) -> GridSpec:
     if args.char_window is not None or args.char_points is not None:
         print("warning: --char-window and --char-points are ignored; Fock "
-              "states take the parity route, with no transform window",
+              "states take the Hermite route, with no transform window",
               file=sys.stderr)
     try:
         return GridSpec(modes, args.window, args.points)

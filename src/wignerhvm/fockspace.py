@@ -10,18 +10,15 @@ stands for sum_s factors[0][s] (x) factors[1][s] (x) ...
 
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 
 from .phase_space import is_symplectic
 from .special import ndtr
 
-# nodes per block of the streamed grid routes: parity_trace sums a 256^2
-# quadrant tile with its transpose at once, and wigner_to_csv dedupes a
-# block of slabs (a 257^2 grid is one; its texts and np.unique arrays peak
-# near 50 bytes a node when every value is distinct)
+# nodes per block of the streamed grid routes: wigner_fock_direct forms a
+# block of grid rows at a time, and wigner_to_csv dedupes a block of slabs
+# (a 257^2 grid is one; its texts and np.unique arrays peak near 50 bytes a
+# node when every value is distinct)
 BLOCK_NODES = 2 ** 17
 
 
@@ -124,10 +121,8 @@ def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
     A_s[n+k, n] is nonzero in some row; an offset with both diagonals zero
     is skipped.  alpha^k is a running product that takes one factor per
     offset, skipped or not, so it keeps the bits of the full loop; no
-    cutoff-by-alphas array is held.  This complex form serves the chi
-    tables, the Weyl symbols and the two-mode parity route; a one-mode
-    Wigner grid takes parity_trace, one diagonal per offset in real
-    buffers over one quadrant.
+    cutoff-by-alphas array is held.  It serves the chi tables and the Weyl
+    symbols; a Wigner grid takes hermite_coefficients, which has no alpha^k.
     """
     A = np.asarray(A, dtype=complex)
     alphas = np.asarray(alphas, dtype=complex)
@@ -155,131 +150,6 @@ def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
                 out[s] += (upper[s] + lower[s])[where] * power.real
                 out[s] += (1j * (upper[s] - lower[s]))[where] * power.imag
     return out.reshape(rows, *alphas.shape)
-
-
-def parity_matrix(rho: np.ndarray) -> np.ndarray:
-    """P rho_H for a one-mode matrix rho, rho_H = (rho + rho^dag)/2.
-
-    Real when rho_H is exactly real, as for every real rho; complex
-    otherwise.  parity_trace sums it, and its dtype decides how many
-    mirror-image sums that takes.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    signs = (-1.0) ** np.arange(len(rho))
-    upper = signs[:, None] * ((rho + rho.conj().T) / 2)
-    return upper.real if not upper.imag.any() else upper
-
-
-def amplitudes(q_axis, p_axis, scale: float) -> np.ndarray:
-    """alpha = scale * (v_q + i v_p) / sqrt(2) over a (q_axis, p_axis) grid."""
-    vq, vp = np.meshgrid(q_axis, p_axis, indexing="ij")
-    return scale * (vq + 1j * vp) / np.sqrt(2)
-
-
-def parity_trace(upper: np.ndarray, axis: np.ndarray,
-                 scale: float) -> np.ndarray:
-    """Re Tr[P rho D(alpha)] over a mirrored amplitude grid, upper = P rho_H.
-
-    P D(alpha) is Hermitian, so this is Tr[P rho_H D(alpha)] with rho_H =
-    (rho + rho^dag)/2 (parity_matrix), and for P rho_H the lower sums of
-    displacement_trace are the conjugates of its upper ones: offset k
-    adds 2 Re(u_k alpha^k) = 2 Re u_k Re alpha^k - 2 Im u_k Im alpha^k,
-    with u_k = sum_n (-1)^n rho_H[n, n+k] v_n(|alpha|^2), and k = 0 adds
-    the real u_0.  So one diagonal per offset is summed, in real arithmetic
-    when rho is real; Im alpha^k is then never read.  Each step is the IEEE
-    operation that displacement_trace(P rho) applies to the real part of
-    the same term, so for an exactly Hermitian rho the bits are those of
-    its real part.  The offsets, their depths and alpha^k run as there.
-
-    axis is the half q, p >= 0 of a sign-symmetric axis (GridSpec.axis),
-    from the zero node out; the amplitudes(axis, axis, scale) of that
-    r x r quadrant give the whole (2r - 1) x (2r - 1) grid.  A node's q-,
-    p- and double flip have the amplitudes -conj(alpha), conj(alpha) and
-    -alpha bit for bit, so the same |alpha|^2, and with s = (-1)^k the
-    Re alpha^k term takes the signs (1, s, 1, s) there and the Im alpha^k
-    term (1, -s, -1, s).  Each term is formed once and added to or
-    subtracted from each image's sum, the whole-grid loop's IEEE operation
-    at that node: four sums for a complex upper, two (node, q-flip) for a
-    real one, whose p-flips equal its nodes.
-
-    The quadrant is summed by square tiles, tile (I, J) in one pass with
-    its transpose (J, I), whose radii are the same, so np.unique still
-    merges each node with its q <-> p swap and a pass holds at most about
-    BLOCK_NODES nodes, whatever the grid.  Every step is elementwise, so
-    a node's bits do not depend on its tile.  The grid, which owns its
-    bytes, is allocated after the first pass: a one-tile grid peaks as a
-    whole-quadrant sum would.
-    """
-    r = len(axis)
-    # numpy multiplies one-element complex arrays on a path of its own,
-    # which rounds alpha^k differently: every tile has two rows or more, a
-    # start at or past r - 1 being merged into the tile before it
-    side = max(2, math.isqrt(BLOCK_NODES // 2))
-    starts = [*range(0, r - 1, side), r]
-    tiles = [slice(a, b) for a, b in zip(starts, starts[1:])]
-    up, down = slice(r - 1, None), slice(r - 1, None, -1)
-    out = None
-    for i, j in itertools.combinations_with_replacement(range(len(tiles)), 2):
-        # tile (I, J) and, off the diagonal, its transpose (J, I)
-        pair = [(tiles[i], tiles[j])] + [(tiles[j], tiles[i])] * (i != j)
-        sums = _offset_sums(upper, np.stack(
-            [amplitudes(axis[q], axis[p], scale).reshape(-1)
-             for q, p in pair]))
-        if len(sums) == 2:  # a real upper's p-flips equal its nodes
-            sums += sums
-        node, q_flip, p_flip, double = sums
-        if out is None:
-            out = np.empty((2 * r - 1, 2 * r - 1))
-        # the zero row and column lie in two images and hold the same
-        # values there up to the sign of a zero; the image with fewer
-        # flips, written later, keeps them
-        for total, rows, cols in ((double, down, down), (q_flip, down, up),
-                                  (p_flip, up, down), (node, up, up)):
-            image = out[rows, cols]
-            for (q, p), part in zip(pair, total):
-                image[q, p] = part.reshape(image[q, p].shape)
-    return out
-
-
-def _offset_sums(upper: np.ndarray, alphas: np.ndarray) -> list[np.ndarray]:
-    """parity_trace's sums over offsets, one per mirror image it holds.
-
-    Its loop buffers are freed on return, before the caller assembles.
-    """
-    flat = alphas.reshape(-1)
-    radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
-    sums = [np.zeros(alphas.shape)
-            for _ in range(4 if np.iscomplexobj(upper) else 2)]
-    totals = [s.reshape(-1) for s in sums]  # views: sums land there
-    term = np.empty(flat.shape)
-    power = np.ones(flat.shape, dtype=complex)  # alpha^k
-    depths = _offset_depths(upper != 0)
-    reached = 0  # power holds alpha^reached
-    for k, n, value in _laguerre_diagonals(radii, depths):
-        if n == 0:
-            for _ in range(k - reached):
-                power *= flat
-            reached = k
-            u = np.zeros(radii.size, dtype=upper.dtype)  # u_k
-        if upper[n, n + k]:
-            u += upper[n, n + k] * value
-        if n == depths[k] - 1 and u.any():
-            s = -1 if k % 2 else 1
-            parts = [(u.real + u.real if k else u.real, power.real,
-                      (1, s, 1, s))]
-            if k and np.iscomplexobj(u):
-                parts.append((-(u.imag + u.imag), power.imag,
-                              (1, -s, -1, s)))
-            for radial, factor, signs in parts:
-                # "clip": every index is in range, and "raise" buffers out
-                np.take(radial, where, out=term, mode="clip")
-                term *= factor
-                for total, sign in zip(totals, signs):
-                    if sign > 0:
-                        total += term
-                    else:
-                        total -= term
-    return sums
 
 
 def _bargmann(A: np.ndarray, b: np.ndarray, g0, cutoff: int) -> np.ndarray:
@@ -378,6 +248,85 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     for n, row in enumerate(hermite_rows(n_max, np.ravel(x))):
         out[n] = row
     return out
+
+
+def _beam_splitter_bands(cutoff: int, top: int):
+    """Yield (n, lo, B_n[:, lo:hi + 1]) for n = 0..top, the m in lo..hi
+    being those with m, n - m < cutoff.
+
+    B_n is the real orthogonal block of a 50:50 beam splitter on n photons,
+    indexed by the photons in the first mode: psi_m(x) psi_(n-m)(y) =
+    sum_a B_n[a, m] psi_a(u) psi_(n-a)(v) with u, v = (x +- y)/sqrt(2).
+    Each level is P^T (B_1 (x) B_(n-1)) P, with P the isometric embedding
+    of n photons into one photon beside n - 1 (Risbo's d-matrix recursion):
+
+        n sqrt(2) B_n[a, m] = sqrt(a m) B[a-1, m-1] + sqrt(a (n-m)) B[a-1, m]
+                    + sqrt((n-a) m) B[a, m-1] - sqrt((n-a)(n-m)) B[a, m]
+
+    with B = B_(n-1) and B_0 = [[1]].  Columns m - 1 and m of B_(n-1) lie
+    in its band or carry zero weight, so a level holds its band only, with
+    a zero column on either side.  Every step is an isometry, so the
+    columns stay orthonormal to rounding at any n.
+    """
+    band, first = np.array([[0.0, 1.0, 0.0]]), 0
+    for n in range(top + 1):
+        lo, hi = max(0, n - cutoff + 1), min(n, cutoff - 1)
+        if n:
+            width, shift = hi - lo + 1, lo - first  # shift 1 once it shrinks
+            left = band[:, shift:shift + width]  # columns m - 1 of B_(n-1)
+            right = band[:, shift + 1:shift + 1 + width]  # columns m
+            a, m = np.arange(n + 1), np.arange(lo, hi + 1)
+            up, down, mu, md = (np.sqrt(x) for x in (a, n - a, m, n - m))
+            new = np.zeros((n + 1, width + 2))
+            inner = new[:, 1:-1]
+            term = np.empty((n, width))
+            shifted, kept = slice(1, None), slice(None, -1)  # B[a-1], B[a]
+            for rows, row_weight, column, weight in (
+                    (shifted, up[1:], left, mu),
+                    (shifted, up[1:], right, md),
+                    (kept, down[:-1], left, mu),
+                    (kept, -down[:-1], right, md)):
+                np.multiply(column, weight, out=term)
+                term *= row_weight[:, None]
+                inner[rows] += term
+            inner *= 1 / (n * np.sqrt(2))
+            band, first = new, lo
+        yield n, lo, band[:, 1:-1]
+
+
+def hermite_coefficients(rho: np.ndarray) -> np.ndarray:
+    """C with W(q, p) = sum_jk C_jk g_j(q) g_k(p) for a one-mode rho, over
+    the orthonormal g_j(x) = 2^(1/4) psi_j(sqrt(2) x).
+
+    W(q, p) = pi^-1 Int rho_H(q + y, q - y) e^(-2ipy) dy, rho_H = (rho +
+    rho^dag)/2.  In u = sqrt(2) q and v = sqrt(2) y the kernel is the beam
+    splitter's output, so antidiagonal m + n = N of rho_H maps to d = B_N
+    rho_H[m, N - m] (_beam_splitter_bands), and the transform over y takes
+    psi_b to sqrt(pi) (-i)^b psi_b: C[a, N - a] = Re((-i)^(N-a) d_a) /
+    sqrt(2 pi), whose imaginary part vanishes for a Hermitian rho_H.  C is
+    trimmed to (D + 1) square, D the largest m + n with rho[m, n] != 0,
+    and rho_H is formed one antidiagonal at a time.  There is no alpha^k,
+    and |C_jk| <= ||W||_2.  Beside rho it holds C and a few bands of
+    about c^2 floats: tracemalloc reads 2.3 (2c - 1)^2 floats at c = 150
+    and 300, below the three whose bytes states.STATE_BUILD_ARRAYS counts
+    for the state's own build.  The band products are unoptimized
+    np.einsum calls, which call no BLAS, so the bits do not depend on the
+    thread count.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    top = int(np.max(np.add(*np.nonzero(rho)), initial=0))
+    coef = np.zeros((top + 1, top + 1))
+    for n, lo, band in _beam_splitter_bands(len(rho), top):
+        m = np.arange(lo, lo + band.shape[1])
+        level = (rho[m, n - m] + rho[n - m, m].conj()) / 2  # of rho_H
+        if not level.any():
+            continue
+        b = n - np.arange(n + 1)  # photons in the second mode
+        # Re((-i)^b d): d.real at even b, d.imag at odd, negated at b % 4 > 1
+        part = np.where(b % 2, np.einsum("am,m->a", band, level.imag),
+                        np.einsum("am,m->a", band, level.real))
+        coef[n - b, b] = np.where(b % 4 < 2, part, -part) / np.sqrt(2 * np.pi)
+    return coef
 
 
 def hermite_overlap_cdf(cutoff: int, x) -> np.ndarray:

@@ -20,8 +20,9 @@ from .phase_space import omega
 
 LEAKAGE_LIMIT = 1e-3
 # Largest array a request may call for, in bytes: dense W and chi grids
-# (counted as complex128), the parity route's working set, a Fock state's
-# build, and hvm-compare's samples and oracle CDF table.
+# (counted as complex128), a Fock state's build, which also bounds its
+# Wigner grid's Hermite coefficients, and hvm-compare's samples and oracle
+# CDF table.
 GRID_BYTES_LIMIT = 2 ** 30
 # c x c complex arrays a one-mode Fock state's build holds at its peak:
 # tracemalloc reads 4.02-4.18 for fock, cat and gkp and 5.03-5.10 for

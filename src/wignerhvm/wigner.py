@@ -28,15 +28,10 @@ from .states import (GRID_BYTES_LIMIT, FockDensityOperator, GaussianState,
 # largest |chi| on a transform window's boundary, relative to its max,
 # for which a state's windowed Wigner transform is trusted
 BOUNDARY_DECAY = 1e-8
-IMAG_RESIDUE = 1e-8
 NORMALIZATION_TOL = 1e-3
 # negative W within this factor of max |W| is rounding (build_hvm, hudson)
 NEGATIVITY_TOL_FACTOR = 1e-9
 PURITY_TOL = 1e-6
-# p^2-sized complex arrays the two-mode traces hold beside their tables:
-# the amplitudes, alpha^k, the radii's sort and inverse, and two per-row
-# products
-PARITY_TEMPORARIES = 4
 # "%.18e\n" of a float64 is at most 27 bytes: the sign, 19 digits, the
 # point, "e", a signed exponent of up to 3 digits and the newline
 CSV_TEXT_WIDTH = 27
@@ -131,7 +126,7 @@ class WignerGrid:
         # NaN propagates through min and max, so no boolean grid is needed
         if not (np.isfinite(self.values.min())
                 and np.isfinite(self.values.max())):
-            raise ValueError("grid contains non-finite values")
+            raise InadequateWindowError("grid contains non-finite values")
 
     @property
     def cell_volume(self) -> float:
@@ -300,11 +295,6 @@ def _trace_tables(factors, alphas) -> list[np.ndarray]:
     return list(map(fockspace.displacement_trace, factors, alphas))
 
 
-def _grid_amplitudes(spec: GridSpec, scale: float) -> list[np.ndarray]:
-    axis = spec.axis
-    return [fockspace.amplitudes(axis, axis, scale)] * spec.mode_count
-
-
 def characteristic_observable(factors, spec: GridSpec) -> CharacteristicGrid:
     """Tr[A D(v)] for an operator given by its per-mode factor stacks.
 
@@ -312,8 +302,10 @@ def characteristic_observable(factors, spec: GridSpec) -> CharacteristicGrid:
     """
     if len(factors) != spec.mode_count:
         raise ValueError("grid/observable mode mismatch")
+    vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
+    alphas = (vq + 1j * vp) / np.sqrt(2)  # each mode's (v_q, v_p) plane
     return CharacteristicGrid(spec, _trace_tables(
-        factors, _grid_amplitudes(spec, 1.0)))
+        factors, [alphas] * spec.mode_count))
 
 
 def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
@@ -348,13 +340,6 @@ def _require_real(scale, imag, tol: float) -> None:
     """Raise unless imag (max |imag|) is within tol times scale (max |real|)."""
     if imag > tol * max(scale, 1e-300):
         raise ValueError(f"imaginary residue {imag:.2e} too large")
-
-
-def _real_part(raw: np.ndarray, tol: float) -> np.ndarray:
-    """raw.real, unless max |imag| exceeds tol times max |real|."""
-    _require_real(float(np.max(np.abs(raw.real))),
-                  float(np.max(np.abs(raw.imag))), tol)
-    return raw.real
 
 
 def weyl_symbol_from_characteristic(chi: CharacteristicGrid,
@@ -399,75 +384,35 @@ def weyl_symbol_from_characteristic(chi: CharacteristicGrid,
     return float(sup), float(inner_sup), chi.boundary_residual()
 
 
-def parity_route_bytes(rows: int, points: int) -> int:
-    """Peak bytes of the two-mode wigner_fock_direct with r-row factor
-    stacks.
-
-    The factor stacks, r = c^2 rows of c x c blocks per mode, are held
-    throughout.  The traces add every mode's r x p^2 table, the last
-    mode's per-radius sums u and l (2 r R, with R <= p^2 / 2 distinct
-    radii by the q <-> p symmetry) and PARITY_TEMPORARIES p^2 arrays;
-    forming the grid holds at most the tables, the complex grid and its
-    real copy.
-    """
-    nodes = points ** 2
-    # in real (8-byte) units
-    stacks = 4 * rows * rows
-    traces = 2 * (3 * rows + PARITY_TEMPORARIES) * nodes
-    forming = 4 * rows * nodes + 3 * nodes ** 2
-    return 8 * (stacks + max(traces, forming))
-
-
 def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
-    """Wigner grid of a Fock state, with no characteristic-function transform.
+    """Wigner grid of a one-mode Fock state, with no characteristic-function
+    transform.
 
-    Royer's parity identity W(z) = pi^-m Tr[P rho D(2 alpha(z))], with P
-    the parity operator, evaluates the displacement-element kernel at
-    doubled amplitude and needs neither a Fourier transform nor its window.
-    The kernel itself is checked independently by the Gaussian closed form
-    and the analytic Fock-state tests.  One mode sums its real
-    part directly (fockspace.parity_trace), one diagonal per offset in real
-    buffers, with the bits of the complex grid's real part when rho is
-    exactly Hermitian, as make_state builds it; no imaginary part is left
-    for _real_part to check.  It sums the quadrant q, p >= 0 of the
-    sign-symmetric axis by tiles and writes the whole grid from
-    mirror-image sums with a whole-grid sum's bits, so beside the grid it
-    holds a tile's working set, whatever the points: one-mode Fock grids
-    are bounded like Gaussian ones, by GridSpec.  Two modes form the
-    complex grid from displacement_trace's tables, divide it in place and
-    return a copy of its real part once _real_part has checked the
-    residue; a grid whose working set (parity_route_bytes) exceeds
-    GRID_BYTES_LIMIT is refused with InadequateWindowError before any
-    grid-sized array is built.  Either way the returned grid owns its
-    bytes.
+    W(q, p) = sum_jk C_jk g_j(q) g_k(p) (fockspace.hermite_coefficients),
+    so the grid is A C A^T with A the table of the g_j on the axis
+    (fockspace.hermite_functions).  Both products are unoptimized
+    two-operand np.einsum calls, which call no BLAS, so the bits do not
+    depend on the thread count; they are formed for a block of about
+    fockspace.BLOCK_NODES nodes (grid rows) at a time, each with the bits
+    of the whole product.  Beside the grid, which owns its bytes, it holds
+    C, A (D + 1 floats per axis node) and one block's first product.
     """
-    if spec.mode_count != rho.mode_count:
-        raise ValueError("grid/state mode mismatch")
-    if rho.mode_count == 1:
-        values = fockspace.parity_trace(fockspace.parity_matrix(rho.matrix),
-                                        spec.axis[spec.points // 2:], 2.0)
-        # numpy divides a complex grid by a real scalar as a product with
-        # its reciprocal; this product keeps those bits
-        values *= 1 / np.pi
-        return WignerGrid(spec, values)
-    # kronecker_factors gives two modes c^2 rows
-    nbytes = parity_route_bytes(rho.cutoff ** 2, spec.points)
-    if nbytes > GRID_BYTES_LIMIT:
-        raise InadequateWindowError(over_limit(
-            f"the parity route on a {spec.points}-point grid", nbytes)
-            + "; use fewer points")
-    parity = (-1.0) ** np.arange(rho.cutoff)
-    # P = P_1 (x) P_2 signs the rows of every factor; rho P (signed
-    # columns) would give W(-z)
-    factors = [parity[:, None] * f for f in
-               fockspace.kronecker_factors(rho.matrix, rho.mode_count)]
-    raw = _kronecker_grid(_trace_tables(factors, _grid_amplitudes(spec, 2.0)))
-    raw /= np.pi ** rho.mode_count
-    return WignerGrid(spec, _real_part(raw, IMAG_RESIDUE).copy())
+    if spec.mode_count != 1 or rho.mode_count != 1:
+        raise ValueError("the Fock grid route takes one mode")
+    coef = fockspace.hermite_coefficients(rho.matrix)
+    table = fockspace.hermite_functions(len(coef) - 1, np.sqrt(2) * spec.axis)
+    table *= 2 ** 0.25
+    values = np.empty(spec.shape)
+    step = max(1, fockspace.BLOCK_NODES // spec.points)
+    for start in range(0, spec.points, step):
+        rows = slice(start, start + step)
+        np.einsum("ik,kj->ij", np.einsum("ji,jk->ik", table[:, rows], coef),
+                  table, out=values[rows])
+    return WignerGrid(spec, values)
 
 
 def state_wigner(state, spec: GridSpec) -> WignerGrid:
-    """Wigner grid of a state: Gaussian closed form or the parity route."""
+    """Wigner grid of a state: Gaussian closed form or the Hermite route."""
     if isinstance(state, GaussianState):
         return wigner_gaussian(state, spec)
     return _normalized_on_window(wigner_fock_direct(state, spec))
@@ -491,7 +436,8 @@ def min_value(grid: WignerGrid):
     """
     values = grid.values
     mn = values.min()
-    near = values <= mn + 1e-12 * np.max(np.abs(values))
+    # max |W| with no |W| grid
+    near = values <= mn + 1e-12 * max(values.max(), -mn)
     idx = np.unravel_index(np.argmax(near), values.shape)
     location = tuple(float(grid.spec.axis[i]) for i in idx)
     return float(mn), location

@@ -31,13 +31,17 @@ and grids on which the tests compare them bit for bit.
 with a new array per step, the loop the package ran before it stepped in
 place; `diagonal_offset_depths` reads each offset's depth from its two
 diagonals, one pair of `np.diagonal` calls per offset, as the package did
-before it took every used entry in one pass; and `complex_parity_wigner` is the parity-route Wigner grid formed
-in complex arithmetic from both diagonals of every offset and divided out
-of place, as the package formed it before one mode took the real route
-and two modes divided in place.  `full_grid_parity_trace` is the real
-route summed at every node of the grid, as the package summed it before
-it learnt to sum one quadrant of its mirror-symmetric grid; it is the one
-whole-grid sum left, kept as the reference for the quadrant's bits.
+before it took every used entry in one pass.
+`complex_parity_wigner` is Royer's parity identity W(z) = pi^-m
+Tr[P rho D(2 alpha(z))] formed in complex arithmetic from both diagonals
+of every offset, for one or two modes: the two-mode Fock grid, which no
+command builds, and the route one mode took before its real sums.
+`full_grid_parity_trace` is that identity's real one-mode sum at every
+node of the grid, with the running product alpha^k, as the package
+summed it before the Hermite route (`fockspace.hermite_coefficients`)
+replaced it; it is the reference the Hermite route must match to 1e-13
+relative.  `_real_part` takes a complex grid's real part once its
+imaginary residue is below `IMAG_RESIDUE` times its scale.
 `whole_table_hermite_functions` is the Hermite recurrence written into one
 (n_max + 1, x.size) table, and `whole_table_gkp_coefficients` is the GKP
 state's quadrature over that whole table, scaled in place and integrated
@@ -51,7 +55,7 @@ whose value at the origin, `origin_value`, must be 1, and
 under the boundary-decay, imaginary-residue and normalization gates: the
 package's route from a state to its Wigner grid before the parity identity
 replaced it, kept as the chi route that criterion 1 compares with the
-closed form and the parity route.  Both are composed of the package's own
+closed form and the Hermite route.  Both are composed of the package's own
 kernels, the same that give lemma-check's Weyl symbols.
 `symplectic_fourier` is that transform as one dense complex grid,
 `whole_grid_weyl_symbol` an observable's Weyl symbol formed from it, and
@@ -83,12 +87,21 @@ from wignerhvm.weyl import (PolynomialObservable, _damped_characteristic,
                             _smoothed, _smoothing_terms,
                             default_observable_char_spec, quantize_linear,
                             quantize_terms)
-from wignerhvm.wigner import (BOUNDARY_DECAY, IMAG_RESIDUE, CharacteristicGrid,
-                              GridSpec, InadequateWindowError, WignerGrid,
+from wignerhvm.wigner import (BOUNDARY_DECAY, CharacteristicGrid, GridSpec,
+                              InadequateWindowError, WignerGrid,
                               _fourier_tables, _kronecker_grid,
-                              _normalized_on_window, _real_part,
+                              _normalized_on_window, _require_real,
                               characteristic_at_points,
                               characteristic_observable)
+
+IMAG_RESIDUE = 1e-8
+
+
+def _real_part(raw: np.ndarray, tol: float) -> np.ndarray:
+    """raw.real, unless max |imag| exceeds tol times max |real|."""
+    _require_real(float(np.max(np.abs(raw.real))),
+                  float(np.max(np.abs(raw.imag))), tol)
+    return raw.real
 
 
 def displacement_matrix(alpha, cutoff: int) -> np.ndarray:

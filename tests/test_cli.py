@@ -245,7 +245,7 @@ def test_parse_failure_messages_name_the_bound(tmp_path, capsys):
 
 
 def test_char_flags_are_ignored(tmp_path, capsys):
-    # the README gkp example: the parity route has no chi grid to set; the
+    # the README gkp example: the Hermite route has no chi grid to set; the
     # bench passes the flags to all four commands, hvm-compare's contextual
     # job among them
     gkp = ["--state", '{"kind": "gkp", "params": {"delta": 0.3}, '
@@ -365,18 +365,19 @@ def test_grid_memory_guard_exit_3(tmp_path, monkeypatch):
 
 
 class RouteStarted(Exception):
-    """Raised in place of the one-mode parity route's sums."""
+    """Raised in place of the one-mode Fock route's coefficient map."""
 
 
 def route_starts_and_grid_guard_exits_3(tmp_path, monkeypatch, command,
                                         state, window, points):
-    """The one-mode parity route starts on a `points` grid, and GridSpec's
+    """The one-mode Fock route starts on a `points` grid, and GridSpec's
     one-array bound, its only memory guard, refuses 8,193 points with exit
     3 before any grid-sized array is built."""
     def started(*args):
         raise RouteStarted
 
-    monkeypatch.setattr(wigner_module.fockspace, "parity_trace", started)
+    monkeypatch.setattr(wigner_module.fockspace, "hermite_coefficients",
+                        started)
     argv = [command, "--state", state, "--window", str(window)]
     tracemalloc.start()
     try:
@@ -393,10 +394,9 @@ def route_starts_and_grid_guard_exits_3(tmp_path, monkeypatch, command,
 @pytest.mark.parametrize("command",
                          ["wigner", "negativity", "hudson", "hvm-compare"])
 def test_parity_route_memory_guard_exit_3(tmp_path, monkeypatch, command):
-    # the one-mode route sums its quadrant by tiles, so a 6,427-point grid,
-    # which a whole-quadrant working set refused, starts; only GridSpec's
-    # bound stops a grid.  np.linspace would not round this axis
-    # sign-symmetric; GridSpec.axis is
+    # the one-mode route holds one block of grid rows beside the grid, so a
+    # 6,427-point grid starts; only GridSpec's bound stops a grid.
+    # np.linspace would not round this axis sign-symmetric; GridSpec.axis is
     spec = GridSpec(1, 6.0, 6427)
     linspace = np.linspace(-6.0, 6.0, 6427)
     assert not np.array_equal(linspace[::-1], -linspace)
@@ -406,9 +406,8 @@ def test_parity_route_memory_guard_exit_3(tmp_path, monkeypatch, command):
         '{"kind": "fock", "params": {"n": 1}, "cutoff": 25}', 6.0, 6427)
 
 
-# grids a whole-quadrant working set refused: a real rho_H past 6,425
-# points, and a complex one, which held four mirror-image sums, not two,
-# past 5,617
+# grids a whole-quadrant working set of the parity sums refused: a real
+# rho_H past 6,425 points, and a complex one past 5,617
 MIRRORED_GUARD_CASES = {
     "real-7681": ('{"kind": "fock", "params": {"n": 1}, "cutoff": 25}',
                   7.5, 7681),
@@ -424,6 +423,32 @@ def test_mirrored_parity_route_memory_guard_exit_3(tmp_path, monkeypatch,
                                                    command, case):
     route_starts_and_grid_guard_exits_3(tmp_path, monkeypatch, command,
                                         *MIRRORED_GUARD_CASES[case])
+
+
+@pytest.mark.parametrize("command",
+                         ["wigner", "negativity", "hudson", "hvm-compare"])
+def test_non_finite_grid_exits_3(tmp_path, monkeypatch, capsys, command):
+    # a grid that holds NaN is a numerical failure, never a traceback
+    monkeypatch.setattr(wigner_module.fockspace, "hermite_coefficients",
+                        lambda rho: np.full((3, 3), np.nan))
+    code, _ = run(tmp_path, command, "--state",
+                  '{"kind": "fock", "params": {"n": 1}, "cutoff": 25}',
+                  "--points", "21")
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "non-finite" in err and "Traceback" not in err
+
+
+def test_large_cutoff_gkp_grid_is_finite(tmp_path, capsys):
+    # alpha^k of the parity sums overflowed here, near (c - 1) ln(2 * 6) >
+    # 709.8; the Hermite route's grid is finite, and 21 points cannot hold
+    # the comb's normalization
+    code, _ = run(tmp_path, "negativity", "--state",
+                  '{"kind":"gkp","params":{"delta":0.3},"cutoff":287}',
+                  "--window", "6", "--points", "21")
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "normalization" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command",

@@ -26,8 +26,8 @@ from wignerhvm.wigner import (GridSpec, WignerGrid, characteristic_at_points,
                               state_wigner, wigner_gaussian)
 
 from reference import (cell_probabilities, copying_hvm_measure,
-                       full_grid_event_probability, lattice_event_probability,
-                       pinned_gaussians,
+                       complex_parity_wigner, full_grid_event_probability,
+                       lattice_event_probability, pinned_gaussians,
                        searchsorted_sample, serial_slab_event_probability,
                        whole_product_characteristic_deviations)
 
@@ -261,9 +261,11 @@ def lossy_pair(eta, cutoff):
 def test_two_mode_forward_direction_against_fock_oracle():
     # not Gaussian, and mode-mixing labels take the oracle through a
     # two-mode metaplectic rotation; exact events and characteristic
-    # checks only, no sampling
+    # checks only, no sampling.  No command builds a two-mode Fock grid:
+    # the reference's parity identity does
     state = lossy_pair(0.4, 4)
-    model = build_hvm(state_wigner(state, GridSpec(2, 6.0, 41)))
+    spec = GridSpec(2, 6.0, 41)
+    model = build_hvm(WignerGrid(spec, complex_parity_wigner(state, spec)))
     for zeta in (np.array([1, 1, 0, 0]) / np.sqrt(2), [1, 0, 0, 0],
                  [0.6, 0, 0, 0.8]):
         for interval in ([(0, np.inf)], [(-1.0, 1.0)]):

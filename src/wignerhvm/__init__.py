@@ -19,9 +19,9 @@ from .states import (FockDensityOperator, GaussianChannel, GaussianState,
                      gaussian_to_fock, loss_channel, make_state)
 from .weyl import (PolynomialObservable, check_wigner_multiplicativity,
                    quantize_linear)
-from .wigner import (CharacteristicGrid, GridSpec, InadequateWindowError,
-                     MixedStateError, WignerGrid, hudson_classify,
-                     log_negativity, min_value, negativity_volume,
-                     state_wigner, wigner_fock_direct, wigner_gaussian)
+from .wigner import (GridSpec, InadequateWindowError, MixedStateError,
+                     WignerGrid, hudson_classify, log_negativity, min_value,
+                     negativity_volume, state_wigner, wigner_fock_direct,
+                     wigner_gaussian)
 
 __version__ = "0.1.0"

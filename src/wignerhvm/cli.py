@@ -31,7 +31,7 @@ from .states import (GaussianChannel, LeakageError, StateSpec, StateSpecError,
                      identity_channel, loss_channel, make_state)
 from .wigner import GridSpec, InadequateWindowError, MixedStateError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -50,13 +50,13 @@ DEFAULT_OBSERVABLES = ((1.0, 0.0), (0.0, 1.0),
 
 # lemma-check's working set (tracemalloc): its largest multiplicativity
 # case holds 18.0 c x c complex arrays at cutoffs 200-400 (quantize_terms
-# of xy^2 on two modes), the metaplectic suite 8.0-10.1, and the
-# cutoff-free chi tables and their traces about 1.6 MB (1.55 MB at cutoff
-# 8 after a warm-up run); each symbol is reduced one slab at a time and
-# the boundary residual one run of mode-1 points at a time, so neither a
-# symbol grid nor a (p, p^2) slab product is held.  The suite stacks its
-# operators up to METAPLECTIC_STACK_BYTES, so those fixed 2 MiB bound
-# either the chi tables or the stack past its first operator
+# of xy^2 on two modes), the metaplectic suite 8.0-10.1, and each case's
+# coherent-state tables a few (r, p, p) arrays on the 21- or 41-point z
+# axis whatever the cutoff; each symbol is reduced one slab at a time, so
+# no symbol grid is held.  The suite stacks its operators up to
+# METAPLECTIC_STACK_BYTES, so those fixed 2 MiB bound the stack past its
+# first operator, and the suite dominates at small cutoffs (1.14 MB at
+# cutoff 8 after a warm-up run)
 LEMMA_MATRICES = 20
 
 

@@ -63,6 +63,18 @@ def kronecker_factors(matrix: np.ndarray, mode_count: int) -> list[np.ndarray]:
     return [units, blocks.reshape(c * c, c, c)]
 
 
+def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
+    """<n|alpha> = e^(-|alpha|^2/2) alpha^n / sqrt(n!) for n < cutoff, shape
+    (cutoff, *alpha.shape), as a running product of alpha / sqrt(n): no
+    alpha^n or n! is formed, so only e^(-|alpha|^2/2) can leave float range
+    (it underflows to 0 past |alpha|^2 ~ 1490)."""
+    alpha = np.asarray(alpha, dtype=complex)
+    roots = np.sqrt(np.arange(1, cutoff)).reshape((-1,) + (1,) * alpha.ndim)
+    with np.errstate(over="ignore"):  # |alpha|^2 = inf: every amplitude 0
+        head = np.exp(-np.abs(alpha) ** 2 / 2)
+    return np.cumprod(np.concatenate([head[None], alpha / roots]), axis=0)
+
+
 def _laguerre_diagonals(x, depths):
     """Yield (k, n, sqrt(n!/(n+k)!) e^(-x/2) L_n^k(x)) for n < depths[k].
 
@@ -121,8 +133,8 @@ def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
     A_s[n+k, n] is nonzero in some row; an offset with both diagonals zero
     is skipped.  alpha^k is a running product that takes one factor per
     offset, skipped or not, so it keeps the bits of the full loop; no
-    cutoff-by-alphas array is held.  It serves the chi tables and the Weyl
-    symbols; a Wigner grid takes hermite_coefficients, which has no alpha^k.
+    cutoff-by-alphas array is held.  It serves a state's chi at points; a
+    Wigner grid takes hermite_coefficients, which has no alpha^k.
     """
     A = np.asarray(A, dtype=complex)
     alphas = np.asarray(alphas, dtype=complex)

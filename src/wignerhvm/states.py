@@ -320,18 +320,19 @@ def fock_state(n: int, cutoff: int) -> FockDensityOperator:
 
 
 def cat_state(alpha, cutoff: int) -> FockDensityOperator:
-    """Even cat state, coefficients prop. to (alpha^n + (-alpha)^n)/sqrt(n!)."""
+    """Even cat state (|alpha> + |-alpha>) / sqrt(2 + 2 e^(-2|alpha|^2)).
+
+    The coherent amplitudes come from fockspace.coherent_amplitudes, with
+    no alpha^n or n!, so the only limit is e^(-|alpha|^2/2) underflowing
+    past |alpha|^2 ~ 1490: every coefficient is then 0, and the leakage
+    check refuses the state (exit 3).
+    """
     alpha = _as_complex(alpha, "alpha")
-    n = np.arange(cutoff)
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(n[1:]))])  # log n!
-    # past float range these turn inf or NaN, and _renormalized refuses them
-    with np.errstate(over="ignore", invalid="ignore"):
-        amps = (alpha ** n + (-alpha) ** n) * np.exp(-0.5 * log_fact)
-        x = np.abs(alpha) ** 2
-        # exact norm of the untruncated coefficient sequence
-        norm = np.sqrt(4 * np.cosh(x) * np.exp(-x)) * np.exp(x / 2)
-        coeffs = amps / norm
-    return _pure_from_coefficients(coeffs, cutoff)
+    amps = (fockspace.coherent_amplitudes(alpha, cutoff)
+            + fockspace.coherent_amplitudes(-alpha, cutoff))
+    with np.errstate(over="ignore"):  # |alpha|^2 = inf leaves a norm of sqrt 2
+        norm = np.sqrt(2 + 2 * np.exp(-2 * np.abs(alpha) ** 2))
+    return _pure_from_coefficients(amps / norm, cutoff)
 
 
 def gkp_state(delta: float, cutoff: int) -> FockDensityOperator:

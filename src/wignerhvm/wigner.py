@@ -9,7 +9,7 @@ Tr[rho D(v)], and the Wigner function is the symplectic Fourier transform
 with the sign pairing chosen so that a displaced state's Wigner function
 peaks at its mean and the transform of a quadrature operator is the linear
 coordinate itself.  The (2 pi)^(-2m) constant makes Int W = 1 for every
-mode count; the Weyl symbol of an observable carries an extra (2 pi)^m.
+mode count.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ PURITY_TOL = 1e-6
 CSV_TEXT_WIDTH = 27
 # values formatted per list before they are copied into the text array
 CSV_FORMAT_CHUNK = 2 ** 10
-# mode-1 points per block of CharacteristicGrid.boundary_residual: every
-# block splits rows only, so the run length moves no bit of the residual,
-# only its peak (two (run, p^2) arrays) and its time
-RESIDUAL_RUN_POINTS = 8
 
 
 class MixedStateError(ValueError):
@@ -137,107 +133,6 @@ class WignerGrid:
         return float(self.values.sum() * self.cell_volume)
 
 
-@dataclass
-class CharacteristicGrid:
-    """chi on a GridSpec, held as per-mode tables.
-
-    tables[k] is an (r, p, p) stack over mode k's (v_q, v_p) axes, and the
-    grid stands for sum_s tables[0][s] (x) tables[1][s], the factored form
-    of fockspace.  The boundary residual is computed from the tables by
-    runs of mode-1 points; `values` is the dense grid with axes
-    (q_1..q_m, p_1..p_m), a view for references and tests.
-    """
-
-    spec: GridSpec
-    tables: list
-
-    def __post_init__(self):
-        self.tables = [np.asarray(t, dtype=complex) for t in self.tables]
-        shapes = [t.shape[1:] for t in self.tables]
-        if shapes != [(self.spec.points,) * 2] * self.spec.mode_count:
-            raise ValueError("tables do not match the grid")
-
-    @property
-    def values(self) -> np.ndarray:
-        return _kronecker_grid(self.tables)
-
-    def boundary_residual(self) -> float:
-        """Largest |chi| on the grid boundary relative to the global max.
-
-        Two modes are read from the tables a, b as (r, p^2) blocks, so chi
-        is a^T b over (mode-1 point, mode-2 point), and the boundary is
-        mode 1 or mode 2 on its (4p - 4)-point ring.  All three maxima are
-        one pruned_max(points, cols) over blocks a[:, run]^T b[:, cols]:
-        the global max takes every mode-1 point against all of b, mode 1's
-        face its ring points against all of b, and mode 2's face every
-        mode-1 point against b's ring points.  A run is RESIDUAL_RUN_POINTS
-        consecutive entries of `points`, the last taking the remainder.
-
-        By Cauchy-Schwarz every |chi| in a block is at most the largest
-        column norm of its run of a times the largest of b[:, cols].  The
-        bound is widened by 8 (r + 2) units of relative rounding, for the
-        r-term sums and the norms, and as many smallest subnormals, for
-        products below the normal range.  Blocks are visited NaN bounds
-        first, then in decreasing bound, and the loop stops at the first
-        bound below the maximum found so far; a NaN bound comes before that
-        stop, so it is never below anything.
-
-        Runs split the rows of a^T b, never its columns.  Every run has at
-        least two rows and all of `cols`, so its elements keep the bits of
-        the whole products a^T b, a[:, ring]^T b and a^T b[:, ring]: one
-        row alone would be a matrix-vector product, and a share of the
-        columns of b may also round differently.
-        """
-        p = self.spec.points
-        ring = np.ones((p, p), dtype=bool)
-        ring[1:-1, 1:-1] = False
-        flat = [t.reshape(len(t), p * p) for t in self.tables]
-        if len(flat) == 1:
-            mag = np.abs(flat[0].sum(axis=0))
-            vmax, edge = np.max(mag), np.max(mag[ring.reshape(-1)])
-        else:
-            a, b = flat
-            norm_a, norm_b = (np.hypot.reduce(np.abs(t), axis=0) for t in flat)
-            slack = 8 * (len(a) + 2)
-
-            def pruned_max(points, cols):
-                # a start at or past len - 1 would leave a one-row run
-                starts = np.arange(0, len(points) - 1, RESIDUAL_RUN_POINTS)
-                bounds = (np.maximum.reduceat(norm_a[points], starts)
-                          * np.max(norm_b[cols]))
-                bounds = (bounds * (1 + slack * np.finfo(float).eps)
-                          + slack * np.finfo(float).smallest_subnormal)
-                stops = np.append(starts[1:], len(points))
-                right = b[:, cols]
-                # NaN sorts last in -bounds; np.isnan puts it first
-                order = np.lexsort((-bounds, ~np.isnan(bounds)))
-                top = 0.0
-                for i in order:
-                    if bounds[i] < top:
-                        break
-                    # one expression, so no block outlives its own max;
-                    # np.maximum, not max(): a NaN in any block must reach top
-                    top = np.maximum(top, np.max(np.abs(
-                        a[:, points[starts[i]:stops[i]]].T @ right)))
-                return top
-
-            every = np.arange(p * p)
-            ring_points = np.flatnonzero(ring)
-            vmax = pruned_max(every, slice(None))
-            edge = np.maximum(pruned_max(ring_points, slice(None)),
-                              pruned_max(every, ring_points))
-        if vmax == 0:
-            return 0.0
-        return float(edge) / float(vmax)
-
-
-def _kronecker_grid(tables) -> np.ndarray:
-    """sum_s tables[0][s] (x) tables[1][s] with axes (q_1..q_m, p_1..p_m)."""
-    if len(tables) == 1:
-        return tables[0].sum(axis=0)
-    return np.tensordot(*tables, axes=([0], [0])).transpose(0, 2, 1, 3)
-
-
 def wigner_gaussian(state: GaussianState, spec: GridSpec) -> WignerGrid:
     """Closed-form Gaussian Wigner function, strictly positive everywhere.
 
@@ -295,19 +190,6 @@ def _trace_tables(factors, alphas) -> list[np.ndarray]:
     return list(map(fockspace.displacement_trace, factors, alphas))
 
 
-def characteristic_observable(factors, spec: GridSpec) -> CharacteristicGrid:
-    """Tr[A D(v)] for an operator given by its per-mode factor stacks.
-
-    No trace-one check; see fockspace for the factored form.
-    """
-    if len(factors) != spec.mode_count:
-        raise ValueError("grid/observable mode mismatch")
-    vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
-    alphas = (vq + 1j * vp) / np.sqrt(2)  # each mode's (v_q, v_p) plane
-    return CharacteristicGrid(spec, _trace_tables(
-        factors, [alphas] * spec.mode_count))
-
-
 def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
     """chi(v) at arbitrary phase-space points (closed form or exact trace)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -320,68 +202,6 @@ def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
     factors = fockspace.kronecker_factors(state.matrix, m)
     alphas = (pts[:, :m] + 1j * pts[:, m:]) / np.sqrt(2)
     return np.prod(_trace_tables(factors, alphas.T), axis=0).sum(axis=0)
-
-
-def _fourier_tables(tables, v_spec: GridSpec, out_spec: GridSpec) -> list:
-    """Each mode's tables mapped from (v_q, v_p) to (z_q, z_p).
-
-    exp(-i [v, z]) = prod_k exp(-i vp_k zq_k) exp(+i vq_k zp_k), so each
-    mode's tables map on their own, by separable quadrature; the
-    symplectic Fourier transform (2 pi)^(-2m) Int chi(v) exp(-i [v, z]) dv
-    is _kronecker_grid of the mapped tables times (2 pi)^(-2m).
-    """
-    outer = np.outer(v_spec.axis, out_spec.axis)
-    to_q = np.exp(-1j * outer) * v_spec.step
-    to_p = np.exp(1j * outer) * v_spec.step
-    return [to_q.T @ (t.transpose(0, 2, 1) @ to_p) for t in tables]
-
-
-def _require_real(scale, imag, tol: float) -> None:
-    """Raise unless imag (max |imag|) is within tol times scale (max |real|)."""
-    if imag > tol * max(scale, 1e-300):
-        raise ValueError(f"imaginary residue {imag:.2e} too large")
-
-
-def weyl_symbol_from_characteristic(chi: CharacteristicGrid,
-                                    out_spec: GridSpec, target, inner: slice):
-    """Sup-norm distance of an observable's Weyl symbol from a target.
-
-    The symbol is (2 pi)^m times the symplectic Fourier transform of
-    Tr[A D(v)].  It is formed one first-axis (z_q1) slab at a time from
-    the mapped tables (_fourier_tables), so no array the size of the z
-    grid is held; target(blocks) gives the comparison function on a
-    slab's coordinate blocks, out_spec's with block 0 sliced to the slab.
-    Each slab has the bits of the whole grid's, and the sups are maxima,
-    which do not round.  Returns (sup, inner_sup, boundary_residual): the
-    largest |symbol - target| over the grid and over the window `inner`
-    of every axis, and chi's boundary residual; a large residual means
-    the window truncates the observable's characteristic data and the
-    caller should flag the comparison instead of trusting it.  After the
-    last slab, a max |imag| above 1e-6 max |real|, or a non-finite real
-    part, raises ValueError.
-    """
-    m = chi.spec.mode_count
-    mapped = _fourier_tables(chi.tables, chi.spec, out_spec)
-    blocks = list(out_spec.coordinate_blocks())
-    window = (slice(None),) + (inner,) * (2 * m - 1)
-    inner_rows = range(out_spec.points)[inner]
-    # np.maximum, not max(): a NaN in any slab must reach the result
-    sup = inner_sup = scale = imag = 0.0
-    for i in range(out_spec.points):
-        rows = slice(i, i + 1)
-        raw = _kronecker_grid([mapped[0][:, rows]] + mapped[1:])
-        raw *= (2 * np.pi) ** (-2 * m)
-        raw *= (2 * np.pi) ** m
-        scale = np.maximum(scale, np.max(np.abs(raw.real)))
-        imag = np.maximum(imag, np.max(np.abs(raw.imag)))
-        deviation = np.abs(raw.real - target([blocks[0][rows]] + blocks[1:]))
-        sup = np.maximum(sup, np.max(deviation))
-        if i in inner_rows:
-            inner_sup = np.maximum(inner_sup, np.max(deviation[window]))
-    _require_real(float(scale), float(imag), 1e-6)
-    if not np.isfinite(scale):
-        raise ValueError("symbol contains non-finite values")
-    return float(sup), float(inner_sup), chi.boundary_residual()
 
 
 def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
@@ -499,7 +319,8 @@ def hudson_classify(state, spec: GridSpec | None = None) -> HudsonReport:
     spec = spec or GridSpec(state.mode_count, 6.0, 257)
     w = state_wigner(state, spec)
     mn, loc = min_value(w)
-    tol = NEGATIVITY_TOL_FACTOR * float(np.max(np.abs(w.values)))
+    # max |W| with no |W| grid
+    tol = NEGATIVITY_TOL_FACTOR * float(max(w.values.max(), -mn))
     classification = "gaussian_nonnegative" if mn >= -tol else "negative"
     cov_purity = covariance_state(state).purity()
     if (classification == "gaussian_nonnegative") != \

@@ -50,18 +50,22 @@ learnt to stream the recurrence one row at a time.
 `position_marginal` is a Wigner grid's one-axis marginal density and
 `grid_moment` integrates it.
 `characteristic_function` is a state's chi(v) = Tr[rho D(v)] on a grid,
-whose value at the origin, `origin_value`, must be 1, and
-`wigner_from_characteristic` is its windowed symplectic Fourier transform
-under the boundary-decay, imaginary-residue and normalization gates: the
-package's route from a state to its Wigner grid before the parity identity
-replaced it, kept as the chi route that criterion 1 compares with the
-closed form and the Hermite route.  Both are composed of the package's own
-kernels, the same that give lemma-check's Weyl symbols.
-`symplectic_fourier` is that transform as one dense complex grid,
-`whole_grid_weyl_symbol` an observable's Weyl symbol formed from it, and
-`whole_grid_symbol_deviations` lemma-check's comparison of that symbol
-with the smoothed polynomial over the whole grid: the package's forms
-before it learnt to reduce the symbol one first-axis slab at a time.
+held as per-mode tables (`CharacteristicGrid`, whose boundary residual is
+read off the dense grid), whose value at the origin, `origin_value`, must
+be 1, and `wigner_from_characteristic` is its windowed symplectic Fourier
+transform under the boundary-decay, imaginary-residue and normalization
+gates: the package's route from a state to its Wigner grid before the
+parity identity replaced it, kept as the chi route that criterion 1
+compares with the closed form and the Hermite route.  `symplectic_fourier`
+is that transform as one dense complex grid.  `chi_route_symbol` is an
+observable's vacuum-smoothed Weyl symbol by the same transform of
+Tr[A D(v)] exp(-|v|^2/4) on the v-window of
+`default_observable_char_spec`: lemma-check's route before it read the
+symbol as the coherent-state expectation <alpha|A|alpha>.
+`coherent_symbol` is that expectation as one dense grid, and
+`whole_grid_symbol_deviations` lemma-check's comparison of it with the
+smoothed polynomial over the whole grid: the package's form before it
+learnt to reduce the symbol one first-axis slab at a time.
 `member_bargmann` is the Bargmann recurrence for one array at a time, with
 scalar coefficients on every pass, `member_metaplectic_operator` the
 metaplectic operator built on it, and `trialwise_covariance_suite` the
@@ -76,6 +80,8 @@ hidden-variable model's normalized cell masses, the table its sampler
 searches.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from wignerhvm import fockspace
@@ -83,16 +89,12 @@ from wignerhvm.fockspace import _laguerre_diagonals, _offset_depths
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.special import sine_integral
 from wignerhvm.states import GaussianState, StateSpec, make_state
-from wignerhvm.weyl import (PolynomialObservable, _damped_characteristic,
-                            _smoothed, _smoothing_terms,
-                            default_observable_char_spec, quantize_linear,
-                            quantize_terms)
-from wignerhvm.wigner import (BOUNDARY_DECAY, CharacteristicGrid, GridSpec,
-                              InadequateWindowError, WignerGrid,
-                              _fourier_tables, _kronecker_grid,
-                              _normalized_on_window, _require_real,
-                              characteristic_at_points,
-                              characteristic_observable)
+from wignerhvm.weyl import (PolynomialObservable, _coherent_table,
+                            _kronecker_grid, _require_real, _smoothed,
+                            _smoothing_terms, quantize_linear, quantize_terms)
+from wignerhvm.wigner import (BOUNDARY_DECAY, GridSpec, InadequateWindowError,
+                              WignerGrid, _normalized_on_window, _trace_tables,
+                              characteristic_at_points)
 
 IMAG_RESIDUE = 1e-8
 
@@ -230,6 +232,35 @@ def full_grid_parity_trace(rho, alphas) -> np.ndarray:
     return out
 
 
+@dataclass
+class CharacteristicGrid:
+    """chi on a GridSpec as per-mode (r, p, p) tables over each mode's
+    (v_q, v_p) plane; the grid is sum_s tables[0][s] (x) tables[1][s]."""
+
+    spec: GridSpec
+    tables: list
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense grid, axes (q_1..q_m, p_1..p_m)."""
+        return _kronecker_grid(self.tables)
+
+    def boundary_residual(self) -> float:
+        """Largest |chi| over the faces of the box, relative to the max."""
+        values = np.abs(self.values)
+        edge = max(np.max(np.take(values, idx, axis=ax))
+                   for ax in range(values.ndim) for idx in (0, -1))
+        return float(edge) / float(np.max(values))
+
+
+def characteristic_observable(factors, spec: GridSpec) -> CharacteristicGrid:
+    """Tr[A D(v)] for an operator given by its per-mode factor stacks."""
+    vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
+    alphas = (vq + 1j * vp) / np.sqrt(2)  # each mode's (v_q, v_p) plane
+    return CharacteristicGrid(spec, _trace_tables(
+        factors, [alphas] * spec.mode_count))
+
+
 def origin_value(chi: CharacteristicGrid) -> complex:
     """chi(0): the products of the per-mode tables at the centre node."""
     center = chi.spec.points // 2
@@ -248,38 +279,62 @@ def characteristic_function(rho, spec: GridSpec) -> CharacteristicGrid:
 
 def symplectic_fourier(tables, v_spec: GridSpec,
                        out_spec: GridSpec) -> np.ndarray:
-    """(2 pi)^(-2m) Int chi(v) exp(-i [v, z]) dv as one dense complex grid."""
-    out = _kronecker_grid(_fourier_tables(tables, v_spec, out_spec))
-    return out * (2 * np.pi) ** (-2 * len(tables))
+    """(2 pi)^(-2m) Int chi(v) exp(-i [v, z]) dv as one dense complex grid.
+
+    exp(-i [v, z]) = prod_k exp(-i vp_k zq_k) exp(+i vq_k zp_k), so each
+    mode's tables map from (v_q, v_p) to (z_q, z_p) on their own, by
+    separable quadrature.
+    """
+    outer = np.outer(v_spec.axis, out_spec.axis)
+    to_q = np.exp(-1j * outer) * v_spec.step
+    to_p = np.exp(1j * outer) * v_spec.step
+    mapped = [to_q.T @ (t.transpose(0, 2, 1) @ to_p) for t in tables]
+    return _kronecker_grid(mapped) * (2 * np.pi) ** (-2 * len(tables))
 
 
-def whole_grid_weyl_symbol(chi: CharacteristicGrid,
-                           out_spec: GridSpec | None = None):
-    """(symbol grid, boundary residual) of an observable from Tr[A D(v)]."""
-    out_spec = out_spec or chi.spec
-    raw = symplectic_fourier(chi.tables, chi.spec, out_spec)
-    raw = raw * (2 * np.pi) ** chi.spec.mode_count
-    symbol = WignerGrid(out_spec, _real_part(raw, 1e-6))
-    return symbol, chi.boundary_residual()
+def default_observable_char_spec(mode_count: int, cutoff: int) -> GridSpec:
+    """v-grid resolving the cutoff-level Laguerre oscillation (~sqrt(2N) rad)."""
+    if mode_count == 1:
+        return GridSpec(1, 12.0, 241 if cutoff <= 60 else 321)
+    return GridSpec(2, 10.0, 61)
+
+
+def chi_route_symbol(obs: PolynomialObservable, cutoff: int,
+                     z_spec: GridSpec,
+                     char_spec: GridSpec | None = None) -> np.ndarray:
+    """The vacuum-smoothed Weyl symbol on z_spec as (2 pi)^m times the
+    windowed symplectic Fourier transform of Tr[A D(v)] exp(-|v|^2/4)."""
+    m = obs.context.mode_count
+    char_spec = char_spec or default_observable_char_spec(m, cutoff)
+    chi = characteristic_observable(quantize_terms(obs, cutoff), char_spec)
+    # exp(-|v|^2/4) is a product over modes, so it damps each mode's tables
+    axis = char_spec.axis
+    damp = np.exp(-(axis[:, None] ** 2 + axis[None, :] ** 2) / 4)
+    tables = [table * damp for table in chi.tables]
+    raw = symplectic_fourier(tables, char_spec, z_spec) * (2 * np.pi) ** m
+    return _real_part(raw, 1e-6)
+
+
+def coherent_symbol(factors, z_spec: GridSpec) -> np.ndarray:
+    """<alpha|A|alpha> on z_spec as one dense grid, A given by its stacks."""
+    raw = _kronecker_grid([_coherent_table(f, z_spec) for f in factors])
+    return _real_part(raw, 1e-6)
 
 
 def whole_grid_symbol_deviations(obs: PolynomialObservable, cutoff: int,
-                                 z_spec: GridSpec | None = None,
-                                 char_spec: GridSpec | None = None) -> tuple:
+                                 z_spec: GridSpec | None = None) -> tuple:
     """check_wigner_multiplicativity's (sup_norm_deviation,
-    inner_sup_deviation, boundary_residual) from the whole symbol grid."""
+    inner_sup_deviation) from the whole symbol grid."""
     m = obs.context.mode_count
     z_spec = z_spec or (GridSpec(1, 3.0, 41) if m == 1 else GridSpec(2, 3.0, 21))
-    char_spec = char_spec or default_observable_char_spec(m, cutoff)
-    chi = _damped_characteristic(quantize_terms(obs, cutoff), char_spec)
-    symbol, boundary = whole_grid_weyl_symbol(chi, z_spec)
+    symbol = coherent_symbol(quantize_terms(obs, cutoff), z_spec)
     zblocks = z_spec.coordinate_blocks()
     target = smoothed_polynomial(obs, [sum(z * c for z, c in zip(gen, zblocks))
                                        for gen in obs.context.generators])
-    deviation = np.abs(symbol.values - target)
+    deviation = np.abs(symbol - target)
     pts = z_spec.points
     inner = deviation[(slice(pts // 4, pts - pts // 4),) * (2 * m)]
-    return float(np.max(deviation)), float(np.max(inner)), float(boundary)
+    return float(np.max(deviation)), float(np.max(inner))
 
 
 def wigner_from_characteristic(chi: CharacteristicGrid,

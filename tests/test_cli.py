@@ -617,7 +617,7 @@ def test_hudson_squeezed_needs_no_wide_window(tmp_path):
     report = load(out, "hudson.json")
     assert report["classification"] == "gaussian_nonnegative"
     assert abs(report["covariance_purity"] - 1) <= 1e-12
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
 
 
 def test_hudson_and_hvm_compare_agree_on_small_cats(tmp_path, capsys):
@@ -802,7 +802,7 @@ def test_lemma_check_degraded_cutoff_flags(tmp_path):
 
 def test_lemma_check_bytes_bound_the_measured_peak(tmp_path):
     # the cutoff guard must not undercount lemma-check's working set: at
-    # cutoff 8 the cutoff-free chi tables dominate the whole command; at
+    # cutoff 8 the metaplectic suite's fixed stack dominates the command; at
     # 240 the c x c matrices of its two largest cases and of the
     # metaplectic suite do, and the command holds one of them at a time
     def traced_peak(job):

@@ -10,8 +10,8 @@ from wignerhvm import fockspace
 from wignerhvm.cli import _multiplicativity_cases
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.states import StateSpec, make_state
-from wignerhvm.weyl import (default_observable_char_spec, quantize_linear,
-                            quantize_terms)
+from wignerhvm.weyl import quantize_linear, quantize_terms
+from wignerhvm.wigner import GridSpec
 
 from reference import (allocating_laguerre_diagonals, diagonal_offset_depths,
                        displacement_matrix, full_depth_displacement_trace,
@@ -198,7 +198,7 @@ def test_offset_skipping_keeps_every_bit_of_the_full_depth_loop(monkeypatch):
         return real(x, offsets)
 
     monkeypatch.setattr(fockspace, "_laguerre_diagonals", recorded)
-    spec = default_observable_char_spec(2, 30)
+    spec = GridSpec(2, 10.0, 61)
     vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
     alphas = (vq + 1j * vp) / np.sqrt(2)
     parity = (-1.0) ** np.arange(30)[:, None]

@@ -88,6 +88,14 @@ def test_cat_amplitudes_match_gammaln_route(alpha):
     assert np.all(np.isfinite(cat_state(alpha, 400).matrix))
 
 
+def test_cat_past_the_overflow_of_alpha_to_the_n():
+    # 2^n overflowed past n = 1024; the coherent amplitudes form no alpha^n
+    big = cat_state(2.0, 1100)
+    assert big.leakage < 1e-12
+    small = cat_state(2.0, 30).matrix
+    assert np.max(np.abs(big.matrix[:30, :30] - small)) <= 1e-15
+
+
 def test_cat_cutoff_too_small():
     with pytest.raises(LeakageError):
         make_state(spec("cat", cutoff=6, alpha=2.0))

@@ -8,18 +8,17 @@ from wignerhvm import fockspace
 from wignerhvm.oracle import homodyne_density
 from wignerhvm.states import (FockDensityOperator, GaussianState, StateSpec,
                               gaussian_to_fock, make_state)
-from wignerhvm.wigner import (CharacteristicGrid, GridSpec,
-                              InadequateWindowError, MixedStateError,
+from wignerhvm.wigner import (GridSpec, InadequateWindowError, MixedStateError,
                               WignerGrid, characteristic_at_points,
                               covariance_state, hudson_classify,
                               log_negativity, min_value, negativity_volume,
                               sidecar_dict, state_wigner, wigner_fock_direct,
                               wigner_gaussian, wigner_to_csv)
 
-from reference import (characteristic_function, complex_parity_wigner,
-                       expression_wigner_gaussian, full_grid_parity_trace,
-                       grid_moment, pinned_gaussians, position_marginal,
-                       wigner_from_characteristic)
+from reference import (CharacteristicGrid, characteristic_function,
+                       complex_parity_wigner, expression_wigner_gaussian,
+                       full_grid_parity_trace, grid_moment, pinned_gaussians,
+                       position_marginal, wigner_from_characteristic)
 
 GRID = GridSpec(1, 6.0, 257)
 CHAR = GridSpec(1, 16.0, 257)
@@ -569,6 +568,19 @@ def test_min_value_holds_no_float_grid():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1025 ** 2, peak  # the boolean tie mask only
+
+
+def test_hudson_classify_holds_no_magnitude_grid():
+    # the grid, the boolean tie mask and no |W| grid for the clamp
+    spec = GridSpec(1, 6.0, 1025)
+    hudson_classify(fock(1, 25), GridSpec(1, 6.0, 41))  # set-up
+    tracemalloc.start()
+    try:
+        hudson_classify(fock(1, 25), spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * spec.points ** 2, peak / (8 * spec.points ** 2)
 
 
 def test_photon_subtracted_matches_scaled_kernel():

@@ -46,23 +46,6 @@ def kronecker_sum(factors) -> np.ndarray:
     return dense.reshape(dim, dim)
 
 
-def kronecker_factors(matrix: np.ndarray, mode_count: int) -> list[np.ndarray]:
-    """Exact per-mode factor stacks of a dense one- or two-mode operator.
-
-    Two modes use the realignment A = sum_(i,j) |i><j| (x) A_ij with blocks
-    A_ij[k, l] = <i k|A|j l>: the c^2 matrix units are the first factors.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    if mode_count == 1:
-        return [matrix[None]]
-    if mode_count != 2:
-        raise ValueError("Kronecker factors supported for m <= 2")
-    c = round(matrix.shape[0] ** 0.5)
-    units = np.eye(c * c, dtype=complex).reshape(c * c, c, c)
-    blocks = matrix.reshape(c, c, c, c).transpose(0, 2, 1, 3)
-    return [units, blocks.reshape(c * c, c, c)]
-
-
 def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
     """<n|alpha> = e^(-|alpha|^2/2) alpha^n / sqrt(n!) for n < cutoff, shape
     (cutoff, *alpha.shape), as a running product of alpha / sqrt(n): no
@@ -73,95 +56,6 @@ def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # |alpha|^2 = inf: every amplitude 0
         head = np.exp(-np.abs(alpha) ** 2 / 2)
     return np.cumprod(np.concatenate([head[None], alpha / roots]), axis=0)
-
-
-def _laguerre_diagonals(x, depths):
-    """Yield (k, n, sqrt(n!/(n+k)!) e^(-x/2) L_n^k(x)) for n < depths[k].
-
-    Offsets k come in increasing order, each with n = 0 .. depths[k]-1; an
-    offset of depth 0 yields nothing.  Depths cutoff - k give every
-    n + k < cutoff.  The stable three-term recurrence in n runs on the
-    e^(-x/2)-scaled polynomials and carries the square-root prefactor
-    multiplicatively, so no factorials appear and a shorter depth only
-    drops the tail of the same values.  Each step
-    ((2n + k + 1 - x) L_n - (n + k) L_(n-1)) / (n + 1) is taken in place on
-    three rotating buffers, one IEEE operation at a time as the plain
-    expression would round it; every yielded value is a new array.
-    """
-    env = np.exp(-x / 2)
-    head = 1.0  # 1/sqrt(k!)
-    lag, lag_prev, spare = (np.empty_like(env) for _ in range(3))
-    for k, depth in enumerate(depths):
-        if k:
-            head /= np.sqrt(k)
-        pref = head
-        np.copyto(lag, env)
-        lag_prev.fill(0.0)
-        for n in range(depth):
-            yield k, n, pref * lag
-            if n + 1 < depth:
-                np.subtract(2 * n + k + 1, x, out=spare)
-                spare *= lag
-                lag_prev *= n + k
-                spare -= lag_prev
-                spare /= n + 1
-                lag_prev, lag, spare = lag, spare, lag_prev
-            pref *= np.sqrt((n + 1) / (n + 1 + k))
-
-
-def _offset_depths(used: np.ndarray) -> list[int]:
-    """Per offset k, one past the last n with used[n, n+k] or used[n+k, n].
-
-    One pass over the used entries: entry (i, j) sits on offset |j - i| at
-    n = min(i, j).
-    """
-    rows, cols = np.nonzero(used)
-    depths = np.zeros(len(used), dtype=int)
-    np.maximum.at(depths, np.abs(cols - rows), np.minimum(rows, cols) + 1)
-    return depths.tolist()
-
-
-def displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
-    """Tr[A_s D(alpha)], shape (r, *alphas.shape), for an (r, c, c) stack A.
-
-    Offset k adds u alpha^k + l conj(alpha^k) = (u + l) Re alpha^k
-    + i (u - l) Im alpha^k, with u = sum_n A_s[n, n+k] v_n, l = (-1)^k
-    sum_n A_s[n+k, n] v_n (0 for k = 0) and radial factors v_n(|alpha|^2).
-    That is an identity for any complex u and l, so A need not be Hermitian.
-    The recurrence runs once per distinct |alpha|^2 for the whole stack,
-    and for offset k only up to the last n whose A_s[n, n+k] or
-    A_s[n+k, n] is nonzero in some row; an offset with both diagonals zero
-    is skipped.  alpha^k is a running product that takes one factor per
-    offset, skipped or not, so it keeps the bits of the full loop; no
-    cutoff-by-alphas array is held.  It serves a state's chi at points; a
-    Wigner grid takes hermite_coefficients, which has no alpha^k.
-    """
-    A = np.asarray(A, dtype=complex)
-    alphas = np.asarray(alphas, dtype=complex)
-    flat = alphas.reshape(-1)
-    rows = len(A)
-    radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
-    out = np.zeros((rows, flat.size), dtype=complex)
-    power = np.ones(flat.shape, dtype=complex)  # alpha^k
-    used = A.any(axis=0)  # entries nonzero in some row
-    depths = _offset_depths(used)
-    reached = 0  # power holds alpha^reached
-    for k, n, value in _laguerre_diagonals(radii, depths):
-        if n == 0:
-            for _ in range(k - reached):
-                power *= flat
-            reached = k
-            upper = np.zeros((rows, radii.size), dtype=complex)  # u_k
-            lower = np.zeros((rows, radii.size), dtype=complex)  # l_k
-        if used[n, n + k]:
-            upper += A[:, n, n + k, None] * value
-        if k and used[n + k, n]:
-            lower += (-1) ** k * A[:, n + k, n, None] * value
-        if n == depths[k] - 1:
-            for s in np.flatnonzero(upper.any(axis=1) | lower.any(axis=1)):
-                out[s] += (upper[s] + lower[s])[where] * power.real
-                out[s] += (1j * (upper[s] - lower[s]))[where] * power.imag
-    return out.reshape(rows, *alphas.shape)
 
 
 def _bargmann(A: np.ndarray, b: np.ndarray, g0, cutoff: int) -> np.ndarray:

@@ -9,7 +9,9 @@ Tr[rho D(v)], and the Wigner function is the symplectic Fourier transform
 with the sign pairing chosen so that a displaced state's Wigner function
 peaks at its mean and the transform of a quadrature operator is the linear
 coordinate itself.  The (2 pi)^(-2m) constant makes Int W = 1 for every
-mode count.
+mode count.  A one-mode Fock state's W is sum_jk C_jk g_j(q) g_k(p) over
+Hermite functions, which the transform maps to themselves, so its chi is
+read from the same C (characteristic_at_points).
 """
 
 from __future__ import annotations
@@ -179,19 +181,24 @@ def _normalized_on_window(grid: WignerGrid) -> WignerGrid:
     return grid
 
 
-def _trace_tables(factors, alphas) -> list[np.ndarray]:
-    """Per-mode tables t[k][s] = Tr[B_sk D(alpha)] over alphas[k].
-
-    A = sum_s B_s0 (x) B_s1 is given by its per-mode factor stacks, and
-    D(v) = D(v1) (x) D(v2), so Tr[A D(v)] = sum_s prod_k t[k][s] at each v.
-    """
-    if len(factors) > 2:
-        raise ValueError("phase-space grids supported for m <= 2")
-    return list(map(fockspace.displacement_trace, factors, alphas))
+def _hermite_table(n_max: int, x) -> np.ndarray:
+    """g_0..g_n_max at x, g_j(x) = 2^(1/4) psi_j(sqrt(2) x), the functions
+    of fockspace.hermite_coefficients, as an (n_max + 1, x.size) table."""
+    table = fockspace.hermite_functions(n_max, np.sqrt(2) * x)
+    table *= 2 ** 0.25
+    return table
 
 
 def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
-    """chi(v) at arbitrary phase-space points (closed form or exact trace)."""
+    """chi(v) at arbitrary phase-space points: the Gaussian closed form, or
+    for one Fock mode the Hermite coefficients C of its Wigner function.
+
+    chi(v) = Int W(z) exp(i [v, z]) dz with [v, z] = v_p q - v_q p, and the
+    g_j map to sqrt(pi) i^j g_j(. / 2) under that transform, so chi(v) =
+    pi sum_jk C_jk i^j (-i)^k g_j(v_p / 2) g_k(v_q / 2).  The sum is one
+    unoptimized np.einsum, which calls no BLAS, so the bits do not depend
+    on the thread count.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = state.mode_count
     if isinstance(state, GaussianState):
@@ -199,9 +206,13 @@ def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
         phase = 1j * (k @ state.mean)
         damp = -0.5 * np.einsum("ij,jk,ik->i", k, state.covariance, k)
         return np.exp(phase + damp)
-    factors = fockspace.kronecker_factors(state.matrix, m)
-    alphas = (pts[:, :m] + 1j * pts[:, m:]) / np.sqrt(2)
-    return np.prod(_trace_tables(factors, alphas.T), axis=0).sum(axis=0)
+    if m != 1:
+        raise ValueError("the Fock characteristic route takes one mode")
+    coef = fockspace.hermite_coefficients(state.matrix)
+    powers = np.array([1, 1j, -1, -1j])[np.arange(len(coef)) % 4, None]
+    by_p = powers * _hermite_table(len(coef) - 1, pts[:, 1] / 2)  # i^j g_j
+    by_q = powers.conj() * _hermite_table(len(coef) - 1, pts[:, 0] / 2)
+    return np.pi * np.einsum("jk,jx,kx->x", coef, by_p, by_q)
 
 
 def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
@@ -210,18 +221,16 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
 
     W(q, p) = sum_jk C_jk g_j(q) g_k(p) (fockspace.hermite_coefficients),
     so the grid is A C A^T with A the table of the g_j on the axis
-    (fockspace.hermite_functions).  Both products are unoptimized
-    two-operand np.einsum calls, which call no BLAS, so the bits do not
-    depend on the thread count; they are formed for a block of about
-    fockspace.BLOCK_NODES nodes (grid rows) at a time, each with the bits
-    of the whole product.  Beside the grid, which owns its bytes, it holds
+    (_hermite_table).  Both products are unoptimized two-operand np.einsum
+    calls, which call no BLAS, so the bits do not depend on the thread
+    count; they are formed for a block of about fockspace.BLOCK_NODES
+    nodes (grid rows) at a time, each with the bits of the whole product.  Beside the grid, which owns its bytes, it holds
     C, A (D + 1 floats per axis node) and one block's first product.
     """
     if spec.mode_count != 1 or rho.mode_count != 1:
         raise ValueError("the Fock grid route takes one mode")
     coef = fockspace.hermite_coefficients(rho.matrix)
-    table = fockspace.hermite_functions(len(coef) - 1, np.sqrt(2) * spec.axis)
-    table *= 2 ** 0.25
+    table = _hermite_table(len(coef) - 1, spec.axis)
     values = np.empty(spec.shape)
     step = max(1, fockspace.BLOCK_NODES // spec.points)
     for start in range(0, spec.points, step):

@@ -1,11 +1,20 @@
 """Dense reference routines used only by the tests.
 
-`displacement_matrix` is the full <m|D(alpha)|n> table from the package's
-Laguerre recurrence; the tests pin it against the closed form and the
-matrix exponential, and use it as the reference for the stacked trace
-`fockspace.displacement_trace`.  `full_depth_displacement_trace` is that
-trace with the recurrence run to full depth on every offset, the loop the
-package used before it learnt to skip unused offsets.
+`allocating_laguerre_diagonals` is the displacement-element (Laguerre)
+recurrence, the tests' only one: the package reads a Fock state's chi from
+the Hermite coefficients of its Wigner function
+(`wigner.characteristic_at_points`), and this recurrence is the
+independent route that chi is pinned against.  `displacement_matrix` is
+the full <m|D(alpha)|n> table, which runs on this recurrence; the tests
+pin it against the closed form and the matrix exponential.
+`full_depth_displacement_trace` is the stacked trace Tr[A_s D(alpha)] with
+the recurrence run to full depth on every offset, pinned against
+`displacement_matrix`; `kronecker_factors` splits a dense one- or two-mode
+operator into per-mode factor stacks, `trace_tables` takes each stack's
+traces, and `trace_characteristic_at_points` is a Fock state's chi at
+points on them, for one or two modes: the package's Fock route before it
+read chi from the Hermite coefficients.  `diagonal_offset_depths` reads
+each offset's last used level from its two diagonals.
 `whole_product_characteristic_deviations` is the hidden-variable model's
 characteristic check with the first axis contracted by one cos and one
 sin product spanning the grid, as the package contracted it before it
@@ -27,11 +36,6 @@ expression, a new array per step, and `copying_hvm_measure` clamps and
 normalizes a grid into a second copy: the package's forms before each
 learnt to finish its grid in place; `pinned_gaussians` are the states
 and grids on which the tests compare them bit for bit.
-`allocating_laguerre_diagonals` is the displacement-element recurrence
-with a new array per step, the loop the package ran before it stepped in
-place; `diagonal_offset_depths` reads each offset's depth from its two
-diagonals, one pair of `np.diagonal` calls per offset, as the package did
-before it took every used entry in one pass.
 `complex_parity_wigner` is Royer's parity identity W(z) = pi^-m
 Tr[P rho D(2 alpha(z))] formed in complex arithmetic from both diagonals
 of every offset, for one or two modes: the two-mode Fock grid, which no
@@ -85,7 +89,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from wignerhvm import fockspace
-from wignerhvm.fockspace import _laguerre_diagonals, _offset_depths
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.special import sine_integral
 from wignerhvm.states import GaussianState, StateSpec, make_state
@@ -93,7 +96,7 @@ from wignerhvm.weyl import (PolynomialObservable, _coherent_table,
                             _kronecker_grid, _require_real, _smoothed,
                             _smoothing_terms, quantize_linear, quantize_terms)
 from wignerhvm.wigner import (BOUNDARY_DECAY, GridSpec, InadequateWindowError,
-                              WignerGrid, _normalized_on_window, _trace_tables,
+                              WignerGrid, _normalized_on_window,
                               characteristic_at_points)
 
 IMAG_RESIDUE = 1e-8
@@ -116,8 +119,8 @@ def displacement_matrix(alpha, cutoff: int) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=complex)
     out = np.zeros((cutoff, cutoff) + alpha.shape, dtype=complex)
-    for k, n, value in _laguerre_diagonals(np.abs(alpha) ** 2,
-                                           range(cutoff, 0, -1)):
+    for k, n, value in allocating_laguerre_diagonals(np.abs(alpha) ** 2,
+                                                     range(cutoff, 0, -1)):
         if n == 0:
             up = alpha ** k
             down = (-1) ** k * np.conj(up)
@@ -136,7 +139,8 @@ def full_depth_displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
     out = np.zeros((rows, flat.size), dtype=complex)
     power = np.ones(flat.shape, dtype=complex)  # alpha^k
     used = A.any(axis=0)
-    for k, n, value in _laguerre_diagonals(radii, range(cutoff, 0, -1)):
+    for k, n, value in allocating_laguerre_diagonals(radii,
+                                                     range(cutoff, 0, -1)):
         if n == 0:
             if k:
                 power *= flat
@@ -154,7 +158,14 @@ def full_depth_displacement_trace(A: np.ndarray, alphas) -> np.ndarray:
 
 
 def allocating_laguerre_diagonals(x, depths):
-    """The same (k, n, value) triples, each recurrence step a new array."""
+    """Yield (k, n, sqrt(n!/(n+k)!) e^(-x/2) L_n^k(x)) for n < depths[k].
+
+    Offsets k come in increasing order, each with n = 0 .. depths[k]-1; an
+    offset of depth 0 yields nothing.  Depths cutoff - k give every
+    n + k < cutoff.  The stable three-term recurrence in n runs on the
+    e^(-x/2)-scaled polynomials and carries the square-root prefactor
+    multiplicatively, so no factorials appear; each step is a new array.
+    """
     env = np.exp(-x / 2)
     head = 1.0  # 1/sqrt(k!)
     for k, depth in enumerate(depths):
@@ -179,14 +190,50 @@ def diagonal_offset_depths(used: np.ndarray) -> list[int]:
     return depths
 
 
+def kronecker_factors(matrix: np.ndarray, mode_count: int) -> list[np.ndarray]:
+    """Exact per-mode factor stacks of a dense one- or two-mode operator.
+
+    Two modes use the realignment A = sum_(i,j) |i><j| (x) A_ij with blocks
+    A_ij[k, l] = <i k|A|j l>: the c^2 matrix units are the first factors.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    if mode_count == 1:
+        return [matrix[None]]
+    if mode_count != 2:
+        raise ValueError("Kronecker factors supported for m <= 2")
+    c = round(matrix.shape[0] ** 0.5)
+    units = np.eye(c * c, dtype=complex).reshape(c * c, c, c)
+    blocks = matrix.reshape(c, c, c, c).transpose(0, 2, 1, 3)
+    return [units, blocks.reshape(c * c, c, c)]
+
+
+def trace_tables(factors, alphas) -> list[np.ndarray]:
+    """Per-mode tables t[k][s] = Tr[B_sk D(alpha)] over alphas[k].
+
+    A = sum_s B_s0 (x) B_s1 is given by its per-mode factor stacks, and
+    D(v) = D(v1) (x) D(v2), so Tr[A D(v)] = sum_s prod_k t[k][s] at each v.
+    """
+    return list(map(full_depth_displacement_trace, factors, alphas))
+
+
+def trace_characteristic_at_points(state, points) -> np.ndarray:
+    """A Fock state's chi(v) = Tr[rho D(v)] at points, one or two modes,
+    from the displacement traces of its per-mode factor stacks."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m = state.mode_count
+    alphas = (pts[:, :m] + 1j * pts[:, m:]) / np.sqrt(2)
+    tables = trace_tables(kronecker_factors(state.matrix, m), alphas.T)
+    return np.prod(tables, axis=0).sum(axis=0)
+
+
 def complex_parity_wigner(rho, spec: GridSpec) -> np.ndarray:
     """Re pi^-m Tr[P rho D(2 alpha(z))] from complex displacement traces."""
     parity = (-1.0) ** np.arange(rho.cutoff)
     factors = [parity[:, None] * f for f in
-               fockspace.kronecker_factors(rho.matrix, rho.mode_count)]
+               kronecker_factors(rho.matrix, rho.mode_count)]
     vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
     alphas = 2.0 * (vq + 1j * vp) / np.sqrt(2)
-    raw = _kronecker_grid([fockspace.displacement_trace(f, alphas)
+    raw = _kronecker_grid([full_depth_displacement_trace(f, alphas)
                            for f in factors])
     return (raw / np.pi ** rho.mode_count).real
 
@@ -211,9 +258,9 @@ def full_grid_parity_trace(rho, alphas) -> np.ndarray:
     total = out.reshape(-1)  # a view: sums land in out
     term = np.empty(flat.shape)
     power = np.ones(flat.shape, dtype=complex)  # alpha^k
-    depths = _offset_depths(upper != 0)
+    depths = diagonal_offset_depths(upper != 0)
     reached = 0  # power holds alpha^reached
-    for k, n, value in _laguerre_diagonals(radii, depths):
+    for k, n, value in allocating_laguerre_diagonals(radii, depths):
         if n == 0:
             for _ in range(k - reached):
                 power *= flat
@@ -257,7 +304,7 @@ def characteristic_observable(factors, spec: GridSpec) -> CharacteristicGrid:
     """Tr[A D(v)] for an operator given by its per-mode factor stacks."""
     vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
     alphas = (vq + 1j * vp) / np.sqrt(2)  # each mode's (v_q, v_p) plane
-    return CharacteristicGrid(spec, _trace_tables(
+    return CharacteristicGrid(spec, trace_tables(
         factors, [alphas] * spec.mode_count))
 
 
@@ -271,7 +318,7 @@ def origin_value(chi: CharacteristicGrid) -> complex:
 def characteristic_function(rho, spec: GridSpec) -> CharacteristicGrid:
     """chi(v) = Tr[rho D(v)] from the exact displacement matrix elements."""
     grid = characteristic_observable(
-        fockspace.kronecker_factors(rho.matrix, rho.mode_count), spec)
+        kronecker_factors(rho.matrix, rho.mode_count), spec)
     if abs(origin_value(grid) - 1.0) > 1e-6:
         raise ValueError("characteristic function origin deviates from 1")
     return grid

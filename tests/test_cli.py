@@ -311,6 +311,13 @@ STATE_PARAMS = {"vacuum": None, "coherent": "alpha", "squeezed": "r",
                 "photon_subtracted_squeezed": "r"}
 
 
+# log-uniform magnitudes from 1e-300 to 1e300 of either sign, nan and +-inf
+WIDE_FLOATS = st.one_of(
+    st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+              st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)),
+    st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
 @st.composite
 def state_specs(draw):
     kind = draw(st.sampled_from(sorted(STATE_PARAMS)))
@@ -320,7 +327,8 @@ def state_specs(draw):
     if name == "n":
         spec["params"] = {name: draw(st.integers(-1, 8))}
     elif name is not None:
-        spec["params"] = {name: draw(st.floats(-1.0, 2.0))}
+        spec["params"] = {name: draw(st.one_of(st.floats(-1.0, 2.0),
+                                               WIDE_FLOATS))}
     cutoff = draw(st.one_of(st.none(), st.integers(0, 12)))
     if cutoff is not None:
         spec["cutoff"] = cutoff
@@ -333,9 +341,10 @@ def state_specs(draw):
        spec=state_specs(), points=st.integers(0, 10).map(lambda k: 2 * k + 1),
        char_points=st.one_of(st.none(),
                              st.integers(0, 20).map(lambda k: 2 * k + 1)),
-       window=st.floats(0.5, 10.0))
+       window=st.one_of(st.floats(0.5, 10.0), WIDE_FLOATS))
 def test_exit_codes_hold_for_drawn_inputs(command, spec, points, char_points,
                                          window):
+    # no RuntimeWarning either: each one is raised as an error
     argv = [command, "--state", json.dumps(spec), "--points", str(points),
             "--window", str(window)]
     if char_points is not None:
@@ -345,7 +354,9 @@ def test_exit_codes_hold_for_drawn_inputs(command, spec, points, char_points,
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, \
             contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(argv + ["--out", out])
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -7,14 +7,10 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from wignerhvm import fockspace
-from wignerhvm.cli import _multiplicativity_cases
 from wignerhvm.phase_space import random_symplectic
-from wignerhvm.states import StateSpec, make_state
-from wignerhvm.weyl import quantize_linear, quantize_terms
-from wignerhvm.wigner import GridSpec
+from wignerhvm.weyl import quantize_linear
 
-from reference import (allocating_laguerre_diagonals, diagonal_offset_depths,
-                       displacement_matrix, full_depth_displacement_trace,
+from reference import (displacement_matrix, full_depth_displacement_trace,
                        member_bargmann, member_metaplectic_operator,
                        whole_table_hermite_functions)
 
@@ -81,160 +77,11 @@ def test_displacement_trace_matches_table_contraction():
                    [0.0, 0.0], [0.7, -2.4]])
     alphas = ((qp[:, 0] + 1j * qp[:, 1]) / np.sqrt(2)).reshape(2, 5)
     assert np.unique(np.abs(alphas) ** 2).size < alphas.size
-    got = fockspace.displacement_trace(A[None], alphas)[0]
+    got = full_depth_displacement_trace(A[None], alphas)[0]
     table = displacement_matrix(alphas, cutoff)
     want = np.einsum("ij,ji...->...", A, table)
     assert got.shape == alphas.shape
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
-
-
-def reference_displacement_trace(A, alphas):
-    """The earlier displacement_trace loop: alpha^k by pow, conj for -k."""
-    A = np.asarray(A, dtype=complex)
-    alphas = np.asarray(alphas, dtype=complex)
-    flat = alphas.reshape(-1)
-    cutoff = A.shape[0]
-    radii, where = np.unique(np.abs(flat) ** 2, return_inverse=True)
-    out = np.zeros(flat.shape, dtype=complex)
-    for k, n, value in fockspace._laguerre_diagonals(
-            radii, range(cutoff, 0, -1)):
-        if n == 0:
-            upper = np.zeros(radii.shape, dtype=complex)  # A[n, n+k] terms
-            lower = np.zeros(radii.shape, dtype=complex)  # A[n+k, n] terms
-        if A[n, n + k]:
-            upper += A[n, n + k] * value
-        if k and A[n + k, n]:
-            lower += A[n + k, n] * value
-        if n == cutoff - 1 - k and (upper.any() or lower.any()):
-            power = flat ** k
-            out += upper[where] * power
-            if k:
-                out += lower[where] * ((-1) ** k * np.conj(power))
-    return out.reshape(alphas.shape)
-
-
-def test_displacement_trace_matches_reference_loop():
-    grid = np.linspace(-6.0, 6.0, 61)
-    vq, vp = np.meshgrid(grid, grid, indexing="ij")
-    alphas = (vq + 1j * vp) / np.sqrt(2)
-    rng = np.random.default_rng(11)
-    cat = make_state(StateSpec("cat", {"alpha": 2.0}, 1, 30)).matrix
-    gkp = make_state(StateSpec("gkp", {"delta": 0.3}, 1, 60)).matrix
-    pss = make_state(StateSpec("photon_subtracted_squeezed", {"r": 0.5},
-                               1, 30)).matrix
-    parity = (-1.0) ** np.arange(30)[:, None]
-    general = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
-    gapped = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    gapped[np.arange(9), np.arange(3, 12)] = 0  # offset +3
-    gapped[np.arange(3, 12), np.arange(9)] = 0  # offset -3
-    # exactly repeated radii: (q, p) <-> (p, q), sign flips, and the origin
-    qp = np.array([[0.3, 1.1], [1.1, 0.3], [-0.3, 1.1], [0.3, -1.1],
-                   [-1.1, -0.3], [2.0, 0.0], [-2.0, 0.0], [0.0, 2.0],
-                   [0.0, 0.0], [0.7, -2.4]])
-    repeated = ((qp[:, 0] + 1j * qp[:, 1]) / np.sqrt(2)).reshape(2, 5)
-    cases = [(cat, alphas), (gkp, alphas), (parity * pss, 2 * alphas),
-             (general, alphas), (gapped, alphas), (general, repeated)]
-    for A, points in cases:
-        want = reference_displacement_trace(A, points)
-        got = fockspace.displacement_trace(A[None], points)[0]
-        assert got.shape == points.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_displacement_trace_stack_rows_match_reference_loop():
-    """One call on an (r, c, c) stack gives each row's own trace."""
-    grid = np.linspace(-6.0, 6.0, 61)
-    vq, vp = np.meshgrid(grid, grid, indexing="ij")
-    alphas = (vq + 1j * vp) / np.sqrt(2)
-    rng = np.random.default_rng(5)
-    c = 6
-    general = rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c))
-    gapped = rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c))
-    gapped[np.arange(3), np.arange(3, 6)] = 0  # offset +3
-    gapped[np.arange(3, 6), np.arange(3)] = 0  # offset -3
-    # the matrix units kronecker_factors makes for a dense two-mode rho
-    dim = c * c
-    root = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = root @ root.conj().T
-    units, blocks = fockspace.kronecker_factors(rho / np.trace(rho), 2)
-    assert units.shape == (c * c, c, c)
-    stack = np.concatenate([np.zeros((1, c, c)), general[None], gapped[None],
-                            units, blocks])
-    got = fockspace.displacement_trace(stack, alphas)
-    assert got.shape == (len(stack),) + alphas.shape
-    assert not got[0].any()
-    for A, row in zip(stack[1:], got[1:]):
-        want = reference_displacement_trace(A, alphas)
-        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_in_place_recurrence_keeps_every_bit_of_the_allocating_loop():
-    """Each yielded value equals the allocating loop's, bit for bit."""
-    grid = np.linspace(-10.0, 10.0, 161)
-    radii = np.unique(2 * (grid[:, None] ** 2 + grid[None, :] ** 2))
-    cases = [(radii, range(60, 0, -1)), (radii, [3, 0, 0, 5, 1, 0, 2]),
-             (radii[:7], [0, 0, 4]), (np.float64(2.25), range(12, 0, -1)),
-             (np.array(0.7), [4, 2, 0, 3]), (1.3, [2, 2])]
-    for x, depths in cases:
-        got = list(fockspace._laguerre_diagonals(x, depths))
-        want = list(allocating_laguerre_diagonals(x, depths))
-        assert [(k, n) for k, n, _ in got] == [(k, n) for k, n, _ in want]
-        for (_, _, a), (_, _, b) in zip(got, want):
-            assert type(a) is type(b) and np.shape(a) == np.shape(b)
-            assert np.array_equal(a, b)
-    # each value is a new array, so a kept one is not overwritten
-    kept = [v for _, _, v in fockspace._laguerre_diagonals(radii, [3, 3])]
-    want = [v for _, _, v in allocating_laguerre_diagonals(radii, [3, 3])]
-    assert all(np.array_equal(a, b) for a, b in zip(kept, want))
-
-
-def test_offset_skipping_keeps_every_bit_of_the_full_depth_loop(monkeypatch):
-    """Unused offsets and diagonal tails are skipped, bit for bit."""
-    depths = []
-    real = fockspace._laguerre_diagonals
-
-    def recorded(x, offsets):
-        depths.append(list(offsets))
-        return real(x, offsets)
-
-    monkeypatch.setattr(fockspace, "_laguerre_diagonals", recorded)
-    spec = GridSpec(2, 10.0, 61)
-    vq, vp = np.meshgrid(spec.axis, spec.axis, indexing="ij")
-    alphas = (vq + 1j * vp) / np.sqrt(2)
-    parity = (-1.0) ** np.arange(30)[:, None]
-
-    def matrix(kind, params, cutoff=30):
-        return make_state(StateSpec(kind, params, 1, cutoff)).matrix[None]
-
-    pss = matrix("photon_subtracted_squeezed", {"r": 0.5})
-    stacks = [(matrix("fock", {"n": 1}), alphas),
-              (matrix("fock", {"n": 5}), alphas),
-              (matrix("cat", {"alpha": 2.0}), alphas),
-              (pss, alphas), (parity * pss, 2 * alphas),
-              (matrix("gkp", {"delta": 0.3}, 60), alphas)]
-    for _, obs in _multiplicativity_cases(30):
-        stacks += [(stack, alphas) for stack in quantize_terms(obs, 30)]
-    for A, points in stacks:
-        got = fockspace.displacement_trace(A, points)
-        assert np.array_equal(got, full_depth_displacement_trace(A, points))
-    # |1><1| needs offset 0 to n = 1 only and |5><5| offset 0 to n = 5; the
-    # even cat has no odd offsets and no odd level, so offset k stops at
-    # n = 28 - k
-    assert depths[0] == [2] + [0] * 29
-    assert depths[1] == [6] + [0] * 29
-    assert depths[2] == [29 - k if k % 2 == 0 else 0 for k in range(30)]
-
-
-def test_offset_depths_match_the_diagonal_loop():
-    """One pass over the used entries gives each diagonal pair's depth."""
-    rng = np.random.default_rng(36)
-    for c in (1, 2, 30, 60):
-        masks = [rng.random((c, c)) < q for q in (0.02, 0.3, 1.0)]
-        masks += [np.diag(rng.random(c) < 0.5), np.zeros((c, c), dtype=bool)]
-        for used in masks:
-            got = fockspace._offset_depths(used)
-            assert got == diagonal_offset_depths(used), c
-            assert all(type(d) is int for d in got)
 
 
 def test_metaplectic_two_mode_covariance_and_group_law():

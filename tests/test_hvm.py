@@ -29,6 +29,7 @@ from reference import (cell_probabilities, copying_hvm_measure,
                        complex_parity_wigner, full_grid_event_probability,
                        lattice_event_probability, pinned_gaussians,
                        searchsorted_sample, serial_slab_event_probability,
+                       trace_characteristic_at_points,
                        whole_product_characteristic_deviations)
 
 GRID = GridSpec(1, 6.0, 257)
@@ -258,11 +259,13 @@ def lossy_pair(eta, cutoff):
     return FockDensityOperator(matrix, cutoff, 2)
 
 
-def test_two_mode_forward_direction_against_fock_oracle():
+def test_two_mode_forward_direction_against_fock_oracle(monkeypatch):
     # not Gaussian, and mode-mixing labels take the oracle through a
     # two-mode metaplectic rotation; exact events and characteristic
-    # checks only, no sampling.  No command builds a two-mode Fock grid:
-    # the reference's parity identity does
+    # checks only, no sampling.  No command builds a two-mode Fock grid or
+    # its chi: the reference's parity identity and displacement traces do
+    monkeypatch.setattr(hvm, "characteristic_at_points",
+                        trace_characteristic_at_points)
     state = lossy_pair(0.4, 4)
     spec = GridSpec(2, 6.0, 41)
     model = build_hvm(WignerGrid(spec, complex_parity_wigner(state, spec)))

@@ -17,8 +17,10 @@ from wignerhvm.wigner import (GridSpec, InadequateWindowError, MixedStateError,
 
 from reference import (CharacteristicGrid, characteristic_function,
                        complex_parity_wigner, expression_wigner_gaussian,
-                       full_grid_parity_trace, grid_moment, pinned_gaussians,
-                       position_marginal, wigner_from_characteristic)
+                       full_depth_displacement_trace, full_grid_parity_trace,
+                       grid_moment, pinned_gaussians, position_marginal,
+                       trace_characteristic_at_points,
+                       wigner_from_characteristic)
 
 GRID = GridSpec(1, 6.0, 257)
 CHAR = GridSpec(1, 16.0, 257)
@@ -149,13 +151,38 @@ def test_characteristic_at_points_routes_agree():
     fockv = characteristic_at_points(rho, pts)
     assert np.max(np.abs(gauss - fockv)) < 1e-8
     assert abs(gauss[0] - 1) < 1e-12
-    # two modes: per-mode trace tables at each point's own amplitudes
+    # two modes: the reference's per-mode trace tables at each point's own
+    # amplitudes; the package's Fock route takes one mode
     coh2 = make_state(StateSpec("coherent", {"alpha": [0.6, -0.4]}, 2))
+    rho2 = gaussian_to_fock(coh2, 12)
     pts2 = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -0.5, 0.3, 2.0],
                      [-1.5, 0.7, 1.2, -0.4], [0.2, 2.2, -1.8, 0.9]])
     gauss2 = characteristic_at_points(coh2, pts2)
-    fock2 = characteristic_at_points(gaussian_to_fock(coh2, 12), pts2)
+    fock2 = trace_characteristic_at_points(rho2, pts2)
     assert np.max(np.abs(gauss2 - fock2)) < 1e-8
+    with pytest.raises(ValueError):
+        characteristic_at_points(rho2, pts2)
+
+
+def test_fock_characteristic_matches_the_displacement_traces():
+    # chi read from the Hermite coefficients against the Laguerre traces,
+    # on 61^2 points over [-6, 6]^2
+    axis = GridSpec(1, 6.0, 61).axis
+    vq, vp = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.stack([vq.ravel(), vp.ravel()], axis=1)
+    alphas = (pts[:, 0] + 1j * pts[:, 1]) / np.sqrt(2)
+    root = np.random.default_rng(43).normal(size=(60, 120)).view(complex)
+    rho = root @ root.conj().T
+    states = [fock(1), fock(5),
+              make_state(StateSpec("cat", {"alpha": 2.0}, 1, 30)),
+              make_state(StateSpec("photon_subtracted_squeezed", {"r": 0.5},
+                                   1, 30)),
+              make_state(StateSpec("gkp", {"delta": 0.3}, 1, 60)),
+              FockDensityOperator(rho / np.trace(rho), 60, 1), fock(59, 61)]
+    for state in states:
+        want = full_depth_displacement_trace(state.matrix[None], alphas)[0]
+        got = characteristic_at_points(state, pts)
+        assert np.max(np.abs(got - want)) <= 1e-13, state.cutoff
 
 
 def test_fourier_route_matches_gaussian_closed_form():
@@ -267,23 +294,6 @@ def test_min_value_location_is_first_near_tie_in_index_order():
     assert min_value(WignerGrid(spec, values)) == (-1.0 - 1e-14, (-1.0, 1.0))
     values[2, 0] = values[1, 1] = -1.0  # exact ties
     assert min_value(WignerGrid(spec, values)) == (-1.0, (-1.0, 1.0))
-
-
-def test_two_mode_grid_runs_one_recurrence_per_mode(monkeypatch):
-    rho = gaussian_to_fock(
-        make_state(StateSpec("coherent", {"alpha": [0.6, -0.4]}, 2)), 8)
-    assert len(fockspace.kronecker_factors(rho.matrix, 2)[0]) == 64
-    calls = []
-    real = fockspace._laguerre_diagonals
-
-    def counted(x, depths):
-        calls.append(list(depths))
-        return real(x, depths)
-
-    monkeypatch.setattr(fockspace, "_laguerre_diagonals", counted)
-    characteristic_function(rho, GridSpec(2, 6.0, 11))
-    # both stacks are dense, so every offset runs to full depth
-    assert calls == [list(range(8, 0, -1))] * 2
 
 
 def test_statistical_moments_match_oracle():

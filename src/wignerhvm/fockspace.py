@@ -265,12 +265,3 @@ def hermite_overlap_cdf(cutoff: int, x) -> np.ndarray:
     out[:, :, finite] = F
     return out.reshape(cutoff, cutoff, *x.shape)
 
-
-def partial_trace_keep_first(rho: np.ndarray, cutoff: int,
-                             mode_count: int) -> np.ndarray:
-    """Trace out all modes except mode 0."""
-    if mode_count == 1:
-        return rho
-    rest = cutoff ** (mode_count - 1)
-    r4 = rho.reshape(cutoff, rest, cutoff, rest)
-    return np.einsum("ikjk->ij", r4)

@@ -1,10 +1,10 @@
 """Truncated-Fock quantum oracle: homodyne statistics as ground truth.
 
 Every probability of zeta . R_hat comes from one CDF: the closed-form
-normal CDF (special.ndtr) for Gaussian states, and for Fock-represented
+normal CDF (special.ndtr) for Gaussian states, and for one-mode Fock
 states the exact trace Tr[rho F(t/|zeta|)] against the Hermite-overlap
-integrals F_mn(x) = int_{-inf}^x psi_m psi_n, after a passive
-metaplectic rotation takes zeta/|zeta| onto the first position axis.
+integrals F_mn(x) = int_{-inf}^x psi_m psi_n, after the phase shift
+e^(-i theta n) takes zeta/|zeta| onto the position axis.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fockspace
-from .phase_space import observable_label, passive_frame
+from .phase_space import observable_label
 from .special import ndtr
 from .states import FockDensityOperator, GaussianState, InadequateWindowError
 
@@ -76,27 +76,21 @@ def _gaussian_marginal(state: GaussianState, zeta: np.ndarray):
     return mean, var
 
 
-def _reduced_rotated_state(rho: FockDensityOperator, zeta: np.ndarray):
-    """Single-mode state whose q-distribution is that of zeta.R/|zeta|; |zeta|.
+def _rotated_state(rho: FockDensityOperator, zeta: np.ndarray):
+    """One-mode matrix whose q-distribution is that of zeta.R/|zeta|; |zeta|.
 
-    The map onto the unit label is passive: S = O^T for the passive frame
-    O of zeta, whose first column is zeta/|zeta|.  It keeps the total
-    photon number, so the exact truncated M is unitary on every state
-    whose total photon number is below the cutoff; the trace guard
-    catches the rest.
+    zeta . R = |zeta| (cos theta q + sin theta p), theta = atan2(zeta_p,
+    zeta_q), and e^(i theta n) q e^(-i theta n) = cos theta q + sin theta p,
+    so the phase shift U = e^(-i theta n) maps rho to U rho U^dag, whose
+    elements are rho[m, n] e^(-i theta (m - n)): diagonal in the Fock
+    basis, exact at any cutoff, and trace-preserving.
     """
-    scale = float(np.linalg.norm(zeta))
-    S = passive_frame(zeta)[0].T
-    matrix = rho.matrix  # e_1^T S = zeta^T/|zeta|: M rho M^dag measures q_1
-    if np.max(np.abs(S - np.eye(len(S)))) >= 1e-12:
-        M = fockspace.metaplectic_operator(S, rho.cutoff)
-        matrix = M @ matrix @ M.conj().T
-    reduced = fockspace.partial_trace_keep_first(
-        matrix, rho.cutoff, rho.mode_count)
-    trace = float(np.trace(reduced).real)
-    if trace < 0.5:
-        raise ValueError("rotation lost most of the state; cutoff too small")
-    return reduced / trace, scale
+    if rho.mode_count != 1:
+        raise ValueError("the Fock oracle takes one mode")
+    theta = np.arctan2(zeta[1], zeta[0])
+    k = np.arange(rho.cutoff)
+    phases = np.exp(-1j * theta * (k[:, None] - k))
+    return rho.matrix * phases, float(np.linalg.norm(zeta))
 
 
 def homodyne_density(state, zeta, axis: np.ndarray) -> np.ndarray:
@@ -107,9 +101,9 @@ def homodyne_density(state, zeta, axis: np.ndarray) -> np.ndarray:
         sd = np.sqrt(var)
         z = (axis - mean) / sd
         return np.exp(-z ** 2 / 2) / np.sqrt(2 * np.pi) / sd
-    reduced, scale = _reduced_rotated_state(state, zeta)
+    rotated, scale = _rotated_state(state, zeta)
     psi = fockspace.hermite_functions(state.cutoff - 1, axis / scale)
-    density = np.einsum("ms,mn,ns->s", psi, reduced, psi).real / scale
+    density = np.einsum("ms,mn,ns->s", psi, rotated, psi).real / scale
     return np.clip(density, 0.0, None)
 
 
@@ -119,9 +113,9 @@ def _cdf(state, zeta, points) -> np.ndarray:
     if isinstance(state, GaussianState):
         mean, var = _gaussian_marginal(state, zeta)
         return ndtr((points - mean) / np.sqrt(var))
-    reduced, scale = _reduced_rotated_state(state, zeta)
+    rotated, scale = _rotated_state(state, zeta)
     F = fockspace.hermite_overlap_cdf(state.cutoff, points / scale)
-    return np.einsum("mn,mn...->...", reduced, F).real
+    return np.einsum("mn,mn...->...", rotated, F).real
 
 
 def quantum_homodyne_distribution(state, zeta,

@@ -117,26 +117,6 @@ class Context:
         return self.generators.shape[0]
 
 
-def passive_frame(generators) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal symplectic O and R with generators @ O = [R^T 0].
-
-    Commuting generators span an isotropic subspace, so the orthonormal Q
-    of generators^T = Q R (diag R > 0) is orthonormal over C^m as q + ip
-    too.  A complex QR completes it to a mode unitary V, unitary even
-    when the padded block is singular, and O = [[Re V, -Im V],
-    [Im V, Re V]] is the passive map whose first k columns are Q.
-    """
-    gens = np.atleast_2d(np.asarray(generators, dtype=float))
-    k, m = gens.shape[0], gens.shape[1] // 2
-    Q, R = np.linalg.qr(gens.T)
-    signs = np.sign(np.diag(R))
-    Q, R = Q * signs, R * signs[:, None]
-    V, r = np.linalg.qr(np.column_stack([Q[:m] + 1j * Q[m:],
-                                         np.eye(m)[:, k:]]))
-    V[:, :k] *= np.diag(r)[:k]  # undo the phase QR put on each column
-    return np.block([[V.real, -V.imag], [V.imag, V.real]]), R
-
-
 def decomposition_commutators(u, v, u2, v2) -> tuple:
     """The commutators behind the two-plane additivity decomposition.
 

@@ -144,10 +144,6 @@ class FockDensityOperator:
         except np.linalg.LinAlgError:
             raise ValueError("density matrix is not positive semidefinite")
 
-    @property
-    def dim(self) -> int:
-        return self.cutoff ** self.mode_count
-
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 

@@ -55,10 +55,6 @@ class PolynomialObservable:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", tuple(normalized))
 
-    @property
-    def degree(self) -> int:
-        return max((sum(e) for _, e in self.terms), default=0)
-
     def __call__(self, *values):
         """Evaluate the classical polynomial (scalars or arrays)."""
         if len(values) != self.context.size:

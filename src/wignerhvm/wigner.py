@@ -224,8 +224,9 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     (_hermite_table).  Both products are unoptimized two-operand np.einsum
     calls, which call no BLAS, so the bits do not depend on the thread
     count; they are formed for a block of about fockspace.BLOCK_NODES
-    nodes (grid rows) at a time, each with the bits of the whole product.  Beside the grid, which owns its bytes, it holds
-    C, A (D + 1 floats per axis node) and one block's first product.
+    nodes (grid rows) at a time, each with the bits of the whole product.
+    Beside the grid, which owns its bytes, it holds C, A (D + 1 floats per
+    axis node) and one block's first product.
     """
     if spec.mode_count != 1 or rho.mode_count != 1:
         raise ValueError("the Fock grid route takes one mode")

@@ -75,6 +75,40 @@ def test_scaled_label_rescales_distribution():
     assert tv_distance(distf, gauss_bins(0.0, 2.0)) < 5e-3
 
 
+def test_rotated_labels_match_metaplectic_conjugation():
+    # zeta = s (cos a, sin a) measured on rho is |zeta| q measured on
+    # M rho M^dag, with M = M(S) for the rotation S^T that carries e_q to
+    # zeta/|zeta|.  Complex rho pin the phase's sign: a flipped sign
+    # moves cat and random-rho values by up to 0.69 and 0.023
+    root = np.random.default_rng(44).normal(size=(30, 60)).view(complex)
+    rho = root @ root.conj().T
+    states = [FockDensityOperator(rho / np.trace(rho), 30, 1),
+              make_state(StateSpec("cat", {"alpha": [1.5, 0.8]}, 1, 30)),
+              make_state(StateSpec("gkp", {"delta": 0.3}, 1, 60)),
+              make_state(StateSpec("photon_subtracted_squeezed", {"r": 0.5},
+                                   1, 30))]
+    intervals = ([(0, np.inf)], [(-1.0, 1.0)], [(-2.0, -0.5), (0.5, 2.0)])
+    worst = 0.0
+    for state in states:
+        for a in np.pi * np.arange(-6, 7) / 6:
+            c, s = np.cos(a), np.sin(a)
+            M = fockspace.metaplectic_operator([[c, s], [-s, c]],
+                                               state.cutoff)
+            turned = FockDensityOperator(M @ state.matrix @ M.conj().T,
+                                         state.cutoff, 1)
+            for scale in (0.5, 1.0, 2.0):
+                zeta = scale * np.array([c, s])
+                got = quantum_homodyne_distribution(state, zeta, BINS).masses
+                want = quantum_homodyne_distribution(turned, [scale, 0],
+                                                     BINS).masses
+                worst = max(worst, np.max(np.abs(got - want)))
+                for interval in intervals:
+                    worst = max(worst, abs(
+                        event_probability(state, zeta, interval)
+                        - event_probability(turned, [scale, 0], interval)))
+    assert worst <= 1e-13, worst
+
+
 def test_unresolvable_gaussian_variance_is_a_window_error():
     # zeta . sigma . zeta overflows or underflows to zero, or zeta . mean
     # overflows, though the label's own squared norm is a normal float:
@@ -275,7 +309,7 @@ def test_statistical_formula_consistency():
 @pytest.mark.parametrize("eta", (0.2, 0.4))
 def test_fock_oracle_keeps_the_whole_hermite_table_bits(monkeypatch, eta):
     # the lossy photon (1 - eta)|0><0| + eta|1><1| at cutoff 30 on 50 bins,
-    # for q and two labels the metaplectic rotation turns onto q
+    # for q and two labels the phase shift turns onto q
     matrix = np.zeros((30, 30))
     matrix[0, 0], matrix[1, 1] = 1 - eta, eta
     state = FockDensityOperator(matrix, 30, 1)

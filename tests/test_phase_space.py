@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from wignerhvm.phase_space import (ALGEBRAIC_TOL, Context, _expm, is_context,
                                    is_symplectic, observable_label, omega,
-                                   passive_frame, plane_decomposition_vectors,
+                                   plane_decomposition_vectors,
                                    planewise_decomposition_commutes,
                                    random_symplectic, symplectic_form)
 
@@ -58,39 +58,6 @@ def test_is_context_examples():
 def test_context_rejects_degenerate():
     with pytest.raises(ValueError):
         Context([[1, 0], [2, 0]])
-
-
-def check_frame(gens):
-    gens = np.atleast_2d(gens)
-    k, m = gens.shape[0], gens.shape[1] // 2
-    O, R = passive_frame(gens)
-    # orthogonal and commuting with omega: a passive (photon-number
-    # preserving) symplectic map
-    assert np.max(np.abs(O.T @ O - np.eye(2 * m))) <= 1e-14
-    assert np.max(np.abs(O @ omega(m) - omega(m) @ O)) <= 1e-15
-    assert np.array_equal(R, np.triu(R)) and np.all(np.diag(R) > 0)
-    image = np.zeros_like(gens)
-    image[:, :k] = R.T
-    return gens @ O, image
-
-
-def test_passive_frame_random_contexts():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        m = int(rng.integers(1, 5))
-        T = random_symplectic(m, rng, scale=1.0)
-        for k in range(1, m + 1):
-            got, want = check_frame(T[:, :k].T)
-            scale = np.max(np.abs(T[:, :k]))
-            assert np.max(np.abs(got - want)) <= 1e-14 * scale, (m, k)
-
-
-def test_passive_frame_singular_completions_are_exact():
-    # the padded block [q + ip, e_(k+1), ...] is singular for each of these
-    e2, e3 = np.eye(4), np.eye(6)
-    for gens in ([e2[1]], [e2[3]], [e2[1], e2[0]], [e3[3], 3 * e3[4]]):
-        got, want = check_frame(gens)
-        assert np.array_equal(got, want), gens
 
 
 def test_plane_decomposition_examples():

@@ -1,9 +1,14 @@
 """Every top-level definition in the package is reached by a command, the
-bench or an acceptance criterion, apart from an explicit allowlist.
+bench or an acceptance criterion, apart from an explicit allowlist, and so
+is every method and property of a reached class.
 
 A name pass over the AST: the roots are cli.main and every identifier in
 bench/*.py and tests/test_acceptance.py, and a reached definition reaches
 each top-level definition, in any module, whose name appears in its body.
+A member of a reached class is reached when its name appears as an
+attribute (x.name) in a root or in reached code: a reached top-level
+definition other than a class, a reached class outside its methods, or
+a reached member.  Dunder methods are always reached.
 """
 
 import ast
@@ -18,6 +23,11 @@ ALLOWED = {"oracle.homodyne_density", "wigner.BOUNDARY_DECAY"}
 def identifiers(node) -> set:
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def attributes(nodes) -> set:
+    return {n.attr for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Attribute)}
 
 
 def definitions() -> dict:
@@ -38,11 +48,13 @@ def definitions() -> dict:
     return defs
 
 
-def unreached() -> set:
-    defs = definitions()
-    roots = [ROOT / "tests" / "test_acceptance.py", *ROOT.glob("bench/*.py")]
-    names = set().union(*(identifiers(ast.parse(p.read_text()))
-                          for p in roots))
+def roots() -> list:
+    paths = [ROOT / "tests" / "test_acceptance.py", *ROOT.glob("bench/*.py")]
+    return [ast.parse(p.read_text()) for p in paths]
+
+
+def reached(defs: dict, trees: list) -> set:
+    names = set().union(*(identifiers(tree) for tree in trees))
     todo = {"cli.main"} | {key for key in defs if key.split(".")[1] in names}
     seen = set()
     while todo:
@@ -50,10 +62,45 @@ def unreached() -> set:
         seen.add(key)
         used = identifiers(defs[key])
         todo |= {k for k in defs if k.split(".")[1] in used} - seen
-    return set(defs) - seen
+    return seen
+
+
+def unreached() -> set:
+    defs = definitions()
+    return set(defs) - reached(defs, roots())
+
+
+def unreached_members() -> set:
+    """module.Class.name of each unreached method or property of a reached
+    class."""
+    defs, code = definitions(), roots()
+    members = {}
+    for key in reached(defs, code):
+        node = defs[key]
+        if not isinstance(node, ast.ClassDef):
+            code.append(node)
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                members[f"{key}.{item.name}"] = item
+            else:
+                code.append(item)
+    found = {key for key in members if key.split(".")[2].startswith("__")}
+    names = attributes(code) | attributes(members[key] for key in found)
+    while True:
+        new = {key for key in members if key.split(".")[2] in names} - found
+        if not new:
+            return set(members) - found
+        found |= new
+        names |= attributes(members[key] for key in new)
 
 
 def test_every_definition_is_reached_or_allowlisted():
     found = unreached()
     assert not found - ALLOWED, f"unreached: {sorted(found - ALLOWED)}"
     assert not ALLOWED - found, f"reached now: {sorted(ALLOWED - found)}"
+
+
+def test_every_member_of_a_reached_class_is_reached():
+    found = unreached_members()
+    assert not found, f"unreached: {sorted(found)}"

@@ -152,7 +152,7 @@ def test_characteristic_at_points_routes_agree():
     assert np.max(np.abs(gauss - fockv)) < 1e-8
     assert abs(gauss[0] - 1) < 1e-12
     # two modes: the reference's per-mode trace tables at each point's own
-    # amplitudes; the package's Fock route takes one mode
+    # amplitudes; the package's Fock routes, chi and the oracle, take one mode
     coh2 = make_state(StateSpec("coherent", {"alpha": [0.6, -0.4]}, 2))
     rho2 = gaussian_to_fock(coh2, 12)
     pts2 = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -0.5, 0.3, 2.0],
@@ -162,6 +162,8 @@ def test_characteristic_at_points_routes_agree():
     assert np.max(np.abs(gauss2 - fock2)) < 1e-8
     with pytest.raises(ValueError):
         characteristic_at_points(rho2, pts2)
+    with pytest.raises(ValueError, match="one mode"):
+        homodyne_density(rho2, pts2[1], np.zeros(1))
 
 
 def test_fock_characteristic_matches_the_displacement_traces():

@@ -287,7 +287,7 @@ def _assignment_linearity_suite(rng, trials: int) -> dict:
             "tolerance": 1e-12, "pass": bool(worst <= 1e-12)}
 
 
-def _multiplicativity_cases(cutoff: int):
+def _multiplicativity_cases():
     m = 2
     e = np.eye(2 * m)
     ctx_q1 = Context([e[0]])
@@ -332,7 +332,7 @@ def cmd_lemma_check(args) -> int:
     metaplectic = weyl_mod.metaplectic_covariance_suite(
         rng, trials=20, cutoff=max(args.cutoff, 50))
     cases = []
-    for label, obs in _multiplicativity_cases(args.cutoff):
+    for label, obs in _multiplicativity_cases():
         cases.append(weyl_mod.check_wigner_multiplicativity(
             obs, args.cutoff, case=label))
     n_failed = sum(1 for c in cases

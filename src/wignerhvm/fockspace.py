@@ -2,10 +2,12 @@
 
 All operators use hbar = 1 with q = (a + a^dag)/sqrt(2) and
 p = (a - a^dag)/(i sqrt(2)), so [q, p] = i below the truncation edge.
-Multimode operators act on the Kronecker product of per-mode spaces with
-mode 0 as the leftmost factor.  In Kronecker-factored form an operator is
-a list of per-mode stacks, one (r, cutoff, cutoff) array per mode, and
-stands for sum_s factors[0][s] (x) factors[1][s] (x) ...
+The Gaussian unitaries M(S) and the Bargmann recurrence behind them are
+one-mode, as are a state's Hermite coefficients.  Multimode operators act
+on the Kronecker product of per-mode spaces with mode 0 as the leftmost
+factor.  In Kronecker-factored form an operator is a list of per-mode
+stacks, one (r, cutoff, cutoff) array per mode, and stands for
+sum_s factors[0][s] (x) factors[1][s] (x) ...
 """
 
 from __future__ import annotations
@@ -59,74 +61,63 @@ def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
 
 
 def _bargmann(A: np.ndarray, b: np.ndarray, g0, cutoff: int) -> np.ndarray:
-    """Truncated Gaussian Bargmann arrays of a stack, every index k_i < cutoff.
+    """Truncated two-axis Gaussian Bargmann arrays of a stack, every index
+    k_i < cutoff.
 
-    A is (T, n, n), b (T, n) and g0 (T,) for T arrays; the result G is
-    (T, cutoff, ..., cutoff).  Exact elements from the recurrence
-    (Quesada et al., PRA 100, 022341 (2019); Miatto & Quesada, Quantum 4,
-    366 (2020))
+    A is (T, 2, 2), b (T, 2) and g0 (T,) for T arrays; the result G is
+    (T, cutoff, cutoff).  Exact elements from the recurrence (Quesada et
+    al., PRA 100, 022341 (2019); Miatto & Quesada, Quantum 4, 366 (2020))
     G_(k+1_i) = (b_i G_k + sum_j A_ij sqrt(k_j) G_(k-1_j)) / sqrt(k_i + 1)
-    from G_0 = g0.  Axes are filled last to first: the pass over axis i
-    sets the contiguous slabs G[t, 0, .., 0, n, ...] with every earlier
-    axis at level 0.  The last axis's pass steps single elements, member
-    by member, in numpy scalar arithmetic, which rounds differently from
-    array arithmetic.  Every earlier pass takes one array operation per
-    level for the whole stack, each member's coefficient broadcast over
-    its own slab, so each element is rounded as the same operation on
-    that member's slab alone rounds it.
+    from G_0 = g0.  Row 0, G[t, 0, :], is stepped along axis 1 one element
+    at a time, member by member, in numpy scalar arithmetic, which rounds
+    differently from array arithmetic.  The pass over axis 0
+    then takes one array operation per level for the whole stack, each
+    member's coefficient broadcast over its own row, so each element is
+    rounded as the same operation on that member's row alone rounds it.
     """
-    stack, n_axes = b.shape
-    last = n_axes - 1
+    stack = len(b)
     root = np.sqrt(np.arange(cutoff))
-    G = np.zeros((stack,) + (cutoff,) * n_axes, dtype=complex)
+    G = np.zeros((stack, cutoff, cutoff), dtype=complex)
     for t in range(stack):
-        line = G[(t,) + (0,) * last]
+        line = G[t, 0]
         line[0] = g0[t]
         # root[0] = 0 zeroes the n = 0 term of the unset level -1
         for n in range(cutoff - 1):
-            line[n + 1] = (b[t, last] * line[n] + A[t, last, last] * root[n]
+            line[n + 1] = (b[t, 1] * line[n] + A[t, 1, 1] * root[n]
                            * line[n - 1]) / root[n + 1]
-    for i in reversed(range(last)):
-        head = (slice(None),) + (0,) * i
-        member = (stack,) + (1,) * (last - i)  # one value per member's slab
-        first = b[:, i].reshape(member)
-        diagonal = A[:, i, i, None] * root  # A_ii sqrt(k_i), level by level
-        # A_ij sqrt(k_j) along each later axis j, slab axis j - i; root[0]
-        # = 0 zeroes the rolled-in level
-        later = [(j - i, A[:, i, j].reshape(member)
-                  * root.reshape((-1,) + (1,) * (last - j)))
-                 for j in range(i + 1, n_axes)]
-        for n in range(cutoff - 1):
-            slab = G[head + (n,)]
-            step = (first * slab
-                    + diagonal[:, n].reshape(member) * G[head + (n - 1,)])
-            for axis, weight in later:
-                step = step + weight * np.roll(slab, 1, axis=axis)
-            G[head + (n + 1,)] = step / root[n + 1]
+    first = b[:, 0, None]
+    diagonal = A[:, 0, 0, None] * root  # A_00 sqrt(k_0), level by level
+    # A_01 sqrt(k_1) along axis 1; root[0] = 0 zeroes the rolled-in level
+    later = A[:, 0, 1, None] * root
+    for n in range(cutoff - 1):
+        row = G[:, n]
+        G[:, n + 1] = (first * row + diagonal[:, n, None] * G[:, n - 1]
+                       + later * np.roll(row, 1, axis=1)) / root[n + 1]
     return G
 
 
 def metaplectic_operators(S: np.ndarray, cutoff: int) -> np.ndarray:
-    """metaplectic_operator of each of a (T, 2m, 2m) stack of symplectic
-    matrices, as one (T, c^m, c^m) array from one stacked `_bargmann`;
-    ValueError if any member is not symplectic."""
+    """metaplectic_operator of each of a (T, 2, 2) stack of one-mode
+    symplectic matrices, as one (T, c, c) array from one stacked
+    `_bargmann`; ValueError if any member is not a 2 x 2 symplectic
+    matrix."""
     S = np.asarray(S, dtype=float)
-    stack, m = len(S), S.shape[-1] // 2
-    if not all(is_symplectic(s, tol=1e-8) for s in S):
-        raise ValueError("matrix is not symplectic")
-    qq, qp, pq, pp = S[:, :m, :m], S[:, :m, m:], S[:, m:, :m], S[:, m:, m:]
+    if S.shape[1:] != (2, 2) or not all(is_symplectic(s, tol=1e-8)
+                                        for s in S):
+        raise ValueError("matrix is not symplectic on one mode")
+    qq, qp, pq, pp = S[:, :1, :1], S[:, :1, 1:], S[:, 1:, :1], S[:, 1:, 1:]
     U = (qq + pp + 1j * (pq - qp)) / 2
     V = (qq - pp + 1j * (pq + qp)) / 2
     W = np.linalg.inv(U.conj().swapaxes(1, 2))
     A = np.block([[W @ V.swapaxes(1, 2), W],
                   [W.swapaxes(1, 2), -V.conj().swapaxes(1, 2) @ W]])
     g0 = [abs(det) ** -0.5 for det in np.linalg.det(U)]
-    G = _bargmann(A, np.zeros((stack, 2 * m), dtype=complex), g0, cutoff)
-    return G.reshape(stack, cutoff ** m, cutoff ** m)
+    return _bargmann(A, np.zeros((len(S), 2), dtype=complex), g0, cutoff)
 
 
 def metaplectic_operator(S: np.ndarray, cutoff: int) -> np.ndarray:
-    """Fock-space unitary M with M^dag R_hat M = S R_hat, up to a global phase.
+    """One-mode Fock-space unitary M with M^dag R_hat M = S R_hat, up to a
+    global phase, for a 2 x 2 symplectic S.
 
     The b = 0 case of `_bargmann` over k = (out, in): with
     M^dag a M = U a + V a^dag and W = (U^dag)^-1,

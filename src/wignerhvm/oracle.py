@@ -85,8 +85,6 @@ def _rotated_state(rho: FockDensityOperator, zeta: np.ndarray):
     elements are rho[m, n] e^(-i theta (m - n)): diagonal in the Fock
     basis, exact at any cutoff, and trace-preserving.
     """
-    if rho.mode_count != 1:
-        raise ValueError("the Fock oracle takes one mode")
     theta = np.arctan2(zeta[1], zeta[0])
     k = np.arange(rho.cutoff)
     phases = np.exp(-1j * theta * (k[:, None] - k))

@@ -2,9 +2,10 @@
 
 Conventions: hbar = 1, [q, p] = i, vacuum covariance = I/2, so a coherent
 state with amplitude alpha has mean (sqrt(2) Re alpha, sqrt(2) Im alpha).
-Gaussian states are kept exactly as (mean, covariance); everything else is
-represented on a truncated Fock space, renormalized after truncation with
-the leaked weight reported.
+Gaussian states, of any number of modes, are kept exactly as (mean,
+covariance); everything else is one mode on a truncated Fock space
+(FockDensityOperator refuses any other mode count), renormalized after
+truncation with the leaked weight reported.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class GaussianState:
 
 @dataclass
 class FockDensityOperator:
-    """Density matrix on the truncated multimode Fock basis."""
+    """Density matrix of one mode on the truncated Fock basis."""
 
     matrix: np.ndarray
     cutoff: int
@@ -128,19 +129,20 @@ class FockDensityOperator:
     leakage: float = 0.0
 
     def __post_init__(self):
+        if self.mode_count != 1:
+            raise ValueError("a Fock state has one mode")
         self.matrix = np.asarray(self.matrix, dtype=complex)
-        dim = self.cutoff ** self.mode_count
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"cutoff^modes = {dim}")
+        c = self.cutoff
+        if self.matrix.shape != (c, c):
+            raise ValueError(f"matrix shape {self.matrix.shape} does not "
+                             f"match the cutoff {c}")
         if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-10:
             raise ValueError("density matrix is not Hermitian")
         tr = float(np.trace(self.matrix).real)
         if abs(tr - 1.0) > 1e-6:
             raise ValueError(f"trace {tr} deviates from 1 beyond tolerance")
         try:  # M + 1e-10 I factors iff no eigenvalue of M is below -1e-10
-            np.linalg.cholesky(self.matrix + 1e-10 * np.eye(dim))
+            np.linalg.cholesky(self.matrix + 1e-10 * np.eye(c))
         except np.linalg.LinAlgError:
             raise ValueError("density matrix is not positive semidefinite")
 
@@ -256,7 +258,7 @@ def _integer(value, name: str) -> int:
         raise StateSpecError(f"'{name}' must be an integer") from exc
 
 
-def _renormalized(matrix: np.ndarray, cutoff: int, mode_count: int,
+def _renormalized(matrix: np.ndarray, cutoff: int,
                   weight: float) -> FockDensityOperator:
     """Package a truncated matrix; weight is the trace before truncation."""
     tr = float(np.trace(matrix).real)
@@ -265,12 +267,12 @@ def _renormalized(matrix: np.ndarray, cutoff: int, mode_count: int,
     if leakage > LEAKAGE_LIMIT:
         raise LeakageError(leakage, cutoff)
     matrix = (matrix + matrix.conj().T) / 2
-    return FockDensityOperator(matrix / tr, cutoff, mode_count, leakage)
+    return FockDensityOperator(matrix / tr, cutoff, 1, leakage)
 
 
 def _pure_from_coefficients(coeffs: np.ndarray, cutoff: int) -> FockDensityOperator:
     """Pure state from Fock coefficients whose untruncated norm is 1."""
-    return _renormalized(np.outer(coeffs, coeffs.conj()), cutoff, 1, 1.0)
+    return _renormalized(np.outer(coeffs, coeffs.conj()), cutoff, 1.0)
 
 
 def vacuum_state(modes: int = 1) -> GaussianState:
@@ -469,28 +471,25 @@ def loss_channel(eta: float, modes: int = 1) -> GaussianChannel:
 
 
 def gaussian_to_fock(state: GaussianState, cutoff: int) -> FockDensityOperator:
-    """Truncated-Fock representation of a Gaussian state, renormalized.
+    """Truncated-Fock representation of a one-mode Gaussian state,
+    renormalized; ValueError for more modes.
 
     Exact truncated elements <k|rho|l> from the Bargmann recurrence of
     `fockspace.metaplectic_operator`, here with a first-order term, over
-    k = (ket modes, bra modes).  In complex coordinates
-    T = [[I, iI], [I, -iI]] / sqrt(2), Q = T sigma T^dag + I/2 and
-    gamma = T mean; with the ket/bra swap X = [[0, I], [I, 0]],
-    A = X (I - Q^-1)*, b = X (Q^-1 gamma)* and
+    k = (ket, bra).  In complex coordinates T = [[1, i], [1, -i]] / sqrt(2),
+    Q = T sigma T^dag + I/2 and gamma = T mean; with the ket/bra swap
+    X = [[0, 1], [1, 0]], A = X (I - Q^-1)*, b = X (Q^-1 gamma)* and
     G_0 = exp(-gamma^dag Q^-1 gamma / 2) / sqrt(det Q).  The leakage is
     1 - Tr of the exact truncated matrix.
     """
-    m = state.mode_count
-    if m > 2:
-        raise ValueError("dense Fock representation supported for m <= 2")
-    eye, zero = np.eye(m), np.zeros((m, m))
-    T = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / np.sqrt(2)
-    X = np.block([[zero, eye], [eye, zero]])
-    Qinv = np.linalg.inv(T @ state.covariance @ T.conj().T + np.eye(2 * m) / 2)
+    if state.mode_count != 1:
+        raise ValueError("a Fock state has one mode")
+    T = np.array([[1, 1j], [1, -1j]]) / np.sqrt(2)
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    Qinv = np.linalg.inv(T @ state.covariance @ T.conj().T + np.eye(2) / 2)
     gamma = T @ state.mean
     g0 = (np.exp(-0.5 * (gamma.conj() @ Qinv @ gamma).real)
           * np.sqrt(np.linalg.det(Qinv).real))
-    G = fockspace._bargmann((X @ (np.eye(2 * m) - Qinv).conj())[None],
+    G = fockspace._bargmann((X @ (np.eye(2) - Qinv).conj())[None],
                             (X @ (Qinv @ gamma).conj())[None], [g0], cutoff)
-    rho = G.reshape(cutoff ** m, cutoff ** m)
-    return _renormalized(rho, cutoff, m, weight=1.0)
+    return _renormalized(G[0], cutoff, weight=1.0)

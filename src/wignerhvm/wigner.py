@@ -200,14 +200,11 @@ def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
     on the thread count.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = state.mode_count
     if isinstance(state, GaussianState):
-        k = -pts @ omega(m).T  # k = omega^T v
+        k = -pts @ omega(state.mode_count).T  # k = omega^T v
         phase = 1j * (k @ state.mean)
         damp = -0.5 * np.einsum("ij,jk,ik->i", k, state.covariance, k)
         return np.exp(phase + damp)
-    if m != 1:
-        raise ValueError("the Fock characteristic route takes one mode")
     coef = fockspace.hermite_coefficients(state.matrix)
     powers = np.array([1, 1j, -1, -1j])[np.arange(len(coef)) % 4, None]
     by_p = powers * _hermite_table(len(coef) - 1, pts[:, 1] / 2)  # i^j g_j
@@ -228,8 +225,8 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     Beside the grid, which owns its bytes, it holds C, A (D + 1 floats per
     axis node) and one block's first product.
     """
-    if spec.mode_count != 1 or rho.mode_count != 1:
-        raise ValueError("the Fock grid route takes one mode")
+    if spec.mode_count != 1:
+        raise ValueError("grid/state mode mismatch")
     coef = fockspace.hermite_coefficients(rho.matrix)
     table = _hermite_table(len(coef) - 1, spec.axis)
     values = np.empty(spec.shape)
@@ -276,29 +273,26 @@ def min_value(grid: WignerGrid):
 def covariance_state(state) -> GaussianState:
     """The Gaussian state with the first two moments of `state`.
 
-    A Fock state's moments are exact: mu_i = Tr[rho R_i] and sigma_ij =
-    Tr[rho (R_i R_j + R_j R_i)/2] - mu_i mu_j.  Per-mode products are formed
-    at cutoff + 1 and cut back, so the top level keeps its whole
+    A one-mode Fock state's moments are exact: mu_i = Tr[rho R_i] and
+    sigma_ij = Tr[rho (R_i R_j + R_j R_i)/2] - mu_i mu_j.  The products are
+    formed at cutoff + 1 and cut back, so the top level keeps its whole
     <n|R_i R_j|n>; each trace contracts rho elementwise, with no matmul.
     """
     if isinstance(state, GaussianState):
         return state
-    c, m = state.cutoff, state.mode_count
+    c = state.cutoff
     quads = (fockspace.position_operator(c + 1),
              fockspace.momentum_operator(c + 1))
-    tensor = state.matrix.reshape((c,) * (2 * m))  # (kets, bras)
 
     def moment(*axes):  # Re Tr[rho R_axes[0] R_axes[1] ...]
-        factors = [np.eye(c + 1)] * m
+        F = np.eye(c + 1)
         for i in axes:
-            factors[i % m] = factors[i % m] @ quads[i // m]
-        # Tr[rho F] = sum rho[a b, i j] F_1[i, a] F_2[j, b]
-        return np.einsum("ab"[:m] + "ij"[:m] + ",ia,jb"[:3 * m] + "->", tensor,
-                         *(f[:c, :c] for f in factors)).real
+            F = F @ quads[i]
+        # Tr[rho F] = sum rho[a, i] F[i, a]
+        return np.einsum("ai,ia->", state.matrix, F[:c, :c]).real
 
-    mean = np.array([moment(i) for i in range(2 * m)])
-    second = np.array([[moment(i, j) for j in range(2 * m)]
-                       for i in range(2 * m)])
+    mean = np.array([moment(i) for i in range(2)])
+    second = np.array([[moment(i, j) for j in range(2)] for i in range(2)])
     return GaussianState(mean, (second + second.T) / 2 - np.outer(mean, mean))
 
 

@@ -75,7 +75,12 @@ scalar coefficients on every pass, `member_metaplectic_operator` the
 metaplectic operator built on it, and `trialwise_covariance_suite` the
 metaplectic covariance suite that draws, builds and conjugates one trial
 at a time: the package's forms before it learnt to run a stack of
-recurrences at once.
+recurrences at once.  `member_bargmann` takes any number of axes, so
+`member_metaplectic_operator` also gives two-mode M(S), and
+`two_mode_gaussian_to_fock` a two-mode Gaussian state's truncated density
+matrix; `TwoModeFock` holds it, or any two-mode density matrix.  The
+package's Fock states are one-mode, and these are the tests' two-mode
+references.
 `monomial`, `quantize_polynomial` (the dense matrix of the package's
 factor stacks), `trusted_block_mask` and `smoothed_polynomial` (the
 package's vacuum-smoothed polynomial, evaluated in one call) are the Weyl
@@ -648,6 +653,37 @@ def member_metaplectic_operator(S: np.ndarray, cutoff: int) -> np.ndarray:
     G = member_bargmann(A, np.zeros(2 * m, dtype=complex),
                         abs(np.linalg.det(U)) ** -0.5, cutoff)
     return G.reshape(cutoff ** m, cutoff ** m)
+
+
+@dataclass
+class TwoModeFock:
+    """A two-mode density matrix on the truncated Fock basis, mode 0 the
+    leftmost Kronecker factor, with the attributes the references read."""
+
+    matrix: np.ndarray
+    cutoff: int
+    mode_count: int = 2
+    leakage: float = 0.0
+
+
+def two_mode_gaussian_to_fock(state: GaussianState,
+                              cutoff: int) -> TwoModeFock:
+    """`states.gaussian_to_fock`'s construction for two modes, on
+    `member_bargmann` over k = (ket modes, bra modes), renormalized; the
+    leakage is 1 - Tr of the exact truncated matrix."""
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    T = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / np.sqrt(2)
+    X = np.block([[zero, eye], [eye, zero]])
+    Qinv = np.linalg.inv(T @ state.covariance @ T.conj().T + np.eye(4) / 2)
+    gamma = T @ state.mean
+    g0 = (np.exp(-0.5 * (gamma.conj() @ Qinv @ gamma).real)
+          * np.sqrt(np.linalg.det(Qinv).real))
+    G = member_bargmann(X @ (np.eye(4) - Qinv).conj(),
+                        X @ (Qinv @ gamma).conj(), g0, cutoff)
+    rho = G.reshape(cutoff ** 2, cutoff ** 2)
+    tr = float(np.trace(rho).real)
+    return TwoModeFock((rho + rho.conj().T) / 2 / tr, cutoff,
+                       leakage=1.0 - tr)
 
 
 def trialwise_covariance_suite(rng: np.random.Generator, trials: int = 20,

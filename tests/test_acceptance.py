@@ -184,7 +184,7 @@ def test_criterion_7_commutation_and_linearity():
 
 def test_criterion_8_transform_multiplicativity():
     worst = 0.0
-    for label, obs in _multiplicativity_cases(40):
+    for label, obs in _multiplicativity_cases():
         rep = check_wigner_multiplicativity(obs, 40, case=label)
         worst = max(worst, rep["sup_norm_deviation"])
         assert rep["pass"], f"{label}: {rep['sup_norm_deviation']:.2e}"

@@ -202,6 +202,17 @@ def test_parse_failure_exit_2(tmp_path):
         assert code == 2, flag
 
 
+def test_two_mode_fock_kinds_exit_2(tmp_path, capsys):
+    # a Fock state has one mode, so every command refuses the spec
+    for command in ("wigner", "negativity", "hudson", "hvm-compare"):
+        for kind in states_module.FOCK_KINDS:
+            code, _ = run(tmp_path, command, "--state",
+                          json.dumps({"kind": kind, "modes": 2}))
+            assert code == 2, (command, kind)
+            assert f"'{kind}' is a single-mode state" in \
+                capsys.readouterr().err, (command, kind)
+
+
 def test_extreme_observable_labels_exit_without_nan(tmp_path):
     # labels whose squared norm, and so the oracle's variance, underflows
     # to zero or overflows: refused, with no warning and no NaN report
@@ -829,7 +840,7 @@ def test_lemma_check_bytes_bound_the_measured_peak(tmp_path):
     peak = traced_peak(lambda: run(tmp_path, "lemma-check", "--cutoff", "8"))
     assert 0.5 * lemma_check_bytes(8) <= peak <= lemma_check_bytes(8)
     cutoff = 240
-    cases = dict(_multiplicativity_cases(cutoff))
+    cases = dict(_multiplicativity_cases())
     jobs = [lambda obs=cases[label]: check_wigner_multiplicativity(obs, cutoff)
             for label in ("xy^2 on {q1,q2}", "xy^2 on {q1,p2}")]
     jobs.append(lambda: metaplectic_covariance_suite(

@@ -84,21 +84,20 @@ def test_displacement_trace_matches_table_contraction():
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def test_metaplectic_two_mode_covariance_and_group_law():
+def test_metaplectic_covariance_and_group_law():
     """M^dag R_hat M = S R_hat and M(S1) M(S2) = e^(i theta) M(S1 S2).
 
     Both hold exactly for the infinite operators; on a low block of a
-    cutoff-16 truncation the only error is the truncated sum over
+    cutoff-40 truncation the only error is the truncated sum over
     intermediate levels.
     """
-    cutoff, block = 16, 4
-    low = np.arange(cutoff) < block
-    sub = np.ix_(np.kron(low, low), np.kron(low, low))
-    ops = [quantize_linear(e, cutoff) for e in np.eye(4)]
+    cutoff, block = 40, 8
+    sub = slice(block), slice(block)
+    ops = [quantize_linear(e, cutoff) for e in np.eye(2)]
     rng = np.random.default_rng(7)
     for _ in range(3):
-        S1 = random_symplectic(2, rng, scale=0.1)
-        S2 = random_symplectic(2, rng, scale=0.1)
+        S1 = random_symplectic(1, rng, scale=0.3)
+        S2 = random_symplectic(1, rng, scale=0.3)
         M1 = fockspace.metaplectic_operator(S1, cutoff)
         M2 = fockspace.metaplectic_operator(S2, cutoff)
         for row, op in zip(S1, ops):
@@ -113,8 +112,7 @@ def test_metaplectic_two_mode_covariance_and_group_law():
 
 
 @pytest.mark.parametrize("modes, cutoff, stack",
-                         [(1, 50, 1), (1, 50, 20), (1, 256, 2), (2, 8, 1),
-                          (2, 8, 3)])
+                         [(1, 50, 1), (1, 50, 20), (1, 256, 2)])
 def test_stacked_metaplectic_operators_keep_every_bit(modes, cutoff, stack):
     # one stacked recurrence gives each member the bits of its own; two
     # cutoff-256 operators fill lemma-check's 2 MiB stack exactly
@@ -130,10 +128,10 @@ def test_stacked_metaplectic_operators_keep_every_bit(modes, cutoff, stack):
 
 
 @pytest.mark.parametrize("axes, cutoff, stack",
-                         [(2, 30, 1), (2, 30, 4), (3, 9, 2), (4, 7, 3)])
+                         [(2, 30, 1), (2, 30, 4)])
 def test_stacked_bargmann_keeps_every_bit(axes, cutoff, stack):
     # a first-order term b and a general complex A, as gaussian_to_fock
-    # passes them, on every axis count up to two modes' four
+    # passes them, on the two axes of one mode's (ket, bra)
     rng = np.random.default_rng(axes * cutoff + stack)
 
     def normal(*shape):
@@ -151,6 +149,9 @@ def test_stacked_bargmann_keeps_every_bit(axes, cutoff, stack):
 def test_metaplectic_operators_reject_a_non_symplectic_member():
     with pytest.raises(ValueError, match="not symplectic"):
         fockspace.metaplectic_operators([np.eye(2), 2 * np.eye(2)], 10)
+    # a two-mode symplectic matrix is not a one-mode member
+    with pytest.raises(ValueError, match="not symplectic"):
+        fockspace.metaplectic_operators([np.eye(4)], 10)
 
 
 def hermite_product(m: int, n: int, s: float) -> float:

@@ -25,7 +25,7 @@ from wignerhvm.states import FockDensityOperator, StateSpec, make_state
 from wignerhvm.wigner import (GridSpec, WignerGrid, characteristic_at_points,
                               state_wigner, wigner_gaussian)
 
-from reference import (cell_probabilities, copying_hvm_measure,
+from reference import (TwoModeFock, cell_probabilities, copying_hvm_measure,
                        complex_parity_wigner, full_grid_event_probability,
                        lattice_event_probability, pinned_gaussians,
                        searchsorted_sample, serial_slab_event_probability,
@@ -256,7 +256,7 @@ def lossy_pair(eta, cutoff):
     psi[[1, cutoff]] = 1 / np.sqrt(2)  # |01> and |10>
     matrix = eta * np.outer(psi, psi)
     matrix[0, 0] = 1 - eta
-    return FockDensityOperator(matrix, cutoff, 2)
+    return TwoModeFock(matrix, cutoff)
 
 
 def test_two_mode_forward_direction_against_fock_oracle(monkeypatch):

@@ -13,17 +13,16 @@ import numpy as np
 
 from wignerhvm.cli import _multiplicativity_cases
 from wignerhvm.phase_space import Context
-from wignerhvm.states import FockDensityOperator
 from wignerhvm.weyl import (PolynomialObservable,
                             check_wigner_multiplicativity, quantize_linear,
                             quantize_terms)
 from wignerhvm.wigner import GridSpec
 
-from reference import (characteristic_function, characteristic_observable,
-                       coherent_symbol, complex_parity_wigner,
-                       default_observable_char_spec, displacement_matrix,
-                       quantize_polynomial, smoothed_polynomial,
-                       wigner_from_characteristic)
+from reference import (TwoModeFock, characteristic_function,
+                       characteristic_observable, coherent_symbol,
+                       complex_parity_wigner, default_observable_char_spec,
+                       displacement_matrix, quantize_polynomial,
+                       smoothed_polynomial, wigner_from_characteristic)
 
 Z = GridSpec(2, 3.0, 11)
 REL_TOL = 1e-12
@@ -121,7 +120,7 @@ def check_against_dense(obs: PolynomialObservable, cutoff: int) -> None:
 
 
 def test_lemma_cases_match_dense_references():
-    cases = _multiplicativity_cases(12)
+    cases = _multiplicativity_cases()
     assert len(cases) == 12
     for _, obs in cases:
         assert len(quantize_terms(obs, 12)[0]) <= 3
@@ -142,7 +141,7 @@ def test_random_density_matrix_through_both_routes():
     c = 6
     g = rng.normal(size=(c * c, c * c)) + 1j * rng.normal(size=(c * c, c * c))
     matrix = g @ g.conj().T
-    rho = FockDensityOperator(matrix / np.trace(matrix).real, c, 2)
+    rho = TwoModeFock(matrix / np.trace(matrix).real, c)
     spec = GridSpec(2, 4.0, 15)
     chi = characteristic_function(rho, spec).values
     assert relative_gap(chi, dense_two_mode_traces(rho.matrix, spec, 1.0)) \
@@ -163,7 +162,7 @@ def test_lemma_characteristic_observable_holds_no_displacement_table():
     # the chi route's traces of a lemma observable, which criterion 1's
     # third route shares: a c x c x p^2 table of <m|D|n> at cutoff 30 on
     # 61^2 points would be 53.6 MB
-    obs = dict(_multiplicativity_cases(30))["xy^2 on {q1,p2}"]
+    obs = dict(_multiplicativity_cases())["xy^2 on {q1,p2}"]
     factors = quantize_terms(obs, 30)
     spec = default_observable_char_spec(2, 30)
     tracemalloc.start()
@@ -179,7 +178,7 @@ def test_quantize_terms_frees_its_prefix_products_on_return():
     # the ordered products are formed left to right and dropped once
     # stacked; nothing may outlive the call, even with no gc pass, or
     # lemma-check's cases would pile up
-    obs = dict(_multiplicativity_cases(120))["xy^2 on {q1,q2}"]
+    obs = dict(_multiplicativity_cases())["xy^2 on {q1,q2}"]
     gc.disable()
     tracemalloc.start()
     try:

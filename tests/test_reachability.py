@@ -9,6 +9,10 @@ A member of a reached class is reached when its name appears as an
 attribute (x.name) in a root or in reached code: a reached top-level
 definition other than a class, a reached class outside its methods, or
 a reached member.  Dunder methods are always reached.
+
+Every parameter of every function in the package, nested functions and
+methods included, is read in its body (a nested function's body counts);
+self, cls and names that start with "_" are exempt.
 """
 
 import ast
@@ -104,3 +108,28 @@ def test_every_definition_is_reached_or_allowlisted():
 def test_every_member_of_a_reached_class_is_reached():
     found = unreached_members()
     assert not found, f"unreached: {sorted(found)}"
+
+
+def unread_parameters() -> set:
+    """module.function: name of each parameter that its function's body
+    never reads."""
+    found = set()
+    for path in sorted((ROOT / "src" / "wignerhvm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            found |= {f"{path.stem}.{node.name}: {name}" for name in params
+                      if name not in read and name not in ("self", "cls")
+                      and not name.startswith("_")}
+    return found
+
+
+def test_every_parameter_is_read():
+    found = unread_parameters()
+    assert not found, f"unread: {sorted(found)}"

@@ -17,7 +17,8 @@ from wignerhvm.states import (LEAKAGE_LIMIT, FockDensityOperator,
                               vacuum_state)
 from wignerhvm.weyl import quantize_linear
 
-from reference import displacement_matrix, whole_table_gkp_coefficients
+from reference import (displacement_matrix, member_metaplectic_operator,
+                       two_mode_gaussian_to_fock, whole_table_gkp_coefficients)
 
 
 def spec(kind, cutoff=None, **params):
@@ -363,21 +364,23 @@ def test_fock_operator_validation():
 def test_fock_operator_positivity_threshold():
     """Eigenvalues below -1e-10 are rejected, those above it are kept."""
     rng = np.random.default_rng(5)
-    for cutoff, modes in ((12, 1), (6, 2)):
-        dim = cutoff ** modes
-        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim))
-                                + 1j * rng.normal(size=(dim, dim)))
+    for cutoff in (12, 36):
+        basis, _ = np.linalg.qr(rng.normal(size=(cutoff, cutoff))
+                                + 1j * rng.normal(size=(cutoff, cutoff)))
         for planted, accepted in ((-1e-9, False), (-2e-10, False),
                                   (-5e-11, True), (-1e-11, True),
                                   (0.0, True)):
-            spectrum = rng.dirichlet(np.ones(dim - 1)) * (1 - planted)
+            spectrum = rng.dirichlet(np.ones(cutoff - 1)) * (1 - planted)
             rho = (basis * np.append(planted, spectrum)) @ basis.conj().T
             rho = (rho + rho.conj().T) / 2
             if accepted:
-                FockDensityOperator(rho, cutoff, modes)
+                FockDensityOperator(rho, cutoff, 1)
             else:
                 with pytest.raises(ValueError, match="positive"):
-                    FockDensityOperator(rho, cutoff, modes)
+                    FockDensityOperator(rho, cutoff, 1)
+    # a Fock state has one mode, whatever its matrix
+    with pytest.raises(ValueError, match="one mode"):
+        FockDensityOperator(np.eye(36) / 36, 6, 2)
 
 
 def test_gaussian_to_fock_vacuum_and_coherent():
@@ -439,7 +442,10 @@ def test_gaussian_to_fock_two_mode():
     T = random_symplectic(2, rng, scale=0.2)
     cov = T @ np.diag([0.6, 0.55, 0.6, 0.55]) @ T.T
     state = GaussianState(np.array([0.5, -0.3, 0.2, 0.1]), cov)
-    rho = gaussian_to_fock(state, 14)
+    with pytest.raises(ValueError, match="one mode"):
+        gaussian_to_fock(state, 14)
+    # the tests' two-mode reference keeps the state's moments
+    rho = two_mode_gaussian_to_fock(state, 14)
     mean_out, cov_out = _moments_from_fock(rho)
     assert np.max(np.abs(mean_out - state.mean)) < 1e-3
     assert np.max(np.abs(cov_out - state.covariance)) < 1e-3
@@ -462,7 +468,7 @@ def reference_density(S, nu, mean, cutoff: int, keep: int) -> np.ndarray:
         alpha = (mean[k] + 1j * mean[m + k]) / np.sqrt(2)
         d = displacement_matrix(alpha, cutoff)
         rows = np.kron(rows, d[:keep])
-    y = rows @ fockspace.metaplectic_operator(S, cutoff)
+    y = rows @ member_metaplectic_operator(S, cutoff)
     return (y * tau) @ y.conj().T
 
 
@@ -484,7 +490,7 @@ def test_gaussian_to_fock_matches_two_mode_reference():
     nu = rng.uniform(0.5, 0.9, 2)
     mean = np.array([0.3, -0.2, 0.2, 0.1])
     state = GaussianState(mean, S @ np.diag(np.concatenate([nu, nu])) @ S.T)
-    rho = gaussian_to_fock(state, 8)
+    rho = two_mode_gaussian_to_fock(state, 8)
     want = reference_density(S, nu, mean, 40, 8)
     assert np.max(np.abs(rho.matrix * (1 - rho.leakage) - want)) <= 1e-9
 

@@ -251,7 +251,7 @@ def test_slab_deviations_have_the_whole_grid_bits(cutoff):
     # every lemma-check case and the one-mode monomials, each symbol read
     # one first-axis slab at a time
     one_mode = [(expo, monomial(ctx_single(), expo)) for expo in ((1,), (2,))]
-    for label, obs in _multiplicativity_cases(cutoff) + one_mode:
+    for label, obs in _multiplicativity_cases() + one_mode:
         rep = check_wigner_multiplicativity(obs, cutoff)
         got = [rep["sup_norm_deviation"], rep["inner_sup_deviation"]]
         assert bits(got) == bits(whole_grid_symbol_deviations(obs, cutoff)), \
@@ -262,7 +262,7 @@ def test_slab_deviations_have_the_whole_grid_bits(cutoff):
 def test_coherent_symbol_matches_the_chi_route(cutoff):
     # <alpha|A|alpha> is the damped chi's windowed transform up to the
     # window's quadrature error, which the coherent tables do not have
-    for label, obs in _multiplicativity_cases(cutoff):
+    for label, obs in _multiplicativity_cases():
         m = obs.context.mode_count
         z_spec = GridSpec(1, 3.0, 41) if m == 1 else GridSpec(2, 3.0, 21)
         got = coherent_symbol(quantize_terms(obs, cutoff), z_spec)

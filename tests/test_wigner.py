@@ -15,12 +15,13 @@ from wignerhvm.wigner import (GridSpec, InadequateWindowError, MixedStateError,
                               sidecar_dict, state_wigner, wigner_fock_direct,
                               wigner_gaussian, wigner_to_csv)
 
-from reference import (CharacteristicGrid, characteristic_function,
-                       complex_parity_wigner, expression_wigner_gaussian,
+from reference import (CharacteristicGrid, TwoModeFock,
+                       characteristic_function, complex_parity_wigner,
+                       expression_wigner_gaussian,
                        full_depth_displacement_trace, full_grid_parity_trace,
                        grid_moment, pinned_gaussians, position_marginal,
                        trace_characteristic_at_points,
-                       wigner_from_characteristic)
+                       two_mode_gaussian_to_fock, wigner_from_characteristic)
 
 GRID = GridSpec(1, 6.0, 257)
 CHAR = GridSpec(1, 16.0, 257)
@@ -152,18 +153,16 @@ def test_characteristic_at_points_routes_agree():
     assert np.max(np.abs(gauss - fockv)) < 1e-8
     assert abs(gauss[0] - 1) < 1e-12
     # two modes: the reference's per-mode trace tables at each point's own
-    # amplitudes; the package's Fock routes, chi and the oracle, take one mode
+    # amplitudes; the package's Fock states are one-mode
     coh2 = make_state(StateSpec("coherent", {"alpha": [0.6, -0.4]}, 2))
-    rho2 = gaussian_to_fock(coh2, 12)
+    rho2 = two_mode_gaussian_to_fock(coh2, 12)
     pts2 = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -0.5, 0.3, 2.0],
                      [-1.5, 0.7, 1.2, -0.4], [0.2, 2.2, -1.8, 0.9]])
     gauss2 = characteristic_at_points(coh2, pts2)
     fock2 = trace_characteristic_at_points(rho2, pts2)
     assert np.max(np.abs(gauss2 - fock2)) < 1e-8
-    with pytest.raises(ValueError):
-        characteristic_at_points(rho2, pts2)
     with pytest.raises(ValueError, match="one mode"):
-        homodyne_density(rho2, pts2[1], np.zeros(1))
+        FockDensityOperator(rho2.matrix, 12, 2)
 
 
 def test_fock_characteristic_matches_the_displacement_traces():
@@ -343,7 +342,7 @@ def test_two_mode_routes_agree():
     f1 = fock(1, cutoff)
     vac_mat = np.zeros((cutoff, cutoff), dtype=complex)
     vac_mat[0, 0] = 1.0
-    rho2 = type(f1)(np.kron(f1.matrix, vac_mat), cutoff, 2)
+    rho2 = TwoModeFock(np.kron(f1.matrix, vac_mat), cutoff)
     spec = GridSpec(2, 3.5, 15)
     char = GridSpec(2, 10.0, 41)
     wb = wigner_from_characteristic(characteristic_function(rho2, char), spec)
@@ -638,12 +637,12 @@ def test_covariance_keeps_the_top_level_whole():
     assert np.max(np.abs(top.covariance - (c - 0.5) * np.eye(2))) <= 1e-12
 
 
-def test_two_mode_covariance_matches_the_gaussian_state():
-    # two-mode squeezing correlates q1 with q2 and p1 with -p2
-    ch, sh = np.cosh(0.3), np.sinh(0.3)
-    S = np.array([[ch, sh, 0, 0], [sh, ch, 0, 0],
-                  [0, 0, ch, -sh], [0, 0, -sh, ch]])
-    state = GaussianState([0.3, -0.2, 0.1, 0.4], S @ S.T / 2)
+def test_covariance_matches_the_gaussian_state():
+    # a rotated squeezed state correlates q with p
+    th, r = 0.4, 0.3
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    S = rot @ np.diag([np.exp(-r), np.exp(r)])
+    state = GaussianState([0.3, -0.2], S @ S.T / 2)
     rho = gaussian_to_fock(state, 30)
     assert rho.leakage <= 1e-12
     moments = covariance_state(rho)

@@ -22,6 +22,9 @@ from .special import ndtr
 # (a 257^2 grid is one; its texts and np.unique arrays peak near 50 bytes a
 # node when every value is distinct)
 BLOCK_NODES = 2 ** 17
+# hermite_rows scales a carried mantissa by 2^-RESCALE_BITS once it passes
+# 2^RESCALE_BITS, far from both ends of float range
+RESCALE_BITS = 256
 
 
 def annihilation(cutoff: int) -> np.ndarray:
@@ -128,14 +131,35 @@ def metaplectic_operator(S: np.ndarray, cutoff: int) -> np.ndarray:
 
 def hermite_rows(n_max: int, x):
     """Yield psi_0..psi_n_max at x, one new array per row, by the upward
-    recurrence on the normalized functions, whose O(1) rows never overflow."""
+    recurrence on the normalized functions, whose O(1) rows never overflow.
+
+    Where x^2/2 > -ln(tiny) (|x| > 37.64) e^(-x^2/2) would underflow, so
+    there each row is carried as a mantissa times 2^e: e starts at
+    floor(-x^2 / (2 ln 2)) and is raised by RESCALE_BITS whenever the
+    mantissa passes 2^RESCALE_BITS, and the row is yielded as
+    ldexp(mantissa, e).  Power-of-2 scaling is exact, and elsewhere e = 0,
+    so the start and the recurrence there are those of the plain rows, bit
+    for bit.
+    """
     x = np.asarray(x, dtype=float)
-    prev, row = 0.0, np.pi ** -0.25 * np.exp(-x ** 2 / 2)
-    yield row
+    start = -x ** 2 / 2
+    # below -2^40, where every row is 0, e stops and the mantissa underflows
+    exponent = np.zeros(x.shape, dtype=np.int64)
+    tail = start < np.log(np.finfo(float).tiny)
+    exponent[tail] = np.floor(np.maximum(start[tail], -2.0 ** 40) / np.log(2))
+    start[tail] -= exponent[tail] * np.log(2)
+    prev, row = 0.0, np.pi ** -0.25 * np.exp(start)
+    scaled = tail.any()
+    yield np.ldexp(row, exponent) if scaled else row
     for n in range(n_max):  # the first step's prev term is exactly 0.0
         prev, row = row, (np.sqrt(2.0 / (n + 1)) * x * row
                           - np.sqrt(n / (n + 1)) * prev)
-        yield row
+        if scaled:
+            big = np.abs(row) > 2.0 ** RESCALE_BITS
+            row[big] *= 2.0 ** -RESCALE_BITS
+            prev[big] *= 2.0 ** -RESCALE_BITS
+            exponent[big] += RESCALE_BITS
+        yield np.ldexp(row, exponent) if scaled else row
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -193,7 +217,9 @@ def _beam_splitter_bands(cutoff: int, top: int):
 
 def hermite_coefficients(rho: np.ndarray) -> np.ndarray:
     """C with W(q, p) = sum_jk C_jk g_j(q) g_k(p) for a one-mode rho, over
-    the orthonormal g_j(x) = 2^(1/4) psi_j(sqrt(2) x).
+    the orthonormal g_j(x) = 2^(1/4) psi_j(sqrt(2) x) (hermite_basis).  A
+    state computes it once (FockDensityOperator.coefficients), and its
+    Wigner grid and chi both read that C.
 
     W(q, p) = pi^-1 Int rho_H(q + y, q - y) e^(-2ipy) dy, rho_H = (rho +
     rho^dag)/2.  In u = sqrt(2) q and v = sqrt(2) y the kernel is the beam
@@ -224,6 +250,14 @@ def hermite_coefficients(rho: np.ndarray) -> np.ndarray:
                         np.einsum("am,m->a", band, level.real))
         coef[n - b, b] = np.where(b % 4 < 2, part, -part) / np.sqrt(2 * np.pi)
     return coef
+
+
+def hermite_basis(n_max: int, x) -> np.ndarray:
+    """g_0..g_n_max at x, g_j(x) = 2^(1/4) psi_j(sqrt(2) x), the basis of
+    hermite_coefficients, as an (n_max + 1, x.size) table."""
+    table = hermite_functions(n_max, np.sqrt(2) * x)
+    table *= 2 ** 0.25
+    return table
 
 
 def hermite_overlap_cdf(cutoff: int, x) -> np.ndarray:

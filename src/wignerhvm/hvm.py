@@ -47,8 +47,8 @@ import numpy as np
 from .oracle import BinSpec, OutcomeDistribution, _normalize_intervals
 from .phase_space import observable_label
 from .special import sine_integral
-from .wigner import (NEGATIVITY_TOL_FACTOR, WignerGrid,
-                     characteristic_at_points, min_value)
+from .wigner import (WignerGrid, characteristic_at_points, min_value,
+                     negativity_clamp)
 
 SAMPLE_CHUNK = 1 << 14
 # cells per block of the cumulative cell masses, and per leaf of their sum
@@ -106,20 +106,18 @@ class HiddenVariableModel:
 def build_hvm(w: WignerGrid) -> HiddenVariableModel:
     """Wigner measure as a hidden-variable model; fails on real negativity.
 
-    Negative cells smaller in magnitude than 1e-9 times the grid maximum
-    are floating-point floor and get clamped to zero; anything below that
-    raises NegativityError with the witness.
+    Negative cells smaller in magnitude than wigner.negativity_clamp, 1e-9
+    times the grid maximum, are floating-point floor and get clamped to
+    zero; anything below that raises NegativityError with the witness.
 
     The input is consumed: its array is clamped and normalized in place
     and becomes the model's grid, so the call allocates nothing
-    grid-sized (the largest magnitude is read from the min and the max,
-    with no |W| temporary).  The negativity check comes first, so a
+    grid-sized.  The negativity check comes first, so a
     NegativityError leaves the input's bits untouched.
     """
     values = w.values
     mn = float(values.min())
-    vmax = max(float(values.max()), -mn)
-    tol = NEGATIVITY_TOL_FACTOR * vmax
+    tol = negativity_clamp(values, mn)
     if mn < -tol:
         raise NegativityError(*min_value(w), w.spec)
     np.clip(values, 0.0, None, out=values)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,7 +122,11 @@ class GaussianState:
 
 @dataclass
 class FockDensityOperator:
-    """Density matrix of one mode on the truncated Fock basis."""
+    """Density matrix of one mode on the truncated Fock basis.
+
+    The matrix must not change after construction: `coefficients`, the
+    Hermite coefficients C of its Wigner function, is computed from it once.
+    """
 
     matrix: np.ndarray
     cutoff: int
@@ -145,6 +150,12 @@ class FockDensityOperator:
             np.linalg.cholesky(self.matrix + 1e-10 * np.eye(c))
         except np.linalg.LinAlgError:
             raise ValueError("density matrix is not positive semidefinite")
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """C with W(q, p) = sum_jk C_jk g_j(q) g_k(p), the one table behind
+        the state's Wigner grid and its chi (fockspace.hermite_basis)."""
+        return fockspace.hermite_coefficients(self.matrix)
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)

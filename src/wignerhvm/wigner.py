@@ -10,8 +10,8 @@ with the sign pairing chosen so that a displaced state's Wigner function
 peaks at its mean and the transform of a quadrature operator is the linear
 coordinate itself.  The (2 pi)^(-2m) constant makes Int W = 1 for every
 mode count.  A one-mode Fock state's W is sum_jk C_jk g_j(q) g_k(p) over
-Hermite functions, which the transform maps to themselves, so its chi is
-read from the same C (characteristic_at_points).
+Hermite functions, which the transform maps to themselves, so its grid
+and its chi both read the state's C (FockDensityOperator.coefficients).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .states import (GRID_BYTES_LIMIT, FockDensityOperator, GaussianState,
 # for which a state's windowed Wigner transform is trusted
 BOUNDARY_DECAY = 1e-8
 NORMALIZATION_TOL = 1e-3
-# negative W within this factor of max |W| is rounding (build_hvm, hudson)
+# negative W within this factor of max |W| is rounding (negativity_clamp)
 NEGATIVITY_TOL_FACTOR = 1e-9
 PURITY_TOL = 1e-6
 # "%.18e\n" of a float64 is at most 27 bytes: the sign, 19 digits, the
@@ -181,14 +181,6 @@ def _normalized_on_window(grid: WignerGrid) -> WignerGrid:
     return grid
 
 
-def _hermite_table(n_max: int, x) -> np.ndarray:
-    """g_0..g_n_max at x, g_j(x) = 2^(1/4) psi_j(sqrt(2) x), the functions
-    of fockspace.hermite_coefficients, as an (n_max + 1, x.size) table."""
-    table = fockspace.hermite_functions(n_max, np.sqrt(2) * x)
-    table *= 2 ** 0.25
-    return table
-
-
 def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
     """chi(v) at arbitrary phase-space points: the Gaussian closed form, or
     for one Fock mode the Hermite coefficients C of its Wigner function.
@@ -205,10 +197,11 @@ def characteristic_at_points(state, points: np.ndarray) -> np.ndarray:
         phase = 1j * (k @ state.mean)
         damp = -0.5 * np.einsum("ij,jk,ik->i", k, state.covariance, k)
         return np.exp(phase + damp)
-    coef = fockspace.hermite_coefficients(state.matrix)
+    coef = state.coefficients
+    n_max = len(coef) - 1
     powers = np.array([1, 1j, -1, -1j])[np.arange(len(coef)) % 4, None]
-    by_p = powers * _hermite_table(len(coef) - 1, pts[:, 1] / 2)  # i^j g_j
-    by_q = powers.conj() * _hermite_table(len(coef) - 1, pts[:, 0] / 2)
+    by_p = powers * fockspace.hermite_basis(n_max, pts[:, 1] / 2)  # i^j g_j
+    by_q = powers.conj() * fockspace.hermite_basis(n_max, pts[:, 0] / 2)
     return np.pi * np.einsum("jk,jx,kx->x", coef, by_p, by_q)
 
 
@@ -216,19 +209,19 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     """Wigner grid of a one-mode Fock state, with no characteristic-function
     transform.
 
-    W(q, p) = sum_jk C_jk g_j(q) g_k(p) (fockspace.hermite_coefficients),
-    so the grid is A C A^T with A the table of the g_j on the axis
-    (_hermite_table).  Both products are unoptimized two-operand np.einsum
-    calls, which call no BLAS, so the bits do not depend on the thread
-    count; they are formed for a block of about fockspace.BLOCK_NODES
+    W(q, p) = sum_jk C_jk g_j(q) g_k(p) (rho.coefficients), so the grid is
+    A C A^T with A the table of the g_j on the axis
+    (fockspace.hermite_basis).  Both products are unoptimized two-operand
+    np.einsum calls, which call no BLAS, so the bits do not depend on the
+    thread count; they are formed for a block of about fockspace.BLOCK_NODES
     nodes (grid rows) at a time, each with the bits of the whole product.
-    Beside the grid, which owns its bytes, it holds C, A (D + 1 floats per
-    axis node) and one block's first product.
+    Beside the grid, which owns its bytes, and the state's C, it holds A
+    (D + 1 floats per axis node) and one block's first product.
     """
     if spec.mode_count != 1:
         raise ValueError("grid/state mode mismatch")
-    coef = fockspace.hermite_coefficients(rho.matrix)
-    table = _hermite_table(len(coef) - 1, spec.axis)
+    coef = rho.coefficients
+    table = fockspace.hermite_basis(len(coef) - 1, spec.axis)
     values = np.empty(spec.shape)
     step = max(1, fockspace.BLOCK_NODES // spec.points)
     for start in range(0, spec.points, step):
@@ -253,6 +246,13 @@ def negativity_volume(grid: WignerGrid) -> float:
 
 def log_negativity(grid: WignerGrid) -> float:
     return float(np.log(np.abs(grid.values).sum() * grid.cell_volume))
+
+
+def negativity_clamp(values: np.ndarray, mn: float) -> float:
+    """NEGATIVITY_TOL_FACTOR max |W| for a grid of minimum mn, read from the
+    min and the max with no |W| grid: W down to minus this is rounding
+    (build_hvm clamps it, hudson_classify reads it as nonnegative)."""
+    return NEGATIVITY_TOL_FACTOR * max(float(values.max()), -mn)
 
 
 def min_value(grid: WignerGrid):
@@ -323,8 +323,7 @@ def hudson_classify(state, spec: GridSpec | None = None) -> HudsonReport:
     spec = spec or GridSpec(state.mode_count, 6.0, 257)
     w = state_wigner(state, spec)
     mn, loc = min_value(w)
-    # max |W| with no |W| grid
-    tol = NEGATIVITY_TOL_FACTOR * float(max(w.values.max(), -mn))
+    tol = negativity_clamp(w.values, mn)
     classification = "gaussian_nonnegative" if mn >= -tol else "negative"
     cov_purity = covariance_state(state).purity()
     if (classification == "gaussian_nonnegative") != \

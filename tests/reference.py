@@ -50,7 +50,12 @@ imaginary residue is below `IMAG_RESIDUE` times its scale.
 (n_max + 1, x.size) table, and `whole_table_gkp_coefficients` is the GKP
 state's quadrature over that whole table, scaled in place and integrated
 along its rows by one 2-D `np.trapezoid`: the package's forms before it
-learnt to stream the recurrence one row at a time.
+learnt to stream the recurrence one row at a time.  Both start from
+e^(-x^2/2), so their rows read 0 past |x| = 37.64.
+`frexp_hermite_functions` is the same recurrence on Python floats with
+each value renormalized by `math.frexp`, which does not underflow there,
+and `frexp_fock_wigner` is a Fock state's W from the Laguerre closed form,
+carried the same way.
 `position_marginal` is a Wigner grid's one-axis marginal density and
 `grid_moment` integrates it.
 `characteristic_function` is a state's chi(v) = Tr[rho D(v)] on a grid,
@@ -89,6 +94,7 @@ hidden-variable model's normalized cell masses, the table its sampler
 searches.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -597,6 +603,43 @@ def whole_table_hermite_functions(n_max: int, x) -> np.ndarray:
         out[n + 1] = (np.sqrt(2.0 / (n + 1)) * x * out[n]
                       - np.sqrt(n / (n + 1)) * out[n - 1])
     return out
+
+
+def frexp_hermite_functions(n_max: int, x) -> np.ndarray:
+    """psi_0..psi_n_max on x by the recurrence on Python floats, each value
+    a mantissa renormalized by math.frexp beside its binary exponent, so
+    no row underflows before it is written out by math.ldexp."""
+    out = np.zeros((n_max + 1, np.size(x)))
+    for i, xi in enumerate(np.ravel(x).tolist()):
+        # e^(-x^2/2) = 2^t, split into whole and fractional powers of 2
+        t = -xi * xi / (2 * math.log(2))
+        exp = math.floor(t)
+        prev, row = 0.0, math.pi ** -0.25 * 2.0 ** (t - exp)
+        out[0, i] = math.ldexp(row, exp)
+        for n in range(n_max):
+            prev, row = row, (math.sqrt(2 / (n + 1)) * xi * row
+                              - math.sqrt(n / (n + 1)) * prev)
+            row, shift = math.frexp(row)
+            prev = math.ldexp(prev, -shift)
+            exp += shift
+            out[n + 1, i] = math.ldexp(row, exp)
+    return out
+
+
+def frexp_fock_wigner(n: int, q: float, p: float) -> float:
+    """W of |n><n| at (q, p), (-1)^n e^(-r^2) L_n(2 r^2) / pi, from the
+    Laguerre recurrence on Python floats with e^(-r^2) and the running
+    polynomials carried as mantissas beside one math.frexp exponent."""
+    r2 = q * q + p * p
+    t = -r2 / math.log(2)  # e^(-r^2) = 2^t
+    exp = math.floor(t)
+    prev, row = 0.0, 2.0 ** (t - exp)  # L_(-1) = 0 and L_0 = 1, scaled
+    for k in range(n):
+        prev, row = row, ((2 * k + 1 - 2 * r2) * row - k * prev) / (k + 1)
+        row, shift = math.frexp(row)
+        prev = math.ldexp(prev, -shift)
+        exp += shift
+    return (-1) ** n * math.ldexp(row, exp) / math.pi
 
 
 def whole_table_gkp_coefficients(delta: float, cutoff: int) -> np.ndarray:

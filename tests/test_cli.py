@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 import tempfile
 import tracemalloc
 import warnings
@@ -369,8 +370,15 @@ def test_exit_codes_hold_for_drawn_inputs(command, spec, points, char_points,
             warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = main(argv + ["--out", out])
+        # every report is strict JSON: no NaN or Infinity constant
+        for path in pathlib.Path(out).rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=refuse_constant)
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
 
 
 def test_grid_memory_guard_exit_3(tmp_path, monkeypatch):
@@ -459,6 +467,29 @@ def test_non_finite_grid_exits_3(tmp_path, monkeypatch, capsys, command):
     err = capsys.readouterr().err
     assert code == 3, err
     assert "non-finite" in err and "Traceback" not in err
+
+
+def test_hermite_coefficients_run_once_per_state(tmp_path, monkeypatch):
+    # a Fock state's grid and its chi read the state's one C
+    calls = []
+    compute = wigner_module.fockspace.hermite_coefficients
+
+    def counted(matrix):
+        calls.append(matrix)
+        return compute(matrix)
+
+    monkeypatch.setattr(wigner_module.fockspace, "hermite_coefficients",
+                        counted)
+    code, _ = run(tmp_path, "hvm-compare", "--state",
+                  '{"kind": "fock", "params": {"n": 0}, "cutoff": 10}',
+                  "--points", "41", "--samples", "2000")
+    assert code == 0 and len(calls) == 1
+    matrix = np.zeros((30, 30))
+    matrix[0, 0], matrix[1, 1] = 0.7, 0.3  # a lossy single photon
+    photon = states_module.FockDensityOperator(matrix, 30, 1)
+    wigner_module.state_wigner(photon, GridSpec(1, 6.0, 41))
+    wigner_module.characteristic_at_points(photon, np.eye(2))
+    assert len(calls) == 2
 
 
 def test_large_cutoff_gkp_grid_is_finite(tmp_path, capsys):

@@ -11,7 +11,8 @@ from wignerhvm.phase_space import random_symplectic
 from wignerhvm.weyl import quantize_linear
 
 from reference import (displacement_matrix, full_depth_displacement_trace,
-                       member_bargmann, member_metaplectic_operator,
+                       frexp_hermite_functions, member_bargmann,
+                       member_metaplectic_operator,
                        whole_table_hermite_functions)
 
 ALPHAS = (0.0, 0.3, 1.5 + 0.7j, -2.2j, -1.1 - 1.9j, 3.0)
@@ -199,11 +200,37 @@ def test_hermite_overlap_cdf_limits_are_exact():
 
 @pytest.mark.parametrize("n_max", (0, 1, 2, 30, 60))
 def test_hermite_functions_keep_the_whole_table_bits(n_max):
-    axis = np.linspace(-40.0, 40.0, 1601)  # psi underflows in the tails
-    grid = axis[:1600].reshape(40, 40)  # a 2-D x is read flattened
+    # e^(-x^2/2) underflows past |x| = 37.64: there the rows are carried
+    # scaled, and the plain table reads 0 where psi does not
+    axis = np.linspace(-45.0, 45.0, 1801)
+    grid = axis[:1800].reshape(40, 45)  # a 2-D x is read flattened
     empty = np.array([])  # hermite_overlap_cdf at infinite points only
     for x in (axis, grid, empty):
         got = fockspace.hermite_functions(n_max, x)
         want = whole_table_hermite_functions(n_max, x.ravel())
         assert got.shape == want.shape == (n_max + 1, x.size)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        plain = np.abs(x.ravel()) <= 37.64
+        assert np.array_equal(got[:, plain].view(np.int64),
+                              want[:, plain].view(np.int64))
+        ref = frexp_hermite_functions(n_max, x.ravel()[~plain])
+        tail = got[:, ~plain]
+        resolved = np.abs(ref) > 1e-290
+        assert np.all(np.abs(tail - ref)[resolved]
+                      <= 1e-12 * np.abs(ref[resolved]))
+        assert np.all(np.abs(tail - ref)[~resolved] <= 1e-300)
+
+
+def test_hermite_rows_past_the_underflow_point():
+    # psi_900 turns at sqrt(1801) = 42.4; e^(-x^2/2) is 0 there, but the
+    # scaled rows keep the top rows' tails
+    x = np.array([-50.0, -40.0, -38.0, 38.0, 40.0, 41.5, 43.0, 50.0])
+    got = fockspace.hermite_functions(900, x)
+    ref = frexp_hermite_functions(900, x)
+    assert np.max(np.abs(got[900])) > 0.05
+    resolved = np.abs(ref) > 1e-290
+    assert np.all(np.abs(got - ref)[resolved]
+                  <= 1e-10 * np.abs(ref[resolved]))
+    assert np.all(np.abs(got - ref)[~resolved] <= 1e-300)
+    # far past any row's support: 0, with no warning and no NaN
+    far = fockspace.hermite_functions(30, np.array([1e3, 1e150, -1e153]))
+    assert np.array_equal(far, np.zeros_like(far))

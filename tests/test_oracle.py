@@ -19,7 +19,8 @@ from wignerhvm.states import (FockDensityOperator, GaussianState,
                               gaussian_to_fock, make_state)
 from wignerhvm.wigner import GridSpec, covariance_state, state_wigner
 
-from reference import grid_moment, whole_table_hermite_functions
+from reference import (frexp_hermite_functions, grid_moment,
+                       whole_table_hermite_functions)
 
 BINS = BinSpec(-6.0, 6.0, 50)
 
@@ -156,6 +157,20 @@ def test_event_probability_examples():
     assert abs(event_probability(fock(1), [1, 0], [(0, np.inf)]) - 0.5) < 1e-14
     assert abs(event_probability(fock(1), [1, 0], [(-np.inf, np.inf)])
                - 1.0) < 1e-14
+
+
+def test_fock_event_probability_reaches_past_the_underflow_point():
+    # |900> at cutoff 902 has about 10.9% of its q-mass beyond |q| = 40,
+    # where e^(-q^2/2) underflows: the CDF's rows are carried scaled there
+    # (the arcsine law of the classical oscillator gives 10.84%)
+    state = make_state(StateSpec("fock", {"n": 900}, 1, 902))
+    upper = event_probability(state, (1.0, 0.0), [(40.0, np.inf)])
+    lower = event_probability(state, (1.0, 0.0), [(-np.inf, -40.0)])
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    psi = frexp_hermite_functions(900, 44.0 + 4.0 * nodes)[900]
+    assert abs(upper - 4.0 * np.dot(weights, psi ** 2)) < 1e-12
+    assert abs(lower - upper) < 1e-12
+    assert abs(upper - np.arccos(40 / np.sqrt(1801)) / np.pi) < 1e-3
 
 
 @st.composite

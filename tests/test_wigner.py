@@ -18,9 +18,9 @@ from wignerhvm.wigner import (GridSpec, InadequateWindowError, MixedStateError,
 from reference import (CharacteristicGrid, TwoModeFock,
                        characteristic_function, complex_parity_wigner,
                        expression_wigner_gaussian,
-                       full_depth_displacement_trace, full_grid_parity_trace,
-                       grid_moment, pinned_gaussians, position_marginal,
-                       trace_characteristic_at_points,
+                       frexp_fock_wigner, full_depth_displacement_trace,
+                       full_grid_parity_trace, grid_moment, pinned_gaussians,
+                       position_marginal, trace_characteristic_at_points,
                        two_mode_gaussian_to_fock, wigner_from_characteristic)
 
 GRID = GridSpec(1, 6.0, 257)
@@ -553,6 +553,18 @@ def test_one_mode_fock_route_working_set_is_bounded():
             tracemalloc.stop()
         beyond[name] = peak - 8 * spec.points ** 2
     assert max(beyond.values()) < 24 * 2 ** 20, beyond
+
+
+def test_large_fock_grid_keeps_the_rows_past_the_underflow_point():
+    # g_j(28) reads psi_j at 28 sqrt(2) = 39.6, where e^(-x^2/2) underflows;
+    # |400>'s W still reaches 0.018 on the q = +-28 rows (the closed form
+    # (-1)^n e^(-r^2) L_n(2 r^2) / pi, read without underflow)
+    spec = GridSpec(1, 28.0, 41)
+    grid = wigner_fock_direct(fock(400, 402), spec)
+    want = [frexp_fock_wigner(400, 28.0, p) for p in spec.axis.tolist()]
+    for row in (grid.values[0], grid.values[-1]):
+        assert np.max(np.abs(row)) > 0.018
+        assert np.max(np.abs(row - want)) < 1e-12
 
 
 def test_hermite_coefficients_stay_within_the_state_build_bound():

@@ -108,9 +108,10 @@ def _write_report(args, name: str, payload: dict) -> Path:
 
 def cmd_wigner(args) -> int:
     spec = _state_spec(args)
-    state = make_state(spec)
-    grid = _grid_spec(args, spec.modes)
-    w = wigner_mod.state_wigner(state, grid)
+    # the state is built (and checked) before the grid, and is freed with
+    # its cached coefficients before the grid-sized work below
+    w = wigner_mod.state_wigner(make_state(spec),
+                                _grid_spec(args, spec.modes))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     wigner_mod.wigner_to_csv(w, out_dir / "wigner.csv")
@@ -124,9 +125,8 @@ def cmd_wigner(args) -> int:
 
 def cmd_negativity(args) -> int:
     spec = _state_spec(args)
-    state = make_state(spec)
-    grid = _grid_spec(args, spec.modes)
-    w = wigner_mod.state_wigner(state, grid)
+    w = wigner_mod.state_wigner(make_state(spec),
+                                _grid_spec(args, spec.modes))
     payload = {"command": "negativity", "state": spec.to_dict(),
                **wigner_mod.sidecar_dict(w)}
     path = _write_report(args, "negativity.json", payload)

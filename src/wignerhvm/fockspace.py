@@ -143,23 +143,22 @@ def hermite_rows(n_max: int, x):
     """
     x = np.asarray(x, dtype=float)
     start = -x ** 2 / 2
-    # below -2^40, where every row is 0, e stops and the mantissa underflows
-    exponent = np.zeros(x.shape, dtype=np.int64)
+    # below -2^30, where every row is 0, e stops and the mantissa underflows;
+    # e then fits the int32 that np.ldexp takes without a slow cast
+    exponent = np.zeros(x.shape, dtype=np.int32)
     tail = start < np.log(np.finfo(float).tiny)
-    exponent[tail] = np.floor(np.maximum(start[tail], -2.0 ** 40) / np.log(2))
+    exponent[tail] = np.floor(np.maximum(start[tail], -2.0 ** 30) / np.log(2))
     start[tail] -= exponent[tail] * np.log(2)
     prev, row = 0.0, np.pi ** -0.25 * np.exp(start)
-    scaled = tail.any()
-    yield np.ldexp(row, exponent) if scaled else row
+    yield np.ldexp(row, exponent)
     for n in range(n_max):  # the first step's prev term is exactly 0.0
         prev, row = row, (np.sqrt(2.0 / (n + 1)) * x * row
                           - np.sqrt(n / (n + 1)) * prev)
-        if scaled:
-            big = np.abs(row) > 2.0 ** RESCALE_BITS
-            row[big] *= 2.0 ** -RESCALE_BITS
-            prev[big] *= 2.0 ** -RESCALE_BITS
-            exponent[big] += RESCALE_BITS
-        yield np.ldexp(row, exponent) if scaled else row
+        big = np.abs(row) > 2.0 ** RESCALE_BITS
+        row[big] *= 2.0 ** -RESCALE_BITS
+        prev[big] *= 2.0 ** -RESCALE_BITS
+        exponent[big] += RESCALE_BITS
+        yield np.ldexp(row, exponent)
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:

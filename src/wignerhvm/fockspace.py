@@ -142,7 +142,8 @@ def hermite_rows(n_max: int, x):
     for bit.
     """
     x = np.asarray(x, dtype=float)
-    start = -x ** 2 / 2
+    with np.errstate(over="ignore"):  # an infinite x^2 starts rows of 0
+        start = -x ** 2 / 2
     # below -2^30, where every row is 0, e stops and the mantissa underflows;
     # e then fits the int32 that np.ldexp takes without a slow cast
     exponent = np.zeros(x.shape, dtype=np.int32)

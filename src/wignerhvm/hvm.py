@@ -27,9 +27,9 @@ chunk's keys in sorted order, and then a uniform point in a box around
 its node (the jitter removes grid artifacts from histograms); the box
 model adds a variance of step**2 / 12 per axis, which is why exact
 events do not integrate it.  The model owns the only grid: build_hvm
-clamps and normalizes its input in place, and sample keeps one running
-sum per block of SAMPLE_BLOCK cells, rebuilding a block's cumulative
-masses from it only when a key falls there.  hvm_homodyne_distribution
+clamps and normalizes its input in place, and sample keeps the running
+sum of its weights at each end of a block of SAMPLE_BLOCK cells, redoing
+a block's sum only when a key falls there.  hvm_homodyne_distribution
 streams the samples into its histogram chunk by chunk, holding 16 bytes
 a sample (a sorted key and its order) rather than the (n, 2m) samples
 and their n outcomes: the two-mode coherent hvm-compare at 41^4 with two
@@ -51,7 +51,7 @@ from .wigner import (WignerGrid, characteristic_at_points, min_value,
                      negativity_clamp)
 
 SAMPLE_CHUNK = 1 << 14
-# cells per block of the cumulative cell masses, and per leaf of their sum
+# cells per block of the running sum of the cell weights
 SAMPLE_BLOCK = 1 << 16
 # the fewest outcomes per sine-integral call on the slab path, and the most
 # values a call takes for several edges at once
@@ -83,20 +83,19 @@ class NegativityError(ValueError):
 class HiddenVariableModel:
     """Probability measure over phase space backed by a Wigner grid.
 
-    ``sample`` stores, on its first call, the normalizer S of the cell
-    masses in ``_mass`` and, in ``_alias``, the running sum of the cell
-    probabilities at the end of each block of SAMPLE_BLOCK cells: one
-    float per block, not one per cell.  The slot keeps its historical
-    name because the benchmark reads ``model._alias is None`` to time the
-    first ``sample`` call.  Samples reach a histogram through ``sample``
-    too (its ``histogram=`` argument), 16 bytes a sample, so every draw
-    goes through that one entry point.
+    ``sample`` stores in ``_alias``, on its first call, the running sum
+    of the weights ``measure.values`` at each end of a block of
+    SAMPLE_BLOCK cells: one float per block.  A draw depends only on the
+    weights' ratios, so no total or cell volume enters.  The slot keeps
+    its historical name because the benchmark reads ``model._alias is
+    None`` to time the first ``sample`` call.  Samples reach a histogram
+    through ``sample`` too (its ``histogram=`` argument), 16 bytes a
+    sample, so every draw goes through that one entry point.
     """
 
     measure: WignerGrid
     renormalization: float = 1.0
     _alias: np.ndarray | None = field(default=None, repr=False)
-    _mass: float = field(default=0.0, repr=False)
 
     @property
     def mode_count(self) -> int:
@@ -154,8 +153,8 @@ def _projection_lattice(used: np.ndarray, points: int, nodes: int):
     return float(scale[first]), n[first].astype(np.intp)
 
 
-def _lattice_masses(weights: np.ndarray, n: np.ndarray,
-                    points: int) -> np.ndarray:
+def _lattice_weights(weights: np.ndarray, n: np.ndarray,
+                     points: int) -> np.ndarray:
     """The marginal's weights summed per key + R // 2, in C order.
 
     Each axis contributes n_k (j_k - c) + |n_k| c, a key from 0 up.  A
@@ -181,45 +180,27 @@ def _lattice_masses(weights: np.ndarray, n: np.ndarray,
     return masses
 
 
-def _mass_total(flat: np.ndarray, volume: float) -> float:
-    """(flat * volume).sum() with its bits, one leaf at a time.
-
-    np.sum adds a contiguous array pairwise, halving n at n // 2 rounded
-    down to a multiple of 8; recursing on the same halves and summing
-    each leaf of at most SAMPLE_BLOCK cells with np.sum makes the same
-    additions, with no temporary larger than a leaf.
-    """
-    if flat.size <= SAMPLE_BLOCK:
-        return float(np.sum(flat * volume))
-    half = flat.size // 2 - flat.size // 2 % 8
-    return _mass_total(flat[:half], volume) + _mass_total(flat[half:], volume)
-
-
-def _block_cdf(flat: np.ndarray, volume: float, mass: float, block: int,
-               start: float) -> np.ndarray:
-    """The cumulative cell probabilities over one block, as a new array.
+def _block_cdf(flat: np.ndarray, block: int, start: float) -> np.ndarray:
+    """The running sum of the cell weights over one block, as a new array.
 
     start is the running sum before the block.  It is added to the
     block's first cell and the cumsum continues from there, so each entry
     is the sum np.cumsum over the whole grid adds, with the same bits.
     """
-    part = flat[block * SAMPLE_BLOCK:(block + 1) * SAMPLE_BLOCK] * volume
-    part /= mass
+    part = flat[block * SAMPLE_BLOCK:(block + 1) * SAMPLE_BLOCK].copy()
     if block:
         part[0] += start
     return np.cumsum(part, out=part)
 
 
-def _cumulative_blocks(model: HiddenVariableModel):
-    """(S, ends): the cell masses' total and the running sum of the cell
-    probabilities at the end of each block of SAMPLE_BLOCK cells."""
+def _cumulative_blocks(model: HiddenVariableModel) -> np.ndarray:
+    """The running sum of the cell weights at the end of each block of
+    SAMPLE_BLOCK cells."""
     flat = model.measure.values.reshape(-1)
-    volume = model.measure.cell_volume
-    mass = _mass_total(flat, volume)
     ends = np.empty(-(-flat.size // SAMPLE_BLOCK))
     for b in range(len(ends)):
-        ends[b] = _block_cdf(flat, volume, mass, b, ends[b - 1])[-1]
-    return mass, ends
+        ends[b] = _block_cdf(flat, b, ends[b - 1])[-1]
+    return ends
 
 
 def _uniforms(seed: int, chunk_index: int, rows: int,
@@ -235,9 +216,9 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
     """n hidden states, shape (n, 2m); row i depends only on (seed, i).
 
     Each row draws a grid cell by inverse CDF, a binary search of the
-    cumulative cell masses, and then a uniform point in that cell's box.
-    The stream is chunked with per-chunk substreams derived from (seed,
-    chunk index), so any thread count and any chunk-level parallelism
+    running sum of the cell weights, and then a uniform point in that cell's
+    box.  The stream is chunked with per-chunk substreams derived from
+    (seed, chunk index), so any thread count and any chunk-level parallelism
     reproduce the identical array, and prefixes agree between runs of
     different lengths.  Chunks fill slices of one preallocated array.
 
@@ -249,26 +230,25 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
     sample (a sorted key and its order) instead of 8 * 2m: no (n, 2m)
     array and no n outcomes are made.
 
-    No grid-sized table is held.  The first call stores the normalizer S
-    and the running sum at each block end (_cumulative_blocks).  Then
-    three passes: each chunk draws its keys u * total and sorts them,
-    keeping the sorted keys and their order in 2k floats (the first of
-    its k rows of the output, or its rows of an (n, 2) buffer when
-    streamed); each block holding a key rebuilds its cumulative masses
-    from the stored start (_block_cdf) and searches its keys there,
-    writing their cells over them; and each chunk redraws its uniforms to
-    place every row in its cell's box.  The cells are those one plain
-    search per key of the grid's np.cumsum of cell probabilities finds.
+    No grid-sized table is held.  The first call stores the running sum
+    at each block end (_cumulative_blocks).  Then three passes: each
+    chunk draws its keys u * ends[-1] and sorts them, keeping the sorted
+    keys and their order in 2k floats (the first of its k rows of the
+    output, or its rows of an (n, 2) buffer when streamed); each block
+    holding a key rebuilds its running sums from the stored start
+    (_block_cdf) and searches its keys there, writing their cells over
+    them; and each chunk redraws its uniforms to place every row in its
+    cell's box.  The cells are those one plain search per key of np.cumsum
+    over the whole grid's weights finds.
     Chunks go to a pool of ``threads`` workers in the first and last
     pass, blocks in the second.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     if model._alias is None:  # built once, before any worker reads it
-        model._mass, model._alias = _cumulative_blocks(model)
-    ends, mass = model._alias, model._mass
+        model._alias = _cumulative_blocks(model)
+    ends = model._alias
     flat = model.measure.values.reshape(-1)
-    volume = model.measure.cell_volume
     spec = model.measure.spec
     axis, step = spec.axis, spec.step
     dims = 2 * model.mode_count
@@ -298,7 +278,7 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
 
     def search(b):
         """Each key in block b replaced by its cell."""
-        cdf = _block_cdf(flat, volume, mass, b, ends[b - 1])
+        cdf = _block_cdf(flat, b, ends[b - 1])
         for buf, cut in zip(keys, cuts):
             lo, hi = (cut[b - 1] if b else 0), cut[b]
             if lo < hi:
@@ -448,7 +428,7 @@ def hvm_event_probabilities(model: HiddenVariableModel, zeta,
     lattice = _projection_lattice(used, spec.points, weights.size)
     if lattice is not None:
         scale, n = lattice
-        masses = _lattice_masses(weights, n, spec.points)
+        masses = _lattice_weights(weights, n, spec.points)
         reach = len(masses) // 2
         outcomes = scale * spec.step * np.arange(-reach, reach + 1)
         sums = slab_sums(masses[None], outcomes[None])

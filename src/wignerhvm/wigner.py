@@ -176,8 +176,9 @@ def _normalized_on_window(grid: WignerGrid) -> WignerGrid:
     """The grid itself, unless the window misses too much of the mass."""
     if abs(grid.normalization - 1.0) > NORMALIZATION_TOL:
         raise InadequateWindowError(
-            f"Wigner normalization {grid.normalization:.6f} misses 1 by more "
-            f"than {NORMALIZATION_TOL}; widen the output window")
+            f"Wigner normalization {grid.normalization:.6g} misses 1 by more "
+            f"than {NORMALIZATION_TOL}; widen the output window or use more "
+            f"points")
     return grid
 
 

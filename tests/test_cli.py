@@ -381,6 +381,49 @@ def refuse_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
+@st.composite
+def lemma_and_channel_argv(draw):
+    """lemma-check and channel-compose argv, with how a large size exits."""
+    if draw(st.booleans()):
+        cutoff = draw(st.one_of(st.integers(1, 12), st.integers(1830, 10 ** 6),
+                                st.integers(10 ** 6, 10 ** 400)))
+        return ["lemma-check", "--cutoff", str(cutoff)], cutoff > 12
+    modes = draw(st.one_of(st.integers(1, 3), st.integers(10 ** 6, 10 ** 9),
+                           st.integers(10 ** 9, 10 ** 400)))
+    # a raw channel on a mode count other than --modes
+    raw = 2 * (modes % 3 + 1)
+    channels = st.one_of(
+        st.builds(lambda eta: {"kind": "loss", "eta": eta},
+                  st.one_of(st.floats(-1.0, 2.0), WIDE_FLOATS)),
+        st.just({"kind": "identity"}),
+        st.just({"X": np.eye(raw).tolist(), "Y": np.zeros((raw, raw)).tolist(),
+                 "d": [0.0] * raw}))
+    argv = ["channel-compose", "--modes", str(modes),
+            "--trials", str(draw(st.integers(1, 3)))]
+    for channel in draw(st.lists(channels, min_size=1, max_size=3)):
+        argv += ["--channel", json.dumps(channel)]
+    return argv, modes > 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=lemma_and_channel_argv())
+def test_lemma_and_channel_exit_codes_hold_for_drawn_inputs(drawn):
+    # no RuntimeWarning either, and every report is strict JSON; a size
+    # past the memory guard is refused with exit 2
+    argv, oversized = drawn
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv + ["--out", out])
+        for path in pathlib.Path(out).rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=refuse_constant)
+    assert code in ((2,) if oversized else (0, 2, 3, 4)), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
 def test_grid_memory_guard_exit_3(tmp_path, monkeypatch):
     # two modes at the default 257 points would need 257^4 values per grid;
     # the guard must refuse before any grid-sized array is built
@@ -811,6 +854,39 @@ def test_channel_compose_refuses_non_finite_channels(tmp_path, capsys):
     assert not (out / "channel_compose.json").exists()
 
 
+def test_channel_compose_guard_refuses_before_any_channel(tmp_path, capsys,
+                                                        monkeypatch):
+    # 10^7 modes would need 2m x 2m arrays of 3.2e15 bytes each
+    def refuse(*args):
+        raise AssertionError("a channel was built past the memory guard")
+
+    monkeypatch.setattr(cli_module, "_parse_channel", refuse)
+    code, out = run(tmp_path, "channel-compose",
+                    "--channel", '{"kind": "loss", "eta": 0.7}',
+                    "--channel", '{"kind": "loss", "eta": 0.6}',
+                    "--modes", "10000000")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "GiB" in err and "the largest --modes is 904" in err, err
+    assert not (out / "channel_compose.json").exists()
+
+
+@pytest.mark.parametrize("channels", [2, 4])
+def test_channel_compose_bytes_bound_the_measured_peak(tmp_path, channels):
+    argv = ["channel-compose", "--modes", "50", "--trials", "2"]
+    argv += ["--channel", '{"kind": "loss", "eta": 0.7}'] * channels
+    assert run(tmp_path, *argv)[0] == 0  # first-run imports are not counted
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    nbytes = cli_module.channel_compose_bytes(50, channels)
+    assert 0.5 * nbytes <= peak <= nbytes, peak / nbytes
+
+
 def test_channel_compose_mode_mismatch_exits_2(tmp_path, capsys):
     # a raw two-mode channel at the default --modes 1
     raw = json.dumps({"X": np.eye(4).tolist(), "Y": np.zeros((4, 4)).tolist(),
@@ -820,6 +896,21 @@ def test_channel_compose_mode_mismatch_exits_2(tmp_path, capsys):
     assert code == 2
     assert "--modes is 1" in capsys.readouterr().err
     assert not (out / "channel_compose.json").exists()
+
+
+def test_overflowing_hermite_argument_exits_3_without_warning(tmp_path,
+                                                            capsys):
+    # x^2 at the window's edge, 1.3e154, leaves float range: the Hermite
+    # rows there are 0, and the three-node grid misses the normalization
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(tmp_path, "negativity", "--state",
+                        '{"kind": "fock", "params": {"n": 1}, "cutoff": 5}',
+                        "--window", "1.3e154", "--points", "3")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "use more points" in err and len(err) < 200, err
+    assert not (out / "negativity.json").exists()
 
 
 def test_overflowing_coherent_mean_exits_3(tmp_path):

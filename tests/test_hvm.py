@@ -422,8 +422,8 @@ def test_streamed_histogram_is_the_whole_samples_histogram(coherent_pair, n):
 
 def test_first_sample_holds_one_grid_sized_array(coherent_pair):
     # the first call keeps one running sum per block of cells; the cell
-    # masses are summed and accumulated a block at a time, so no array
-    # near the grid's size is made, the model's own grid aside
+    # weights are accumulated a block at a time, so no array near the
+    # grid's size is made, the model's own grid aside
     _, model = coherent_pair
     grid_bytes = model.measure.values.nbytes
     sample(hvm.HiddenVariableModel(model.measure), 10, seed=0)  # warm-up
@@ -441,21 +441,10 @@ def test_first_sample_holds_one_grid_sized_array(coherent_pair):
     assert peak < 0.1 * grid_bytes, peak / grid_bytes
 
 
-@pytest.mark.parametrize("size", [1, 7, 8, 127, 128, 129, (1 << 16) - 1,
-                                  1 << 16, (1 << 16) + 1, 257 ** 2, 41 ** 4])
-def test_leaf_wise_mass_total_is_np_sum_bit_for_bit(size):
-    # cell masses spread over many binades, so any other order of the
-    # additions would round differently somewhere
-    rng = np.random.default_rng(size)
-    flat = rng.random(size) * np.exp(rng.normal(scale=5.0, size=size))
-    volume = 0.3 ** 4
-    assert hvm._mass_total(flat, volume) == (flat * volume).sum()
-
-
 @pytest.mark.parametrize("case", ["coherent", "many_binades"])
 def test_block_ends_are_the_full_cumulative_sum(coherent_pair, case):
-    # each stored end is np.cumsum's entry at the block's last cell, and
-    # the normalizer is the sum cell_probabilities divides by
+    # each stored end is the entry of np.cumsum of the raw cell weights
+    # at the block's last cell
     _, pair = coherent_pair
     values = pair.measure.values
     if case == "many_binades":  # zero cells among them
@@ -465,12 +454,10 @@ def test_block_ends_are_the_full_cumulative_sum(coherent_pair, case):
     spec = pair.measure.spec
     model = hvm.HiddenVariableModel(WignerGrid(spec, values))
     sample(model, 1, seed=0)
-    cdf = np.cumsum(cell_probabilities(model))
+    cdf = np.cumsum(values.reshape(-1))
     last = np.minimum(np.arange(1, len(model._alias) + 1) * hvm.SAMPLE_BLOCK,
                       cdf.size) - 1
     assert np.array_equal(model._alias, cdf[last])
-    masses = values.reshape(-1) * model.measure.cell_volume
-    assert model._mass == masses.sum()
 
 
 # 577^2 = 332,929 cells: five blocks of 2^16 and a short sixth

@@ -30,6 +30,9 @@ SYMBOL_TOL = 1e-3
 # once (one operator where a single one is larger): lemma-check's fixed
 # 2 MiB, so 20 at cutoff 50, two up to cutoff 256 and one from 257 on
 METAPLECTIC_STACK_BYTES = 2 ** 21
+# ket entries (cutoff x rows x points) _coherent_tables holds at once; a
+# whole 21-point plane (2 ** 17) raised lemma-check's peak RSS by 0.5 MB
+KET_BLOCK = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -194,31 +197,38 @@ def _require_real(scale, imag, tol: float) -> None:
         raise ValueError(f"imaginary residue {imag:.2e} too large")
 
 
-def _coherent_table(stack: np.ndarray, spec: GridSpec) -> np.ndarray:
+def _coherent_tables(stacks, spec: GridSpec) -> list[np.ndarray]:
     """T[s, i, j] = <alpha|B_s|alpha> at alpha = (axis[i] + i axis[j])/sqrt(2)
-    for an (r, c, c) stack B, over spec's (z_q, z_p) plane.
+    for each (r, c, c) stack B, over spec's (z_q, z_p) plane.
 
-    Built one z_q row at a time, so the ket is a (c, p) table.  Only the
-    stack's nonzero diagonals are summed (quantize_terms' factors are
-    banded, the bandwidth at most the degree), each by elementwise products
-    and an unoptimized np.einsum, which call no BLAS.
+    Built one block of z_q rows at a time, at most KET_BLOCK ket entries,
+    so the ket is a (c, rows, p) table that every stack shares: 6 rows at
+    cutoff 30, one from cutoff 196 on, at 21 points.  Only a stack's nonzero
+    diagonals are summed (quantize_terms' factors are banded, the
+    bandwidth at most the degree), each by elementwise products and an
+    unoptimized np.einsum, which call no BLAS.
     """
-    rows, cutoff = stack.shape[:2]
-    lower, upper = np.nonzero(stack.any(axis=0))
-    offsets = np.unique(upper - lower).tolist()
-    axis = spec.axis
-    table = np.zeros((rows, spec.points, spec.points), dtype=complex)
-    for i, zq in enumerate(axis):
-        ket = fockspace.coherent_amplitudes((zq + 1j * axis) / np.sqrt(2),
-                                            cutoff)
+    cutoff, axis = stacks[0].shape[1], spec.axis
+    bands = []
+    for stack in stacks:
+        lower, upper = np.nonzero(stack.any(axis=0))
+        bands.append(sorted(set((upper - lower).tolist())))
+    tables = [np.zeros((len(stack), spec.points, spec.points), dtype=complex)
+              for stack in stacks]
+    step = max(1, KET_BLOCK // (cutoff * spec.points))
+    for start in range(0, spec.points, step):
+        rows = slice(start, start + step)
+        ket = fockspace.coherent_amplitudes(
+            (axis[rows, None] + 1j * axis) / np.sqrt(2), cutoff)
         bra = ket.conj()
-        for d in offsets:
-            # <a|B|a + d> pairs conj(<a|alpha>) with <a + d|alpha>
-            n, a, b = cutoff - abs(d), max(0, -d), max(0, d)
-            table[:, i] += np.einsum(
-                "sa,ap->sp", np.diagonal(stack, d, axis1=1, axis2=2),
-                bra[a:a + n] * ket[b:b + n])
-    return table
+        for stack, offsets, table in zip(stacks, bands, tables):
+            for d in offsets:
+                # <a|B|a + d> pairs conj(<a|alpha>) with <a + d|alpha>
+                n, a, b = cutoff - abs(d), max(0, -d), max(0, d)
+                table[:, rows] += np.einsum(
+                    "sa,aip->sip", np.diagonal(stack, d, axis1=1, axis2=2),
+                    bra[a:a + n] * ket[b:b + n])
+    return tables
 
 
 def _symbol_deviations(tables, spec: GridSpec, target, inner: slice):
@@ -263,15 +273,14 @@ def check_wigner_multiplicativity(obs: PolynomialObservable, cutoff: int,
 
     The smoothed symbol at z is <alpha|A|alpha>, alpha = (z_q + i z_p) /
     sqrt(2), and the displaced vacuum is a product state, so it is
-    sum_s prod_k T_k[s] over the per-mode tables of _coherent_table.  The
+    sum_s prod_k T_k[s] over the per-mode tables of _coherent_tables.  The
     report records the sup-norm deviation over the trusted window and over
     its inner half; deviations concentrated at the window edge are flagged
     as truncation-dominated rather than failed.
     """
     m = obs.context.mode_count
     z_spec = z_spec or (GridSpec(1, 3.0, 41) if m == 1 else GridSpec(2, 3.0, 21))
-    tables = [_coherent_table(stack, z_spec)
-              for stack in quantize_terms(obs, cutoff)]
+    tables = _coherent_tables(quantize_terms(obs, cutoff), z_spec)
     smoothing = _smoothing_terms(obs)  # once, not once per slab
 
     def target(blocks):

@@ -71,7 +71,10 @@ observable's vacuum-smoothed Weyl symbol by the same transform of
 Tr[A D(v)] exp(-|v|^2/4) on the v-window of
 `default_observable_char_spec`: lemma-check's route before it read the
 symbol as the coherent-state expectation <alpha|A|alpha>.
-`coherent_symbol` is that expectation as one dense grid, and
+`coherent_table_by_rows` is one stack's table of that expectation, built
+one z_q row of kets at a time: the package's form before one block of
+kets served every stack.  `coherent_symbol` is that expectation as one
+dense grid from it, and
 `whole_grid_symbol_deviations` lemma-check's comparison of it with the
 smoothed polynomial over the whole grid: the package's form before it
 learnt to reduce the symbol one first-axis slab at a time.
@@ -103,9 +106,9 @@ from wignerhvm import fockspace
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.special import sine_integral
 from wignerhvm.states import GaussianState, StateSpec, make_state
-from wignerhvm.weyl import (PolynomialObservable, _coherent_table,
-                            _kronecker_grid, _require_real, _smoothed,
-                            _smoothing_terms, quantize_linear, quantize_terms)
+from wignerhvm.weyl import (PolynomialObservable, _kronecker_grid,
+                            _require_real, _smoothed, _smoothing_terms,
+                            quantize_linear, quantize_terms)
 from wignerhvm.wigner import (BOUNDARY_DECAY, GridSpec, InadequateWindowError,
                               WignerGrid, _normalized_on_window,
                               characteristic_at_points)
@@ -373,9 +376,37 @@ def chi_route_symbol(obs: PolynomialObservable, cutoff: int,
     return _real_part(raw, 1e-6)
 
 
+def coherent_table_by_rows(stack: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """T[s, i, j] = <alpha|B_s|alpha> at alpha = (axis[i] + i axis[j])/sqrt(2)
+    for an (r, c, c) stack B, over spec's (z_q, z_p) plane.
+
+    Built one z_q row at a time, so the ket is a (c, p) table.  Only the
+    stack's nonzero diagonals are summed (quantize_terms' factors are
+    banded, the bandwidth at most the degree), each by elementwise products
+    and an unoptimized np.einsum, which call no BLAS.
+    """
+    rows, cutoff = stack.shape[:2]
+    lower, upper = np.nonzero(stack.any(axis=0))
+    offsets = np.unique(upper - lower).tolist()
+    axis = spec.axis
+    table = np.zeros((rows, spec.points, spec.points), dtype=complex)
+    for i, zq in enumerate(axis):
+        ket = fockspace.coherent_amplitudes((zq + 1j * axis) / np.sqrt(2),
+                                            cutoff)
+        bra = ket.conj()
+        for d in offsets:
+            # <a|B|a + d> pairs conj(<a|alpha>) with <a + d|alpha>
+            n, a, b = cutoff - abs(d), max(0, -d), max(0, d)
+            table[:, i] += np.einsum(
+                "sa,ap->sp", np.diagonal(stack, d, axis1=1, axis2=2),
+                bra[a:a + n] * ket[b:b + n])
+    return table
+
+
 def coherent_symbol(factors, z_spec: GridSpec) -> np.ndarray:
     """<alpha|A|alpha> on z_spec as one dense grid, A given by its stacks."""
-    raw = _kronecker_grid([_coherent_table(f, z_spec) for f in factors])
+    raw = _kronecker_grid([coherent_table_by_rows(f, z_spec)
+                           for f in factors])
     return _real_part(raw, 1e-6)
 
 

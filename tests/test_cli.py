@@ -3,6 +3,8 @@ import io
 import json
 import math
 import pathlib
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -985,3 +987,47 @@ def test_observable_flag_parsing(tmp_path):
     code, _ = run(tmp_path, "hvm-compare", "--state", '{"kind": "vacuum"}',
                   "--observable", "0,0")
     assert code == 4
+
+
+CLI_IMPORTS_SCRIPT = """
+import json, sys
+from wignerhvm import cli
+code = cli.main(json.loads(sys.argv[1]))
+if len(sys.argv) > 2:  # the positive control
+    import numpy.ma, scipy.special
+print(json.dumps([code, sorted(k for k in sys.modules if k == "numpy.ma"
+                               or k == "scipy" or k.startswith("scipy."))]))
+"""
+
+README_COMMANDS = [
+    ["wigner", "--state",
+     '{"kind": "cat", "params": {"alpha": 2.0}, "cutoff": 30}',
+     "--points", "33"],
+    ["negativity", "--state",
+     '{"kind": "fock", "params": {"n": 1}, "cutoff": 25}', "--points", "33"],
+    ["hvm-compare", "--state", '{"kind": "squeezed", "params": {"r": 0.5}}',
+     "--observable", "1,0", "--observable", "0,1", "--samples", "1000",
+     "--seed", "7"],
+    ["hudson", "--state",
+     '{"kind": "gkp", "params": {"delta": 0.3}, "cutoff": 60}',
+     "--window", "10", "--points", "81"],
+    ["lemma-check", "--cutoff", "8"],
+    ["channel-compose", "--channel", '{"kind": "loss", "eta": 0.7}',
+     "--channel", '{"kind": "loss", "eta": 0.6}', "--trials", "2"],
+]
+
+
+def test_readme_commands_import_neither_numpy_ma_nor_scipy(tmp_path):
+    # each command in a fresh interpreter, so no other command's imports
+    # hide its own
+    def loaded(argv, *control):
+        out = subprocess.run(
+            [sys.executable, "-c", CLI_IMPORTS_SCRIPT,
+             json.dumps(argv + ["--out", str(tmp_path / argv[0])]), *control],
+            capture_output=True, text=True, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    for argv in README_COMMANDS:
+        assert loaded(argv) == [0, []], argv[0]
+    code, modules = loaded(README_COMMANDS[4], "control")
+    assert code == 0 and "numpy.ma" in modules and "scipy.special" in modules

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from wignerhvm import fockspace, weyl
-from wignerhvm.cli import _multiplicativity_cases
+from wignerhvm.cli import _multiplicativity_cases, main
 from wignerhvm.phase_space import Context
-from wignerhvm.weyl import (PolynomialObservable, _coherent_table,
+from wignerhvm.weyl import (PolynomialObservable, _coherent_tables,
                             _symbol_deviations, check_wigner_multiplicativity,
                             gaussian_moment, metaplectic_covariance_suite,
                             quantize_linear, quantize_terms)
 from wignerhvm.wigner import GridSpec
 
-from reference import (chi_route_symbol, coherent_symbol, monomial,
-                       quantize_polynomial, smoothed_polynomial,
-                       trialwise_covariance_suite, trusted_block_mask,
-                       whole_grid_symbol_deviations)
+from reference import (chi_route_symbol, coherent_symbol,
+                       coherent_table_by_rows, monomial, quantize_polynomial,
+                       smoothed_polynomial, trialwise_covariance_suite,
+                       trusted_block_mask, whole_grid_symbol_deviations)
 
 CUTOFF = 40
 
@@ -258,6 +258,39 @@ def test_slab_deviations_have_the_whole_grid_bits(cutoff):
             label
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 8, 30, 60, 200])
+def test_block_tables_have_the_row_by_row_bits(cutoff):
+    # one ket per block of z_q rows, shared by every stack, on both planes:
+    # cutoff 1 and 2 put the whole plane in one block, 200 one row a block
+    one_mode = [(expo, monomial(ctx_single(), expo)) for expo in ((1,), (2,))]
+    for label, obs in _multiplicativity_cases() + one_mode:
+        m = obs.context.mode_count
+        z_spec = GridSpec(1, 3.0, 41) if m == 1 else GridSpec(2, 3.0, 21)
+        stacks = quantize_terms(obs, cutoff)
+        got = _coherent_tables(stacks, z_spec)
+        assert len(got) == len(stacks), label
+        for stack, table in zip(stacks, got):
+            want = coherent_table_by_rows(stack, z_spec)
+            assert table.tobytes() == want.tobytes(), label
+
+
+def test_lemma_check_builds_one_ket_per_block(tmp_path, monkeypatch):
+    # cutoff 30 on 21 points: 6 z_q rows a block, so 4 blocks for each of
+    # the 12 two-mode cases, where one ket per row and stack took 504
+    calls = []
+    amplitudes = fockspace.coherent_amplitudes
+
+    def spy(alpha, cutoff):
+        calls.append(np.shape(alpha))
+        return amplitudes(alpha, cutoff)
+
+    monkeypatch.setattr(fockspace, "coherent_amplitudes", spy)
+    assert main(["lemma-check", "--cutoff", "30",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 48
+    assert sorted(set(calls)) == [(3, 21), (6, 21)]
+
+
 @pytest.mark.parametrize("cutoff", [8, 12, 30, CUTOFF])
 def test_coherent_symbol_matches_the_chi_route(cutoff):
     # <alpha|A|alpha> is the damped chi's windowed transform up to the
@@ -279,7 +312,7 @@ def test_imaginary_symbol_raises_the_residue_error(modes):
     factors = [1j * fockspace.position_operator(cutoff)[None]] + \
         [eye] * (modes - 1)
     z_spec = GridSpec(modes, 3.0, 11)
-    tables = [_coherent_table(f, z_spec) for f in factors]
+    tables = _coherent_tables(factors, z_spec)
     with pytest.raises(ValueError, match="imaginary residue"):
         _symbol_deviations(tables, z_spec, lambda blocks: 0.0, slice(2, 9))
     with pytest.raises(ValueError, match="imaginary residue"):

@@ -50,12 +50,12 @@ DEFAULT_OBSERVABLES = ((1.0, 0.0), (0.0, 1.0),
 
 # lemma-check's working set (tracemalloc): its largest multiplicativity
 # case holds 18.0 c x c complex arrays at cutoffs 200-400 (quantize_terms
-# of xy^2 on two modes), the metaplectic suite 8.0-10.1, and each case's
-# coherent-state tables a few (r, p, p) arrays on the 21- or 41-point z
-# axis whatever the cutoff; each symbol is reduced one slab at a time, so
-# no symbol grid is held.  The suite stacks its operators up to
-# METAPLECTIC_STACK_BYTES, so those fixed 2 MiB bound the stack past its
-# first operator, and the suite dominates at small cutoffs (1.14 MB at
+# of xy^2 on two modes), the metaplectic suite about 7 (6.5 MB at cutoff
+# 240: one trial's dense label matrices beside every operator's 12
+# columns), and each case's coherent-state tables a few (r, p, p) arrays
+# on the 21- or 41-point z axis whatever the cutoff; each symbol is
+# reduced one slab at a time, so no symbol grid is held.  The suite runs
+# at cutoff 50 or more, so it dominates at small cutoffs (0.50 MB at
 # cutoff 8 after a warm-up run)
 LEMMA_MATRICES = 20
 
@@ -309,9 +309,9 @@ def _multiplicativity_cases():
 
 
 def lemma_check_bytes(cutoff: int) -> int:
-    """Peak bytes of lemma-check: LEMMA_MATRICES c x c complex arrays
-    beside the METAPLECTIC_STACK_BYTES that no cutoff changes."""
-    return 16 * LEMMA_MATRICES * cutoff ** 2 + weyl_mod.METAPLECTIC_STACK_BYTES
+    """Peak bytes of lemma-check: LEMMA_MATRICES c x c complex arrays, c
+    at least the metaplectic suite's cutoff."""
+    return 16 * LEMMA_MATRICES * max(cutoff, weyl_mod.METAPLECTIC_CUTOFF) ** 2
 
 
 def cmd_lemma_check(args) -> int:
@@ -319,8 +319,7 @@ def cmd_lemma_check(args) -> int:
         raise CliError("need a cutoff of at least 1", EXIT_PARSE)
     nbytes = lemma_check_bytes(args.cutoff)
     if nbytes > wigner_mod.GRID_BYTES_LIMIT:
-        largest = math.isqrt((wigner_mod.GRID_BYTES_LIMIT
-                              - weyl_mod.METAPLECTIC_STACK_BYTES)
+        largest = math.isqrt(wigner_mod.GRID_BYTES_LIMIT
                              // (16 * LEMMA_MATRICES))
         raise CliError(states_mod.over_limit(
             f"cutoff {states_mod.short_int(args.cutoff)}", nbytes, ".5g")
@@ -329,7 +328,8 @@ def cmd_lemma_check(args) -> int:
     commutation = _lemma_commutation_suite(rng, 100)
     linearity = _assignment_linearity_suite(rng, 100)
     metaplectic = weyl_mod.metaplectic_covariance_suite(
-        rng, trials=20, cutoff=max(args.cutoff, 50))
+        rng, trials=20,
+        cutoff=max(args.cutoff, weyl_mod.METAPLECTIC_CUTOFF))
     cases = []
     for label, obs in _multiplicativity_cases():
         cases.append(weyl_mod.check_wigner_multiplicativity(

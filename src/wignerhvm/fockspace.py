@@ -63,12 +63,13 @@ def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
     return np.cumprod(np.concatenate([head[None], alpha / roots]), axis=0)
 
 
-def _bargmann(A: np.ndarray, b: np.ndarray, g0, cutoff: int) -> np.ndarray:
-    """Truncated two-axis Gaussian Bargmann arrays of a stack, every index
-    k_i < cutoff.
+def _bargmann(A: np.ndarray, b: np.ndarray, g0, cutoff: int,
+              columns: int | None = None) -> np.ndarray:
+    """Truncated two-axis Gaussian Bargmann arrays of a stack, k_0 < cutoff
+    and k_1 < columns (default: cutoff).
 
     A is (T, 2, 2), b (T, 2) and g0 (T,) for T arrays; the result G is
-    (T, cutoff, cutoff).  Exact elements from the recurrence (Quesada et
+    (T, cutoff, columns).  Exact elements from the recurrence (Quesada et
     al., PRA 100, 022341 (2019); Miatto & Quesada, Quantum 4, 366 (2020))
     G_(k+1_i) = (b_i G_k + sum_j A_ij sqrt(k_j) G_(k-1_j)) / sqrt(k_i + 1)
     from G_0 = g0.  Row 0, G[t, 0, :], is stepped along axis 1 one element
@@ -77,33 +78,36 @@ def _bargmann(A: np.ndarray, b: np.ndarray, g0, cutoff: int) -> np.ndarray:
     then takes one array operation per level for the whole stack, each
     member's coefficient broadcast over its own row, so each element is
     rounded as the same operation on that member's row alone rounds it.
+    Column k reads only columns <= k, so the first `columns` columns have
+    the bits of the whole array's.
     """
-    stack = len(b)
+    stack, columns = len(b), cutoff if columns is None else columns
     root = np.sqrt(np.arange(cutoff))
-    G = np.zeros((stack, cutoff, cutoff), dtype=complex)
+    G = np.zeros((stack, cutoff, columns), dtype=complex)
     for t in range(stack):
         line = G[t, 0]
         line[0] = g0[t]
         # root[0] = 0 zeroes the n = 0 term of the unset level -1
-        for n in range(cutoff - 1):
+        for n in range(columns - 1):
             line[n + 1] = (b[t, 1] * line[n] + A[t, 1, 1] * root[n]
                            * line[n - 1]) / root[n + 1]
     first = b[:, 0, None]
     diagonal = A[:, 0, 0, None] * root  # A_00 sqrt(k_0), level by level
-    # A_01 sqrt(k_1) along axis 1; root[0] = 0 zeroes the rolled-in level
-    later = A[:, 0, 1, None] * root
+    later = A[:, 0, 1, None] * root[1:columns]  # A_01 sqrt(k_1), k_1 >= 1
     for n in range(cutoff - 1):
         row = G[:, n]
-        G[:, n + 1] = (first * row + diagonal[:, n, None] * G[:, n - 1]
-                       + later * np.roll(row, 1, axis=1)) / root[n + 1]
+        step = first * row + diagonal[:, n, None] * G[:, n - 1]
+        step[:, 1:] += later * row[:, :-1]
+        G[:, n + 1] = step / root[n + 1]
     return G
 
 
-def metaplectic_operators(S: np.ndarray, cutoff: int) -> np.ndarray:
-    """metaplectic_operator of each of a (T, 2, 2) stack of one-mode
-    symplectic matrices, as one (T, c, c) array from one stacked
-    `_bargmann`; ValueError if any member is not a 2 x 2 symplectic
-    matrix."""
+def metaplectic_operators(S: np.ndarray, cutoff: int,
+                          columns: int | None = None) -> np.ndarray:
+    """The first `columns` columns (default: all) of metaplectic_operator
+    of each of a (T, 2, 2) stack of one-mode symplectic matrices, as one
+    (T, c, columns) array from one stacked `_bargmann`; ValueError if any
+    member is not a 2 x 2 symplectic matrix."""
     S = np.asarray(S, dtype=float)
     if S.shape[1:] != (2, 2) or not all(is_symplectic(s, tol=1e-8)
                                         for s in S):
@@ -115,18 +119,22 @@ def metaplectic_operators(S: np.ndarray, cutoff: int) -> np.ndarray:
     A = np.block([[W @ V.swapaxes(1, 2), W],
                   [W.swapaxes(1, 2), -V.conj().swapaxes(1, 2) @ W]])
     g0 = [abs(det) ** -0.5 for det in np.linalg.det(U)]
-    return _bargmann(A, np.zeros((len(S), 2), dtype=complex), g0, cutoff)
+    return _bargmann(A, np.zeros((len(S), 2), dtype=complex), g0, cutoff,
+                     columns)
 
 
-def metaplectic_operator(S: np.ndarray, cutoff: int) -> np.ndarray:
+def metaplectic_operator(S: np.ndarray, cutoff: int,
+                         columns: int | None = None) -> np.ndarray:
     """One-mode Fock-space unitary M with M^dag R_hat M = S R_hat, up to a
-    global phase, for a 2 x 2 symplectic S.
+    global phase, for a 2 x 2 symplectic S; only its first `columns`
+    columns (default: all), bit for bit those of the whole M.
 
     The b = 0 case of `_bargmann` over k = (out, in): with
     M^dag a M = U a + V a^dag and W = (U^dag)^-1,
     A = [[W V^T, W], [W^T, -V^dag W]] and G_0 = |det U|^(-1/2).
     """
-    return metaplectic_operators(np.asarray(S, dtype=float)[None], cutoff)[0]
+    return metaplectic_operators(np.asarray(S, dtype=float)[None], cutoff,
+                                 columns)[0]
 
 
 def hermite_rows(n_max: int, x):

@@ -27,9 +27,9 @@ LEAKAGE_LIMIT = 1e-3
 # CDF table.
 GRID_BYTES_LIMIT = 2 ** 30
 # c x c complex arrays a one-mode Fock state's build holds at its peak:
-# tracemalloc reads 4.02-4.18 for fock, cat and gkp and 5.03-5.10 for
-# photon_subtracted_squeezed at c = 300 and 600 (the renormalized copies,
-# the Hermitian check and the Cholesky factor)
+# tracemalloc reads 4.02-4.19 for every Fock kind at c = 300 and 600
+# (photon_subtracted_squeezed 4.03 at 600: it builds two columns of M(S));
+# the renormalized copies, the Hermitian check and the Cholesky factor
 STATE_BUILD_ARRAYS = 6
 # the most modes whose smallest grid, 3 points per axis, is within the
 # limit: 16 * 3^(2m) <= 2^30 for m <= 8
@@ -158,7 +158,7 @@ class FockDensityOperator:
         return fockspace.hermite_coefficients(self.matrix)
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
 
 
 @dataclass
@@ -383,7 +383,7 @@ def photon_subtracted_squeezed_state(r: float, cutoff: int) -> FockDensityOperat
     if not np.isfinite(squeeze).all():  # the kept weight underflows to 0
         raise LeakageError(1.0, cutoff)
     return _pure_from_coefficients(
-        fockspace.metaplectic_operator(squeeze, cutoff)[:, 1], cutoff)
+        fockspace.metaplectic_operator(squeeze, cutoff, 2)[:, 1], cutoff)
 
 
 def check_state_spec(spec: StateSpec) -> None:

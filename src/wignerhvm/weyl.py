@@ -26,10 +26,8 @@ from .phase_space import Context, random_symplectic
 from .wigner import GridSpec
 
 SYMBOL_TOL = 1e-3
-# bytes of metaplectic operators metaplectic_covariance_suite builds at
-# once (one operator where a single one is larger): lemma-check's fixed
-# 2 MiB, so 20 at cutoff 50, two up to cutoff 256 and one from 257 on
-METAPLECTIC_STACK_BYTES = 2 ** 21
+# metaplectic_covariance_suite's cutoff, lemma-check's smallest
+METAPLECTIC_CUTOFF = 50
 # ket entries (cutoff x rows x points) _coherent_tables holds at once; a
 # whole 21-point plane (2 ** 17) raised lemma-check's peak RSS by 0.5 MB
 KET_BLOCK = 2 ** 12
@@ -317,7 +315,8 @@ def _describe(obs: PolynomialObservable) -> str:
 
 
 def metaplectic_covariance_suite(rng: np.random.Generator, trials: int = 20,
-                                 cutoff: int = 50, block: int = 12) -> dict:
+                                 cutoff: int = METAPLECTIC_CUTOFF,
+                                 block: int = 12) -> dict:
     """Random single-mode covariance check: conjugation maps labels by S^T.
 
     Compared on a low block only: M(S) is exact element by element, but
@@ -326,10 +325,11 @@ def metaplectic_covariance_suite(rng: np.random.Generator, trials: int = 20,
     block sits well below the cutoff and the random squeezes stay moderate.
 
     Every (S, zeta) is drawn first, in the order a draw-and-check loop
-    takes them; the operators M(S) are then built by one stacked
-    recurrence (fockspace.metaplectic_operators) per stack of at most
-    METAPLECTIC_STACK_BYTES, or one operator where a single one is larger,
-    and each conjugates op as M^dag op M.
+    takes them; the first `block` columns of every M(S) are then built by
+    one stacked recurrence (fockspace.metaplectic_operators), and each
+    block of M^dag op M is two unoptimized np.einsum calls, which call no
+    BLAS, compared with quantize_linear(S^T zeta, block): the low block of
+    the truncated ladder matrices is the smaller cutoff's, bit for bit.
     """
     draws = []
     for _ in range(trials):
@@ -338,24 +338,14 @@ def metaplectic_covariance_suite(rng: np.random.Generator, trials: int = 20,
         if not np.any(zeta):
             zeta = np.array([1.0, 0.0])
         draws.append((S, zeta))
-
-    def deviation(S, zeta, M) -> float:  # its matrices die on return
-        want = quantize_linear(S.T @ zeta, cutoff)
-        op = quantize_linear(zeta, cutoff)
-        got = M.conj().T @ op @ M
-        return float(np.max(np.abs(got[:block, :block]
-                                   - want[:block, :block])))
-
-    stack = max(1, METAPLECTIC_STACK_BYTES // (16 * cutoff ** 2))
+    operators = fockspace.metaplectic_operators([S for S, _ in draws], cutoff,
+                                                block)
     worst = 0.0
-    for start in range(0, trials, stack):
-        part = draws[start:start + stack]
-        operators = fockspace.metaplectic_operators([S for S, _ in part],
-                                                    cutoff)
-        for k, (S, zeta) in enumerate(part):
-            worst = max(worst, deviation(S, zeta, operators[k]))
-        del operators  # freed before the next stack is built
+    for (S, zeta), M in zip(draws, operators):
+        moved = np.einsum("ia,ib->ab", M.conj(), np.einsum(
+            "ij,jb->ib", quantize_linear(zeta, cutoff), M))
+        want = quantize_linear(np.einsum("ij,i->j", S, zeta), block)
+        worst = max(worst, float(np.max(np.abs(moved - want))))
     return {"trials": trials, "cutoff": cutoff, "block": block,
             "max_deviation": worst, "tolerance": 1e-6,
             "pass": bool(worst <= 1e-6)}
-

@@ -274,27 +274,24 @@ def min_value(grid: WignerGrid):
 def covariance_state(state) -> GaussianState:
     """The Gaussian state with the first two moments of `state`.
 
-    A one-mode Fock state's moments are exact: mu_i = Tr[rho R_i] and
-    sigma_ij = Tr[rho (R_i R_j + R_j R_i)/2] - mu_i mu_j.  The products are
-    formed at cutoff + 1 and cut back, so the top level keeps its whole
-    <n|R_i R_j|n>; each trace contracts rho elementwise, with no matmul.
+    A one-mode Fock state's moments are exact, read from three bands of
+    rho: <a> = sum sqrt(n) rho[n, n-1], <a^2> = sum sqrt(n (n-1))
+    rho[n, n-2] and <n> = sum n rho[n, n].  Then mu = sqrt(2) (Re <a>,
+    Im <a>), <q^2> and <p^2> are <n> + 1/2 +- Re <a^2>, and <qp + pq>/2
+    is Im <a^2>; the 1/2 is [a, a^dag] itself, so the top level keeps its
+    whole <n|q^2|n>.  The sums are unoptimized np.einsum calls, which call
+    no BLAS.
     """
     if isinstance(state, GaussianState):
         return state
-    c = state.cutoff
-    quads = (fockspace.position_operator(c + 1),
-             fockspace.momentum_operator(c + 1))
-
-    def moment(*axes):  # Re Tr[rho R_axes[0] R_axes[1] ...]
-        F = np.eye(c + 1)
-        for i in axes:
-            F = F @ quads[i]
-        # Tr[rho F] = sum rho[a, i] F[i, a]
-        return np.einsum("ai,ia->", state.matrix, F[:c, :c]).real
-
-    mean = np.array([moment(i) for i in range(2)])
-    second = np.array([[moment(i, j) for j in range(2)] for i in range(2)])
-    return GaussianState(mean, (second + second.T) / 2 - np.outer(mean, mean))
+    rho, n = state.matrix, np.arange(state.cutoff)
+    a1 = np.einsum("n,n->", np.sqrt(n[1:]), np.diagonal(rho, -1))
+    a2 = np.einsum("n,n->", np.sqrt(n[2:] * n[1:-1]), np.diagonal(rho, -2))
+    number = np.einsum("n,n->", n, np.diagonal(rho).real)
+    mean = np.sqrt(2) * np.array([a1.real, a1.imag])
+    second = np.array([[number + 0.5 + a2.real, a2.imag],
+                       [a2.imag, number + 0.5 - a2.real]])
+    return GaussianState(mean, second - np.outer(mean, mean))
 
 
 @dataclass

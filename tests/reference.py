@@ -83,12 +83,16 @@ scalar coefficients on every pass, `member_metaplectic_operator` the
 metaplectic operator built on it, and `trialwise_covariance_suite` the
 metaplectic covariance suite that draws, builds and conjugates one trial
 at a time: the package's forms before it learnt to run a stack of
-recurrences at once.  `member_bargmann` takes any number of axes, so
+recurrences at once, the suite's conjugation in its block-column form.
+`member_bargmann` takes any number of axes, so
 `member_metaplectic_operator` also gives two-mode M(S), and
 `two_mode_gaussian_to_fock` a two-mode Gaussian state's truncated density
 matrix; `TwoModeFock` holds it, or any two-mode density matrix.  The
 package's Fock states are one-mode, and these are the tests' two-mode
 references.
+`dense_covariance_state` is a one-mode Fock state's first two moments
+from dense quadrature products formed one level above the cutoff: the
+package's form before it read them from three bands of rho.
 `monomial`, `quantize_polynomial` (the dense matrix of the package's
 factor stacks), `trusted_block_mask` and `smoothed_polynomial` (the
 package's vacuum-smoothed polynomial, evaluated in one call) are the Weyl
@@ -696,7 +700,8 @@ def member_bargmann(A: np.ndarray, b: np.ndarray, g0: complex,
     """One truncated Gaussian Bargmann array G_k, every index k_i < cutoff,
     from the recurrence of `fockspace._bargmann` for a single member: A is
     (n, n), b (n,), and every pass steps its own slabs with scalar
-    coefficients and one np.roll per later axis and level."""
+    coefficients and one shifted slice per later axis and level, which
+    starts at index 1 of that axis, so no index reads a later one."""
     n_axes = len(b)
     root = np.sqrt(np.arange(cutoff))
     G = np.zeros((cutoff,) * n_axes, dtype=complex)
@@ -709,7 +714,9 @@ def member_bargmann(A: np.ndarray, b: np.ndarray, g0: complex,
             slab = G[head + (n,)]
             step = b[i] * slab + A[i, i] * root[n] * G[head + (n - 1,)]
             for j, axis, weight in later:
-                step = step + A[i, j] * weight * np.roll(slab, 1, axis=axis)
+                lead = (slice(None),) * axis
+                step[lead + (slice(1, None),)] += (
+                    A[i, j] * weight[1:] * slab[lead + (slice(None, -1),)])
             G[head + (n + 1,)] = step / root[n + 1]
     return G
 
@@ -764,7 +771,8 @@ def trialwise_covariance_suite(rng: np.random.Generator, trials: int = 20,
                                cutoff: int = 50, block: int = 12,
                                scale: float = 0.15) -> dict:
     """`weyl.metaplectic_covariance_suite` one trial at a time: each draw's
-    operator is built and conjugated before the next draw."""
+    whole operator is built, and its first `block` columns conjugate the
+    draw's label, before the next draw."""
     worst = 0.0
     for _ in range(trials):
         S = random_symplectic(1, rng, scale=scale)
@@ -772,14 +780,34 @@ def trialwise_covariance_suite(rng: np.random.Generator, trials: int = 20,
         if not np.any(zeta):
             zeta = np.array([1.0, 0.0])
         op = quantize_linear(zeta, cutoff)
-        M = member_metaplectic_operator(S, cutoff)
-        got = M.conj().T @ op @ M
-        want = quantize_linear(S.T @ zeta, cutoff)
-        dev = np.max(np.abs(got[:block, :block] - want[:block, :block]))
+        M = member_metaplectic_operator(S, cutoff)[:, :block]
+        got = np.einsum("ia,ib->ab", M.conj(), np.einsum("ij,jb->ib", op, M))
+        want = quantize_linear(np.einsum("ij,i->j", S, zeta), cutoff)
+        dev = np.max(np.abs(got - want[:block, :block]))
         worst = max(worst, float(dev))
     return {"trials": trials, "cutoff": cutoff, "block": block,
             "max_deviation": worst, "tolerance": 1e-6,
             "pass": bool(worst <= 1e-6)}
+
+
+def dense_covariance_state(state) -> GaussianState:
+    """`wigner.covariance_state` of a one-mode Fock state from dense
+    quadrature products: mu_i = Tr[rho R_i] and sigma_ij = Tr[rho (R_i R_j
+    + R_j R_i)/2] - mu_i mu_j, each product formed at cutoff + 1 and cut
+    back, so the top level keeps its whole <n|R_i R_j|n>."""
+    c = state.cutoff
+    quads = (fockspace.position_operator(c + 1),
+             fockspace.momentum_operator(c + 1))
+
+    def moment(*axes):  # Re Tr[rho R_axes[0] R_axes[1] ...]
+        F = np.eye(c + 1)
+        for i in axes:
+            F = F @ quads[i]
+        return np.einsum("ai,ia->", state.matrix, F[:c, :c]).real
+
+    mean = np.array([moment(i) for i in range(2)])
+    second = np.array([[moment(i, j) for j in range(2)] for i in range(2)])
+    return GaussianState(mean, (second + second.T) / 2 - np.outer(mean, mean))
 
 
 def monomial(context, exponents) -> PolynomialObservable:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -195,7 +196,7 @@ def test_parse_failure_exit_2(tmp_path):
             code, _ = run(tmp_path, command, *extra, "--seed", seed)
             assert code == 2, (command, seed)
     # lemma-check's working set: a cutoff of at least 1, within the limit
-    for cutoff in ("0", "-3", "1830", "8192", "100000", str(10 ** 200)):
+    for cutoff in ("0", "-3", "1832", "8192", "100000", str(10 ** 200)):
         code, _ = run(tmp_path, "lemma-check", "--cutoff", cutoff)
         assert code == 2, cutoff
     # a channel check over no trials or no modes checks nothing
@@ -250,7 +251,7 @@ def test_two_mode_hvm_compare_holds_one_grid(tmp_path):
 
 def test_parse_failure_messages_name_the_bound(tmp_path, capsys):
     run(tmp_path, "lemma-check", "--cutoff", "100000")
-    assert "the largest cutoff is 1829" in capsys.readouterr().err
+    assert "the largest cutoff is 1831" in capsys.readouterr().err
     run(tmp_path, "lemma-check", "--cutoff", "0")
     assert "at least 1" in capsys.readouterr().err
     run(tmp_path, "channel-compose", "--channel", '{"kind": "identity"}',
@@ -387,7 +388,7 @@ def refuse_constant(name):
 def lemma_and_channel_argv(draw):
     """lemma-check and channel-compose argv, with how a large size exits."""
     if draw(st.booleans()):
-        cutoff = draw(st.one_of(st.integers(1, 12), st.integers(1830, 10 ** 6),
+        cutoff = draw(st.one_of(st.integers(1, 12), st.integers(1832, 10 ** 6),
                                 st.integers(10 ** 6, 10 ** 400)))
         return ["lemma-check", "--cutoff", str(cutoff)], cutoff > 12
     modes = draw(st.one_of(st.integers(1, 3), st.integers(10 ** 6, 10 ** 9),
@@ -803,6 +804,28 @@ def test_report_determinism_across_runs_and_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_hudson_and_lemma_reports_do_not_depend_on_blas_threads(tmp_path):
+    # neither command multiplies matrices through BLAS, so one and two
+    # OpenBLAS threads write the same bytes (README hudson gkp, and the
+    # lemma-check that CI also runs on one core)
+    commands = [
+        (["hudson", "--state",
+          '{"kind": "gkp", "params": {"delta": 0.3}, "cutoff": 60}',
+          "--window", "10", "--points", "321"], "hudson.json"),
+        (["lemma-check", "--cutoff", "30", "--seed", "5"],
+         "lemma_check.json")]
+    for argv, name in commands:
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{argv[0]}-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "wignerhvm.cli", *argv, "--out",
+                 str(out)], env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, check=True)
+            reports.append((out / name).read_bytes())
+        assert reports[0] == reports[1], argv[0]
+
+
 def test_channel_compose_two_losses(tmp_path):
     code, out = run(tmp_path, "channel-compose",
                     "--channel", '{"kind": "loss", "eta": 0.7}',
@@ -948,9 +971,9 @@ def test_lemma_check_degraded_cutoff_flags(tmp_path):
 
 def test_lemma_check_bytes_bound_the_measured_peak(tmp_path):
     # the cutoff guard must not undercount lemma-check's working set: at
-    # cutoff 8 the metaplectic suite's fixed stack dominates the command; at
-    # 240 the c x c matrices of its two largest cases and of the
-    # metaplectic suite do, and the command holds one of them at a time
+    # cutoff 8 the metaplectic suite's cutoff-50 matrices dominate the
+    # command; at 240 the c x c matrices of its two largest cases and of
+    # the metaplectic suite do, and the command holds one of them at a time
     def traced_peak(job):
         tracemalloc.start()
         try:

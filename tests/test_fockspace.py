@@ -115,8 +115,7 @@ def test_metaplectic_covariance_and_group_law():
 @pytest.mark.parametrize("modes, cutoff, stack",
                          [(1, 50, 1), (1, 50, 20), (1, 256, 2)])
 def test_stacked_metaplectic_operators_keep_every_bit(modes, cutoff, stack):
-    # one stacked recurrence gives each member the bits of its own; two
-    # cutoff-256 operators fill lemma-check's 2 MiB stack exactly
+    # one stacked recurrence gives each member the bits of its own
     rng = np.random.default_rng(17)
     symplectics = [random_symplectic(modes, rng, scale=0.3)
                    for _ in range(stack)]
@@ -126,6 +125,19 @@ def test_stacked_metaplectic_operators_keep_every_bit(modes, cutoff, stack):
         want = member_metaplectic_operator(S, cutoff).tobytes()
         assert M.tobytes() == want
         assert fockspace.metaplectic_operator(S, cutoff).tobytes() == want
+
+
+@pytest.mark.parametrize("cutoff", [2, 20, 50])
+def test_metaplectic_columns_are_the_whole_operators(cutoff):
+    # column k of the recurrence reads only columns <= k
+    rng = np.random.default_rng(cutoff)
+    symplectics = [random_symplectic(1, rng, scale=0.3) for _ in range(20)]
+    whole = fockspace.metaplectic_operators(symplectics, cutoff)
+    for k in sorted({1, 2, 12, cutoff} & set(range(1, cutoff + 1))):
+        got = fockspace.metaplectic_operators(symplectics, cutoff, k)
+        assert got.tobytes() == np.ascontiguousarray(whole[..., :k]).tobytes()
+        one = fockspace.metaplectic_operator(symplectics[0], cutoff, k)
+        assert one.tobytes() == got[0].tobytes()
 
 
 @pytest.mark.parametrize("axes, cutoff, stack",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wignerhvm import fockspace, weyl
+from wignerhvm import fockspace
 from wignerhvm.cli import _multiplicativity_cases, main
 from wignerhvm.phase_space import Context
 from wignerhvm.weyl import (PolynomialObservable, _coherent_tables,
@@ -156,50 +156,12 @@ def test_metaplectic_covariance_suite():
 
 @pytest.mark.parametrize("seed", [1, 3, 5])
 def test_covariance_suite_report_matches_the_trialwise_loop(seed):
-    # every draw first, then one stack: the same report and the same draws
+    # every draw first, then one stack of block columns: the same report
+    # and the same draws
     got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
     got = metaplectic_covariance_suite(got_rng)
     assert got == trialwise_covariance_suite(want_rng)
     assert got_rng.random() == want_rng.random()
-
-
-def stack_sizes(monkeypatch) -> list:
-    """The stack size of each fockspace.metaplectic_operators call."""
-    sizes = []
-    build = fockspace.metaplectic_operators
-
-    def spy(symplectics, cutoff):
-        sizes.append(len(symplectics))
-        return build(symplectics, cutoff)
-
-    monkeypatch.setattr(fockspace, "metaplectic_operators", spy)
-    return sizes
-
-
-@pytest.mark.parametrize("spare, want", [(0, [3, 3, 1]), (-1, [2, 2, 2, 1])])
-def test_covariance_suite_stacks_up_to_the_byte_cap(monkeypatch, spare, want):
-    # a cap of exactly three cutoff-20 operators stacks three; a byte
-    # less, two; the report is the trialwise loop's either way
-    cutoff, trials = 20, 7
-    monkeypatch.setattr(weyl, "METAPLECTIC_STACK_BYTES",
-                        3 * 16 * cutoff ** 2 + spare)
-    sizes = stack_sizes(monkeypatch)
-    got = metaplectic_covariance_suite(np.random.default_rng(3), trials,
-                                       cutoff, block=6)
-    assert sizes == want
-    assert got == trialwise_covariance_suite(np.random.default_rng(3),
-                                             trials, cutoff, block=6)
-
-
-@pytest.mark.parametrize("cutoff, trials, want",
-                         [(50, 20, [20]), (256, 3, [2, 1]), (257, 2, [1, 1])])
-def test_covariance_suite_stack_cap_by_cutoff(monkeypatch, cutoff, trials,
-                                              want):
-    # 2 MiB holds every lemma-check operator at cutoff 50, two up to
-    # cutoff 256 and one from 257 on
-    sizes = stack_sizes(monkeypatch)
-    metaplectic_covariance_suite(np.random.default_rng(1), trials, cutoff)
-    assert sizes == want
 
 
 def test_gaussian_moment_formulas():

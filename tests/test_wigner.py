@@ -17,7 +17,7 @@ from wignerhvm.wigner import (GridSpec, InadequateWindowError, MixedStateError,
 
 from reference import (CharacteristicGrid, TwoModeFock,
                        characteristic_function, complex_parity_wigner,
-                       expression_wigner_gaussian,
+                       dense_covariance_state, expression_wigner_gaussian,
                        frexp_fock_wigner, full_depth_displacement_trace,
                        full_grid_parity_trace, grid_moment, pinned_gaussians,
                        position_marginal, trace_characteristic_at_points,
@@ -662,6 +662,39 @@ def test_covariance_matches_the_gaussian_state():
     assert np.max(np.abs(moments.mean - state.mean)) <= 1e-9
     assert abs(state.covariance[0, 1]) > 0.1
     assert covariance_state(state) is state
+
+
+# the bench's Fock states at their cutoffs
+BENCH_FOCK_STATES = {
+    "fock1": StateSpec("fock", {"n": 1}, 1, 25),
+    "fock5": StateSpec("fock", {"n": 5}, 1, 30),
+    "cat2": StateSpec("cat", {"alpha": 2.0}, 1, 30),
+    "gkp": StateSpec("gkp", {"delta": 0.3}, 1, 60),
+    "pss": StateSpec("photon_subtracted_squeezed", {"r": 0.5}, 1, 30),
+}
+
+
+def moment_states():
+    """The bench's Fock states and a random dense rho at cutoff 40."""
+    yield from ((name, make_state(spec))
+                for name, spec in BENCH_FOCK_STATES.items())
+    rng = np.random.default_rng(40)
+    g = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    rho = g @ g.conj().T
+    yield "random", FockDensityOperator(rho / np.trace(rho).real, 40, 1)
+
+
+@pytest.mark.parametrize("name, state", list(moment_states()))
+def test_band_moments_match_the_dense_products(name, state):
+    got, want = covariance_state(state), dense_covariance_state(state)
+    assert np.max(np.abs(got.mean - want.mean)) <= 1e-13, name
+    assert np.max(np.abs(got.covariance - want.covariance)) <= 1e-13, name
+
+
+@pytest.mark.parametrize("name, state", list(moment_states()))
+def test_purity_matches_the_matrix_product(name, state):
+    want = np.trace(state.matrix @ state.matrix).real
+    assert abs(state.purity() - want) <= 1e-15, name
 
 
 def test_csv_export_and_sidecar(tmp_path):

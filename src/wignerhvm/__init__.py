@@ -17,8 +17,7 @@ from .phase_space import (Context, is_context, is_symplectic, omega,
 from .states import (FockDensityOperator, GaussianChannel, GaussianState,
                      StateSpec, apply_gaussian_channel, compose_channels,
                      gaussian_to_fock, loss_channel, make_state)
-from .weyl import (PolynomialObservable, check_wigner_multiplicativity,
-                   quantize_linear)
+from .weyl import PolynomialObservable, check_wigner_multiplicativity
 from .wigner import (GridSpec, InadequateWindowError, MixedStateError,
                      WignerGrid, hudson_classify, log_negativity, min_value,
                      negativity_volume, state_wigner, wigner_fock_direct,

@@ -48,16 +48,14 @@ CHAR_TOLERANCE = 2e-3
 DEFAULT_OBSERVABLES = ((1.0, 0.0), (0.0, 1.0),
                        (1 / np.sqrt(2), 1 / np.sqrt(2)))
 
-# lemma-check's working set (tracemalloc): its largest multiplicativity
-# case holds 18.0 c x c complex arrays at cutoffs 200-400 (quantize_terms
-# of xy^2 on two modes), the metaplectic suite about 7 (6.5 MB at cutoff
-# 240: one trial's dense label matrices beside every operator's 12
-# columns), and each case's coherent-state tables a few (r, p, p) arrays
-# on the 21- or 41-point z axis whatever the cutoff; each symbol is
-# reduced one slab at a time, so no symbol grid is held.  The suite runs
-# at cutoff 50 or more, so it dominates at small cutoffs (0.50 MB at
-# cutoff 8 after a warm-up run)
-LEMMA_MATRICES = 20
+# lemma-check's working set (tracemalloc) is linear in the cutoff c: the
+# metaplectic suite holds the first 12 columns of all 20 M(S), 4.48-4.88
+# kB a level at cutoffs 240-4000 (c at least 50), and the multiplicativity
+# cases about 1.7-2.2 kB a level from cutoff 196 on; below it they hold
+# one block of kets and a few (r, p, p) tables on the 21- or 41-point z
+# axis, about 0.4 MB at any cutoff (0.44 MB for the command at cutoff 8)
+LEMMA_FIXED_BYTES = 2 ** 18
+LEMMA_LEVEL_BYTES = 5 * 2 ** 10
 
 
 class CliError(Exception):
@@ -166,13 +164,14 @@ def cmd_hvm_compare(args) -> int:
     # the state's own checks first, so an oversized state exits as it does
     # in every other command
     states_mod.check_state_spec(spec)
-    levels = spec.fock_cutoff ** 2 if spec.kind in states_mod.FOCK_KINDS else 1
+    levels = (oracle_mod.CDF_TABLES * spec.fock_cutoff ** 2
+              if spec.kind in states_mod.FOCK_KINDS else 1)
     # the samples stream into the histogram: a sorted key and its order
     # (16 bytes) are held per sample, at any mode count
     nbytes = 8 * max(2 * args.samples, levels * (args.bins + 1))
     if nbytes > wigner_mod.GRID_BYTES_LIMIT:
         raise CliError(states_mod.over_limit(
-            "the samples or the oracle's CDF table", nbytes), EXIT_PARSE)
+            "the samples or the oracle's CDF tables", nbytes), EXIT_PARSE)
     state = make_state(spec)
     grid = _grid_spec(args, spec.modes)
     observables = _parse_observables(args, spec.modes)
@@ -309,9 +308,10 @@ def _multiplicativity_cases():
 
 
 def lemma_check_bytes(cutoff: int) -> int:
-    """Peak bytes of lemma-check: LEMMA_MATRICES c x c complex arrays, c
-    at least the metaplectic suite's cutoff."""
-    return 16 * LEMMA_MATRICES * max(cutoff, weyl_mod.METAPLECTIC_CUTOFF) ** 2
+    """Peak bytes of lemma-check: LEMMA_FIXED_BYTES and LEMMA_LEVEL_BYTES
+    a level, the cutoff at least the metaplectic suite's."""
+    return (LEMMA_FIXED_BYTES + LEMMA_LEVEL_BYTES
+            * max(cutoff, weyl_mod.METAPLECTIC_CUTOFF))
 
 
 def cmd_lemma_check(args) -> int:
@@ -319,8 +319,8 @@ def cmd_lemma_check(args) -> int:
         raise CliError("need a cutoff of at least 1", EXIT_PARSE)
     nbytes = lemma_check_bytes(args.cutoff)
     if nbytes > wigner_mod.GRID_BYTES_LIMIT:
-        largest = math.isqrt(wigner_mod.GRID_BYTES_LIMIT
-                             // (16 * LEMMA_MATRICES))
+        largest = ((wigner_mod.GRID_BYTES_LIMIT - LEMMA_FIXED_BYTES)
+                   // LEMMA_LEVEL_BYTES)
         raise CliError(states_mod.over_limit(
             f"cutoff {states_mod.short_int(args.cutoff)}", nbytes, ".5g")
             + f"; the largest cutoff is {largest}", EXIT_PARSE)

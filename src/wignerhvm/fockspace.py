@@ -3,11 +3,9 @@
 All operators use hbar = 1 with q = (a + a^dag)/sqrt(2) and
 p = (a - a^dag)/(i sqrt(2)), so [q, p] = i below the truncation edge.
 The Gaussian unitaries M(S) and the Bargmann recurrence behind them are
-one-mode, as are a state's Hermite coefficients.  Multimode operators act
-on the Kronecker product of per-mode spaces with mode 0 as the leftmost
-factor.  In Kronecker-factored form an operator is a list of per-mode
-stacks, one (r, cutoff, cutoff) array per mode, and stands for
-sum_s factors[0][s] (x) factors[1][s] (x) ...
+one-mode, as are a state's Hermite coefficients.  A quadrature is never
+formed as a matrix: apply_quadrature acts with it on kets by two ladder
+shifts.
 """
 
 from __future__ import annotations
@@ -27,28 +25,21 @@ BLOCK_NODES = 2 ** 17
 RESCALE_BITS = 256
 
 
-def annihilation(cutoff: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, cutoff)), k=1).astype(complex)
+def apply_quadrature(zeta, v: np.ndarray) -> np.ndarray:
+    """(zeta_q q + zeta_p p) v on the truncated space, the Fock axis of v
+    first.
 
-
-def position_operator(cutoff: int) -> np.ndarray:
-    a = annihilation(cutoff)
-    return (a + a.conj().T) / np.sqrt(2)
-
-
-def momentum_operator(cutoff: int) -> np.ndarray:
-    a = annihilation(cutoff)
-    return 1j * (a.conj().T - a) / np.sqrt(2)
-
-
-def kronecker_sum(factors) -> np.ndarray:
-    """The dense matrix of an operator given by its per-mode factor stacks."""
-    m = len(factors)
-    rows, cols = "abcdefgh"[:m], "ijklmnop"[:m]
-    terms = ",".join(f"s{r}{c}" for r, c in zip(rows, cols))
-    dense = np.einsum(f"{terms}->{rows}{cols}", *factors)
-    dim = int(np.prod([f.shape[1] for f in factors]))
-    return dense.reshape(dim, dim)
+    zeta_q q + zeta_p p = u a + conj(u) a^dag with u = (zeta_q - i
+    zeta_p) / sqrt(2), and a v[n] = sqrt(n + 1) v[n + 1], so the product
+    is two shifted slices of v weighted by sqrt(n): the truncated matrix
+    product, with no matrix formed.
+    """
+    u = complex(zeta[0], -zeta[1]) / np.sqrt(2)
+    roots = np.sqrt(np.arange(1, len(v))).reshape((-1,) + (1,) * (v.ndim - 1))
+    out = np.zeros(v.shape, dtype=complex)
+    out[:-1] = u * roots * v[1:]
+    out[1:] += u.conjugate() * roots * v[:-1]
+    return out
 
 
 def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:

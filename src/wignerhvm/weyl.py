@@ -1,8 +1,11 @@
 """Weyl quantization on the truncated Fock space.
 
-Linear combinations of quadratures quantize directly; polynomials over a
-commuting context quantize as the permutation-symmetrized operator
-product, which on the low-energy block coincides with the plain product.
+Polynomials over a commuting context quantize as the
+permutation-symmetrized operator product, which on the low-energy block
+coincides with the plain product.  No operator is formed as a matrix:
+each product is a chain of one-mode quadratures per mode, and each
+quadrature acts on the kets by two ladder shifts
+(fockspace.apply_quadrature).
 The way back to phase space is checked against the classical polynomial
 through the vacuum-smoothed (Husimi) symbol: the Weyl symbol of A
 convolved with the vacuum Wigner function is Tr[A rho_vac(z)] =
@@ -70,50 +73,30 @@ class PolynomialObservable:
         return total
 
 
-def _linear_terms(zeta, cutoff: int) -> list[np.ndarray]:
-    """Per-mode factor stacks of zeta . R_hat: one term per active mode."""
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    m = zeta.size // 2
-    q = fockspace.position_operator(cutoff)
-    p = fockspace.momentum_operator(cutoff)
-    active = [k for k in range(m) if zeta[k] or zeta[m + k]]
-    eye = np.eye(cutoff, dtype=complex)
-    factors = [np.repeat(eye[None], len(active), axis=0) for _ in range(m)]
-    for s, k in enumerate(active):
-        factors[k][s] = zeta[k] * q + zeta[m + k] * p
-    return factors
-
-
-def quantize_linear(zeta, cutoff: int) -> np.ndarray:
-    """Sum_i zeta_i R_hat_i from the standard ladder-operator matrices."""
-    return fockspace.kronecker_sum(_linear_terms(zeta, cutoff))
-
-
-def quantize_terms(obs: PolynomialObservable, cutoff: int) -> list[np.ndarray]:
-    """Symmetric-ordering quantization as per-mode factor stacks.
+def _symmetrized_chains(obs: PolynomialObservable) -> list:
+    """Symmetric-ordering quantization as (weight, chains) terms.
 
     Each generator zeta . R_hat is a sum of one term per mode it acts on,
-    and operator products multiply the term lists mode by mode, left to
-    right, so every symmetrized product stays a short sum of Kronecker
-    products; see fockspace for the factored form.
+    so every ordered product of generators expands into products that pick
+    one active mode per factor; chains[k] lists, left to right, the
+    (zeta_q, zeta_p) pairs of the factors that picked mode k, and the
+    operator is sum weight * chains[0] (x) chains[1] (x) ...
     """
-    gens = [_linear_terms(z, cutoff) for z in obs.context.generators]
     m = obs.context.mode_count
-    eye = np.eye(cutoff, dtype=complex)[None]
-    parts = [[np.zeros((0, cutoff, cutoff), dtype=complex)] * m]
+    gens = [[(k, (z[k], z[m + k])) for k in range(m) if z[k] or z[m + k]]
+            for z in obs.context.generators]
+    terms = []
     for coef, expo in obs.terms:
         indices = tuple(i for i, e in enumerate(expo) for _ in range(e))
         # the average over all distinct orderings of the index multiset
         perms = sorted(set(itertools.permutations(indices)))
         for perm in perms:
-            product = [eye] * m
-            for i in perm:
-                product = [
-                    np.matmul(a[:, None], b[None]).reshape(-1, cutoff, cutoff)
-                    for a, b in zip(product, gens[i])]
-            first, *rest = product
-            parts.append([coef / len(perms) * first] + rest)
-    return [np.concatenate(stacks) for stacks in zip(*parts)]
+            for picks in itertools.product(*(gens[i] for i in perm)):
+                chains = [[] for _ in range(m)]
+                for k, pair in picks:
+                    chains[k].append(pair)
+                terms.append((coef / len(perms), chains))
+    return terms
 
 
 def gaussian_moment(cov: np.ndarray, counts) -> float:
@@ -150,7 +133,7 @@ def _smoothing_terms(obs: PolynomialObservable) -> list:
     factor-by-factor evaluation forms.
     """
     gens = obs.context.generators
-    cov = gens @ gens.T / 2
+    cov = np.einsum("ik,jk->ij", gens, gens) / 2
     terms = []
     for coef, expo in obs.terms:
         ranges = [range(e + 1) for e in expo]
@@ -195,37 +178,35 @@ def _require_real(scale, imag, tol: float) -> None:
         raise ValueError(f"imaginary residue {imag:.2e} too large")
 
 
-def _coherent_tables(stacks, spec: GridSpec) -> list[np.ndarray]:
-    """T[s, i, j] = <alpha|B_s|alpha> at alpha = (axis[i] + i axis[j])/sqrt(2)
-    for each (r, c, c) stack B, over spec's (z_q, z_p) plane.
+def _coherent_tables(obs: PolynomialObservable, cutoff: int,
+                     spec: GridSpec) -> list[np.ndarray]:
+    """T_k[s, i, j] = <alpha|B_sk|alpha> at alpha = (axis[i] + i axis[j]) /
+    sqrt(2), over spec's (z_q, z_p) plane, for each mode k and each term s
+    of _symmetrized_chains, the term's weight in T_0.
 
     Built one block of z_q rows at a time, at most KET_BLOCK ket entries,
-    so the ket is a (c, rows, p) table that every stack shares: 6 rows at
-    cutoff 30, one from cutoff 196 on, at 21 points.  Only a stack's nonzero
-    diagonals are summed (quantize_terms' factors are banded, the
-    bandwidth at most the degree), each by elementwise products and an
-    unoptimized np.einsum, which call no BLAS.
+    so the ket is a (c, rows, p) table that every term shares: 6 rows at
+    cutoff 30, one from cutoff 196 on, at 21 points.  Each chain acts on
+    the ket right to left by fockspace.apply_quadrature, and the result
+    meets the bra in an unoptimized np.einsum; no operator matrix is
+    formed and no BLAS is called.
     """
-    cutoff, axis = stacks[0].shape[1], spec.axis
-    bands = []
-    for stack in stacks:
-        lower, upper = np.nonzero(stack.any(axis=0))
-        bands.append(sorted(set((upper - lower).tolist())))
-    tables = [np.zeros((len(stack), spec.points, spec.points), dtype=complex)
-              for stack in stacks]
+    axis, terms = spec.axis, _symmetrized_chains(obs)
+    tables = [np.zeros((len(terms), spec.points, spec.points), dtype=complex)
+              for _ in range(obs.context.mode_count)]
     step = max(1, KET_BLOCK // (cutoff * spec.points))
     for start in range(0, spec.points, step):
         rows = slice(start, start + step)
         ket = fockspace.coherent_amplitudes(
             (axis[rows, None] + 1j * axis) / np.sqrt(2), cutoff)
         bra = ket.conj()
-        for stack, offsets, table in zip(stacks, bands, tables):
-            for d in offsets:
-                # <a|B|a + d> pairs conj(<a|alpha>) with <a + d|alpha>
-                n, a, b = cutoff - abs(d), max(0, -d), max(0, d)
-                table[:, rows] += np.einsum(
-                    "sa,aip->sip", np.diagonal(stack, d, axis1=1, axis2=2),
-                    bra[a:a + n] * ket[b:b + n])
+        for s, (weight, chains) in enumerate(terms):
+            for k, (chain, table) in enumerate(zip(chains, tables)):
+                moved = ket
+                for zeta in reversed(chain):
+                    moved = fockspace.apply_quadrature(zeta, moved)
+                value = np.einsum("nip,nip->ip", bra, moved)
+                table[s, rows] = weight * value if k == 0 else value
     return tables
 
 
@@ -278,7 +259,7 @@ def check_wigner_multiplicativity(obs: PolynomialObservable, cutoff: int,
     """
     m = obs.context.mode_count
     z_spec = z_spec or (GridSpec(1, 3.0, 41) if m == 1 else GridSpec(2, 3.0, 21))
-    tables = _coherent_tables(quantize_terms(obs, cutoff), z_spec)
+    tables = _coherent_tables(obs, cutoff, z_spec)
     smoothing = _smoothing_terms(obs)  # once, not once per slab
 
     def target(blocks):
@@ -326,10 +307,11 @@ def metaplectic_covariance_suite(rng: np.random.Generator, trials: int = 20,
 
     Every (S, zeta) is drawn first, in the order a draw-and-check loop
     takes them; the first `block` columns of every M(S) are then built by
-    one stacked recurrence (fockspace.metaplectic_operators), and each
-    block of M^dag op M is two unoptimized np.einsum calls, which call no
-    BLAS, compared with quantize_linear(S^T zeta, block): the low block of
-    the truncated ladder matrices is the smaller cutoff's, bit for bit.
+    one stacked recurrence (fockspace.metaplectic_operators).  Each block
+    of M^dag op M is op M by fockspace.apply_quadrature and an unoptimized
+    np.einsum, which calls no BLAS, compared with S^T zeta applied to the
+    identity of the block: the low block of the truncated quadrature is
+    the smaller cutoff's.
     """
     draws = []
     for _ in range(trials):
@@ -340,11 +322,12 @@ def metaplectic_covariance_suite(rng: np.random.Generator, trials: int = 20,
         draws.append((S, zeta))
     operators = fockspace.metaplectic_operators([S for S, _ in draws], cutoff,
                                                 block)
+    eye = np.eye(block)
     worst = 0.0
     for (S, zeta), M in zip(draws, operators):
-        moved = np.einsum("ia,ib->ab", M.conj(), np.einsum(
-            "ij,jb->ib", quantize_linear(zeta, cutoff), M))
-        want = quantize_linear(np.einsum("ij,i->j", S, zeta), block)
+        moved = np.einsum("ia,ib->ab", M.conj(),
+                          fockspace.apply_quadrature(zeta, M))
+        want = fockspace.apply_quadrature(np.einsum("ij,i->j", S, zeta), eye)
         worst = max(worst, float(np.max(np.abs(moved - want))))
     return {"trials": trials, "cutoff": cutoff, "block": block,
             "max_deviation": worst, "tolerance": 1e-6,

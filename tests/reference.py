@@ -71,19 +71,21 @@ observable's vacuum-smoothed Weyl symbol by the same transform of
 Tr[A D(v)] exp(-|v|^2/4) on the v-window of
 `default_observable_char_spec`: lemma-check's route before it read the
 symbol as the coherent-state expectation <alpha|A|alpha>.
-`coherent_table_by_rows` is one stack's table of that expectation, built
-one z_q row of kets at a time: the package's form before one block of
-kets served every stack.  `coherent_symbol` is that expectation as one
-dense grid from it, and
-`whole_grid_symbol_deviations` lemma-check's comparison of it with the
-smoothed polynomial over the whole grid: the package's form before it
-learnt to reduce the symbol one first-axis slab at a time.
+`coherent_table_by_rows` is one dense factor stack's table of that
+expectation, built one z_q row of kets at a time from the stack's nonzero
+diagonals: the package's form before it applied quadratures to kets.
+`coherent_symbol` is that expectation as one dense grid from it, and
+`whole_grid_symbol_deviations` lemma-check's comparison of the package's
+own coherent tables with the smoothed polynomial over the whole grid: the
+package's form before it learnt to reduce the symbol one first-axis slab
+at a time.
 `member_bargmann` is the Bargmann recurrence for one array at a time, with
 scalar coefficients on every pass, `member_metaplectic_operator` the
 metaplectic operator built on it, and `trialwise_covariance_suite` the
 metaplectic covariance suite that draws, builds and conjugates one trial
 at a time: the package's forms before it learnt to run a stack of
-recurrences at once, the suite's conjugation in its block-column form.
+recurrences at once, the suite's conjugation in its block-column,
+ladder-shift form.
 `member_bargmann` takes any number of axes, so
 `member_metaplectic_operator` also gives two-mode M(S), and
 `two_mode_gaussian_to_fock` a two-mode Gaussian state's truncated density
@@ -93,14 +95,22 @@ references.
 `dense_covariance_state` is a one-mode Fock state's first two moments
 from dense quadrature products formed one level above the cutoff: the
 package's form before it read them from three bands of rho.
-`monomial`, `quantize_polynomial` (the dense matrix of the package's
-factor stacks), `trusted_block_mask` and `smoothed_polynomial` (the
+`annihilation`, `position_operator` and `momentum_operator` are the
+truncated ladder and quadrature matrices, `kronecker_sum` the dense
+matrix sum_s factors[0][s] (x) factors[1][s] (x) ... of per-mode factor
+stacks, and `quantize_linear` and `quantize_terms` the symmetric-ordering
+quantization as such stacks: the package's forms before it applied each
+quadrature to kets by two ladder shifts (`fockspace.apply_quadrature`),
+and the dense references that route is compared with.
+`monomial`, `quantize_polynomial` (the dense matrix of `quantize_terms`'
+stacks), `trusted_block_mask` and `smoothed_polynomial` (the
 package's vacuum-smoothed polynomial, evaluated in one call) are the Weyl
 helpers that only the tests use, and `cell_probabilities` is a
 hidden-variable model's normalized cell masses, the table its sampler
 searches.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -110,9 +120,9 @@ from wignerhvm import fockspace
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.special import sine_integral
 from wignerhvm.states import GaussianState, StateSpec, make_state
-from wignerhvm.weyl import (PolynomialObservable, _kronecker_grid,
-                            _require_real, _smoothed, _smoothing_terms,
-                            quantize_linear, quantize_terms)
+from wignerhvm.weyl import (PolynomialObservable, _coherent_tables,
+                            _kronecker_grid, _require_real, _smoothed,
+                            _smoothing_terms)
 from wignerhvm.wigner import (BOUNDARY_DECAY, GridSpec, InadequateWindowError,
                               WignerGrid, _normalized_on_window,
                               characteristic_at_points)
@@ -125,6 +135,76 @@ def _real_part(raw: np.ndarray, tol: float) -> np.ndarray:
     _require_real(float(np.max(np.abs(raw.real))),
                   float(np.max(np.abs(raw.imag))), tol)
     return raw.real
+
+
+def annihilation(cutoff: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1, cutoff)), k=1).astype(complex)
+
+
+def position_operator(cutoff: int) -> np.ndarray:
+    a = annihilation(cutoff)
+    return (a + a.conj().T) / np.sqrt(2)
+
+
+def momentum_operator(cutoff: int) -> np.ndarray:
+    a = annihilation(cutoff)
+    return 1j * (a.conj().T - a) / np.sqrt(2)
+
+
+def kronecker_sum(factors) -> np.ndarray:
+    """The dense matrix of an operator given by its per-mode factor stacks."""
+    m = len(factors)
+    rows, cols = "abcdefgh"[:m], "ijklmnop"[:m]
+    terms = ",".join(f"s{r}{c}" for r, c in zip(rows, cols))
+    dense = np.einsum(f"{terms}->{rows}{cols}", *factors)
+    dim = int(np.prod([f.shape[1] for f in factors]))
+    return dense.reshape(dim, dim)
+
+
+def _linear_terms(zeta, cutoff: int) -> list[np.ndarray]:
+    """Per-mode factor stacks of zeta . R_hat: one term per active mode."""
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    m = zeta.size // 2
+    q = position_operator(cutoff)
+    p = momentum_operator(cutoff)
+    active = [k for k in range(m) if zeta[k] or zeta[m + k]]
+    eye = np.eye(cutoff, dtype=complex)
+    factors = [np.repeat(eye[None], len(active), axis=0) for _ in range(m)]
+    for s, k in enumerate(active):
+        factors[k][s] = zeta[k] * q + zeta[m + k] * p
+    return factors
+
+
+def quantize_linear(zeta, cutoff: int) -> np.ndarray:
+    """Sum_i zeta_i R_hat_i from the standard ladder-operator matrices."""
+    return kronecker_sum(_linear_terms(zeta, cutoff))
+
+
+def quantize_terms(obs: PolynomialObservable, cutoff: int) -> list[np.ndarray]:
+    """Symmetric-ordering quantization as per-mode factor stacks.
+
+    Each generator zeta . R_hat is a sum of one term per mode it acts on,
+    and operator products multiply the term lists mode by mode, left to
+    right, so every symmetrized product stays a short sum of Kronecker
+    products, sum_s factors[0][s] (x) factors[1][s] (x) ...
+    """
+    gens = [_linear_terms(z, cutoff) for z in obs.context.generators]
+    m = obs.context.mode_count
+    eye = np.eye(cutoff, dtype=complex)[None]
+    parts = [[np.zeros((0, cutoff, cutoff), dtype=complex)] * m]
+    for coef, expo in obs.terms:
+        indices = tuple(i for i, e in enumerate(expo) for _ in range(e))
+        # the average over all distinct orderings of the index multiset
+        perms = sorted(set(itertools.permutations(indices)))
+        for perm in perms:
+            product = [eye] * m
+            for i in perm:
+                product = [
+                    np.matmul(a[:, None], b[None]).reshape(-1, cutoff, cutoff)
+                    for a, b in zip(product, gens[i])]
+            first, *rest = product
+            parts.append([coef / len(perms) * first] + rest)
+    return [np.concatenate(stacks) for stacks in zip(*parts)]
 
 
 def displacement_matrix(alpha, cutoff: int) -> np.ndarray:
@@ -417,10 +497,12 @@ def coherent_symbol(factors, z_spec: GridSpec) -> np.ndarray:
 def whole_grid_symbol_deviations(obs: PolynomialObservable, cutoff: int,
                                  z_spec: GridSpec | None = None) -> tuple:
     """check_wigner_multiplicativity's (sup_norm_deviation,
-    inner_sup_deviation) from the whole symbol grid."""
+    inner_sup_deviation) from the whole symbol grid of the package's
+    coherent tables."""
     m = obs.context.mode_count
     z_spec = z_spec or (GridSpec(1, 3.0, 41) if m == 1 else GridSpec(2, 3.0, 21))
-    symbol = coherent_symbol(quantize_terms(obs, cutoff), z_spec)
+    symbol = _real_part(_kronecker_grid(_coherent_tables(obs, cutoff, z_spec)),
+                        1e-6)
     zblocks = z_spec.coordinate_blocks()
     target = smoothed_polynomial(obs, [sum(z * c for z, c in zip(gen, zblocks))
                                        for gen in obs.context.generators])
@@ -779,12 +861,12 @@ def trialwise_covariance_suite(rng: np.random.Generator, trials: int = 20,
         zeta = rng.uniform(-1.5, 1.5, size=2)
         if not np.any(zeta):
             zeta = np.array([1.0, 0.0])
-        op = quantize_linear(zeta, cutoff)
         M = member_metaplectic_operator(S, cutoff)[:, :block]
-        got = np.einsum("ia,ib->ab", M.conj(), np.einsum("ij,jb->ib", op, M))
-        want = quantize_linear(np.einsum("ij,i->j", S, zeta), cutoff)
-        dev = np.max(np.abs(got - want[:block, :block]))
-        worst = max(worst, float(dev))
+        got = np.einsum("ia,ib->ab", M.conj(),
+                        fockspace.apply_quadrature(zeta, M))
+        want = fockspace.apply_quadrature(np.einsum("ij,i->j", S, zeta),
+                                          np.eye(block))
+        worst = max(worst, float(np.max(np.abs(got - want))))
     return {"trials": trials, "cutoff": cutoff, "block": block,
             "max_deviation": worst, "tolerance": 1e-6,
             "pass": bool(worst <= 1e-6)}
@@ -796,8 +878,7 @@ def dense_covariance_state(state) -> GaussianState:
     + R_j R_i)/2] - mu_i mu_j, each product formed at cutoff + 1 and cut
     back, so the top level keeps its whole <n|R_i R_j|n>."""
     c = state.cutoff
-    quads = (fockspace.position_operator(c + 1),
-             fockspace.momentum_operator(c + 1))
+    quads = (position_operator(c + 1), momentum_operator(c + 1))
 
     def moment(*axes):  # Re Tr[rho R_axes[0] R_axes[1] ...]
         F = np.eye(c + 1)
@@ -820,7 +901,7 @@ def quantize_polynomial(obs: PolynomialObservable, cutoff: int) -> np.ndarray:
     For a genuine context the symmetrized product equals the plain product
     of the generator matrices on levels at least 2*degree below the cutoff.
     """
-    return fockspace.kronecker_sum(quantize_terms(obs, cutoff))
+    return kronecker_sum(quantize_terms(obs, cutoff))
 
 
 def trusted_block_mask(cutoff: int, mode_count: int, degree: int) -> np.ndarray:

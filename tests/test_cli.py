@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from wignerhvm import cli as cli_module
 from wignerhvm import hvm as hvm_module
+from wignerhvm import oracle as oracle_module
 from wignerhvm import states as states_module
 from wignerhvm import wigner as wigner_module
 from wignerhvm.cli import _multiplicativity_cases, lemma_check_bytes, main
@@ -180,7 +181,8 @@ def test_parse_failure_exit_2(tmp_path):
         code, _ = run(tmp_path, "hvm-compare", "--state",
                       '{"kind": "vacuum"}', *flag)
         assert code == 2, flag
-    # a Fock state's CDF table holds cutoff^2 (bins + 1) values: 1.2 GiB
+    # a Fock state's CDF holds oracle.CDF_TABLES tables of cutoff^2 (bins +
+    # 1) values: 4.8 GiB
     code, _ = run(tmp_path, "hvm-compare", "--state",
                   '{"kind": "fock", "params": {"n": 0}, "cutoff": 400}',
                   "--bins", "1000")
@@ -196,7 +198,7 @@ def test_parse_failure_exit_2(tmp_path):
             code, _ = run(tmp_path, command, *extra, "--seed", seed)
             assert code == 2, (command, seed)
     # lemma-check's working set: a cutoff of at least 1, within the limit
-    for cutoff in ("0", "-3", "1832", "8192", "100000", str(10 ** 200)):
+    for cutoff in ("0", "-3", "209665", "262144", "1000000", str(10 ** 200)):
         code, _ = run(tmp_path, "lemma-check", "--cutoff", cutoff)
         assert code == 2, cutoff
     # a channel check over no trials or no modes checks nothing
@@ -250,8 +252,8 @@ def test_two_mode_hvm_compare_holds_one_grid(tmp_path):
 
 
 def test_parse_failure_messages_name_the_bound(tmp_path, capsys):
-    run(tmp_path, "lemma-check", "--cutoff", "100000")
-    assert "the largest cutoff is 1831" in capsys.readouterr().err
+    run(tmp_path, "lemma-check", "--cutoff", "1000000")
+    assert "the largest cutoff is 209664" in capsys.readouterr().err
     run(tmp_path, "lemma-check", "--cutoff", "0")
     assert "at least 1" in capsys.readouterr().err
     run(tmp_path, "channel-compose", "--channel", '{"kind": "identity"}',
@@ -388,7 +390,8 @@ def refuse_constant(name):
 def lemma_and_channel_argv(draw):
     """lemma-check and channel-compose argv, with how a large size exits."""
     if draw(st.booleans()):
-        cutoff = draw(st.one_of(st.integers(1, 12), st.integers(1832, 10 ** 6),
+        cutoff = draw(st.one_of(st.integers(1, 12),
+                                st.integers(209665, 10 ** 6),
                                 st.integers(10 ** 6, 10 ** 400)))
         return ["lemma-check", "--cutoff", str(cutoff)], cutoff > 12
     modes = draw(st.one_of(st.integers(1, 3), st.integers(10 ** 6, 10 ** 9),
@@ -969,31 +972,48 @@ def test_lemma_check_degraded_cutoff_flags(tmp_path):
     assert report["metaplectic_covariance"]["pass"]
 
 
+def traced_peak(job):
+    tracemalloc.start()
+    try:
+        job()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_lemma_check_bytes_bound_the_measured_peak(tmp_path):
     # the cutoff guard must not undercount lemma-check's working set: at
-    # cutoff 8 the metaplectic suite's cutoff-50 matrices dominate the
-    # command; at 240 the c x c matrices of its two largest cases and of
-    # the metaplectic suite do, and the command holds one of them at a time
-    def traced_peak(job):
-        tracemalloc.start()
-        try:
-            job()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
+    # cutoff 8 one block of kets and the metaplectic suite's cutoff-50
+    # columns dominate the command; at 240 and 4000 the suite's columns of
+    # its 20 operators do, a few kB a level, and the command holds the
+    # suite and each case one at a time
     # the modules a first run imports (about 1 MB) are not its working set
     assert run(tmp_path, "lemma-check", "--cutoff", "8")[0] == 0
     peak = traced_peak(lambda: run(tmp_path, "lemma-check", "--cutoff", "8"))
     assert 0.5 * lemma_check_bytes(8) <= peak <= lemma_check_bytes(8)
-    cutoff = 240
     cases = dict(_multiplicativity_cases())
-    jobs = [lambda obs=cases[label]: check_wigner_multiplicativity(obs, cutoff)
-            for label in ("xy^2 on {q1,q2}", "xy^2 on {q1,p2}")]
-    jobs.append(lambda: metaplectic_covariance_suite(
-        np.random.default_rng(1), trials=20, cutoff=cutoff))
-    peak = max(traced_peak(job) for job in jobs)
-    assert 0.5 * lemma_check_bytes(cutoff) <= peak <= lemma_check_bytes(cutoff)
+    for cutoff in (240, 4000):
+        jobs = [lambda obs=cases[label]: check_wigner_multiplicativity(
+            obs, cutoff) for label in ("xy^2 on {q1,q2}", "xy^2 on {q1,p2}")]
+        jobs.append(lambda: metaplectic_covariance_suite(
+            np.random.default_rng(1), trials=20, cutoff=cutoff))
+        peak = max(traced_peak(job) for job in jobs)
+        bound = lemma_check_bytes(cutoff)
+        assert 0.5 * bound <= peak <= bound, (cutoff, peak / bound)
+
+
+def test_hvm_compare_bytes_bound_the_measured_peak(tmp_path):
+    # a one-mode Fock state's oracle CDF dominates hvm-compare once its
+    # cutoff^2 (bins + 1) tables outgrow the grid and the samples
+    argv = ["hvm-compare", "--state",
+            '{"kind": "fock", "params": {"n": 0}, "cutoff": 30}',
+            "--points", "41", "--bins", "200", "--samples", "2000"]
+    assert run(tmp_path, *argv)[0] == 0  # first-run imports are not counted
+    code = []
+    peak = traced_peak(lambda: code.append(run(tmp_path, *argv)[0]))
+    assert code == [0]
+    bound = 8 * oracle_module.CDF_TABLES * 30 ** 2 * 201
+    assert 0.5 * bound <= peak <= bound, peak / bound
 
 
 def test_observable_flag_parsing(tmp_path):

@@ -8,12 +8,11 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from wignerhvm import fockspace
 from wignerhvm.phase_space import random_symplectic
-from wignerhvm.weyl import quantize_linear
 
-from reference import (displacement_matrix, full_depth_displacement_trace,
-                       frexp_hermite_functions, member_bargmann,
-                       member_metaplectic_operator,
-                       whole_table_hermite_functions)
+from reference import (annihilation, displacement_matrix,
+                       full_depth_displacement_trace, frexp_hermite_functions,
+                       member_bargmann, member_metaplectic_operator,
+                       quantize_linear, whole_table_hermite_functions)
 
 ALPHAS = (0.0, 0.3, 1.5 + 0.7j, -2.2j, -1.1 - 1.9j, 3.0)
 
@@ -60,7 +59,7 @@ def test_displacement_matrix_array_input_stacks_scalar_results():
 
 def test_displacement_matrix_matches_exponential():
     cutoff, block = 60, 20
-    a = fockspace.annihilation(cutoff)
+    a = annihilation(cutoff)
     for alpha in (0.4, 1.2 - 0.5j, -0.8j, 2.0):
         ref = expm(alpha * a.conj().T - np.conj(alpha) * a)
         got = displacement_matrix(alpha, cutoff)

@@ -1,11 +1,11 @@
 """The factored (per-mode Kronecker term) quantization, characteristic
-function and coherent-state symbol against the dense references they
-replaced: the dense symmetrized product of c^2 x c^2 generator matrices,
-the dense contraction d^T M d over a two-mode displacement table, the
-transform that contracts one phase-space axis at a time and the dense
+function and coherent-state symbol, the package's ladder-shift tables
+among them, against the dense references they replaced: the dense
+symmetrized product of c^2 x c^2 generator matrices, the dense
+contraction d^T M d over a two-mode displacement table, the transform
+that contracts one phase-space axis at a time and the dense
 <alpha|A|alpha> over two-mode coherent kets."""
 
-import gc
 import itertools
 import tracemalloc
 
@@ -13,15 +13,15 @@ import numpy as np
 
 from wignerhvm.cli import _multiplicativity_cases
 from wignerhvm.phase_space import Context
-from wignerhvm.weyl import (PolynomialObservable,
-                            check_wigner_multiplicativity, quantize_linear,
-                            quantize_terms)
+from wignerhvm.weyl import (PolynomialObservable, _coherent_tables,
+                            _kronecker_grid, check_wigner_multiplicativity)
 from wignerhvm.wigner import GridSpec
 
 from reference import (TwoModeFock, characteristic_function,
                        characteristic_observable, coherent_symbol,
                        complex_parity_wigner, default_observable_char_spec,
-                       displacement_matrix, quantize_polynomial,
+                       displacement_matrix, quantize_linear,
+                       quantize_polynomial, quantize_terms,
                        smoothed_polynomial, wigner_from_characteristic)
 
 Z = GridSpec(2, 3.0, 11)
@@ -108,6 +108,8 @@ def check_against_dense(obs: PolynomialObservable, cutoff: int) -> None:
     assert np.max(np.abs(want.imag)) <= REL_TOL * np.max(np.abs(want))
     symbol = coherent_symbol(quantize_terms(obs, cutoff), Z)
     assert relative_gap(symbol, want.real) <= REL_TOL
+    ladder = _kronecker_grid(_coherent_tables(obs, cutoff, Z))
+    assert relative_gap(ladder, want) <= REL_TOL
 
     # the lemma-check comparison against the dense symbol
     zblocks = Z.coordinate_blocks()
@@ -173,18 +175,3 @@ def test_lemma_characteristic_observable_holds_no_displacement_table():
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
 
-
-def test_quantize_terms_frees_its_prefix_products_on_return():
-    # the ordered products are formed left to right and dropped once
-    # stacked; nothing may outlive the call, even with no gc pass, or
-    # lemma-check's cases would pile up
-    obs = dict(_multiplicativity_cases())["xy^2 on {q1,q2}"]
-    gc.disable()
-    tracemalloc.start()
-    try:
-        quantize_terms(obs, 120)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert held < 16 * 120 ** 2

@@ -15,10 +15,10 @@ from wignerhvm.states import (LEAKAGE_LIMIT, FockDensityOperator,
                               cat_state, compose_channels, gaussian_to_fock,
                               identity_channel, loss_channel, make_state,
                               vacuum_state)
-from wignerhvm.weyl import quantize_linear
 
 from reference import (displacement_matrix, member_metaplectic_operator,
-                       two_mode_gaussian_to_fock, whole_table_gkp_coefficients)
+                       quantize_linear, two_mode_gaussian_to_fock,
+                       whole_table_gkp_coefficients)
 
 
 def spec(kind, cutoff=None, **params):

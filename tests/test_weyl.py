@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from wignerhvm import fockspace
+from wignerhvm import fockspace, weyl
 from wignerhvm.cli import _multiplicativity_cases, main
 from wignerhvm.phase_space import Context
 from wignerhvm.weyl import (PolynomialObservable, _coherent_tables,
-                            _symbol_deviations, check_wigner_multiplicativity,
-                            gaussian_moment, metaplectic_covariance_suite,
-                            quantize_linear, quantize_terms)
+                            _kronecker_grid, _symbol_deviations,
+                            check_wigner_multiplicativity, gaussian_moment,
+                            metaplectic_covariance_suite)
 from wignerhvm.wigner import GridSpec
 
 from reference import (chi_route_symbol, coherent_symbol,
-                       coherent_table_by_rows, monomial, quantize_polynomial,
+                       coherent_table_by_rows, monomial, position_operator,
+                       quantize_linear, quantize_polynomial, quantize_terms,
                        smoothed_polynomial, trialwise_covariance_suite,
                        trusted_block_mask, whole_grid_symbol_deviations)
 
@@ -208,12 +209,21 @@ def bits(values) -> list:
     return [int(np.float64(v).view(np.int64)) for v in values]
 
 
+def lemma_and_monomial_cases():
+    """Every lemma-check case and the one-mode monomials, each with its
+    comparison plane."""
+    one_mode = [(expo, monomial(ctx_single(), expo)) for expo in ((1,), (2,))]
+    for label, obs in _multiplicativity_cases() + one_mode:
+        m = obs.context.mode_count
+        yield label, obs, (GridSpec(1, 3.0, 41) if m == 1
+                           else GridSpec(2, 3.0, 21))
+
+
 @pytest.mark.parametrize("cutoff", [8, 30, CUTOFF])
 def test_slab_deviations_have_the_whole_grid_bits(cutoff):
     # every lemma-check case and the one-mode monomials, each symbol read
     # one first-axis slab at a time
-    one_mode = [(expo, monomial(ctx_single(), expo)) for expo in ((1,), (2,))]
-    for label, obs in _multiplicativity_cases() + one_mode:
+    for label, obs, _ in lemma_and_monomial_cases():
         rep = check_wigner_multiplicativity(obs, cutoff)
         got = [rep["sup_norm_deviation"], rep["inner_sup_deviation"]]
         assert bits(got) == bits(whole_grid_symbol_deviations(obs, cutoff)), \
@@ -221,19 +231,45 @@ def test_slab_deviations_have_the_whole_grid_bits(cutoff):
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 8, 30, 60, 200])
-def test_block_tables_have_the_row_by_row_bits(cutoff):
-    # one ket per block of z_q rows, shared by every stack, on both planes:
-    # cutoff 1 and 2 put the whole plane in one block, 200 one row a block
-    one_mode = [(expo, monomial(ctx_single(), expo)) for expo in ((1,), (2,))]
-    for label, obs in _multiplicativity_cases() + one_mode:
-        m = obs.context.mode_count
-        z_spec = GridSpec(1, 3.0, 41) if m == 1 else GridSpec(2, 3.0, 21)
-        stacks = quantize_terms(obs, cutoff)
-        got = _coherent_tables(stacks, z_spec)
-        assert len(got) == len(stacks), label
-        for stack, table in zip(stacks, got):
-            want = coherent_table_by_rows(stack, z_spec)
-            assert table.tobytes() == want.tobytes(), label
+def test_block_tables_have_the_row_by_row_bits(cutoff, monkeypatch):
+    # one ket per block of z_q rows, shared by every term, on both planes:
+    # cutoff 1 and 2 put the whole plane in one block, 200 one row a block,
+    # and a KET_BLOCK of 1 one row a block at every cutoff
+    cases = list(lemma_and_monomial_cases())
+    blocks = [_coherent_tables(obs, cutoff, z_spec)
+              for _, obs, z_spec in cases]
+    monkeypatch.setattr(weyl, "KET_BLOCK", 1)
+    for (label, obs, z_spec), got in zip(cases, blocks):
+        want = _coherent_tables(obs, cutoff, z_spec)
+        assert len(got) == len(want) == obs.context.mode_count, label
+        for table, row_table in zip(got, want):
+            assert table.tobytes() == row_table.tobytes(), label
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 8, 30, 60, 200])
+def test_ladder_symbol_matches_the_dense_matrices(cutoff):
+    # each chain applied to the kets by ladder shifts against the dense
+    # factor stacks' nonzero diagonals, row by row
+    for label, obs, z_spec in lemma_and_monomial_cases():
+        got = _kronecker_grid(_coherent_tables(obs, cutoff, z_spec))
+        want = _kronecker_grid([coherent_table_by_rows(stack, z_spec)
+                                for stack in quantize_terms(obs, cutoff)])
+        # at cutoff 1 a quadrature is 0, and so is an odd degree's symbol
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), \
+            label
+
+
+def test_apply_quadrature_is_the_truncated_matrix_product():
+    rng = np.random.default_rng(2)
+    for cutoff in (1, 2, 7, 40):
+        real, imag = rng.normal(size=(2, cutoff, 3, 2))
+        v = real + 1j * imag
+        for zeta in ([1.0, 0.0], [0.0, 1.0], [-0.7, 1.3], [0.0, 0.0]):
+            want = np.einsum("mn,nij->mij", quantize_linear(zeta, cutoff), v)
+            got = fockspace.apply_quadrature(zeta, v)
+            assert got.shape == v.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * max(
+                1.0, np.max(np.abs(want)))
 
 
 def test_lemma_check_builds_one_ket_per_block(tmp_path, monkeypatch):
@@ -260,7 +296,7 @@ def test_coherent_symbol_matches_the_chi_route(cutoff):
     for label, obs in _multiplicativity_cases():
         m = obs.context.mode_count
         z_spec = GridSpec(1, 3.0, 41) if m == 1 else GridSpec(2, 3.0, 21)
-        got = coherent_symbol(quantize_terms(obs, cutoff), z_spec)
+        got = _kronecker_grid(_coherent_tables(obs, cutoff, z_spec)).real
         want = chi_route_symbol(obs, cutoff, z_spec)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got)), \
             label
@@ -268,14 +304,17 @@ def test_coherent_symbol_matches_the_chi_route(cutoff):
 
 @pytest.mark.parametrize("modes", [1, 2])
 def test_imaginary_symbol_raises_the_residue_error(modes):
-    # i q_1 is anti-Hermitian: its smoothed symbol i z_q1 has no real part
+    # i q_1 is anti-Hermitian: its smoothed symbol i z_q1 has no real part.
+    # An observable's coefficients are real, so its q_1 tables are made
+    # imaginary by hand
     cutoff = 12
-    eye = np.eye(cutoff, dtype=complex)[None]
-    factors = [1j * fockspace.position_operator(cutoff)[None]] + \
-        [eye] * (modes - 1)
     z_spec = GridSpec(modes, 3.0, 11)
-    tables = _coherent_tables(factors, z_spec)
+    obs = monomial(Context([np.eye(2 * modes)[0]]), (1,))
+    tables = _coherent_tables(obs, cutoff, z_spec)
+    tables[0] = 1j * tables[0]
     with pytest.raises(ValueError, match="imaginary residue"):
         _symbol_deviations(tables, z_spec, lambda blocks: 0.0, slice(2, 9))
+    eye = np.eye(cutoff, dtype=complex)[None]
+    factors = [1j * position_operator(cutoff)[None]] + [eye] * (modes - 1)
     with pytest.raises(ValueError, match="imaginary residue"):
         coherent_symbol(factors, z_spec)

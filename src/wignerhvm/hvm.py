@@ -3,12 +3,12 @@
 The hidden-state space is phase space itself: a nonnegative normalized
 Wigner grid is the probability measure, and a hidden state phi assigns
 the value zeta . phi to the observable zeta . R_hat.  That assignment is
-the outcome hvm_homodyne_distribution histograms, and lemma-check's
-assignment_linearity suite checks that it is additive in zeta; a
-polynomial of commuting observables takes the same polynomial of those
-values, so functional relations inside a context hold identically.
-Negativity anywhere makes the construction impossible, and build_hvm
-turns that into a typed error carrying the witness location.
+the outcome hvm_homodyne_distribution histograms.  The values zeta . phi
+are linear in zeta by construction, and a polynomial of commuting
+observables takes the same polynomial of those values, so functional
+relations inside a context hold identically.  Negativity anywhere makes
+the construction impossible, and build_hvm turns that into a typed error
+carrying the witness location.
 
 Event probabilities and samples use two readings of the same node
 weights.  Events integrate the band-limited (Whittaker-Shannon)
@@ -39,12 +39,15 @@ with 10^6 (1.22 and 2.82 with the whole samples held).
 
 from __future__ import annotations
 
+import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import BinSpec, OutcomeDistribution, _normalize_intervals
+from .oracle import (BinSpec, OutcomeDistribution, _normalize_intervals,
+                     event_probability, quantum_homodyne_distribution,
+                     tv_distance)
 from .phase_space import observable_label
 from .special import sine_integral
 from .wigner import (WignerGrid, characteristic_at_points, min_value,
@@ -56,6 +59,13 @@ SAMPLE_BLOCK = 1 << 16
 # the fewest outcomes per sine-integral call on the slab path, and the most
 # values a call takes for several edges at once
 EVENT_BLOCK = 1 << 16
+
+# forward_check's tolerances, and empirical_characteristic_check's
+TV_TOLERANCE = 0.02
+EVENT_TOLERANCE = 2e-3
+CHAR_TOLERANCE = 2e-3
+# the exact events forward_check compares, each a name and its intervals
+EVENT_SETS = (("[0, inf)", [(0.0, np.inf)]), ("[-1, 1]", [(-1.0, 1.0)]))
 
 
 class NegativityError(ValueError):
@@ -228,7 +238,8 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
     are returned.  They equal np.histogram(sample(model, n, seed) @ zeta,
     edges)[0] at any thread count, but the working set is 16 bytes a
     sample (a sorted key and its order) instead of 8 * 2m: no (n, 2m)
-    array and no n outcomes are made.
+    array and no n outcomes are made.  Each chunk adds its counts to one
+    total as it is placed, so no chunk's counts wait for earlier chunks.
 
     No grid-sized table is held.  The first call stores the running sum
     at each block end (_cumulative_blocks).  Then three passes: each
@@ -259,6 +270,8 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
     else:
         zeta, edges = histogram
         held = np.empty((n, 2))  # a key and its order per sample, no rows
+        total = np.zeros(len(edges) - 1, dtype=np.intp)
+        lock = threading.Lock()
     # each chunk's sorted keys, then their order (later their cells)
     keys = [held[start:start + SAMPLE_CHUNK].reshape(-1) for start in starts]
     sizes = [min(SAMPLE_CHUNK, n - start) for start in starts]
@@ -287,7 +300,7 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
                 buf[lo:hi].view(np.intp)[:] = cells
 
     def place(c):
-        """The chunk's rows in their boxes; streamed, their counts."""
+        """The chunk's rows in their boxes; streamed, added to total."""
         k, buf = sizes[c], keys[c]
         idx = np.empty(k, dtype=np.intp)
         idx[buf[k:2 * k].view(np.intp)] = buf[:k].view(np.intp)
@@ -301,7 +314,9 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
             out[:, d] = axis[coords[d]] + (u[:, 1 + d] - 0.5) * step
         del u, coords
         if histogram is not None:
-            return np.histogram(out @ zeta, edges)[0]
+            binned = np.histogram(out @ zeta, edges)[0]
+            with lock:  # integer counts: their sum has no order to keep
+                np.add(total, binned, out=total)
 
     if threads > 1:
         # imported here: a bare `import wignerhvm` loads no executor
@@ -314,11 +329,8 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
         cuts = list(run(sort_keys, range(len(keys))))
         counts = np.diff(np.sum(cuts, axis=0), prepend=0)
         list(run(search, np.flatnonzero(counts)))
-        placed = run(place, range(len(keys)))
-        if histogram is None:
-            list(placed)
-            return phi
-        return sum(placed)  # integer counts: their sum has no order to keep
+        list(run(place, range(len(keys))))
+    return phi if histogram is None else total
 
 
 def hvm_homodyne_distribution(model: HiddenVariableModel, zeta,
@@ -461,7 +473,8 @@ def hvm_event_probabilities(model: HiddenVariableModel, zeta,
 
 
 def empirical_characteristic_check(model: HiddenVariableModel, points,
-                                   state, tolerance: float = 2e-3) -> dict:
+                                   state,
+                                   tolerance: float = CHAR_TOLERANCE) -> dict:
     """Compare the measure's Fourier transform with the state's chi.
 
     Integrates exp(i [v, phi]) against the model measure on the grid and
@@ -516,3 +529,37 @@ def empirical_characteristic_check(model: HiddenVariableModel, points,
         "tolerance": tolerance,
         "pass": bool(max_dev <= tolerance),
     }
+
+
+def forward_check(state, model: HiddenVariableModel, observables,
+                  bins: BinSpec, n: int, seed: int, threads: int = 1):
+    """The model against the quantum oracle, one observable at a time.
+
+    Yields, for the idx-th observable, its report row, the model's
+    histogram of n samples at seed + idx and the oracle's bins, so that a
+    caller holds one observable's bins at a time.  The row passes when the
+    two are within TV_TOLERANCE in total variation and each exact event of
+    EVENT_SETS is within EVENT_TOLERANCE of the oracle's.
+    """
+    for idx, zeta in enumerate(observables):
+        hvm_dist = hvm_homodyne_distribution(model, zeta, bins, n, seed + idx,
+                                             threads=threads)
+        oracle_dist = quantum_homodyne_distribution(state, zeta, bins)
+        tv = tv_distance(hvm_dist, oracle_dist)
+        hvs = hvm_event_probabilities(
+            model, zeta, [intervals for _, intervals in EVENT_SETS])
+        events = []
+        for (label, intervals), hv in zip(EVENT_SETS, hvs):
+            qv = event_probability(state, zeta, intervals)
+            events.append({
+                "interval": label, "hvm": hv, "oracle": qv,
+                "abs_error": abs(hv - qv), "tolerance": EVENT_TOLERANCE,
+                "pass": bool(abs(hv - qv) <= EVENT_TOLERANCE)})
+        row = {"observable": list(map(float, zeta)), "n": n,
+               "seed": seed + idx, "tv_distance": tv,
+               "tolerance": TV_TOLERANCE,
+               "pass": bool(tv <= TV_TOLERANCE and
+                            all(e["pass"] for e in events)),
+               "event_checks": events}
+        yield row, hvm_dist, oracle_dist
+        del hvm_dist, oracle_dist  # not held while the next are computed

@@ -117,8 +117,10 @@ class Context:
         return self.generators.shape[0]
 
 
-def decomposition_commutators(u, v, u2, v2) -> tuple:
-    """The commutators behind the two-plane additivity decomposition.
+def planewise_decomposition_commutes(u, v, u2, v2,
+                                     tol: float = ALGEBRAIC_TOL) -> bool:
+    """Whether the commutators behind the two-plane additivity
+    decomposition are all within tol of zero.
 
     For u, v in one (q_i, p_i) plane and u2, v2 the cross-plane copies with
     swapped coefficients, u + v splits into two halves that commute, and the
@@ -126,15 +128,9 @@ def decomposition_commutators(u, v, u2, v2) -> tuple:
     """
     u, v = as_phase_vector(u), as_phase_vector(v)
     u2, v2 = as_phase_vector(u2), as_phase_vector(v2)
-    return (symplectic_form(u + v + u2 + v2, u + v - u2 - v2),
-            symplectic_form(u + v2, v + u2),
-            symplectic_form(u - v2, v - u2))
-
-
-def planewise_decomposition_commutes(u, v, u2, v2,
-                                     tol: float = ALGEBRAIC_TOL) -> bool:
-    """Whether every decomposition commutator is within tol of zero."""
-    return all(abs(c) <= tol for c in decomposition_commutators(u, v, u2, v2))
+    return all(abs(c) <= tol for c in (
+        symplectic_form(u + v + u2 + v2, u + v - u2 - v2),
+        symplectic_form(u + v2, v + u2), symplectic_form(u - v2, v - u2)))
 
 
 def plane_decomposition_vectors(alpha: float, beta: float, i: int, j: int,

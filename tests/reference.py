@@ -120,9 +120,9 @@ from wignerhvm import fockspace
 from wignerhvm.phase_space import random_symplectic
 from wignerhvm.special import sine_integral
 from wignerhvm.states import GaussianState, StateSpec, make_state
-from wignerhvm.weyl import (PolynomialObservable, _coherent_tables,
-                            _kronecker_grid, _require_real, _smoothed,
-                            _smoothing_terms)
+from wignerhvm.weyl import (METAPLECTIC_MAX_SQUEEZE, PolynomialObservable,
+                            _coherent_tables, _kronecker_grid, _require_real,
+                            _smoothed, _smoothing_terms)
 from wignerhvm.wigner import (BOUNDARY_DECAY, GridSpec, InadequateWindowError,
                               WignerGrid, _normalized_on_window,
                               characteristic_at_points)
@@ -854,10 +854,13 @@ def trialwise_covariance_suite(rng: np.random.Generator, trials: int = 20,
                                scale: float = 0.15) -> dict:
     """`weyl.metaplectic_covariance_suite` one trial at a time: each draw's
     whole operator is built, and its first `block` columns conjugate the
-    draw's label, before the next draw."""
+    draw's label, before the next draw.  An S whose largest singular value
+    e^r passes e^METAPLECTIC_MAX_SQUEEZE is drawn again."""
     worst = 0.0
     for _ in range(trials):
         S = random_symplectic(1, rng, scale=scale)
+        while np.linalg.norm(S, 2) > np.exp(METAPLECTIC_MAX_SQUEEZE):
+            S = random_symplectic(1, rng, scale=scale)
         zeta = rng.uniform(-1.5, 1.5, size=2)
         if not np.any(zeta):
             zeta = np.array([1.0, 0.0])

@@ -14,10 +14,8 @@ import pytest
 
 from wignerhvm.cli import _multiplicativity_cases, main
 from wignerhvm.hvm import (NegativityError, build_hvm,
-                           empirical_characteristic_check,
-                           hvm_event_probability, hvm_homodyne_distribution)
-from wignerhvm.oracle import (BinSpec, event_probability,
-                              quantum_homodyne_distribution, tv_distance)
+                           empirical_characteristic_check, forward_check)
+from wignerhvm.oracle import BinSpec, tv_distance
 from wignerhvm.phase_space import (plane_decomposition_vectors,
                                    planewise_decomposition_commutes,
                                    symplectic_form)
@@ -110,21 +108,18 @@ def test_criterion_3_negativity_witness_values():
 
 def test_criterion_4_forward_direction():
     bins = BinSpec(-6.0, 6.0, 50)
-    events = ([(0.0, np.inf)], [(-1.0, 1.0)])
     worst_tv, worst_ev = 0.0, 0.0
     for name, spec in GAUSSIAN_STATES.items():
         state = make_state(spec)
         model = build_hvm(wigner_of(name))
-        for k, zeta in enumerate(OBSERVABLES):
-            hist = hvm_homodyne_distribution(
-                model, zeta, bins, 100000, seed=100 + k)
-            ref = quantum_homodyne_distribution(state, zeta, bins)
+        for row, hist, ref in forward_check(state, model, OBSERVABLES, bins,
+                                            100000, seed=100):
+            zeta = row["observable"]
             tv = tv_distance(hist, ref)
             worst_tv = max(worst_tv, tv)
             assert tv <= 0.02, f"{name} zeta={zeta}: TV {tv:.4f}"
-            for intervals in events:
-                hv = hvm_event_probability(model, zeta, intervals)
-                qv = event_probability(state, zeta, intervals)
+            for event in row["event_checks"]:
+                hv, qv = event["hvm"], event["oracle"]
                 worst_ev = max(worst_ev, abs(hv - qv))
                 assert abs(hv - qv) <= 2e-3
     print(f"\nPASS criterion 4: worst TV {worst_tv:.4f} <= 0.02, worst "

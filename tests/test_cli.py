@@ -358,16 +358,19 @@ def state_specs(draw):
        spec=state_specs(), points=st.integers(0, 10).map(lambda k: 2 * k + 1),
        char_points=st.one_of(st.none(),
                              st.integers(0, 20).map(lambda k: 2 * k + 1)),
-       window=st.one_of(st.floats(0.5, 10.0), WIDE_FLOATS))
+       window=st.one_of(st.floats(0.5, 10.0), WIDE_FLOATS),
+       bins=st.one_of(st.integers(1, 60), st.integers(10 ** 8, 10 ** 12)),
+       threads=st.integers(1, 4))
 def test_exit_codes_hold_for_drawn_inputs(command, spec, points, char_points,
-                                         window):
+                                         window, bins, threads):
     # no RuntimeWarning either: each one is raised as an error
     argv = [command, "--state", json.dumps(spec), "--points", str(points),
             "--window", str(window)]
     if char_points is not None:
         argv += ["--char-points", str(char_points)]
     if command == "hvm-compare":
-        argv += ["--samples", "2000"]
+        argv += ["--samples", "2000", "--bins", str(bins),
+                 "--threads", str(threads)]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, \
             contextlib.redirect_stderr(err), \
@@ -380,6 +383,10 @@ def test_exit_codes_hold_for_drawn_inputs(command, spec, points, char_points,
             json.loads(path.read_text(), parse_constant=refuse_constant)
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # 10^8 bins and more need gigabytes, so the guard refuses them (exit 2)
+    # unless the state spec fails first
+    if command == "hvm-compare" and bins > 60:
+        assert code != 0, argv
 
 
 def refuse_constant(name):
@@ -719,7 +726,7 @@ def test_hudson_squeezed_needs_no_wide_window(tmp_path):
     report = load(out, "hudson.json")
     assert report["classification"] == "gaussian_nonnegative"
     assert abs(report["covariance_purity"] - 1) <= 1e-12
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
 
 
 def test_hudson_and_hvm_compare_agree_on_small_cats(tmp_path, capsys):
@@ -968,8 +975,18 @@ def test_lemma_check_degraded_cutoff_flags(tmp_path):
     report = load(out, "lemma_check.json")
     assert report["n_failed"] == 0
     assert report["n_flagged"] == len(report["multiplicativity"])
-    assert report["commutation_identities"]["pass"]
     assert report["metaplectic_covariance"]["pass"]
+
+
+@pytest.mark.parametrize("seed", ["851", "189"])
+def test_lemma_check_passes_whatever_the_drawn_squeezes(tmp_path, seed):
+    # seed 189 draws an S squeezing by r = 0.45, whose 12 columns leak past
+    # the suite's cutoff 50 (deviation 3.8e-6 against 1e-6); an S past
+    # weyl.METAPLECTIC_MAX_SQUEEZE is drawn again
+    code, out = run(tmp_path, "lemma-check", "--cutoff", "30", "--seed", seed)
+    assert code == 0
+    report = load(out, "lemma_check.json")
+    assert report["metaplectic_covariance"]["max_deviation"] <= 1e-8
 
 
 def traced_peak(job):
@@ -1013,6 +1030,20 @@ def test_hvm_compare_bytes_bound_the_measured_peak(tmp_path):
     peak = traced_peak(lambda: code.append(run(tmp_path, *argv)[0]))
     assert code == [0]
     bound = 8 * oracle_module.CDF_TABLES * 30 ** 2 * 201
+    assert 0.5 * bound <= peak <= bound, peak / bound
+
+
+def test_hvm_compare_bins_bound_the_measured_peak(tmp_path):
+    # on a Gaussian state the bins dominate hvm-compare once they outgrow
+    # the grid and the samples: the oracle's normal CDF holds about 74
+    # bytes a bin, which the guard counts as cli.HVM_BIN_BYTES
+    argv = ["hvm-compare", "--state", '{"kind": "vacuum"}', "--points", "41",
+            "--observable", "1,0", "--bins", "100000", "--samples", "2000"]
+    assert run(tmp_path, *argv)[0] == 0  # first-run imports are not counted
+    code = []
+    peak = traced_peak(lambda: code.append(run(tmp_path, *argv)[0]))
+    assert code == [0]
+    bound = 16 * 2000 + cli_module.HVM_BIN_BYTES * 100001
     assert 0.5 * bound <= peak <= bound, peak / bound
 
 

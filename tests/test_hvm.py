@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from wignerhvm import hvm
-from wignerhvm.cli import (CHAR_TOLERANCE, EVENT_TOLERANCE, TV_TOLERANCE,
-                           _assignment_linearity_suite)
-from wignerhvm.hvm import (NegativityError, build_hvm,
-                           empirical_characteristic_check,
+from wignerhvm.hvm import (CHAR_TOLERANCE, EVENT_TOLERANCE, TV_TOLERANCE,
+                           NegativityError, build_hvm,
+                           empirical_characteristic_check, forward_check,
                            hvm_event_probabilities, hvm_event_probability,
                            hvm_homodyne_distribution, sample)
 from wignerhvm.oracle import (BinSpec, event_probability,
@@ -231,14 +230,14 @@ def test_forward_direction_against_fock_oracle():
     for eta in (0.2, 0.5):  # 0.5 puts W(0, 0) = 0 on the clamp
         state = lossy_photon(eta)
         model = build_hvm(state_wigner(state, GRID))
-        for k, zeta in enumerate(([1, 0], [0, 1], [0.6, 0.8])):
-            hist = hvm_homodyne_distribution(model, zeta, BINS, 100000,
-                                             seed=40 + k)
-            reference = quantum_homodyne_distribution(state, zeta, BINS)
+        observables = ([1, 0], [0, 1], [0.6, 0.8])
+        for row, hist, reference in forward_check(state, model, observables,
+                                                  BINS, 100000, seed=40):
+            zeta = row["observable"]
             assert tv_distance(hist, reference) <= TV_TOLERANCE, (eta, zeta)
-            for interval in ([(0, np.inf)], [(-1.0, 1.0)]):
-                hv = hvm_event_probability(model, zeta, interval)
-                qv = event_probability(state, zeta, interval)
+            for event in row["event_checks"]:
+                hv, qv = event["hvm"], event["oracle"]
+                interval = event["interval"]
                 assert abs(hv - qv) <= EVENT_TOLERANCE, (eta, zeta, interval)
         pts = rng.uniform(-3, 3, size=(10, 2))
         rep = empirical_characteristic_check(model, pts, state,
@@ -774,12 +773,6 @@ def test_characteristic_check_holds_one_slab_of_products(coherent_pair):
     finally:
         tracemalloc.stop()
     assert peak < 8 * len(pts) * 41 ** 3 / 3, peak / 1e6
-
-
-def test_value_assignment_additivity_exact():
-    # lemma-check's suite: (z1 + z2) . phi = z1 . phi + z2 . phi
-    report = _assignment_linearity_suite(np.random.default_rng(9), 100)
-    assert report["pass"] and report["max_deviation"] <= 1e-12
 
 
 def test_empirical_characteristic_check():

@@ -13,11 +13,12 @@ a win.
 Per end-to-end metric (every one is better lower) it prints each side's
 median and quartiles and B's wins out of N, and marks the metric
 unresolved when the gap of the medians is not above A's interquartile
-range, or there is one pair.  It then reports whether the two sides'
---out trees were byte-identical in every pair.  The last line of
-standard output is one JSON object with the keys pairs, metrics,
-trees_identical and failed; the exit code is 1 when a pass crashed or
-failed an outcome check.
+range, or there is one pair.  It then names each file of the --out trees
+that is missing on one side or whose bytes differ in any pair.  The last
+line of standard output is one JSON object with the keys pairs, metrics,
+trees_identical, differing_files (sorted paths relative to the --out
+root) and failed; the exit code is 1 when a pass crashed or failed an
+outcome check.
 
 It refuses to run (exit 2) when PYTHONDONTWRITEBYTECODE is set and only
 one side has a `__pycache__` under `src/`: the other side would compile
@@ -69,6 +70,12 @@ def tree(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def differing(a: dict, b: dict) -> set:
+    """Paths in one tree only, or with other bytes in the other."""
+    return {path for path in a.keys() | b.keys()
+            if a.get(path) != b.get(path)}
+
+
 def quartiles(values: list) -> tuple:
     if len(values) < 2:
         return values[0], values[0]
@@ -104,7 +111,7 @@ def main(argv=None) -> int:
     envs = [child_env(side) for side in sides]
 
     results = [[], []]
-    identical = True
+    differ = set()
     with tempfile.TemporaryDirectory() as work:
         for s in (0, 1):  # the uncounted warm-up
             run_pass(sides[s], envs[s], args, Path(work, "warm-up", "ab"[s]))
@@ -112,11 +119,13 @@ def main(argv=None) -> int:
             outs = [Path(work, f"pair{k}", side) for side in "ab"]
             for s in ((0, 1) if k % 2 == 0 else (1, 0)):
                 results[s].append(run_pass(sides[s], envs[s], args, outs[s]))
-            identical = identical and tree(outs[0]) == tree(outs[1])
+            differ |= differing(*map(tree, outs))
+    differ = sorted(differ)
     failed = sum(r["failed"] for side in results for r in side)
     if failed:
         print(json.dumps({"pairs": args.pairs, "metrics": {},
-                          "trees_identical": identical, "failed": failed}))
+                          "trees_identical": not differ,
+                          "differing_files": differ, "failed": failed}))
         return 1
 
     metrics = {name: summary([r[name] for r in results[0]],
@@ -129,9 +138,11 @@ def main(argv=None) -> int:
         state = "resolved" if m["resolved"] else "unresolved"
         print(f"  {name:<12} A {a}   B {b}   B lower in "
               f"{m['wins']}/{args.pairs}, {state}")
-    print("out trees:", "identical" if identical else "different")
+    print("out trees:", "different in " + ", ".join(differ) if differ
+          else "identical")
     print(json.dumps({"pairs": args.pairs, "metrics": metrics,
-                      "trees_identical": identical, "failed": 0}))
+                      "trees_identical": not differ,
+                      "differing_files": differ, "failed": 0}))
     return 0
 
 

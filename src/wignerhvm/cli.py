@@ -81,13 +81,17 @@ def _state_spec(args) -> StateSpec:
     return spec
 
 
-def _grid_spec(args, modes: int) -> GridSpec:
+def _grid_spec(args, modes: int, factors: int = 1) -> GridSpec:
+    """The grid of --window and --points, or one of a product state's
+    factors' grids (GridSpec.require_factors)."""
     if args.char_window is not None or args.char_points is not None:
         print("warning: --char-window and --char-points are ignored; Fock "
               "states take the Hermite route, with no transform window",
               file=sys.stderr)
     try:
-        return GridSpec(modes, args.window, args.points)
+        grid = GridSpec(modes, args.window, args.points)
+        grid.require_factors(factors)
+        return grid
     except InadequateWindowError as exc:
         raise CliError(str(exc), EXIT_NUMERICAL) from exc
     except ValueError as exc:
@@ -174,23 +178,29 @@ def cmd_hvm_compare(args) -> int:
     bin_bytes = 8 * levels + max(HVM_BIN_BYTES,
                                  16 + HVM_THREAD_BIN_BYTES * drawing)
     # the samples stream into the histogram: a sorted key and its order
-    # (16 bytes) are held per sample, at any mode count, beside the bins
-    nbytes = 16 * args.samples + bin_bytes * (args.bins + 1)
+    # (16 bytes) are held per sample beside the bins, and a product of
+    # modes adds each sample's running outcome (8 bytes)
+    sample_bytes = 16 if spec.modes == 1 else 24
+    nbytes = sample_bytes * args.samples + bin_bytes * (args.bins + 1)
     if nbytes > wigner_mod.GRID_BYTES_LIMIT:
         raise CliError(states_mod.over_limit(
             "the samples' and bins' working set", nbytes), EXIT_PARSE)
     state = make_state(spec)
-    grid = _grid_spec(args, spec.modes)
+    # every state here is a product of one-mode states, each on its own
+    # one-mode grid (product.state_model)
+    grid = _grid_spec(args, 1, spec.modes)
     observables = _parse_observables(args, spec.modes)
     try:
         bins = oracle_mod.BinSpec(-args.window, args.window, args.bins)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     base = {"command": "hvm-compare", "state": spec.to_dict(),
-            "grid": grid.to_dict(), "seed": args.seed, "n": args.samples}
+            "grid": {**grid.to_dict(), "mode_count": spec.modes},
+            "seed": args.seed, "n": args.samples}
+    # imported here: the other commands load no product-model code
+    from . import product
     try:
-        # no local name keeps W alive beside the model's own grid
-        model = hvm_mod.build_hvm(wigner_mod.state_wigner(state, grid))
+        model = product.state_model(state, grid)
     except hvm_mod.NegativityError as err:
         payload = {**base, "status": "contextual", "witness": err.to_dict()}
         path = _write_report(args, "hvm_compare.json", payload)

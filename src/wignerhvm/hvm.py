@@ -32,16 +32,26 @@ sum of its weights at each end of a block of SAMPLE_BLOCK cells, redoing
 a block's sum only when a key falls there.  hvm_homodyne_distribution
 streams the samples into its histogram chunk by chunk, holding 16 bytes
 a sample (a sorted key and its order) rather than the (n, 2m) samples
-and their n outcomes: the two-mode coherent hvm-compare at 41^4 with two
-labels peaks at 1.17 grids under tracemalloc with 10^5 samples and 1.81
-with 10^6 (1.22 and 2.82 with the whole samples held).
+and their n outcomes.
+
+A product state's model (product.state_model) is a ProductModel of one
+one-mode model per mode, so no grid spans two modes.  Each factor draws
+its part of phi from its own seed substream, events and the
+characteristic check are assembled from the factors' marginals and
+transforms, and a label over several factors holds 8 bytes a sample
+more, its running outcome.  The two-mode coherent hvm-compare with two
+labels, on two 41^2 grids, peaks under tracemalloc at 3.8 MB with 10^5
+samples and 25.4 MB with 10^6: 1.55 and 1.06 times its factor grids plus
+24 bytes a sample (its 41^4 grid alone took 22.6 MB).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -50,6 +60,7 @@ from .oracle import (BinSpec, OutcomeDistribution, _normalize_intervals,
                      tv_distance)
 from .phase_space import observable_label
 from .special import sine_integral
+from .states import GRID_BYTES_LIMIT, InadequateWindowError, short_int
 from .wigner import (WignerGrid, characteristic_at_points, min_value,
                      negativity_clamp)
 
@@ -66,6 +77,13 @@ EVENT_TOLERANCE = 2e-3
 CHAR_TOLERANCE = 2e-3
 # the exact events forward_check compares, each a name and its intervals
 EVENT_SETS = (("[0, inf)", [(0.0, np.inf)]), ("[-1, 1]", [(-1.0, 1.0)]))
+# the most nodes an event of a label with no projection lattice sums, keys
+# a lattice bins, and products of two factors' masses the lattice of a
+# product convolves: the cells of the largest grid GridSpec allows, so
+# that a product of one-mode grids takes no longer than a one-grid model
+EVENT_NODE_LIMIT = GRID_BYTES_LIMIT // 16
+# lattice scales _projection_lattice tries at a time
+LATTICE_TRIALS = 1 << 12
 
 
 class NegativityError(ValueError):
@@ -111,6 +129,24 @@ class HiddenVariableModel:
     def mode_count(self) -> int:
         return self.measure.spec.mode_count
 
+    @property
+    def factors(self) -> tuple:
+        """A one-grid model is its own one factor (a product.ProductModel
+        has one per mode)."""
+        return (self,)
+
+
+def _factor_parts(model, x):
+    """(factor, part) per factor of the model, part being the factor's
+    columns of x along its last axis, one per phase-space axis of the
+    model: the factor's q axes, then its p axes."""
+    m, start = model.mode_count, 0
+    for factor in model.factors:
+        end = start + factor.mode_count
+        yield factor, np.concatenate(
+            [x[..., start:end], x[..., m + start:m + end]], axis=-1)
+        start = end
+
 
 def build_hvm(w: WignerGrid) -> HiddenVariableModel:
     """Wigner measure as a hidden-variable model; fails on real negativity.
@@ -141,26 +177,30 @@ def _projection_lattice(used: np.ndarray, points: int, nodes: int):
     """(g, n) with every used coefficient n_k g to 4 ulp, or None.
 
     n are the smallest such integers, found by trying g = |zeta_k0| / n0
-    for n0 = 1, 2, ... on the axis k0 of smallest |zeta_k|.  On the grid's
-    nodes h (j_k - c), c = (points - 1) / 2, the outcome zeta . c_i is then
-    g h key_i with key_i = sum_k n_k (j_k - c), which takes
-    R = 2 c sum_k |n_k| + 1 values; a lattice is returned only if R is at
-    most the marginal's node count.
+    for n0 = 1, 2, ... on the axis k0 of smallest |zeta_k|, LATTICE_TRIALS
+    at a time.  On the grid's nodes h (j_k - c), c = (points - 1) / 2, the
+    outcome zeta . c_i is then g h key_i with key_i = sum_k n_k (j_k - c),
+    which takes R = 2 c sum_k |n_k| + 1 values; a lattice is returned only
+    if R is at most the marginal's node count and EVENT_NODE_LIMIT.
     """
     size = np.abs(used)
-    most = (nodes - 1) // (points - 1)  # the largest sum of |n_k|
+    # the largest sum of |n_k|
+    most = (min(nodes, EVENT_NODE_LIMIT) - 1) // (points - 1)
     with np.errstate(over="ignore"):
         if size.max() / size.min() > most:  # one |n_k| alone exceeds it
             return None
-    scale = size.min() / np.arange(1, most // size.size + 1)
-    n = np.rint(used / scale[:, None])
-    fits = np.all(np.abs(n * scale[:, None] - used) <= 4 * np.spacing(size),
-                  axis=1)
-    fits &= np.abs(n).sum(axis=1) <= most
-    if not fits.any():
-        return None
-    first = np.argmax(fits)
-    return float(scale[first]), n[first].astype(np.intp)
+    trials = most // size.size
+    for start in range(1, trials + 1, LATTICE_TRIALS):
+        scale = size.min() / np.arange(start,
+                                       min(start + LATTICE_TRIALS, trials + 1))
+        n = np.rint(used / scale[:, None])
+        fits = np.all(np.abs(n * scale[:, None] - used)
+                      <= 4 * np.spacing(size), axis=1)
+        fits &= np.abs(n).sum(axis=1) <= most
+        if fits.any():
+            first = np.argmax(fits)
+            return float(scale[first]), n[first].astype(np.intp)
+    return None
 
 
 def _lattice_weights(weights: np.ndarray, n: np.ndarray,
@@ -213,17 +253,26 @@ def _cumulative_blocks(model: HiddenVariableModel) -> np.ndarray:
     return ends
 
 
-def _uniforms(seed: int, chunk_index: int, rows: int,
-              dims: int) -> np.ndarray:
-    """The chunk's (rows, 1 + dims) uniforms: the cell key, then the box."""
+def _uniforms(seed: int, chunk_index: int, rows: int, dims: int,
+              stream: int) -> np.ndarray:
+    """The chunk's (rows, 1 + dims) uniforms: the cell key, then the box.
+
+    Stream k > 0, factor k of a product, draws from (seed, chunk, k);
+    stream 0 from (seed, chunk), as a one-grid model does.
+    """
+    entropy = [seed, chunk_index] + ([stream] if stream else [])
     rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([seed, chunk_index])))
+        np.random.SeedSequence(entropy)))
     return rng.random((rows, 1 + dims))
 
 
 def sample(model: HiddenVariableModel, n: int, seed: int,
-           threads: int = 1, *, histogram=None) -> np.ndarray:
+           threads: int = 1, *, histogram=None, running=None,
+           stream: int = 0) -> np.ndarray:
     """n hidden states, shape (n, 2m); row i depends only on (seed, i).
+
+    model is one grid, a factor of a product at most; factor k of a
+    product draws with stream=k, from its own substream (_uniforms).
 
     Each row draws a grid cell by inverse CDF, a binary search of the
     running sum of the cell weights, and then a uniform point in that cell's
@@ -240,6 +289,9 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
     sample (a sorted key and its order) instead of 8 * 2m: no (n, 2m)
     array and no n outcomes are made.  Each chunk adds its counts to one
     total as it is placed, so no chunk's counts wait for earlier chunks.
+    With running, an (n,) array of the outcomes of a product's earlier
+    factors, each chunk's rows @ zeta are added to its slice first; and
+    with edges None the sums are stored back there and nothing is counted.
 
     No grid-sized table is held.  The first call stores the running sum
     at each block end (_cumulative_blocks).  Then three passes: each
@@ -270,8 +322,9 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
     else:
         zeta, edges = histogram
         held = np.empty((n, 2))  # a key and its order per sample, no rows
-        total = np.zeros(len(edges) - 1, dtype=np.intp)
-        lock = threading.Lock()
+        if edges is not None:
+            total = np.zeros(len(edges) - 1, dtype=np.intp)
+            lock = threading.Lock()
     # each chunk's sorted keys, then their order (later their cells)
     keys = [held[start:start + SAMPLE_CHUNK].reshape(-1) for start in starts]
     sizes = [min(SAMPLE_CHUNK, n - start) for start in starts]
@@ -283,7 +336,7 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
         k, buf = sizes[c], keys[c]
         # side="right" below skips zero-mass cells, whose cdf equals their
         # predecessor's, and u < 1 keeps u * ends[-1] below the last entry
-        drawn = _uniforms(seed, c, k, dims)[:, 0] * ends[-1]
+        drawn = _uniforms(seed, c, k, dims, stream)[:, 0] * ends[-1]
         order = buf[k:2 * k].view(np.intp)
         order[:] = np.argsort(drawn)
         np.take(drawn, order, out=buf[:k])
@@ -308,15 +361,23 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
         # each temporary is dropped once used, so that fewer of one
         # chunk's arrays are alive together beside the held buffer
         del idx
-        u = _uniforms(seed, c, k, dims)
+        u = _uniforms(seed, c, k, dims, stream)
         out = rows[c] if histogram is None else np.empty((k, dims))
         for d in range(dims):
             out[:, d] = axis[coords[d]] + (u[:, 1 + d] - 0.5) * step
         del u, coords
-        if histogram is not None:
-            binned = np.histogram(out @ zeta, edges)[0]
-            with lock:  # integer counts: their sum has no order to keep
-                np.add(total, binned, out=total)
+        if histogram is None:
+            return
+        outcomes = out @ zeta
+        if running is not None:
+            earlier = running[starts[c]:starts[c] + k]
+            outcomes += earlier
+            if edges is None:
+                earlier[:] = outcomes
+                return
+        binned = np.histogram(outcomes, edges)[0]
+        with lock:  # integer counts: their sum has no order to keep
+            np.add(total, binned, out=total)
 
     if threads > 1:
         # imported here: a bare `import wignerhvm` loads no executor
@@ -330,25 +391,35 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
         counts = np.diff(np.sum(cuts, axis=0), prepend=0)
         list(run(search, np.flatnonzero(counts)))
         list(run(place, range(len(keys))))
-    return phi if histogram is None else total
+    if histogram is None:
+        return phi
+    return running if edges is None else total
 
 
-def hvm_homodyne_distribution(model: HiddenVariableModel, zeta,
-                              bins: BinSpec, n: int, seed: int,
+def hvm_homodyne_distribution(model, zeta, bins: BinSpec, n: int, seed: int,
                               threads: int = 1) -> OutcomeDistribution:
     """Histogram of zeta . phi over n hidden-state samples.
 
     The samples are streamed into the histogram (sample's histogram=),
-    so the call holds 16 bytes a sample beside one chunk's rows.
+    so the call holds 16 bytes a sample beside one chunk's rows.  Each
+    factor of the model whose part of the label is nonzero draws its part
+    of phi with stream=its index; the outcome is the sum of the factors'
+    parts, added in factor order in a running outcome per sample (8 bytes
+    more) when two factors or more take part.
     """
     zeta = observable_label(zeta, model.mode_count)
-    counts = sample(model, n, seed, threads=threads,
-                    histogram=(zeta, bins.edges))
+    used = [(k, factor, part)
+            for k, (factor, part) in enumerate(_factor_parts(model, zeta))
+            if part.any()]
+    running = np.zeros(n) if len(used) > 1 else None
+    for k, factor, part in used:
+        edges = bins.edges if k == used[-1][0] else None
+        counts = sample(factor, n, seed, threads=threads, stream=k,
+                        histogram=(part, edges), running=running)
     return OutcomeDistribution(bins.edges, counts / n)
 
 
-def hvm_event_probability(model: HiddenVariableModel, zeta,
-                          intervals) -> float:
+def hvm_event_probability(model, zeta, intervals) -> float:
     """Exact model probability that zeta . phi lands in a union of intervals.
 
     No sampling: the measure is the band-limited interpolant of the node
@@ -363,8 +434,7 @@ def hvm_event_probability(model: HiddenVariableModel, zeta,
     return hvm_event_probabilities(model, zeta, [intervals])[0]
 
 
-def hvm_event_probabilities(model: HiddenVariableModel, zeta,
-                            interval_sets) -> list:
+def hvm_event_probabilities(model, zeta, interval_sets) -> list:
     """hvm_event_probability of each interval set, from one marginal.
 
     t_i does not depend on the axes where zeta_k = 0, so those axes are
@@ -389,17 +459,29 @@ def hvm_event_probabilities(model: HiddenVariableModel, zeta,
     per-interval sums are added in slab-major order.  No thread is
     started: the Si kernel is a few hundred short numpy calls per block,
     and two threads contending for the GIL between them were slower than
-    one.
+    one.  A marginal of more than EVENT_NODE_LIMIT nodes is refused.
+
+    A product model's marginal is the outer product of its factors'
+    (factors with no used axis are left out: their mass cancels), and its
+    nodes' outcomes are the outer sums of theirs.  Lattice labels bin each
+    factor's weights by its own keys and convolve the factors' masses;
+    other labels stream the product's first-axis slabs as above, each
+    block formed from the factors' marginals, so Si is evaluated as many
+    times as on the joint grid.
     """
     zeta = observable_label(zeta, model.mode_count)
     sets = [_normalize_intervals(intervals) for intervals in interval_sets]
-    spec = model.measure.spec
-    weights = model.measure.values
-    idle = tuple(np.flatnonzero(zeta == 0))
-    if idle:
-        weights = weights.sum(axis=idle)
+    spec = model.factors[0].measure.spec
+    marginals, parts = [], []  # per factor with a used axis
+    for factor, part in _factor_parts(model, zeta):
+        idle = tuple(np.flatnonzero(part == 0))
+        if len(idle) < part.size:
+            weights = factor.measure.values
+            marginals.append(weights.sum(axis=idle) if idle else weights)
+            parts.append(part[part != 0])
     bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
-    used = zeta[zeta != 0]
+    used = np.concatenate(parts)
+    nodes = math.prod(w.size for w in marginals)
 
     intervals = [interval for edges in sets for interval in edges]
     finite = [e for interval in intervals for e in interval
@@ -437,30 +519,50 @@ def hvm_event_probabilities(model: HiddenVariableModel, zeta,
             columns.append([np.sum(part) for part in mass])
         return np.array(columns).reshape(-1, len(w)).T
 
-    lattice = _projection_lattice(used, spec.points, weights.size)
+    lattice = _projection_lattice(used, spec.points, nodes)
     if lattice is not None:
         scale, n = lattice
-        masses = _lattice_weights(weights, n, spec.points)
+        # each factor's keys are its share of n, and the sum of independent
+        # keys has the convolution of their masses, whose products np.convolve
+        # forms one by one
+        shares = np.split(n, np.cumsum([p.size for p in parts])[:-1])
+        keys = [(spec.points - 1) * np.abs(share).sum() + 1
+                for share in shares]
+        if np.cumsum(keys)[:-1] @ keys[1:] > EVENT_NODE_LIMIT:
+            lattice = None
+    if lattice is not None:
+        masses = reduce(np.convolve, [_lattice_weights(w, share, spec.points)
+                                      for w, share in zip(marginals, shares)])
         reach = len(masses) // 2
         outcomes = scale * spec.step * np.arange(-reach, reach + 1)
         sums = slab_sums(masses[None], outcomes[None])
     else:
+        if nodes > EVENT_NODE_LIMIT:
+            raise InadequateWindowError(
+                f"an event of this label sums {short_int(nodes)} grid "
+                f"nodes, above the {EVENT_NODE_LIMIT} of the largest grid; "
+                "use fewer points")
         # z * axis broadcast along the used axes: summed in axis order,
         # these are the products and sums of zeta . c over the full grid
         lines = [(z * spec.axis).reshape((-1,) + (1,) * (used.size - 1 - d))
                  for d, z in enumerate(used)]
-        slabs, first = weights, lines[0]
-        if weights.ndim <= 2:  # one slab
-            slabs, first = weights[None], first[None]
-        per = -(-EVENT_BLOCK // slabs[0].size)  # slabs per block
+        first, rest = marginals[0], marginals[1:]
+        if used.size <= 2:  # one slab
+            first, rest = reduce(np.multiply.outer, marginals)[None], []
+            lines[0] = lines[0][None]
+        per = -(-EVENT_BLOCK // (first[0].size * math.prod(
+            w.size for w in rest)))  # slabs per block
         blocks = []
-        for start in range(0, len(slabs), per):
-            outcomes = first[start:start + per]
+        for start in range(0, len(first), per):
+            slabs = first[start:start + per]
+            for w in rest:
+                slabs = np.multiply.outer(slabs, w)
+            outcomes = lines[0][start:start + per]
             for line in lines[1:]:
                 outcomes = outcomes + line
-            blocks.append(slab_sums(slabs[start:start + per], outcomes))
+            blocks.append(slab_sums(slabs, outcomes))
         sums = np.concatenate(blocks)
-    weight = weights.sum()
+    weight = reduce(np.multiply, [w.sum() for w in marginals])
     probabilities, start = [], 0
     for edges in sets:
         total = 0.0
@@ -472,14 +574,36 @@ def hvm_event_probabilities(model: HiddenVariableModel, zeta,
     return probabilities
 
 
-def empirical_characteristic_check(model: HiddenVariableModel, points,
-                                   state,
+def empirical_characteristic_check(model, points, state,
                                    tolerance: float = CHAR_TOLERANCE) -> dict:
     """Compare the measure's Fourier transform with the state's chi.
 
     Integrates exp(i [v, phi]) against the model measure on the grid and
     checks it against Tr[rho D(v)] at each test point; agreement is the
     statistical face of the Fourier-inversion argument linking the two.
+    [v, phi] is a sum over the modes, so a product model's transform is
+    the product of its factors' (_grid_characteristic), each at its
+    factor's part of v.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    reference = characteristic_at_points(state, pts)
+    value = reduce(np.multiply, [_grid_characteristic(factor, v)
+                                 for factor, v in _factor_parts(model, pts)])
+    deviations = np.abs(value - reference)
+    max_dev = float(max(deviations))
+    return {
+        "points": pts.tolist(),
+        "deviations": [float(d) for d in deviations],
+        "max_deviation": max_dev,
+        "tolerance": tolerance,
+        "pass": bool(max_dev <= tolerance),
+    }
+
+
+def _grid_characteristic(model: HiddenVariableModel,
+                         pts: np.ndarray) -> np.ndarray:
+    """The Fourier transform of one grid's normalized measure at each point.
+
     The phase factorizes over the tensor grid, so all points are
     contracted together one axis at a time: the first axis by two real
     products of the cos and sin phases with the measure, which never
@@ -490,11 +614,9 @@ def empirical_characteristic_check(model: HiddenVariableModel, points,
     second-axis phases by the einsum, and each later slab's contraction
     is added in slab order, as one einsum over the whole axis adds them.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
     spec = model.measure.spec
     m = spec.mode_count
     values = model.measure.values
-    reference = characteristic_at_points(state, pts)
     # [v, phi] = (omega^T v) . phi
     k = np.concatenate([pts[:, m:], -pts[:, :m]], axis=1)
     angles = k[:, :, None] * spec.axis  # (point, axis, node)
@@ -520,34 +642,29 @@ def empirical_characteristic_check(model: HiddenVariableModel, points,
             part = np.einsum("pjr,pj->pr", part.reshape(len(pts), p, -1),
                              phases[:, d])
         value = value + unit * part[:, 0]
-    deviations = np.abs(value / values.sum() - reference)
-    max_dev = float(max(deviations))
-    return {
-        "points": pts.tolist(),
-        "deviations": [float(d) for d in deviations],
-        "max_deviation": max_dev,
-        "tolerance": tolerance,
-        "pass": bool(max_dev <= tolerance),
-    }
+    return value / values.sum()
 
 
-def forward_check(state, model: HiddenVariableModel, observables,
-                  bins: BinSpec, n: int, seed: int, threads: int = 1):
+def forward_check(state, model, observables, bins: BinSpec, n: int,
+                  seed: int, threads: int = 1):
     """The model against the quantum oracle, one observable at a time.
 
     Yields, for the idx-th observable, its report row, the model's
     histogram of n samples at seed + idx and the oracle's bins, so that a
     caller holds one observable's bins at a time.  The row passes when the
     two are within TV_TOLERANCE in total variation and each exact event of
-    EVENT_SETS is within EVENT_TOLERANCE of the oracle's.
+    EVENT_SETS is within EVENT_TOLERANCE of the oracle's.  Every label's
+    model events come first, so that a label they refuse (more nodes than
+    EVENT_NODE_LIMIT) stops the check before any sample or row.
     """
-    for idx, zeta in enumerate(observables):
+    sets = [intervals for _, intervals in EVENT_SETS]
+    checked = [(zeta, hvm_event_probabilities(model, zeta, sets))
+               for zeta in observables]
+    for idx, (zeta, hvs) in enumerate(checked):
         hvm_dist = hvm_homodyne_distribution(model, zeta, bins, n, seed + idx,
                                              threads=threads)
         oracle_dist = quantum_homodyne_distribution(state, zeta, bins)
         tv = tv_distance(hvm_dist, oracle_dist)
-        hvs = hvm_event_probabilities(
-            model, zeta, [intervals for _, intervals in EVENT_SETS])
         events = []
         for (label, intervals), hv in zip(EVENT_SETS, hvs):
             qv = event_probability(state, zeta, intervals)

@@ -1,0 +1,74 @@
+"""Hidden-variable models of product states, one one-mode model per mode.
+
+Every multi-mode state make_state builds is a product of one-mode
+Gaussian states, so its Wigner function and its model's measure are
+products of one-mode ones.  state_model builds one model per mode and
+never the joint 2m-axis grid; the queries in hvm are written over a
+model's factors, of which a one-grid model has one, itself.  Only
+hvm-compare imports this module, so the other commands load none of it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .hvm import build_hvm
+from .states import GaussianState
+from .wigner import GridSpec, require_normalization, state_wigner
+
+
+def mode_factors(state) -> list:
+    """The one-mode states whose product is state, in mode order.
+
+    A Gaussian state is their product exactly when its covariance couples
+    no two modes; mode k's factor keeps axes q_k and p_k of the mean and
+    the covariance.  Any other state is its own only factor.
+    """
+    m = state.mode_count
+    if m == 1 or not isinstance(state, GaussianState):
+        return [state]
+    mode = np.arange(2 * m) % m  # the mode of each axis
+    if np.any(state.covariance[mode[:, None] != mode]):
+        return [state]
+    return [GaussianState(state.mean[[k, m + k]],
+                          state.covariance[np.ix_([k, m + k], [k, m + k])])
+            for k in range(m)]
+
+
+class ProductModel:
+    """The product of one-grid models on consecutive modes, all on one
+    grid window and step.
+
+    A factor's hidden state is its modes' part of phi (their q axes, then
+    their p axes), drawn independently of the other factors', so no grid
+    spans two factors.
+    """
+
+    def __init__(self, factors):
+        specs = {(f.measure.spec.halfwidth, f.measure.spec.points)
+                 for f in factors}
+        if len(specs) != 1:  # the events' band limit needs one step
+            raise ValueError("the factors need one grid window and step")
+        self.factors = tuple(factors)
+        self.mode_count = sum(f.mode_count for f in factors)
+        self.renormalization = math.prod(f.renormalization for f in factors)
+
+
+def state_model(state, spec: GridSpec):
+    """The hidden-variable model of a state on grids of spec.
+
+    A product state (mode_factors) gets the product of its modes' models,
+    each built by build_hvm from its own grid, so no grid spans two modes;
+    any other state gets one model, its own.  The factor grids are held to
+    GRID_BYTES_LIMIT together, and the normalization gate reads the
+    product of their normalizations, which is the joint grid's to rounding
+    (a gate on each mode alone would pass more).
+    """
+    modes = mode_factors(state)
+    spec.require_factors(len(modes))
+    grids = [state_wigner(mode, spec, gate=False) for mode in modes]
+    require_normalization(math.prod(g.normalization for g in grids))
+    models = [build_hvm(g) for g in grids]
+    return models[0] if len(models) == 1 else ProductModel(models)

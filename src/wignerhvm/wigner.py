@@ -57,25 +57,36 @@ class GridSpec:
         if self.points < 3 or self.points % 2 == 0:
             raise ValueError("points must be odd and at least 3")
         require_grid_modes(self.mode_count)  # before 3^(2m) is counted
-        nbytes = 16 * self.points ** (2 * self.mode_count)
         try:
             float(self.points)
         except OverflowError:  # no step to check, and far above the limit
-            raise self._oversized(nbytes) from None
+            raise self._oversized(1) from None
         if not (self.halfwidth > 0 and np.isfinite(self.step)):
             raise ValueError("halfwidth must be positive with a finite step")
+        self.require_factors(1)
+
+    def _oversized(self, count: int) -> InadequateWindowError:
+        nbytes = count * 16 * self.points ** (2 * self.mode_count)
+        grids = (f"one array of a {short_int(self.points)}-point "
+                 f"{self.mode_count}-mode grid" if count == 1 else
+                 f"a product of {count} {short_int(self.points)}-point "
+                 f"{self.mode_count}-mode grids")
+        return InadequateWindowError(over_limit(grids, nbytes)
+                                     + "; use fewer points")
+
+    def require_factors(self, count: int) -> None:
+        """Refuse count grids of this spec, the grid itself or the factors
+        of a product state: their joint cell volume step^(2m count) must
+        not overflow, and their arrays together must stay within
+        GRID_BYTES_LIMIT."""
         with np.errstate(over="ignore"):
-            volume = np.float64(self.step) ** (2 * self.mode_count)
+            volume = np.float64(self.step) ** (2 * self.mode_count * count)
         if not np.isfinite(volume):
             raise ValueError("the grid's cell volume overflows; use a "
                              "narrower window or more points")
-        if nbytes > GRID_BYTES_LIMIT:
-            raise self._oversized(nbytes)
-
-    def _oversized(self, nbytes: int) -> InadequateWindowError:
-        return InadequateWindowError(over_limit(
-            f"one array of a {short_int(self.points)}-point "
-            f"{self.mode_count}-mode grid", nbytes) + "; use fewer points")
+        if count * 16 * self.points ** (2 * self.mode_count) > \
+                GRID_BYTES_LIMIT:
+            raise self._oversized(count)
 
     @property
     def axis(self) -> np.ndarray:
@@ -135,8 +146,10 @@ class WignerGrid:
         return float(self.values.sum() * self.cell_volume)
 
 
-def wigner_gaussian(state: GaussianState, spec: GridSpec) -> WignerGrid:
-    """Closed-form Gaussian Wigner function, strictly positive everywhere.
+def wigner_gaussian(state: GaussianState, spec: GridSpec,
+                    gate: bool = True) -> WignerGrid:
+    """Closed-form Gaussian Wigner function, strictly positive everywhere;
+    gate=False skips the normalization gate (see state_wigner).
 
     Memory: one grid, the returned one.  The quadratic form is summed one
     axis at a time, so only its last term is grid-sized; that term is
@@ -169,16 +182,23 @@ def wigner_gaussian(state: GaussianState, spec: GridSpec) -> WignerGrid:
     quad *= -0.5
     values = np.exp(quad, out=quad)
     values *= (2 * np.pi) ** (-spec.mode_count) / np.sqrt(det)
-    return _normalized_on_window(WignerGrid(spec, values))
+    grid = WignerGrid(spec, values)
+    return _normalized_on_window(grid) if gate else grid
+
+
+def require_normalization(normalization: float) -> None:
+    """Refuse a window that misses too much of the mass: the normalization
+    of a grid, or the product of a product state's one-mode grids'."""
+    if abs(normalization - 1.0) > NORMALIZATION_TOL:
+        raise InadequateWindowError(
+            f"Wigner normalization {normalization:.6g} misses 1 by more "
+            f"than {NORMALIZATION_TOL}; widen the output window or use more "
+            f"points")
 
 
 def _normalized_on_window(grid: WignerGrid) -> WignerGrid:
     """The grid itself, unless the window misses too much of the mass."""
-    if abs(grid.normalization - 1.0) > NORMALIZATION_TOL:
-        raise InadequateWindowError(
-            f"Wigner normalization {grid.normalization:.6g} misses 1 by more "
-            f"than {NORMALIZATION_TOL}; widen the output window or use more "
-            f"points")
+    require_normalization(grid.normalization)
     return grid
 
 
@@ -232,11 +252,16 @@ def wigner_fock_direct(rho: FockDensityOperator, spec: GridSpec) -> WignerGrid:
     return WignerGrid(spec, values)
 
 
-def state_wigner(state, spec: GridSpec) -> WignerGrid:
-    """Wigner grid of a state: Gaussian closed form or the Hermite route."""
+def state_wigner(state, spec: GridSpec, gate: bool = True) -> WignerGrid:
+    """Wigner grid of a state: Gaussian closed form or the Hermite route.
+
+    gate=False skips the normalization gate, for a factor of a product
+    state, whose gate reads the product of its factors' normalizations.
+    """
     if isinstance(state, GaussianState):
-        return wigner_gaussian(state, spec)
-    return _normalized_on_window(wigner_fock_direct(state, spec))
+        return wigner_gaussian(state, spec, gate)
+    grid = wigner_fock_direct(state, spec)
+    return _normalized_on_window(grid) if gate else grid
 
 
 def negativity_volume(grid: WignerGrid) -> float:

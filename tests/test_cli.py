@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from wignerhvm import cli as cli_module
 from wignerhvm import hvm as hvm_module
 from wignerhvm import oracle as oracle_module
+from wignerhvm import product as product_module
 from wignerhvm import states as states_module
 from wignerhvm import wigner as wigner_module
 from wignerhvm.cli import _multiplicativity_cases, lemma_check_bytes, main
@@ -234,21 +235,130 @@ def test_extreme_observable_labels_exit_without_nan(tmp_path):
         assert not report.exists() or "NaN" not in report.read_text(), text
 
 
-def test_two_mode_hvm_compare_holds_one_grid(tmp_path):
-    # W is built once and becomes the model's grid in place, and the
-    # sampler keeps one running sum per block of cells, not a CDF grid.
-    # The label has idle axes, so no slab threads ride on top of the grid.
+def test_two_mode_hvm_compare_holds_its_factor_grids(tmp_path):
+    # a product state is modelled mode by mode: two 257-point one-mode
+    # grids stand where one joint grid would take 257^4 cells (35 GB).  Each
+    # W becomes its factor's grid in place, the sampler keeps one running
+    # sum per block of cells, and the label over both modes adds a running
+    # outcome per sample (8 bytes) to each sample's key and order (16)
     argv = ["hvm-compare", "--state", '{"kind": "thermal", "modes": 2}',
-            "--points", "31", "--samples", "2000", "--observable", "1,0,0,0"]
+            "--samples", "2000", "--observable", "1,0,0,0",
+            "--observable", "0.5,0.5,0.5,0.5"]
     assert run(tmp_path, *argv)[0] == 0  # first-call set-up is not counted
-    tracemalloc.start()
-    try:
-        code, _ = run(tmp_path, *argv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code = []
+    peak = traced_peak(lambda: code.append(run(tmp_path, *argv)[0]))
+    assert code == [0]
+    grid = 8 * 257 ** 2
+    bound = 2 * grid + 24 * 2000
+    assert peak < 1.75 * bound, peak / bound
+    # no grid larger than one mode's: the rest is below two more of them
+    assert peak < 4 * grid, peak / grid
+
+
+def test_two_mode_hvm_compare_runs_at_the_default_points(tmp_path):
+    # 257 points: a joint grid's 257^4 cells are past the 1 GiB limit, and
+    # GridSpec refused it with exit 3
+    code, out = run(tmp_path, "hvm-compare", "--state",
+                    '{"kind": "thermal", "modes": 2}', "--observable",
+                    "1,0,0,0")
     assert code == 0
-    assert peak < 1.5 * 8 * 31 ** 4, peak / (8 * 31 ** 4)
+    report = load(out, "hvm_compare.json")
+    assert report["pass"] is True
+    assert report["grid"] == {"mode_count": 2, "halfwidth": 6.0,
+                              "points": 257}
+
+
+@pytest.mark.parametrize("state", [
+    '{"kind": "coherent", "params": {"alpha": [1.0, [0, 0.5], -0.5]}, '
+    '"modes": 3}',
+    '{"kind": "thermal", "params": {"nbar": 0.5}, "modes": 3}'])
+def test_three_mode_hvm_compare_passes(tmp_path, state):
+    # a joint 41^6 grid would take 76 GB and exit 3; three 41-point grids
+    # take 40 kB.  The labels: a projection lattice over the three q axes,
+    # and slab sums over them with no lattice
+    code, out = run(tmp_path, "hvm-compare", "--state", state,
+                    "--points", "41", "--observable", "1,1,1,0,0,0",
+                    "--observable",
+                    "1,0.7071067811865476,0.5773502691896258,0,0,0")
+    assert code == 0
+    report = load(out, "hvm_compare.json")
+    assert report["pass"] is True
+    assert report["grid"] == {"mode_count": 3, "halfwidth": 6.0,
+                              "points": 41}
+    events = [e for row in report["observables"] for e in row["event_checks"]]
+    assert len(events) == 4
+    # the grids' 6.0 window holds all but about 1e-9 of each mode's mass
+    assert all(e["abs_error"] <= 1e-8 for e in events), events
+
+
+def test_product_normalization_gate_reads_the_product(tmp_path, capsys):
+    # each mode alone misses 1 by 5.1e-4, within the 1e-3 gate; together
+    # they miss it by 1.03e-3, as the joint grid does
+    thermal = '{"kind": "thermal", "params": {"nbar": 1.0}%s}'
+    coarse = ["--window", "4.0", "--points", "11"]
+    code, _ = run(tmp_path, "hvm-compare", "--state", thermal % "",
+                  *coarse, "--observable", "1,0")
+    assert code == 0
+    capsys.readouterr()
+    code, _ = run(tmp_path, "hvm-compare", "--state",
+                  thermal % ', "modes": 2', *coarse, "--observable", "1,0,0,0")
+    assert code == 3
+    assert "Wigner normalization 0.998975 misses 1" in capsys.readouterr().err
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("sampled past the guard")
+
+
+def test_product_grids_together_stay_within_the_limit(tmp_path, monkeypatch,
+                                                      capsys):
+    # three 41-point one-mode grids count 3 * 16 * 41^2 = 80,688 bytes,
+    # each one alone a third of that
+    argv = ["hvm-compare", "--state", '{"kind": "thermal", "modes": 3}',
+            "--points", "41", "--samples", "1000",
+            "--observable", "1,1,1,0,0,0"]
+    monkeypatch.setattr(wigner_module, "GRID_BYTES_LIMIT", 3 * 16 * 41 ** 2)
+    assert run(tmp_path, *argv)[0] == 0
+    monkeypatch.setattr(wigner_module, "GRID_BYTES_LIMIT",
+                        3 * 16 * 41 ** 2 - 1)
+    monkeypatch.setattr(product_module, "state_wigner", refuse)
+    capsys.readouterr()
+    assert run(tmp_path, *argv)[0] == 3
+    assert "a product of 3 41-point 1-mode grids needs" in \
+        capsys.readouterr().err
+
+
+def test_product_event_past_the_node_limit_exits_3_before_sampling(
+        tmp_path, monkeypatch, capsys):
+    # a label over all four axes with no projection lattice sums 257^4
+    # nodes, more than the largest one-grid model holds; every label's
+    # events come before the samples, so none is drawn and no file is
+    # written, not even the first label's
+    label = ",".join(repr(float(x)) for x in (np.cos(1), np.sin(1),
+                                              np.cos(2), np.sin(2)))
+    monkeypatch.setattr(hvm_module, "sample", refuse)
+    code, out = run(tmp_path, "hvm-compare", "--state",
+                    '{"kind": "thermal", "modes": 2}',
+                    "--observable", "1,0,0,0", "--observable", label)
+    assert code == 3
+    assert "sums 4362470401 grid nodes" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_product_reports_do_not_depend_on_threads(tmp_path):
+    # criterion 12 for a product: each factor's chunks go to the pool, and
+    # each chunk's running outcomes fill their own slice
+    argv = ["hvm-compare", "--state",
+            '{"kind": "coherent", "params": {"alpha": [1.0, 0.5]}, '
+            '"modes": 2}', "--points", "41", "--samples", "40000",
+            "--observable", "0.5,0.5,0.5,0.5", "--observable",
+            "1,0.7071067811865476,0.5773502691896258,0"]
+    reports = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / threads
+        assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+        reports.append((out / "hvm_compare.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_parse_failure_messages_name_the_bound(tmp_path, capsys):
@@ -391,6 +501,53 @@ def test_exit_codes_hold_for_drawn_inputs(command, spec, points, char_points,
 
 def refuse_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
+
+
+@st.composite
+def product_argv(draw):
+    """hvm-compare on a multi-mode product state, with its labels; in one
+    draw in four, any number may be of any magnitude, nan or +-inf."""
+    wild = draw(st.integers(0, 3)) == 0
+
+    def number(lo, hi):
+        ordinary = st.floats(lo, hi)
+        return draw(st.one_of(ordinary, WIDE_FLOATS) if wild else ordinary)
+
+    modes = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["vacuum", "coherent", "thermal"]))
+    spec = {"kind": kind, "modes": modes}
+    if kind == "coherent":
+        spec["params"] = {"alpha": [number(-3.0, 3.0) for _ in range(modes)]}
+    elif kind == "thermal":
+        spec["params"] = {"nbar": number(0.0, 5.0)}
+    # "--flag=value": a value such as -1e+300 would read as a flag
+    argv = ["hvm-compare", "--state", json.dumps(spec),
+            "--points", str(draw(st.integers(1, 15)) * 2 + 1),
+            f"--window={number(0.5, 10.0)!r}", "--samples", "2000"]
+    for _ in range(draw(st.integers(1, 2))):
+        label = [draw(st.sampled_from([0.0, 1.0, -0.5])) if draw(
+            st.booleans()) else number(-2.0, 2.0) for _ in range(2 * modes)]
+        argv.append("--observable=" + ",".join(map(repr, label)))
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=product_argv())
+def test_product_exit_codes_hold_for_drawn_inputs(argv):
+    # the tier-1 fuzz above passes no label, so its multi-mode draws stop
+    # at the default labels (exit 2); these reach the product model, its
+    # gates and its events, with no traceback and no RuntimeWarning
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv + ["--out", out])
+        for path in pathlib.Path(out).rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=refuse_constant)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 @st.composite
@@ -759,22 +916,27 @@ def test_samples_guard_counts_a_key_and_its_order_per_sample(tmp_path,
     assert code == 0
     assert load(out, "hvm_compare.json")["pass"] is True
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("sampled past the guard")
-
     monkeypatch.setattr(hvm_module, "sample", refuse)
-    monkeypatch.setattr(wigner_module, "state_wigner", refuse)
+    monkeypatch.setattr(product_module, "state_model", refuse)
     code, _ = run(tmp_path, *vacuum, "--samples", "200000")  # 3.2 MB
     assert code == 2
     # at the real limit the ceiling is 2^26 samples at one and two modes
     monkeypatch.undo()
     monkeypatch.setattr(hvm_module, "sample", refuse)
-    monkeypatch.setattr(wigner_module, "state_wigner", refuse)
+    monkeypatch.setattr(product_module, "state_model", refuse)
     pair = '{"kind": "coherent", "params": {"alpha": [1, 0]}, "modes": 2}'
     for state in ('{"kind": "vacuum"}', pair):
         code, _ = run(tmp_path, "hvm-compare", "--state", state,
                       "--samples", str(2 ** 26 + 1))
         assert code == 2, state
+    # a product of modes adds each sample's running outcome, 24 bytes a
+    # sample: beside the 51 bins' 4,080 bytes the two-mode ceiling is
+    # 44,739,072 samples
+    pair_argv = ["hvm-compare", "--state", pair, "--observable", "1,0,0,0"]
+    code, _ = run(tmp_path, *pair_argv, "--samples", "44739073")
+    assert code == 2
+    with pytest.raises(AssertionError, match="past the guard"):
+        run(tmp_path, *pair_argv, "--samples", "44739072")
 
 
 def test_hvm_compare_samples_through_hvm_sample(tmp_path, monkeypatch):
@@ -798,6 +960,25 @@ def test_hvm_compare_samples_through_hvm_sample(tmp_path, monkeypatch):
     assert len(models) == 1
     for (model, n), built in calls:
         assert isinstance(model, hvm_module.HiddenVariableModel)
+        assert n == 5000
+        assert built
+    # a product's factors each draw through sample(): the first label
+    # reads mode 1, the second both modes, the third mode 2
+    calls.clear()
+    code, _ = run(tmp_path, "hvm-compare", "--state",
+                  '{"kind": "coherent", "params": {"alpha": [1.0, 0.5]}, '
+                  '"modes": 2}', "--points", "41", "--samples", "5000",
+                  "--observable", "1,0,0,0", "--observable", "0.5,0.5,0.5,0.5",
+                  "--observable", "0,0.3,0,-0.2")
+    assert code == 0
+    assert len(calls) == 4
+    first, second = calls[0][0][0], calls[3][0][0]
+    assert [id(model) for (model, _), _ in calls] == [
+        id(first), id(first), id(second), id(second)]
+    assert first is not second
+    for (model, n), built in calls:
+        assert isinstance(model, hvm_module.HiddenVariableModel)
+        assert model.mode_count == 1
         assert n == 5000
         assert built
 

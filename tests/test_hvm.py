@@ -20,7 +20,9 @@ from wignerhvm.hvm import (CHAR_TOLERANCE, EVENT_TOLERANCE, TV_TOLERANCE,
 from wignerhvm.oracle import (BinSpec, event_probability,
                               quantum_homodyne_distribution, tv_distance)
 from wignerhvm.special import sine_integral
-from wignerhvm.states import FockDensityOperator, StateSpec, make_state
+from wignerhvm.product import ProductModel, mode_factors, state_model
+from wignerhvm.states import (FockDensityOperator, GaussianState,
+                              InadequateWindowError, StateSpec, make_state)
 from wignerhvm.wigner import (GridSpec, WignerGrid, characteristic_at_points,
                               state_wigner, wigner_gaussian)
 
@@ -844,3 +846,220 @@ def test_build_holds_one_grid_beyond_its_input():
         tracemalloc.stop()
     assert model.measure.values.nbytes == grid_bytes
     assert peak < 0.01 * grid_bytes, peak / grid_bytes
+
+
+# --- product models: one one-mode grid per mode of a product state --------
+
+def test_product_states_split_into_their_modes():
+    # (q1, q2, q3, p1, p2, p3): mode k keeps q_k and p_k
+    coherent = make_state(StateSpec("coherent",
+                                    {"alpha": [1.0, [0, 0.5], -2.0]}, 3))
+    modes = mode_factors(coherent)
+    assert len(modes) == 3
+    for mode, alpha in zip(modes, (1.0, 0.5j, -2.0)):
+        assert np.array_equal(mode.mean, np.sqrt(2) * np.array(
+            [alpha.real, alpha.imag]))
+        assert np.array_equal(mode.covariance, 0.5 * np.eye(2))
+    thermal = make_state(StateSpec("thermal", {"nbar": 0.5}, 2))
+    assert [m.covariance[0, 0] for m in mode_factors(thermal)] == [1.0, 1.0]
+    # a one-mode state, a Fock state and a correlated pair are their own
+    # only factor
+    one = make_state(StateSpec("squeezed", {"r": 0.5}))
+    fock = make_state(StateSpec("fock", {"n": 1}, 1, 10))
+    cov = np.eye(4)
+    cov[0, 1] = cov[1, 0] = 0.1  # q1 with q2
+    pair = GaussianState(np.zeros(4), cov)
+    for state in (one, fock, pair):
+        assert mode_factors(state) == [state]
+
+
+BARE_PRODUCT_SCRIPT = """
+import json, sys
+import wignerhvm, wignerhvm.cli
+print(json.dumps("wignerhvm.product" in sys.modules))
+"""
+
+
+def test_bare_import_loads_no_product_model():
+    # only hvm-compare imports the product-model code
+    out = subprocess.run([sys.executable, "-c", BARE_PRODUCT_SCRIPT],
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) is False
+
+
+@pytest.fixture(scope="module")
+def coherent_product():
+    state = make_state(StateSpec("coherent", {"alpha": [1.0, 0.5]}, 2))
+    return state, state_model(state, GridSpec(1, 6.0, 41))
+
+
+def test_product_model_has_one_one_mode_factor_per_mode(coherent_product):
+    # each factor is build_hvm of its mode's own grid, bit for bit
+    state, model = coherent_product
+    assert isinstance(model, ProductModel)
+    assert model.mode_count == 2
+    for factor, alpha in zip(model.factors, (1.0, 0.5)):
+        one = make_state(StateSpec("coherent", {"alpha": alpha}))
+        want = build_hvm(state_wigner(one, GridSpec(1, 6.0, 41)))
+        assert isinstance(factor, hvm.HiddenVariableModel)
+        assert factor.measure.spec == GridSpec(1, 6.0, 41)
+        assert np.array_equal(factor.measure.values, want.measure.values)
+        assert factor.renormalization == want.renormalization
+    assert model.renormalization == (model.factors[0].renormalization
+                                     * model.factors[1].renormalization)
+    # a one-mode state is its own one factor, and so is a one-grid model
+    single = state_model(make_state(StateSpec("vacuum")), GRID)
+    assert isinstance(single, hvm.HiddenVariableModel)
+    assert single.factors == (single,)
+
+
+def test_product_model_needs_one_grid_step():
+    one = make_state(StateSpec("vacuum"))
+    with pytest.raises(ValueError, match="one grid window and step"):
+        ProductModel((build_hvm(state_wigner(one, GridSpec(1, 6.0, 41))),
+                      build_hvm(state_wigner(one, GridSpec(1, 6.0, 31)))))
+
+
+@pytest.fixture(scope="module")
+def thermal_triple():
+    # a 4.0 window of 11 points: the 3-mode joint grid is 11^6 cells
+    state = make_state(StateSpec("thermal", {"nbar": 0.25}, 3))
+    return (build_hvm(state_wigner(state, GridSpec(3, 4.0, 11))),
+            state_model(state, GridSpec(1, 4.0, 11)))
+
+
+PRODUCT_LABELS = ([1, 0, 0, 0], [0, 0, 1, 0], [0, 0.3, 0, -0.2],
+                  *(zeta for zeta, _ in LATTICE), *NO_LATTICE)
+TRIPLE_LABELS = ([1, 1, 1, 0, 0, 0], [0.5] * 6, [0, 0, 0.3, -0.2, 0, 0.9],
+                 [1, 1 / np.sqrt(2), 1 / np.sqrt(3), 0, 0, 0],
+                 [0.3, 0, np.cos(1), 0, np.sin(2), 0])
+
+
+def test_product_events_match_the_joint_grid(coherent_pair, coherent_product,
+                                             thermal_triple):
+    # convolved lattice masses and streamed outer sums only reorder the
+    # joint marginal's sums; the joint grid's weights are the factors'
+    # products to rounding
+    cases = [(coherent_pair[1], coherent_product[1], PRODUCT_LABELS),
+             (*thermal_triple, TRIPLE_LABELS)]
+    for joint, product, labels in cases:
+        for zeta in labels:
+            for intervals in ([(0.0, np.inf)], UNION):
+                got = hvm_event_probability(product, zeta, intervals)
+                want = hvm_event_probability(joint, zeta, intervals)
+                assert abs(got - want) <= 1e-14, (zeta, intervals, got - want)
+
+
+def test_product_lattice_of_too_many_products_takes_the_node_sum(
+        coherent_pair, coherent_product, monkeypatch):
+    # (1, 2, 0, 0), over q1 and q2, has the lattice n = (1, 2):
+    # convolving 41 and 81 keys takes 3,321 products, above a limit of
+    # 2,000, so the 1,681 nodes are summed as for a label with no lattice;
+    # at a limit of 1,000 they are refused as well
+    zeta = [1.0, 2.0, 0, 0]
+    monkeypatch.setattr(hvm, "EVENT_NODE_LIMIT", 2000)
+    monkeypatch.setattr(hvm, "_lattice_weights", None)  # not reached
+    got = hvm_event_probability(coherent_product[1], zeta, UNION)
+    want = full_grid_event_probability(coherent_pair[1], zeta, UNION)
+    assert abs(got - want) <= 1e-14
+    monkeypatch.setattr(hvm, "EVENT_NODE_LIMIT", 1000)
+    with pytest.raises(InadequateWindowError, match="1681 grid nodes"):
+        hvm_event_probability(coherent_product[1], zeta, UNION)
+
+
+def test_product_events_refuse_more_nodes_than_the_largest_grid():
+    # two 257-point modes and a label over all four axes with no lattice:
+    # 257^4 nodes, more than a one-grid model could hold
+    state = make_state(StateSpec("thermal", {"nbar": 0.5}, 2))
+    model = state_model(state, GridSpec(1, 6.0, 257))
+    assert hvm_event_probability(model, [0.5] * 4, [(0.0, np.inf)]) > 0
+    with pytest.raises(InadequateWindowError, match="4362470401 grid"):
+        hvm_event_probability(model, NO_LATTICE[1], [(0.0, np.inf)])
+
+
+def test_product_characteristic_is_the_product_of_the_factors(
+        coherent_pair, coherent_product, thermal_triple):
+    rng = np.random.default_rng(29)
+    triple = make_state(StateSpec("thermal", {"nbar": 0.25}, 3))
+    cases = [(coherent_product[0], coherent_pair[1], coherent_product[1]),
+             (triple, *thermal_triple)]
+    for state, joint, product in cases:
+        pts = rng.uniform(-3, 3, size=(10, 2 * product.mode_count))
+        got = empirical_characteristic_check(product, pts, state)
+        want = empirical_characteristic_check(joint, pts, state)
+        assert np.max(np.abs(np.array(got["deviations"])
+                             - want["deviations"])) <= 1e-14
+        assert got["pass"]
+
+
+def product_outcomes(model, zeta, n, seed):
+    """zeta . phi per sample: each used factor's whole sample array at its
+    stream, projected on its part of the label and added in factor order."""
+    zeta = np.asarray(zeta, dtype=float)
+    m, outcomes, start = model.mode_count, 0.0, 0
+    for k, factor in enumerate(model.factors):
+        end = start + factor.mode_count
+        part = np.concatenate([zeta[start:end], zeta[m + start:m + end]])
+        if part.any():
+            outcomes = outcomes + sample(factor, n, seed, stream=k) @ part
+        start = end
+    return outcomes
+
+
+# labels over (q1, q2, p1, p2): both factors, and factor 1 alone
+@pytest.mark.parametrize("zeta", [[0.6, 0.8, 0, 0], [0.5] * 4, NO_LATTICE[0],
+                                  [0, 0.3, 0, -0.2]])
+def test_product_histogram_sums_the_factors_streams(coherent_product, zeta):
+    # a running outcome per sample, chunk by chunk, has the bits of the
+    # whole factors' samples, at any thread count
+    _, model = coherent_product
+    n = 3 * hvm.SAMPLE_CHUNK + 5
+    want = np.histogram(product_outcomes(model, zeta, n, 9), BINS.edges)[0]
+    for threads in (1, 3):
+        got = hvm_homodyne_distribution(model, zeta, BINS, n, seed=9,
+                                        threads=threads)
+        assert np.array_equal(got.masses, want / n), threads
+
+
+def test_product_factor_zero_keeps_the_one_mode_bits(coherent_product):
+    # factor 0 draws from (seed, chunk) as a one-mode model does, factor 1
+    # from (seed, chunk, 1)
+    _, model = coherent_product
+    one = build_hvm(state_wigner(make_state(StateSpec(
+        "coherent", {"alpha": 1.0})), GridSpec(1, 6.0, 41)))
+    n = 2 * hvm.SAMPLE_CHUNK + 7
+    assert np.array_equal(sample(model.factors[0], n, seed=4),
+                          sample(one, n, seed=4))
+    got = hvm_homodyne_distribution(model, [1, 0, 0, 0], BINS, n, seed=4)
+    want = hvm_homodyne_distribution(one, [1, 0], BINS, n, seed=4)
+    assert np.array_equal(got.masses, want.masses)
+    second = sample(model.factors[1], n, seed=4, stream=1)
+    assert not np.array_equal(second, sample(model.factors[1], n, seed=4))
+
+
+def test_product_histogram_holds_a_running_outcome_per_sample(
+        coherent_product):
+    # one used factor streams as one mode does, 16 bytes a sample; two add
+    # each sample's running outcome, 8 bytes more
+    _, model = coherent_product
+    for factor in model.factors:
+        sample(factor, 1, seed=0)  # the cumulative tables are not counted
+    n = 1 << 20
+    for zeta, per_sample in (([0, 0, 1, 0], 16), ([0.6, 0.8, 0, 0], 24)):
+        tracemalloc.start()
+        try:
+            hvm_homodyne_distribution(model, zeta, BINS, n, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * per_sample * n, (zeta, peak / (per_sample * n))
+        assert peak > (per_sample - 4) * n, (zeta, peak / (per_sample * n))
+
+
+def test_forward_check_passes_a_three_mode_product(thermal_triple):
+    state = make_state(StateSpec("thermal", {"nbar": 0.25}, 3))
+    _, model = thermal_triple
+    bins = BinSpec(-4.0, 4.0, 40)
+    rows = [row for row, _, _ in forward_check(
+        state, model, TRIPLE_LABELS[:2], bins, 100000, seed=3)]
+    assert all(row["pass"] for row in rows), rows

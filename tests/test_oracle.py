@@ -11,9 +11,10 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from wignerhvm import fockspace
-from wignerhvm.oracle import (BinSpec, OutcomeDistribution,
-                              event_probability, homodyne_density,
-                              quantum_homodyne_distribution, tv_distance)
+from wignerhvm.oracle import (CSV_BLOCK, BinSpec, OutcomeDistribution,
+                              distribution_to_csv, event_probability,
+                              homodyne_density, quantum_homodyne_distribution,
+                              tv_distance)
 from wignerhvm.states import (FockDensityOperator, GaussianState,
                               InadequateWindowError, StateSpec,
                               gaussian_to_fock, make_state)
@@ -286,6 +287,28 @@ def test_bin_spec_and_distribution_validation():
         with pytest.raises(ValueError):
             OutcomeDistribution(edges, masses)
     OutcomeDistribution(edges, [-1e-13, 1.0])  # floating-point floor
+
+
+@pytest.mark.parametrize("bins", [1, 7, 50, CSV_BLOCK, CSV_BLOCK + 1,
+                                  100000])
+def test_distribution_csv_has_the_bytes_of_savetxt(tmp_path, bins):
+    # formatted a block of rows at a time: no block, one short block, one
+    # whole block, a block and one row, and many blocks; zero masses, -0.0
+    # and subnormal numbers are printed as np.savetxt prints them
+    rng = np.random.default_rng(bins)
+    masses = rng.random(bins)
+    masses[1::5] = 0.0
+    masses /= masses.sum()
+    masses[2::7] *= 1e-310
+    edges = np.linspace(-6.0, 6.0, bins + 1)
+    edges[bins // 2] = -0.0
+    dist = OutcomeDistribution(edges, masses)
+    distribution_to_csv(dist, tmp_path / "block.csv")
+    rows = np.column_stack([edges[:-1], edges[1:], masses])
+    np.savetxt(tmp_path / "savetxt.csv", rows, delimiter=",",
+               header="bin_left,bin_right,mass", comments="")
+    assert ((tmp_path / "block.csv").read_bytes()
+            == (tmp_path / "savetxt.csv").read_bytes())
 
 
 def test_tv_distance_properties():

@@ -10,6 +10,12 @@ relations inside a context hold identically.  Negativity anywhere makes
 the construction impossible, and build_hvm turns that into a typed error
 carrying the witness location.
 
+A model's grid is one mode (build_hvm refuses any other); several modes
+make a product.ProductModel of one-mode models.  Each factor draws its
+part of phi from its own seed substream, events and the characteristic
+check are assembled from the factors' marginals and transforms, and a
+label over several factors holds 8 bytes a sample more, its running outcome.
+
 Event probabilities and samples use two readings of the same node
 weights.  Events integrate the band-limited (Whittaker-Shannon)
 interpolant of the weights, which reproduces the continuous Wigner
@@ -20,29 +26,23 @@ node projects onto a lattice outcome g step key, and the weights are
 binned by that integer key, so the sine integral is evaluated once per
 distinct outcome rather than once per node; this path is taken whenever
 the key count is at most the node count.  Labels with no such lattice
-stream a marginal of more than two axes by first-axis slabs, grouped in
-blocks for the sine-integral kernel and summed in one fixed order.
-Samples draw a grid cell from its mass by inverse CDF, searching each
-chunk's keys in sorted order, and then a uniform point in a box around
-its node (the jitter removes grid artifacts from histograms); the box
-model adds a variance of step**2 / 12 per axis, which is why exact
-events do not integrate it.  The model owns the only grid: build_hvm
-clamps and normalizes its input in place, and sample keeps the running
-sum of its weights at each end of a block of SAMPLE_BLOCK cells, redoing
-a block's sum only when a key falls there.  hvm_homodyne_distribution
-streams the samples into its histogram chunk by chunk, holding 16 bytes
-a sample (a sorted key and its order) rather than the (n, 2m) samples
-and their n outcomes.
-
-A product state's model (product.state_model) is a ProductModel of one
-one-mode model per mode, so no grid spans two modes.  Each factor draws
-its part of phi from its own seed substream, events and the
-characteristic check are assembled from the factors' marginals and
-transforms, and a label over several factors holds 8 bytes a sample
-more, its running outcome.  The two-mode coherent hvm-compare with two
-labels, on two 41^2 grids, peaks under tracemalloc at 3.8 MB with 10^5
-samples and 25.4 MB with 10^6: 1.55 and 1.06 times its factor grids plus
-24 bytes a sample (its 41^4 grid alone took 22.6 MB).
+stream a product's marginal of more than two axes by the first factor's
+first-axis slabs, grouped in blocks for the sine-integral kernel and
+summed in one fixed order.  Samples draw a grid cell from its mass by
+inverse CDF, searching each chunk's keys in sorted order, and then a
+uniform point in a box around its node (the jitter removes grid
+artifacts from histograms); the box model adds a variance of step**2 /
+12 per axis, which is why exact events do not integrate it.  The model
+owns the only grid: build_hvm clamps and normalizes its input in place,
+and sample keeps the running sum of its weights at each end of a block
+of SAMPLE_BLOCK cells, redoing a block's sum only when a key falls
+there.  hvm_homodyne_distribution streams the samples into its
+histogram chunk by chunk, holding 16 bytes a sample (a sorted key and
+its order) rather than the (n, 2) samples and their n outcomes.  The
+two-mode coherent hvm-compare with two labels, on two 41^2 grids, peaks
+under tracemalloc at 3.8 MB with 10^5 samples and 25.4 MB with 10^6:
+1.55 and 1.06 times its factor grids plus 24 bytes a sample (one 41^4
+grid alone would take 22.6 MB).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ EVENT_SETS = (("[0, inf)", [(0.0, np.inf)]), ("[-1, 1]", [(-1.0, 1.0)]))
 # the most nodes an event of a label with no projection lattice sums, keys
 # a lattice bins, and products of two factors' masses the lattice of a
 # product convolves: the cells of the largest grid GridSpec allows, so
-# that a product of one-mode grids takes no longer than a one-grid model
+# that an event of a product takes no longer than a sum over that grid
 EVENT_NODE_LIMIT = GRID_BYTES_LIMIT // 16
 # lattice scales _projection_lattice tries at a time
 LATTICE_TRIALS = 1 << 12
@@ -118,34 +118,34 @@ class HiddenVariableModel:
     its historical name because the benchmark reads ``model._alias is
     None`` to time the first ``sample`` call.  Samples reach a histogram
     through ``sample`` too (its ``histogram=`` argument), 16 bytes a
-    sample, so every draw goes through that one entry point.
+    sample, so every draw goes through that one entry point.  The grid
+    is one mode (a ValueError otherwise).
     """
 
     measure: WignerGrid
     renormalization: float = 1.0
     _alias: np.ndarray | None = field(default=None, repr=False)
+    mode_count = 1
 
-    @property
-    def mode_count(self) -> int:
-        return self.measure.spec.mode_count
+    def __post_init__(self):
+        modes = self.measure.spec.mode_count
+        if modes != 1:
+            raise ValueError(f"a model's grid is one mode, not {modes}; "
+                             "several modes make a product.ProductModel")
 
     @property
     def factors(self) -> tuple:
-        """A one-grid model is its own one factor (a product.ProductModel
+        """A one-mode model is its own one factor (a product.ProductModel
         has one per mode)."""
         return (self,)
 
 
 def _factor_parts(model, x):
     """(factor, part) per factor of the model, part being the factor's
-    columns of x along its last axis, one per phase-space axis of the
-    model: the factor's q axes, then its p axes."""
-    m, start = model.mode_count, 0
-    for factor in model.factors:
-        end = start + factor.mode_count
-        yield factor, np.concatenate(
-            [x[..., start:end], x[..., m + start:m + end]], axis=-1)
-        start = end
+    mode's columns (q_k, p_k) of x along its last axis."""
+    m = model.mode_count
+    for k, factor in enumerate(model.factors):
+        yield factor, x[..., [k, m + k]]
 
 
 def build_hvm(w: WignerGrid) -> HiddenVariableModel:
@@ -157,9 +157,11 @@ def build_hvm(w: WignerGrid) -> HiddenVariableModel:
 
     The input is consumed: its array is clamped and normalized in place
     and becomes the model's grid, so the call allocates nothing
-    grid-sized.  The negativity check comes first, so a
-    NegativityError leaves the input's bits untouched.
+    grid-sized.  A grid of more than one mode is refused (ValueError) and
+    the negativity check comes next, both before the first write, so
+    either error leaves the input's bits untouched.
     """
+    model = HiddenVariableModel(w)
     values = w.values
     mn = float(values.min())
     tol = negativity_clamp(values, mn)
@@ -170,7 +172,8 @@ def build_hvm(w: WignerGrid) -> HiddenVariableModel:
     if total <= 0:
         raise ValueError("measure has no mass")
     values /= total
-    return HiddenVariableModel(w, renormalization=float(total))
+    model.renormalization = float(total)
+    return model
 
 
 def _projection_lattice(used: np.ndarray, points: int, nodes: int):
@@ -205,29 +208,17 @@ def _projection_lattice(used: np.ndarray, points: int, nodes: int):
 
 def _lattice_weights(weights: np.ndarray, n: np.ndarray,
                      points: int) -> np.ndarray:
-    """The marginal's weights summed per key + R // 2, in C order.
+    """A one-mode marginal's weights (one or two axes) summed per key +
+    R // 2, in C order.
 
-    Each axis contributes n_k (j_k - c) + |n_k| c, a key from 0 up.  A
-    marginal of more than two axes is binned one first-axis slab at a time
-    against the keys of the other axes, and each slab's bins are added at
-    its first-axis key, so no key array is as large as the marginal.
+    Each axis contributes n_k (j_k - c) + |n_k| c, a key from 0 up to
+    2 c |n_k|, and every sum of the axes' keys occurs, so the bins run
+    from 0 to R - 1.
     """
     half = (points - 1) // 2
-    shifted = [k * np.arange(-half, half + 1) + abs(k) * half for k in n]
-    masses = np.zeros(2 * half * int(np.abs(n).sum()) + 1)
-    if weights.ndim > 2:
-        slabs = zip(shifted[0], weights)
-        shifted = shifted[1:]
-    else:
-        slabs = [(0, weights)]
-    keys = shifted[0]
-    for line in shifted[1:]:
-        keys = np.add.outer(keys, line)
-    keys = keys.reshape(-1)
-    for offset, w in slabs:
-        part = np.bincount(keys, w.reshape(-1))
-        masses[offset:offset + len(part)] += part
-    return masses
+    keys = reduce(np.add.outer, [k * np.arange(-half, half + 1)
+                                 + abs(k) * half for k in n])
+    return np.bincount(keys.reshape(-1), weights.reshape(-1))
 
 
 def _block_cdf(flat: np.ndarray, block: int, start: float) -> np.ndarray:
@@ -253,25 +244,25 @@ def _cumulative_blocks(model: HiddenVariableModel) -> np.ndarray:
     return ends
 
 
-def _uniforms(seed: int, chunk_index: int, rows: int, dims: int,
+def _uniforms(seed: int, chunk_index: int, rows: int,
               stream: int) -> np.ndarray:
-    """The chunk's (rows, 1 + dims) uniforms: the cell key, then the box.
+    """The chunk's (rows, 3) uniforms: the cell key, then the box's q, p.
 
     Stream k > 0, factor k of a product, draws from (seed, chunk, k);
-    stream 0 from (seed, chunk), as a one-grid model does.
+    stream 0 from (seed, chunk), as a one-mode model does.
     """
     entropy = [seed, chunk_index] + ([stream] if stream else [])
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy)))
-    return rng.random((rows, 1 + dims))
+    return rng.random((rows, 3))
 
 
 def sample(model: HiddenVariableModel, n: int, seed: int,
            threads: int = 1, *, histogram=None, running=None,
            stream: int = 0) -> np.ndarray:
-    """n hidden states, shape (n, 2m); row i depends only on (seed, i).
+    """n hidden states (q, p), shape (n, 2); row i depends only on (seed, i).
 
-    model is one grid, a factor of a product at most; factor k of a
+    model is one mode, a factor of a product at most; factor k of a
     product draws with stream=k, from its own substream (_uniforms).
 
     Each row draws a grid cell by inverse CDF, a binary search of the
@@ -286,8 +277,8 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
     np.histogram(rows @ zeta, edges), and the integer counts of all chunks
     are returned.  They equal np.histogram(sample(model, n, seed) @ zeta,
     edges)[0] at any thread count, but the working set is 16 bytes a
-    sample (a sorted key and its order) instead of 8 * 2m: no (n, 2m)
-    array and no n outcomes are made.  Each chunk adds its counts to one
+    sample (a sorted key and its order) instead of 24: no (n, 2) array
+    and no n outcomes are made.  Each chunk adds its counts to one
     total as it is placed, so no chunk's counts wait for earlier chunks.
     With running, an (n,) array of the outcomes of a product's earlier
     factors, each chunk's rows @ zeta are added to its slice first; and
@@ -296,8 +287,8 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
     No grid-sized table is held.  The first call stores the running sum
     at each block end (_cumulative_blocks).  Then three passes: each
     chunk draws its keys u * ends[-1] and sorts them, keeping the sorted
-    keys and their order in 2k floats (the first of its k rows of the
-    output, or its rows of an (n, 2) buffer when streamed); each block
+    keys and their order in its k rows of the output, or of an (n, 2)
+    buffer when streamed; each block
     holding a key rebuilds its running sums from the stored start
     (_block_cdf) and searches its keys there, writing their cells over
     them; and each chunk redraws its uniforms to place every row in its
@@ -314,10 +305,9 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
     flat = model.measure.values.reshape(-1)
     spec = model.measure.spec
     axis, step = spec.axis, spec.step
-    dims = 2 * model.mode_count
     starts = range(0, n, SAMPLE_CHUNK)
     if histogram is None:
-        held = phi = np.empty((n, dims))
+        held = phi = np.empty((n, 2))
         rows = [phi[start:start + SAMPLE_CHUNK] for start in starts]
     else:
         zeta, edges = histogram
@@ -336,7 +326,7 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
         k, buf = sizes[c], keys[c]
         # side="right" below skips zero-mass cells, whose cdf equals their
         # predecessor's, and u < 1 keeps u * ends[-1] below the last entry
-        drawn = _uniforms(seed, c, k, dims, stream)[:, 0] * ends[-1]
+        drawn = _uniforms(seed, c, k, stream)[:, 0] * ends[-1]
         order = buf[k:2 * k].view(np.intp)
         order[:] = np.argsort(drawn)
         np.take(drawn, order, out=buf[:k])
@@ -361,9 +351,9 @@ def sample(model: HiddenVariableModel, n: int, seed: int,
         # each temporary is dropped once used, so that fewer of one
         # chunk's arrays are alive together beside the held buffer
         del idx
-        u = _uniforms(seed, c, k, dims, stream)
-        out = rows[c] if histogram is None else np.empty((k, dims))
-        for d in range(dims):
+        u = _uniforms(seed, c, k, stream)
+        out = rows[c] if histogram is None else np.empty((k, 2))
+        for d in range(2):
             out[:, d] = axis[coords[d]] + (u[:, 1 + d] - 0.5) * step
         del u, coords
         if histogram is None:
@@ -446,13 +436,13 @@ def hvm_event_probabilities(model, zeta, interval_sets) -> list:
     (the smallest that fit to 4 ulp, see _projection_lattice), node i sits
     at t_i = g step key_i with an integer key_i = sum_k n_k (j_k - c).  If
     the R = 2 c sum_k |n_k| + 1 keys are no more than the marginal's nodes,
-    the weights are binned by key (np.bincount, one first-axis slab at a
-    time beyond two axes) and Si is evaluated on the R outcomes
-    g step k, k = -R//2 ... R//2, for every finite edge of every set in
-    one kernel call while they fit in EVENT_BLOCK values.
+    the weights are binned by key (np.bincount) and Si is evaluated on
+    the R outcomes g step k, k = -R//2 ... R//2, for every finite edge of
+    every set in one kernel call while they fit in EVENT_BLOCK values.
 
-    Other labels: a marginal of more than two axes is streamed by
-    first-axis slabs, so no temporary is as large as the marginal.  Si is
+    Other labels: a marginal of one or two axes is one slab.  A product's
+    marginal of more than two axes is streamed by first-axis slabs, so no
+    temporary is as large as the marginal.  Si is
     evaluated on blocks of whole slabs of at least EVENT_BLOCK outcomes,
     one call per finite edge and block (a last, shorter block takes as
     many edges per call as fit in EVENT_BLOCK values), and each slab's
@@ -465,9 +455,9 @@ def hvm_event_probabilities(model, zeta, interval_sets) -> list:
     (factors with no used axis are left out: their mass cancels), and its
     nodes' outcomes are the outer sums of theirs.  Lattice labels bin each
     factor's weights by its own keys and convolve the factors' masses;
-    other labels stream the product's first-axis slabs as above, each
-    block formed from the factors' marginals, so Si is evaluated as many
-    times as on the joint grid.
+    other labels stream the first factor's first-axis slabs as above,
+    each block formed from the factors' marginals, so Si is evaluated as
+    many times as on the joint grid.
     """
     zeta = observable_label(zeta, model.mode_count)
     sets = [_normalize_intervals(intervals) for intervals in interval_sets]
@@ -602,46 +592,24 @@ def empirical_characteristic_check(model, points, state,
 
 def _grid_characteristic(model: HiddenVariableModel,
                          pts: np.ndarray) -> np.ndarray:
-    """The Fourier transform of one grid's normalized measure at each point.
+    """The Fourier transform of one mode's normalized measure at each point.
 
-    The phase factorizes over the tensor grid, so all points are
-    contracted together one axis at a time: the first axis by two real
-    products of the cos and sin phases with the measure, which never
-    makes a complex copy of the grid, and each later axis by a small
-    einsum.  The first-axis products are taken on blocks of second-axis
-    slabs of at least EVENT_BLOCK nodes (one block for one mode), so no
-    product spans the grid.  The first block is contracted with its
-    second-axis phases by the einsum, and each later slab's contraction
-    is added in slab order, as one einsum over the whole axis adds them.
+    [v, phi] = v_q phi_p - v_p phi_q factorizes over the grid's two axes,
+    so all points are contracted together: the q axis by two real products
+    of the cos and sin phases with the measure, which never makes a
+    complex copy of the grid, and the p axis by one einsum with its
+    phases.
     """
     spec = model.measure.spec
-    m = spec.mode_count
     values = model.measure.values
     # [v, phi] = (omega^T v) . phi
-    k = np.concatenate([pts[:, m:], -pts[:, :m]], axis=1)
+    k = np.stack([pts[:, 1], -pts[:, 0]], axis=1)
     angles = k[:, :, None] * spec.axis  # (point, axis, node)
-    phases = np.exp(1j * angles[:, 1:])
-
-    p = spec.points
-    slabs = values.reshape(p, p, -1)  # (first axis, second axis, the rest)
-    per = p if m == 1 else -(-EVENT_BLOCK // slabs[:, 0].size)
+    phases = np.exp(1j * angles[:, 1])
     value = 0
     for unit, phase in ((1, np.cos), (1j, np.sin)):
-        first = phase(angles[:, 0])
-        for start in range(0, p, per):
-            block = slabs[:, start:start + per]
-            prod = (first @ block.reshape(p, -1)).reshape(
-                len(pts), block.shape[1], -1)
-            if not start:  # einsum's sum starts from zero, slab after slab
-                part = np.einsum("pjr,pj->pr", prod, phases[:, 0, :per])
-            else:
-                terms = prod * phases[:, 0, start:start + per, None]
-                for term in terms.transpose(1, 0, 2):
-                    part += term
-        for d in range(1, phases.shape[1]):
-            part = np.einsum("pjr,pj->pr", part.reshape(len(pts), p, -1),
-                             phases[:, d])
-        value = value + unit * part[:, 0]
+        part = np.einsum("pj,pj->p", phase(angles[:, 0]) @ values, phases)
+        value = value + unit * part
     return value / values.sum()
 
 

@@ -1,11 +1,12 @@
 """Hidden-variable models of product states, one one-mode model per mode.
 
-Every multi-mode state make_state builds is a product of one-mode
-Gaussian states, so its Wigner function and its model's measure are
-products of one-mode ones.  state_model builds one model per mode and
-never the joint 2m-axis grid; the queries in hvm are written over a
-model's factors, of which a one-grid model has one, itself.  Only
-hvm-compare imports this module, so the other commands load none of it.
+A model's grid is one mode, so every multi-mode model is a ProductModel
+of one-mode factors.  Every multi-mode state make_state builds is a
+product of one-mode Gaussian states, so its Wigner function and its
+model's measure are products of one-mode ones.  state_model builds one
+model per mode and never the joint 2m-axis grid; the queries in hvm are
+written over a model's factors, of which a one-mode model has one,
+itself.  Only hvm-compare imports this module.
 """
 
 from __future__ import annotations
@@ -22,28 +23,31 @@ from .wigner import GridSpec, require_normalization, state_wigner
 def mode_factors(state) -> list:
     """The one-mode states whose product is state, in mode order.
 
-    A Gaussian state is their product exactly when its covariance couples
-    no two modes; mode k's factor keeps axes q_k and p_k of the mean and
-    the covariance.  Any other state is its own only factor.
+    A one-mode state is its own only factor.  A Gaussian state of several
+    modes is their product exactly when its covariance couples no two
+    modes; mode k's factor keeps axes q_k and p_k of the mean and the
+    covariance.  Any other state of several modes is refused (ValueError).
     """
     m = state.mode_count
-    if m == 1 or not isinstance(state, GaussianState):
+    if m == 1:
         return [state]
     mode = np.arange(2 * m) % m  # the mode of each axis
-    if np.any(state.covariance[mode[:, None] != mode]):
-        return [state]
+    if not isinstance(state, GaussianState) or np.any(
+            state.covariance[mode[:, None] != mode]):
+        raise ValueError(f"this {m}-mode state is not a product of one-mode "
+                         "states: a Gaussian whose covariance couples no "
+                         "two modes")
     return [GaussianState(state.mean[[k, m + k]],
                           state.covariance[np.ix_([k, m + k], [k, m + k])])
             for k in range(m)]
 
 
 class ProductModel:
-    """The product of one-grid models on consecutive modes, all on one
+    """The product of one-mode models, factor k on mode k, all on one
     grid window and step.
 
-    A factor's hidden state is its modes' part of phi (their q axes, then
-    their p axes), drawn independently of the other factors', so no grid
-    spans two factors.
+    A factor's hidden state is its mode's part (q_k, p_k) of phi, drawn
+    independently of the other factors', so no grid spans two modes.
     """
 
     def __init__(self, factors):
@@ -52,7 +56,7 @@ class ProductModel:
         if len(specs) != 1:  # the events' band limit needs one step
             raise ValueError("the factors need one grid window and step")
         self.factors = tuple(factors)
-        self.mode_count = sum(f.mode_count for f in factors)
+        self.mode_count = len(self.factors)
         self.renormalization = math.prod(f.renormalization for f in factors)
 
 
@@ -61,7 +65,7 @@ def state_model(state, spec: GridSpec):
 
     A product state (mode_factors) gets the product of its modes' models,
     each built by build_hvm from its own grid, so no grid spans two modes;
-    any other state gets one model, its own.  The factor grids are held to
+    a one-mode state gets one model, its own.  The factor grids are held to
     GRID_BYTES_LIMIT together, and the normalization gate reads the
     product of their normalizations, which is the joint grid's to rounding
     (a gate on each mode alone would pass more).

@@ -11,18 +11,18 @@ import math
 
 import numpy as np
 
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
-
-
 def ndtr(x) -> np.ndarray:
     """Standard normal CDF, 0.5 erfc(-x / sqrt 2), by math.erfc per element.
 
     x / sqrt 2 is rounded as x * sqrt(1/2), the product the Cephes ndtr
-    rounds too.  Meant for a few hundred points (bin and interval edges)
-    per call.
+    rounds too.  The values go straight into a float array, so no object
+    array of Python floats is made.  Meant for a few hundred points (bin
+    and interval edges) per call.
     """
-    x = np.asarray(x, dtype=float)
-    return 0.5 * np.asarray(_ERFC(x * -np.sqrt(0.5)), dtype=float)
+    arg = np.asarray(x, dtype=float) * -np.sqrt(0.5)
+    out = np.fromiter(map(math.erfc, arg.flat), float, count=arg.size)
+    out *= 0.5
+    return out.reshape(arg.shape)[()]  # a scalar for a 0-d x
 
 
 # Si(x) = x sum_j _SMALL[j] s^j with s = x^2 / 8 - 1 for |x| <= 4, by the

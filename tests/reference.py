@@ -110,6 +110,7 @@ hidden-variable model's normalized cell masses, the table its sampler
 searches.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -526,13 +527,14 @@ def wigner_from_characteristic(chi: CharacteristicGrid,
         WignerGrid(out_spec, _real_part(raw, IMAG_RESIDUE)))
 
 
-def whole_product_characteristic_deviations(model, points, state) -> list:
-    """empirical_characteristic_check's deviations, the first axis
-    contracted by (points x grid / first axis) cos and sin products."""
+def whole_product_characteristic_deviations(grid, points, state) -> list:
+    """empirical_characteristic_check's deviations for the measure of a
+    Wigner grid of any mode count, the first axis contracted by (points x
+    grid / first axis) cos and sin products."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    spec = model.measure.spec
+    spec = grid.spec
     m = spec.mode_count
-    values = model.measure.values
+    values = grid.values
     k = np.concatenate([pts[:, m:], -pts[:, :m]], axis=1)
     angles = k[:, :, None] * spec.axis
     phases = np.exp(1j * angles[:, 1:])
@@ -549,15 +551,16 @@ def whole_product_characteristic_deviations(model, points, state) -> list:
     return [float(d) for d in np.abs(value / values.sum() - reference)]
 
 
-def full_grid_event_probability(model, zeta, intervals) -> float:
-    """Band-limited P(zeta . phi in the intervals), one node sum per interval.
+def full_grid_event_probability(grid, zeta, intervals) -> float:
+    """Band-limited P(zeta . phi in the intervals) under the measure of a
+    Wigner grid of any mode count, one node sum per interval.
 
     Every node of the full grid carries its normalized cell mass p_i and
     t_i = zeta . c_i, and adds p_i [Si(B(b - t_i)) - Si(B(a - t_i))]/pi.
     """
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    spec = model.measure.spec
-    probs = cell_probabilities(model).reshape(spec.shape)
+    spec = grid.spec
+    probs = cell_probabilities(grid).reshape(spec.shape)
     outcomes = sum(z * block for z, block in
                    zip(zeta, spec.coordinate_blocks()) if z)
     bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
@@ -573,16 +576,36 @@ def full_grid_event_probability(model, zeta, intervals) -> float:
     return total
 
 
+def factor_marginals(model, zeta) -> list:
+    """(marginal, axes) per factor of a model (one-mode or a product) with
+    a used axis of the label: the factor's weights with its idle axes
+    summed out, and the label's indices of its used axes (q_k, then
+    p_k)."""
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    m = model.mode_count
+    out = []
+    for k, factor in enumerate(model.factors):
+        axes = [a for a in (k, m + k) if zeta[a]]
+        idle = tuple(d for d, a in enumerate((k, m + k)) if not zeta[a])
+        if axes:
+            out.append((factor.measure.values.sum(axis=idle), axes))
+    return out
+
+
 def serial_slab_event_probability(model, zeta, intervals) -> float:
     """The same sum over the marginal on the used axes, slab by slab.
 
-    One Si kernel call per slab for all finite edges; the intervals' sums
-    are added slab-major, in the order the blocked loop must reproduce.
+    The marginal is the outer product of the factors' marginals, its axes
+    in factor order.  One Si kernel call per slab for all finite edges;
+    the intervals' sums are added slab-major, in the order the blocked
+    loop must reproduce, and divided by the product of the factors'
+    masses.
     """
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    spec = model.measure.spec
-    weights = model.measure.values.sum(axis=tuple(np.flatnonzero(zeta == 0)))
-    used = zeta[zeta != 0]
+    spec = model.factors[0].measure.spec
+    marginals = factor_marginals(model, zeta)
+    weights = functools.reduce(np.multiply.outer, [w for w, _ in marginals])
+    used = zeta[[a for _, axes in marginals for a in axes]]
     lines = [(z * spec.axis).reshape((-1,) + (1,) * (used.size - 1 - d))
              for d, z in enumerate(used)]
     bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
@@ -598,38 +621,41 @@ def serial_slab_event_probability(model, zeta, intervals) -> float:
                  for e, f in zip(flat, finite)]
         for lower, upper in zip(si_at[::2], si_at[1::2]):
             total += np.sum(w * (upper - lower))
-    return float(total / weights.sum()) / np.pi
+    mass = functools.reduce(np.multiply, [w.sum() for w, _ in marginals])
+    return float(total / mass) / np.pi
 
 
 def lattice_event_probability(model, zeta, intervals, n) -> float:
     """The same sum with the weights binned by each node's projection key.
 
-    The used coefficients are n_k g, with g = |zeta_k| / |n_k| on the
-    first axis of smallest |zeta_k|, so node j of the marginal sits at
-    t = g step key, key = sum_k n_k (j_k - c), c = (points - 1) / 2.  The
-    weights are binned by key, each first-axis slab in turn when the
-    marginal has more than two axes, and each interval adds
-    sum(bin * (Si(B(b - t)) - Si(B(a - t)))) over the keys; Si is
-    evaluated at every edge, infinite ones included.
+    The used coefficients are n_k g (n in the label's axis order), with
+    g = |zeta_k| / |n_k| on the first axis of smallest |zeta_k|, so node
+    j of a factor's marginal sits at t = g step key, key = sum_k n_k (j_k
+    - c) over its used axes, c = (points - 1) / 2.  Each factor's weights
+    are binned by key, the factors' bins are convolved (their keys add),
+    and each interval adds sum(bin * (Si(B(b - t)) - Si(B(a - t)))) over
+    the keys; Si is evaluated at every edge, infinite ones included.
     """
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    spec = model.measure.spec
-    weights = model.measure.values.sum(axis=tuple(np.flatnonzero(zeta == 0)))
+    spec = model.factors[0].measure.spec
     used = zeta[zeta != 0]
     first = np.argmin(np.abs(used))
     g = abs(used[first]) / abs(n[first])
+    share = dict(zip(np.flatnonzero(zeta), n))
     half = (spec.points - 1) // 2
-    reach = half * sum(abs(k) for k in n)
-    keys = reach
-    for d, k in enumerate(n):
-        shape = [1] * used.size
-        shape[d] = -1
-        keys = keys + k * np.arange(-half, half + 1).reshape(shape)
-    bins = np.zeros(2 * reach + 1)
-    slabs = zip(keys, weights) if weights.ndim > 2 else [(keys, weights)]
-    for key, w in slabs:
-        bins += np.bincount(key.reshape(-1), w.reshape(-1),
-                            minlength=bins.size)
+    marginals = factor_marginals(model, zeta)
+    factor_bins = []
+    for weights, axes in marginals:
+        reach = half * sum(abs(share[a]) for a in axes)
+        keys = reach
+        for d, a in enumerate(axes):
+            shape = [1] * len(axes)
+            shape[d] = -1
+            keys = keys + share[a] * np.arange(-half, half + 1).reshape(shape)
+        factor_bins.append(np.bincount(keys.reshape(-1), weights.reshape(-1),
+                                       minlength=2 * reach + 1))
+    bins = functools.reduce(np.convolve, factor_bins)
+    reach = len(bins) // 2
     outcomes = g * spec.step * np.arange(-reach, reach + 1)
     bandwidth = np.pi / (spec.step * np.max(np.abs(zeta)))
     total = 0.0
@@ -637,7 +663,8 @@ def lattice_event_probability(model, zeta, intervals, n) -> float:
         upper = sine_integral(bandwidth * (b - outcomes))
         lower = sine_integral(bandwidth * (a - outcomes))
         total += np.sum(bins * (upper - lower))
-    return float(total / weights.sum()) / np.pi
+    mass = functools.reduce(np.multiply, [w.sum() for w, _ in marginals])
+    return float(total / mass) / np.pi
 
 
 def searchsorted_sample(model, n: int, seed: int,
@@ -922,8 +949,8 @@ def smoothed_polynomial(obs: PolynomialObservable, values: list):
     return _smoothed(_smoothing_terms(obs), values)
 
 
-def cell_probabilities(model) -> np.ndarray:
-    """The model's cell masses over their sum, flattened in C order."""
-    probs = model.measure.values.reshape(-1) * model.measure.cell_volume
+def cell_probabilities(grid) -> np.ndarray:
+    """A Wigner grid's cell masses over their sum, flattened in C order."""
+    probs = grid.values.reshape(-1) * grid.cell_volume
     probs /= probs.sum()
     return probs

@@ -1216,7 +1216,7 @@ def test_hvm_compare_bytes_bound_the_measured_peak(tmp_path):
 
 def test_hvm_compare_bins_bound_the_measured_peak(tmp_path):
     # on a Gaussian state the bins dominate hvm-compare once they outgrow
-    # the grid and the samples: the oracle's normal CDF holds about 74
+    # the grid and the samples: the oracle's normal CDF holds about 64
     # bytes a bin, which the guard counts as cli.HVM_BIN_BYTES
     argv = ["hvm-compare", "--state", '{"kind": "vacuum"}', "--points", "41",
             "--observable", "1,0", "--bins", "100000", "--samples", "2000"]

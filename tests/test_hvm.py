@@ -27,7 +27,7 @@ from wignerhvm.wigner import (GridSpec, WignerGrid, characteristic_at_points,
                               state_wigner, wigner_gaussian)
 
 from reference import (TwoModeFock, cell_probabilities, copying_hvm_measure,
-                       complex_parity_wigner, full_grid_event_probability,
+                       factor_marginals, full_grid_event_probability,
                        lattice_event_probability, pinned_gaussians,
                        searchsorted_sample, serial_slab_event_probability,
                        trace_characteristic_at_points,
@@ -115,7 +115,7 @@ def test_sampled_cells_follow_the_cell_masses(case):
     counts = np.bincount(np.ravel_multi_index(cells.T, CELL_GRID.shape),
                          minlength=k)
     assert not np.any(counts[masses == 0])
-    probs = cell_probabilities(model)
+    probs = cell_probabilities(model.measure)
     tv = 0.5 * np.abs(counts / n - probs).sum()
     # E[TV] <= sum_i sqrt(p_i / n) / 2, and one draw moves TV by at most
     # 1/n, so McDiarmid puts TV above this bound with probability < 1e-6
@@ -260,30 +260,48 @@ def lossy_pair(eta, cutoff):
     return TwoModeFock(matrix, cutoff)
 
 
+def normal_modes(x):
+    """(q1, q2, p1, p2) rows mapped blockwise by O = [[1, 1], [1, -1]] /
+    sqrt(2) to (q+, q-, p+, p-) of a_+- = (a_1 +- a_2)/sqrt(2); O is its
+    own inverse."""
+    x = np.atleast_2d(x)
+    return np.concatenate([x[:, :2] @ NORMAL_MODES, x[:, 2:] @ NORMAL_MODES],
+                          axis=1)
+
+
+NORMAL_MODES = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+
+
 def test_two_mode_forward_direction_against_fock_oracle(monkeypatch):
     # not Gaussian: exact events and characteristic checks only, no
-    # sampling.  zeta . R is |zeta| q of a mode whose overlap t with
-    # (a_1 + a_2)/sqrt(2) has |t|^2 = ((sum zeta_q)^2 + (sum zeta_p)^2) /
-    # (2 |zeta|^2), so the oracle is the one-mode lossy photon at eta |t|^2.
-    # No command builds a two-mode Fock grid or its chi: the reference's
-    # parity identity and displacement traces do
+    # sampling.  The pair is a lossy photon in a_+ = (a_1 + a_2)/sqrt(2)
+    # times the vacuum in a_-, so its model is the product of theirs, read
+    # at labels and points in those modes.  zeta . R is |zeta| q of a mode
+    # whose overlap t with a_+ has |t|^2 = ((sum zeta_q)^2 + (sum
+    # zeta_p)^2) / (2 |zeta|^2), so the oracle is the one-mode lossy photon
+    # at eta |t|^2; chi of the pair at v is the reference's displacement
+    # traces of the two-mode density matrix, the product's at O v
     monkeypatch.setattr(hvm, "characteristic_at_points",
-                        trace_characteristic_at_points)
+                        lambda state, pts: trace_characteristic_at_points(
+                            state, normal_modes(pts)))
     eta = 0.4
     state = lossy_pair(eta, 4)
-    spec = GridSpec(2, 6.0, 41)
-    model = build_hvm(WignerGrid(spec, complex_parity_wigner(state, spec)))
+    spec = GridSpec(1, 6.0, 41)
+    model = ProductModel((
+        build_hvm(state_wigner(lossy_photon(eta), spec)),
+        build_hvm(state_wigner(make_state(StateSpec("vacuum")), spec))))
     for zeta in (np.array([1, 1, 0, 0]) / np.sqrt(2), np.array([1, 0, 0, 0]),
                  np.array([0.6, 0, 0, 0.8])):
         norm2 = zeta @ zeta
         overlap = (zeta[:2].sum() ** 2 + zeta[2:].sum() ** 2) / (2 * norm2)
         reduced = lossy_photon(eta * overlap)
         for interval in ([(0, np.inf)], [(-1.0, 1.0)]):
-            hv = hvm_event_probability(model, zeta, interval)
+            hv = hvm_event_probability(model, normal_modes(zeta)[0],
+                                       interval)
             qv = event_probability(reduced, [np.sqrt(norm2), 0], interval)
             assert abs(hv - qv) <= EVENT_TOLERANCE, (zeta, interval)
     pts = np.random.default_rng(34).uniform(-3, 3, size=(10, 4))
-    rep = empirical_characteristic_check(model, pts, state,
+    rep = empirical_characteristic_check(model, normal_modes(pts), state,
                                          tolerance=CHAR_TOLERANCE)
     assert rep["pass"], rep["max_deviation"]
 
@@ -308,13 +326,13 @@ def test_band_limited_events_match_fock_oracle(eta, angle, scale, lo, width,
 
 
 def test_two_mode_gaussian_events_match_closed_form():
-    grid = GridSpec(2, 6.0, 41)
+    grid = GridSpec(1, 6.0, 41)
     labels = ([1, 0, 0, 0], [0, 0, 1, 0], [0.6, 0, 0.8, 0],
               np.array([1, 1, 0, 0]) / np.sqrt(2))
     for kind, params in (("coherent", {"alpha": [1.0, 0.5]}),
                          ("thermal", {"nbar": 0.25})):
         state = make_state(StateSpec(kind, params, 2))
-        model = build_hvm(state_wigner(state, grid))
+        model = state_model(state, grid)
         for zeta in labels:
             for interval in ([(0, np.inf)], [(-1.0, 1.0)]):
                 hv = hvm_event_probability(model, zeta, interval)
@@ -324,8 +342,15 @@ def test_two_mode_gaussian_events_match_closed_form():
 
 @pytest.fixture(scope="module")
 def coherent_pair():
+    # the joint 41^4 grid of coherent_product's state, which no model holds
     state = make_state(StateSpec("coherent", {"alpha": [1.0, 0.5]}, 2))
-    return state, build_hvm(state_wigner(state, GridSpec(2, 6.0, 41)))
+    return state, state_wigner(state, GridSpec(2, 6.0, 41))
+
+
+@pytest.fixture(scope="module")
+def coherent_product():
+    state = make_state(StateSpec("coherent", {"alpha": [1.0, 0.5]}, 2))
+    return state, state_model(state, GridSpec(1, 6.0, 41))
 
 
 # labels whose used coefficients are n_k g, with their integers n_k, and
@@ -338,24 +363,26 @@ NO_LATTICE = [[1.0, 1 / np.sqrt(2), 1 / np.sqrt(3), 0],
 
 
 def test_semi_infinite_events_match_sici_of_infinity_bit_for_bit(
-        coherent_pair):
+        coherent_product):
     # Si(+-inf) is taken as the constant +-pi/2; the references evaluate
     # the kernel at both edges, on every projection key for lattice labels
-    # and otherwise on every node of the same marginal, summed over the
-    # same first-axis slabs when it has more than two axes
+    # and otherwise on every node of the same marginal (the factors' outer
+    # product, its axes in factor order), summed over the same first-axis
+    # slabs when it has more than two axes
     assert sine_integral(np.inf) == np.pi / 2
     assert sine_integral(-np.inf) == -np.pi / 2
-    _, model = coherent_pair
-    axis = model.measure.spec.axis
-    step = model.measure.spec.step
+    _, model = coherent_product
+    axis = model.factors[0].measure.spec.axis
+    step = model.factors[0].measure.spec.step
     semi_infinite = ((0.0, np.inf), (-np.inf, 0.0), (-1.0, np.inf))
     for zeta, n in LATTICE[:3]:
         for a, b in semi_infinite:
             want = lattice_event_probability(model, zeta, [(a, b)], n)
             assert hvm_event_probability(model, zeta, [(a, b)]) == want
     zeta = np.array(NO_LATTICE[0])
-    marginal = model.measure.values.sum(axis=tuple(np.flatnonzero(zeta == 0)))
-    used = zeta[zeta != 0]
+    marginals = factor_marginals(model, zeta)
+    marginal = np.multiply.outer(*[w for w, _ in marginals])
+    used = zeta[[a for _, axes in marginals for a in axes]]
     outcomes = 0
     for d, z in enumerate(used):
         shape = [1] * used.size
@@ -368,35 +395,49 @@ def test_semi_infinite_events_match_sici_of_infinity_bit_for_bit(
             upper = sine_integral(bandwidth * (b - t))
             lower = sine_integral(bandwidth * (a - t))
             total += np.sum(w * (upper - lower))
-        want = float(total / marginal.sum()) / np.pi
+        mass = marginals[0][0].sum() * marginals[1][0].sum()
+        want = float(total / mass) / np.pi
         assert hvm_event_probability(model, zeta, [(a, b)]) == want
 
 
 UNION = [(-np.inf, -0.5), (0.2, 0.7), (1.0, np.inf)]
 
 
-def test_marginal_events_match_full_grid_node_sum(coherent_pair):
+def test_marginal_events_match_full_grid_node_sum(coherent_pair,
+                                                  coherent_product):
     # summing idle axes out first, and streaming slabs, only reorders the
-    # sums of the full-grid reference
-    _, two_mode = coherent_pair
+    # sums of the full-grid reference (a product's on its joint grid)
+    _, two_mode = coherent_product
     _, one_mode = model_for("squeezed", {"r": 0.5})
-    cases = [(two_mode, zeta, intervals)
+    cases = [(two_mode, coherent_pair[1], zeta, intervals)
              for zeta in ([1, 0, 0, 0], [0, 0, 1, 0], [0.6, 0, 0.8, 0],
                           [0.3, -0.5, 0, 0.9], [0.5, 0.5, 0.5, 0.5],
                           NO_LATTICE[0])
              for intervals in ([(0.0, np.inf)], UNION)]
-    cases += [(one_mode, [0.6, 0.8], intervals)
+    cases += [(one_mode, one_mode.measure, [0.6, 0.8], intervals)
               for intervals in ([(-np.inf, 0.0)], [(-1.0, 1.0)], UNION)]
-    for model, zeta, intervals in cases:
+    for model, grid, zeta, intervals in cases:
         got = hvm_event_probability(model, zeta, intervals)
-        want = full_grid_event_probability(model, zeta, intervals)
+        want = full_grid_event_probability(grid, zeta, intervals)
         assert abs(got - want) <= 1e-14, (zeta, intervals, got - want)
 
 
-def test_sorted_key_sampling_matches_plain_search(coherent_pair):
+# 577^2 = 332,929 cells: five blocks of 2^16 and a short sixth
+MULTI_BLOCK = GridSpec(1, 8.0, 577)
+# 961^2 = 923,521 cells, as many as a 31^4 grid: 14 blocks and a short 15th
+WIDE = GridSpec(1, 8.0, 961)
+
+
+@pytest.fixture(scope="module")
+def multi_block():
+    state = make_state(StateSpec("coherent", {"alpha": [1.0, 0.5]}))
+    return state, build_hvm(state_wigner(state, MULTI_BLOCK))
+
+
+def test_sorted_key_sampling_matches_plain_search(multi_block):
     # sorted keys and the in-place cumulative table change no bit of the
     # samples, on every chunk (the last one short) and at any thread count
-    _, model = coherent_pair
+    _, model = multi_block
     n = 3 * hvm.SAMPLE_CHUNK + 5
     want = searchsorted_sample(model, n, seed=7, chunk=hvm.SAMPLE_CHUNK)
     for threads in (1, 4):
@@ -405,13 +446,13 @@ def test_sorted_key_sampling_matches_plain_search(coherent_pair):
 
 
 @pytest.mark.parametrize("n", [3 * hvm.SAMPLE_CHUNK + 5, 100003])
-def test_streamed_histogram_is_the_whole_samples_histogram(coherent_pair, n):
+def test_streamed_histogram_is_the_whole_samples_histogram(multi_block, n):
     # chunk-wise rows @ zeta and integer counts summed over chunks give the
-    # bits of one histogram of the whole (n, 2m) array's projections
+    # bits of one histogram of the whole (n, 2) array's projections
     _, squeezed = model_for("squeezed", {"r": 0.5})
     cases = [(squeezed, [1.0, 0.0]), (squeezed, [0.6, 0.8])]
-    cases += [(coherent_pair[1], zeta) for zeta in
-              ([0.6, 0, 0.8, 0], [0.5, 0.5, 0.5, 0.5], NO_LATTICE[0])]
+    cases += [(multi_block[1], zeta) for zeta in
+              ([0.6, 0.8], [0.5, 0.5], [1, 1 / np.sqrt(2)])]
     for model, zeta in cases:
         zeta = np.array(zeta)
         want = np.histogram(sample(model, n, seed=9) @ zeta, BINS.edges)[0]
@@ -421,11 +462,12 @@ def test_streamed_histogram_is_the_whole_samples_histogram(coherent_pair, n):
             assert np.array_equal(got.masses, want / n), (zeta, threads)
 
 
-def test_first_sample_holds_one_grid_sized_array(coherent_pair):
+def test_first_sample_holds_one_grid_sized_array():
     # the first call keeps one running sum per block of cells; the cell
     # weights are accumulated a block at a time, so no array near the
     # grid's size is made, the model's own grid aside
-    _, model = coherent_pair
+    state = make_state(StateSpec("coherent", {"alpha": [1.0, 0.5]}))
+    model = build_hvm(state_wigner(state, WIDE))
     grid_bytes = model.measure.values.nbytes
     sample(hvm.HiddenVariableModel(model.measure), 10, seed=0)  # warm-up
     fresh = hvm.HiddenVariableModel(model.measure)
@@ -436,33 +478,29 @@ def test_first_sample_holds_one_grid_sized_array(coherent_pair):
     finally:
         tracemalloc.stop()
     blocks = -(-model.measure.values.size // hvm.SAMPLE_BLOCK)
-    assert blocks == 44
+    assert blocks == 15
     assert fresh._alias.shape == (blocks,)
     assert fresh._alias.dtype == np.float64
     assert peak < 0.1 * grid_bytes, peak / grid_bytes
 
 
 @pytest.mark.parametrize("case", ["coherent", "many_binades"])
-def test_block_ends_are_the_full_cumulative_sum(coherent_pair, case):
+def test_block_ends_are_the_full_cumulative_sum(multi_block, case):
     # each stored end is the entry of np.cumsum of the raw cell weights
     # at the block's last cell
-    _, pair = coherent_pair
-    values = pair.measure.values
+    _, coherent = multi_block
+    values = coherent.measure.values
     if case == "many_binades":  # zero cells among them
         rng = np.random.default_rng(1)
         values = np.exp(rng.normal(scale=8.0, size=values.shape))
         values[rng.random(values.shape) < 0.2] = 0.0
-    spec = pair.measure.spec
+    spec = coherent.measure.spec
     model = hvm.HiddenVariableModel(WignerGrid(spec, values))
     sample(model, 1, seed=0)
     cdf = np.cumsum(values.reshape(-1))
     last = np.minimum(np.arange(1, len(model._alias) + 1) * hvm.SAMPLE_BLOCK,
                       cdf.size) - 1
     assert np.array_equal(model._alias, cdf[last])
-
-
-# 577^2 = 332,929 cells: five blocks of 2^16 and a short sixth
-MULTI_BLOCK = GridSpec(1, 8.0, 577)
 
 
 def _block_masses(case):
@@ -505,8 +543,8 @@ def test_block_search_matches_plain_search(case):
                          + [(zeta, None) for zeta in NO_LATTICE],
                          ids=["zeta0", "zeta1", "zeta2", "zeta3"])
 def test_slab_events_have_the_same_bits_on_any_core_count(
-        coherent_pair, monkeypatch, zeta, n):
-    _, model = coherent_pair
+        coherent_product, monkeypatch, zeta, n):
+    _, model = coherent_product
     pools = []
 
     class Recording(concurrent.futures.ThreadPoolExecutor):
@@ -528,11 +566,11 @@ def test_slab_events_have_the_same_bits_on_any_core_count(
     assert pools == []  # slabs and keys alike are summed in one pass
 
 
-def test_lattice_events_evaluate_sici_once_per_key(coherent_pair,
+def test_lattice_events_evaluate_sici_once_per_key(coherent_product,
                                                    monkeypatch):
     # at most R = (points - 1) sum |n_k| + 1 points per finite edge, all
     # edges in one call; labels with no lattice still evaluate every node
-    _, model = coherent_pair
+    _, model = coherent_product
     calls = []
 
     def spy(x):
@@ -558,18 +596,18 @@ def test_lattice_events_evaluate_sici_once_per_key(coherent_pair,
     calls.clear()
     hvm_event_probability(model, NO_LATTICE[0], UNION)
     assert sum(calls) == finite_edges * 41 ** 3
-    # the 41 slabs of 41^2 outcomes go in blocks of 39 (at least
-    # EVENT_BLOCK outcomes), one call per edge, and 2, whose four edges
-    # fit in one call of at most EVENT_BLOCK values
+    # the first factor's 41 slabs of 41^2 outcomes go in blocks of 39 (at
+    # least EVENT_BLOCK outcomes), one call per edge, and 2, whose four
+    # edges fit in one call of at most EVENT_BLOCK values
     assert calls == ([39 * 41 ** 2] * finite_edges
                      + [finite_edges * 2 * 41 ** 2])
 
 
 @pytest.mark.parametrize("zeta, n", LATTICE[:2] + [(NO_LATTICE[0], None)])
-def test_power_of_two_scaling_keeps_every_bit(coherent_pair, zeta, n):
+def test_power_of_two_scaling_keeps_every_bit(coherent_product, zeta, n):
     # scaling the label and the edges by 2^e scales every outcome, edge and
     # 1/bandwidth exactly, on the lattice path and on the slab path
-    _, model = coherent_pair
+    _, model = coherent_product
     want = hvm_event_probability(model, zeta, UNION)
     for e in (-500, -7, 9, 500):
         scaled = [(np.ldexp(a, e), np.ldexp(b, e)) for a, b in UNION]
@@ -579,10 +617,11 @@ def test_power_of_two_scaling_keeps_every_bit(coherent_pair, zeta, n):
 
 @pytest.mark.parametrize("zeta", [LATTICE[0][0], LATTICE[3][0], NO_LATTICE[0],
                                   [0.6, 0.8]])
-def test_interval_sets_from_one_marginal_keep_every_bit(coherent_pair, zeta):
+def test_interval_sets_from_one_marginal_keep_every_bit(coherent_product,
+                                                        zeta):
     # hvm-compare's sets and UNION, with an empty set among them: each set
     # is added as a call for it alone adds it
-    _, model = coherent_pair if len(zeta) == 4 else model_for("thermal")
+    _, model = coherent_product if len(zeta) == 4 else model_for("thermal")
     sets = [[(0.0, np.inf)], [(-1.0, 1.0)], [], UNION]
     want = [hvm_event_probability(model, zeta, intervals)
             for intervals in sets]
@@ -616,8 +655,10 @@ def test_bare_import_loads_no_executor():
 
 @pytest.fixture(scope="module")
 def small_pair():
+    # the joint grid and the product model of one state
     state = make_state(StateSpec("thermal", {"nbar": 0.25}, 2))
-    return build_hvm(state_wigner(state, GridSpec(2, 5.0, 15)))
+    return (state_wigner(state, GridSpec(2, 5.0, 15)),
+            state_model(state, GridSpec(1, 5.0, 15)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -635,20 +676,21 @@ def test_lattice_events_match_full_grid_node_sum(small_pair, n, g, e, lo,
     lo, hi = np.ldexp(lo, e), np.ldexp(lo + width, e)
     intervals = {"finite": [(lo, hi)], "below": [(-np.inf, hi)],
                  "above": [(lo, np.inf)]}[kind]
-    got = hvm_event_probability(small_pair, zeta, intervals)
-    want = full_grid_event_probability(small_pair, zeta, intervals)
+    joint, product = small_pair
+    got = hvm_event_probability(product, zeta, intervals)
+    want = full_grid_event_probability(joint, zeta, intervals)
     assert abs(got - want) <= 1e-14, (got, want)
 
 
 @pytest.mark.parametrize("zeta", [[1, 0, 0, 0, 5], [1, 0]])
-def test_event_probability_rejects_wrong_length_label(coherent_pair, zeta):
-    _, model = coherent_pair
+def test_event_probability_rejects_wrong_length_label(coherent_product, zeta):
+    _, model = coherent_product
     with pytest.raises(ValueError, match="needs 4 coefficients"):
         hvm_event_probability(model, zeta, [(0.0, np.inf)])
 
 
-def test_homodyne_distribution_rejects_wrong_length_label(coherent_pair):
-    _, model = coherent_pair
+def test_homodyne_distribution_rejects_wrong_length_label(coherent_product):
+    _, model = coherent_product
     for zeta in ([1, 0, 0, 0, 5], [1, 0]):
         with pytest.raises(ValueError, match="needs 4 coefficients"):
             hvm_homodyne_distribution(model, zeta, BINS, 10, seed=0)
@@ -691,10 +733,12 @@ def test_model_and_oracle_share_one_interval_rule():
             query([(-2.0, -1.0), (1.0, 2.0)])
 
 
-def test_queries_hold_no_grid_sized_temporary(coherent_pair):
-    state, model = coherent_pair
+def test_queries_hold_no_grid_sized_temporary(coherent_product):
+    # no query forms the joint grid, or a temporary of its size
+    state, model = coherent_product
     grid_bytes = 8 * 41 ** 4
-    assert model.measure.values.nbytes == grid_bytes
+    assert [f.measure.values.nbytes
+            for f in model.factors] == [8 * 41 ** 2] * 2
     pts = np.random.default_rng(5).uniform(-3, 3, size=(10, 4))
     queries = {
         "idle axes": lambda: hvm_event_probability(
@@ -717,11 +761,12 @@ def test_queries_hold_no_grid_sized_temporary(coherent_pair):
         assert peak < grid_bytes, (name, peak / grid_bytes)
 
 
-def reference_characteristic_deviations(model, pts, state):
-    """|sum_cells p exp(i k . c) - chi| over explicit cell-center arrays."""
-    spec = model.measure.spec
+def reference_characteristic_deviations(grid, pts, state):
+    """|sum_cells p exp(i k . c) - chi| over a Wigner grid's explicit
+    cell-center arrays."""
+    spec = grid.spec
     m = spec.mode_count
-    probs = cell_probabilities(model)
+    probs = cell_probabilities(grid)
     centers = spec.axis[np.indices(spec.shape).reshape(2 * m, -1)]
     deviations = []
     for v, ref in zip(pts, characteristic_at_points(state, pts)):
@@ -732,49 +777,33 @@ def reference_characteristic_deviations(model, pts, state):
 
 
 def test_separable_characteristic_check_matches_dense_sum():
+    # a product against the dense sum on its joint grid, and one mode
     rng = np.random.default_rng(19)
     coherent = make_state(StateSpec("coherent", {"alpha": [1.0, 0.5]}, 2))
-    cases = [(coherent, GridSpec(2, 6.0, 25)),
-             (lossy_photon(0.3), GRID)]
-    for state, grid in cases:
-        model = build_hvm(state_wigner(state, grid))
-        pts = rng.uniform(-3, 3, size=(4, 2 * grid.mode_count))
+    photon = build_hvm(state_wigner(lossy_photon(0.3), GRID))
+    cases = [(coherent, state_model(coherent, GridSpec(1, 6.0, 25)),
+              state_wigner(coherent, GridSpec(2, 6.0, 25))),
+             (lossy_photon(0.3), photon, photon.measure)]
+    for state, model, grid in cases:
+        pts = rng.uniform(-3, 3, size=(4, 2 * grid.spec.mode_count))
         rep = empirical_characteristic_check(model, pts, state)
-        reference = reference_characteristic_deviations(model, pts, state)
+        reference = reference_characteristic_deviations(grid, pts, state)
         assert np.max(np.abs(np.array(rep["deviations"]) - reference)) \
             <= 1e-12
 
 
 def test_blocked_characteristic_check_has_the_whole_product_bits(
-        coherent_pair):
-    # a two-mode grid of one slab per block, one of five-slab blocks, and
-    # one mode, whose grid is one block
+        multi_block):
+    # one mode, on 257 and 577 points: the q axis contracted by whole cos
+    # and sin products, then the p axis by an einsum
     rng = np.random.default_rng(23)
-    coherent = make_state(StateSpec("coherent", {"alpha": [1.0, 0.5]}, 2))
-    cases = [coherent_pair,
-             (coherent, build_hvm(state_wigner(coherent, GridSpec(2, 6.0, 25)))),
-             model_for("squeezed", {"r": 0.5})]
-    for state, model in cases:
-        pts = rng.uniform(-3, 3, size=(10, 2 * model.mode_count))
+    for state, model in (model_for("squeezed", {"r": 0.5}), multi_block):
+        pts = rng.uniform(-3, 3, size=(10, 2))
         got = empirical_characteristic_check(model, pts, state)["deviations"]
-        want = whole_product_characteristic_deviations(model, pts, state)
+        want = whole_product_characteristic_deviations(model.measure, pts,
+                                                       state)
         assert np.array_equal(np.array(got).view(np.int64),
                               np.array(want).view(np.int64))
-
-
-def test_characteristic_check_holds_one_slab_of_products(coherent_pair):
-    # a whole (points x 41^3) cos or sin product is 5.5 MB; one slab's
-    # product, its complex terms and the running sum read 1.2 MB in all
-    state, model = coherent_pair
-    pts = np.random.default_rng(5).uniform(-3, 3, size=(10, 4))
-    empirical_characteristic_check(model, pts, state)  # first-call set-up
-    tracemalloc.start()
-    try:
-        empirical_characteristic_check(model, pts, state)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * len(pts) * 41 ** 3 / 3, peak / 1e6
 
 
 def test_empirical_characteristic_check():
@@ -807,7 +836,9 @@ def test_negative_zero_clamping():
     assert abs(model.renormalization - 1) < 1e-6
 
 
-@pytest.mark.parametrize("name", list(pinned_gaussians()))
+@pytest.mark.parametrize("name", [name for name, (_, spec)
+                                  in pinned_gaussians().items()
+                                  if spec.mode_count == 1])
 def test_one_copy_measure_keeps_every_bit_and_the_input(name):
     # the input is clamped and normalized in place, with the bits of a
     # clamped and normalized copy, and its array is the model's grid
@@ -833,9 +864,8 @@ def test_negativity_error_leaves_the_input_untouched():
 def test_build_holds_one_grid_beyond_its_input():
     # at most that: the input's array is clamped and normalized in place,
     # and the largest magnitude is read from the min and the max
-    w = wigner_gaussian(make_state(StateSpec("thermal", {"nbar": 0.5}, 2)),
-                        GridSpec(2, 6.0, 31))
-    grid_bytes = 8 * 31 ** 4
+    w = wigner_gaussian(make_state(StateSpec("thermal", {"nbar": 0.5})), WIDE)
+    grid_bytes = 8 * 961 ** 2
     assert w.values.nbytes == grid_bytes
     build_hvm(WignerGrid(w.spec, w.values.copy()))  # first-call set-up
     tracemalloc.start()
@@ -862,15 +892,38 @@ def test_product_states_split_into_their_modes():
         assert np.array_equal(mode.covariance, 0.5 * np.eye(2))
     thermal = make_state(StateSpec("thermal", {"nbar": 0.5}, 2))
     assert [m.covariance[0, 0] for m in mode_factors(thermal)] == [1.0, 1.0]
-    # a one-mode state, a Fock state and a correlated pair are their own
-    # only factor
+    # a one-mode state and a Fock state are their own only factor
     one = make_state(StateSpec("squeezed", {"r": 0.5}))
     fock = make_state(StateSpec("fock", {"n": 1}, 1, 10))
-    cov = np.eye(4)
-    cov[0, 1] = cov[1, 0] = 0.1  # q1 with q2
-    pair = GaussianState(np.zeros(4), cov)
-    for state in (one, fock, pair):
+    for state in (one, fock):
         assert mode_factors(state) == [state]
+
+
+@pytest.mark.parametrize("axes", [(0, 1), (0, 3)])  # q1 with q2, with p2
+def test_mode_factors_refuses_a_mode_coupling_gaussian(axes):
+    # its model is no product of one-mode models, and no model of two
+    # modes on one grid exists
+    cov = np.eye(4)
+    cov[axes] = cov[axes[::-1]] = 0.1
+    pair = GaussianState(np.zeros(4), cov)
+    for call in (lambda: mode_factors(pair),
+                 lambda: state_model(pair, GridSpec(1, 6.0, 41))):
+        with pytest.raises(ValueError, match="not a product of one-mode"):
+            call()
+
+
+def test_build_hvm_refuses_a_multi_mode_grid():
+    # a model's grid is one mode; the refusal comes before the first write,
+    # so cells the clamp would zero keep their bits
+    w = wigner_gaussian(make_state(StateSpec("thermal", {"nbar": 0.5}, 2)),
+                        GridSpec(2, 6.0, 15))
+    w.values.reshape(-1)[::97] *= -1e-12
+    before = w.values.copy()
+    for build in (build_hvm, hvm.HiddenVariableModel):
+        with pytest.raises(ValueError, match="one mode, not 2") as excinfo:
+            build(w)
+        assert not isinstance(excinfo.value, NegativityError)
+    assert np.array_equal(w.values.view(np.int64), before.view(np.int64))
 
 
 BARE_PRODUCT_SCRIPT = """
@@ -887,12 +940,6 @@ def test_bare_import_loads_no_product_model():
     assert json.loads(out.stdout.splitlines()[-1]) is False
 
 
-@pytest.fixture(scope="module")
-def coherent_product():
-    state = make_state(StateSpec("coherent", {"alpha": [1.0, 0.5]}, 2))
-    return state, state_model(state, GridSpec(1, 6.0, 41))
-
-
 def test_product_model_has_one_one_mode_factor_per_mode(coherent_product):
     # each factor is build_hvm of its mode's own grid, bit for bit
     state, model = coherent_product
@@ -907,7 +954,7 @@ def test_product_model_has_one_one_mode_factor_per_mode(coherent_product):
         assert factor.renormalization == want.renormalization
     assert model.renormalization == (model.factors[0].renormalization
                                      * model.factors[1].renormalization)
-    # a one-mode state is its own one factor, and so is a one-grid model
+    # a one-mode state is its own one factor, and so is a one-mode model
     single = state_model(make_state(StateSpec("vacuum")), GRID)
     assert isinstance(single, hvm.HiddenVariableModel)
     assert single.factors == (single,)
@@ -924,7 +971,7 @@ def test_product_model_needs_one_grid_step():
 def thermal_triple():
     # a 4.0 window of 11 points: the 3-mode joint grid is 11^6 cells
     state = make_state(StateSpec("thermal", {"nbar": 0.25}, 3))
-    return (build_hvm(state_wigner(state, GridSpec(3, 4.0, 11))),
+    return (state_wigner(state, GridSpec(3, 4.0, 11)),
             state_model(state, GridSpec(1, 4.0, 11)))
 
 
@@ -938,15 +985,15 @@ TRIPLE_LABELS = ([1, 1, 1, 0, 0, 0], [0.5] * 6, [0, 0, 0.3, -0.2, 0, 0.9],
 def test_product_events_match_the_joint_grid(coherent_pair, coherent_product,
                                              thermal_triple):
     # convolved lattice masses and streamed outer sums only reorder the
-    # joint marginal's sums; the joint grid's weights are the factors'
-    # products to rounding
+    # joint grid's node sums; its weights are the factors' products to
+    # rounding
     cases = [(coherent_pair[1], coherent_product[1], PRODUCT_LABELS),
              (*thermal_triple, TRIPLE_LABELS)]
     for joint, product, labels in cases:
         for zeta in labels:
             for intervals in ([(0.0, np.inf)], UNION):
                 got = hvm_event_probability(product, zeta, intervals)
-                want = hvm_event_probability(joint, zeta, intervals)
+                want = full_grid_event_probability(joint, zeta, intervals)
                 assert abs(got - want) <= 1e-14, (zeta, intervals, got - want)
 
 
@@ -986,9 +1033,8 @@ def test_product_characteristic_is_the_product_of_the_factors(
     for state, joint, product in cases:
         pts = rng.uniform(-3, 3, size=(10, 2 * product.mode_count))
         got = empirical_characteristic_check(product, pts, state)
-        want = empirical_characteristic_check(joint, pts, state)
-        assert np.max(np.abs(np.array(got["deviations"])
-                             - want["deviations"])) <= 1e-14
+        want = whole_product_characteristic_deviations(joint, pts, state)
+        assert np.max(np.abs(np.array(got["deviations"]) - want)) <= 1e-14
         assert got["pass"]
 
 
@@ -996,13 +1042,11 @@ def product_outcomes(model, zeta, n, seed):
     """zeta . phi per sample: each used factor's whole sample array at its
     stream, projected on its part of the label and added in factor order."""
     zeta = np.asarray(zeta, dtype=float)
-    m, outcomes, start = model.mode_count, 0.0, 0
+    m, outcomes = model.mode_count, 0.0
     for k, factor in enumerate(model.factors):
-        end = start + factor.mode_count
-        part = np.concatenate([zeta[start:end], zeta[m + start:m + end]])
+        part = zeta[[k, m + k]]
         if part.any():
             outcomes = outcomes + sample(factor, n, seed, stream=k) @ part
-        start = end
     return outcomes
 
 

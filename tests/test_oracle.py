@@ -226,12 +226,13 @@ import numpy as np
 from wignerhvm import weyl
 weyl.metaplectic_covariance_suite(np.random.default_rng(0), trials=2)
 loaded["metaplectic suite"] = scipy_modules()
-from wignerhvm.hvm import build_hvm, hvm_event_probability
+from wignerhvm.hvm import hvm_event_probability
 from wignerhvm.oracle import event_probability
+from wignerhvm.product import state_model
 from wignerhvm.states import StateSpec, make_state
-from wignerhvm.wigner import GridSpec, state_wigner
+from wignerhvm.wigner import GridSpec
 state = make_state(StateSpec("vacuum", {}, 2))
-model = build_hvm(state_wigner(state, GridSpec(2, 6.0, 21)))
+model = state_model(state, GridSpec(1, 6.0, 21))
 event_probability(state, [1, 0, 0, 0], [(0.0, 1.0)])
 loaded["event_probability"] = scipy_modules()
 hvm_event_probability(model, [1, 0, 0.5, 0], [(0.0, 1.0)])  # a lattice

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import ndtr as scipy_ndtr
@@ -50,6 +52,20 @@ def test_ndtr_matches_scipy():
     assert np.all(got[~normal] < np.finfo(float).tiny)
     assert ndtr(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
     assert np.isnan(ndtr(np.nan))
+
+
+def test_ndtr_holds_two_floats_a_point():
+    # the scaled argument and the values, 16 bytes a point; an object
+    # array of Python floats on the way took 42
+    x = np.linspace(-8, 8, 10 ** 5)
+    ndtr(x[:10])  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        ndtr(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * x.size, peak / x.size
 
 
 @pytest.mark.parametrize("kernel", [sine_integral, ndtr])
